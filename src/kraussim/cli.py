@@ -32,13 +32,16 @@ Config schema (JSON object)::
 The sweep grid must be nonempty and monotone.  CSV columns are fixed:
 ``param_value,C_theory,C_measured,trace_distance,mode,shots,seed,
 synth_gate_count,lowered_gate_count``.  Identical config and seed give
-byte-identical CSV.
+byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 
 A point runs: build channel -> dilate (pure input, or one of the three
-mixed-state methods) -> embed qudits onto qubits -> synthesize -> verify
--> lower -> verify.  Exact mode recovers the system state by partial
-trace of the simulated vector; sampled mode measures all 3^n tomography
-settings, optionally applies and mitigates readout noise, and
+mixed-state methods) -> embed qudits onto qubits -> synthesize -> simulate
+and verify -> lower -> simulate and verify.  Each circuit is simulated
+once.  Exact mode recovers the system state by partial trace of the
+synthesized circuit's verified statevector.  Sampled mode branches all
+3^n tomography settings from the lowered circuit's one simulation: each
+setting applies only its basis rotations to a copy of that state.  It
+then samples, optionally applies and mitigates readout noise, and
 reconstructs.  Mixed method 2 prepares one circuit per eigenvector and
 mixes the recovered states classically.
 """
@@ -63,6 +66,7 @@ from .channels import (
     validate_cptp,
 )
 from .dilation import (
+    RANK_TOL,
     DilatedState,
     dilate_pure,
     embed_qudits,
@@ -336,36 +340,41 @@ def _dilations(
     spectral = spectral_input(rho0)
     out = []
     for k, weight in enumerate(spectral.eigenvalues):
-        if weight <= 1e-12:
+        if weight <= RANK_TOL:
             continue
         vec = PureState(spectral.eigenvectors[:, k])
         out.append((float(weight), dilate_pure(channel, vec)))
     return out
 
 
-def _measure_exact(circuit: Circuit, dilated: DilatedState) -> DensityMatrix:
-    state = run(circuit)
-    n = circuit.qubit_count
+def _measure_exact(state: PureState, dilated: DilatedState) -> DensityMatrix:
+    n = state.dim.bit_length() - 1
     m0 = dilated.embedding.qubit_counts[0]
-    reduced = partial_trace(state.to_density(), [2] * n, keep=range(m0))
+    reduced = partial_trace(state, [2] * n, keep=range(m0))
     block, _ = extract_embedded(reduced, dilated.system_dim)
     return block
 
 
 def _measure_sampled(
     cfg: ExperimentConfig,
-    lowered: Circuit,
+    prefix: PureState,
+    global_phase: float,
     dilated: DilatedState,
     path: tuple[int, ...],
 ) -> DensityMatrix:
+    """Tomography of the lowered preparation, branched from its one simulation.
+
+    ``prefix`` is the lowered circuit's state before its global phase;
+    each setting rotates a copy of it and then applies the phase, exactly
+    as running the whole setting circuit would.
+    """
+    n = prefix.dim.bit_length() - 1
     m0 = dilated.embedding.qubit_counts[0]
     system_qubits = tuple(range(m0))
     plan = settings_for(system_qubits)
     data = {}
     for s_idx, setting in enumerate(plan.settings):
-        gates = lowered.gates + plan.rotations[setting]
-        circ = Circuit(lowered.qubit_count, gates, lowered.global_phase)
-        state = run(circ)
+        state = run(Circuit(n, plan.rotations[setting], global_phase), prefix)
         counts = sample(state, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
         if cfg.readout is not None:
             counts = apply_readout_noise(
@@ -378,6 +387,13 @@ def _measure_sampled(
     result = reconstruct(values, errs, shots_per_setting=cfg.shots)
     block, _ = extract_embedded(result.projected, dilated.system_dim)
     return block
+
+
+def _require_fidelity(stage: str, fidelity: float, value: float) -> None:
+    if fidelity < FIDELITY_FLOOR:
+        raise VerificationError(
+            f"{stage} fidelity {fidelity:.12f} below threshold at value {value}"
+        )
 
 
 def _run_point(cfg: ExperimentConfig, index: int, value: float) -> SweepRow:
@@ -393,23 +409,21 @@ def _run_point(cfg: ExperimentConfig, index: int, value: float) -> SweepRow:
     for k, (weight, dilated) in enumerate(parts):
         embedded = embed_qudits(dilated)
         circuit = synthesize(embedded)
-        fid = verify_preparation(circuit, embedded)
-        if fid < FIDELITY_FLOOR:
-            raise VerificationError(
-                f"synthesis fidelity {fid:.12f} below threshold at value {value}"
-            )
+        state = run(circuit)
+        _require_fidelity("synthesis", verify_preparation(circuit, embedded, state), value)
         low = lower(circuit)
-        fid_low = verify_preparation(low, embedded)
-        if fid_low < FIDELITY_FLOOR:
-            raise VerificationError(
-                f"lowered fidelity {fid_low:.12f} below threshold at value {value}"
-            )
+        # one simulation of the lowered gates; the global phase comes last,
+        # so the verified state and every tomography setting branch from it
+        n = low.qubit_count
+        prefix = run(Circuit(n, low.gates))
+        low_state = run(Circuit(n, (), low.global_phase), prefix)
+        _require_fidelity("lowered", verify_preparation(low, embedded, low_state), value)
         synth_count += len(circuit.gates)
         lowered_count += len(low.gates)
         if cfg.mode == "exact":
-            block = _measure_exact(circuit, dilated)
+            block = _measure_exact(state, dilated)
         else:
-            block = _measure_sampled(cfg, low, dilated, (index, k))
+            block = _measure_sampled(cfg, prefix, low.global_phase, dilated, (index, k))
         measured += weight * block.matrix
     rho_measured = DensityMatrix(measured)
     return SweepRow(

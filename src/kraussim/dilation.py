@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import KrausChannel
-from .numerics import DensityMatrix, PureState, herm_eig
+from .numerics import DensityMatrix, PureState, check_register, herm_eig
 
 __all__ = [
     "QubitEmbedding",
@@ -144,6 +144,7 @@ def embed_qudits(dilated: DilatedState) -> PureState:
     and every unused pattern stays at zero.
     """
     emb = dilated.embedding
+    check_register(emb.total_qubits, "qubit embedding")
     dims = dilated.factor_dims
     out = np.zeros(2**emb.total_qubits, dtype=np.complex128)
     src = dilated.state.amplitudes.reshape(dims)

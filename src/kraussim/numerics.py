@@ -16,8 +16,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_DIM",
+    "MAX_QUBITS",
     "TOLERANCES",
     "Tolerances",
+    "check_register",
     "DensityMatrix",
     "PureState",
     "kron",
@@ -30,6 +33,17 @@ __all__ = [
 ]
 
 MAX_DIM = 2**10
+# The one register limit: every qubit register is bounded by MAX_DIM.
+MAX_QUBITS = MAX_DIM.bit_length() - 1
+
+
+def check_register(qubits: int, stage: str) -> None:
+    """Fail before any work if a ``qubits``-qubit register exceeds the limit."""
+    if qubits > MAX_QUBITS:
+        raise ValueError(
+            f"{stage}: {qubits} qubits exceeds the register limit of "
+            f"{MAX_QUBITS} qubits (state dimension {MAX_DIM})"
+        )
 
 
 @dataclass
@@ -124,13 +138,16 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(
-    rho: DensityMatrix, dims: Sequence[int], keep: Iterable[int]
+    rho: DensityMatrix | PureState, dims: Sequence[int], keep: Iterable[int]
 ) -> DensityMatrix:
     """Trace out all tensor factors not listed in ``keep``.
 
     ``dims`` gives the factor dimensions in tensor order (left factor most
     significant); their product must equal ``rho.dim``.  The reduced matrix
-    is returned over the kept factors in their original order.
+    is returned over the kept factors in their original order.  A
+    :class:`PureState` is traced as its outer product, without building
+    and validating the full-register :class:`DensityMatrix`; the result
+    equals ``partial_trace(rho.to_density(), dims, keep)`` bit for bit.
     """
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
@@ -141,7 +158,12 @@ def partial_trace(
     if not keep or any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep={keep} is not a nonempty subset of factor indices")
     n = len(dims)
-    tensor = rho.matrix.reshape(dims + dims)
+    if isinstance(rho, PureState):
+        v = rho.amplitudes
+        matrix = np.outer(v, v.conj())
+    else:
+        matrix = rho.matrix
+    tensor = matrix.reshape(dims + dims)
     # einsum with integer subscripts: traced factors share row/col labels
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]

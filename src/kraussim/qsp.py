@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import PureState
+from .numerics import PureState, check_register
 
 __all__ = [
     "Gate",
@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 GATE_KINDS = ("x", "ry", "rz", "phase")
-
-MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,7 @@ def _qubit_count_for(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
         raise ValueError(f"amplitude vector length {dim} is not a power of two >= 2")
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the supported maximum {MAX_QUBITS}")
+    check_register(n, "synthesis")
     return n
 
 
@@ -422,11 +419,18 @@ def lower(circuit: Circuit) -> Circuit:
     return Circuit(n, tuple(out), global_phase)
 
 
-def verify_preparation(circuit: Circuit, target: PureState) -> float:
-    """Fidelity |<target| circuit |0...0>|^2."""
-    from .simulator import run  # deferred: simulator imports this module
+def verify_preparation(
+    circuit: Circuit, target: PureState, prepared: PureState | None = None
+) -> float:
+    """Fidelity |<target| circuit |0...0>|^2.
 
-    prepared = run(circuit)
+    ``prepared`` is the circuit's output state when the caller has already
+    simulated it; otherwise the circuit is run here.
+    """
+    if prepared is None:
+        from .simulator import run  # deferred: simulator imports this module
+
+        prepared = run(circuit)
     if prepared.dim != target.dim:
         raise ValueError("target dimension does not match circuit register")
     return float(abs(np.vdot(target.amplitudes, prepared.amplitudes)) ** 2)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .numerics import PureState
+from .numerics import PureState, check_register
 from .qsp import Circuit, Gate
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "derive_rng",
     "circuit_unitary",
 ]
-
-RUN_MAX_QUBITS = 20
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator for a root seed."""
@@ -67,13 +64,23 @@ def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> None:
     sub[...] = sub @ gate.matrix().T
 
 
-def run(circuit: Circuit) -> PureState:
-    """Apply the circuit to |0...0> and return the final statevector."""
+def run(circuit: Circuit, initial: PureState | None = None) -> PureState:
+    """Apply the circuit to |0...0>, or to ``initial``, and return the final state.
+
+    The global phase multiplies the state after the last gate.  So
+    ``run(Circuit(n, tail, phase), run(Circuit(n, prefix)))`` equals
+    ``run(Circuit(n, prefix + tail, phase))`` bit for bit, and circuits that
+    share a prefix can branch from one simulation of it.
+    """
     n = circuit.qubit_count
-    if n > RUN_MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the simulator limit {RUN_MAX_QUBITS}")
-    state = np.zeros(2**n, dtype=np.complex128)
-    state[0] = 1.0
+    check_register(n, "simulator")
+    if initial is None:
+        state = np.zeros(2**n, dtype=np.complex128)
+        state[0] = 1.0
+    elif initial.dim != 2**n:
+        raise ValueError(f"initial state dimension {initial.dim} != 2^{n}")
+    else:
+        state = initial.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate(state, gate, n)
     if circuit.global_phase != 0.0:
@@ -84,8 +91,7 @@ def run(circuit: Circuit) -> PureState:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a small circuit (column k = action on |k>)."""
     n = circuit.qubit_count
-    if n > 10:
-        raise ValueError("dense unitary limited to 10 qubits")
+    check_register(n, "dense unitary")
     dim = 2**n
     cols = np.eye(dim, dtype=np.complex128)
     for k in range(dim):
@@ -204,20 +210,25 @@ class ReadoutModel:
 def apply_readout_noise(
     counts: ShotCounts, model: ReadoutModel, seed: int | np.random.Generator
 ) -> ShotCounts:
-    """Flip each recorded bit independently with the model's probabilities."""
-    e0, e1 = model.arrays(counts.qubit_count)
+    """Flip each recorded bit independently with the model's probabilities.
+
+    Shots are laid out outcome by outcome in sorted bitstring order and
+    drawn as one ``(shots, qubits)`` array of uniform variates.
+    """
+    n = counts.qubit_count
+    e0, e1 = model.arrays(n)
     rng = _as_rng(seed)
-    flipped: dict[str, int] = {}
-    for key in sorted(counts.histogram):
-        count = counts.histogram[key]
-        bits = np.array([int(b) for b in key], dtype=np.int8)
-        flip_prob = np.where(bits == 0, e0, e1)
-        flips = rng.random((count, bits.size)) < flip_prob
-        noisy = bits[None, :] ^ flips
-        for row in noisy:
-            out = "".join("1" if b else "0" for b in row)
-            flipped[out] = flipped.get(out, 0) + 1
-    return ShotCounts(counts.qubit_count, counts.shots, flipped)
+    keys = sorted(counts.histogram)
+    outcomes = np.array([int(key, 2) for key in keys])
+    repeats = [counts.histogram[key] for key in keys]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    bits = (outcomes[:, None] & weights) != 0
+    thresholds = np.repeat(np.where(bits, e1, e0), repeats, axis=0)
+    flips = rng.random((counts.shots, n)) < thresholds
+    noisy = np.repeat(outcomes, repeats) ^ (flips @ weights)
+    tally = np.bincount(noisy, minlength=2**n)
+    histogram = {format(i, f"0{n}b"): int(c) for i, c in enumerate(tally) if c > 0}
+    return ShotCounts(n, counts.shots, histogram)
 
 
 def mitigate(counts: ShotCounts, model: ReadoutModel) -> dict[str, float]:

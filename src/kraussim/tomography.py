@@ -111,11 +111,12 @@ def expectations(
     """
     qubits = tuple(int(q) for q in system_qubits)
     n = len(qubits)
-    wanted = set(itertools.product("XYZ", repeat=n))
-    have = set(per_setting.keys())
-    if not wanted <= have:
-        missing = sorted(wanted - have)[0]
-        raise ValueError(f"missing measurement setting {''.join(missing)}")
+    # a list, not a set: its order fixes the summation order of each mean,
+    # and set order would vary with the interpreter's hash seed
+    wanted = list(itertools.product("XYZ", repeat=n))
+    missing = [s for s in wanted if s not in per_setting]
+    if missing:
+        raise ValueError(f"missing measurement setting {''.join(missing[0])}")
     normalized: dict[tuple[str, ...], tuple[dict[str, float], int | None]] = {
         s: _weights(per_setting[s]) for s in wanted
     }

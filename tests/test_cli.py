@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kraussim
+import kraussim.simulator as simulator
 from kraussim.channels import KrausChannel, save_channel
 from kraussim.cli import (
     CSV_HEADER,
@@ -70,6 +76,66 @@ def test_csv_is_byte_deterministic():
     assert a.splitlines()[0] == CSV_HEADER
     c = rows_to_csv(run_experiment(parse_config(bpf_config(mode="sampled", shots=2048, seed=18))))
     assert c != a
+
+
+def test_sampled_csv_is_byte_identical_across_hash_seeds(tmp_path):
+    # the hash seed changes set iteration order; a run in one process
+    # cannot show that, so the sweep runs in two fresh interpreters
+    config = tmp_path / "qad.json"
+    config.write_text(json.dumps({
+        "channel": {"name": "qutrit_amplitude_damping", "params": {}},
+        "sweep": {"parameter": "gamma", "grid": [0.3, 0.8]},
+        "mode": "sampled",
+        "shots": 2048,
+        "seed": 7,
+        "readout": {"e0": 0.02, "e1": 0.03},
+    }))
+    src = str(Path(kraussim.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kraussim.cli", "sweep", str(config)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith(CSV_HEADER)
+    assert outputs[0] == outputs[1]
+
+
+def test_each_preparation_is_simulated_once(monkeypatch):
+    applied = []
+    apply_gate = simulator._apply_gate
+
+    def counting(state, gate, n):
+        applied.append(gate)
+        apply_gate(state, gate, n)
+
+    monkeypatch.setattr(simulator, "_apply_gate", counting)
+    # one system qubit: the X, Y and Z settings add 1 + 3 + 0 rotations
+    for mode, rotation_gates in (("exact", 0), ("sampled", 4)):
+        applied.clear()
+        cfg = bpf_config(mode=mode, shots=64, sweep={"parameter": "p", "grid": [0.3]})
+        [row] = run_experiment(parse_config(cfg))
+        assert not row.error
+        expected = row.synth_gate_count + row.lowered_gate_count + rotation_gates
+        assert len(applied) == expected
+
+
+def test_oversized_register_fails_the_point_naming_the_stage():
+    # mixed method 1 on a 5-level channel: factors (5, 5, 25) on 3 + 3 + 5 = 11 qubits
+    rho = np.diag([0.4, 0.3, 0.2, 0.05, 0.05])
+    cfg = {
+        "channel": {"name": "hw_dephasing", "params": {"d": 5}},
+        "initial_state": {"density_matrix": rho.tolist()},
+        "sweep": {"parameter": "p0", "grid": [0.5]},
+        "mode": "exact",
+        "mixed_method": 1,
+    }
+    [row] = run_experiment(parse_config(cfg))
+    assert "qubit embedding: 11 qubits exceeds the register limit of 10" in row.error
+    assert np.isnan(row.c_measured)
 
 
 CATALOG_SWEEPS = [

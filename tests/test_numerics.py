@@ -72,6 +72,17 @@ def test_partial_trace_keep_order_is_original_order():
     assert np.allclose(red.matrix, kron(a.matrix, c.matrix), atol=1e-12)
 
 
+def test_partial_trace_of_pure_state_matches_density_path_bitwise():
+    rng = np.random.default_rng(11)
+    for dims, keep in (([2] * 9, range(3)), ([3, 4, 2], [0, 2]), ([2, 2], [1])):
+        psi = random_pure(rng, int(np.prod(dims)))
+        via_state = partial_trace(psi, dims, keep)
+        via_density = partial_trace(psi.to_density(), dims, keep)
+        assert np.array_equal(via_state.matrix, via_density.matrix)
+    with pytest.raises(ValueError):
+        partial_trace(psi, [2, 3], keep=[0])
+
+
 def test_partial_trace_dimension_mismatch():
     rho = random_density(np.random.default_rng(0), 4)
     with pytest.raises(ValueError):

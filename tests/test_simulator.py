@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import kraussim.simulator as simulator
 from helpers import dense_gate, random_pure
-from kraussim.numerics import PureState
+from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState
 from kraussim.qsp import Circuit, Gate, lower, synthesize
+from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
     ShotCounts,
@@ -163,3 +165,51 @@ def test_per_qubit_error_tuples():
     assert ones_on_q1 == 0  # second qubit noiseless
     ones_on_q0 = sum(c for b, c in noisy.histogram.items() if b[0] == "1")
     assert abs(ones_on_q0 / 50_000 - 0.3) < 0.02
+
+
+def test_readout_noise_reproduces_recorded_histogram():
+    # recorded from the earlier per-outcome, per-shot implementation: the
+    # single (shots, qubits) draw consumes the stream in the same order
+    counts = ShotCounts(3, 600, {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30})
+    model = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
+    noisy = apply_readout_noise(counts, model, seed=derive_rng(2212, 13834, 1))
+    assert noisy.histogram == {
+        "000": 181, "001": 29, "010": 66, "011": 13,
+        "100": 47, "101": 111, "110": 107, "111": 46,
+    }
+
+
+def test_branched_settings_equal_full_runs_bit_for_bit():
+    rng = np.random.default_rng(2212)
+    low = lower(synthesize(random_pure(rng, 16)))
+    assert low.global_phase != 0.0
+    n = low.qubit_count
+    prefix = run(Circuit(n, low.gates))
+    plan = settings_for(range(3))
+    for setting in plan.settings:
+        rotations = plan.rotations[setting]
+        full = run(Circuit(n, low.gates + rotations, low.global_phase))
+        branched = run(Circuit(n, rotations, low.global_phase), prefix)
+        assert np.array_equal(branched.amplitudes, full.amplitudes)
+    assert np.array_equal(
+        run(Circuit(n, (), low.global_phase), prefix).amplitudes, run(low).amplitudes
+    )
+
+
+def test_run_rejects_initial_state_of_wrong_size():
+    with pytest.raises(ValueError, match="initial state dimension 8"):
+        run(Circuit(2, ()), PureState(np.full(8, 8**-0.5)))
+
+
+def test_register_limit_is_checked_before_the_first_gate(monkeypatch):
+    assert MAX_QUBITS == 10 and 2**MAX_QUBITS == MAX_DIM
+    reachable = run(Circuit(10, (Gate("x", 0.0, 9),)))
+    assert reachable.amplitudes[1] == 1.0
+    applied = []
+    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    wide = Circuit(11, (Gate("x", 0.0, 0),))
+    with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit of 10"):
+        run(wide)
+    with pytest.raises(ValueError, match="dense unitary: 11 qubits exceeds"):
+        circuit_unitary(wide)
+    assert applied == []
