@@ -40,10 +40,13 @@ and verify -> lower -> simulate and verify.  Each circuit is simulated
 once.  Exact mode recovers the system state by partial trace of the
 synthesized circuit's verified statevector.  Sampled mode branches all
 3^n tomography settings from the lowered circuit's one simulation: each
-setting applies only its basis rotations to a copy of that state.  It
-then samples, optionally applies and mitigates readout noise, and
-reconstructs.  Mixed method 2 prepares one circuit per eigenvector and
-mixes the recovered states classically.
+setting applies only its basis rotations to a copy of that state.  Each
+setting's shots are drawn as a dense count array over the register,
+optionally corrupted by readout noise and mitigated into a frequency
+array; the expectations and the reconstruction work on those arrays, and
+no bitstring is formed.  Mixed method 2 prepares one circuit per
+eigenvector (``dilation.eigenvector_dilations``) and mixes the recovered
+states classically.
 """
 
 from __future__ import annotations
@@ -66,14 +69,12 @@ from .channels import (
     validate_cptp,
 )
 from .dilation import (
-    RANK_TOL,
     DilatedState,
     dilate_pure,
+    eigenvector_dilations,
     embed_qudits,
     mixed_method_double_purification,
     mixed_method_purify_evolved,
-    recovered_system_state,
-    spectral_input,
 )
 from .numerics import (
     DensityMatrix,
@@ -337,14 +338,7 @@ def _dilations(
         return [(1.0, mixed_method_purify_evolved(channel, rho0))]
     if cfg.mixed_method == 3:
         return [(1.0, mixed_method_double_purification(channel, rho0))]
-    spectral = spectral_input(rho0)
-    out = []
-    for k, weight in enumerate(spectral.eigenvalues):
-        if weight <= RANK_TOL:
-            continue
-        vec = PureState(spectral.eigenvectors[:, k])
-        out.append((float(weight), dilate_pure(channel, vec)))
-    return out
+    return eigenvector_dilations(channel, rho0)
 
 
 def _measure_exact(state: PureState, dilated: DilatedState) -> DensityMatrix:

@@ -42,6 +42,7 @@ __all__ = [
     "recovered_system_state",
     "spectral_input",
     "mixed_method_purify_evolved",
+    "eigenvector_dilations",
     "mixed_method_convex",
     "mixed_method_double_purification",
 ]
@@ -260,6 +261,25 @@ def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> Di
     )
 
 
+def eigenvector_dilations(
+    channel: KrausChannel, rho: DensityMatrix
+) -> list[tuple[float, DilatedState]]:
+    """Dilate each eigenvector of ``rho`` with weight above ``RANK_TOL``.
+
+    Returns ``(eigenvalue, dilate_pure(channel, eigenvector))`` pairs in
+    descending eigenvalue order; mixing their reduced states with those
+    weights gives the channel's action on ``rho``.
+    """
+    if rho.dim != channel.dim:
+        raise ValueError(f"state dimension {rho.dim} != channel dimension {channel.dim}")
+    spectral = spectral_input(rho)
+    return [
+        (float(weight), dilate_pure(channel, PureState(spectral.eigenvectors[:, k])))
+        for k, weight in enumerate(spectral.eigenvalues)
+        if weight > RANK_TOL
+    ]
+
+
 def mixed_method_convex(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Dilate each eigenvector of ``rho`` separately and mix the outcomes.
 
@@ -267,16 +287,9 @@ def mixed_method_convex(channel: KrausChannel, rho: DensityMatrix) -> DensityMat
     ancilla trace; the reduced states are combined with the eigenvalue
     weights.
     """
-    if rho.dim != channel.dim:
-        raise ValueError(f"state dimension {rho.dim} != channel dimension {channel.dim}")
-    spectral = spectral_input(rho)
-    out = np.zeros_like(rho.matrix)
-    for weight, k in zip(spectral.eigenvalues, range(rho.dim)):
-        if weight <= RANK_TOL:
-            continue
-        vec = PureState(spectral.eigenvectors[:, k])
-        reduced = recovered_system_state(dilate_pure(channel, vec))
-        out += weight * reduced.matrix
+    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for weight, dilated in eigenvector_dilations(channel, rho):
+        out += weight * recovered_system_state(dilated).matrix
     return DensityMatrix(out)
 
 

@@ -102,30 +102,75 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return cols * np.exp(1j * circuit.global_phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Histogram of measured bitstrings (most significant qubit first)."""
+    """Measured outcome counts over a qubit register.
+
+    ``counts[i]`` is the number of shots that read basis state ``i``
+    (qubit 0 is the most significant bit), as a read-only ``int64`` array
+    of length ``2**qubit_count``.  Bitstrings appear only at the I/O edge:
+    :attr:`histogram`, :meth:`from_histogram` and the JSON form.
+    """
 
     qubit_count: int
     shots: int
-    histogram: dict[str, int]
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        total = 0
-        for key, count in self.histogram.items():
-            if len(key) != self.qubit_count or set(key) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {key!r}")
-            if count < 0:
-                raise ValueError(f"negative count for {key!r}")
-            total += count
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.shape != (2**self.qubit_count,):
+            raise ValueError(
+                f"counts of shape {counts.shape} do not cover "
+                f"{self.qubit_count} qubits ({2**self.qubit_count} outcomes)"
+            )
+        counts = counts.astype(np.int64)  # always a copy, so the caller's array stays writable
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            key = format(int(negative[0]), f"0{self.qubit_count}b")
+            raise ValueError(f"negative count for {key!r}")
+        total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"histogram total {total} != shots {self.shots}")
-        object.__setattr__(self, "histogram", dict(self.histogram))
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
-    def frequencies(self) -> dict[str, float]:
-        return {k: v / self.shots for k, v in self.histogram.items()}
+    @classmethod
+    def from_histogram(
+        cls, qubit_count: int, shots: int, histogram: Mapping[str, int]
+    ) -> "ShotCounts":
+        """Counts from a ``{bitstring: count}`` mapping; absent outcomes count 0."""
+        counts = np.zeros(2**qubit_count, dtype=np.int64)
+        for key, count in histogram.items():
+            if len(key) != qubit_count or set(key) - {"0", "1"}:
+                raise ValueError(f"bad bitstring key {key!r}")
+            counts[int(key, 2)] = count
+        return cls(qubit_count, shots, counts)
+
+    @property
+    def histogram(self) -> dict[str, int]:
+        """Nonzero counts keyed by bitstring, in ascending outcome order."""
+        n = self.qubit_count
+        return {
+            format(int(i), f"0{n}b"): int(self.counts[i])
+            for i in np.flatnonzero(self.counts)
+        }
+
+    def frequencies(self) -> np.ndarray:
+        """Relative frequency of every outcome, ``counts / shots``."""
+        return self.counts / self.shots
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShotCounts):
+            return NotImplemented
+        return (
+            self.qubit_count == other.qubit_count
+            and self.shots == other.shots
+            and np.array_equal(self.counts, other.counts)
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -139,7 +184,7 @@ class ShotCounts:
         if not counts:
             raise ValueError("empty counts")
         width = len(next(iter(counts)))
-        return cls(qubit_count=width, shots=int(data["shots"]), histogram=counts)
+        return cls.from_histogram(width, int(data["shots"]), counts)
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -159,11 +204,7 @@ def sample(state: PureState, shots: int, seed: int | np.random.Generator) -> Sho
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = _as_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    histogram = {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0
-    }
-    return ShotCounts(qubit_count=n, shots=shots, histogram=histogram)
+    return ShotCounts(n, shots, rng.multinomial(shots, probs))
 
 
 @dataclass(frozen=True)
@@ -212,40 +253,34 @@ def apply_readout_noise(
 ) -> ShotCounts:
     """Flip each recorded bit independently with the model's probabilities.
 
-    Shots are laid out outcome by outcome in sorted bitstring order and
+    Shots are laid out outcome by outcome in ascending outcome order and
     drawn as one ``(shots, qubits)`` array of uniform variates.
     """
     n = counts.qubit_count
     e0, e1 = model.arrays(n)
     rng = _as_rng(seed)
-    keys = sorted(counts.histogram)
-    outcomes = np.array([int(key, 2) for key in keys])
-    repeats = [counts.histogram[key] for key in keys]
+    outcomes = np.arange(2**n)
     weights = 1 << np.arange(n - 1, -1, -1)
     bits = (outcomes[:, None] & weights) != 0
-    thresholds = np.repeat(np.where(bits, e1, e0), repeats, axis=0)
+    thresholds = np.repeat(np.where(bits, e1, e0), counts.counts, axis=0)
     flips = rng.random((counts.shots, n)) < thresholds
-    noisy = np.repeat(outcomes, repeats) ^ (flips @ weights)
-    tally = np.bincount(noisy, minlength=2**n)
-    histogram = {format(i, f"0{n}b"): int(c) for i, c in enumerate(tally) if c > 0}
-    return ShotCounts(n, counts.shots, histogram)
+    noisy = np.repeat(outcomes, counts.counts) ^ (flips @ weights)
+    return ShotCounts(n, counts.shots, np.bincount(noisy, minlength=2**n))
 
 
-def mitigate(counts: ShotCounts, model: ReadoutModel) -> dict[str, float]:
+def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:
     """Invert the tensor-product confusion matrix and project to the simplex.
 
     Per qubit the confusion matrix is [[1-e0, e1], [e0, 1-e1]] (column =
     true bit); its inverse is applied along each axis of the frequency
     tensor.  Negative quasi-probabilities are clipped to zero and the
     remainder renormalized.  A qubit with e0 + e1 = 1 has a singular
-    confusion matrix and raises.
+    confusion matrix and raises.  Returns the frequency of every outcome
+    over the register, in the order of ``counts.counts``.
     """
     n = counts.qubit_count
     e0, e1 = model.arrays(n)
-    freq = np.zeros(2**n)
-    for key, count in counts.histogram.items():
-        freq[int(key, 2)] = count / counts.shots
-    tensor = freq.reshape([2] * n)
+    tensor = counts.frequencies().reshape([2] * n)
     for q in range(n):
         det = 1.0 - e0[q] - e1[q]
         if abs(det) < 1e-12:
@@ -260,7 +295,4 @@ def mitigate(counts: ShotCounts, model: ReadoutModel) -> dict[str, float]:
     total = clipped.sum()
     if total <= 0.0:
         raise ValueError("mitigation clipped all probability mass")
-    probs = clipped / total
-    return {
-        format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 0.0
-    }
+    return clipped / total

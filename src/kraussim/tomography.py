@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .numerics import DensityMatrix, herm_eig, kron
+from .numerics import DensityMatrix, herm_eig
 from .qsp import Gate
 from .simulator import ShotCounts
 
@@ -85,73 +85,142 @@ def settings_for(system_qubits: Sequence[int]) -> TomographySettings:
     return TomographySettings(qubits, settings, rotations)
 
 
-def _weights(data: ShotCounts | Mapping[str, float]) -> tuple[dict[str, float], int | None]:
-    if isinstance(data, ShotCounts):
-        return data.frequencies(), data.shots
-    total = float(sum(data.values()))
-    if total <= 0.0:
-        raise ValueError("setting has no probability mass")
-    return {k: v / total for k, v in data.items()}, None
+def _pauli_basis(n: int) -> np.ndarray:
+    """All 4^n Pauli strings on n qubits, stacked as a ``(4^n, 2^n, 2^n)`` array.
+
+    Strings come in ``itertools.product("IXYZ", repeat=n)`` order, the
+    first letter acting on the most significant qubit.
+    """
+    paulis = np.stack([_PAULI[c] for c in "IXYZ"])
+    basis = np.ones((1, 1, 1), dtype=np.complex128)
+    for _ in range(n):
+        count, dim = basis.shape[0], basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, paulis).reshape(
+            4 * count, 2 * dim, 2 * dim
+        )
+    return basis
+
+
+def _pauli_names(n: int) -> list[str]:
+    return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
+
+
+def _setting_weights(
+    per_setting: Mapping[tuple[str, ...], ShotCounts | np.ndarray],
+    settings: Sequence[tuple[str, ...]],
+    qubits: tuple[int, ...],
+) -> tuple[np.ndarray, list[int | None]]:
+    """Outcome weights as one ``(settings, 2^width)`` array, plus shot totals.
+
+    Counts become relative frequencies; a frequency array is divided by
+    its total, summed in ascending outcome order.
+    """
+    rows = []
+    shots: list[int | None] = []
+    width = None
+    for setting in settings:
+        data = per_setting[setting]
+        label = "".join(setting)
+        if isinstance(data, ShotCounts):
+            row = data.frequencies()
+            setting_shots = data.shots
+            setting_width = data.qubit_count
+        else:
+            row = np.asarray(data, dtype=np.float64)
+            setting_shots = None
+            setting_width = row.size.bit_length() - 1
+            if row.ndim != 1 or row.size != 2**setting_width:
+                raise ValueError(
+                    f"setting {label}: {row.shape} frequencies do not cover a qubit register"
+                )
+            total = np.cumsum(row)[-1]
+            if not total > 0.0:
+                raise ValueError(f"setting {label} has no probability mass")
+            row = row / total
+        if width is None:
+            width = setting_width
+            outside = [q for q in qubits if not 0 <= q < width]
+            if outside:
+                raise ValueError(
+                    f"setting {label}: system qubit {outside[0]} outside its "
+                    f"{width}-qubit register"
+                )
+        elif setting_width != width:
+            raise ValueError(
+                f"setting {label} measures {setting_width} qubits, "
+                f"setting {''.join(settings[0])} measures {width}"
+            )
+        rows.append(row)
+        shots.append(setting_shots)
+    return np.stack(rows), shots
 
 
 def expectations(
-    per_setting: Mapping[tuple[str, ...], ShotCounts | Mapping[str, float]],
+    per_setting: Mapping[tuple[str, ...], ShotCounts | np.ndarray],
     system_qubits: Sequence[int],
     shots_per_setting: int | None = None,
 ) -> tuple[dict[str, float], dict[str, float | None]]:
     """Per-Pauli-string expectation values with standard errors.
 
-    ``per_setting`` maps each of the 3^n settings to measured bitstring
-    counts or frequencies over the full register.  A Pauli string's value
-    is the parity expectation of its non-identity positions, averaged over
-    every setting compatible with those positions; identity positions and
-    all ancilla bits are marginalized.  Standard errors use the binomial
-    estimate sqrt((1 - m^2) / shots) per setting when shot totals are
-    known, ``None`` otherwise.
+    ``per_setting`` maps each of the 3^n settings to its measured counts,
+    or to a frequency array over the full register (as :func:`mitigate`
+    returns).  A Pauli string's value is the parity expectation of its
+    non-identity positions, averaged over every setting compatible with
+    those positions; identity positions and all ancilla bits are
+    marginalized.  Standard errors use the binomial estimate
+    sqrt((1 - m^2) / shots) per setting when shot totals are known,
+    ``None`` otherwise.
+
+    Every register must have the same width and every frequency array
+    some mass; otherwise ``ValueError`` names the setting.
     """
     qubits = tuple(int(q) for q in system_qubits)
     n = len(qubits)
-    # a list, not a set: its order fixes the summation order of each mean,
-    # and set order would vary with the interpreter's hash seed
-    wanted = list(itertools.product("XYZ", repeat=n))
-    missing = [s for s in wanted if s not in per_setting]
+    settings = list(itertools.product("XYZ", repeat=n))
+    missing = [s for s in settings if s not in per_setting]
     if missing:
         raise ValueError(f"missing measurement setting {''.join(missing[0])}")
-    normalized: dict[tuple[str, ...], tuple[dict[str, float], int | None]] = {
-        s: _weights(per_setting[s]) for s in wanted
-    }
+    weights, setting_shots = _setting_weights(per_setting, settings, qubits)
+    width = weights.shape[1].bit_length() - 1
+    outcomes = np.arange(weights.shape[1])
+    system_bits = [(outcomes >> (width - 1 - q)) & 1 for q in qubits]
+
+    # estimates[s, mask]: setting s's parity expectation over the system
+    # positions in ``mask`` (bit n-1-i set for position i).  Each is a
+    # sequential sum in ascending outcome order (cumsum, not a pairwise
+    # sum), which fixes its rounding and so the sampled CSV bytes.
+    estimates = np.ones((len(settings), 2**n))
+    for mask in range(1, 2**n):
+        parity = sum(system_bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
+        estimates[:, mask] = np.cumsum(weights * (1.0 - 2.0 * parity), axis=1)[:, -1]
+    spread = np.maximum(0.0, 1.0 - estimates * estimates)
+    shots = np.array(
+        [s if s is not None else shots_per_setting or 0 for s in setting_shots],
+        dtype=np.float64,
+    )
+
     values: dict[str, float] = {}
     errors: dict[str, float | None] = {}
     for letters in itertools.product("IXYZ", repeat=n):
         name = "".join(letters)
-        if set(letters) == {"I"}:
+        mask = sum(1 << (n - 1 - i) for i, c in enumerate(letters) if c != "I")
+        if mask == 0:
             values[name] = 1.0
             errors[name] = 0.0
             continue
-        active = [i for i, c in enumerate(letters) if c != "I"]
-        compatible = [
-            s for s in normalized if all(s[i] == letters[i] for i in active)
-        ]
-        estimates = []
-        variances = []
-        for s in compatible:
-            freqs, shots = normalized[s]
-            if shots is None:
-                shots = shots_per_setting
-            m = 0.0
-            for bitstring, w in freqs.items():
-                parity = sum(int(bitstring[qubits[i]]) for i in active) % 2
-                m += w * (1.0 - 2.0 * parity)
-            estimates.append(m)
-            variances.append(
-                max(0.0, 1.0 - m * m) / shots if shots else None
-            )
-        value = float(np.mean(estimates))
-        values[name] = value
-        if any(v is None for v in variances):
-            errors[name] = None
+        # settings compatible with the string, as base-3 indices in
+        # settings order: its letter at each active position, all three
+        # letters at the others
+        compatible = [0]
+        for c in letters:
+            digits = range(3) if c == "I" else ("XYZ".index(c),)
+            compatible = [3 * s + d for s in compatible for d in digits]
+        values[name] = float(np.mean(estimates[compatible, mask]))
+        if (shots[compatible] > 0).all():
+            variances = spread[compatible, mask] / shots[compatible]
+            errors[name] = float(math.sqrt(sum(variances.tolist())) / len(compatible))
         else:
-            errors[name] = float(math.sqrt(sum(variances)) / len(variances))
+            errors[name] = None
     return values, errors
 
 
@@ -160,11 +229,8 @@ def exact_expectations(rho: DensityMatrix) -> dict[str, float]:
     n = rho.dim.bit_length() - 1
     if 2**n != rho.dim:
         raise ValueError("density matrix is not over a qubit register")
-    out = {}
-    for letters in itertools.product("IXYZ", repeat=n):
-        op = kron(*(_PAULI[c] for c in letters))
-        out["".join(letters)] = float(np.trace(rho.matrix @ op).real)
-    return out
+    traces = np.einsum("ij,kji->k", rho.matrix, _pauli_basis(n)).real
+    return dict(zip(_pauli_names(n), traces.tolist()))
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -211,15 +277,14 @@ def reconstruct(
     if any(len(k) != n for k in names):
         raise ValueError("Pauli strings have mixed lengths")
     raw = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for letters in itertools.product("IXYZ", repeat=n):
-        name = "".join(letters)
+    for name, pauli in zip(_pauli_names(n), _pauli_basis(n)):
         if name in values:
             coeff = values[name]
         elif name == "I" * n:
             coeff = 1.0
         else:
             raise ValueError(f"missing expectation value for {name}")
-        raw += coeff * kron(*(_PAULI[c] for c in letters))
+        raw += coeff * pauli
     raw /= 2**n
     projected = DensityMatrix(project_psd(raw))
     return TomographyResult(

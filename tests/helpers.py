@@ -1,8 +1,15 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators and reference implementations for the test suite."""
+
+import itertools
+import math
 
 import numpy as np
 
 from kraussim.channels import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     KrausChannel,
     WignerBoost,
     bit_flip,
@@ -18,7 +25,10 @@ from kraussim.channels import (
     spin_boost_channel,
     wigner_channel,
 )
-from kraussim.numerics import DensityMatrix, PureState
+from kraussim.numerics import DensityMatrix, PureState, kron
+from kraussim.simulator import ShotCounts
+
+PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def random_pure(rng, dim):
@@ -107,3 +117,93 @@ def dense_gate(gate, n):
         else:
             m[col, col] = 1.0
     return m
+
+
+# Reference implementations: the per-outcome and per-string loops that the
+# array code in ``simulator`` and ``tomography`` replaced.  The array code
+# must reproduce them exactly, bit for bit.
+
+
+def reference_mitigate(counts, model):
+    """String-keyed confusion-matrix inversion: {bitstring: frequency > 0}."""
+    n = counts.qubit_count
+    e0, e1 = model.arrays(n)
+    freq = np.zeros(2**n)
+    for key, count in counts.histogram.items():
+        freq[int(key, 2)] = count / counts.shots
+    tensor = freq.reshape([2] * n)
+    for q in range(n):
+        det = 1.0 - e0[q] - e1[q]
+        if abs(det) < 1e-12:
+            raise ValueError(f"confusion matrix for qubit {q} is singular (e0 + e1 = 1)")
+        conf = np.array([[1.0 - e0[q], e1[q]], [e0[q], 1.0 - e1[q]]])
+        inv = np.linalg.inv(conf)
+        tensor = np.moveaxis(np.tensordot(inv, tensor, axes=([1], [q])), 0, q)
+    quasi = tensor.reshape(-1)
+    clipped = np.clip(quasi, 0.0, None)
+    total = clipped.sum()
+    if total <= 0.0:
+        raise ValueError("mitigation clipped all probability mass")
+    probs = clipped / total
+    return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 0.0}
+
+
+def _reference_weights(data):
+    if isinstance(data, ShotCounts):
+        return {k: v / data.shots for k, v in data.histogram.items()}, data.shots
+    total = float(sum(data.values()))
+    if total <= 0.0:
+        raise ValueError("setting has no probability mass")
+    return {k: v / total for k, v in data.items()}, None
+
+
+def reference_expectations(per_setting, system_qubits, shots_per_setting=None):
+    """Pauli expectations by looping over strings, settings and bitstrings.
+
+    ``per_setting`` maps each setting to ``ShotCounts`` or to a
+    ``{bitstring: weight}`` mapping.
+    """
+    qubits = tuple(int(q) for q in system_qubits)
+    n = len(qubits)
+    wanted = list(itertools.product("XYZ", repeat=n))
+    normalized = {s: _reference_weights(per_setting[s]) for s in wanted}
+    values = {}
+    errors = {}
+    for letters in itertools.product("IXYZ", repeat=n):
+        name = "".join(letters)
+        if set(letters) == {"I"}:
+            values[name] = 1.0
+            errors[name] = 0.0
+            continue
+        active = [i for i, c in enumerate(letters) if c != "I"]
+        compatible = [s for s in normalized if all(s[i] == letters[i] for i in active)]
+        estimates = []
+        variances = []
+        for s in compatible:
+            freqs, shots = normalized[s]
+            if shots is None:
+                shots = shots_per_setting
+            m = 0.0
+            for bitstring, w in freqs.items():
+                parity = sum(int(bitstring[qubits[i]]) for i in active) % 2
+                m += w * (1.0 - 2.0 * parity)
+            estimates.append(m)
+            variances.append(max(0.0, 1.0 - m * m) / shots if shots else None)
+        values[name] = float(np.mean(estimates))
+        if any(v is None for v in variances):
+            errors[name] = None
+        else:
+            errors[name] = float(math.sqrt(sum(variances)) / len(variances))
+    return values, errors
+
+
+def reference_reconstruct_raw(values):
+    """Linear-inversion matrix summed one Kronecker-product string at a time."""
+    n = len(next(iter(values)))
+    raw = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for letters in itertools.product("IXYZ", repeat=n):
+        name = "".join(letters)
+        coeff = values[name] if name in values else 1.0
+        raw += coeff * kron(*(PAULIS[c] for c in letters))
+    raw /= 2**n
+    return raw

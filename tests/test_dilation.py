@@ -18,6 +18,7 @@ from kraussim.channels import (
 from kraussim.dilation import (
     DilatedState,
     dilate_pure,
+    eigenvector_dilations,
     embed_qudits,
     mixed_method_convex,
     mixed_method_double_purification,
@@ -180,6 +181,23 @@ def test_mixed_methods_on_qutrit_channel():
         m3 = recovered_system_state(mixed_method_double_purification(ch, rho)).matrix
         for got in (m1, m2, m3):
             assert np.abs(got - expected).max() < 1e-10
+
+
+def test_eigenvector_dilations_skip_null_eigenvalues():
+    rng = np.random.default_rng(206)
+    ch = hw_dephasing(3, 0.4)
+    rank2 = random_density(rng, 3, rank=2)
+    parts = eigenvector_dilations(ch, rank2)
+    weights = [w for w, _ in parts]
+    assert len(parts) == 2 and weights == sorted(weights, reverse=True)
+    assert abs(sum(weights) - 1.0) < 1e-12
+    mixed = sum(w * recovered_system_state(d).matrix for w, d in parts)
+    assert np.abs(mixed - apply_channel(ch, rank2).matrix).max() < 1e-10
+    pure = DensityMatrix(np.diag([0.0, 1.0, 0.0]).astype(complex))
+    ((weight, dilated),) = eigenvector_dilations(ch, pure)
+    assert weight == 1.0 and dilated.system_dim == 3
+    with pytest.raises(ValueError, match="state dimension 2 != channel dimension 3"):
+        eigenvector_dilations(ch, RHO_A)
 
 
 def test_purify_evolved_ancilla_dimension():

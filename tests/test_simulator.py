@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kraussim.simulator as simulator
-from helpers import dense_gate, random_pure
+from helpers import dense_gate, random_pure, reference_mitigate
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState
 from kraussim.qsp import Circuit, Gate, lower, synthesize
 from kraussim.tomography import settings_for
@@ -108,22 +108,22 @@ def test_derived_streams_are_stable_and_distinct():
 
 
 def test_shot_counts_validation_and_json():
-    counts = ShotCounts(2, 10, {"00": 4, "11": 6})
+    counts = ShotCounts.from_histogram(2, 10, {"00": 4, "11": 6})
     text = counts.to_json()
     data = json.loads(text)
     assert data == {"shots": 10, "counts": {"00": 4, "11": 6}}
     back = ShotCounts.from_json(text)
     assert back == counts
     with pytest.raises(ValueError):
-        ShotCounts(2, 10, {"0": 10})  # wrong width
+        ShotCounts.from_histogram(2, 10, {"0": 10})  # wrong width
     with pytest.raises(ValueError):
-        ShotCounts(2, 10, {"00": 11})  # sum mismatch
+        ShotCounts.from_histogram(2, 10, {"00": 11})  # sum mismatch
     with pytest.raises(ValueError):
-        ShotCounts(2, 10, {"00": -1, "01": 11})
+        ShotCounts.from_histogram(2, 10, {"00": -1, "01": 11})
 
 
 def test_readout_noise_flip_rate():
-    counts = ShotCounts(1, 100_000, {"0": 100_000})
+    counts = ShotCounts.from_histogram(1, 100_000, {"0": 100_000})
     noisy = apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0), seed=11)
     rate = noisy.histogram.get("1", 0) / counts.shots
     assert abs(rate - 0.2) < 5 * np.sqrt(0.2 * 0.8 / 100_000)
@@ -144,22 +144,58 @@ def test_mitigation_recovers_true_frequencies():
         noisy = apply_readout_noise(counts, model, seed=derive_rng(406, trial, 1))
         mitigated = mitigate(noisy, model)
         probs = np.abs(state.amplitudes) ** 2
-        worst = max(
-            abs(mitigated.get(format(i, "03b"), 0.0) - probs[i]) for i in range(8)
-        )
+        worst = max(abs(mitigated[i] - probs[i]) for i in range(8))
         assert worst < bound
-        assert abs(sum(mitigated.values()) - 1.0) < 1e-9
-        assert all(v >= 0 for v in mitigated.values())
+        assert abs(mitigated.sum() - 1.0) < 1e-9
+        assert all(v >= 0 for v in mitigated)
+
+
+def test_mitigation_matches_string_keyed_reference():
+    # few shots leave most outcomes at zero count
+    rng = np.random.default_rng(407)
+    for n in (1, 2, 3, 4):
+        for trial in range(10):
+            model = ReadoutModel(
+                e0=tuple(rng.uniform(0.0, 0.2, n)), e1=tuple(rng.uniform(0.0, 0.2, n))
+            )
+            shots = int(rng.integers(1, 40))
+            counts = sample(random_pure(rng, 2**n), shots, seed=derive_rng(408, n, trial, 0))
+            noisy = apply_readout_noise(counts, model, seed=derive_rng(408, n, trial, 1))
+            expected = np.zeros(2**n)
+            for key, p in reference_mitigate(noisy, model).items():
+                expected[int(key, 2)] = p
+            assert np.array_equal(mitigate(noisy, model), expected)
+
+
+def test_shot_counts_hold_a_read_only_dense_array():
+    counts = sample(random_pure(np.random.default_rng(409), 8), 50, seed=5)
+    assert counts.counts.dtype == np.int64 and counts.counts.shape == (8,)
+    assert not counts.counts.flags.writeable
+    assert counts.histogram == {
+        format(i, "03b"): int(c) for i, c in enumerate(counts.counts) if c > 0
+    }
+    assert list(counts.histogram) == sorted(counts.histogram)
+    assert ShotCounts.from_histogram(3, 50, counts.histogram) == counts
+    source = np.array([3, 0, 0, 7])
+    kept = ShotCounts(2, 10, source)
+    source[0] = 4  # the stored array is a copy
+    assert kept.counts[0] == 3 and source.flags.writeable
+    with pytest.raises(ValueError, match="cover 3 qubits"):
+        ShotCounts(3, 10, source)
+    with pytest.raises(ValueError, match="integers"):
+        ShotCounts(2, 10, np.array([2.5, 0.0, 0.0, 7.5]))
+    with pytest.raises(ValueError, match="negative count for '01'"):
+        ShotCounts(2, 10, np.array([10, -1, 0, 1]))
 
 
 def test_mitigation_rejects_singular_confusion():
-    counts = ShotCounts(1, 100, {"0": 50, "1": 50})
+    counts = ShotCounts.from_histogram(1, 100, {"0": 50, "1": 50})
     with pytest.raises(ValueError):
         mitigate(counts, ReadoutModel(e0=0.6, e1=0.4))
 
 
 def test_per_qubit_error_tuples():
-    counts = ShotCounts(2, 50_000, {"00": 50_000})
+    counts = ShotCounts.from_histogram(2, 50_000, {"00": 50_000})
     noisy = apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0)), seed=3)
     ones_on_q1 = sum(c for b, c in noisy.histogram.items() if b[1] == "1")
     assert ones_on_q1 == 0  # second qubit noiseless
@@ -170,7 +206,7 @@ def test_per_qubit_error_tuples():
 def test_readout_noise_reproduces_recorded_histogram():
     # recorded from the earlier per-outcome, per-shot implementation: the
     # single (shots, qubits) draw consumes the stream in the same order
-    counts = ShotCounts(3, 600, {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30})
+    counts = ShotCounts.from_histogram(3, 600, {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30})
     model = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
     noisy = apply_readout_noise(counts, model, seed=derive_rng(2212, 13834, 1))
     assert noisy.histogram == {

@@ -3,9 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import dense_gate, random_density, random_pure
+from helpers import (
+    dense_gate,
+    random_density,
+    random_pure,
+    reference_expectations,
+    reference_mitigate,
+    reference_reconstruct_raw,
+)
 from kraussim.numerics import DensityMatrix, PureState
-from kraussim.simulator import sample
+from kraussim.simulator import ReadoutModel, ShotCounts, apply_readout_noise, derive_rng, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
     exact_expectations,
@@ -57,11 +64,11 @@ def test_reconstruct_requires_every_pauli_string():
 
 
 def test_expectations_average_compatible_settings():
-    flat = {"".join(b): 0.25 for b in itertools.product("01", repeat=2)}
-    per_setting = {s: dict(flat) for s in itertools.product("XYZ", repeat=2)}
-    per_setting[("X", "X")] = {"00": 1.0}
-    per_setting[("X", "Y")] = {"10": 1.0}
-    per_setting[("X", "Z")] = {"00": 0.75, "10": 0.25}
+    # frequencies over outcomes 00, 01, 10, 11
+    per_setting = {s: np.full(4, 0.25) for s in itertools.product("XYZ", repeat=2)}
+    per_setting[("X", "X")] = np.array([1.0, 0.0, 0.0, 0.0])
+    per_setting[("X", "Y")] = np.array([0.0, 0.0, 1.0, 0.0])
+    per_setting[("X", "Z")] = np.array([0.75, 0.0, 0.25, 0.0])
     values, errors = expectations(per_setting, system_qubits=(0, 1))
     assert abs(values["XI"] - (1.0 - 1.0 + 0.5) / 3.0) < 1e-12
     assert values["II"] == 1.0
@@ -79,12 +86,74 @@ def test_expectations_marginalize_ancilla_bits():
         state = joint.copy()
         for g in tset.rotations[setting]:
             state = dense_gate(g, 3) @ state
-        probs = np.abs(state) ** 2
-        per_setting[setting] = {format(i, "03b"): float(p) for i, p in enumerate(probs)}
+        per_setting[setting] = np.abs(state) ** 2
     values, _ = expectations(per_setting, system_qubits=(0, 1))
     result = reconstruct(values)
     expected = np.outer(sys_state.amplitudes, sys_state.amplitudes.conj())
     assert np.abs(result.projected.matrix - expected).max() < 1e-10
+
+
+# (register width, system qubits): m = 1..4, with ancilla bits and with
+# system qubits that are not the leading ones
+LAYOUTS = ((1, (0,)), (3, (2,)), (3, (2, 0)), (4, (1, 2, 3)), (5, (0, 1, 2, 3)), (6, (3, 0, 5, 1)))
+
+
+@pytest.mark.parametrize("width, system_qubits", LAYOUTS)
+@pytest.mark.parametrize("readout", [False, True])
+def test_array_tomography_matches_reference_loops(width, system_qubits, readout):
+    rng = np.random.default_rng([510, width, len(system_qubits), readout])
+    model = ReadoutModel(e0=tuple(rng.uniform(0.0, 0.1, width)), e1=0.04)
+    per_setting = {}
+    per_setting_ref = {}
+    for k, setting in enumerate(itertools.product("XYZ", repeat=len(system_qubits))):
+        # few shots leave many outcomes at zero count
+        shots = int(rng.integers(1, 4 * 2**width))
+        counts = sample(random_pure(rng, 2**width), shots, seed=derive_rng(511, k, 0))
+        if readout:
+            noisy = apply_readout_noise(counts, model, seed=derive_rng(511, k, 1))
+            per_setting[setting] = mitigate(noisy, model)
+            per_setting_ref[setting] = reference_mitigate(noisy, model)
+        else:
+            per_setting[setting] = per_setting_ref[setting] = counts
+    values, errors = expectations(per_setting, system_qubits, shots_per_setting=100)
+    ref_values, ref_errors = reference_expectations(
+        per_setting_ref, system_qubits, shots_per_setting=100
+    )
+    assert list(values) == list(ref_values)
+    assert values == ref_values
+    assert errors == ref_errors
+    raw = reconstruct(values, errors).raw
+    assert raw.tobytes() == reference_reconstruct_raw(ref_values).tobytes()
+
+
+def test_reconstruct_matches_reference_on_exact_values():
+    rng = np.random.default_rng(512)
+    for n in (1, 2, 3, 4):
+        values = exact_expectations(random_density(rng, 2**n))
+        assert reconstruct(values).raw.tobytes() == reference_reconstruct_raw(values).tobytes()
+
+
+def test_expectations_reject_malformed_registers():
+    plan = [s for s in itertools.product("XYZ", repeat=2)]
+    wide = {s: ShotCounts(3, 4, np.array([4, 0, 0, 0, 0, 0, 0, 0])) for s in plan}
+    mixed = dict(wide)
+    mixed[("Y", "Z")] = ShotCounts(2, 4, np.array([1, 1, 1, 1]))
+    with pytest.raises(ValueError, match="setting YZ measures 2 qubits, setting XX measures 3"):
+        expectations(mixed, (0, 1))
+    short = dict(wide)
+    short[("Z", "Z")] = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="setting ZZ measures 2 qubits"):
+        expectations(short, (0, 1))
+    ragged = dict(wide)
+    ragged[("X", "Y")] = np.full(6, 1 / 6)
+    with pytest.raises(ValueError, match="setting XY: .* do not cover a qubit register"):
+        expectations(ragged, (0, 1))
+    empty = dict(wide)
+    empty[("Y", "X")] = np.zeros(8)
+    with pytest.raises(ValueError, match="setting YX has no probability mass"):
+        expectations(empty, (0, 1))
+    with pytest.raises(ValueError, match="system qubit 3 outside its 3-qubit register"):
+        expectations(wide, (0, 3))
 
 
 def test_sampled_reconstruction_close_to_truth():
