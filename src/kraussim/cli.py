@@ -8,8 +8,16 @@ Subcommands
 ``export-qasm``  Write OpenQASM 2.0 for one sweep point's lowered circuit.
 ``oracle``       Print the operator-sum evolution of a state, no circuits.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical verification
-failure (broken CPTP channel, preparation fidelity below threshold).
+Exit codes, for every subcommand: 0 success; 1 configuration error (bad
+config, channel file, state, argument or output path), one ``config
+error: ...`` line on stderr; 2 numerical failure.  Exit 2 means: for
+``validate``, a completeness residual above tolerance (``FAIL``); for
+``sweep``, a failed point (fidelity below the floor, register over the
+limit), whose row is NaN while the other points run, reported as
+``point <value>: <error>`` on stderr; for ``export-qasm``, a failed
+point, reported as in ``sweep``, with no file written; for ``synth``, a
+fidelity below the floor (``verification failure: ...``).  ``oracle``
+never exits 2.
 
 Config schema (JSON object)::
 
@@ -36,7 +44,9 @@ byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 
 A point runs: build channel -> dilate (pure input, or one of the three
 mixed-state methods) -> embed qudits onto qubits -> synthesize -> simulate
-and verify -> lower -> simulate and verify.  Each circuit is simulated
+and verify -> lower -> simulate and verify.  ``sweep`` and
+``export-qasm`` share this path (``_prepared_parts``), so an exported
+circuit has passed both fidelity checks.  Each circuit is simulated
 once.  Exact mode recovers the system state by partial trace of the
 synthesized circuit's verified statevector.  Sampled mode branches all
 3^n tomography settings from the lowered circuit's one simulation: each
@@ -56,7 +66,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +115,10 @@ CSV_HEADER = (
 )
 
 FIDELITY_FLOOR = 1.0 - 1e-9
+
+# the measured fields of a failed point's row
+_FAILED_POINT = dict(c_theory=float("nan"), c_measured=float("nan"), trace_distance=float("nan"),
+                     synth_gate_count=0, lowered_gate_count=0)
 
 
 class ConfigError(ValueError):
@@ -177,6 +191,30 @@ class SweepRow:
         )
 
 
+def _field(name: str, convert: Callable, value):
+    """``convert(value)``, or a ConfigError that names the field."""
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _read_json_file(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _complex_entry(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(float(value), 0.0)
@@ -185,40 +223,42 @@ def _complex_entry(value) -> complex:
     raise ConfigError(f"cannot read complex entry {value!r}")
 
 
+def _bloch(angles) -> PureState:
+    if not isinstance(angles, (list, tuple)) or len(angles) != 2:
+        raise ValueError("must be [theta, phi]")
+    return bloch_state(float(angles[0]), float(angles[1]))
+
+
+# initial_state forms, in the order their keys are looked up
+_INITIAL_FORMS: dict[str, Callable[[object], object]] = {
+    "bloch": _bloch,
+    "amplitudes": lambda amps: PureState(np.array([_complex_entry(v) for v in amps])),
+    "density_matrix": lambda rows: DensityMatrix(
+        np.array([[_complex_entry(v) for v in row] for row in rows])
+    ),
+}
+
+
 def _parse_initial(raw) -> object:
     """Returns a PureState, a DensityMatrix, or the marker "uniform"."""
     if raw is None or raw == "uniform":
         return "uniform"
     if not isinstance(raw, dict):
         raise ConfigError(f"unrecognized initial_state {raw!r}")
-    if "bloch" in raw:
-        angles = raw["bloch"]
-        if not isinstance(angles, (list, tuple)) or len(angles) != 2:
-            raise ConfigError("initial_state.bloch must be [theta, phi]")
-        return bloch_state(float(angles[0]), float(angles[1]))
-    if "amplitudes" in raw:
-        vec = np.array([_complex_entry(v) for v in raw["amplitudes"]])
-        try:
-            return PureState(vec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if "density_matrix" in raw:
-        rows = raw["density_matrix"]
-        mat = np.array([[_complex_entry(v) for v in row] for row in rows])
-        try:
-            return DensityMatrix(mat)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for key, parse in _INITIAL_FORMS.items():
+        if key in raw:
+            return _field(f"initial_state.{key}", parse, raw[key])
     raise ConfigError(f"unrecognized initial_state keys {sorted(raw)}")
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(data)
+    return parse_config(_read_json_file(path, "config"))
+
+
+def _catalog_factory(name) -> Callable[[dict], KrausChannel]:
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise ConfigError(f"unknown channel {name!r}; catalog: {sorted(_CATALOG)}")
+    return _CATALOG[name]
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -229,22 +269,29 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError('config needs "channel": {"name": ...} or {"file": ...}')
     name = channel.get("name")
     file_ = channel.get("file")
-    if name is not None and name not in _CATALOG:
-        raise ConfigError(f"unknown channel {name!r}; catalog: {sorted(_CATALOG)}")
+    if name is not None:
+        _catalog_factory(name)
+    if file_ is not None and not isinstance(file_, str):
+        raise ConfigError("channel.file must be a path")
+    params = channel.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("channel.params must be an object")
 
     sweep = data.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('config needs a "sweep" object')
     parameter = sweep.get("parameter")
     if "grid" in sweep:
-        grid = tuple(float(v) for v in sweep["grid"])
+        if not isinstance(sweep["grid"], (list, tuple)):
+            raise ConfigError("sweep.grid must be a list of values")
+        grid = _field("sweep.grid", lambda g: tuple(float(v) for v in g), sweep["grid"])
     elif {"start", "stop", "points"} <= set(sweep):
-        points = int(sweep["points"])
+        points = _field("sweep.points", int, sweep["points"])
         if points < 1:
             raise ConfigError("sweep.points must be >= 1")
-        grid = tuple(
-            np.linspace(float(sweep["start"]), float(sweep["stop"]), points)
-        )
+        start = _field("sweep.start", float, sweep["start"])
+        stop = _field("sweep.stop", float, sweep["stop"])
+        grid = tuple(np.linspace(start, stop, points))
     else:
         raise ConfigError('sweep needs "grid" or start/stop/points')
     if not grid:
@@ -254,35 +301,32 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("sweep grid must be monotone")
     if file_ is not None and len(grid) > 1:
         raise ConfigError("file-based channels cannot be swept; use a single grid value")
-    if name is not None and parameter is None:
+    if name is not None and not isinstance(parameter, str):
         raise ConfigError("sweep.parameter is required for catalog channels")
 
     mode = data.get("mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f'mode must be "exact" or "sampled", got {mode!r}')
-    shots = int(data.get("shots", 0))
+    shots = _field("shots", int, data.get("shots", 0))
     if mode == "sampled" and shots < 1:
         raise ConfigError("sampled mode needs shots >= 1")
-    seed = int(data.get("seed", 0))
+    seed = _field("seed", int, data.get("seed", 0))
 
-    readout = None
-    if data.get("readout") is not None:
-        r = data["readout"]
-        try:
-            readout = ReadoutModel(e0=r["e0"], e1=r["e1"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad readout model: {exc}") from exc
+    readout = data.get("readout")
+    if readout is not None:
+        readout = _field("readout", lambda r: ReadoutModel(e0=r["e0"], e1=r["e1"]), readout)
 
-    mixed_method = int(data.get("mixed_method", 3))
+    mixed_method = _field("mixed_method", int, data.get("mixed_method", 3))
     if mixed_method not in (1, 2, 3):
         raise ConfigError("mixed_method must be 1, 2 or 3")
 
     output = data.get("output") or {}
-    csv_path = output.get("csv")
+    if not isinstance(output, dict) or not isinstance(output.get("csv", ""), str):
+        raise ConfigError('output must be an object {"csv": <path>}')
 
     return ExperimentConfig(
         channel_name=name,
-        channel_params=dict(channel.get("params", {})),
+        channel_params=dict(params),
         channel_file=file_,
         initial_state=_parse_initial(data.get("initial_state")),
         sweep_parameter=parameter,
@@ -292,170 +336,170 @@ def parse_config(data: dict) -> ExperimentConfig:
         seed=seed,
         readout=readout,
         mixed_method=mixed_method,
-        csv_path=csv_path,
+        csv_path=output.get("csv"),
     )
 
 
-def _build_channel(cfg: ExperimentConfig, value: float) -> KrausChannel:
-    if cfg.channel_file is not None:
+def _load_channel(name: str | None = None, params: dict | None = None, path: str | None = None) -> KrausChannel:
+    """The channel in file ``path``, or catalog channel ``name`` built from ``params``."""
+    if path is not None:
         try:
-            return load_channel(cfg.channel_file)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load channel file: {exc}") from exc
-    params = dict(cfg.channel_params)
-    params[cfg.sweep_parameter] = value
+            return load_channel(path)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot load channel file {path}: {exc}") from exc
+    factory = _catalog_factory(name)
     try:
-        return _CATALOG[cfg.channel_name](params)
+        return factory(params or {})
     except KeyError as exc:
-        raise ConfigError(f"channel {cfg.channel_name!r} missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"channel {name!r} missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"channel {name!r}: {exc}") from exc
 
 
-def _initial_density(cfg: ExperimentConfig, dim: int) -> tuple[DensityMatrix, PureState | None]:
-    """Returns (rho0, psi0); psi0 is None for genuinely mixed inputs."""
-    init = cfg.initial_state
+def _initial_density(init: object, dim: int) -> tuple[DensityMatrix, PureState | None]:
+    """Returns (rho0, psi0) for a parsed initial state; psi0 is None for mixed inputs."""
     if init == "uniform":
-        psi = uniform_state(dim)
-        return psi.to_density(), psi
+        init = uniform_state(dim)
+    if isinstance(init, (PureState, DensityMatrix)) and init.dim != dim:
+        raise ConfigError(f"initial state dim {init.dim} != channel dim {dim}")
     if isinstance(init, PureState):
-        if init.dim != dim:
-            raise ConfigError(f"initial state dim {init.dim} != channel dim {dim}")
         return init.to_density(), init
     if isinstance(init, DensityMatrix):
-        if init.dim != dim:
-            raise ConfigError(f"initial state dim {init.dim} != channel dim {dim}")
         return init, None
     raise ConfigError(f"unusable initial state {init!r}")
 
 
-def _dilations(
-    cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
-) -> list[tuple[float, DilatedState]]:
-    if psi0 is not None:
-        return [(1.0, dilate_pure(channel, psi0))]
-    if cfg.mixed_method == 1:
-        return [(1.0, mixed_method_purify_evolved(channel, rho0))]
-    if cfg.mixed_method == 3:
-        return [(1.0, mixed_method_double_purification(channel, rho0))]
-    return eigenvector_dilations(channel, rho0)
+def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, DensityMatrix, PureState | None]:
+    """A point's channel and initial state, as ``(channel, rho0, psi0)``."""
+    params = dict(cfg.channel_params)
+    if cfg.channel_file is None:
+        params[cfg.sweep_parameter] = value
+    channel = _load_channel(cfg.channel_name, params, cfg.channel_file)
+    return (channel, *_initial_density(cfg.initial_state, channel.dim))
 
 
-def _measure_exact(state: PureState, dilated: DilatedState) -> DensityMatrix:
-    n = state.dim.bit_length() - 1
-    m0 = dilated.embedding.qubit_counts[0]
-    reduced = partial_trace(state, [2] * n, keep=range(m0))
-    block, _ = extract_embedded(reduced, dilated.system_dim)
-    return block
-
-
-def _measure_sampled(
-    cfg: ExperimentConfig,
-    prefix: PureState,
-    global_phase: float,
-    dilated: DilatedState,
-    path: tuple[int, ...],
-) -> DensityMatrix:
-    """Tomography of the lowered preparation, branched from its one simulation.
-
-    ``prefix`` is the lowered circuit's state before its global phase;
-    each setting rotates a copy of it and then applies the phase, exactly
-    as running the whole setting circuit would.
-    """
-    n = prefix.dim.bit_length() - 1
-    m0 = dilated.embedding.qubit_counts[0]
-    system_qubits = tuple(range(m0))
-    plan = settings_for(system_qubits)
-    data = {}
-    for s_idx, setting in enumerate(plan.settings):
-        state = run(Circuit(n, plan.rotations[setting], global_phase), prefix)
-        counts = sample(state, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
-        if cfg.readout is not None:
-            counts = apply_readout_noise(
-                counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1)
-            )
-            data[setting] = mitigate(counts, cfg.readout)
-        else:
-            data[setting] = counts
-    values, errs = expectations(data, system_qubits, shots_per_setting=cfg.shots)
-    result = reconstruct(values, errs, shots_per_setting=cfg.shots)
-    block, _ = extract_embedded(result.projected, dilated.system_dim)
-    return block
-
-
-def _require_fidelity(stage: str, fidelity: float, value: float) -> None:
+def _require_fidelity(stage: str, fidelity: float) -> None:
     if fidelity < FIDELITY_FLOOR:
-        raise VerificationError(
-            f"{stage} fidelity {fidelity:.12f} below threshold at value {value}"
-        )
+        raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
 
 
-def _run_point(cfg: ExperimentConfig, index: int, value: float) -> SweepRow:
-    channel = _build_channel(cfg, value)
-    rho0, psi0 = _initial_density(cfg, channel.dim)
-    oracle = apply_channel(channel, rho0)
-    c_theory = l1_coherence(oracle)
+class _Part(NamedTuple):
+    """One verified preparation of a point; mixed method 2 has one per eigenvector."""
 
-    parts = _dilations(cfg, channel, rho0, psi0)
-    synth_count = 0
-    lowered_count = 0
-    measured = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for k, (weight, dilated) in enumerate(parts):
+    weight: float
+    dilated: DilatedState
+    circuit: Circuit  # synthesized
+    state: PureState  # the synthesized circuit's verified statevector
+    lowered: Circuit
+    prefix: PureState  # the lowered gates' state, before the global phase
+
+
+def _prepared_parts(
+    cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
+) -> Iterator[_Part]:
+    """Dilate, embed, synthesize and lower each part, checking both fidelities."""
+    if psi0 is not None:
+        dilations = [(1.0, dilate_pure(channel, psi0))]
+    elif cfg.mixed_method == 1:
+        dilations = [(1.0, mixed_method_purify_evolved(channel, rho0))]
+    elif cfg.mixed_method == 3:
+        dilations = [(1.0, mixed_method_double_purification(channel, rho0))]
+    else:
+        dilations = eigenvector_dilations(channel, rho0)
+    for weight, dilated in dilations:
         embedded = embed_qudits(dilated)
         circuit = synthesize(embedded)
         state = run(circuit)
-        _require_fidelity("synthesis", verify_preparation(circuit, embedded, state), value)
+        _require_fidelity("synthesis", verify_preparation(circuit, embedded, state))
         low = lower(circuit)
         # one simulation of the lowered gates; the global phase comes last,
         # so the verified state and every tomography setting branch from it
         n = low.qubit_count
         prefix = run(Circuit(n, low.gates))
         low_state = run(Circuit(n, (), low.global_phase), prefix)
-        _require_fidelity("lowered", verify_preparation(low, embedded, low_state), value)
-        synth_count += len(circuit.gates)
-        lowered_count += len(low.gates)
+        _require_fidelity("lowered", verify_preparation(low, embedded, low_state))
+        yield _Part(weight, dilated, circuit, state, low, prefix)
+
+
+def _setting_circuits(part: _Part) -> tuple[tuple[int, ...], list[tuple[tuple[str, ...], Circuit]]]:
+    """The system qubits, and each tomography setting with its circuit: the
+    setting's basis rotations, then the lowered circuit's global phase."""
+    low = part.lowered
+    plan = settings_for(tuple(range(part.dilated.embedding.qubit_counts[0])))
+    circuits = [
+        (setting, Circuit(low.qubit_count, plan.rotations[setting], low.global_phase))
+        for setting in plan.settings
+    ]
+    return plan.system_qubits, circuits
+
+
+def _measure_exact(part: _Part) -> DensityMatrix:
+    m0 = part.dilated.embedding.qubit_counts[0]
+    reduced = partial_trace(part.state, [2] * part.circuit.qubit_count, keep=range(m0))
+    block, _ = extract_embedded(reduced, part.dilated.system_dim)
+    return block
+
+
+def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
+    """Tomography of the lowered preparation, branched from its one simulation."""
+    system_qubits, circuits = _setting_circuits(part)
+    data = {}
+    for s_idx, (setting, circuit) in enumerate(circuits):
+        state = run(circuit, part.prefix)
+        counts = sample(state, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
+        if cfg.readout is not None:
+            noisy = apply_readout_noise(counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1))
+            counts = mitigate(noisy, cfg.readout)
+        data[setting] = counts
+    values, errs = expectations(data, system_qubits, shots_per_setting=cfg.shots)
+    result = reconstruct(values, errs, shots_per_setting=cfg.shots)
+    block, _ = extract_embedded(result.projected, part.dilated.system_dim)
+    return block
+
+
+def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
+    """The measured fields of one point's row."""
+    channel, rho0, psi0 = _point_input(cfg, value)
+    oracle = apply_channel(channel, rho0)
+    synth_count = lowered_count = 0
+    measured = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for k, part in enumerate(_prepared_parts(cfg, channel, rho0, psi0)):
+        synth_count += len(part.circuit.gates)
+        lowered_count += len(part.lowered.gates)
         if cfg.mode == "exact":
-            block = _measure_exact(state, dilated)
+            block = _measure_exact(part)
         else:
-            block = _measure_sampled(cfg, prefix, low.global_phase, dilated, (index, k))
-        measured += weight * block.matrix
+            block = _measure_sampled(cfg, part, (index, k))
+        measured += part.weight * block.matrix
     rho_measured = DensityMatrix(measured)
-    return SweepRow(
-        param_value=value,
-        c_theory=c_theory,
+    return dict(
+        c_theory=l1_coherence(oracle),
         c_measured=l1_coherence(rho_measured),
         trace_distance=trace_distance(rho_measured, oracle),
-        mode=cfg.mode,
-        shots=cfg.shots if cfg.mode == "sampled" else 0,
-        seed=cfg.seed,
         synth_gate_count=synth_count,
         lowered_gate_count=lowered_count,
     )
 
 
+def _try_point(fn: Callable, *args) -> tuple[object, str]:
+    """``(fn(*args), "")``, or ``(None, message)`` if the point fails numerically;
+    a configuration error is no point failure and ends the command."""
+    try:
+        return fn(*args), ""
+    except ConfigError:
+        raise
+    except (VerificationError, ValueError) as exc:
+        return None, str(exc) or type(exc).__name__
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run every grid point; failed points yield NaN rows with an error note."""
+    shots = cfg.shots if cfg.mode == "sampled" else 0
     rows = []
     for index, value in enumerate(cfg.grid):
-        try:
-            rows.append(_run_point(cfg, index, value))
-        except (VerificationError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            rows.append(
-                SweepRow(
-                    param_value=value,
-                    c_theory=float("nan"),
-                    c_measured=float("nan"),
-                    trace_distance=float("nan"),
-                    mode=cfg.mode,
-                    shots=cfg.shots if cfg.mode == "sampled" else 0,
-                    seed=cfg.seed,
-                    synth_gate_count=0,
-                    lowered_gate_count=0,
-                    error=str(exc),
-                )
-            )
+        fields, error = _try_point(_run_point, cfg, index, value)
+        rows.append(SweepRow(param_value=value, mode=cfg.mode, shots=shots, seed=cfg.seed,
+                             error=error, **(fields or _FAILED_POINT)))
     return rows
 
 
@@ -468,11 +512,7 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        channel = load_channel(args.channel)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    channel = _load_channel(path=args.channel)
     report = validate_cptp(channel, tol=args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -489,8 +529,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_experiment(cfg)
     text = rows_to_csv(rows)
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(cfg.csv_path, text)
     else:
         sys.stdout.write(text)
     failures = [r for r in rows if r.error]
@@ -499,34 +538,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
-def _read_amplitudes(args: argparse.Namespace) -> PureState:
+def _cmd_synth(args: argparse.Namespace) -> int:
     if args.state_file:
-        with open(args.state_file, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
+        entries = _read_json_file(args.state_file, "state file")
     elif args.amplitudes:
-        entries = json.loads(args.amplitudes)
+        entries = _field("--amplitudes", json.loads, args.amplitudes)
     else:
         raise ConfigError("provide --amplitudes or --state-file")
-    vec = np.array([_complex_entry(v) for v in entries])
-    try:
-        return PureState(vec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    target = _read_amplitudes(args)
-    circuit = synthesize_real(target) if args.real else synthesize(target)
-    fid = verify_preparation(circuit, target)
-    if fid < FIDELITY_FLOOR:
-        print(f"error: synthesis fidelity {fid}", file=sys.stderr)
-        return 2
+    target = _parse_initial({"amplitudes": entries})
+    circuit = _field("synthesis", synthesize_real if args.real else synthesize, target)
+    _require_fidelity("synthesis", verify_preparation(circuit, target))
     if args.lower:
         circuit = lower(circuit)
-        fid = verify_preparation(circuit, target)
-        if fid < FIDELITY_FLOOR:
-            print(f"error: lowered fidelity {fid}", file=sys.stderr)
-            return 2
+        _require_fidelity("lowered", verify_preparation(circuit, target))
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0
 
@@ -537,66 +561,41 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
     if not 0 <= index < len(cfg.grid):
         raise ConfigError(f"point {index} outside grid of {len(cfg.grid)}")
     value = cfg.grid[index]
-    channel = _build_channel(cfg, value)
-    rho0, psi0 = _initial_density(cfg, channel.dim)
-    parts = _dilations(cfg, channel, rho0, psi0)
-    written = []
-    for k, (_, dilated) in enumerate(parts):
-        embedded = embed_qudits(dilated)
-        low = lower(synthesize(embedded))
-        fid = verify_preparation(low, embedded)
-        if fid < FIDELITY_FLOOR:
-            print(f"error: lowered fidelity {fid}", file=sys.stderr)
-            return 2
+    parts, error = _try_point(lambda: list(_prepared_parts(cfg, *_point_input(cfg, value))))
+    if error:
+        print(f"point {value}: {error}", file=sys.stderr)
+        return 2
+    for k, part in enumerate(parts):
         tag = f"_mix{k}" if len(parts) > 1 else ""
         base = f"{args.out}_point{index}{tag}"
-        path = f"{base}.qasm"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(qasm_export(low))
-        written.append(path)
+        low = part.lowered
+        files = [(f"{base}.qasm", low)]
         if args.tomography:
-            m0 = dilated.embedding.qubit_counts[0]
-            plan = settings_for(tuple(range(m0)))
-            for setting in plan.settings:
-                circ = Circuit(
-                    low.qubit_count,
-                    low.gates + plan.rotations[setting],
-                    low.global_phase,
-                )
-                spath = f"{base}_setting{''.join(setting)}.qasm"
-                with open(spath, "w", encoding="utf-8") as fh:
-                    fh.write(qasm_export(circ))
-                written.append(spath)
-    for path in written:
-        print(path)
+            # the setting circuits the sweep branches from part.prefix,
+            # with the lowered gates in front
+            files += [
+                (f"{base}_setting{''.join(setting)}.qasm",
+                 Circuit(low.qubit_count, low.gates + circuit.gates, circuit.global_phase))
+                for setting, circuit in _setting_circuits(part)[1]
+            ]
+        for path, circuit in files:
+            _write_text(path, qasm_export(circuit))
+            print(path)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if not (args.channel or args.channel_file):
+        raise ConfigError("provide --channel or --channel-file")
     params = {}
     for item in args.param or []:
-        key, _, raw = item.partition("=")
-        if not _:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise ConfigError(f"bad --param {item!r}; use name=value")
-        params[key] = float(raw)
-    if args.channel_file:
-        channel = load_channel(args.channel_file)
-    elif args.channel:
-        if args.channel not in _CATALOG:
-            raise ConfigError(f"unknown channel {args.channel!r}")
-        try:
-            channel = _CATALOG[args.channel](params)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError("provide --channel or --channel-file")
-    init = _parse_initial(json.loads(args.state) if args.state.startswith("{") else args.state)
-    if init == "uniform":
-        rho0 = uniform_state(channel.dim).to_density()
-    elif isinstance(init, PureState):
-        rho0 = init.to_density()
-    else:
-        rho0 = init
+        params[key] = _field(f"--param {key}", float, raw)
+    channel = _load_channel(args.channel, params, args.channel_file)
+    state = _field("--state", json.loads, args.state) if args.state.startswith("{") else args.state
+    rho0, _ = _initial_density(_parse_initial(state), channel.dim)
     out = apply_channel(channel, rho0)
     print(f"dim {out.dim}")
     for row in out.matrix:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import kraussim
+import kraussim.cli as cli
 import kraussim.simulator as simulator
-from kraussim.channels import KrausChannel, save_channel
+from kraussim.channels import KrausChannel, qutrit_amplitude_damping, save_channel
 from kraussim.cli import (
     CSV_HEADER,
     ConfigError,
@@ -19,6 +20,10 @@ from kraussim.cli import (
     rows_to_csv,
     run_experiment,
 )
+from kraussim.dilation import eigenvector_dilations, embed_qudits
+from kraussim.numerics import DensityMatrix
+from kraussim.qsp import Circuit, lower, qasm_export, qasm_parse, synthesize
+from kraussim.tomography import settings_for
 
 
 def bpf_config(**overrides):
@@ -300,3 +305,125 @@ def test_oracle_subcommand(capsys):
     out = capsys.readouterr().out
     assert "l1_coherence 0.7071067811865476" in out
     assert "+0.3535533906" in out  # evolved off-diagonal
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _sweep(**overrides):
+    return lambda tmp: ["sweep", _config_file(tmp, bpf_config(**overrides))]
+
+
+def _sweep_range(**sweep):
+    spec = {"parameter": "p", "start": 0.0, "stop": 1.0, "points": 3, **sweep}
+    return _sweep(sweep=spec)
+
+
+def _oversized_export(tmp):
+    # mixed method 1 on a 5-level channel needs 11 qubits
+    cfg = {
+        "channel": {"name": "hw_dephasing", "params": {"d": 5}},
+        "initial_state": {"density_matrix": np.diag([0.4, 0.3, 0.2, 0.05, 0.05]).tolist()},
+        "sweep": {"parameter": "p0", "grid": [0.5]},
+        "mixed_method": 1,
+    }
+    return ["export-qasm", _config_file(tmp, cfg), "--out", str(tmp / "prep")]
+
+
+QUTRIT = ["--channel", "qutrit_amplitude_damping", "--param", "gamma=0.3"]
+
+# (argv from tmp_path, fidelity floor, exit code, first words of the message, a fragment of it)
+ERROR_CASES = {
+    "synth-length-3": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8,0]"], None,
+                       1, "config error:", "not a power of two"),
+    "synth-missing-file": (lambda tmp: ["synth", "--state-file", str(tmp / "missing.json")], None,
+                           1, "config error:", "cannot read state file"),
+    "synth-bad-json": (lambda tmp: ["synth", "--amplitudes", "[0.6,"], None,
+                       1, "config error:", "--amplitudes"),
+    "synth-fidelity": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]"], 2.0,
+                       2, "verification failure:", "synthesis fidelity"),
+    "oracle-dimension": (lambda tmp: ["oracle", *QUTRIT, "--state", '{"bloch":[0.5,0]}'], None,
+                         1, "config error:", "dim 2 != channel dim 3"),
+    "oracle-missing-file": (lambda tmp: ["oracle", "--channel-file", str(tmp / "missing.json")], None,
+                            1, "config error:", "cannot load channel file"),
+    "oracle-bad-param": (lambda tmp: ["oracle", "--channel", "bit_flip", "--param", "p=abc"], None,
+                         1, "config error:", "--param p"),
+    "oracle-bad-state": (lambda tmp: ["oracle", *QUTRIT, "--state", "{bad"], None,
+                         1, "config error:", "--state"),
+    "validate-missing-file": (lambda tmp: ["validate", str(tmp / "missing.json")], None,
+                              1, "config error:", "cannot load channel file"),
+    "sweep-shots": (_sweep(shots="many"), None, 1, "config error:", "shots"),
+    "sweep-seed": (_sweep(seed="x"), None, 1, "config error:", "seed"),
+    "sweep-mixed-method": (_sweep(mixed_method="two"), None, 1, "config error:", "mixed_method"),
+    "sweep-points": (_sweep_range(points="x"), None, 1, "config error:", "sweep.points"),
+    "sweep-start": (_sweep_range(start=[0]), None, 1, "config error:", "sweep.start"),
+    "sweep-grid-scalar": (_sweep(sweep={"parameter": "p", "grid": 5}), None,
+                          1, "config error:", "sweep.grid"),
+    "sweep-grid-text": (_sweep(sweep={"parameter": "p", "grid": ["a"]}), None,
+                        1, "config error:", "sweep.grid"),
+    "sweep-grid-string": (_sweep(sweep={"parameter": "p", "grid": "05"}), None,
+                          1, "config error:", "sweep.grid"),
+    "sweep-output": (_sweep(output="out.csv"), None, 1, "config error:", "output"),
+    "sweep-params": (_sweep(channel={"name": "bit_phase_flip", "params": [1]}), None,
+                     1, "config error:", "channel.params"),
+    "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
+    "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
+                                     "--out", str(tmp / "prep")], 2.0,
+                        2, "point 0.25:", "synthesis fidelity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_cli_error_contract(case, tmp_path, capsys, monkeypatch):
+    argv, floor, code, prefix, fragment = ERROR_CASES[case]
+    if floor is not None:
+        # no preparation reaches a floor above 1: every fidelity check fails
+        monkeypatch.setattr(cli, "FIDELITY_FLOOR", floor)
+    assert main(argv(tmp_path)) == code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(prefix) and fragment in lines[0], lines[0]
+    assert "Traceback" not in out + err
+    assert out == ""  # a failed export-qasm writes and lists no file
+    assert not list(tmp_path.glob("*.qasm"))
+
+
+def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
+    # a rank-2 qutrit input under mixed method 2: two parts, each with
+    # 2 system qubits, so one preparation and 3^2 settings per part
+    rho = np.array([[0.6, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]])
+    cfg = {
+        "channel": {"name": "qutrit_amplitude_damping", "params": {}},
+        "initial_state": {"density_matrix": rho.tolist()},
+        "sweep": {"parameter": "gamma", "grid": [0.4]},
+        "mode": "sampled",
+        "shots": 64,
+        "mixed_method": 2,
+    }
+    out = tmp_path / "prep"
+    assert main(["export-qasm", _config_file(tmp_path, cfg), "--out", str(out), "--tomography"]) == 0
+    listed = capsys.readouterr().out.split()
+    assert sorted(listed) == sorted(str(p) for p in tmp_path.glob("*.qasm"))
+
+    parts = eigenvector_dilations(qutrit_amplitude_damping(0.4), DensityMatrix(rho))
+    assert len(parts) == 2
+    assert len(listed) == 2 * (1 + 3**2)
+    for k, (_, dilated) in enumerate(parts):
+        base = f"{out}_point0_mix{k}"
+        assert len(list(tmp_path.glob(f"prep_point0_mix{k}*.qasm"))) == 1 + 3**2
+        low = lower(synthesize(embed_qudits(dilated)))
+        assert Path(f"{base}.qasm").read_text() == qasm_export(low)
+        n = low.qubit_count
+        prefix = simulator.run(Circuit(n, low.gates))
+        plan = settings_for(tuple(range(dilated.embedding.qubit_counts[0])))
+        for setting in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
+            # the sweep's branched state for this setting
+            branched = simulator.run(Circuit(n, plan.rotations[setting], low.global_phase), prefix)
+            exported = simulator.run(qasm_parse(Path(f"{base}_setting{''.join(setting)}.qasm").read_text()))
+            np.testing.assert_allclose(
+                np.abs(exported.amplitudes) ** 2, np.abs(branched.amplitudes) ** 2, rtol=0, atol=1e-12
+            )
