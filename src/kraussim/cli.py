@@ -37,7 +37,10 @@ Config schema (JSON object)::
       "output": {"csv": <path>}                         # optional
     }
 
-The sweep grid must be nonempty and monotone.  CSV columns are fixed:
+The sweep grid must be nonempty and monotone.  Integer fields (``shots``,
+``seed``, ``mixed_method``, ``sweep.points``, the catalog ``d``) take
+integral numbers: ``7.0`` reads as 7, while ``2.9`` or ``true`` is a
+configuration error.  CSV columns are fixed:
 ``param_value,C_theory,C_measured,trace_distance,mode,shots,seed,
 synth_gate_count,lowered_gate_count``.  Identical config and seed give
 byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
@@ -140,7 +143,7 @@ _CATALOG: dict[str, Callable[[dict], KrausChannel]] = {
     "generalized_amplitude_damping": lambda p: ch_mod.generalized_amplitude_damping(
         p["p"], p["n"]
     ),
-    "hw_dephasing": lambda p: ch_mod.hw_dephasing(int(p.get("d", 3)), p["p0"]),
+    "hw_dephasing": lambda p: ch_mod.hw_dephasing(_field("d", _integer, p.get("d", 3)), p["p0"]),
     "qutrit_amplitude_damping": lambda p: ch_mod.qutrit_amplitude_damping(p["gamma"]),
     "spin_boost": lambda p: ch_mod.spin_boost_channel(p["theta"]),
 }
@@ -197,6 +200,13 @@ def _field(name: str, convert: Callable, value):
         return convert(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """``value`` as an int; a boolean or a fractional number is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
 
 
 def _read_json_file(path: str, what: str):
@@ -286,7 +296,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("sweep.grid must be a list of values")
         grid = _field("sweep.grid", lambda g: tuple(float(v) for v in g), sweep["grid"])
     elif {"start", "stop", "points"} <= set(sweep):
-        points = _field("sweep.points", int, sweep["points"])
+        points = _field("sweep.points", _integer, sweep["points"])
         if points < 1:
             raise ConfigError("sweep.points must be >= 1")
         start = _field("sweep.start", float, sweep["start"])
@@ -307,16 +317,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     mode = data.get("mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f'mode must be "exact" or "sampled", got {mode!r}')
-    shots = _field("shots", int, data.get("shots", 0))
+    shots = _field("shots", _integer, data.get("shots", 0))
     if mode == "sampled" and shots < 1:
         raise ConfigError("sampled mode needs shots >= 1")
-    seed = _field("seed", int, data.get("seed", 0))
+    seed = _field("seed", _integer, data.get("seed", 0))
 
     readout = data.get("readout")
     if readout is not None:
         readout = _field("readout", lambda r: ReadoutModel(e0=r["e0"], e1=r["e1"]), readout)
 
-    mixed_method = _field("mixed_method", int, data.get("mixed_method", 3))
+    mixed_method = _field("mixed_method", _integer, data.get("mixed_method", 3))
     if mixed_method not in (1, 2, 3):
         raise ConfigError("mixed_method must be 1, 2 or 3")
 

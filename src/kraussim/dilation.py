@@ -18,14 +18,17 @@ system state equals the operator-sum result:
 
 Qudit factors map onto qubit registers big-endian (factor level ``l``
 becomes the ceil(log2 d)-bit binary string of ``l``), with unused bit
-patterns carrying zero amplitude.
+patterns carrying zero amplitude.  :class:`QubitEmbedding` owns that
+layout and the register limit: every dilation builds its embedding from
+the factor dimensions first, so an oversized dilation fails before any
+amplitude is computed, with a message naming ``qubit embedding`` and the
+qubit count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +58,12 @@ class QubitEmbedding:
     """Mapping of a list of qudit factors onto a qubit register.
 
     Factor ``i`` of dimension ``d_i`` occupies ``ceil(log2 d_i)``
-    consecutive qubits, most significant first, in factor order.
+    consecutive qubits, most significant first, in factor order.  A
+    dimension-1 ancilla takes no qubit; the system factor (the first)
+    always takes at least one, because tomography and the partial trace
+    act on a system register.  Construction fails if the register exceeds
+    the limit, so a dilation that builds its embedding first does no work
+    on an oversized register.
     """
 
     factor_dims: tuple[int, ...]
@@ -65,26 +73,16 @@ class QubitEmbedding:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid factor dimensions {dims}")
         object.__setattr__(self, "factor_dims", dims)
+        check_register(self.total_qubits, "qubit embedding")
 
     @property
     def qubit_counts(self) -> tuple[int, ...]:
-        return tuple(max(1, math.ceil(math.log2(d))) if d > 1 else 1 for d in self.factor_dims)
+        counts = tuple((d - 1).bit_length() for d in self.factor_dims)
+        return (max(1, counts[0]),) + counts[1:]
 
     @property
     def total_qubits(self) -> int:
         return sum(self.qubit_counts)
-
-    def level_bits(self, factor: int, level: int) -> str:
-        """Bit pattern assigned to ``level`` of ``factor``."""
-        d = self.factor_dims[factor]
-        if not 0 <= level < d:
-            raise ValueError(f"level {level} outside [0, {d})")
-        return format(level, f"0{self.qubit_counts[factor]}b")
-
-    def embedded_index(self, levels: Sequence[int]) -> int:
-        """Basis index in the qubit register for a joint level tuple."""
-        bits = "".join(self.level_bits(i, l) for i, l in enumerate(levels))
-        return int(bits, 2)
 
 
 @dataclass(frozen=True)
@@ -124,36 +122,31 @@ def dilate_pure(channel: KrausChannel, psi: PureState) -> DilatedState:
     if psi.dim != channel.dim:
         raise ValueError(f"state dimension {psi.dim} != channel dimension {channel.dim}")
     d, n = channel.dim, channel.n_kraus
+    embedding = QubitEmbedding((d, n))
     joint = np.zeros(d * n, dtype=np.complex128)
     for j, op in enumerate(channel.kraus_ops):
         branch = op @ psi.amplitudes
         joint[j::n] = branch  # index a*n + j
-    dims = (d, n)
     return DilatedState(
         system_dim=d,
         ancilla_dims=(n,),
         state=PureState(joint),
-        embedding=QubitEmbedding(dims),
+        embedding=embedding,
     )
 
 
 def embed_qudits(dilated: DilatedState) -> PureState:
     """Amplitudes of the dilated state over its qubit register.
 
-    The map is an isometry: amplitudes are copied to the basis states
-    whose bits are the concatenated binary labels of the factor levels,
-    and every unused pattern stays at zero.
+    The map is an isometry: the factor tensor is zero-padded to ``2**q_i``
+    levels per factor, so each amplitude lands on the basis state whose
+    bits are the concatenated binary labels of its factor levels, and every
+    unused pattern stays at zero.
     """
-    emb = dilated.embedding
-    check_register(emb.total_qubits, "qubit embedding")
     dims = dilated.factor_dims
-    out = np.zeros(2**emb.total_qubits, dtype=np.complex128)
-    src = dilated.state.amplitudes.reshape(dims)
-    for levels in np.ndindex(*dims):
-        amp = src[levels]
-        if amp != 0.0:
-            out[emb.embedded_index(levels)] = amp
-    return PureState(out)
+    out = np.zeros([2**q for q in dilated.embedding.qubit_counts], dtype=np.complex128)
+    out[tuple(slice(d) for d in dims)] = dilated.state.amplitudes.reshape(dims)
+    return PureState(out.reshape(-1))
 
 
 def postselect(dilated: DilatedState, j: int) -> tuple[float, PureState]:
@@ -238,6 +231,8 @@ def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> Di
     if rho.dim != channel.dim:
         raise ValueError(f"state dimension {rho.dim} != channel dimension {channel.dim}")
     d, n = channel.dim, channel.n_kraus
+    d_c = d * n
+    embedding = QubitEmbedding((d, n, d_c))
     joint = np.zeros((d * n, d * n), dtype=np.complex128)
     for j, kj in enumerate(channel.kraus_ops):
         for k, kk in enumerate(channel.kraus_ops):
@@ -246,18 +241,16 @@ def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> Di
             joint[j::n, k::n] = block
     w, v = herm_eig(joint)
     w = np.where(w < 0.0, 0.0, w)
-    d_c = d * n
     amps = np.zeros(d * n * d_c, dtype=np.complex128)
     for i in range(d_c):
         if w[i] == 0.0:
             continue
         amps[i::d_c] = math.sqrt(w[i]) * _fix_eigvec_phase(v[:, i])
-    dims = (d, n, d_c)
     return DilatedState(
         system_dim=d,
         ancilla_dims=(n, d_c),
         state=PureState(amps),
-        embedding=QubitEmbedding(dims),
+        embedding=embedding,
     )
 
 
@@ -308,6 +301,7 @@ def mixed_method_double_purification(
     keep = [k for k, w in enumerate(spectral.eigenvalues) if w > RANK_TOL]
     rank = len(keep)
     d, n = channel.dim, channel.n_kraus
+    embedding = QubitEmbedding((d, rank, n))
     amps = np.zeros(d * rank * n, dtype=np.complex128)
     view = amps.reshape(d, rank, n)
     for slot, k in enumerate(keep):
@@ -315,10 +309,9 @@ def mixed_method_double_purification(
         vec = spectral.eigenvectors[:, k]
         for j, op in enumerate(channel.kraus_ops):
             view[:, slot, j] = math.sqrt(weight) * (op @ vec)
-    dims = (d, rank, n)
     return DilatedState(
         system_dim=d,
         ancilla_dims=(rank, n),
         state=PureState(amps),
-        embedding=QubitEmbedding(dims),
+        embedding=embedding,
     )

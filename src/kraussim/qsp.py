@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import PureState, check_register
+from .numerics import PureState
 
 __all__ = [
     "Gate",
@@ -151,7 +151,6 @@ def _qubit_count_for(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
         raise ValueError(f"amplitude vector length {dim} is not a power of two >= 2")
-    check_register(n, "synthesis")
     return n
 
 

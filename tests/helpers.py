@@ -207,3 +207,20 @@ def reference_reconstruct_raw(values):
         raw += coeff * kron(*(PAULIS[c] for c in letters))
     raw /= 2**n
     return raw
+
+
+def reference_embed(dilated):
+    """Per-amplitude qubit embedding: each nonzero amplitude goes to the index
+    spelled by the concatenated ceil(log2 d)-bit labels of its factor levels
+    (at least one bit for the system factor, none for a dimension-1 ancilla)."""
+    dims = dilated.factor_dims
+    bits = [math.ceil(math.log2(d)) for d in dims]
+    bits[0] = max(1, bits[0])
+    out = np.zeros(2 ** sum(bits), dtype=np.complex128)
+    src = dilated.state.amplitudes.reshape(dims)
+    for levels in np.ndindex(*dims):
+        amp = src[levels]
+        if amp != 0.0:
+            label = "".join(format(level, f"0{q}b") if q else "" for level, q in zip(levels, bits))
+            out[int(label, 2)] = amp
+    return PureState(out)

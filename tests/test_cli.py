@@ -10,7 +10,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from kraussim.channels import KrausChannel, qutrit_amplitude_damping, save_channel
+from kraussim.channels import KrausChannel, depolarizing, qutrit_amplitude_damping, save_channel
 from kraussim.cli import (
     CSV_HEADER,
     ConfigError,
@@ -20,7 +20,7 @@ from kraussim.cli import (
     rows_to_csv,
     run_experiment,
 )
-from kraussim.dilation import eigenvector_dilations, embed_qudits
+from kraussim.dilation import eigenvector_dilations, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import DensityMatrix
 from kraussim.qsp import Circuit, lower, qasm_export, qasm_parse, synthesize
 from kraussim.tomography import settings_for
@@ -55,6 +55,12 @@ def test_parse_config_rejects_bad_input():
         parse_config(bpf_config(initial_state={"bloch": [0.1]}))
     with pytest.raises(ConfigError):
         parse_config(bpf_config(mixed_method=4))
+
+
+def test_integral_float_seed_runs_as_an_integer():
+    as_float = rows_to_csv(run_experiment(parse_config(bpf_config(seed=7.0))))
+    assert as_float == rows_to_csv(run_experiment(parse_config(bpf_config(seed=7))))
+    assert all(line.split(",")[6] == "7" for line in as_float.splitlines()[1:])
 
 
 def test_linear_grid_expansion():
@@ -128,19 +134,48 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         assert len(applied) == expected
 
 
-def test_oversized_register_fails_the_point_naming_the_stage():
-    # mixed method 1 on a 5-level channel: factors (5, 5, 25) on 3 + 3 + 5 = 11 qubits
-    rho = np.diag([0.4, 0.3, 0.2, 0.05, 0.05])
+OVERSIZED = {  # case: (hw_dephasing d, initial_state, mixed_method, register qubits)
+    # factors (33, 33) on 6 + 6 qubits
+    "pure-d33": (33, "uniform", 3, 12),
+    # factors (8, 8, 64) on 3 + 3 + 6 qubits
+    "method1-d8": (8, {"density_matrix": (np.eye(8) / 8).tolist()}, 1, 12),
+    # factors (5, 5, 25) on 3 + 3 + 5 qubits
+    "method1-d5": (5, {"density_matrix": np.diag([0.4, 0.3, 0.2, 0.05, 0.05]).tolist()}, 1, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_register_fails_the_point_naming_the_stage(case):
+    d, initial, method, qubits = OVERSIZED[case]
     cfg = {
-        "channel": {"name": "hw_dephasing", "params": {"d": 5}},
-        "initial_state": {"density_matrix": rho.tolist()},
+        "channel": {"name": "hw_dephasing", "params": {"d": d}},
+        "initial_state": initial,
         "sweep": {"parameter": "p0", "grid": [0.5]},
         "mode": "exact",
-        "mixed_method": 1,
+        "mixed_method": method,
     }
     [row] = run_experiment(parse_config(cfg))
-    assert "qubit embedding: 11 qubits exceeds the register limit of 10" in row.error
+    assert f"qubit embedding: {qubits} qubits exceeds the register limit of 10" in row.error
     assert np.isnan(row.c_measured)
+
+
+def test_rank_one_input_takes_no_rank_qubit():
+    # double purification of |0><0|: factors (2, 1, 4); the rank ancilla
+    # of dimension 1 takes no qubit
+    rho = [[1.0, 0.0], [0.0, 0.0]]
+    dilated = mixed_method_double_purification(depolarizing(0.3), DensityMatrix(np.array(rho)))
+    assert dilated.factor_dims == (2, 1, 4)
+    assert lower(synthesize(embed_qudits(dilated))).qubit_count == 3
+    cfg = {
+        "channel": {"name": "depolarizing", "params": {}},
+        "initial_state": {"density_matrix": rho},
+        "sweep": {"parameter": "p", "grid": [0.0, 0.3, 1.0]},
+        "mode": "exact",
+        "mixed_method": 3,
+    }
+    for row in run_experiment(parse_config(cfg)):
+        assert not row.error
+        assert abs(row.c_measured - row.c_theory) < 1e-9
 
 
 CATALOG_SWEEPS = [
@@ -369,6 +404,18 @@ ERROR_CASES = {
     "sweep-output": (_sweep(output="out.csv"), None, 1, "config error:", "output"),
     "sweep-params": (_sweep(channel={"name": "bit_phase_flip", "params": [1]}), None,
                      1, "config error:", "channel.params"),
+    "sweep-shots-fraction": (_sweep(mode="sampled", shots=2.9), None,
+                             1, "config error:", "shots: must be an integer, got 2.9"),
+    "sweep-shots-bool": (_sweep(mode="sampled", shots=True), None,
+                         1, "config error:", "shots: must be an integer, got True"),
+    "sweep-seed-fraction": (_sweep(seed=1.7), None, 1, "config error:", "seed: must be an integer"),
+    "sweep-mixed-method-fraction": (_sweep(mixed_method=2.5), None,
+                                    1, "config error:", "mixed_method: must be an integer"),
+    "sweep-points-fraction": (_sweep_range(points=3.7), None,
+                              1, "config error:", "sweep.points: must be an integer"),
+    "sweep-catalog-d-fraction": (_sweep(channel={"name": "hw_dephasing", "params": {"d": 4.9}},
+                                        sweep={"parameter": "p0", "grid": [0.5]}), None,
+                                 1, "config error:", "d: must be an integer, got 4.9"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,

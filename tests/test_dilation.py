@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_DRAWS,
@@ -7,6 +11,7 @@ from helpers import (
     random_density,
     random_kraus_channel,
     random_pure,
+    reference_embed,
 )
 from kraussim.channels import (
     apply_channel,
@@ -17,6 +22,7 @@ from kraussim.channels import (
 )
 from kraussim.dilation import (
     DilatedState,
+    QubitEmbedding,
     dilate_pure,
     eigenvector_dilations,
     embed_qudits,
@@ -116,6 +122,29 @@ def test_embed_preserves_inner_products():
         direct = np.vdot(x.state.amplitudes, y.state.amplitudes)
         embedded = np.vdot(embed_qudits(x).amplitudes, embed_qudits(y).amplitudes)
         assert abs(direct - embedded) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.lists(st.integers(1, 40), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_zero_pad_embedding_matches_per_amplitude_reference(dims, seed):
+    dims = tuple(dims)
+    qubits = max(1, math.ceil(math.log2(dims[0]))) + sum(math.ceil(math.log2(d)) for d in dims[1:])
+    if qubits > 10:
+        with pytest.raises(ValueError, match=f"qubit embedding: {qubits} qubits exceeds the register limit"):
+            QubitEmbedding(dims)
+        return
+    embedding = QubitEmbedding(dims)
+    assert embedding.total_qubits == qubits
+    rng = np.random.default_rng(seed)
+    amps = random_pure(rng, math.prod(dims)).amplitudes.copy()
+    amps[rng.random(amps.size) < 0.3] = 0.0  # exact zeros, as in pruned branches
+    if not amps.any():
+        amps[-1] = 1.0
+    state = PureState(amps / np.linalg.norm(amps))
+    dilated = DilatedState(dims[0], dims[1:], state, embedding)
+    embedded = embed_qudits(dilated)
+    assert embedded.dim == 2**qubits
+    assert np.array_equal(embedded.amplitudes, reference_embed(dilated).amplitudes)
 
 
 def test_embed_pads_unused_levels_with_zeros():
