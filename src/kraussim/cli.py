@@ -9,15 +9,16 @@ Subcommands
 ``oracle``       Print the operator-sum evolution of a state, no circuits.
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
-config, channel file, state, argument or output path), one ``config
-error: ...`` line on stderr; 2 numerical failure.  Exit 2 means: for
-``validate``, a completeness residual above tolerance (``FAIL``); for
-``sweep``, a failed point (fidelity below the floor, register over the
-limit), whose row is NaN while the other points run, reported as
-``point <value>: <error>`` on stderr; for ``export-qasm``, a failed
-point, reported as in ``sweep``, with no file written; for ``synth``, a
-fidelity below the floor (``verification failure: ...``).  ``oracle``
-never exits 2.
+config, channel file, state, argument or output path; a channel
+parameter the constructor does not take; a bad readout model or a
+negative seed), one ``config error: ...`` line on stderr; 2 numerical
+failure.  Exit 2 means: for ``validate``, a completeness residual above
+tolerance (``FAIL``); for ``sweep``, a failed point (fidelity below the
+floor, register over the limit), whose row is NaN while the other points
+run, reported as ``point <value>: <error>`` on stderr; for
+``export-qasm``, a failed point, reported as in ``sweep``, with no file
+written; for ``synth``, a fidelity below the floor (``verification
+failure: ...``).  ``oracle`` never exits 2.
 
 Config schema (JSON object)::
 
@@ -32,10 +33,17 @@ Config schema (JSON object)::
       "mode": "exact" | "sampled",
       "shots": <int, sampled mode>,
       "seed": <int>,
-      "readout": {"e0": <float>, "e1": <float>},        # optional
+      "readout": {"e0": <rate(s)>, "e1": <rate(s)>},    # optional
       "mixed_method": 1 | 2 | 3,                        # optional, default 3
       "output": {"csv": <path>}                         # optional
     }
+
+Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
+the channel constructor in ``channels`` (``_CATALOG`` maps each name to
+it), so a parameter the channel does not take is a configuration error,
+as is a missing one.  ``readout`` is passed to ``ReadoutModel``, which
+validates it: rates in [0, 0.5], per-qubit tuples of one length, and no
+singular confusion matrix.  ``seed`` must be >= 0.
 
 The sweep grid must be nonempty and monotone.  Integer fields (``shots``,
 ``seed``, ``mixed_method``, ``sweep.points``, the catalog ``d``) take
@@ -132,20 +140,22 @@ class VerificationError(RuntimeError):
     """A numerical check (CPTP, preparation fidelity) failed."""
 
 
-# catalog channels reachable by name; each factory takes the params dict
-_CATALOG: dict[str, Callable[[dict], KrausChannel]] = {
-    "pauli": lambda p: ch_mod.pauli_channel(p["p_i"], p["p_x"], p["p_z"], p["p_y"]),
-    "bit_flip": lambda p: ch_mod.bit_flip(p["p"]),
-    "phase_flip": lambda p: ch_mod.phase_flip(p["p"]),
-    "bit_phase_flip": lambda p: ch_mod.bit_phase_flip(p["p"]),
-    "depolarizing": lambda p: ch_mod.depolarizing(p["p"]),
-    "phase_damping": lambda p: ch_mod.phase_damping(p["p"]),
-    "generalized_amplitude_damping": lambda p: ch_mod.generalized_amplitude_damping(
-        p["p"], p["n"]
-    ),
-    "hw_dephasing": lambda p: ch_mod.hw_dephasing(_field("d", _integer, p.get("d", 3)), p["p0"]),
-    "qutrit_amplitude_damping": lambda p: ch_mod.qutrit_amplitude_damping(p["gamma"]),
-    "spin_boost": lambda p: ch_mod.spin_boost_channel(p["theta"]),
+def _hw_dephasing(p0: float, d: int = 3) -> KrausChannel:
+    return ch_mod.hw_dephasing(_field("d", _integer, d), p0)
+
+
+# catalog channels reachable by name; each is called with the params as keywords
+_CATALOG: dict[str, Callable[..., KrausChannel]] = {
+    "pauli": ch_mod.pauli_channel,
+    "bit_flip": ch_mod.bit_flip,
+    "phase_flip": ch_mod.phase_flip,
+    "bit_phase_flip": ch_mod.bit_phase_flip,
+    "depolarizing": ch_mod.depolarizing,
+    "phase_damping": ch_mod.phase_damping,
+    "generalized_amplitude_damping": ch_mod.generalized_amplitude_damping,
+    "hw_dephasing": _hw_dephasing,
+    "qutrit_amplitude_damping": ch_mod.qutrit_amplitude_damping,
+    "spin_boost": ch_mod.spin_boost_channel,
 }
 
 
@@ -265,7 +275,7 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(_read_json_file(path, "config"))
 
 
-def _catalog_factory(name) -> Callable[[dict], KrausChannel]:
+def _catalog_factory(name) -> Callable[..., KrausChannel]:
     if not isinstance(name, str) or name not in _CATALOG:
         raise ConfigError(f"unknown channel {name!r}; catalog: {sorted(_CATALOG)}")
     return _CATALOG[name]
@@ -321,10 +331,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     if mode == "sampled" and shots < 1:
         raise ConfigError("sampled mode needs shots >= 1")
     seed = _field("seed", _integer, data.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     readout = data.get("readout")
     if readout is not None:
-        readout = _field("readout", lambda r: ReadoutModel(e0=r["e0"], e1=r["e1"]), readout)
+        readout = _field("readout", lambda r: ReadoutModel(**r), readout)
 
     mixed_method = _field("mixed_method", _integer, data.get("mixed_method", 3))
     if mixed_method not in (1, 2, 3):
@@ -359,9 +371,7 @@ def _load_channel(name: str | None = None, params: dict | None = None, path: str
             raise ConfigError(f"cannot load channel file {path}: {exc}") from exc
     factory = _catalog_factory(name)
     try:
-        return factory(params or {})
-    except KeyError as exc:
-        raise ConfigError(f"channel {name!r} missing parameter {exc}") from exc
+        return factory(**(params or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"channel {name!r}: {exc}") from exc
 

@@ -99,6 +99,17 @@ class Gate:
             return np.diag([np.exp(-1j * a / 2.0), np.exp(1j * a / 2.0)])
         return np.diag([1.0, np.exp(1j * a)]).astype(np.complex128)
 
+    def index(self, n: int, target=slice(None)) -> tuple:
+        """Index into an n-qubit register tensor of shape ``(2,) * n``: each
+        control axis fixed at its activation bit, ``target`` at the target
+        axis, every other axis whole.  Trailing axes beyond the n qubits
+        are kept whole."""
+        idx: list = [slice(None)] * n
+        for q, b in self.controls:
+            idx[q] = b
+        idx[self.target] = target
+        return tuple(idx)
+
     def is_elementary(self) -> bool:
         """True for the lowered target set: bare X/Ry/Rz/Phase, or CX."""
         if not self.controls:
@@ -321,12 +332,7 @@ def _lower_multiplexed(
 
 def _accumulate_diag(vec: np.ndarray, gate: Gate, n: int) -> None:
     """Add a controlled Phase gate's exponent into a full-register diagonal."""
-    t = vec.reshape([2] * n)
-    idx: list = [slice(None)] * n
-    for q, b in gate.controls:
-        idx[q] = b
-    idx[gate.target] = 1
-    t[tuple(idx)] += gate.angle
+    vec.reshape((2,) * n)[gate.index(n, 1)] += gate.angle
 
 
 def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:

@@ -2,7 +2,9 @@
 
 Gates are applied in place by reshaping the amplitude vector to one axis
 per qubit and updating the two-component slice selected by the control
-bits; no full 2^n x 2^n matrices are ever formed.  Qubit 0 is the most
+bits; no 2^n x 2^n gate matrix is ever formed.  The same gate loop acts on
+a batch of states, so :func:`circuit_unitary` runs it once over the
+identity's columns.  Qubit 0 is the most
 significant bit of basis labels, and bitstrings produced by sampling
 follow the same convention.
 
@@ -15,8 +17,7 @@ evaluation order.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -52,12 +53,9 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> None:
-    view = state.reshape([2] * n)
-    idx: list = [slice(None)] * n
-    for q, b in gate.controls:
-        idx[q] = b
-    sub = view[tuple(idx)]
+def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
+    """Apply ``gate`` in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch of states."""
+    sub = amps.reshape((2,) * n + amps.shape[1:])[gate.index(n)]
     # integer indexing collapsed the control axes; recompute target position
     axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
     sub = np.moveaxis(sub, axis, -1)
@@ -92,13 +90,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a small circuit (column k = action on |k>)."""
     n = circuit.qubit_count
     check_register(n, "dense unitary")
-    dim = 2**n
-    cols = np.eye(dim, dtype=np.complex128)
-    for k in range(dim):
-        state = cols[:, k].copy()
-        for gate in circuit.gates:
-            _apply_gate(state, gate, n)
-        cols[:, k] = state
+    cols = np.eye(2**n, dtype=np.complex128)
+    for gate in circuit.gates:
+        _apply_gate(cols, gate, n)
     return cols * np.exp(1j * circuit.global_phase)
 
 
@@ -213,8 +207,9 @@ class ReadoutModel:
 
     ``e0[q]`` is the probability of reading 1 when qubit q is 0, and
     ``e1[q]`` of reading 0 when it is 1.  Scalars broadcast over all
-    qubits.  Both probabilities are capped at 0.5 so the confusion matrix
-    stays diagonally dominant.
+    qubits; two tuples must have the same length.  Both probabilities are
+    capped at 0.5, so the confusion matrix [[1-e0, e1], [e0, 1-e1]] is
+    singular only at e0 = e1 = 0.5, which is rejected.
     """
 
     e0: tuple[float, ...] | float
@@ -233,6 +228,12 @@ class ReadoutModel:
                 if not 0.0 <= v <= 0.5:
                     raise ValueError(f"{name} entry {v} outside [0, 0.5]")
             object.__setattr__(self, name, value)
+        if isinstance(self.e0, tuple) and isinstance(self.e1, tuple) and len(self.e0) != len(self.e1):
+            raise ValueError(f"e0 has {len(self.e0)} entries, e1 has {len(self.e1)}")
+        singular = np.abs(1.0 - np.add(self.e0, self.e1)) < 1e-12
+        if singular.any():
+            where = f"qubit {np.flatnonzero(singular)[0]}" if singular.ndim else "every qubit"
+            raise ValueError(f"confusion matrix is singular (e0 + e1 = 1) on {where}")
 
     def arrays(self, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
         out = []
@@ -274,17 +275,13 @@ def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:
     Per qubit the confusion matrix is [[1-e0, e1], [e0, 1-e1]] (column =
     true bit); its inverse is applied along each axis of the frequency
     tensor.  Negative quasi-probabilities are clipped to zero and the
-    remainder renormalized.  A qubit with e0 + e1 = 1 has a singular
-    confusion matrix and raises.  Returns the frequency of every outcome
+    remainder renormalized.  Returns the frequency of every outcome
     over the register, in the order of ``counts.counts``.
     """
     n = counts.qubit_count
     e0, e1 = model.arrays(n)
     tensor = counts.frequencies().reshape([2] * n)
     for q in range(n):
-        det = 1.0 - e0[q] - e1[q]
-        if abs(det) < 1e-12:
-            raise ValueError(f"confusion matrix for qubit {q} is singular (e0 + e1 = 1)")
         conf = np.array([[1.0 - e0[q], e1[q]], [e0[q], 1.0 - e1[q]]])
         inv = np.linalg.inv(conf)
         tensor = np.moveaxis(

@@ -349,7 +349,7 @@ def _config_file(tmp_path, cfg):
 
 
 def _sweep(**overrides):
-    return lambda tmp: ["sweep", _config_file(tmp, bpf_config(**overrides))]
+    return lambda tmp: ["sweep", _config_file(tmp, bpf_config(**overrides)), "--csv", str(tmp / "rows.csv")]
 
 
 def _sweep_range(**sweep):
@@ -416,6 +416,25 @@ ERROR_CASES = {
     "sweep-catalog-d-fraction": (_sweep(channel={"name": "hw_dephasing", "params": {"d": 4.9}},
                                         sweep={"parameter": "p0", "grid": [0.5]}), None,
                                  1, "config error:", "d: must be an integer, got 4.9"),
+    "sweep-parameter-not-taken": (_sweep(channel={"name": "bit_flip", "params": {"p": 0.3}},
+                                         sweep={"parameter": "gamma", "grid": [0.1, 0.5, 0.9]}), None,
+                                  1, "config error:", "unexpected keyword argument 'gamma'"),
+    "sweep-unknown-param": (_sweep(channel={"name": "bit_phase_flip", "params": {"q": 7}}), None,
+                            1, "config error:", "unexpected keyword argument 'q'"),
+    "oracle-unknown-param": (lambda tmp: ["oracle", "--channel", "bit_flip", "--param", "p=0.2",
+                                          "--param", "q=7"], None,
+                             1, "config error:", "unexpected keyword argument 'q'"),
+    "oracle-missing-param": (lambda tmp: ["oracle", "--channel", "bit_flip"], None,
+                             1, "config error: channel 'bit_flip'", "'p'"),
+    "sweep-readout-singular": (_sweep(mode="sampled", shots=16, readout={"e0": 0.5, "e1": 0.5}), None,
+                               1, "config error:", "readout: confusion matrix is singular"),
+    "sweep-readout-unknown-key": (_sweep(mode="sampled", shots=16,
+                                         readout={"e0": 0.1, "e1": 0.1, "e2": 0.1}), None,
+                                  1, "config error: readout:", "unexpected keyword argument 'e2'"),
+    "sweep-readout-lengths": (_sweep(mode="sampled", shots=16,
+                                     readout={"e0": [0.1, 0.1], "e1": [0.1]}), None,
+                              1, "config error:", "readout: e0 has 2 entries, e1 has 1"),
+    "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
@@ -437,6 +456,7 @@ def test_cli_error_contract(case, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in out + err
     assert out == ""  # a failed export-qasm writes and lists no file
     assert not list(tmp_path.glob("*.qasm"))
+    assert not list(tmp_path.glob("*.csv"))  # a sweep that fails on its config writes no CSV
 
 
 def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):

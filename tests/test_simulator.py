@@ -57,15 +57,18 @@ def test_run_of_lowered_circuit_matches_original():
         assert np.abs(a - b).max() < 1e-9
 
 
-def test_circuit_unitary_columns():
-    rng = np.random.default_rng(402)
-    gates = tuple(random_gate(rng, 2) for _ in range(4))
-    u = circuit_unitary(Circuit(2, gates))
-    expected = np.eye(4, dtype=complex)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_circuit_unitary_columns(n):
+    rng = np.random.default_rng(400 + n)
+    gates = tuple(random_gate(rng, n) for _ in range(4 * n))
+    # a gate anti-controlled on every other qubit, so each width has one
+    gates += (Gate("ry", 0.7, n - 1, tuple((q, 0) for q in range(n - 1))),)
+    u = circuit_unitary(Circuit(n, gates, 0.3))
+    expected = np.exp(0.3j) * np.eye(2**n, dtype=complex)
     for g in gates:
-        expected = dense_gate(g, 2) @ expected
+        expected = dense_gate(g, n) @ expected
     assert np.abs(u - expected).max() < 1e-12
-    assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+    assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
 
 
 def test_anticontrolled_x_fires_on_zero():
@@ -189,9 +192,12 @@ def test_shot_counts_hold_a_read_only_dense_array():
 
 
 def test_mitigation_rejects_singular_confusion():
-    counts = ShotCounts.from_histogram(1, 100, {"0": 50, "1": 50})
-    with pytest.raises(ValueError):
-        mitigate(counts, ReadoutModel(e0=0.6, e1=0.4))
+    # with both rates capped at 0.5, e0 + e1 = 1 only at 0.5/0.5; the model
+    # rejects it before any shot is drawn, naming the qubit
+    with pytest.raises(ValueError, match="singular"):
+        ReadoutModel(e0=0.5, e1=0.5)
+    with pytest.raises(ValueError, match="singular .* on qubit 1"):
+        ReadoutModel(e0=(0.01, 0.5), e1=0.5)
 
 
 def test_per_qubit_error_tuples():
