@@ -10,15 +10,16 @@ Subcommands
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
 config, channel file, state, argument or output path; a channel
-parameter the constructor does not take; a bad readout model or a
-negative seed), one ``config error: ...`` line on stderr; 2 numerical
-failure.  Exit 2 means: for ``validate``, a completeness residual above
-tolerance (``FAIL``); for ``sweep``, a failed point (fidelity below the
-floor, register over the limit), whose row is NaN while the other points
-run, reported as ``point <value>: <error>`` on stderr; for
-``export-qasm``, a failed point, reported as in ``sweep``, with no file
-written; for ``synth``, a fidelity below the floor (``verification
-failure: ...``).  ``oracle`` never exits 2.
+parameter the constructor does not take; a bad readout model, one
+given in exact mode, or one whose per-qubit lists do not cover the
+dilated register; a negative seed), one ``config error: ...`` line on
+stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
+completeness residual above tolerance (``FAIL``); for ``sweep``, a
+failed point (fidelity below the floor, register over the limit), whose
+row is NaN while the other points run, reported as ``point <value>:
+<error>`` on stderr; for ``export-qasm``, a failed point, reported as in
+``sweep``, with no file written; for ``synth``, a fidelity below the
+floor (``verification failure: ...``).  ``oracle`` never exits 2.
 
 Config schema (JSON object)::
 
@@ -33,7 +34,7 @@ Config schema (JSON object)::
       "mode": "exact" | "sampled",
       "shots": <int, sampled mode>,
       "seed": <int>,
-      "readout": {"e0": <rate(s)>, "e1": <rate(s)>},    # optional
+      "readout": {"e0": <rate(s)>, "e1": <rate(s)>},    # optional, sampled mode
       "mixed_method": 1 | 2 | 3,                        # optional, default 3
       "output": {"csv": <path>}                         # optional
     }
@@ -41,9 +42,12 @@ Config schema (JSON object)::
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
 it), so a parameter the channel does not take is a configuration error,
-as is a missing one.  ``readout`` is passed to ``ReadoutModel``, which
-validates it: rates in [0, 0.5], per-qubit tuples of one length, and no
-singular confusion matrix.  ``seed`` must be >= 0.
+as is a missing one.  ``readout`` applies only in sampled mode.  It is
+passed to ``ReadoutModel``, which validates it: rates in [0, 0.5],
+per-qubit tuples of one length, and no singular confusion matrix.  A
+per-qubit tuple covers the whole dilated register, system and ancilla
+qubits, and is checked against it before any circuit is built.
+``seed`` must be >= 0.
 
 The sweep grid must be nonempty and monotone.  Integer fields (``shots``,
 ``seed``, ``mixed_method``, ``sweep.points``, the catalog ``d``) take
@@ -62,12 +66,13 @@ once.  Exact mode recovers the system state by partial trace of the
 synthesized circuit's verified statevector.  Sampled mode branches all
 3^n tomography settings from the lowered circuit's one simulation: each
 setting applies only its basis rotations to a copy of that state.  Each
-setting's shots are drawn as a dense count array over the register,
-optionally corrupted by readout noise and mitigated into a frequency
-array; the expectations and the reconstruction work on those arrays, and
-no bitstring is formed.  Mixed method 2 prepares one circuit per
-eigenvector (``dilation.eigenvector_dilations``) and mixes the recovered
-states classically.
+setting's shots are drawn as a dense count array over the register
+from its own ``derive_rng`` stream, optionally corrupted by readout
+noise and mitigated into a frequency array; the expectations and the
+reconstruction work on those arrays, and no bitstring is formed.  Mixed
+method 2 prepares one circuit per eigenvector
+(``dilation.eigenvector_dilations``) and mixes the recovered states
+classically.
 """
 
 from __future__ import annotations
@@ -336,6 +341,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     readout = data.get("readout")
     if readout is not None:
+        if mode != "sampled":
+            raise ConfigError("readout: applies only in sampled mode")
         readout = _field("readout", lambda r: ReadoutModel(**r), readout)
 
     mixed_method = _field("mixed_method", _integer, data.get("mixed_method", 3))
@@ -417,7 +424,11 @@ class _Part(NamedTuple):
 def _prepared_parts(
     cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
 ) -> Iterator[_Part]:
-    """Dilate, embed, synthesize and lower each part, checking both fidelities."""
+    """Dilate, embed, synthesize and lower each part, checking both fidelities.
+
+    A readout model is checked against each part's register as soon as the
+    dilation fixes it, before any circuit is built.
+    """
     if psi0 is not None:
         dilations = [(1.0, dilate_pure(channel, psi0))]
     elif cfg.mixed_method == 1:
@@ -427,6 +438,8 @@ def _prepared_parts(
     else:
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
+        if cfg.readout is not None:
+            _field("readout", cfg.readout.confusion, dilated.embedding.total_qubits)
         embedded = embed_qudits(dilated)
         circuit = synthesize(embedded)
         state = run(circuit)
@@ -471,9 +484,8 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
             noisy = apply_readout_noise(counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1))
             counts = mitigate(noisy, cfg.readout)
         data[setting] = counts
-    values, errs = expectations(data, system_qubits, shots_per_setting=cfg.shots)
-    result = reconstruct(values, errs, shots_per_setting=cfg.shots)
-    block, _ = extract_embedded(result.projected, part.dilated.system_dim)
+    values, _ = expectations(data, system_qubits, shots_per_setting=cfg.shots)
+    block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block
 
 

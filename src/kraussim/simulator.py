@@ -8,10 +8,10 @@ identity's columns.  Qubit 0 is the most
 significant bit of basis labels, and bitstrings produced by sampling
 follow the same convention.
 
-Randomness comes from the counter-based Philox generator.  Seeds for
-independent sampling points derive from a root seed plus an index path
-(:func:`derive_rng`), so results are reproducible and independent of
-evaluation order.
+Randomness comes from the counter-based Philox generator.  Sampling and
+readout noise take a generator stream, and :func:`derive_rng` is the one
+place streams are made: from a root seed plus an index path, so results
+are reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -32,15 +32,9 @@ __all__ = [
     "sample",
     "apply_readout_noise",
     "mitigate",
-    "make_rng",
     "derive_rng",
     "circuit_unitary",
 ]
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Philox generator for a root seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for a (seed, index path) pair.
@@ -181,15 +175,9 @@ class ShotCounts:
         return cls.from_histogram(width, int(data["shots"]), counts)
 
 
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-
-
-def sample(state: PureState, shots: int, seed: int | np.random.Generator) -> ShotCounts:
-    """Multinomial sampling of computational-basis outcomes.
-
-    ``seed`` is a root seed or an already-derived generator stream.
-    """
+def sample(state: PureState, shots: int, rng: np.random.Generator) -> ShotCounts:
+    """Multinomial sampling of computational-basis outcomes from a
+    :func:`derive_rng` stream."""
     if shots < 1:
         raise ValueError("shots must be positive")
     n = state.dim.bit_length() - 1
@@ -197,7 +185,6 @@ def sample(state: PureState, shots: int, seed: int | np.random.Generator) -> Sho
         raise ValueError("state dimension is not a power of two")
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
-    rng = _as_rng(seed)
     return ShotCounts(n, shots, rng.multinomial(shots, probs))
 
 
@@ -208,8 +195,8 @@ class ReadoutModel:
     ``e0[q]`` is the probability of reading 1 when qubit q is 0, and
     ``e1[q]`` of reading 0 when it is 1.  Scalars broadcast over all
     qubits; two tuples must have the same length.  Both probabilities are
-    capped at 0.5, so the confusion matrix [[1-e0, e1], [e0, 1-e1]] is
-    singular only at e0 = e1 = 0.5, which is rejected.
+    capped at 0.5, so a qubit's :meth:`confusion` matrix is singular only
+    at e0 = e1 = 0.5, which is rejected.
     """
 
     e0: tuple[float, ...] | float
@@ -235,31 +222,36 @@ class ReadoutModel:
             where = f"qubit {np.flatnonzero(singular)[0]}" if singular.ndim else "every qubit"
             raise ValueError(f"confusion matrix is singular (e0 + e1 = 1) on {where}")
 
-    def arrays(self, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-        out = []
-        for value in (self.e0, self.e1):
-            if isinstance(value, float):
-                out.append(np.full(qubit_count, value))
-            else:
-                if len(value) != qubit_count:
-                    raise ValueError(
-                        f"model covers {len(value)} qubits, circuit has {qubit_count}"
-                    )
-                out.append(np.asarray(value))
-        return out[0], out[1]
+    def confusion(self, qubit_count: int) -> np.ndarray:
+        """Per-qubit confusion matrices as a ``(qubit_count, 2, 2)`` array.
+
+        ``conf[q]`` is [[1-e0, e1], [e0, 1-e1]] for qubit q (column = true
+        bit).  Scalars broadcast to every qubit; a tuple must have one
+        entry per qubit of the register.
+        """
+        for name in ("e0", "e1"):
+            value = getattr(self, name)
+            if isinstance(value, tuple) and len(value) != qubit_count:
+                raise ValueError(
+                    f"{name} has {len(value)} entries, the register has {qubit_count} qubits"
+                )
+        e0 = np.broadcast_to(self.e0, qubit_count)
+        e1 = np.broadcast_to(self.e1, qubit_count)
+        return np.stack([[1.0 - e0, e1], [e0, 1.0 - e1]]).transpose(2, 0, 1)
 
 
 def apply_readout_noise(
-    counts: ShotCounts, model: ReadoutModel, seed: int | np.random.Generator
+    counts: ShotCounts, model: ReadoutModel, rng: np.random.Generator
 ) -> ShotCounts:
-    """Flip each recorded bit independently with the model's probabilities.
+    """Flip each recorded bit independently with the model's probabilities,
+    drawing from a :func:`derive_rng` stream.
 
     Shots are laid out outcome by outcome in ascending outcome order and
     drawn as one ``(shots, qubits)`` array of uniform variates.
     """
     n = counts.qubit_count
-    e0, e1 = model.arrays(n)
-    rng = _as_rng(seed)
+    conf = model.confusion(n)
+    e0, e1 = conf[:, 1, 0], conf[:, 0, 1]
     outcomes = np.arange(2**n)
     weights = 1 << np.arange(n - 1, -1, -1)
     bits = (outcomes[:, None] & weights) != 0
@@ -272,18 +264,16 @@ def apply_readout_noise(
 def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:
     """Invert the tensor-product confusion matrix and project to the simplex.
 
-    Per qubit the confusion matrix is [[1-e0, e1], [e0, 1-e1]] (column =
-    true bit); its inverse is applied along each axis of the frequency
+    Each qubit's :meth:`ReadoutModel.confusion` matrix is inverted, all in
+    one batched call, and applied along that qubit's axis of the frequency
     tensor.  Negative quasi-probabilities are clipped to zero and the
     remainder renormalized.  Returns the frequency of every outcome
     over the register, in the order of ``counts.counts``.
     """
     n = counts.qubit_count
-    e0, e1 = model.arrays(n)
+    inverses = np.linalg.inv(model.confusion(n))
     tensor = counts.frequencies().reshape([2] * n)
-    for q in range(n):
-        conf = np.array([[1.0 - e0[q], e1[q]], [e0[q], 1.0 - e1[q]]])
-        inv = np.linalg.inv(conf)
+    for q, inv in enumerate(inverses):
         tensor = np.moveaxis(
             np.tensordot(inv, tensor, axes=([1], [q])), 0, q
         )

@@ -255,20 +255,13 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Linear-inversion output: raw matrix, projected state, statistics."""
+    """Linear-inversion output: the raw matrix and its projected state."""
 
     raw: np.ndarray
     projected: DensityMatrix
-    expectations: dict[str, float]
-    stderrs: dict[str, float | None]
-    shots_per_setting: int | None
 
 
-def reconstruct(
-    values: Mapping[str, float],
-    stderrs: Mapping[str, float | None] | None = None,
-    shots_per_setting: int | None = None,
-) -> TomographyResult:
+def reconstruct(values: Mapping[str, float]) -> TomographyResult:
     """Assemble rho from Pauli expectations and project it onto valid states."""
     names = list(values.keys())
     if not names:
@@ -286,14 +279,7 @@ def reconstruct(
             raise ValueError(f"missing expectation value for {name}")
         raw += coeff * pauli
     raw /= 2**n
-    projected = DensityMatrix(project_psd(raw))
-    return TomographyResult(
-        raw=raw,
-        projected=projected,
-        expectations=dict(values),
-        stderrs=dict(stderrs) if stderrs is not None else {},
-        shots_per_setting=shots_per_setting,
-    )
+    return TomographyResult(raw, DensityMatrix(project_psd(raw)))
 
 
 def extract_embedded(

@@ -127,7 +127,9 @@ def dense_gate(gate, n):
 def reference_mitigate(counts, model):
     """String-keyed confusion-matrix inversion: {bitstring: frequency > 0}."""
     n = counts.qubit_count
-    e0, e1 = model.arrays(n)
+    # built here, not by ReadoutModel.confusion, so the batched inverse in
+    # ``mitigate`` is checked against per-qubit inverses made independently
+    e0, e1 = np.broadcast_to(model.e0, n), np.broadcast_to(model.e1, n)
     freq = np.zeros(2**n)
     for key, count in counts.histogram.items():
         freq[int(key, 2)] = count / counts.shots

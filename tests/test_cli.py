@@ -134,6 +134,16 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         assert len(applied) == expected
 
 
+def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
+    applied = []
+    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    # bit_phase_flip on a qubit dilates onto 2 qubits; the model covers 1
+    cfg = parse_config(bpf_config(mode="sampled", shots=16, readout={"e0": [0.1], "e1": [0.1]}))
+    with pytest.raises(ConfigError, match="readout: e0 has 1 entries, the register has 2 qubits"):
+        run_experiment(cfg)
+    assert applied == []
+
+
 OVERSIZED = {  # case: (hw_dephasing d, initial_state, mixed_method, register qubits)
     # factors (33, 33) on 6 + 6 qubits
     "pure-d33": (33, "uniform", 3, 12),
@@ -434,6 +444,10 @@ ERROR_CASES = {
     "sweep-readout-lengths": (_sweep(mode="sampled", shots=16,
                                      readout={"e0": [0.1, 0.1], "e1": [0.1]}), None,
                               1, "config error:", "readout: e0 has 2 entries, e1 has 1"),
+    "sweep-readout-register": (_sweep(mode="sampled", shots=16, readout={"e0": [0.1], "e1": [0.1]}), None,
+                               1, "config error:", "readout: e0 has 1 entries, the register has 2 qubits"),
+    "sweep-readout-exact": (_sweep(readout={"e0": 0.1, "e1": 0.1}), None,
+                            1, "config error:", "readout: applies only in sampled mode"),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",

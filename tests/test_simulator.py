@@ -14,7 +14,6 @@ from kraussim.simulator import (
     apply_readout_noise,
     circuit_unitary,
     derive_rng,
-    make_rng,
     mitigate,
     run,
     sample,
@@ -86,7 +85,7 @@ def test_sampling_converges_to_born_probabilities():
     rng = np.random.default_rng(403)
     state = random_pure(rng, 8)
     shots = 100_000
-    counts = sample(state, shots, seed=99)
+    counts = sample(state, shots, rng=derive_rng(99))
     probs = np.abs(state.amplitudes) ** 2
     for idx, p in enumerate(probs):
         bits = format(idx, "03b")
@@ -97,9 +96,9 @@ def test_sampling_converges_to_born_probabilities():
 
 def test_sampling_is_seed_deterministic():
     state = random_pure(np.random.default_rng(404), 4)
-    a = sample(state, 4096, seed=7)
-    b = sample(state, 4096, seed=7)
-    c = sample(state, 4096, seed=8)
+    a = sample(state, 4096, rng=derive_rng(7))
+    b = sample(state, 4096, rng=derive_rng(7))
+    c = sample(state, 4096, rng=derive_rng(8))
     assert a.histogram == b.histogram
     assert a.histogram != c.histogram
 
@@ -107,7 +106,7 @@ def test_sampling_is_seed_deterministic():
 def test_derived_streams_are_stable_and_distinct():
     assert derive_rng(5, 1, 2).uniform() == derive_rng(5, 1, 2).uniform()
     assert derive_rng(5, 1, 2).uniform() != derive_rng(5, 2, 1).uniform()
-    assert make_rng(5).uniform() == make_rng(5).uniform()
+    assert derive_rng(5).uniform() == derive_rng(5).uniform()
 
 
 def test_shot_counts_validation_and_json():
@@ -127,7 +126,7 @@ def test_shot_counts_validation_and_json():
 
 def test_readout_noise_flip_rate():
     counts = ShotCounts.from_histogram(1, 100_000, {"0": 100_000})
-    noisy = apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0), seed=11)
+    noisy = apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0), rng=derive_rng(11))
     rate = noisy.histogram.get("1", 0) / counts.shots
     assert abs(rate - 0.2) < 5 * np.sqrt(0.2 * 0.8 / 100_000)
     assert noisy.shots == counts.shots
@@ -143,8 +142,8 @@ def test_mitigation_recovers_true_frequencies():
     bound = 3.0 * (1.0 / (1.0 - 2 * e)) ** 3 / (2.0 * np.sqrt(shots))
     for trial in range(20):
         state = random_pure(rng, 8)
-        counts = sample(state, shots, seed=derive_rng(406, trial, 0))
-        noisy = apply_readout_noise(counts, model, seed=derive_rng(406, trial, 1))
+        counts = sample(state, shots, rng=derive_rng(406, trial, 0))
+        noisy = apply_readout_noise(counts, model, rng=derive_rng(406, trial, 1))
         mitigated = mitigate(noisy, model)
         probs = np.abs(state.amplitudes) ** 2
         worst = max(abs(mitigated[i] - probs[i]) for i in range(8))
@@ -156,22 +155,41 @@ def test_mitigation_recovers_true_frequencies():
 def test_mitigation_matches_string_keyed_reference():
     # few shots leave most outcomes at zero count
     rng = np.random.default_rng(407)
+    scalars = np.random.default_rng(410)
     for n in (1, 2, 3, 4):
         for trial in range(10):
-            model = ReadoutModel(
+            per_qubit = ReadoutModel(
                 e0=tuple(rng.uniform(0.0, 0.2, n)), e1=tuple(rng.uniform(0.0, 0.2, n))
             )
+            scalar = ReadoutModel(
+                e0=float(scalars.uniform(0.0, 0.2)), e1=float(scalars.uniform(0.0, 0.2))
+            )
             shots = int(rng.integers(1, 40))
-            counts = sample(random_pure(rng, 2**n), shots, seed=derive_rng(408, n, trial, 0))
-            noisy = apply_readout_noise(counts, model, seed=derive_rng(408, n, trial, 1))
-            expected = np.zeros(2**n)
-            for key, p in reference_mitigate(noisy, model).items():
-                expected[int(key, 2)] = p
-            assert np.array_equal(mitigate(noisy, model), expected)
+            counts = sample(random_pure(rng, 2**n), shots, rng=derive_rng(408, n, trial, 0))
+            for stream, model in ((1, per_qubit), (2, scalar)):
+                noisy = apply_readout_noise(counts, model, rng=derive_rng(408, n, trial, stream))
+                expected = np.zeros(2**n)
+                for key, p in reference_mitigate(noisy, model).items():
+                    expected[int(key, 2)] = p
+                assert np.array_equal(mitigate(noisy, model), expected)
+
+
+def test_confusion_matrices_cover_the_register():
+    # column = true bit: [[1-e0, e1], [e0, 1-e1]] on every qubit
+    scalar = ReadoutModel(e0=0.1, e1=0.25).confusion(3)
+    assert scalar.shape == (3, 2, 2)
+    assert np.array_equal(scalar, np.broadcast_to([[0.9, 0.25], [0.1, 0.75]], (3, 2, 2)))
+    per_qubit = ReadoutModel(e0=(0.05, 0.2), e1=0.3).confusion(2)
+    assert np.array_equal(per_qubit[0], [[0.95, 0.3], [0.05, 0.7]])
+    assert np.array_equal(per_qubit[1], [[0.8, 0.3], [0.2, 0.7]])
+    with pytest.raises(ValueError, match="^e0 has 1 entries, the register has 2 qubits$"):
+        ReadoutModel(e0=(0.1,), e1=(0.1,)).confusion(2)
+    with pytest.raises(ValueError, match="^e1 has 3 entries, the register has 2 qubits$"):
+        ReadoutModel(e0=0.1, e1=(0.1, 0.2, 0.3)).confusion(2)
 
 
 def test_shot_counts_hold_a_read_only_dense_array():
-    counts = sample(random_pure(np.random.default_rng(409), 8), 50, seed=5)
+    counts = sample(random_pure(np.random.default_rng(409), 8), 50, rng=derive_rng(5))
     assert counts.counts.dtype == np.int64 and counts.counts.shape == (8,)
     assert not counts.counts.flags.writeable
     assert counts.histogram == {
@@ -202,7 +220,7 @@ def test_mitigation_rejects_singular_confusion():
 
 def test_per_qubit_error_tuples():
     counts = ShotCounts.from_histogram(2, 50_000, {"00": 50_000})
-    noisy = apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0)), seed=3)
+    noisy = apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0)), rng=derive_rng(3))
     ones_on_q1 = sum(c for b, c in noisy.histogram.items() if b[1] == "1")
     assert ones_on_q1 == 0  # second qubit noiseless
     ones_on_q0 = sum(c for b, c in noisy.histogram.items() if b[0] == "1")
@@ -214,7 +232,7 @@ def test_readout_noise_reproduces_recorded_histogram():
     # single (shots, qubits) draw consumes the stream in the same order
     counts = ShotCounts.from_histogram(3, 600, {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30})
     model = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
-    noisy = apply_readout_noise(counts, model, seed=derive_rng(2212, 13834, 1))
+    noisy = apply_readout_noise(counts, model, rng=derive_rng(2212, 13834, 1))
     assert noisy.histogram == {
         "000": 181, "001": 29, "010": 66, "011": 13,
         "100": 47, "101": 111, "110": 107, "111": 46,

@@ -108,9 +108,9 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
     for k, setting in enumerate(itertools.product("XYZ", repeat=len(system_qubits))):
         # few shots leave many outcomes at zero count
         shots = int(rng.integers(1, 4 * 2**width))
-        counts = sample(random_pure(rng, 2**width), shots, seed=derive_rng(511, k, 0))
+        counts = sample(random_pure(rng, 2**width), shots, rng=derive_rng(511, k, 0))
         if readout:
-            noisy = apply_readout_noise(counts, model, seed=derive_rng(511, k, 1))
+            noisy = apply_readout_noise(counts, model, rng=derive_rng(511, k, 1))
             per_setting[setting] = mitigate(noisy, model)
             per_setting_ref[setting] = reference_mitigate(noisy, model)
         else:
@@ -122,7 +122,7 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
     assert list(values) == list(ref_values)
     assert values == ref_values
     assert errors == ref_errors
-    raw = reconstruct(values, errors).raw
+    raw = reconstruct(values).raw
     assert raw.tobytes() == reference_reconstruct_raw(ref_values).tobytes()
 
 
@@ -167,11 +167,11 @@ def test_sampled_reconstruction_close_to_truth():
         state = target.amplitudes.copy()
         for g in tset.rotations[setting]:
             state = dense_gate(g, 2) @ state
-        per_setting[setting] = sample(PureState(state), 8192, seed=1000 + k)
+        per_setting[setting] = sample(PureState(state), 8192, rng=derive_rng(1000 + k))
     values, errors = expectations(per_setting, system_qubits=(0, 1))
-    result = reconstruct(values, errors, shots_per_setting=8192)
+    result = reconstruct(values)
     assert np.abs(result.projected.matrix - rho_true).max() < 0.05
-    assert all(e is not None for e in result.stderrs.values())
+    assert all(e is not None for e in errors.values())
 
 
 def test_psd_projection_redistributes_negative_mass():
