@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
 config, channel file, state, argument or output path; a channel
-parameter the constructor does not take; a bad readout model, one
+given both by ``name`` and by ``file``; a channel parameter the
+constructor does not take; a bad readout model, one
 given in exact mode, or one whose per-qubit lists do not cover the
 dilated register; a negative seed), one ``config error: ...`` line on
 stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
@@ -38,6 +39,10 @@ Config schema (JSON object)::
       "mixed_method": 1 | 2 | 3,                        # optional, default 3
       "output": {"csv": <path>}                         # optional
     }
+
+``channel`` takes ``name`` or ``file``, never both.  ``synth`` parses its
+amplitude list like ``initial_state.amplitudes`` and names the option
+that gave it (``--amplitudes`` or ``--state-file``) in an error.
 
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
@@ -292,6 +297,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     channel = data.get("channel")
     if not isinstance(channel, dict) or not ({"name", "file"} & set(channel)):
         raise ConfigError('config needs "channel": {"name": ...} or {"file": ...}')
+    if {"name", "file"} <= set(channel):
+        raise ConfigError('channel: give "name" or "file", not both')
     name = channel.get("name")
     file_ = channel.get("file")
     if name is not None:
@@ -572,12 +579,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.state_file:
-        entries = _read_json_file(args.state_file, "state file")
+        option, entries = "--state-file", _read_json_file(args.state_file, "state file")
     elif args.amplitudes:
-        entries = _field("--amplitudes", json.loads, args.amplitudes)
+        option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     else:
         raise ConfigError("provide --amplitudes or --state-file")
-    target = _parse_initial({"amplitudes": entries})
+    target = _field(option, _INITIAL_FORMS["amplitudes"], entries)
     circuit = _field("synthesis", synthesize_real if args.real else synthesize, target)
     _require_fidelity("synthesis", verify_preparation(circuit, target))
     if args.lower:

@@ -89,28 +89,31 @@ class QubitEmbedding:
 class DilatedState:
     """Joint pure state over the system factor and its dilation ancillas.
 
-    ``state`` is indexed over the product of ``[system_dim] +
-    ancilla_dims`` in that factor order (system most significant);
-    ``embedding`` records how the factors map onto qubits.
+    ``embedding.factor_dims`` is the one record of the factors: ``state``
+    is indexed over their product in that order (system most significant),
+    and ``embedding`` maps them onto qubits.
     """
 
-    system_dim: int
-    ancilla_dims: tuple[int, ...]
-    state: PureState
     embedding: QubitEmbedding
+    state: PureState
 
     def __post_init__(self) -> None:
-        dims = (self.system_dim,) + tuple(self.ancilla_dims)
-        if math.prod(dims) != self.state.dim:
+        if math.prod(self.factor_dims) != self.state.dim:
             raise ValueError(
-                f"state dimension {self.state.dim} != prod of factors {dims}"
+                f"state dimension {self.state.dim} != prod of factors {self.factor_dims}"
             )
-        if self.embedding.factor_dims != dims:
-            raise ValueError("embedding factors disagree with state factors")
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
-        return (self.system_dim,) + tuple(self.ancilla_dims)
+        return self.embedding.factor_dims
+
+    @property
+    def system_dim(self) -> int:
+        return self.factor_dims[0]
+
+    @property
+    def ancilla_dims(self) -> tuple[int, ...]:
+        return self.factor_dims[1:]
 
 
 def dilate_pure(channel: KrausChannel, psi: PureState) -> DilatedState:
@@ -127,12 +130,7 @@ def dilate_pure(channel: KrausChannel, psi: PureState) -> DilatedState:
     for j, op in enumerate(channel.kraus_ops):
         branch = op @ psi.amplitudes
         joint[j::n] = branch  # index a*n + j
-    return DilatedState(
-        system_dim=d,
-        ancilla_dims=(n,),
-        state=PureState(joint),
-        embedding=embedding,
-    )
+    return DilatedState(embedding, PureState(joint))
 
 
 def embed_qudits(dilated: DilatedState) -> PureState:
@@ -246,12 +244,7 @@ def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> Di
         if w[i] == 0.0:
             continue
         amps[i::d_c] = math.sqrt(w[i]) * _fix_eigvec_phase(v[:, i])
-    return DilatedState(
-        system_dim=d,
-        ancilla_dims=(n, d_c),
-        state=PureState(amps),
-        embedding=embedding,
-    )
+    return DilatedState(embedding, PureState(amps))
 
 
 def eigenvector_dilations(
@@ -309,9 +302,4 @@ def mixed_method_double_purification(
         vec = spectral.eigenvectors[:, k]
         for j, op in enumerate(channel.kraus_ops):
             view[:, slot, j] = math.sqrt(weight) * (op @ vec)
-    return DilatedState(
-        system_dim=d,
-        ancilla_dims=(rank, n),
-        state=PureState(amps),
-        embedding=embedding,
-    )
+    return DilatedState(embedding, PureState(amps))

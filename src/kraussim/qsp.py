@@ -15,9 +15,10 @@ recursive over qubits, most significant first:
 
 Branch-relative scalar phases are emitted as controlled Phase gates; the
 single top-level scalar that remains is tracked on
-``Circuit.global_phase`` rather than compiled.  Patterns with zero
-amplitude are pruned (their slot emits nothing); :func:`synthesis_plan`
-exposes the full slot list including pruned entries.
+``Circuit.global_phase`` rather than compiled.  Synthesis is one pass over
+the levels: each level emits its Ry gates, then its Rz gates, then its
+Phase gates, in control-pattern order, and skips every pattern whose
+parent amplitude is exactly zero.
 
 :func:`synthesize_real` is the specialization for real amplitude vectors:
 every level reduces to Ry rotations with signed angles
@@ -37,7 +38,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -46,11 +47,9 @@ from .numerics import PureState
 __all__ = [
     "Gate",
     "Circuit",
-    "Slot",
     "GATE_KINDS",
     "synthesize",
     "synthesize_real",
-    "synthesis_plan",
     "lower",
     "verify_preparation",
     "gate_counts",
@@ -139,25 +138,6 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One multi-controlled-U slot of the synthesis plan.
-
-    ``level`` runs 1..n; ``pattern`` is the activation value of the
-    ``level - 1`` control qubits.  ``scalar`` is the branch phase exponent
-    t with ``U = exp(i t / 2) Rz(phi) Ry(theta)``.  Pruned slots sit over
-    zero-amplitude branches and emit nothing.
-    """
-
-    level: int
-    pattern: int
-    controls: tuple[tuple[int, int], ...]
-    theta: float
-    phi: float
-    scalar: float
-    pruned: bool
-
-
 def _qubit_count_for(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -172,47 +152,6 @@ def _magnitude_pyramid(amps: np.ndarray, n: int) -> list[np.ndarray]:
         v = levels[0]
         levels.insert(0, np.sqrt(np.abs(v[0::2]) ** 2 + np.abs(v[1::2]) ** 2))
     return levels
-
-
-def synthesis_plan(target: PureState, real: bool = False) -> tuple[Slot, ...]:
-    """Angles for every slot of the recursion, pruned slots included.
-
-    The plan always contains ``2^n - 1`` slots (sum over levels of
-    ``2^(k-1)``); assembling the non-pruned ones yields the circuit.
-    """
-    amps = target.amplitudes
-    n = _qubit_count_for(amps.size)
-    if real and np.max(np.abs(amps.imag)) > 1e-12:
-        raise ValueError("amplitudes have imaginary parts; use synthesize instead")
-    levels = _magnitude_pyramid(amps, n)
-    slots: list[Slot] = []
-    for k in range(1, n + 1):
-        coeff = levels[k - 1]
-        parents = levels[k - 2] if k >= 2 else None
-        last = k == n
-        for pattern in range(2 ** (k - 1)):
-            controls = tuple(
-                (q, (pattern >> (k - 2 - q)) & 1) for q in range(k - 1)
-            )
-            if parents is not None and parents[pattern] == 0.0:
-                slots.append(Slot(k, pattern, controls, 0.0, 0.0, 0.0, pruned=True))
-                continue
-            c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
-            if not last:
-                # magnitude level: both entries real nonnegative
-                theta = 2.0 * math.atan2(c1.real, c0.real)
-                phi = scalar = 0.0
-            elif real:
-                theta = 2.0 * math.atan2(c1.real, c0.real)
-                phi = scalar = 0.0
-            else:
-                theta = 2.0 * math.atan2(abs(c1), abs(c0))
-                phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
-                phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
-                phi = phi1 - phi0
-                scalar = phi1 + phi0
-            slots.append(Slot(k, pattern, controls, theta, phi, scalar, pruned=False))
-    return tuple(slots)
 
 
 def _controlled_scalar_phase(
@@ -237,38 +176,61 @@ def _controlled_scalar_phase(
     return gates, eta
 
 
-def _assemble(n: int, slots: Sequence[Slot]) -> Circuit:
+def _synthesize(target: PureState, real: bool) -> Circuit:
+    """One pass over the magnitude pyramid, most significant qubit first.
+
+    Level k targets qubit k-1 with one multi-controlled
+    ``exp(i t/2) Rz(phi) Ry(theta)`` per (k-1)-bit pattern whose parent
+    magnitude is nonzero.  A level emits its Ry gates, then its Rz gates,
+    then its scalar-phase gates, each in pattern order.
+    """
+    amps = target.amplitudes
+    n = _qubit_count_for(amps.size)
+    if real and np.max(np.abs(amps.imag)) > 1e-12:
+        raise ValueError("amplitudes have imaginary parts; use synthesize instead")
+    levels = _magnitude_pyramid(amps, n)
     gates: list[Gate] = []
     global_phase = 0.0
     for k in range(1, n + 1):
-        level_slots = [s for s in slots if s.level == k and not s.pruned]
-        target = k - 1
-        ry = [Gate("ry", s.theta, target, s.controls) for s in level_slots if s.theta != 0.0]
-        rz = [Gate("rz", s.phi, target, s.controls) for s in level_slots if s.phi != 0.0]
+        coeff = levels[k - 1]
+        ry: list[Gate] = []
+        rz: list[Gate] = []
         ph: list[Gate] = []
-        for s in level_slots:
-            if s.scalar != 0.0:
-                sub, delta = _controlled_scalar_phase(s.scalar / 2.0, s.controls)
+        for pattern in range(2 ** (k - 1)):
+            if k >= 2 and levels[k - 2][pattern] == 0.0:
+                continue  # zero-amplitude branch: nothing to prepare
+            controls = tuple((q, (pattern >> (k - 2 - q)) & 1) for q in range(k - 1))
+            c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
+            if k < n or real:
+                # magnitude level, or a real last level: signed Ry only
+                theta = 2.0 * math.atan2(c1.real, c0.real)
+                phi = scalar = 0.0
+            else:
+                theta = 2.0 * math.atan2(abs(c1), abs(c0))
+                phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
+                phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
+                phi = phi1 - phi0
+                scalar = phi1 + phi0
+            if theta != 0.0:
+                ry.append(Gate("ry", theta, k - 1, controls))
+            if phi != 0.0:
+                rz.append(Gate("rz", phi, k - 1, controls))
+            if scalar != 0.0:
+                sub, delta = _controlled_scalar_phase(scalar / 2.0, controls)
                 ph.extend(sub)
                 global_phase += delta
-        gates.extend(ry)
-        gates.extend(rz)
-        gates.extend(ph)
+        gates.extend(ry + rz + ph)
     return Circuit(n, tuple(gates), global_phase)
 
 
 def synthesize(target: PureState) -> Circuit:
     """Compile a state-preparation circuit for an arbitrary amplitude vector."""
-    plan = synthesis_plan(target, real=False)
-    n = _qubit_count_for(target.dim)
-    return _assemble(n, plan)
+    return _synthesize(target, real=False)
 
 
 def synthesize_real(target: PureState) -> Circuit:
     """Compile a preparation circuit for a real amplitude vector (Ry only)."""
-    plan = synthesis_plan(target, real=True)
-    n = _qubit_count_for(target.dim)
-    return _assemble(n, plan)
+    return _synthesize(target, real=True)
 
 
 # ---------------------------------------------------------------------------

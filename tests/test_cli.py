@@ -378,6 +378,13 @@ def _oversized_export(tmp):
     return ["export-qasm", _config_file(tmp, cfg), "--out", str(tmp / "prep")]
 
 
+def _name_and_file(tmp):
+    # a readable file and a known name: neither alone is an error
+    save_channel(depolarizing(0.2), str(tmp / "bf.json"))
+    channel = {"name": "phase_damping", "file": str(tmp / "bf.json")}
+    return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
+
+
 QUTRIT = ["--channel", "qutrit_amplitude_damping", "--param", "gamma=0.3"]
 
 # (argv from tmp_path, fidelity floor, exit code, first words of the message, a fragment of it)
@@ -388,6 +395,10 @@ ERROR_CASES = {
                            1, "config error:", "cannot read state file"),
     "synth-bad-json": (lambda tmp: ["synth", "--amplitudes", "[0.6,"], None,
                        1, "config error:", "--amplitudes"),
+    "synth-not-normalized": (lambda tmp: ["synth", "--amplitudes", "[0.5,0.5]"], None,
+                             1, "config error:", "--amplitudes: state not normalized"),
+    "synth-state-file-not-normalized": (lambda tmp: ["synth", "--state-file", _config_file(tmp, [0.5, 0.5])],
+                                        None, 1, "config error:", "--state-file: state not normalized"),
     "synth-fidelity": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]"], 2.0,
                        2, "verification failure:", "synthesis fidelity"),
     "oracle-dimension": (lambda tmp: ["oracle", *QUTRIT, "--state", '{"bloch":[0.5,0]}'], None,
@@ -448,6 +459,8 @@ ERROR_CASES = {
                                1, "config error:", "readout: e0 has 1 entries, the register has 2 qubits"),
     "sweep-readout-exact": (_sweep(readout={"e0": 0.1, "e1": 0.1}), None,
                             1, "config error:", "readout: applies only in sampled mode"),
+    "sweep-channel-name-and-file": (_name_and_file, None,
+                                    1, "config error:", 'channel: give "name" or "file", not both'),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",

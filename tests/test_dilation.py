@@ -141,7 +141,7 @@ def test_zero_pad_embedding_matches_per_amplitude_reference(dims, seed):
     if not amps.any():
         amps[-1] = 1.0
     state = PureState(amps / np.linalg.norm(amps))
-    dilated = DilatedState(dims[0], dims[1:], state, embedding)
+    dilated = DilatedState(embedding, state)
     embedded = embed_qudits(dilated)
     assert embedded.dim == 2**qubits
     assert np.array_equal(embedded.amplitudes, reference_embed(dilated).amplitudes)
@@ -253,9 +253,4 @@ def test_double_purification_dimensions_track_rank():
 def test_dilated_state_dimension_consistency_enforced():
     good = dilate_pure(phase_damping(0.3), uniform_state(2))
     with pytest.raises(ValueError):
-        DilatedState(
-            system_dim=3,
-            ancilla_dims=good.ancilla_dims,
-            state=good.state,
-            embedding=good.embedding,
-        )
+        DilatedState(QubitEmbedding((3,) + good.ancilla_dims), good.state)

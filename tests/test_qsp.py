@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_pure
 from kraussim.numerics import PureState, basis_state
@@ -11,21 +13,11 @@ from kraussim.qsp import (
     lower,
     qasm_export,
     qasm_parse,
-    synthesis_plan,
     synthesize,
     synthesize_real,
     verify_preparation,
 )
 from kraussim.simulator import circuit_unitary, run
-
-
-def test_plan_slot_count_is_full_binary_tree():
-    rng = np.random.default_rng(300)
-    for n in range(1, 6):
-        plan = synthesis_plan(random_pure(rng, 2**n))
-        assert len(plan) == 2**n - 1
-        for level in range(1, n + 1):
-            assert sum(1 for s in plan if s.level == level) == 2 ** (level - 1)
 
 
 def test_one_qubit_real_state_single_rotation():
@@ -44,12 +36,14 @@ def test_basis_state_needs_no_gates():
 
 
 def test_zero_subtree_is_pruned():
-    # no support on the qubit-0 = 0 half, so that subtree's slot is dead
+    # no support on the qubit-0 = 0 half, so that branch emits nothing
     target = PureState(np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2))
-    plan = synthesis_plan(target)
-    assert sum(1 for s in plan if s.pruned) == 1
     circuit = synthesize(target)
     assert len(circuit.gates) == 2  # ry on qubit 0, one controlled ry
+    assert [(g.kind, g.target, g.controls) for g in circuit.gates] == [
+        ("ry", 0, ()),
+        ("ry", 1, ((0, 1),)),
+    ]
     assert verify_preparation(circuit, target) > 1 - 1e-12
 
 
@@ -79,6 +73,37 @@ def test_lowering_preserves_full_unitary():
         dense_pre = circuit_unitary(circuit)
         dense_post = circuit_unitary(lower(circuit))
         assert np.abs(dense_pre - dense_post).max() < 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    zero_share=st.floats(0.0, 0.9),
+    tiny_share=st.floats(0.0, 0.5),
+)
+def test_sparse_and_near_zero_states_round_trip(n, seed, real, zero_share, tiny_share):
+    # exact zeros prune whole branches; magnitudes down to 1e-150 must
+    # still give a finite angle and a rotation that lowers cleanly
+    rng = np.random.default_rng(seed)
+    amps = random_pure(rng, 2**n).amplitudes.copy()
+    if real:
+        amps = amps.real.astype(np.complex128)
+    u = rng.random(amps.size)
+    amps[u < zero_share] = 0.0
+    tiny = (u >= zero_share) & (u < zero_share + tiny_share)
+    amps[tiny] *= 10.0 ** rng.uniform(-150.0, -8.0, int(tiny.sum()))
+    if not np.linalg.norm(amps):
+        amps[rng.integers(amps.size)] = 1.0
+    target = PureState(amps / np.linalg.norm(amps))
+    for synth in (synthesize, synthesize_real) if real else (synthesize,):
+        circuit = synth(target)
+        lowered = lower(circuit)
+        assert verify_preparation(circuit, target) >= 1 - 1e-10
+        assert verify_preparation(lowered, target) >= 1 - 1e-10
+        if n <= 4:
+            assert np.abs(circuit_unitary(circuit) - circuit_unitary(lowered)).max() < 1e-9
 
 
 def test_single_controlled_ry_lowering_pattern():
