@@ -10,7 +10,6 @@ built-in oracle for every result.
 """
 
 from .numerics import (
-    TOLERANCES,
     DensityMatrix,
     PureState,
     basis_state,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import TOLERANCES, DensityMatrix, MAX_DIM
+from .numerics import VALIDATION_TOL, DensityMatrix, MAX_DIM
 
 __all__ = [
     "KrausChannel",
@@ -116,7 +116,7 @@ def validate_cptp(channel: KrausChannel, tol: float | None = None) -> CPTPReport
     residual of a broken channel.
     """
     if tol is None:
-        tol = TOLERANCES.validation
+        tol = VALIDATION_TOL
     acc = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
     for op in channel.kraus_ops:
         acc += op.conj().T @ op
@@ -167,7 +167,7 @@ def pauli_channel(p_i: float, p_x: float, p_z: float, p_y: float) -> KrausChanne
     probs = [p_i, p_x, p_z, p_y]
     for name, p in zip(("p_i", "p_x", "p_z", "p_y"), probs):
         _check_prob(name, p)
-    if abs(sum(probs) - 1.0) > TOLERANCES.validation:
+    if abs(sum(probs) - 1.0) > VALIDATION_TOL:
         raise ValueError(f"Pauli weights sum to {sum(probs)}, expected 1")
     ops = tuple(
         math.sqrt(p) * sigma
@@ -278,7 +278,7 @@ def heisenberg_weyl(d: int, probs: np.ndarray) -> KrausChannel:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (d, d):
         raise ValueError(f"probs shape {probs.shape} != ({d}, {d})")
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > TOLERANCES.validation:
+    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > VALIDATION_TOL:
         raise ValueError("probs must be a probability distribution")
     ops = tuple(
         math.sqrt(probs[j, k]) * (hw_shift(d, j) @ hw_phase(d, k))

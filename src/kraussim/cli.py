@@ -10,10 +10,11 @@ Subcommands
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
 config, channel file, state, argument or output path; a channel
-given both by ``name`` and by ``file``; a channel parameter the
-constructor does not take; a bad readout model, one
-given in exact mode, or one whose per-qubit lists do not cover the
-dilated register; a negative seed), one ``config error: ...`` line on
+given both by ``name`` and by ``file``, or by ``file`` with ``params``;
+a channel parameter the constructor does not take; a bad readout model
+(a rate that is a string, a boolean or outside [0, 0.5]), one given in
+exact mode, or one whose per-qubit lists do not cover the dilated
+register; a negative seed), one ``config error: ...`` line on
 stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
 completeness residual above tolerance (``FAIL``); for ``sweep``, a
 failed point (fidelity below the floor, register over the limit), whose
@@ -40,15 +41,17 @@ Config schema (JSON object)::
       "output": {"csv": <path>}                         # optional
     }
 
-``channel`` takes ``name`` or ``file``, never both.  ``synth`` parses its
-amplitude list like ``initial_state.amplitudes`` and names the option
-that gave it (``--amplitudes`` or ``--state-file``) in an error.
+``channel`` takes ``name`` or ``file``, never both, and a ``file``
+channel takes no ``params``.  ``synth`` parses its amplitude list like
+``initial_state.amplitudes`` and names the option that gave it
+(``--amplitudes`` or ``--state-file``) in an error.
 
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
 it), so a parameter the channel does not take is a configuration error,
 as is a missing one.  ``readout`` applies only in sampled mode.  It is
-passed to ``ReadoutModel``, which validates it: rates in [0, 0.5],
+passed to ``ReadoutModel``, which validates it: numeric rates (a
+string or a boolean is rejected, not read as a rate) in [0, 0.5],
 per-qubit tuples of one length, and no singular confusion matrix.  A
 per-qubit tuple covers the whole dilated register, system and ancilla
 qubits, and is checked against it before any circuit is built.
@@ -73,11 +76,11 @@ synthesized circuit's verified statevector.  Sampled mode branches all
 setting applies only its basis rotations to a copy of that state.  Each
 setting's shots are drawn as a dense count array over the register
 from its own ``derive_rng`` stream, optionally corrupted by readout
-noise and mitigated into a frequency array; the expectations and the
-reconstruction work on those arrays, and no bitstring is formed.  Mixed
-method 2 prepares one circuit per eigenvector
-(``dilation.eigenvector_dilations``) and mixes the recovered states
-classically.
+noise and mitigated into a frequency array.  These rows, stacked in
+settings order, are the one weight matrix the expectations read; no
+bitstring is formed.  Mixed method 2 prepares one circuit per
+eigenvector (``dilation.eigenvector_dilations``) and mixes the recovered
+states classically.
 """
 
 from __future__ import annotations
@@ -299,6 +302,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError('config needs "channel": {"name": ...} or {"file": ...}')
     if {"name", "file"} <= set(channel):
         raise ConfigError('channel: give "name" or "file", not both')
+    if {"file", "params"} <= set(channel):
+        raise ConfigError('channel: a "file" channel takes no "params"')
     name = channel.get("name")
     file_ = channel.get("file")
     if name is not None:
@@ -483,15 +488,16 @@ def _measure_exact(part: _Part) -> DensityMatrix:
 def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
     """Tomography of the lowered preparation, branched from its one simulation."""
     system_qubits, circuits = _setting_circuits(part)
-    data = {}
-    for s_idx, (setting, circuit) in enumerate(circuits):
+    weights = []
+    for s_idx, (_, circuit) in enumerate(circuits):
         state = run(circuit, part.prefix)
         counts = sample(state, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
-        if cfg.readout is not None:
+        if cfg.readout is None:
+            weights.append(counts.counts)
+        else:
             noisy = apply_readout_noise(counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1))
-            counts = mitigate(noisy, cfg.readout)
-        data[setting] = counts
-    values, _ = expectations(data, system_qubits, shots_per_setting=cfg.shots)
+            weights.append(mitigate(noisy, cfg.readout))
+    values, _ = expectations(np.stack(weights), system_qubits, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block
 

@@ -2,8 +2,8 @@
 
 Everything works on row-major ``numpy`` arrays with ``complex128`` entries.
 Matrices are kept small (composite dimensions up to ``2**10``), so dense
-routines are used throughout.  Validation thresholds live in a single
-module-level :class:`Tolerances` instance so the whole package agrees on
+routines are used throughout.  Two module constants, ``VALIDATION_TOL``
+and ``EIGEN_TOL``, hold the thresholds, so the whole package agrees on
 what "numerically zero" means.
 """
 
@@ -18,8 +18,8 @@ import numpy as np
 __all__ = [
     "MAX_DIM",
     "MAX_QUBITS",
-    "TOLERANCES",
-    "Tolerances",
+    "VALIDATION_TOL",
+    "EIGEN_TOL",
     "check_register",
     "DensityMatrix",
     "PureState",
@@ -46,15 +46,9 @@ def check_register(qubits: int, stage: str) -> None:
         )
 
 
-@dataclass
-class Tolerances:
-    """Numerical thresholds used by validation and eigensolver checks."""
-
-    validation: float = 1e-10
-    eigen: float = 1e-8
-
-
-TOLERANCES = Tolerances()
+# thresholds of state and channel validation, and of eigensolver checks
+VALIDATION_TOL = 1e-10
+EIGEN_TOL = 1e-8
 
 
 def _as_complex_matrix(mat: np.ndarray, what: str) -> np.ndarray:
@@ -71,7 +65,7 @@ class DensityMatrix:
     """A validated density matrix.
 
     The constructor checks Hermiticity, unit trace and positive
-    semidefiniteness within ``TOLERANCES.validation``.  The stored array is
+    semidefiniteness within ``VALIDATION_TOL``.  The stored array is
     a private copy marked read-only, so instances behave as immutable
     values.
     """
@@ -80,15 +74,14 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_complex_matrix(self.matrix, "density matrix")
-        tol = TOLERANCES.validation
         herm_defect = np.max(np.abs(arr - arr.conj().T))
-        if herm_defect > tol:
+        if herm_defect > VALIDATION_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
         trace_defect = abs(arr.trace() - 1.0)
-        if trace_defect > tol:
+        if trace_defect > VALIDATION_TOL:
             raise ValueError(f"density matrix trace {arr.trace():.12f} != 1")
         lo = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min()
-        if lo < -tol:
+        if lo < -VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -114,7 +107,7 @@ class PureState:
         if arr.size < 1 or arr.size > MAX_DIM:
             raise ValueError(f"state dimension {arr.size} outside [1, {MAX_DIM}]")
         norm_defect = abs(np.vdot(arr, arr).real - 1.0)
-        if norm_defect > TOLERANCES.validation:
+        if norm_defect > VALIDATION_TOL:
             raise ValueError(f"state not normalized (|norm^2 - 1| = {norm_defect:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -179,16 +172,16 @@ def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted descending and
     the matching orthonormal eigenvectors as columns of ``v``.  The
     residual ``mat @ v - v @ diag(w)`` is checked against
-    ``TOLERANCES.eigen``.
+    ``EIGEN_TOL``.
     """
     arr = _as_complex_matrix(mat, "herm_eig input")
-    if np.max(np.abs(arr - arr.conj().T)) > TOLERANCES.eigen:
+    if np.max(np.abs(arr - arr.conj().T)) > EIGEN_TOL:
         raise ValueError("herm_eig input is not Hermitian")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     w, v = w[order].real, v[:, order]
     residual = np.max(np.abs(arr @ v - v @ np.diag(w)))
-    if residual > TOLERANCES.eigen:
+    if residual > EIGEN_TOL:
         raise ValueError(f"eigendecomposition residual {residual:.3e} too large")
     return w, v
 

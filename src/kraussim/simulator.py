@@ -193,10 +193,12 @@ class ReadoutModel:
     """Independent per-qubit readout flips.
 
     ``e0[q]`` is the probability of reading 1 when qubit q is 0, and
-    ``e1[q]`` of reading 0 when it is 1.  Scalars broadcast over all
-    qubits; two tuples must have the same length.  Both probabilities are
-    capped at 0.5, so a qubit's :meth:`confusion` matrix is singular only
-    at e0 = e1 = 0.5, which is rejected.
+    ``e1[q]`` of reading 0 when it is 1.  Each is a number or a sequence
+    of numbers; a string or a boolean is rejected, not read as a rate.
+    Scalars broadcast over all qubits; two tuples must have the same
+    length.  Both probabilities are capped at 0.5, so a qubit's
+    :meth:`confusion` matrix is singular only at e0 = e1 = 0.5, which is
+    rejected.
     """
 
     e0: tuple[float, ...] | float
@@ -205,16 +207,15 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         for name in ("e0", "e1"):
             value = getattr(self, name)
-            if isinstance(value, (int, float)):
-                value = float(value)
-                vals = (value,)
-            else:
-                value = tuple(float(v) for v in value)
-                vals = value
+            scalar = isinstance(value, (int, float, str))
+            vals = (value,) if scalar else tuple(value)
+            if any(isinstance(v, (str, bool)) for v in vals):
+                raise ValueError(f"{name}: rates must be numbers, got {value!r}")
+            vals = tuple(float(v) for v in vals)
             for v in vals:
                 if not 0.0 <= v <= 0.5:
                     raise ValueError(f"{name} entry {v} outside [0, 0.5]")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, vals[0] if scalar else vals)
         if isinstance(self.e0, tuple) and isinstance(self.e1, tuple) and len(self.e0) != len(self.e1):
             raise ValueError(f"e0 has {len(self.e0)} entries, e1 has {len(self.e1)}")
         singular = np.abs(1.0 - np.add(self.e0, self.e1)) < 1e-12

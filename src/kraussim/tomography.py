@@ -7,6 +7,11 @@ X uses Ry(-pi/2); Y uses the Rx(pi/2) composition Rz(pi/2), Ry(pi/2),
 Rz(-pi/2); Z measures directly.  Ancilla qubits are always measured in Z
 and marginalized away.
 
+The measured data is one ``(3^n, 2^width)`` weight matrix: one row per
+setting, in :func:`settings_for` order, over the whole measured
+register.  A row holds counts or frequencies alike, since each is
+divided by its own total.
+
 Reconstruction is linear inversion, ``rho = sum_P <P> P / 2^n``, followed
 by a positive-semidefinite projection that clips negative eigenvalues and
 removes the clipped mass from the positive ones proportionally (trace
@@ -26,7 +31,6 @@ import numpy as np
 from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .numerics import DensityMatrix, herm_eig
 from .qsp import Gate
-from .simulator import ShotCounts
 
 __all__ = [
     "TomographySettings",
@@ -105,99 +109,60 @@ def _pauli_names(n: int) -> list[str]:
     return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
 
 
-def _setting_weights(
-    per_setting: Mapping[tuple[str, ...], ShotCounts | np.ndarray],
-    settings: Sequence[tuple[str, ...]],
-    qubits: tuple[int, ...],
-) -> tuple[np.ndarray, list[int | None]]:
-    """Outcome weights as one ``(settings, 2^width)`` array, plus shot totals.
-
-    Counts become relative frequencies; a frequency array is divided by
-    its total, summed in ascending outcome order.
-    """
-    rows = []
-    shots: list[int | None] = []
-    width = None
-    for setting in settings:
-        data = per_setting[setting]
-        label = "".join(setting)
-        if isinstance(data, ShotCounts):
-            row = data.frequencies()
-            setting_shots = data.shots
-            setting_width = data.qubit_count
-        else:
-            row = np.asarray(data, dtype=np.float64)
-            setting_shots = None
-            setting_width = row.size.bit_length() - 1
-            if row.ndim != 1 or row.size != 2**setting_width:
-                raise ValueError(
-                    f"setting {label}: {row.shape} frequencies do not cover a qubit register"
-                )
-            total = np.cumsum(row)[-1]
-            if not total > 0.0:
-                raise ValueError(f"setting {label} has no probability mass")
-            row = row / total
-        if width is None:
-            width = setting_width
-            outside = [q for q in qubits if not 0 <= q < width]
-            if outside:
-                raise ValueError(
-                    f"setting {label}: system qubit {outside[0]} outside its "
-                    f"{width}-qubit register"
-                )
-        elif setting_width != width:
-            raise ValueError(
-                f"setting {label} measures {setting_width} qubits, "
-                f"setting {''.join(settings[0])} measures {width}"
-            )
-        rows.append(row)
-        shots.append(setting_shots)
-    return np.stack(rows), shots
-
-
 def expectations(
-    per_setting: Mapping[tuple[str, ...], ShotCounts | np.ndarray],
+    weights: np.ndarray,
     system_qubits: Sequence[int],
-    shots_per_setting: int | None = None,
+    shots: int | Sequence[int] | None = None,
 ) -> tuple[dict[str, float], dict[str, float | None]]:
     """Per-Pauli-string expectation values with standard errors.
 
-    ``per_setting`` maps each of the 3^n settings to its measured counts,
-    or to a frequency array over the full register (as :func:`mitigate`
-    returns).  A Pauli string's value is the parity expectation of its
-    non-identity positions, averaged over every setting compatible with
-    those positions; identity positions and all ancilla bits are
-    marginalized.  Standard errors use the binomial estimate
-    sqrt((1 - m^2) / shots) per setting when shot totals are known,
-    ``None`` otherwise.
+    ``weights`` is one ``(3^n, 2^width)`` array: row s holds the
+    nonnegative outcome weights over the whole register of the s-th
+    setting of :func:`settings_for`, as counts or as the frequencies
+    :func:`mitigate` returns.  Each row is divided by its total, summed in
+    ascending outcome order.  A Pauli string's value is the parity
+    expectation of its non-identity positions, averaged over every
+    setting compatible with those positions; identity positions and all
+    ancilla bits are marginalized.  ``shots`` is one total for every
+    setting or one per setting; standard errors use the binomial
+    estimate sqrt((1 - m^2) / shots) per setting, and are ``None`` when
+    ``shots`` is.
 
-    Every register must have the same width and every frequency array
-    some mass; otherwise ``ValueError`` names the setting.
+    A malformed shape, a system qubit outside the register or a row with
+    no mass raises ``ValueError``; the last names its setting.
     """
     qubits = tuple(int(q) for q in system_qubits)
     n = len(qubits)
-    settings = list(itertools.product("XYZ", repeat=n))
-    missing = [s for s in settings if s not in per_setting]
-    if missing:
-        raise ValueError(f"missing measurement setting {''.join(missing[0])}")
-    weights, setting_shots = _setting_weights(per_setting, settings, qubits)
-    width = weights.shape[1].bit_length() - 1
-    outcomes = np.arange(weights.shape[1])
+    weights = np.asarray(weights, dtype=np.float64)
+    rows, size = weights.shape if weights.ndim == 2 else (0, 0)
+    width = size.bit_length() - 1
+    if rows != 3**n or size != 2**width:
+        raise ValueError(
+            f"weights of shape {weights.shape} are not {3**n} settings by "
+            f"a power-of-two number of outcomes"
+        )
+    outside = [q for q in qubits if not 0 <= q < width]
+    if outside:
+        raise ValueError(f"system qubit {outside[0]} outside the {width}-qubit register")
+    totals = np.cumsum(weights, axis=1)[:, -1]
+    empty = np.flatnonzero(~(totals > 0.0))
+    if empty.size:
+        setting = list(itertools.product("XYZ", repeat=n))[empty[0]]
+        raise ValueError(f"setting {''.join(setting)} has no probability mass")
+    weights = weights / totals[:, None]
+    outcomes = np.arange(size)
     system_bits = [(outcomes >> (width - 1 - q)) & 1 for q in qubits]
 
     # estimates[s, mask]: setting s's parity expectation over the system
     # positions in ``mask`` (bit n-1-i set for position i).  Each is a
     # sequential sum in ascending outcome order (cumsum, not a pairwise
     # sum), which fixes its rounding and so the sampled CSV bytes.
-    estimates = np.ones((len(settings), 2**n))
+    estimates = np.ones((rows, 2**n))
     for mask in range(1, 2**n):
         parity = sum(system_bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
         estimates[:, mask] = np.cumsum(weights * (1.0 - 2.0 * parity), axis=1)[:, -1]
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
-    shots = np.array(
-        [s if s is not None else shots_per_setting or 0 for s in setting_shots],
-        dtype=np.float64,
-    )
+    shots = np.broadcast_to(np.asarray(0 if shots is None else shots, dtype=np.float64), rows)
 
     values: dict[str, float] = {}
     errors: dict[str, float | None] = {}

@@ -199,6 +199,16 @@ CATALOG_SWEEPS = [
     ("hw_dephasing", {}, "p0", [0.0, 0.5, 1.0]),
     ("qutrit_amplitude_damping", {}, "gamma", [0.0, 0.5, 1.0]),
     ("spin_boost", {}, "theta", [0.0, 0.7, 1.5]),
+    # degenerate endpoints: branches of zero probability, a pure Pauli,
+    # the zero- and full-temperature baths, and the spin-boost poles
+    ("bit_flip", {}, "p", [0.0, 1.0]),
+    ("phase_flip", {}, "p", [0.0, 1.0]),
+    ("pauli", {"p_i": 0.0, "p_x": 0.0, "p_z": 0.0}, "p_y", [1.0]),
+    ("pauli", {"p_x": 0.0, "p_z": 0.0, "p_y": 0.0}, "p_i", [1.0]),
+    ("generalized_amplitude_damping", {"n": 0.0}, "p", [0.0, 0.5, 1.0]),
+    ("generalized_amplitude_damping", {"n": 1.0}, "p", [0.0, 0.5, 1.0]),
+    ("generalized_amplitude_damping", {"p": 1.0}, "n", [0.0, 0.5, 1.0]),
+    ("spin_boost", {}, "theta", [np.pi, 2 * np.pi]),
 ]
 
 
@@ -385,6 +395,13 @@ def _name_and_file(tmp):
     return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
 
 
+def _file_with_params(tmp):
+    # a readable file channel; its own p is 0.2, the params ask for 0.9
+    save_channel(depolarizing(0.2), str(tmp / "bf.json"))
+    channel = {"file": str(tmp / "bf.json"), "params": {"p": 0.9}}
+    return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
+
+
 QUTRIT = ["--channel", "qutrit_amplitude_damping", "--param", "gamma=0.3"]
 
 # (argv from tmp_path, fidelity floor, exit code, first words of the message, a fragment of it)
@@ -461,6 +478,13 @@ ERROR_CASES = {
                             1, "config error:", "readout: applies only in sampled mode"),
     "sweep-channel-name-and-file": (_name_and_file, None,
                                     1, "config error:", 'channel: give "name" or "file", not both'),
+    "sweep-file-with-params": (_file_with_params, None,
+                               1, "config error:", 'channel: a "file" channel takes no "params"'),
+    # "00" has one character per qubit of the 2-qubit register
+    "sweep-readout-string": (_sweep(mode="sampled", shots=16, readout={"e0": "00", "e1": 0.03}), None,
+                             1, "config error:", "readout: e0: rates must be numbers, got '00'"),
+    "sweep-readout-bool": (_sweep(mode="sampled", shots=16, readout={"e0": 0.01, "e1": [False, 0.03]}),
+                           None, 1, "config error:", "readout: e1: rates must be numbers"),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",

@@ -12,7 +12,7 @@ from helpers import (
     reference_reconstruct_raw,
 )
 from kraussim.numerics import DensityMatrix, PureState
-from kraussim.simulator import ReadoutModel, ShotCounts, apply_readout_noise, derive_rng, mitigate, sample
+from kraussim.simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
     exact_expectations,
@@ -64,15 +64,16 @@ def test_reconstruct_requires_every_pauli_string():
 
 
 def test_expectations_average_compatible_settings():
-    # frequencies over outcomes 00, 01, 10, 11
-    per_setting = {s: np.full(4, 0.25) for s in itertools.product("XYZ", repeat=2)}
-    per_setting[("X", "X")] = np.array([1.0, 0.0, 0.0, 0.0])
-    per_setting[("X", "Y")] = np.array([0.0, 0.0, 1.0, 0.0])
-    per_setting[("X", "Z")] = np.array([0.75, 0.0, 0.25, 0.0])
-    values, errors = expectations(per_setting, system_qubits=(0, 1))
+    # frequencies over outcomes 00, 01, 10, 11, one row per setting
+    settings = settings_for((0, 1)).settings
+    weights = np.full((9, 4), 0.25)
+    weights[settings.index(("X", "X"))] = [1.0, 0.0, 0.0, 0.0]
+    weights[settings.index(("X", "Y"))] = [0.0, 0.0, 1.0, 0.0]
+    weights[settings.index(("X", "Z"))] = [0.75, 0.0, 0.25, 0.0]
+    values, errors = expectations(weights, system_qubits=(0, 1))
     assert abs(values["XI"] - (1.0 - 1.0 + 0.5) / 3.0) < 1e-12
     assert values["II"] == 1.0
-    assert errors["XI"] is None  # frequencies carry no shot totals
+    assert errors["XI"] is None  # no shot totals given
 
 
 def test_expectations_marginalize_ancilla_bits():
@@ -81,13 +82,13 @@ def test_expectations_marginalize_ancilla_bits():
     anc = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     joint = np.kron(sys_state.amplitudes, anc)
     tset = settings_for((0, 1))
-    per_setting = {}
+    weights = []
     for setting in tset.settings:
         state = joint.copy()
         for g in tset.rotations[setting]:
             state = dense_gate(g, 3) @ state
-        per_setting[setting] = np.abs(state) ** 2
-    values, _ = expectations(per_setting, system_qubits=(0, 1))
+        weights.append(np.abs(state) ** 2)
+    values, _ = expectations(np.stack(weights), system_qubits=(0, 1))
     result = reconstruct(values)
     expected = np.outer(sys_state.amplitudes, sys_state.amplitudes.conj())
     assert np.abs(result.projected.matrix - expected).max() < 1e-10
@@ -103,19 +104,21 @@ LAYOUTS = ((1, (0,)), (3, (2,)), (3, (2, 0)), (4, (1, 2, 3)), (5, (0, 1, 2, 3)),
 def test_array_tomography_matches_reference_loops(width, system_qubits, readout):
     rng = np.random.default_rng([510, width, len(system_qubits), readout])
     model = ReadoutModel(e0=tuple(rng.uniform(0.0, 0.1, width)), e1=0.04)
-    per_setting = {}
+    weights = []
+    shots = []
     per_setting_ref = {}
-    for k, setting in enumerate(itertools.product("XYZ", repeat=len(system_qubits))):
+    for k, setting in enumerate(settings_for(system_qubits).settings):
         # few shots leave many outcomes at zero count
-        shots = int(rng.integers(1, 4 * 2**width))
-        counts = sample(random_pure(rng, 2**width), shots, rng=derive_rng(511, k, 0))
+        shots.append(int(rng.integers(1, 4 * 2**width)))
+        counts = sample(random_pure(rng, 2**width), shots[-1], rng=derive_rng(511, k, 0))
         if readout:
             noisy = apply_readout_noise(counts, model, rng=derive_rng(511, k, 1))
-            per_setting[setting] = mitigate(noisy, model)
+            weights.append(mitigate(noisy, model))
             per_setting_ref[setting] = reference_mitigate(noisy, model)
         else:
-            per_setting[setting] = per_setting_ref[setting] = counts
-    values, errors = expectations(per_setting, system_qubits, shots_per_setting=100)
+            weights.append(counts.counts)
+            per_setting_ref[setting] = counts
+    values, errors = expectations(np.stack(weights), system_qubits, shots=100 if readout else shots)
     ref_values, ref_errors = reference_expectations(
         per_setting_ref, system_qubits, shots_per_setting=100
     )
@@ -134,25 +137,20 @@ def test_reconstruct_matches_reference_on_exact_values():
 
 
 def test_expectations_reject_malformed_registers():
-    plan = [s for s in itertools.product("XYZ", repeat=2)]
-    wide = {s: ShotCounts(3, 4, np.array([4, 0, 0, 0, 0, 0, 0, 0])) for s in plan}
-    mixed = dict(wide)
-    mixed[("Y", "Z")] = ShotCounts(2, 4, np.array([1, 1, 1, 1]))
-    with pytest.raises(ValueError, match="setting YZ measures 2 qubits, setting XX measures 3"):
-        expectations(mixed, (0, 1))
-    short = dict(wide)
-    short[("Z", "Z")] = np.full(4, 0.25)
-    with pytest.raises(ValueError, match="setting ZZ measures 2 qubits"):
-        expectations(short, (0, 1))
-    ragged = dict(wide)
-    ragged[("X", "Y")] = np.full(6, 1 / 6)
-    with pytest.raises(ValueError, match="setting XY: .* do not cover a qubit register"):
-        expectations(ragged, (0, 1))
-    empty = dict(wide)
-    empty[("Y", "X")] = np.zeros(8)
+    # 9 settings of 2 system qubits over a 3-qubit register
+    wide = np.zeros((9, 8), dtype=np.int64)
+    wide[:, 0] = 4
+    with pytest.raises(ValueError, match=r"weights of shape \(8, 8\) are not 9 settings"):
+        expectations(wide[:8], (0, 1))
+    with pytest.raises(ValueError, match=r"weights of shape \(9, 6\) are not 9 settings by a power-of-two"):
+        expectations(wide[:, :6], (0, 1))
+    with pytest.raises(ValueError, match=r"weights of shape \(72,\)"):
+        expectations(wide.reshape(-1), (0, 1))
+    empty = wide.copy()
+    empty[settings_for((0, 1)).settings.index(("Y", "X"))] = 0
     with pytest.raises(ValueError, match="setting YX has no probability mass"):
         expectations(empty, (0, 1))
-    with pytest.raises(ValueError, match="system qubit 3 outside its 3-qubit register"):
+    with pytest.raises(ValueError, match="system qubit 3 outside the 3-qubit register"):
         expectations(wide, (0, 3))
 
 
@@ -161,14 +159,14 @@ def test_sampled_reconstruction_close_to_truth():
     target = random_pure(rng, 4)
     rho_true = np.outer(target.amplitudes, target.amplitudes.conj())
     tset = settings_for((0, 1))
-    per_setting = {}
+    weights = []
     for k, setting in enumerate(tset.settings):
         # rotate analytically, then draw shots
         state = target.amplitudes.copy()
         for g in tset.rotations[setting]:
             state = dense_gate(g, 2) @ state
-        per_setting[setting] = sample(PureState(state), 8192, rng=derive_rng(1000 + k))
-    values, errors = expectations(per_setting, system_qubits=(0, 1))
+        weights.append(sample(PureState(state), 8192, rng=derive_rng(1000 + k)).counts)
+    values, errors = expectations(np.stack(weights), system_qubits=(0, 1), shots=8192)
     result = reconstruct(values)
     assert np.abs(result.projected.matrix - rho_true).max() < 0.05
     assert all(e is not None for e in errors.values())
