@@ -10,9 +10,11 @@ Subcommands
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
 config, channel file, state, argument or output path; a channel
-given both by ``name`` and by ``file``, or by ``file`` with ``params``;
-a channel parameter the constructor does not take; a bad readout model
-(a rate that is a string, a boolean or outside [0, 0.5]), one given in
+given both by ``name`` and by ``file``, or by ``file`` with ``params``
+or a ``sweep.parameter``; a channel file that fails the CPTP check,
+outside ``validate``; a ``validate --tol`` that is negative or not
+finite; a channel parameter the constructor does not take; a bad
+readout model (a rate that is a string, a boolean or outside [0, 0.5]), one given in
 exact mode, or one whose per-qubit lists do not cover the dilated
 register; a negative seed), one ``config error: ...`` line on
 stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
@@ -42,9 +44,14 @@ Config schema (JSON object)::
     }
 
 ``channel`` takes ``name`` or ``file``, never both, and a ``file``
-channel takes no ``params``.  ``synth`` parses its amplitude list like
-``initial_state.amplitudes`` and names the option that gave it
-(``--amplitudes`` or ``--state-file``) in an error.
+channel takes no ``params`` and no ``sweep.parameter``; ``oracle``'s
+``--channel``, ``--channel-file`` and ``--param`` follow the same rule
+(``_channel_source``).  A channel file must pass ``validate_cptp``
+wherever a channel is loaded to run (``sweep``, ``export-qasm``,
+``oracle``); ``validate`` reports the same check as ``FAIL``.
+``synth`` parses its amplitude list like ``initial_state.amplitudes``
+and names the option that gave it (``--amplitudes`` or
+``--state-file``) in an error.
 
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
@@ -78,9 +85,10 @@ setting's shots are drawn as a dense count array over the register
 from its own ``derive_rng`` stream, optionally corrupted by readout
 noise and mitigated into a frequency array.  These rows, stacked in
 settings order, are the one weight matrix the expectations read; no
-bitstring is formed.  Mixed method 2 prepares one circuit per
-eigenvector (``dilation.eigenvector_dilations``) and mixes the recovered
-states classically.
+bitstring is formed.  The expectation vector goes to ``reconstruct``
+as it is.  Mixed method 2 prepares one circuit per eigenvector
+(``dilation.eigenvector_dilations``) and mixes the recovered states
+classically.
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -294,12 +303,12 @@ def _catalog_factory(name) -> Callable[..., KrausChannel]:
     return _CATALOG[name]
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    channel = data.get("channel")
+def _channel_source(channel) -> tuple[str | None, str | None, dict]:
+    """``(name, file, params)`` of a channel given as ``{"name": ..,
+    "params": {..}}`` or ``{"file": ..}``: the one channel rule of sweep
+    configs and ``oracle``."""
     if not isinstance(channel, dict) or not ({"name", "file"} & set(channel)):
-        raise ConfigError('config needs "channel": {"name": ...} or {"file": ...}')
+        raise ConfigError('channel: give a catalog "name" or a "file"')
     if {"name", "file"} <= set(channel):
         raise ConfigError('channel: give "name" or "file", not both')
     if {"file", "params"} <= set(channel):
@@ -313,11 +322,20 @@ def parse_config(data: dict) -> ExperimentConfig:
     params = channel.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("channel.params must be an object")
+    return name, file_, params
+
+
+def parse_config(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    name, file_, params = _channel_source(data.get("channel"))
 
     sweep = data.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('config needs a "sweep" object')
     parameter = sweep.get("parameter")
+    if file_ is not None and parameter is not None:
+        raise ConfigError(f'channel: a "file" channel takes no sweep.parameter, got {parameter!r}')
     if "grid" in sweep:
         if not isinstance(sweep["grid"], (list, tuple)):
             raise ConfigError("sweep.grid must be a list of values")
@@ -381,16 +399,25 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def _load_channel(name: str | None = None, params: dict | None = None, path: str | None = None) -> KrausChannel:
-    """The channel in file ``path``, or catalog channel ``name`` built from ``params``."""
+def _read_channel_file(path: str) -> KrausChannel:
+    try:
+        return load_channel(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot load channel file {path}: {exc}") from exc
+
+
+def _load_channel(name: str | None, path: str | None, params: dict) -> KrausChannel:
+    """The CPTP channel in file ``path``, or catalog channel ``name`` built from ``params``."""
     if path is not None:
-        try:
-            return load_channel(path)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot load channel file {path}: {exc}") from exc
+        channel = _read_channel_file(path)
+        report = validate_cptp(channel)
+        if not report.passed:
+            raise ConfigError(f"channel file {path} is not CPTP: completeness residual "
+                              f"{report.residual:.3e} above {report.tol:.1e}")
+        return channel
     factory = _catalog_factory(name)
     try:
-        return factory(**(params or {}))
+        return factory(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"channel {name!r}: {exc}") from exc
 
@@ -413,7 +440,7 @@ def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, Den
     params = dict(cfg.channel_params)
     if cfg.channel_file is None:
         params[cfg.sweep_parameter] = value
-    channel = _load_channel(cfg.channel_name, params, cfg.channel_file)
+    channel = _load_channel(cfg.channel_name, cfg.channel_file, params)
     return (channel, *_initial_density(cfg.initial_state, channel.dim))
 
 
@@ -472,8 +499,8 @@ def _setting_circuits(part: _Part) -> tuple[tuple[int, ...], list[tuple[tuple[st
     low = part.lowered
     plan = settings_for(tuple(range(part.dilated.embedding.qubit_counts[0])))
     circuits = [
-        (setting, Circuit(low.qubit_count, plan.rotations[setting], low.global_phase))
-        for setting in plan.settings
+        (setting, Circuit(low.qubit_count, rotations, low.global_phase))
+        for setting, rotations in zip(plan.settings, plan.rotations)
     ]
     return plan.system_qubits, circuits
 
@@ -557,7 +584,9 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    channel = _load_channel(path=args.channel)
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    channel = _read_channel_file(args.channel)
     report = validate_cptp(channel, tol=args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -630,15 +659,14 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if not (args.channel or args.channel_file):
-        raise ConfigError("provide --channel or --channel-file")
     params = {}
     for item in args.param or []:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"bad --param {item!r}; use name=value")
         params[key] = _field(f"--param {key}", float, raw)
-    channel = _load_channel(args.channel, params, args.channel_file)
+    given = {"name": args.channel, "file": args.channel_file, "params": params or None}
+    channel = _load_channel(*_channel_source({k: v for k, v in given.items() if v is not None}))
     state = _field("--state", json.loads, args.state) if args.state.startswith("{") else args.state
     rho0, _ = _initial_density(_parse_initial(state), channel.dim)
     out = apply_channel(channel, rho0)
@@ -658,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="CPTP-check a channel file")
     p.add_argument("channel", help="path to a channel JSON file")
-    p.add_argument("--tol", type=float, default=None, help="completeness tolerance")
+    p.add_argument("--tol", type=float, default=None, help="completeness tolerance (finite, >= 0)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("sweep", help="run a config-driven parameter sweep")

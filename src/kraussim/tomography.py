@@ -10,7 +10,9 @@ and marginalized away.
 The measured data is one ``(3^n, 2^width)`` weight matrix: one row per
 setting, in :func:`settings_for` order, over the whole measured
 register.  A row holds counts or frequencies alike, since each is
-divided by its own total.
+divided by its own total.  Pauli expectations and their standard errors
+are vectors over the 4^n Pauli strings in ``itertools.product("IXYZ")``
+order, the first letter acting on the first system qubit.
 
 Reconstruction is linear inversion, ``rho = sum_P <P> P / 2^n``, followed
 by a positive-semidefinite projection that clips negative eigenvalues and
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,13 +68,14 @@ def basis_rotation(pauli: str, qubit: int) -> tuple[Gate, ...]:
 class TomographySettings:
     """All 3^n measurement settings for the listed system qubits.
 
-    ``rotations`` maps each setting (a tuple of X/Y/Z labels aligned with
-    ``system_qubits``) to its pre-measurement gate list.
+    Each setting is a tuple of X/Y/Z labels aligned with
+    ``system_qubits``; ``rotations[s]`` is the pre-measurement gate list
+    of ``settings[s]``.
     """
 
     system_qubits: tuple[int, ...]
     settings: tuple[tuple[str, ...], ...]
-    rotations: dict[tuple[str, ...], tuple[Gate, ...]]
+    rotations: tuple[tuple[Gate, ...], ...]
 
 
 def settings_for(system_qubits: Sequence[int]) -> TomographySettings:
@@ -80,12 +83,10 @@ def settings_for(system_qubits: Sequence[int]) -> TomographySettings:
     if len(set(qubits)) != len(qubits) or not qubits:
         raise ValueError(f"system qubits must be distinct and nonempty: {qubits}")
     settings = tuple(itertools.product("XYZ", repeat=len(qubits)))
-    rotations = {
-        setting: tuple(
-            g for label, q in zip(setting, qubits) for g in basis_rotation(label, q)
-        )
+    rotations = tuple(
+        tuple(g for label, q in zip(setting, qubits) for g in basis_rotation(label, q))
         for setting in settings
-    }
+    )
     return TomographySettings(qubits, settings, rotations)
 
 
@@ -105,16 +106,12 @@ def _pauli_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _pauli_names(n: int) -> list[str]:
-    return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
-
-
 def expectations(
     weights: np.ndarray,
     system_qubits: Sequence[int],
     shots: int | Sequence[int] | None = None,
-) -> tuple[dict[str, float], dict[str, float | None]]:
-    """Per-Pauli-string expectation values with standard errors.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pauli expectation values and their standard errors, as two vectors.
 
     ``weights`` is one ``(3^n, 2^width)`` array: row s holds the
     nonnegative outcome weights over the whole register of the s-th
@@ -123,13 +120,16 @@ def expectations(
     ascending outcome order.  A Pauli string's value is the parity
     expectation of its non-identity positions, averaged over every
     setting compatible with those positions; identity positions and all
-    ancilla bits are marginalized.  ``shots`` is one total for every
-    setting or one per setting; standard errors use the binomial
-    estimate sqrt((1 - m^2) / shots) per setting, and are ``None`` when
-    ``shots`` is.
+    ancilla bits are marginalized.  Entry k of ``values`` and ``errors``
+    belongs to the k-th string of ``itertools.product("IXYZ", repeat=n)``;
+    the all-identity string has value 1 and error 0.  ``shots`` is one
+    positive total for every setting or one per setting; standard errors
+    use the binomial estimate sqrt((1 - m^2) / shots) per setting, and
+    ``errors`` is ``None`` when ``shots`` is.
 
-    A malformed shape, a system qubit outside the register or a row with
-    no mass raises ``ValueError``; the last names its setting.
+    A malformed shape, a system qubit outside the register, a row with no
+    mass (named by its setting), or ``shots`` of the wrong length or not
+    positive raises ``ValueError``.
     """
     qubits = tuple(int(q) for q in system_qubits)
     n = len(qubits)
@@ -149,6 +149,13 @@ def expectations(
     if empty.size:
         setting = list(itertools.product("XYZ", repeat=n))[empty[0]]
         raise ValueError(f"setting {''.join(setting)} has no probability mass")
+    if shots is not None:
+        shots = np.asarray(shots, dtype=np.float64)
+        if shots.shape not in ((), (rows,)):
+            raise ValueError(f"shots: {shots.size} totals for {rows} settings")
+        if not (shots > 0.0).all():
+            raise ValueError(f"shots: total {shots.min():g} is not positive")
+        shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
     outcomes = np.arange(size)
     system_bits = [(outcomes >> (width - 1 - q)) & 1 for q in qubits]
@@ -162,17 +169,13 @@ def expectations(
         parity = sum(system_bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
         estimates[:, mask] = np.cumsum(weights * (1.0 - 2.0 * parity), axis=1)[:, -1]
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
-    shots = np.broadcast_to(np.asarray(0 if shots is None else shots, dtype=np.float64), rows)
 
-    values: dict[str, float] = {}
-    errors: dict[str, float | None] = {}
-    for letters in itertools.product("IXYZ", repeat=n):
-        name = "".join(letters)
+    values = np.ones(4**n)
+    errors = None if shots is None else np.zeros(4**n)
+    for k, letters in enumerate(itertools.product("IXYZ", repeat=n)):
         mask = sum(1 << (n - 1 - i) for i, c in enumerate(letters) if c != "I")
         if mask == 0:
-            values[name] = 1.0
-            errors[name] = 0.0
-            continue
+            continue  # the identity string: value 1, error 0
         # settings compatible with the string, as base-3 indices in
         # settings order: its letter at each active position, all three
         # letters at the others
@@ -180,22 +183,20 @@ def expectations(
         for c in letters:
             digits = range(3) if c == "I" else ("XYZ".index(c),)
             compatible = [3 * s + d for s in compatible for d in digits]
-        values[name] = float(np.mean(estimates[compatible, mask]))
-        if (shots[compatible] > 0).all():
+        values[k] = np.mean(estimates[compatible, mask])
+        if errors is not None:
             variances = spread[compatible, mask] / shots[compatible]
-            errors[name] = float(math.sqrt(sum(variances.tolist())) / len(compatible))
-        else:
-            errors[name] = None
+            errors[k] = math.sqrt(sum(variances.tolist())) / len(compatible)
     return values, errors
 
 
-def exact_expectations(rho: DensityMatrix) -> dict[str, float]:
-    """Noise-free <P> = Tr(rho P) for every Pauli string on a qubit register."""
+def exact_expectations(rho: DensityMatrix) -> np.ndarray:
+    """Noise-free <P> = Tr(rho P) for every Pauli string on a qubit register,
+    in the order of :func:`expectations`."""
     n = rho.dim.bit_length() - 1
     if 2**n != rho.dim:
         raise ValueError("density matrix is not over a qubit register")
-    traces = np.einsum("ij,kji->k", rho.matrix, _pauli_basis(n)).real
-    return dict(zip(_pauli_names(n), traces.tolist()))
+    return np.einsum("ij,kji->k", rho.matrix, _pauli_basis(n)).real.copy()
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -226,22 +227,16 @@ class TomographyResult:
     projected: DensityMatrix
 
 
-def reconstruct(values: Mapping[str, float]) -> TomographyResult:
-    """Assemble rho from Pauli expectations and project it onto valid states."""
-    names = list(values.keys())
-    if not names:
-        raise ValueError("no expectation values given")
-    n = len(names[0])
-    if any(len(k) != n for k in names):
-        raise ValueError("Pauli strings have mixed lengths")
+def reconstruct(values: np.ndarray) -> TomographyResult:
+    """Assemble rho from the 4^n Pauli expectations in the order of
+    :func:`expectations`, and project it onto valid states."""
+    values = np.asarray(values, dtype=np.float64)
+    n = (values.size.bit_length() - 1) // 2
+    if values.ndim != 1 or values.size != 4**n:
+        raise ValueError(f"expectation values of shape {values.shape} are not a vector of 4^n")
     raw = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for name, pauli in zip(_pauli_names(n), _pauli_basis(n)):
-        if name in values:
-            coeff = values[name]
-        elif name == "I" * n:
-            coeff = 1.0
-        else:
-            raise ValueError(f"missing expectation value for {name}")
+    # one string at a time, in order: a sequential sum fixes the rounding
+    for coeff, pauli in zip(values.tolist(), _pauli_basis(n)):
         raw += coeff * pauli
     raw /= 2**n
     return TomographyResult(raw, DensityMatrix(project_psd(raw)))

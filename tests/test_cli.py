@@ -10,7 +10,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from kraussim.channels import KrausChannel, depolarizing, qutrit_amplitude_damping, save_channel
+from kraussim.channels import KrausChannel, bit_flip, depolarizing, qutrit_amplitude_damping, save_channel
 from kraussim.cli import (
     CSV_HEADER,
     ConfigError,
@@ -388,21 +388,42 @@ def _oversized_export(tmp):
     return ["export-qasm", _config_file(tmp, cfg), "--out", str(tmp / "prep")]
 
 
+def _saved(tmp, channel):
+    save_channel(channel, str(tmp / "ch.json"))
+    return str(tmp / "ch.json")
+
+
 def _name_and_file(tmp):
     # a readable file and a known name: neither alone is an error
-    save_channel(depolarizing(0.2), str(tmp / "bf.json"))
-    channel = {"name": "phase_damping", "file": str(tmp / "bf.json")}
+    channel = {"name": "phase_damping", "file": _saved(tmp, depolarizing(0.2))}
     return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
 
 
 def _file_with_params(tmp):
     # a readable file channel; its own p is 0.2, the params ask for 0.9
-    save_channel(depolarizing(0.2), str(tmp / "bf.json"))
-    channel = {"file": str(tmp / "bf.json"), "params": {"p": 0.9}}
+    channel = {"file": _saved(tmp, depolarizing(0.2)), "params": {"p": 0.9}}
     return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
 
 
+def _file_with_parameter(tmp):
+    # a readable file channel swept over a parameter it cannot take
+    channel = {"file": _saved(tmp, depolarizing(0.2))}
+    return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
+
+
+def _not_cptp(tmp):
+    # bit_flip(0.3) with K0 scaled by 1.1: sum K^dag K = 1.147 I
+    k0, k1 = bit_flip(0.3).kraus_ops
+    return _saved(tmp, KrausChannel((1.1 * k0, k1)))
+
+
+def _not_cptp_config(tmp):
+    channel = {"file": _not_cptp(tmp)}
+    return _config_file(tmp, bpf_config(channel=channel, sweep={"parameter": None, "grid": [0.0]}))
+
+
 QUTRIT = ["--channel", "qutrit_amplitude_damping", "--param", "gamma=0.3"]
+NOT_CPTP = "ch.json is not CPTP: completeness residual 1.470e-01"
 
 # (argv from tmp_path, fidelity floor, exit code, first words of the message, a fragment of it)
 ERROR_CASES = {
@@ -428,6 +449,23 @@ ERROR_CASES = {
                          1, "config error:", "--state"),
     "validate-missing-file": (lambda tmp: ["validate", str(tmp / "missing.json")], None,
                               1, "config error:", "cannot load channel file"),
+    # a valid channel, residual 2.2e-16, that no negative or NaN tolerance passes
+    "validate-tol-negative": (lambda tmp: ["validate", _saved(tmp, depolarizing(0.2)), "--tol", "-1"], None,
+                              1, "config error: --tol", "got -1.0"),
+    "validate-tol-nan": (lambda tmp: ["validate", _saved(tmp, depolarizing(0.2)), "--tol", "nan"], None,
+                         1, "config error: --tol", "finite"),
+    "oracle-name-and-file": (lambda tmp: ["oracle", "--channel", "bit_flip", "--param", "p=0.9",
+                                          "--channel-file", _saved(tmp, depolarizing(0.2))], None,
+                             1, "config error:", 'channel: give "name" or "file", not both'),
+    "oracle-file-with-param": (lambda tmp: ["oracle", "--channel-file", _saved(tmp, depolarizing(0.2)),
+                                            "--param", "p=0.9"], None,
+                               1, "config error:", 'channel: a "file" channel takes no "params"'),
+    "oracle-not-cptp": (lambda tmp: ["oracle", "--channel-file", _not_cptp(tmp)], None,
+                        1, "config error: channel file", NOT_CPTP),
+    "sweep-not-cptp": (lambda tmp: ["sweep", _not_cptp_config(tmp), "--csv", str(tmp / "rows.csv")], None,
+                       1, "config error: channel file", NOT_CPTP),
+    "export-not-cptp": (lambda tmp: ["export-qasm", _not_cptp_config(tmp), "--out", str(tmp / "prep")], None,
+                        1, "config error: channel file", NOT_CPTP),
     "sweep-shots": (_sweep(shots="many"), None, 1, "config error:", "shots"),
     "sweep-seed": (_sweep(seed="x"), None, 1, "config error:", "seed"),
     "sweep-mixed-method": (_sweep(mixed_method="two"), None, 1, "config error:", "mixed_method"),
@@ -480,6 +518,8 @@ ERROR_CASES = {
                                     1, "config error:", 'channel: give "name" or "file", not both'),
     "sweep-file-with-params": (_file_with_params, None,
                                1, "config error:", 'channel: a "file" channel takes no "params"'),
+    "sweep-file-with-parameter": (_file_with_parameter, None,
+                                  1, "config error:", 'channel: a "file" channel takes no sweep.parameter'),
     # "00" has one character per qubit of the 2-qubit register
     "sweep-readout-string": (_sweep(mode="sampled", shots=16, readout={"e0": "00", "e1": 0.03}), None,
                              1, "config error:", "readout: e0: rates must be numbers, got '00'"),
@@ -540,7 +580,8 @@ def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
         plan = settings_for(tuple(range(dilated.embedding.qubit_counts[0])))
         for setting in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
             # the sweep's branched state for this setting
-            branched = simulator.run(Circuit(n, plan.rotations[setting], low.global_phase), prefix)
+            rotations = plan.rotations[plan.settings.index(setting)]
+            branched = simulator.run(Circuit(n, rotations, low.global_phase), prefix)
             exported = simulator.run(qasm_parse(Path(f"{base}_setting{''.join(setting)}.qasm").read_text()))
             np.testing.assert_allclose(
                 np.abs(exported.amplitudes) ** 2, np.abs(branched.amplitudes) ** 2, rtol=0, atol=1e-12

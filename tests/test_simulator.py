@@ -246,8 +246,7 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
     n = low.qubit_count
     prefix = run(Circuit(n, low.gates))
     plan = settings_for(range(3))
-    for setting in plan.settings:
-        rotations = plan.rotations[setting]
+    for rotations in plan.rotations:
         full = run(Circuit(n, low.gates + rotations, low.global_phase))
         branched = run(Circuit(n, rotations, low.global_phase), prefix)
         assert np.array_equal(branched.amplitudes, full.amplitudes)

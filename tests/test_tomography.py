@@ -28,11 +28,18 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def pauli_names(n):
+    """The Pauli strings in the order of the expectation vectors."""
+    return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
+
+
 def test_settings_enumeration():
     t = settings_for((0, 1))
     assert len(t.settings) == 9
     assert set(t.settings) == set(itertools.product("XYZ", repeat=2))
-    assert t.rotations[("Z", "Z")] == ()
+    assert len(t.rotations) == len(t.settings)
+    assert t.rotations[t.settings.index(("Z", "Z"))] == ()
+    assert t.rotations[t.settings.index(("Z", "X"))] == basis_rotation("X", 1)
 
 
 def test_basis_rotations_map_pauli_to_z():
@@ -58,9 +65,10 @@ def test_exact_reconstruction_round_trip():
 def test_reconstruct_requires_every_pauli_string():
     rho = random_density(np.random.default_rng(1), 2)
     values = exact_expectations(rho)
-    del values["X"]
-    with pytest.raises(ValueError):
-        reconstruct(values)
+    assert values.shape == (4,) and values.dtype == np.float64
+    for short in (values[:3], values[:0], np.tile(values, 2), values.reshape(2, 2)):
+        with pytest.raises(ValueError, match="are not a vector of 4\\^n"):
+            reconstruct(short)
 
 
 def test_expectations_average_compatible_settings():
@@ -71,9 +79,10 @@ def test_expectations_average_compatible_settings():
     weights[settings.index(("X", "Y"))] = [0.0, 0.0, 1.0, 0.0]
     weights[settings.index(("X", "Z"))] = [0.75, 0.0, 0.25, 0.0]
     values, errors = expectations(weights, system_qubits=(0, 1))
-    assert abs(values["XI"] - (1.0 - 1.0 + 0.5) / 3.0) < 1e-12
-    assert values["II"] == 1.0
-    assert errors["XI"] is None  # no shot totals given
+    assert values.shape == (16,) and values.dtype == np.float64
+    assert abs(values[pauli_names(2).index("XI")] - (1.0 - 1.0 + 0.5) / 3.0) < 1e-12
+    assert values[pauli_names(2).index("II")] == 1.0
+    assert errors is None  # no shot totals given
 
 
 def test_expectations_marginalize_ancilla_bits():
@@ -83,9 +92,9 @@ def test_expectations_marginalize_ancilla_bits():
     joint = np.kron(sys_state.amplitudes, anc)
     tset = settings_for((0, 1))
     weights = []
-    for setting in tset.settings:
+    for rotations in tset.rotations:
         state = joint.copy()
-        for g in tset.rotations[setting]:
+        for g in rotations:
             state = dense_gate(g, 3) @ state
         weights.append(np.abs(state) ** 2)
     values, _ = expectations(np.stack(weights), system_qubits=(0, 1))
@@ -122,9 +131,9 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
     ref_values, ref_errors = reference_expectations(
         per_setting_ref, system_qubits, shots_per_setting=100
     )
-    assert list(values) == list(ref_values)
-    assert values == ref_values
-    assert errors == ref_errors
+    assert list(ref_values) == pauli_names(len(system_qubits))
+    assert values.tolist() == list(ref_values.values())
+    assert errors.tolist() == list(ref_errors.values())
     raw = reconstruct(values).raw
     assert raw.tobytes() == reference_reconstruct_raw(ref_values).tobytes()
 
@@ -133,7 +142,8 @@ def test_reconstruct_matches_reference_on_exact_values():
     rng = np.random.default_rng(512)
     for n in (1, 2, 3, 4):
         values = exact_expectations(random_density(rng, 2**n))
-        assert reconstruct(values).raw.tobytes() == reference_reconstruct_raw(values).tobytes()
+        named = dict(zip(pauli_names(n), values.tolist()))
+        assert reconstruct(values).raw.tobytes() == reference_reconstruct_raw(named).tobytes()
 
 
 def test_expectations_reject_malformed_registers():
@@ -152,6 +162,11 @@ def test_expectations_reject_malformed_registers():
         expectations(empty, (0, 1))
     with pytest.raises(ValueError, match="system qubit 3 outside the 3-qubit register"):
         expectations(wide, (0, 3))
+    with pytest.raises(ValueError, match="shots: 8 totals for 9 settings"):
+        expectations(wide, (0, 1), shots=[4] * 8)
+    for shots in (0, -4, [4] * 8 + [0]):
+        with pytest.raises(ValueError, match=r"shots: total -?\d+ is not positive"):
+            expectations(wide, (0, 1), shots=shots)
 
 
 def test_sampled_reconstruction_close_to_truth():
@@ -160,16 +175,17 @@ def test_sampled_reconstruction_close_to_truth():
     rho_true = np.outer(target.amplitudes, target.amplitudes.conj())
     tset = settings_for((0, 1))
     weights = []
-    for k, setting in enumerate(tset.settings):
+    for k, rotations in enumerate(tset.rotations):
         # rotate analytically, then draw shots
         state = target.amplitudes.copy()
-        for g in tset.rotations[setting]:
+        for g in rotations:
             state = dense_gate(g, 2) @ state
         weights.append(sample(PureState(state), 8192, rng=derive_rng(1000 + k)).counts)
     values, errors = expectations(np.stack(weights), system_qubits=(0, 1), shots=8192)
     result = reconstruct(values)
     assert np.abs(result.projected.matrix - rho_true).max() < 0.05
-    assert all(e is not None for e in errors.values())
+    assert errors.shape == (16,) and errors[0] == 0.0
+    assert (errors[1:] > 0.0).all()
 
 
 def test_psd_projection_redistributes_negative_mass():
