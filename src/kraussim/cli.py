@@ -15,8 +15,8 @@ or a ``sweep.parameter``; a channel file that fails the CPTP check,
 outside ``validate``; a ``validate --tol`` that is negative or not
 finite; a channel parameter the constructor does not take; a bad
 readout model (a rate that is a string, a boolean or outside [0, 0.5]), one given in
-exact mode, or one whose per-qubit lists do not cover the dilated
-register; a negative seed), one ``config error: ...`` line on
+exact mode, or one whose per-qubit lists do not cover the system
+qubits; a negative seed), one ``config error: ...`` line on
 stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
 completeness residual above tolerance (``FAIL``); for ``sweep``, a
 failed point (fidelity below the floor, register over the limit), whose
@@ -60,8 +60,8 @@ as is a missing one.  ``readout`` applies only in sampled mode.  It is
 passed to ``ReadoutModel``, which validates it: numeric rates (a
 string or a boolean is rejected, not read as a rate) in [0, 0.5],
 per-qubit tuples of one length, and no singular confusion matrix.  A
-per-qubit tuple covers the whole dilated register, system and ancilla
-qubits, and is checked against it before any circuit is built.
+per-qubit tuple covers the system qubits, the only ones measured, and
+is checked against their count before any circuit is built.
 ``seed`` must be >= 0.
 
 The sweep grid must be nonempty and monotone.  Integer fields (``shots``,
@@ -80,12 +80,14 @@ circuit has passed both fidelity checks.  Each circuit is simulated
 once.  Exact mode recovers the system state by partial trace of the
 synthesized circuit's verified statevector.  Sampled mode branches all
 3^n tomography settings from the lowered circuit's one simulation: each
-setting applies only its basis rotations to a copy of that state.  Each
-setting's shots are drawn as a dense count array over the register
-from its own ``derive_rng`` stream, optionally corrupted by readout
-noise and mitigated into a frequency array.  These rows, stacked in
-settings order, are the one weight matrix the expectations read; no
-bitstring is formed.  The expectation vector goes to ``reconstruct``
+setting applies only its basis rotations to a copy of that state.  Its
+Born probabilities are summed over the ancilla qubits, so only the
+system qubits are measured, as the protocol traces the ancilla out.
+Each setting's shots are drawn as a dense count array over the system
+outcomes from its own ``derive_rng`` stream, optionally corrupted by
+readout noise and mitigated into a frequency array.  These rows,
+stacked in settings order, are the one weight matrix the expectations
+read; no bitstring is formed.  The expectation vector goes to ``reconstruct``
 as it is.  Mixed method 2 prepares one circuit per eigenvector
 (``dilation.eigenvector_dilations``) and mixes the recovered states
 classically.
@@ -465,8 +467,8 @@ def _prepared_parts(
 ) -> Iterator[_Part]:
     """Dilate, embed, synthesize and lower each part, checking both fidelities.
 
-    A readout model is checked against each part's register as soon as the
-    dilation fixes it, before any circuit is built.
+    A readout model is checked against each part's system qubits as soon as
+    the dilation fixes them, before any circuit is built.
     """
     if psi0 is not None:
         dilations = [(1.0, dilate_pure(channel, psi0))]
@@ -478,7 +480,7 @@ def _prepared_parts(
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
         if cfg.readout is not None:
-            _field("readout", cfg.readout.confusion, dilated.embedding.total_qubits)
+            _field("readout", cfg.readout.confusion, dilated.embedding.qubit_counts[0])
         embedded = embed_qudits(dilated)
         circuit = synthesize(embedded)
         state = run(circuit)
@@ -493,16 +495,15 @@ def _prepared_parts(
         yield _Part(weight, dilated, circuit, state, low, prefix)
 
 
-def _setting_circuits(part: _Part) -> tuple[tuple[int, ...], list[tuple[tuple[str, ...], Circuit]]]:
-    """The system qubits, and each tomography setting with its circuit: the
-    setting's basis rotations, then the lowered circuit's global phase."""
+def _setting_circuits(part: _Part) -> list[tuple[tuple[str, ...], Circuit]]:
+    """Each tomography setting with its circuit: the setting's basis
+    rotations, then the lowered circuit's global phase."""
     low = part.lowered
     plan = settings_for(tuple(range(part.dilated.embedding.qubit_counts[0])))
-    circuits = [
+    return [
         (setting, Circuit(low.qubit_count, rotations, low.global_phase))
         for setting, rotations in zip(plan.settings, plan.rotations)
     ]
-    return plan.system_qubits, circuits
 
 
 def _measure_exact(part: _Part) -> DensityMatrix:
@@ -513,18 +514,21 @@ def _measure_exact(part: _Part) -> DensityMatrix:
 
 
 def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
-    """Tomography of the lowered preparation, branched from its one simulation."""
-    system_qubits, circuits = _setting_circuits(part)
+    """Tomography of the lowered preparation's system qubits, branched from
+    its one simulation.  The system qubits lead the register, so each
+    setting's ancilla marginal is one reshape-sum over the trailing axis."""
+    m = part.dilated.embedding.qubit_counts[0]
     weights = []
-    for s_idx, (_, circuit) in enumerate(circuits):
-        state = run(circuit, part.prefix)
-        counts = sample(state, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
+    for s_idx, (_, circuit) in enumerate(_setting_circuits(part)):
+        probs = np.abs(run(circuit, part.prefix).amplitudes) ** 2
+        counts = sample(probs.reshape(2**m, -1).sum(axis=1), cfg.shots,
+                        derive_rng(cfg.seed, *path, s_idx, 0))
         if cfg.readout is None:
             weights.append(counts.counts)
         else:
             noisy = apply_readout_noise(counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1))
             weights.append(mitigate(noisy, cfg.readout))
-    values, _ = expectations(np.stack(weights), system_qubits, shots=cfg.shots)
+    values, _ = expectations(np.stack(weights), shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block
 
@@ -650,7 +654,7 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
                  Circuit(low.qubit_count, low.gates + circuit.gates, circuit.global_phase))
-                for setting, circuit in _setting_circuits(part)[1]
+                for setting, circuit in _setting_circuits(part)
             ]
         for path, circuit in files:
             _write_text(path, qasm_export(circuit))

@@ -434,12 +434,12 @@ def dump_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def qasm_export(circuit: Circuit, measure: bool = True) -> str:
+def qasm_export(circuit: Circuit) -> str:
     """OpenQASM 2.0 text for an elementary circuit.
 
     Gates map to ry/rz/x/cx/u1; angles are printed with full round-trip
     precision.  The tracked global phase has no QASM 2.0 representation
-    and is omitted.
+    and is omitted.  Every qubit q is measured into ``c[q]`` at the end.
     """
     lines = [
         "OPENQASM 2.0;",
@@ -458,9 +458,8 @@ def qasm_export(circuit: Circuit, measure: bool = True) -> str:
             lines.append(f"u1({g.angle!r}) q[{g.target}];")
         else:
             lines.append(f"{g.kind}({g.angle!r}) q[{g.target}];")
-    if measure:
-        for q in range(circuit.qubit_count):
-            lines.append(f"measure q[{q}] -> c[{q}];")
+    for q in range(circuit.qubit_count):
+        lines.append(f"measure q[{q}] -> c[{q}];")
     return "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,8 @@ per qubit and updating the two-component slice selected by the control
 bits; no 2^n x 2^n gate matrix is ever formed.  The same gate loop acts on
 a batch of states, so :func:`circuit_unitary` runs it once over the
 identity's columns.  Qubit 0 is the most
-significant bit of basis labels, and bitstrings produced by sampling
-follow the same convention.
+significant bit of basis labels, and the outcome indices of sampled
+counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -16,9 +16,7 @@ are reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -96,8 +94,7 @@ class ShotCounts:
 
     ``counts[i]`` is the number of shots that read basis state ``i``
     (qubit 0 is the most significant bit), as a read-only ``int64`` array
-    of length ``2**qubit_count``.  Bitstrings appear only at the I/O edge:
-    :attr:`histogram`, :meth:`from_histogram` and the JSON form.
+    of length ``2**qubit_count``.
     """
 
     qubit_count: int
@@ -122,70 +119,30 @@ class ShotCounts:
             raise ValueError(f"negative count for {key!r}")
         total = int(counts.sum())
         if total != self.shots:
-            raise ValueError(f"histogram total {total} != shots {self.shots}")
+            raise ValueError(f"counts total {total} != shots {self.shots}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_histogram(
-        cls, qubit_count: int, shots: int, histogram: Mapping[str, int]
-    ) -> "ShotCounts":
-        """Counts from a ``{bitstring: count}`` mapping; absent outcomes count 0."""
-        counts = np.zeros(2**qubit_count, dtype=np.int64)
-        for key, count in histogram.items():
-            if len(key) != qubit_count or set(key) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {key!r}")
-            counts[int(key, 2)] = count
-        return cls(qubit_count, shots, counts)
-
-    @property
-    def histogram(self) -> dict[str, int]:
-        """Nonzero counts keyed by bitstring, in ascending outcome order."""
-        n = self.qubit_count
-        return {
-            format(int(i), f"0{n}b"): int(self.counts[i])
-            for i in np.flatnonzero(self.counts)
-        }
 
     def frequencies(self) -> np.ndarray:
         """Relative frequency of every outcome, ``counts / shots``."""
         return self.counts / self.shots
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShotCounts):
-            return NotImplemented
-        return (
-            self.qubit_count == other.qubit_count
-            and self.shots == other.shots
-            and np.array_equal(self.counts, other.counts)
-        )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"shots": self.shots, "counts": self.histogram}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShotCounts":
-        data = json.loads(text)
-        counts = {str(k): int(v) for k, v in data["counts"].items()}
-        if not counts:
-            raise ValueError("empty counts")
-        width = len(next(iter(counts)))
-        return cls.from_histogram(width, int(data["shots"]), counts)
-
-
-def sample(state: PureState, shots: int, rng: np.random.Generator) -> ShotCounts:
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotCounts:
     """Multinomial sampling of computational-basis outcomes from a
-    :func:`derive_rng` stream."""
+    :func:`derive_rng` stream.
+
+    ``probs`` holds the probability of every outcome of a qubit register,
+    such as the Born probabilities ``|amplitudes|^2`` of a state or their
+    marginal on some leading qubits; it is renormalized before the draw.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
-    n = state.dim.bit_length() - 1
-    if 2**n != state.dim:
-        raise ValueError("state dimension is not a power of two")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    return ShotCounts(n, shots, rng.multinomial(shots, probs))
+    probs = np.asarray(probs, dtype=np.float64)
+    n = probs.size.bit_length() - 1
+    if probs.ndim != 1 or probs.size != 2**n:
+        raise ValueError(f"probabilities of shape {probs.shape} are not a vector of 2^n outcomes")
+    return ShotCounts(n, shots, rng.multinomial(shots, probs / probs.sum()))
 
 
 @dataclass(frozen=True)

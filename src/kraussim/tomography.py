@@ -1,18 +1,19 @@
-"""Pauli-basis state tomography over a subset of circuit qubits.
+"""Pauli-basis state tomography of a qubit register.
 
 The measurement plan is the full product-basis set: 3^n settings, one per
 assignment of X/Y/Z to each system qubit.  A setting's pre-measurement
 rotation maps the chosen Pauli eigenbasis onto the computational basis:
 X uses Ry(-pi/2); Y uses the Rx(pi/2) composition Rz(pi/2), Ry(pi/2),
-Rz(-pi/2); Z measures directly.  Ancilla qubits are always measured in Z
-and marginalized away.
+Rz(-pi/2); Z measures directly.
 
-The measured data is one ``(3^n, 2^width)`` weight matrix: one row per
-setting, in :func:`settings_for` order, over the whole measured
-register.  A row holds counts or frequencies alike, since each is
+The measured data is one ``(3^n, 2^n)`` weight matrix: one row per
+setting, in :func:`settings_for` order, over the outcomes of the n
+measured qubits.  A row holds counts or frequencies alike, since each is
 divided by its own total.  Pauli expectations and their standard errors
 are vectors over the 4^n Pauli strings in ``itertools.product("IXYZ")``
-order, the first letter acting on the first system qubit.
+order, the first letter acting on the first qubit.  Only these n system
+qubits are measured: a caller whose register holds more qubits sums each
+setting's outcome probabilities over them before drawing shots.
 
 Reconstruction is linear inversion, ``rho = sum_P <P> P / 2^n``, followed
 by a positive-semidefinite projection that clips negative eigenvalues and
@@ -107,43 +108,34 @@ def _pauli_basis(n: int) -> np.ndarray:
 
 
 def expectations(
-    weights: np.ndarray,
-    system_qubits: Sequence[int],
-    shots: int | Sequence[int] | None = None,
+    weights: np.ndarray, shots: int | Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pauli expectation values and their standard errors, as two vectors.
 
-    ``weights`` is one ``(3^n, 2^width)`` array: row s holds the
-    nonnegative outcome weights over the whole register of the s-th
-    setting of :func:`settings_for`, as counts or as the frequencies
-    :func:`mitigate` returns.  Each row is divided by its total, summed in
-    ascending outcome order.  A Pauli string's value is the parity
-    expectation of its non-identity positions, averaged over every
-    setting compatible with those positions; identity positions and all
-    ancilla bits are marginalized.  Entry k of ``values`` and ``errors``
-    belongs to the k-th string of ``itertools.product("IXYZ", repeat=n)``;
-    the all-identity string has value 1 and error 0.  ``shots`` is one
-    positive total for every setting or one per setting; standard errors
-    use the binomial estimate sqrt((1 - m^2) / shots) per setting, and
-    ``errors`` is ``None`` when ``shots`` is.
+    ``weights`` is one ``(3^n, 2^n)`` array: row s holds the nonnegative
+    outcome weights of the n measured qubits under the s-th setting of
+    :func:`settings_for`, as counts or as the frequencies :func:`mitigate`
+    returns.  Each row is divided by its total, summed in ascending
+    outcome order.  A Pauli string's value is the parity expectation of
+    its non-identity positions, averaged over every setting compatible
+    with those positions; identity positions are marginalized.  Entry k
+    of ``values`` and ``errors`` belongs to the k-th string of
+    ``itertools.product("IXYZ", repeat=n)``; the all-identity string has
+    value 1 and error 0.  ``shots`` is one positive total for every
+    setting or one per setting; standard errors use the binomial estimate
+    sqrt((1 - m^2) / shots) per setting, and ``errors`` is ``None`` when
+    ``shots`` is.
 
-    A malformed shape, a system qubit outside the register, a row with no
-    mass (named by its setting), or ``shots`` of the wrong length or not
-    positive raises ``ValueError``.
+    A malformed shape, a row with no mass (named by its setting), or
+    ``shots`` of the wrong length or not positive raises ``ValueError``.
     """
-    qubits = tuple(int(q) for q in system_qubits)
-    n = len(qubits)
     weights = np.asarray(weights, dtype=np.float64)
     rows, size = weights.shape if weights.ndim == 2 else (0, 0)
-    width = size.bit_length() - 1
-    if rows != 3**n or size != 2**width:
+    n = size.bit_length() - 1
+    if n < 1 or size != 2**n or rows != 3**n:
         raise ValueError(
-            f"weights of shape {weights.shape} are not {3**n} settings by "
-            f"a power-of-two number of outcomes"
+            f"weights of shape {weights.shape} are not 3^n settings by 2^n outcomes, n >= 1"
         )
-    outside = [q for q in qubits if not 0 <= q < width]
-    if outside:
-        raise ValueError(f"system qubit {outside[0]} outside the {width}-qubit register")
     totals = np.cumsum(weights, axis=1)[:, -1]
     empty = np.flatnonzero(~(totals > 0.0))
     if empty.size:
@@ -158,15 +150,15 @@ def expectations(
         shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
     outcomes = np.arange(size)
-    system_bits = [(outcomes >> (width - 1 - q)) & 1 for q in qubits]
+    bits = [(outcomes >> (n - 1 - i)) & 1 for i in range(n)]
 
-    # estimates[s, mask]: setting s's parity expectation over the system
+    # estimates[s, mask]: setting s's parity expectation over the
     # positions in ``mask`` (bit n-1-i set for position i).  Each is a
     # sequential sum in ascending outcome order (cumsum, not a pairwise
     # sum), which fixes its rounding and so the sampled CSV bytes.
     estimates = np.ones((rows, 2**n))
     for mask in range(1, 2**n):
-        parity = sum(system_bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
+        parity = sum(bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
         estimates[:, mask] = np.cumsum(weights * (1.0 - 2.0 * parity), axis=1)[:, -1]
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
 

@@ -63,6 +63,26 @@ def random_boost(rng):
     )
 
 
+def born(state):
+    """Born probabilities |amplitudes|^2 of a pure state, the input of ``sample``."""
+    return np.abs(state.amplitudes) ** 2
+
+
+def shot_counts(qubit_count, shots, by_bitstring):
+    """``ShotCounts`` from a ``{bitstring: count}`` mapping; absent outcomes count 0."""
+    counts = np.zeros(2**qubit_count, dtype=np.int64)
+    for key, count in by_bitstring.items():
+        assert len(key) == qubit_count and set(key) <= {"0", "1"}, key
+        counts[int(key, 2)] = count
+    return ShotCounts(qubit_count, shots, counts)
+
+
+def histogram(counts):
+    """Nonzero counts of a ``ShotCounts`` keyed by bitstring, in ascending outcome order."""
+    n = counts.qubit_count
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts.counts) if c}
+
+
 def random_prob_vector(rng, n):
     p = rng.uniform(0.0, 1.0, n)
     return p / p.sum()
@@ -131,7 +151,7 @@ def reference_mitigate(counts, model):
     # ``mitigate`` is checked against per-qubit inverses made independently
     e0, e1 = np.broadcast_to(model.e0, n), np.broadcast_to(model.e1, n)
     freq = np.zeros(2**n)
-    for key, count in counts.histogram.items():
+    for key, count in histogram(counts).items():
         freq[int(key, 2)] = count / counts.shots
     tensor = freq.reshape([2] * n)
     for q in range(n):
@@ -152,21 +172,21 @@ def reference_mitigate(counts, model):
 
 def _reference_weights(data):
     if isinstance(data, ShotCounts):
-        return {k: v / data.shots for k, v in data.histogram.items()}, data.shots
+        return {k: v / data.shots for k, v in histogram(data).items()}, data.shots
     total = float(sum(data.values()))
     if total <= 0.0:
         raise ValueError("setting has no probability mass")
     return {k: v / total for k, v in data.items()}, None
 
 
-def reference_expectations(per_setting, system_qubits, shots_per_setting=None):
+def reference_expectations(per_setting, shots_per_setting=None):
     """Pauli expectations by looping over strings, settings and bitstrings.
 
     ``per_setting`` maps each setting to ``ShotCounts`` or to a
-    ``{bitstring: weight}`` mapping.
+    ``{bitstring: weight}`` mapping over the measured qubits, one bit per
+    setting position.
     """
-    qubits = tuple(int(q) for q in system_qubits)
-    n = len(qubits)
+    n = len(next(iter(per_setting)))
     wanted = list(itertools.product("XYZ", repeat=n))
     normalized = {s: _reference_weights(per_setting[s]) for s in wanted}
     values = {}
@@ -187,7 +207,7 @@ def reference_expectations(per_setting, system_qubits, shots_per_setting=None):
                 shots = shots_per_setting
             m = 0.0
             for bitstring, w in freqs.items():
-                parity = sum(int(bitstring[qubits[i]]) for i in active) % 2
+                parity = sum(int(bitstring[i]) for i in active) % 2
                 m += w * (1.0 - 2.0 * parity)
             estimates.append(m)
             variances.append(max(0.0, 1.0 - m * m) / shots if shots else None)

@@ -10,7 +10,14 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from kraussim.channels import KrausChannel, bit_flip, depolarizing, qutrit_amplitude_damping, save_channel
+from kraussim.channels import (
+    KrausChannel,
+    apply_channel,
+    bit_flip,
+    depolarizing,
+    qutrit_amplitude_damping,
+    save_channel,
+)
 from kraussim.cli import (
     CSV_HEADER,
     ConfigError,
@@ -21,7 +28,7 @@ from kraussim.cli import (
     run_experiment,
 )
 from kraussim.dilation import eigenvector_dilations, embed_qudits, mixed_method_double_purification
-from kraussim.numerics import DensityMatrix
+from kraussim.numerics import DensityMatrix, uniform_state
 from kraussim.qsp import Circuit, lower, qasm_export, qasm_parse, synthesize
 from kraussim.tomography import settings_for
 
@@ -135,13 +142,63 @@ def test_each_preparation_is_simulated_once(monkeypatch):
 
 
 def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
+    # bit_phase_flip on a qubit dilates onto 2 qubits, 1 system and 1
+    # ancilla; only the system qubit is measured, so a per-qubit model
+    # covers 1 qubit
+    point = {"parameter": "p", "grid": [0.3]}
+    [row] = run_experiment(parse_config(bpf_config(
+        mode="sampled", shots=16, sweep=point, readout={"e0": [0.1], "e1": [0.1]})))
+    assert not row.error
     applied = []
     monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
-    # bit_phase_flip on a qubit dilates onto 2 qubits; the model covers 1
-    cfg = parse_config(bpf_config(mode="sampled", shots=16, readout={"e0": [0.1], "e1": [0.1]}))
-    with pytest.raises(ConfigError, match="readout: e0 has 1 entries, the register has 2 qubits"):
+    cfg = parse_config(bpf_config(mode="sampled", shots=16, readout={"e0": [0.1, 0.1], "e1": [0.1, 0.1]}))
+    with pytest.raises(ConfigError, match="readout: e0 has 2 entries, the register has 1 qubits"):
         run_experiment(cfg)
     assert applied == []
+
+
+def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
+    # qutrit_amplitude_damping: 2 system qubits (the padded qutrit) and
+    # 2 ancilla qubits (3 Kraus operators)
+    received = []
+
+    def recording(probs, shots, rng):
+        received.append(np.array(probs))
+        return simulator.sample(probs, shots, rng)
+
+    monkeypatch.setattr(cli, "sample", recording)
+    cfg = {
+        "channel": {"name": "qutrit_amplitude_damping", "params": {}},
+        "sweep": {"parameter": "gamma", "grid": [0.4]},
+        "mode": "sampled",
+        "shots": 64,
+    }
+    [row] = run_experiment(parse_config(cfg))
+    assert not row.error
+    assert len(received) == 3**2
+    assert all(probs.shape == (4,) for probs in received)
+    # in the Z...Z setting the marginal is the system state's diagonal
+    oracle = apply_channel(qutrit_amplitude_damping(0.4), uniform_state(3).to_density())
+    zz = received[settings_for((0, 1)).settings.index(("Z", "Z"))]
+    np.testing.assert_allclose(zz, np.append(np.diag(oracle.matrix).real, 0.0), rtol=0, atol=1e-12)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_QAD = {"channel": {"name": "qutrit_amplitude_damping", "params": {}}, "initial_state": "uniform", "seed": 7}
+# Each CSV is a recorded sweep output.  The exact one must never move; the
+# sampled one moves only with a recorded change to how shots are drawn.
+GOLDEN_SWEEPS = {
+    "qad_exact.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.0, 0.3, 1.0]}, mode="exact"),
+    # a per-qubit readout model over the 2 system qubits
+    "qad_sampled_readout.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.3, 0.8]}, mode="sampled",
+                                    shots=256, readout={"e0": [0.02, 0.04], "e1": 0.03}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden(name):
+    text = rows_to_csv(run_experiment(parse_config(GOLDEN_SWEEPS[name])))
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 OVERSIZED = {  # case: (hw_dephasing d, initial_state, mixed_method, register qubits)
@@ -510,8 +567,9 @@ ERROR_CASES = {
     "sweep-readout-lengths": (_sweep(mode="sampled", shots=16,
                                      readout={"e0": [0.1, 0.1], "e1": [0.1]}), None,
                               1, "config error:", "readout: e0 has 2 entries, e1 has 1"),
-    "sweep-readout-register": (_sweep(mode="sampled", shots=16, readout={"e0": [0.1], "e1": [0.1]}), None,
-                               1, "config error:", "readout: e0 has 1 entries, the register has 2 qubits"),
+    # a list over the whole dilated register: only the 1 system qubit is measured
+    "sweep-readout-register": (_sweep(mode="sampled", shots=16, readout={"e0": [0.1, 0.1], "e1": [0.1, 0.1]}),
+                               None, 1, "config error:", "readout: e0 has 2 entries, the register has 1 qubits"),
     "sweep-readout-exact": (_sweep(readout={"e0": 0.1, "e1": 0.1}), None,
                             1, "config error:", "readout: applies only in sampled mode"),
     "sweep-channel-name-and-file": (_name_and_file, None,
