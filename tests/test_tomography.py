@@ -86,10 +86,26 @@ def test_expectations_average_compatible_settings():
     assert errors is None  # no shot totals given
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def system_marginal(probs, width, system_qubits):
+    """Outcome distribution of ``system_qubits``, in that order, under Born
+    probabilities over a ``width``-qubit register (qubit 0 the leading bit)."""
+    ancillas = tuple(q for q in range(width) if q not in system_qubits)
+    joint = probs.reshape((2,) * width).sum(axis=ancillas)
+    kept = sorted(system_qubits)
+    return joint.transpose([kept.index(q) for q in system_qubits]).reshape(-1)
+
+
+# (register width, system qubits): m = 1..4, with ancilla bits and with
+# system qubits that are not the leading ones; shots are drawn from the
+# m-qubit system marginal, as the sampled sweep does
+LAYOUTS = ((1, (0,)), (3, (2,)), (3, (2, 0)), (4, (1, 2, 3)), (5, (0, 1, 2, 3)), (6, (3, 0, 5, 1)))
+
+
+@pytest.mark.parametrize("width, system_qubits", LAYOUTS)
 @pytest.mark.parametrize("readout", [False, True])
-def test_array_tomography_matches_reference_loops(m, readout):
-    rng = np.random.default_rng([510, m, readout])
+def test_array_tomography_matches_reference_loops(width, system_qubits, readout):
+    m = len(system_qubits)
+    rng = np.random.default_rng([510, width, m, readout])
     model = ReadoutModel(e0=tuple(rng.uniform(0.0, 0.1, m)), e1=0.04)
     weights = []
     shots = []
@@ -97,7 +113,8 @@ def test_array_tomography_matches_reference_loops(m, readout):
     for k, setting in enumerate(settings_for(range(m)).settings):
         # few shots leave many outcomes at zero count
         shots.append(int(rng.integers(1, 4 * 2**m)))
-        counts = sample(born(random_pure(rng, 2**m)), shots[-1], rng=derive_rng(511, k, 0))
+        probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
+        counts = sample(probs, shots[-1], rng=derive_rng(511, k, 0))
         if readout:
             noisy = apply_readout_noise(counts, model, rng=derive_rng(511, k, 1))
             weights.append(mitigate(noisy, model))
@@ -112,6 +129,14 @@ def test_array_tomography_matches_reference_loops(m, readout):
     assert errors.tolist() == list(ref_errors.values())
     raw = reconstruct(values).raw
     assert raw.tobytes() == reference_reconstruct_raw(ref_values).tobytes()
+
+
+def test_system_marginal_orders_the_system_qubits():
+    # |q0 q1 q2> = |0 1 1> with certainty: qubits (2, 0) read "10"
+    probs = np.zeros(8)
+    probs[0b011] = 1.0
+    assert system_marginal(probs, 3, (2, 0)).tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert system_marginal(probs, 3, (0, 2)).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_reconstruct_matches_reference_on_exact_values():
