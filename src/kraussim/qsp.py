@@ -242,14 +242,14 @@ def _gray(j: int) -> int:
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    out = v.astype(float).copy()
+    out = v.astype(float)  # a copy
     h = 1
     while h < out.size:
-        for i in range(0, out.size, 2 * h):
-            a = out[i : i + h].copy()
-            b = out[i + h : i + 2 * h].copy()
-            out[i : i + h] = a + b
-            out[i + h : i + 2 * h] = a - b
+        # one butterfly stage over every block of 2h entries at once
+        pairs = out.reshape(-1, 2, h)
+        a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = a + b
+        pairs[:, 1] = a - b
         h *= 2
     return out
 

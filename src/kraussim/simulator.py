@@ -1,12 +1,18 @@
 """Statevector simulator with shot sampling and a readout error model.
 
 Gates are applied in place by reshaping the amplitude vector to one axis
-per qubit and updating the two-component slice selected by the control
-bits; no 2^n x 2^n gate matrix is ever formed.  The same gate loop acts on
-a batch of states, so :func:`circuit_unitary` runs it once over the
-identity's columns.  Qubit 0 is the most
-significant bit of basis labels, and the outcome indices of sampled
-counts follow the same convention.
+per qubit and updating the two target slices selected by the control
+bits; no 2^n x 2^n gate matrix is ever formed.  X and CX swap the two
+slices, Rz multiplies each by its diagonal entry and Phase multiplies
+only the |1> slice, with the entries of :meth:`Gate.matrix`.  The
+matrix product they replace adds only terms multiplied by zero, so the
+amplitudes are the same up to the sign of a zero.  Ry keeps the 2x2
+matrix product along the target axis: any other form of it, even the
+same matmul over another memory layout, rounds differently.  The same
+gate loop acts on a batch of states, so :func:`circuit_unitary` runs it
+once over the identity's columns.  Qubit 0 is the most significant bit
+of basis labels, and the outcome indices of sampled counts follow the
+same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -47,11 +53,25 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
     """Apply ``gate`` in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch of states."""
-    sub = amps.reshape((2,) * n + amps.shape[1:])[gate.index(n)]
-    # integer indexing collapsed the control axes; recompute target position
-    axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
-    sub = np.moveaxis(sub, axis, -1)
-    sub[...] = sub @ gate.matrix().T
+    view = amps.reshape((2,) * n + amps.shape[1:])
+    if gate.kind == "ry":
+        sub = view[gate.index(n)]
+        # integer indexing collapsed the control axes; recompute target position
+        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+        sub = np.moveaxis(sub, axis, -1)
+        sub[...] = sub @ gate.matrix().T
+        return
+    lo, hi = gate.index(n, 0), gate.index(n, 1)
+    if gate.kind == "x":
+        low = view[lo].copy()
+        view[lo] = view[hi]
+        view[hi] = low
+    elif gate.kind == "rz":
+        diag = gate.matrix().diagonal()
+        view[lo] *= diag[0]
+        view[hi] *= diag[1]
+    else:  # phase: its |0> entry is 1
+        view[hi] *= gate.matrix()[1, 1]
 
 
 def run(circuit: Circuit, initial: PureState | None = None) -> PureState:
@@ -181,17 +201,18 @@ class ReadoutModel:
             raise ValueError(f"confusion matrix is singular (e0 + e1 = 1) on {where}")
 
     def confusion(self, qubit_count: int) -> np.ndarray:
-        """Per-qubit confusion matrices as a ``(qubit_count, 2, 2)`` array.
+        """Per-qubit confusion matrices as a ``(qubit_count, 2, 2)`` array
+        over the ``qubit_count`` measured qubits.
 
         ``conf[q]`` is [[1-e0, e1], [e0, 1-e1]] for qubit q (column = true
         bit).  Scalars broadcast to every qubit; a tuple must have one
-        entry per qubit of the register.
+        entry per measured qubit.
         """
         for name in ("e0", "e1"):
             value = getattr(self, name)
             if isinstance(value, tuple) and len(value) != qubit_count:
                 raise ValueError(
-                    f"{name} has {len(value)} entries, the register has {qubit_count} qubits"
+                    f"{name} has {len(value)} entries, but {qubit_count} qubits are measured"
                 )
         e0 = np.broadcast_to(self.e0, qubit_count)
         e1 = np.broadcast_to(self.e1, qubit_count)

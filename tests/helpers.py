@@ -139,9 +139,39 @@ def dense_gate(gate, n):
     return m
 
 
-# Reference implementations: the per-outcome and per-string loops that the
-# array code in ``simulator`` and ``tomography`` replaced.  The array code
-# must reproduce them exactly, bit for bit.
+# Reference implementations: the per-outcome, per-string and per-gate loops
+# that the array code in ``qsp``, ``simulator`` and ``tomography`` replaced.
+# The array code must reproduce them exactly, bit for bit.
+
+
+def reference_walsh_hadamard(v):
+    """Unnormalized Walsh-Hadamard transform, one block of each stage at a time."""
+    out = v.astype(float).copy()
+    h = 1
+    while h < out.size:
+        for i in range(0, out.size, 2 * h):
+            a = out[i : i + h].copy()
+            b = out[i + h : i + 2 * h].copy()
+            out[i : i + h] = a + b
+            out[i + h : i + 2 * h] = a - b
+        h *= 2
+    return out
+
+
+def reference_run(circuit):
+    """Statevector run from |0...0> with every gate, of every kind, applied
+    as a 2x2 matmul along the target axis of its control-selected slice."""
+    n = circuit.qubit_count
+    state = np.zeros(2**n, dtype=np.complex128)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        sub = state.reshape((2,) * n)[gate.index(n)]
+        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+        sub = np.moveaxis(sub, axis, -1)
+        sub[...] = sub @ gate.matrix().T
+    if circuit.global_phase != 0.0:
+        state *= np.exp(1j * circuit.global_phase)
+    return PureState(state)
 
 
 def reference_mitigate(counts, model):

@@ -10,6 +10,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
+from helpers import random_density
 from kraussim.channels import (
     KrausChannel,
     apply_channel,
@@ -152,7 +153,7 @@ def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
     applied = []
     monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
     cfg = parse_config(bpf_config(mode="sampled", shots=16, readout={"e0": [0.1, 0.1], "e1": [0.1, 0.1]}))
-    with pytest.raises(ConfigError, match="readout: e0 has 2 entries, the register has 1 qubits"):
+    with pytest.raises(ConfigError, match="readout: e0 has 2 entries, but 1 qubits are measured"):
         run_experiment(cfg)
     assert applied == []
 
@@ -185,13 +186,28 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
 
 GOLDEN = Path(__file__).parent / "golden"
 _QAD = {"channel": {"name": "qutrit_amplitude_damping", "params": {}}, "initial_state": "uniform", "seed": 7}
-# Each CSV is a recorded sweep output.  The exact one must never move; the
-# sampled one moves only with a recorded change to how shots are drawn.
+_HW = {"sweep": {"parameter": "p0", "grid": [0.6]}, "seed": 7}
+
+
+def _complex_rows(matrix):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+# Each CSV is a recorded sweep output.  The exact ones must never move; the
+# sampled ones move only with a recorded change to how shots are drawn.
 GOLDEN_SWEEPS = {
     "qad_exact.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.0, 0.3, 1.0]}, mode="exact"),
     # a per-qubit readout model over the 2 system qubits
     "qad_sampled_readout.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.3, 0.8]}, mode="sampled",
                                     shots=256, readout={"e0": [0.02, 0.04], "e1": 0.03}),
+    # the heavy exact path: a full-rank complex input on a 9-qubit register
+    "hw8_mixed_exact.csv": dict(
+        _HW, channel={"name": "hw_dephasing", "params": {"d": 8}}, mode="exact",
+        initial_state={"density_matrix": _complex_rows(random_density(np.random.default_rng(708), 8).matrix)},
+    ),
+    # 8 qubits: the lowered prefix and all 81 setting branches
+    "hw16_sampled.csv": dict(_HW, channel={"name": "hw_dephasing", "params": {"d": 16}}, initial_state="uniform",
+                             mode="sampled", shots=256),
 }
 
 
@@ -569,7 +585,7 @@ ERROR_CASES = {
                               1, "config error:", "readout: e0 has 2 entries, e1 has 1"),
     # a list over the whole dilated register: only the 1 system qubit is measured
     "sweep-readout-register": (_sweep(mode="sampled", shots=16, readout={"e0": [0.1, 0.1], "e1": [0.1, 0.1]}),
-                               None, 1, "config error:", "readout: e0 has 2 entries, the register has 1 qubits"),
+                               None, 1, "config error:", "readout: e0 has 2 entries, but 1 qubits are measured"),
     "sweep-readout-exact": (_sweep(readout={"e0": 0.1, "e1": 0.1}), None,
                             1, "config error:", "readout: applies only in sampled mode"),
     "sweep-channel-name-and-file": (_name_and_file, None,

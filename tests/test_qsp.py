@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pure
+from helpers import random_pure, reference_walsh_hadamard
 from kraussim.numerics import PureState, basis_state
 from kraussim.qsp import (
     Circuit,
@@ -16,6 +16,7 @@ from kraussim.qsp import (
     synthesize,
     synthesize_real,
     verify_preparation,
+    _walsh_hadamard,
 )
 from kraussim.simulator import circuit_unitary, run
 
@@ -104,6 +105,17 @@ def test_sparse_and_near_zero_states_round_trip(n, seed, real, zero_share, tiny_
         assert verify_preparation(lowered, target) >= 1 - 1e-10
         if n <= 4:
             assert np.abs(circuit_unitary(circuit) - circuit_unitary(lowered)).max() < 1e-9
+
+
+def test_walsh_hadamard_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(304)
+    for k in range(11):
+        for _ in range(5):
+            angles = rng.uniform(-np.pi, np.pi, 2**k)
+            angles[rng.random(2**k) < 0.3] = 0.0
+            before = angles.copy()
+            assert _walsh_hadamard(angles).tobytes() == reference_walsh_hadamard(angles).tobytes()
+            assert np.array_equal(angles, before)
 
 
 def test_single_controlled_ry_lowering_pattern():

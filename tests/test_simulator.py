@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 import kraussim.simulator as simulator
-from helpers import born, dense_gate, histogram, random_pure, reference_mitigate, shot_counts
+from helpers import (
+    born,
+    dense_gate,
+    histogram,
+    random_density,
+    random_pure,
+    reference_mitigate,
+    reference_run,
+    shot_counts,
+)
+from kraussim.channels import hw_dephasing
+from kraussim.dilation import embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState
 from kraussim.qsp import Circuit, Gate, lower, synthesize
 from kraussim.tomography import settings_for
@@ -18,10 +29,13 @@ from kraussim.simulator import (
 )
 
 
-def random_gate(rng, n):
-    kind = str(rng.choice(["x", "ry", "rz", "phase"]))
+def random_gate(rng, n, kinds=("x", "ry", "rz", "phase"), every_other=False):
+    """A gate of a random kind on a random target, controlled on a random
+    subset of the other qubits (on all of them with ``every_other``), with
+    random activation bits."""
+    kind = str(rng.choice(kinds))
     qubits = rng.permutation(n)
-    n_ctrl = int(rng.integers(0, n))
+    n_ctrl = n - 1 if every_other else int(rng.integers(0, n))
     return Gate(
         kind,
         float(rng.uniform(-np.pi, np.pi)),
@@ -66,6 +80,78 @@ def test_circuit_unitary_columns(n):
         expected = dense_gate(g, n) @ expected
     assert np.abs(u - expected).max() < 1e-12
     assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
+
+
+def basis_bits(k, n):
+    return [(k >> (n - 1 - q)) & 1 for q in range(n)]
+
+
+def fires(gate, bits):
+    return all(bits[q] == b for q, b in gate.controls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_x_and_cx_circuits_are_exact_permutations(n):
+    rng = np.random.default_rng(420 + n)
+    gates = [random_gate(rng, n, ("x",)) for _ in range(6 * n)]
+    gates.append(random_gate(rng, n, ("x",), every_other=True))
+    circuit = Circuit(n, tuple(gates))
+    # where each basis state ends up, one bit flip at a time
+    image = []
+    for k in range(2**n):
+        bits = basis_bits(k, n)
+        for g in gates:
+            if fires(g, bits):
+                bits[g.target] ^= 1
+        image.append(int("".join(map(str, bits)), 2))
+    permutation = np.zeros((2**n, 2**n), dtype=complex)
+    permutation[image, range(2**n)] = 1.0
+    assert np.array_equal(circuit_unitary(circuit), permutation)
+    # a batch of k states is permuted without arithmetic
+    batch = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    moved = batch.copy()
+    for g in gates:
+        simulator._apply_gate(moved, g, n)
+    expected = np.empty_like(batch)
+    expected[image] = batch
+    assert moved.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_rz_and_phase_circuits_are_exact_diagonals(n):
+    rng = np.random.default_rng(430 + n)
+    gates = [random_gate(rng, n, ("rz", "phase")) for _ in range(6 * n)]
+    gates += [random_gate(rng, n, (kind,), every_other=True) for kind in ("rz", "phase")]
+    u = circuit_unitary(Circuit(n, tuple(gates)))
+    assert np.array_equal(u, np.diag(u.diagonal()))
+    # each entry is its basis state's diagonal entries multiplied in gate
+    # order, one whole-vector product per gate (a factor 1 where the gate
+    # does not act, which is exact), as the kernels take them: numpy's
+    # array loop rounds some complex products differently from its scalar
+    # arithmetic
+    expected = np.ones(2**n, dtype=complex)
+    for g in gates:
+        diag = g.matrix().diagonal()
+        factors = np.ones(2**n, dtype=complex)
+        for k in range(2**n):
+            bits = basis_bits(k, n)
+            if fires(g, bits):
+                factors[k] = diag[bits[g.target]]
+        expected = expected * factors
+    assert u.diagonal().tobytes() == expected.tobytes()
+
+
+def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
+    # a mixed_exact-like point: hw_dephasing d=8 on a full-rank complex
+    # input, double purification on 3 + 3 + 3 qubits
+    rho = random_density(np.random.default_rng(440), 8)
+    embedded = embed_qudits(mixed_method_double_purification(hw_dephasing(8, 0.4), rho))
+    circuit = synthesize(embedded)
+    low = lower(circuit)
+    assert circuit.qubit_count == 9
+    assert {g.kind for g in low.gates} >= {"x", "ry", "rz"}
+    for c in (circuit, low):
+        assert np.array_equal(run(c).amplitudes, reference_run(c).amplitudes)
 
 
 def test_anticontrolled_x_fires_on_zero():
@@ -165,9 +251,9 @@ def test_confusion_matrices_cover_the_register():
     per_qubit = ReadoutModel(e0=(0.05, 0.2), e1=0.3).confusion(2)
     assert np.array_equal(per_qubit[0], [[0.95, 0.3], [0.05, 0.7]])
     assert np.array_equal(per_qubit[1], [[0.8, 0.3], [0.2, 0.7]])
-    with pytest.raises(ValueError, match="^e0 has 1 entries, the register has 2 qubits$"):
+    with pytest.raises(ValueError, match="^e0 has 1 entries, but 2 qubits are measured$"):
         ReadoutModel(e0=(0.1,), e1=(0.1,)).confusion(2)
-    with pytest.raises(ValueError, match="^e1 has 3 entries, the register has 2 qubits$"):
+    with pytest.raises(ValueError, match="^e1 has 3 entries, but 2 qubits are measured$"):
         ReadoutModel(e0=0.1, e1=(0.1, 0.2, 0.3)).confusion(2)
 
 
