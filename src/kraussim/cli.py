@@ -499,7 +499,7 @@ def _setting_circuits(part: _Part) -> list[tuple[tuple[str, ...], Circuit]]:
     """Each tomography setting with its circuit: the setting's basis
     rotations, then the lowered circuit's global phase."""
     low = part.lowered
-    plan = settings_for(tuple(range(part.dilated.embedding.qubit_counts[0])))
+    plan = settings_for(part.dilated.embedding.qubit_counts[0])
     return [
         (setting, Circuit(low.qubit_count, rotations, low.global_phase))
         for setting, rotations in zip(plan.settings, plan.rotations)

@@ -15,11 +15,13 @@ order, the first letter acting on the first qubit.  Only these n system
 qubits are measured: a caller whose register holds more qubits sums each
 setting's outcome probabilities over them before drawing shots.
 
-Reconstruction is linear inversion, ``rho = sum_P <P> P / 2^n``, followed
-by a positive-semidefinite projection that clips negative eigenvalues and
-removes the clipped mass from the positive ones proportionally (trace
-preserving, idempotent).  States of an embedded qudit are reconstructed on
-their qubit register and then restricted to the populated block.
+Each Pauli string is a signed permutation of the basis states, so linear
+inversion, ``rho = sum_P <P> P / 2^n``, sums 2^n strings per entry and
+forms no dense Pauli matrix.  A positive-semidefinite projection follows:
+it clips negative eigenvalues and removes the clipped mass from the
+positive ones proportionally (trace preserving, idempotent).  States of an
+embedded qudit are reconstructed on their qubit register and then
+restricted to the populated block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .numerics import DensityMatrix, herm_eig
 from .qsp import Gate
 
@@ -47,7 +48,12 @@ __all__ = [
     "exact_expectations",
 ]
 
-_PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# Letters I, X, Y, Z as signed permutations of one qubit: X-flip bit,
+# non-identity bit, entries on |0> and |1> (Y = iXZ), settings X/Y/Z measuring it.
+_FLIP = np.array([0, 1, 1, 0])
+_ACTIVE = np.array([0, 1, 1, 1])
+_ENTRIES = np.array([[1, 1], [1, 1], [1j, -1j], [1, -1]])
+_MEASURED = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
 
 
 def basis_rotation(pauli: str, qubit: int) -> tuple[Gate, ...]:
@@ -67,44 +73,37 @@ def basis_rotation(pauli: str, qubit: int) -> tuple[Gate, ...]:
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """All 3^n measurement settings for the listed system qubits.
+    """All 3^m settings of the m system qubits, which lead the register;
+    ``rotations[s]`` is the pre-measurement gate list of ``settings[s]``."""
 
-    Each setting is a tuple of X/Y/Z labels aligned with
-    ``system_qubits``; ``rotations[s]`` is the pre-measurement gate list
-    of ``settings[s]``.
-    """
-
-    system_qubits: tuple[int, ...]
     settings: tuple[tuple[str, ...], ...]
     rotations: tuple[tuple[Gate, ...], ...]
 
 
-def settings_for(system_qubits: Sequence[int]) -> TomographySettings:
-    qubits = tuple(int(q) for q in system_qubits)
-    if len(set(qubits)) != len(qubits) or not qubits:
-        raise ValueError(f"system qubits must be distinct and nonempty: {qubits}")
-    settings = tuple(itertools.product("XYZ", repeat=len(qubits)))
+def settings_for(m: int) -> TomographySettings:
+    if m < 1:
+        raise ValueError(f"tomography needs at least one system qubit, got {m}")
+    settings = tuple(itertools.product("XYZ", repeat=m))
     rotations = tuple(
-        tuple(g for label, q in zip(setting, qubits) for g in basis_rotation(label, q))
+        tuple(g for q, label in enumerate(setting) for g in basis_rotation(label, q))
         for setting in settings
     )
-    return TomographySettings(qubits, settings, rotations)
+    return TomographySettings(settings, rotations)
 
 
-def _pauli_basis(n: int) -> np.ndarray:
-    """All 4^n Pauli strings on n qubits, stacked as a ``(4^n, 2^n, 2^n)`` array.
-
-    Strings come in ``itertools.product("IXYZ", repeat=n)`` order, the
-    first letter acting on the most significant qubit.
-    """
-    paulis = np.stack([_PAULI[c] for c in "IXYZ"])
-    basis = np.ones((1, 1, 1), dtype=np.complex128)
-    for _ in range(n):
-        count, dim = basis.shape[0], basis.shape[1]
-        basis = np.einsum("aij,bkl->abikjl", basis, paulis).reshape(
-            4 * count, 2 * dim, 2 * dim
-        )
-    return basis
+def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(flips, masks, entries, compatible)``: string k maps |b> to
+    ``entries[k, b] |b ^ flips[k]>``, acts on the positions in ``masks[k]``
+    (bit n-1-i for position i), and the settings in ``compatible[k]`` measure it."""
+    flips = masks = np.zeros(1, dtype=np.int64)
+    entries = np.ones((1, 1), dtype=np.complex128)
+    compatible = np.ones((1, 1), dtype=bool)
+    for _ in range(n):  # each string gains a last letter, as a Kronecker factor
+        flips = (2 * flips[:, None] + _FLIP).ravel()
+        masks = (2 * masks[:, None] + _ACTIVE).ravel()
+        entries = (entries[:, None, :, None] * _ENTRIES[:, None, :]).reshape(flips.size, -1)
+        compatible = (compatible[:, None, :, None] & _MEASURED[:, None, :]).reshape(flips.size, -1)
+    return flips, masks, entries, compatible
 
 
 def expectations(
@@ -126,8 +125,9 @@ def expectations(
     sqrt((1 - m^2) / shots) per setting, and ``errors`` is ``None`` when
     ``shots`` is.
 
-    A malformed shape, a row with no mass (named by its setting), or
-    ``shots`` of the wrong length or not positive raises ``ValueError``.
+    A malformed shape, a row with a negative or non-finite weight or with
+    no mass (each named by its setting), or ``shots`` of the wrong length
+    or not positive raises ``ValueError``.
     """
     weights = np.asarray(weights, dtype=np.float64)
     rows, size = weights.shape if weights.ndim == 2 else (0, 0)
@@ -136,11 +136,15 @@ def expectations(
         raise ValueError(
             f"weights of shape {weights.shape} are not 3^n settings by 2^n outcomes, n >= 1"
         )
+
+    def reject(bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            setting = list(itertools.product("XYZ", repeat=n))[np.argmax(bad)]
+            raise ValueError(f"setting {''.join(setting)} has {problem}")
+
+    reject(~((weights >= 0.0) & (weights < np.inf)).all(axis=1), "a negative or non-finite weight")
     totals = np.cumsum(weights, axis=1)[:, -1]
-    empty = np.flatnonzero(~(totals > 0.0))
-    if empty.size:
-        setting = list(itertools.product("XYZ", repeat=n))[empty[0]]
-        raise ValueError(f"setting {''.join(setting)} has no probability mass")
+    reject(~(totals > 0.0), "no probability mass")
     if shots is not None:
         shots = np.asarray(shots, dtype=np.float64)
         if shots.shape not in ((), (rows,)):
@@ -149,36 +153,24 @@ def expectations(
             raise ValueError(f"shots: total {shots.min():g} is not positive")
         shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
-    outcomes = np.arange(size)
-    bits = [(outcomes >> (n - 1 - i)) & 1 for i in range(n)]
+    flips, masks, entries, compatible = _pauli_strings(n)
 
-    # estimates[s, mask]: setting s's parity expectation over the
-    # positions in ``mask`` (bit n-1-i set for position i).  Each is a
-    # sequential sum in ascending outcome order (cumsum, not a pairwise
+    # estimates[s, mask]: setting s's parity expectation over the positions
+    # in ``mask``, signed by the I/Z strings (no flips, in mask order).  Each
+    # is a sequential sum in ascending outcome order (cumsum, not a pairwise
     # sum), which fixes its rounding and so the sampled CSV bytes.
-    estimates = np.ones((rows, 2**n))
-    for mask in range(1, 2**n):
-        parity = sum(bits[i] for i in range(n) if (mask >> (n - 1 - i)) & 1) & 1
-        estimates[:, mask] = np.cumsum(weights * (1.0 - 2.0 * parity), axis=1)[:, -1]
+    signs = entries[flips == 0].real
+    estimates = np.stack([np.cumsum(weights * sign, axis=1)[:, -1] for sign in signs], axis=1)
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
 
     values = np.ones(4**n)
     errors = None if shots is None else np.zeros(4**n)
-    for k, letters in enumerate(itertools.product("IXYZ", repeat=n)):
-        mask = sum(1 << (n - 1 - i) for i, c in enumerate(letters) if c != "I")
-        if mask == 0:
-            continue  # the identity string: value 1, error 0
-        # settings compatible with the string, as base-3 indices in
-        # settings order: its letter at each active position, all three
-        # letters at the others
-        compatible = [0]
-        for c in letters:
-            digits = range(3) if c == "I" else ("XYZ".index(c),)
-            compatible = [3 * s + d for s in compatible for d in digits]
-        values[k] = np.mean(estimates[compatible, mask])
+    for k in np.flatnonzero(masks):  # the identity string keeps value 1, error 0
+        settings = np.flatnonzero(compatible[k])
+        values[k] = np.mean(estimates[settings, masks[k]])
         if errors is not None:
-            variances = spread[compatible, mask] / shots[compatible]
-            errors[k] = math.sqrt(sum(variances.tolist())) / len(compatible)
+            variances = spread[settings, masks[k]] / shots[settings]
+            errors[k] = math.sqrt(sum(variances.tolist())) / settings.size
     return values, errors
 
 
@@ -188,7 +180,10 @@ def exact_expectations(rho: DensityMatrix) -> np.ndarray:
     n = rho.dim.bit_length() - 1
     if 2**n != rho.dim:
         raise ValueError("density matrix is not over a qubit register")
-    return np.einsum("ij,kji->k", rho.matrix, _pauli_basis(n)).real.copy()
+    flips, _, entries, _ = _pauli_strings(n)
+    b = np.arange(2**n)
+    # Tr(rho P) = sum_b rho[b, b ^ x] P[b ^ x, b]
+    return (rho.matrix[b, b ^ flips[:, None]] * entries).sum(axis=1).real.copy()
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -226,10 +221,15 @@ def reconstruct(values: np.ndarray) -> TomographyResult:
     n = (values.size.bit_length() - 1) // 2
     if values.ndim != 1 or values.size != 4**n:
         raise ValueError(f"expectation values of shape {values.shape} are not a vector of 4^n")
+    flips, _, entries, _ = _pauli_strings(n)
+    # Entry (b ^ x, b) sums the 2^n strings of X-mask x, grouped in string
+    # order by a stable sort.  A sequential sum (cumsum, not pairwise) added
+    # to zero rounds, signed zeros too, as adding one matrix per string does.
+    order = np.argsort(flips, kind="stable")
+    terms = (values[order, None] * entries[order]).reshape(2**n, 2**n, 2**n)
+    b = np.arange(2**n)
     raw = np.zeros((2**n, 2**n), dtype=np.complex128)
-    # one string at a time, in order: a sequential sum fixes the rounding
-    for coeff, pauli in zip(values.tolist(), _pauli_basis(n)):
-        raw += coeff * pauli
+    raw[b[:, None] ^ b, b] += np.cumsum(terms, axis=1)[:, -1]
     raw /= 2**n
     return TomographyResult(raw, DensityMatrix(project_psd(raw)))
 

@@ -180,7 +180,7 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     assert all(probs.shape == (4,) for probs in received)
     # in the Z...Z setting the marginal is the system state's diagonal
     oracle = apply_channel(qutrit_amplitude_damping(0.4), uniform_state(3).to_density())
-    zz = received[settings_for((0, 1)).settings.index(("Z", "Z"))]
+    zz = received[settings_for(2).settings.index(("Z", "Z"))]
     np.testing.assert_allclose(zz, np.append(np.diag(oracle.matrix).real, 0.0), rtol=0, atol=1e-12)
 
 
@@ -651,7 +651,7 @@ def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
         assert Path(f"{base}.qasm").read_text() == qasm_export(low)
         n = low.qubit_count
         prefix = simulator.run(Circuit(n, low.gates))
-        plan = settings_for(tuple(range(dilated.embedding.qubit_counts[0])))
+        plan = settings_for(dilated.embedding.qubit_counts[0])
         for setting in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
             # the sweep's branched state for this setting
             rotations = plan.rotations[plan.settings.index(setting)]

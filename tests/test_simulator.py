@@ -311,7 +311,7 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
     assert low.global_phase != 0.0
     n = low.qubit_count
     prefix = run(Circuit(n, low.gates))
-    plan = settings_for(range(3))
+    plan = settings_for(3)
     for rotations in plan.rotations:
         full = run(Circuit(n, low.gates + rotations, low.global_phase))
         branched = run(Circuit(n, rotations, low.global_phase), prefix)

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
+    PAULIS,
     born,
     dense_gate,
     random_density,
@@ -12,7 +14,7 @@ from helpers import (
     reference_mitigate,
     reference_reconstruct_raw,
 )
-from kraussim.numerics import DensityMatrix
+from kraussim.numerics import DensityMatrix, kron
 from kraussim.simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
@@ -35,12 +37,14 @@ def pauli_names(n):
 
 
 def test_settings_enumeration():
-    t = settings_for((0, 1))
+    t = settings_for(2)
     assert len(t.settings) == 9
     assert set(t.settings) == set(itertools.product("XYZ", repeat=2))
     assert len(t.rotations) == len(t.settings)
     assert t.rotations[t.settings.index(("Z", "Z"))] == ()
     assert t.rotations[t.settings.index(("Z", "X"))] == basis_rotation("X", 1)
+    with pytest.raises(ValueError, match="at least one system qubit, got 0"):
+        settings_for(0)
 
 
 def test_basis_rotations_map_pauli_to_z():
@@ -74,7 +78,7 @@ def test_reconstruct_requires_every_pauli_string():
 
 def test_expectations_average_compatible_settings():
     # frequencies over outcomes 00, 01, 10, 11, one row per setting
-    settings = settings_for((0, 1)).settings
+    settings = settings_for(2).settings
     weights = np.full((9, 4), 0.25)
     weights[settings.index(("X", "X"))] = [1.0, 0.0, 0.0, 0.0]
     weights[settings.index(("X", "Y"))] = [0.0, 0.0, 1.0, 0.0]
@@ -110,7 +114,7 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
     weights = []
     shots = []
     per_setting_ref = {}
-    for k, setting in enumerate(settings_for(range(m)).settings):
+    for k, setting in enumerate(settings_for(m).settings):
         # few shots leave many outcomes at zero count
         shots.append(int(rng.integers(1, 4 * 2**m)))
         probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
@@ -141,10 +145,41 @@ def test_system_marginal_orders_the_system_qubits():
 
 def test_reconstruct_matches_reference_on_exact_values():
     rng = np.random.default_rng(512)
-    for n in (1, 2, 3, 4):
+    # the X and Y terms of entry (1, 0) are both -0.0 in their real parts
+    cases = [np.array([1.0, -0.0, -0.3, 0.2])]
+    for n in (1, 2, 3, 4, 5, 6):
         values = exact_expectations(random_density(rng, 2**n))
+        # exact zeros of both signs in 30% of the non-identity strings
+        zeroed = np.where(rng.random(values.size) < 0.3, np.copysign(0.0, values), values)
+        zeroed[0] = 1.0
+        cases += [values, zeroed] if n < 6 else [zeroed]
+    for values in cases:
+        n = (values.size.bit_length() - 1) // 2
         named = dict(zip(pauli_names(n), values.tolist()))
         assert reconstruct(values).raw.tobytes() == reference_reconstruct_raw(named).tobytes()
+
+
+def test_exact_expectations_are_pauli_traces():
+    rng = np.random.default_rng(513)
+    for n in (1, 2, 3, 4):
+        rho = random_density(rng, 2**n)
+        traces = [
+            np.trace(rho.matrix @ kron(*(PAULIS[c] for c in letters))).real
+            for letters in itertools.product("IXYZ", repeat=n)
+        ]
+        np.testing.assert_allclose(exact_expectations(rho), traces, rtol=0, atol=1e-12)
+
+
+def test_reconstruct_forms_no_dense_pauli_basis():
+    # a stacked (4^6, 2^6, 2^6) complex basis alone takes 268 MB
+    values = exact_expectations(random_density(np.random.default_rng(514), 2**6))
+    tracemalloc.start()
+    try:
+        reconstruct(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_expectations_reject_malformed_registers():
@@ -164,9 +199,14 @@ def test_expectations_reject_malformed_registers():
     with pytest.raises(ValueError, match=malformed.format(r"\(36,\)")):
         expectations(counts.reshape(-1))
     empty = counts.copy()
-    empty[settings_for((0, 1)).settings.index(("Y", "X"))] = 0
+    empty[settings_for(2).settings.index(("Y", "X"))] = 0
     with pytest.raises(ValueError, match="setting YX has no probability mass"):
         expectations(empty)
+    for bad in (-0.5, np.inf):
+        weights = counts.astype(np.float64)
+        weights[settings_for(2).settings.index(("Y", "X")), 1] = bad
+        with pytest.raises(ValueError, match="setting YX has a negative or non-finite weight"):
+            expectations(weights)
     with pytest.raises(ValueError, match="shots: 8 totals for 9 settings"):
         expectations(counts, shots=[4] * 8)
     for shots in (0, -4, [4] * 8 + [0]):
@@ -178,7 +218,7 @@ def test_sampled_reconstruction_close_to_truth():
     rng = np.random.default_rng(502)
     target = random_pure(rng, 4)
     rho_true = np.outer(target.amplitudes, target.amplitudes.conj())
-    tset = settings_for((0, 1))
+    tset = settings_for(2)
     weights = []
     for k, rotations in enumerate(tset.rotations):
         # rotate analytically, then draw shots
