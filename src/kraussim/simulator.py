@@ -1,18 +1,26 @@
 """Statevector simulator with shot sampling and a readout error model.
 
-Gates are applied in place by reshaping the amplitude vector to one axis
-per qubit and updating the two target slices selected by the control
-bits; no 2^n x 2^n gate matrix is ever formed.  X and CX swap the two
-slices, Rz multiplies each by its diagonal entry and Phase multiplies
-only the |1> slice, with the entries of :meth:`Gate.matrix`.  The
-matrix product they replace adds only terms multiplied by zero, so the
-amplitudes are the same up to the sign of a zero.  Ry keeps the 2x2
-matrix product along the target axis: any other form of it, even the
-same matmul over another memory layout, rounds differently.  The same
-gate loop acts on a batch of states, so :func:`circuit_unitary` runs it
-once over the identity's columns.  Qubit 0 is the most significant bit
-of basis labels, and the outcome indices of sampled counts follow the
-same convention.
+Gates are applied in place on a reshaped view of the amplitude array;
+no 2^n x 2^n gate matrix is ever formed.  A gate without controls acts
+on the ``(2^t, 2, rest)`` view, t its target: X swaps its ``[:, 0]``
+and ``[:, 1]`` slices, Rz multiplies each by its diagonal entry, Phase
+multiplies only ``[:, 1]``, and Ry copies the amplitude pairs into one
+contiguous ``(rows, 2)`` block and multiplies it by the transposed 2x2
+in one BLAS call.  A controlled gate acts on the ``(2,) * n`` view: X
+(CX among them) swaps, and Rz and Phase scale, the two target slices
+that the control bits select, and Ry is a 2x2 matrix product along the
+target axis of that slice.  The swaps and scalings use the entries of
+:meth:`Gate.matrix`; the matrix product they replace adds only terms
+multiplied by zero, so the amplitudes are the same up to the sign of a
+zero.  The one-call Ry keeps the bits of the per-block matrix products
+it replaces: what fixes an entry's rounding is which routine computes
+it (BLAS ``zgemm``, ``zgemv`` or numpy's own loop), and ``zgemm``
+computes every entry in the same way whatever the row count.  A
+``(2^n, 1)`` batch is the exception, as its blocks were matrix-vector
+products.  The same gate loop acts on a batch of states, so
+:func:`circuit_unitary` runs it once over the identity's columns.
+Qubit 0 is the most significant bit of basis labels, and the outcome
+indices of sampled counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -52,16 +60,35 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
-    """Apply ``gate`` in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch of states."""
-    view = amps.reshape((2,) * n + amps.shape[1:])
-    if gate.kind == "ry":
-        sub = view[gate.index(n)]
-        # integer indexing collapsed the control axes; recompute target position
-        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
-        sub = np.moveaxis(sub, axis, -1)
-        sub[...] = sub @ gate.matrix().T
-        return
-    lo, hi = gate.index(n, 0), gate.index(n, 1)
+    """Apply ``gate`` in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch of states.
+
+    A gate without controls acts on the ``(2**t, 2, rest)`` view of the
+    array, t its target: X swaps ``[:, 0]`` and ``[:, 1]``, Rz scales both
+    by its diagonal entries, Phase scales ``[:, 1]``, and Ry copies the
+    amplitude pairs into one contiguous ``(rows, 2)`` block, multiplies it
+    by the transposed 2x2 in one BLAS ``zgemm`` call and writes the result
+    back.  ``zgemm`` rounds each entry as it did in the per-block products
+    of the ``(2,) * n`` view, so the bits do not move.  A controlled gate
+    acts on that ``(2,) * n`` view through :meth:`Gate.index`, with Ry as a
+    matrix product along the target axis of the control-selected slice.
+    """
+    if gate.controls:
+        view = amps.reshape((2,) * n + amps.shape[1:])
+        lo, hi = gate.index(n, 0), gate.index(n, 1)
+        if gate.kind == "ry":
+            sub = view[gate.index(n)]
+            # integer indexing collapsed the control axes; recompute target position
+            axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+            sub = np.moveaxis(sub, axis, -1)
+            sub[...] = sub @ gate.matrix().T
+            return
+    else:
+        view = amps.reshape(2**gate.target, 2, -1)
+        lo, hi = (slice(None), 0), (slice(None), 1)
+        if gate.kind == "ry":
+            pairs = view.transpose(0, 2, 1)
+            pairs[...] = (pairs.reshape(-1, 2) @ gate.matrix().T).reshape(pairs.shape)
+            return
     if gate.kind == "x":
         low = view[lo].copy()
         view[lo] = view[hi]

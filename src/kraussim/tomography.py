@@ -216,11 +216,18 @@ class TomographyResult:
 
 def reconstruct(values: np.ndarray) -> TomographyResult:
     """Assemble rho from the 4^n Pauli expectations in the order of
-    :func:`expectations`, and project it onto valid states."""
+    :func:`expectations`, and project it onto valid states.
+
+    A vector of the wrong shape, or a NaN or infinite value (named by its
+    Pauli string), raises ``ValueError`` before any arithmetic."""
     values = np.asarray(values, dtype=np.float64)
     n = (values.size.bit_length() - 1) // 2
     if values.ndim != 1 or values.size != 4**n:
         raise ValueError(f"expectation values of shape {values.shape} are not a vector of 4^n")
+    finite = np.isfinite(values)
+    if not finite.all():
+        name = list(itertools.product("IXYZ", repeat=n))[np.argmin(finite)]
+        raise ValueError(f"expectation of {''.join(name)} is not finite")
     flips, _, entries, _ = _pauli_strings(n)
     # Entry (b ^ x, b) sums the 2^n strings of X-mask x, grouped in string
     # order by a stable sort.  A sequential sum (cumsum, not pairwise) added

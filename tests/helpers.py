@@ -174,6 +174,32 @@ def reference_run(circuit):
     return PureState(state)
 
 
+def reference_apply_gate(amps, gate, n):
+    """The slice kernels on the ``(2,) * n`` view, for a ``(2**n,)`` state or a
+    ``(2**n, k)`` batch: Ry as a matmul along the target axis of the
+    control-selected slice, X swapping and Rz/Phase scaling the two target
+    slices."""
+    view = amps.reshape((2,) * n + amps.shape[1:])
+    if gate.kind == "ry":
+        sub = view[gate.index(n)]
+        # integer indexing collapsed the control axes; recompute target position
+        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+        sub = np.moveaxis(sub, axis, -1)
+        sub[...] = sub @ gate.matrix().T
+        return
+    lo, hi = gate.index(n, 0), gate.index(n, 1)
+    if gate.kind == "x":
+        low = view[lo].copy()
+        view[lo] = view[hi]
+        view[hi] = low
+    elif gate.kind == "rz":
+        diag = gate.matrix().diagonal()
+        view[lo] *= diag[0]
+        view[hi] *= diag[1]
+    else:  # phase: its |0> entry is 1
+        view[hi] *= gate.matrix()[1, 1]
+
+
 def reference_mitigate(counts, model):
     """String-keyed confusion-matrix inversion: {bitstring: frequency > 0}."""
     n = counts.qubit_count

@@ -8,12 +8,13 @@ from helpers import (
     histogram,
     random_density,
     random_pure,
+    reference_apply_gate,
     reference_mitigate,
     reference_run,
     shot_counts,
 )
 from kraussim.channels import hw_dephasing
-from kraussim.dilation import embed_qudits, mixed_method_double_purification
+from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState
 from kraussim.qsp import Circuit, Gate, lower, synthesize
 from kraussim.tomography import settings_for
@@ -152,6 +153,47 @@ def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
     assert {g.kind for g in low.gates} >= {"x", "ry", "rz"}
     for c in (circuit, low):
         assert np.array_equal(run(c).amplitudes, reference_run(c).amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
+    rng = np.random.default_rng(450 + n)
+    angles = (np.pi / 2, -np.pi / 2, np.pi, 0.0)  # the settings' rotations among them
+    gates = [
+        Gate(kind, float(rng.choice([rng.uniform(-np.pi, np.pi), *angles])), int(rng.integers(n)))
+        for kind in rng.permutation(["x", "ry", "rz", "phase"] * 3)
+    ]
+    # a (2^n, 1) batch is left out: its reference matmul is a matrix-vector
+    # product per block, which may round differently from one matrix product
+    for shape in ((2**n,), (2**n, 2), (2**n, 3), (2**n, 2**n)):
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for g in gates:
+            # exact zeros of both signs, in either part, before every gate
+            for part in (amps.real, amps.imag):
+                part[rng.random(shape) < 0.15] = 0.0
+                part[rng.random(shape) < 0.15] = -0.0
+            expected = amps.copy()
+            reference_apply_gate(expected, g, n)
+            simulator._apply_gate(amps, g, n)
+            assert amps.tobytes() == expected.tobytes(), (g, shape)
+
+
+def test_lowered_tomography_circuits_match_matmul_reference():
+    # an hw16_tomo-like point: hw_dephasing d=16 on the uniform state, 4 + 4
+    # qubits, then each setting's rotations of the 4 system qubits; the
+    # settings branch from one run of the lowered gates, as the cli does
+    psi = PureState(np.full(16, 0.25, dtype=complex))
+    low = lower(synthesize(embed_qudits(dilate_pure(hw_dephasing(16, 0.7), psi))))
+    assert low.qubit_count == 8
+    assert np.array_equal(run(low).amplitudes, reference_run(low).amplitudes)
+    prefix = reference_run(Circuit(8, low.gates))
+    for rotations in settings_for(4).rotations:
+        expected = prefix.amplitudes.copy()
+        for g in rotations:
+            reference_apply_gate(expected, g, 8)
+        expected *= np.exp(1j * low.global_phase)
+        branched = run(Circuit(8, rotations, low.global_phase), prefix)
+        assert np.array_equal(branched.amplitudes, expected)
 
 
 def test_anticontrolled_x_fires_on_zero():

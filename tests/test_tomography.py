@@ -76,6 +76,17 @@ def test_reconstruct_requires_every_pauli_string():
             reconstruct(short)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reconstruct_names_the_first_non_finite_string(bad):
+    rng = np.random.default_rng(2)
+    for m, k, name in ((1, 2, "Y"), (2, 7, "XZ")):
+        values = exact_expectations(random_density(rng, 2**m))
+        values[k] = bad
+        values[-1] = bad  # a later bad string is not the one named
+        with pytest.raises(ValueError, match=f"^expectation of {name} is not finite$"):
+            reconstruct(values)
+
+
 def test_expectations_average_compatible_settings():
     # frequencies over outcomes 00, 01, 10, 11, one row per setting
     settings = settings_for(2).settings
