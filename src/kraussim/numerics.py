@@ -57,17 +57,26 @@ def _as_complex_matrix(mat: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[0] > MAX_DIM:
         raise ValueError(f"{what} dimension {arr.shape[0]} outside [1, {MAX_DIM}]")
+    _check_finite(arr, f"{what} entry")
     return arr
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries: every tolerance comparison with NaN is false."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        index = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"{what} {index if arr.ndim > 1 else index[0]} is not finite: {arr[index]}")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix.
 
-    The constructor checks Hermiticity, unit trace and positive
-    semidefiniteness within ``VALIDATION_TOL``.  The stored array is
-    a private copy marked read-only, so instances behave as immutable
-    values.
+    The constructor checks that every entry is finite, then Hermiticity,
+    unit trace and positive semidefiniteness within ``VALIDATION_TOL``.
+    The stored array is a private copy marked read-only, so instances
+    behave as immutable values.
     """
 
     matrix: np.ndarray
@@ -98,7 +107,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PureState:
-    """A unit-norm complex amplitude vector."""
+    """A unit-norm complex amplitude vector with finite entries."""
 
     amplitudes: np.ndarray
 
@@ -106,6 +115,7 @@ class PureState:
         arr = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if arr.size < 1 or arr.size > MAX_DIM:
             raise ValueError(f"state dimension {arr.size} outside [1, {MAX_DIM}]")
+        _check_finite(arr, "state amplitude")
         norm_defect = abs(np.vdot(arr, arr).real - 1.0)
         if norm_defect > VALIDATION_TOL:
             raise ValueError(f"state not normalized (|norm^2 - 1| = {norm_defect:.3e})")

@@ -252,19 +252,24 @@ def apply_readout_noise(
     """Flip each recorded bit independently with the model's probabilities,
     drawing from a :func:`derive_rng` stream.
 
-    Shots are laid out outcome by outcome in ascending outcome order and
-    drawn as one ``(shots, qubits)`` array of uniform variates.
+    The count vector is thinned one qubit at a time, qubit 0 first, with
+    one binomial draw per qubit over the ``(2^q, 2, rest)`` view of the
+    counts: of the shots of each outcome, as many flip bit q as a
+    binomial draw with that qubit's e0 (bit 0) or e1 (bit 1) gives, and
+    they move to the outcome with bit q flipped.  The passes before q
+    changed only the bits of qubits before q, so each pass reads the true
+    bit and the result has the distribution of independent per-shot
+    flips.  No array grows with the number of shots.
     """
     n = counts.qubit_count
-    conf = model.confusion(n)
-    e0, e1 = conf[:, 1, 0], conf[:, 0, 1]
-    outcomes = np.arange(2**n)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    bits = (outcomes[:, None] & weights) != 0
-    thresholds = np.repeat(np.where(bits, e1, e0), counts.counts, axis=0)
-    flips = rng.random((counts.shots, n)) < thresholds
-    noisy = np.repeat(outcomes, counts.counts) ^ (flips @ weights)
-    return ShotCounts(n, counts.shots, np.bincount(noisy, minlength=2**n))
+    # P(read 1 - b | true b) for b = 0, 1: e0 and e1 of every qubit
+    rates = model.confusion(n)[:, [1, 0], [0, 1]]
+    noisy = counts.counts.copy()
+    for q in range(n):
+        view = noisy.reshape(2**q, 2, -1)
+        flips = rng.binomial(view, rates[q][:, None])
+        view += flips[:, ::-1] - flips
+    return ShotCounts(n, counts.shots, noisy)
 
 
 def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:

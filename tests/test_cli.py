@@ -510,6 +510,22 @@ ERROR_CASES = {
                              1, "config error:", "--amplitudes: state not normalized"),
     "synth-state-file-not-normalized": (lambda tmp: ["synth", "--state-file", _config_file(tmp, [0.5, 0.5])],
                                         None, 1, "config error:", "--state-file: state not normalized"),
+    # JSON's NaN literal: every tolerance comparison with NaN is false
+    "synth-nan": (lambda tmp: ["synth", "--amplitudes", "[NaN, 1.0]"], None,
+                  1, "config error: --amplitudes:", "state amplitude 0 is not finite: (nan+0j)"),
+    "oracle-state-nan": (lambda tmp: ["oracle", "--channel", "bit_flip", "--param", "p=0.2",
+                                      "--state", '{"amplitudes": [NaN, 1.0]}'], None,
+                         1, "config error: initial_state.amplitudes:", "state amplitude 0 is not finite"),
+    "sweep-amplitudes-nan": (_sweep(initial_state={"amplitudes": [np.nan, 1.0]}), None,
+                             1, "config error: initial_state.amplitudes:", "state amplitude 0 is not finite"),
+    "sweep-bloch-nan": (_sweep(initial_state={"bloch": [np.nan, 0.0]}), None,
+                        1, "config error: initial_state.bloch:", "state amplitude 0 is not finite"),
+    "sweep-density-matrix-nan": (_sweep(initial_state={"density_matrix": [[0.5, np.nan], [np.nan, 0.5]]}),
+                                 None, 1, "config error: initial_state.density_matrix:",
+                                 "density matrix entry (0, 1) is not finite: (nan+0j)"),
+    "sweep-density-matrix-inf": (_sweep(initial_state={"density_matrix": [[1.0, np.inf], [np.inf, 0.0]]}),
+                                 None, 1, "config error: initial_state.density_matrix:",
+                                 "density matrix entry (0, 1) is not finite: (inf+0j)"),
     "synth-fidelity": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]"], 2.0,
                        2, "verification failure:", "synthesis fidelity"),
     "oracle-dimension": (lambda tmp: ["oracle", *QUTRIT, "--state", '{"bloch":[0.5,0]}'], None,

@@ -132,6 +132,16 @@ def test_pure_state_validation():
     PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
+def test_non_finite_entries_are_rejected():
+    # a NaN defect compares false with every tolerance, so each check would pass
+    with pytest.raises(ValueError, match=r"^state amplitude 1 is not finite: \(nan\+0j\)$"):
+        PureState(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match=r"^density matrix entry \(1, 0\) is not finite: \(nan\+nanj\)$"):
+        DensityMatrix(np.array([[0.5, 0.0], [complex(np.nan, np.nan), 0.5]]))
+    with pytest.raises(ValueError, match=r"^herm_eig input entry \(0, 0\) is not finite: \(inf\+0j\)$"):
+        herm_eig(np.diag([np.inf, 0.0]))
+
+
 def test_state_constructors():
     assert np.array_equal(basis_state(4, 2).amplitudes, np.array([0, 0, 1, 0], dtype=complex))
     u = uniform_state(3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from helpers import (
 )
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
-from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState
+from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
 from kraussim.qsp import Circuit, Gate, lower, synthesize
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
@@ -335,16 +337,70 @@ def test_per_qubit_error_tuples():
     assert abs(ones_on_q0 / 50_000 - 0.3) < 0.02
 
 
+# a 3-qubit input with a zero-count outcome, and per-qubit rates that
+# differ between e0 and e1 and from qubit to qubit
+RECORDED_COUNTS = {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30}
+RECORDED_MODEL = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
+
+
 def test_readout_noise_reproduces_recorded_histogram():
-    # recorded from the earlier per-outcome, per-shot implementation: the
-    # single (shots, qubits) draw consumes the stream in the same order
-    counts = shot_counts(3, 600, {"000": 250, "011": 0, "101": 200, "110": 120, "111": 30})
-    model = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
-    noisy = apply_readout_noise(counts, model, rng=derive_rng(2212, 13834, 1))
+    # recorded from the binomial thinning of the count vector: one draw
+    # per qubit, qubit 0 first, over that qubit's (2^q, 2, rest) view
+    counts = shot_counts(3, 600, RECORDED_COUNTS)
+    noisy = apply_readout_noise(counts, RECORDED_MODEL, rng=derive_rng(2212, 13834, 1))
     assert histogram(noisy) == {
-        "000": 181, "001": 29, "010": 66, "011": 13,
-        "100": 47, "101": 111, "110": 107, "111": 46,
+        "000": 178, "001": 31, "010": 58, "011": 15,
+        "100": 56, "101": 99, "110": 117, "111": 46,
     }
+
+
+def test_readout_noise_matches_the_exact_noisy_distribution():
+    # each shot of outcome i lands on j with probability T[j, i], T the
+    # Kronecker product of the per-qubit confusion matrices (qubit 0
+    # leftmost), so a noisy count has mean T @ c and variance
+    # (T * (1 - T)) @ c; a swapped e0/e1 or a reversed bit order moves
+    # the mean by many standard errors
+    counts = shot_counts(3, 600, RECORDED_COUNTS)
+    transfer = kron(*RECORDED_MODEL.confusion(3)).real
+    expected = transfer @ counts.counts
+    trials = 4000
+    noisy = np.array([
+        apply_readout_noise(counts, RECORDED_MODEL, rng=derive_rng(415, trial)).counts
+        for trial in range(trials)
+    ])
+    sigma = np.sqrt((transfer * (1.0 - transfer)) @ counts.counts / trials)
+    assert np.all(np.abs(noisy.mean(axis=0) - expected) <= 5.0 * sigma)
+    assert np.all(noisy.sum(axis=1) == counts.shots)
+
+
+def test_readout_noise_degenerate_rates():
+    counts = shot_counts(3, 600, RECORDED_COUNTS)
+    for model in (ReadoutModel(e0=0.0, e1=0.0), ReadoutModel(e0=(0.0,) * 3, e1=(0.0,) * 3)):
+        noisy = apply_readout_noise(counts, model, rng=derive_rng(416))
+        assert np.array_equal(noisy.counts, counts.counts)
+    # only bit 0 -> 1 on qubit 1 (at the cap 0.5) and bit 1 -> 0 on qubit 0
+    # flip: "000" and "110" feed "010", and no outcome feeds the others
+    counts = shot_counts(3, 700, {"000": 400, "110": 300})
+    model = ReadoutModel(e0=(0.0, 0.5, 0.0), e1=(0.3, 0.0, 0.0))
+    for trial in range(20):
+        noisy = apply_readout_noise(counts, model, rng=derive_rng(417, trial))
+        assert set(histogram(noisy)) <= {"000", "010", "110"}
+        assert noisy.shots == 700 and noisy.counts.sum() == 700
+
+
+def test_readout_noise_forms_no_per_shot_array():
+    # a (shots, qubits) uniform draw alone takes 32 MB at 10^6 shots
+    counts = ShotCounts(4, 10**6, np.full(16, 10**6 // 16))
+    model = ReadoutModel(e0=(0.02, 0.05, 0.1, 0.2), e1=0.03)
+    rng = derive_rng(418)
+    tracemalloc.start()
+    try:
+        noisy = apply_readout_noise(counts, model, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert noisy.shots == 10**6
+    assert peak < 2**20
 
 
 def test_branched_settings_equal_full_runs_bit_for_bit():
