@@ -79,8 +79,8 @@ and verify -> lower -> simulate and verify.  ``sweep`` and
 circuit has passed both fidelity checks.  Each circuit is simulated
 once.  Exact mode recovers the system state by partial trace of the
 synthesized circuit's verified statevector.  Sampled mode branches all
-3^n tomography settings from the lowered circuit's one simulation: each
-setting applies only its basis rotations to a copy of that state.  Its
+3^n tomography settings from the lowered circuit's one simulation as one
+batch (``run_branches``), row s bit for bit setting s's full run.  Its
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
 Each setting's shots are drawn as a dense count array over the system
@@ -130,7 +130,7 @@ from .numerics import (
     uniform_state,
 )
 from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, synthesize_real, verify_preparation
-from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, sample
+from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, run_branches, sample
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
 __all__ = [
@@ -488,22 +488,10 @@ def _prepared_parts(
         low = lower(circuit)
         # one simulation of the lowered gates; the global phase comes last,
         # so the verified state and every tomography setting branch from it
-        n = low.qubit_count
-        prefix = run(Circuit(n, low.gates))
-        low_state = run(Circuit(n, (), low.global_phase), prefix)
-        _require_fidelity("lowered", verify_preparation(low, embedded, low_state))
+        prefix = run(Circuit(low.qubit_count, low.gates))
+        [low_state] = run_branches(prefix, (), low.global_phase)
+        _require_fidelity("lowered", verify_preparation(low, embedded, PureState(low_state)))
         yield _Part(weight, dilated, circuit, state, low, prefix)
-
-
-def _setting_circuits(part: _Part) -> list[tuple[tuple[str, ...], Circuit]]:
-    """Each tomography setting with its circuit: the setting's basis
-    rotations, then the lowered circuit's global phase."""
-    low = part.lowered
-    plan = settings_for(part.dilated.embedding.qubit_counts[0])
-    return [
-        (setting, Circuit(low.qubit_count, rotations, low.global_phase))
-        for setting, rotations in zip(plan.settings, plan.rotations)
-    ]
 
 
 def _measure_exact(part: _Part) -> DensityMatrix:
@@ -518,11 +506,11 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     its one simulation.  The system qubits lead the register, so each
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
+    states = run_branches(part.prefix, settings_for(m).layers, part.lowered.global_phase)
+    marginals = (np.abs(states) ** 2).reshape(len(states), 2**m, -1).sum(axis=2)
     weights = []
-    for s_idx, (_, circuit) in enumerate(_setting_circuits(part)):
-        probs = np.abs(run(circuit, part.prefix).amplitudes) ** 2
-        counts = sample(probs.reshape(2**m, -1).sum(axis=1), cfg.shots,
-                        derive_rng(cfg.seed, *path, s_idx, 0))
+    for s_idx, probs in enumerate(marginals):
+        counts = sample(probs, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
         if cfg.readout is None:
             weights.append(counts.counts)
         else:
@@ -649,12 +637,12 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
         low = part.lowered
         files = [(f"{base}.qasm", low)]
         if args.tomography:
-            # the setting circuits the sweep branches from part.prefix,
-            # with the lowered gates in front
+            # the circuits whose states the sweep branches from part.prefix
+            plan = settings_for(part.dilated.embedding.qubit_counts[0])
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
-                 Circuit(low.qubit_count, low.gates + circuit.gates, circuit.global_phase))
-                for setting, circuit in _setting_circuits(part)
+                 Circuit(low.qubit_count, low.gates + rotations, low.global_phase))
+                for setting, rotations in zip(plan.settings, plan.rotations)
             ]
         for path, circuit in files:
             _write_text(path, qasm_export(circuit))

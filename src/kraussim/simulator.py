@@ -17,8 +17,9 @@ it replaces: what fixes an entry's rounding is which routine computes
 it (BLAS ``zgemm``, ``zgemv`` or numpy's own loop), and ``zgemm``
 computes every entry in the same way whatever the row count.  A
 ``(2^n, 1)`` batch is the exception, as its blocks were matrix-vector
-products.  The same gate loop acts on a batch of states, so
-:func:`circuit_unitary` runs it once over the identity's columns.
+products.  The same gate loop acts on a batch: :func:`circuit_unitary` runs it on the
+identity's columns, :func:`run_branches` on tomography's settings branched from one
+state, row s bit for bit setting s's full circuit.  :func:`run` starts from |0...0>.
 Qubit 0 is the most significant bit of basis labels, and the outcome
 indices of sampled counts follow the same convention.
 
@@ -30,7 +31,9 @@ are reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +44,7 @@ __all__ = [
     "ShotCounts",
     "ReadoutModel",
     "run",
+    "run_branches",
     "sample",
     "apply_readout_noise",
     "mitigate",
@@ -101,28 +105,46 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
         view[hi] *= gate.matrix()[1, 1]
 
 
-def run(circuit: Circuit, initial: PureState | None = None) -> PureState:
-    """Apply the circuit to |0...0>, or to ``initial``, and return the final state.
-
-    The global phase multiplies the state after the last gate.  So
-    ``run(Circuit(n, tail, phase), run(Circuit(n, prefix)))`` equals
-    ``run(Circuit(n, prefix + tail, phase))`` bit for bit, and circuits that
-    share a prefix can branch from one simulation of it.
-    """
+def run(circuit: Circuit) -> PureState:
+    """The state the circuit prepares from |0...0>, its global phase applied last."""
     n = circuit.qubit_count
     check_register(n, "simulator")
-    if initial is None:
-        state = np.zeros(2**n, dtype=np.complex128)
-        state[0] = 1.0
-    elif initial.dim != 2**n:
-        raise ValueError(f"initial state dimension {initial.dim} != 2^{n}")
-    else:
-        state = initial.amplitudes.copy()
+    state = np.zeros(2**n, dtype=np.complex128)
+    state[0] = 1.0
     for gate in circuit.gates:
         _apply_gate(state, gate, n)
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)
+
+
+def run_branches(prefix: PureState, layers: Sequence[Sequence[Sequence[Gate]]],
+                 global_phase: float) -> np.ndarray:
+    """The ``(k, 2**n)`` states of ``prefix`` through one gate list per layer, rows
+    in ``itertools.product(*layers)`` order, each layer acting on stacked copies of
+    one ``(2**n, k)`` batch, and the global phase last.  Without controlled gates,
+    row r is bit for bit ``run(Circuit(n, prefix_gates + chosen, global_phase))``
+    for ``prefix = run(Circuit(n, prefix_gates))``.  Rows are C-contiguous, so a
+    row sum adds as over one state.  Bad input fails before any gate."""
+    n = prefix.dim.bit_length() - 1
+    if n < 1 or prefix.dim != 2**n:
+        raise ValueError(f"branches: prefix dimension {prefix.dim} is not a power of two >= 2")
+    for q, alternatives in enumerate(layers):
+        for gate in itertools.chain.from_iterable(alternatives):
+            if not all(0 <= qubit < n for qubit in (gate.target, *dict(gate.controls))):
+                raise ValueError(
+                    f"branches: layer {q} gate {gate} acts outside the {n}-qubit prefix"
+                )
+    batch = prefix.amplitudes[:, None].copy()
+    for alternatives in layers:
+        branches = [batch.copy() if gates else batch for gates in alternatives]
+        for branch, gates in zip(branches, alternatives):
+            for gate in gates:
+                _apply_gate(branch, gate, n)
+        batch = np.stack(branches, axis=-1).reshape(2**n, -1)
+    if global_phase != 0.0:
+        batch *= np.exp(1j * global_phase)
+    return np.ascontiguousarray(batch.T)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -73,22 +73,21 @@ def basis_rotation(pauli: str, qubit: int) -> tuple[Gate, ...]:
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """All 3^m settings of the m system qubits, which lead the register;
-    ``rotations[s]`` is the pre-measurement gate list of ``settings[s]``."""
+    """All 3^m settings of the m system qubits, which lead the register; ``rotations[s]``
+    is ``settings[s]``'s gate list, qubit q's X, Y or Z rotation taken from ``layers[q]``."""
 
     settings: tuple[tuple[str, ...], ...]
     rotations: tuple[tuple[Gate, ...], ...]
+    layers: tuple[tuple[tuple[Gate, ...], ...], ...]
 
 
 def settings_for(m: int) -> TomographySettings:
     if m < 1:
         raise ValueError(f"tomography needs at least one system qubit, got {m}")
+    layers = tuple(tuple(basis_rotation(label, q) for label in "XYZ") for q in range(m))
     settings = tuple(itertools.product("XYZ", repeat=m))
-    rotations = tuple(
-        tuple(g for q, label in enumerate(setting) for g in basis_rotation(label, q))
-        for setting in settings
-    )
-    return TomographySettings(settings, rotations)
+    rotations = tuple(tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*layers))
+    return TomographySettings(settings, rotations, layers)
 
 
 def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -132,10 +132,18 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         apply_gate(state, gate, n)
 
     monkeypatch.setattr(simulator, "_apply_gate", counting)
-    # one system qubit: the X, Y and Z settings add 1 + 3 + 0 rotations
-    for mode, rotation_gates in (("exact", 0), ("sampled", 4)):
+    # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
+    # on the batch of settings: 4 per system qubit, where one run per
+    # setting applies 3^(m-1) * 4 per system qubit
+    point = {"parameter": "p", "grid": [0.3]}
+    qad = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
+           "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64}
+    for cfg, rotation_gates in (
+        (bpf_config(mode="exact", shots=64, sweep=point), 0),
+        (bpf_config(mode="sampled", shots=64, sweep=point), 4),
+        (qad, 8),  # 2 system qubits
+    ):
         applied.clear()
-        cfg = bpf_config(mode=mode, shots=64, sweep={"parameter": "p", "grid": [0.3]})
         [row] = run_experiment(parse_config(cfg))
         assert not row.error
         expected = row.synth_gate_count + row.lowered_gate_count + rotation_gates
@@ -665,14 +673,13 @@ def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
         assert len(list(tmp_path.glob(f"prep_point0_mix{k}*.qasm"))) == 1 + 3**2
         low = lower(synthesize(embed_qudits(dilated)))
         assert Path(f"{base}.qasm").read_text() == qasm_export(low)
-        n = low.qubit_count
-        prefix = simulator.run(Circuit(n, low.gates))
+        prefix = simulator.run(Circuit(low.qubit_count, low.gates))
         plan = settings_for(dilated.embedding.qubit_counts[0])
+        # the sweep's branched states, one row per setting
+        branched = simulator.run_branches(prefix, plan.layers, low.global_phase)
         for setting in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
-            # the sweep's branched state for this setting
-            rotations = plan.rotations[plan.settings.index(setting)]
-            branched = simulator.run(Circuit(n, rotations, low.global_phase), prefix)
+            row = branched[plan.settings.index(setting)]
             exported = simulator.run(qasm_parse(Path(f"{base}_setting{''.join(setting)}.qasm").read_text()))
             np.testing.assert_allclose(
-                np.abs(exported.amplitudes) ** 2, np.abs(branched.amplitudes) ** 2, rtol=0, atol=1e-12
+                np.abs(exported.amplitudes) ** 2, np.abs(row) ** 2, rtol=0, atol=1e-12
             )

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from kraussim.simulator import (
     derive_rng,
     mitigate,
     run,
+    run_branches,
     sample,
 )
 
@@ -189,13 +191,15 @@ def test_lowered_tomography_circuits_match_matmul_reference():
     assert low.qubit_count == 8
     assert np.array_equal(run(low).amplitudes, reference_run(low).amplitudes)
     prefix = reference_run(Circuit(8, low.gates))
-    for rotations in settings_for(4).rotations:
+    plan = settings_for(4)
+    branched = run_branches(prefix, plan.layers, low.global_phase)
+    assert branched.shape == (81, 256)
+    for row, rotations in zip(branched, plan.rotations):
         expected = prefix.amplitudes.copy()
         for g in rotations:
             reference_apply_gate(expected, g, 8)
         expected *= np.exp(1j * low.global_phase)
-        branched = run(Circuit(8, rotations, low.global_phase), prefix)
-        assert np.array_equal(branched.amplitudes, expected)
+        assert np.array_equal(row, expected)
 
 
 def test_anticontrolled_x_fires_on_zero():
@@ -403,25 +407,54 @@ def test_readout_noise_forms_no_per_shot_array():
     assert peak < 2**20
 
 
+def _prefix_gates(rng, n, kind):
+    """Rotations of every qubit, then a CX chain: Ry alone for a real state,
+    Ry and Rz for a complex one; in a sparse one the last qubit stays |0>,
+    so half the amplitudes are exact zeros."""
+    active = range(n - 1) if kind == "sparse" else range(n)
+    rotations = [
+        Gate(g, rng.uniform(-math.pi, math.pi), q)
+        for q in active
+        for g in (("ry",) if kind == "real" else ("ry", "rz"))
+    ]
+    chain = [Gate("x", 0.0, q + 1, ((q, 1),)) for q in active[:-1]]
+    return tuple(rotations + chain)
+
+
 def test_branched_settings_equal_full_runs_bit_for_bit():
+    # one state per register size; the kinds cycle with n and the phase
+    # alternates, so each kind meets a zero and a non-zero phase
     rng = np.random.default_rng(2212)
-    low = lower(synthesize(random_pure(rng, 16)))
-    assert low.global_phase != 0.0
-    n = low.qubit_count
-    prefix = run(Circuit(n, low.gates))
-    plan = settings_for(3)
-    for rotations in plan.rotations:
-        full = run(Circuit(n, low.gates + rotations, low.global_phase))
-        branched = run(Circuit(n, rotations, low.global_phase), prefix)
-        assert np.array_equal(branched.amplitudes, full.amplitudes)
-    assert np.array_equal(
-        run(Circuit(n, (), low.global_phase), prefix).amplitudes, run(low).amplitudes
-    )
+    for n in range(1, 11):
+        kind = ("complex", "real", "sparse")[(n - 1) % 3]
+        phase = rng.uniform(-math.pi, math.pi) if n % 2 else 0.0
+        gates = _prefix_gates(rng, n, kind)
+        prefix = run(Circuit(n, gates))
+        if kind == "sparse":
+            assert np.count_nonzero(prefix.amplitudes) == 2 ** (n - 1)
+        [row] = run_branches(prefix, (), phase)
+        assert row.tobytes() == run(Circuit(n, gates, phase)).amplitudes.tobytes()
+        full = {}  # a Z letter adds no gate, so settings of smaller m recur
+        for m in range(1, min(n, 6) + 1):
+            plan = settings_for(m)
+            rows = run_branches(prefix, plan.layers, phase)
+            assert rows.shape == (3**m, 2**n)
+            for row, rotations in zip(rows, plan.rotations):
+                if rotations not in full:
+                    full[rotations] = run(Circuit(n, gates + rotations, phase)).amplitudes.tobytes()
+                assert row.tobytes() == full[rotations], (n, kind, m, rotations)
 
 
-def test_run_rejects_initial_state_of_wrong_size():
-    with pytest.raises(ValueError, match="initial state dimension 8"):
-        run(Circuit(2, ()), PureState(np.full(8, 8**-0.5)))
+def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
+    applied = []
+    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    with pytest.raises(ValueError, match="branches: prefix dimension 3 is not a power of two"):
+        run_branches(PureState(np.full(3, 3**-0.5)), settings_for(1).layers, 0.0)
+    # layer 0 is valid, so a check made layer by layer would apply its gates first
+    prefix = PureState(np.full(4, 0.5))
+    with pytest.raises(ValueError, match=r"branches: layer 1 gate .* outside the 2-qubit prefix"):
+        run_branches(prefix, settings_for(3).layers[:1] + settings_for(3).layers[2:], 0.0)
+    assert applied == []
 
 
 def test_register_limit_is_checked_before_the_first_gate(monkeypatch):
