@@ -613,10 +613,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError("provide --amplitudes or --state-file")
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries)
     circuit = _field("synthesis", synthesize_real if args.real else synthesize, target)
-    _require_fidelity("synthesis", verify_preparation(circuit, target))
+    _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
     if args.lower:
         circuit = lower(circuit)
-        _require_fidelity("lowered", verify_preparation(circuit, target))
+        _require_fidelity("lowered", verify_preparation(circuit, target, run(circuit)))
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0
 

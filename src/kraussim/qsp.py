@@ -386,19 +386,10 @@ def lower(circuit: Circuit) -> Circuit:
     return Circuit(n, tuple(out), global_phase)
 
 
-def verify_preparation(
-    circuit: Circuit, target: PureState, prepared: PureState | None = None
-) -> float:
-    """Fidelity |<target| circuit |0...0>|^2.
-
-    ``prepared`` is the circuit's output state when the caller has already
-    simulated it; otherwise the circuit is run here.
-    """
-    if prepared is None:
-        from .simulator import run  # deferred: simulator imports this module
-
-        prepared = run(circuit)
-    if prepared.dim != target.dim:
+def verify_preparation(circuit: Circuit, target: PureState, prepared: PureState) -> float:
+    """Fidelity |<target| circuit |0...0>|^2, where ``prepared`` is the state
+    the caller simulated the circuit to."""
+    if not target.dim == prepared.dim == 2**circuit.qubit_count:
         raise ValueError("target dimension does not match circuit register")
     return float(abs(np.vdot(target.amplitudes, prepared.amplitudes)) ** 2)
 

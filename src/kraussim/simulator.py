@@ -3,13 +3,13 @@
 Gates are applied in place on a reshaped view of the amplitude array;
 no 2^n x 2^n gate matrix is ever formed.  A gate without controls acts
 on the ``(2^t, 2, rest)`` view, t its target: X swaps its ``[:, 0]``
-and ``[:, 1]`` slices, Rz multiplies each by its diagonal entry, Phase
-multiplies only ``[:, 1]``, and Ry copies the amplitude pairs into one
-contiguous ``(rows, 2)`` block and multiplies it by the transposed 2x2
-in one BLAS call.  A controlled gate acts on the ``(2,) * n`` view: X
-(CX among them) swaps, and Rz and Phase scale, the two target slices
-that the control bits select, and Ry is a 2x2 matrix product along the
-target axis of that slice.  The swaps and scalings use the entries of
+and ``[:, 1]`` slices, Rz multiplies each by its diagonal entry, and
+Phase multiplies only ``[:, 1]``.  A controlled gate acts on the
+``(2,) * n`` view: X (CX among them) swaps, and Rz and Phase scale, the
+two target slices that the control bits select.  Ry, with or without
+controls, copies the amplitude pairs of its slice into one contiguous
+``(rows, 2)`` block and multiplies it by the transposed 2x2 in one BLAS
+call.  The swaps and scalings use the entries of
 :meth:`Gate.matrix`; the matrix product they replace adds only terms
 multiplied by zero, so the amplitudes are the same up to the sign of a
 zero.  The one-call Ry keeps the bits of the per-block matrix products
@@ -68,31 +68,29 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
 
     A gate without controls acts on the ``(2**t, 2, rest)`` view of the
     array, t its target: X swaps ``[:, 0]`` and ``[:, 1]``, Rz scales both
-    by its diagonal entries, Phase scales ``[:, 1]``, and Ry copies the
-    amplitude pairs into one contiguous ``(rows, 2)`` block, multiplies it
-    by the transposed 2x2 in one BLAS ``zgemm`` call and writes the result
-    back.  ``zgemm`` rounds each entry as it did in the per-block products
-    of the ``(2,) * n`` view, so the bits do not move.  A controlled gate
-    acts on that ``(2,) * n`` view through :meth:`Gate.index`, with Ry as a
-    matrix product along the target axis of the control-selected slice.
+    by its diagonal entries and Phase scales ``[:, 1]``.  A controlled gate
+    acts on the ``(2,) * n`` view through :meth:`Gate.index`.  Ry copies the
+    amplitude pairs, the target axis of its slice last, into one contiguous
+    ``(rows, 2)`` block, multiplies it by the transposed 2x2 in one BLAS
+    ``zgemm`` call and writes the result back.  ``zgemm`` rounds each entry
+    as it did in the per-block products of the ``(2,) * n`` view, so the
+    bits do not move.
     """
+    if gate.kind == "ry":
+        if gate.controls:
+            # integer indexing collapses the control axes; recompute target position
+            axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+            pairs = np.moveaxis(amps.reshape((2,) * n + amps.shape[1:])[gate.index(n)], axis, -1)
+        else:
+            pairs = amps.reshape(2**gate.target, 2, -1).transpose(0, 2, 1)
+        pairs[...] = (pairs.reshape(-1, 2) @ gate.matrix().T).reshape(pairs.shape)
+        return
     if gate.controls:
         view = amps.reshape((2,) * n + amps.shape[1:])
         lo, hi = gate.index(n, 0), gate.index(n, 1)
-        if gate.kind == "ry":
-            sub = view[gate.index(n)]
-            # integer indexing collapsed the control axes; recompute target position
-            axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
-            sub = np.moveaxis(sub, axis, -1)
-            sub[...] = sub @ gate.matrix().T
-            return
     else:
         view = amps.reshape(2**gate.target, 2, -1)
         lo, hi = (slice(None), 0), (slice(None), 1)
-        if gate.kind == "ry":
-            pairs = view.transpose(0, 2, 1)
-            pairs[...] = (pairs.reshape(-1, 2) @ gate.matrix().T).reshape(pairs.shape)
-            return
     if gate.kind == "x":
         low = view[lo].copy()
         view[lo] = view[hi]

@@ -13,7 +13,10 @@ divided by its own total.  Pauli expectations and their standard errors
 are vectors over the 4^n Pauli strings in ``itertools.product("IXYZ")``
 order, the first letter acting on the first qubit.  Only these n system
 qubits are measured: a caller whose register holds more qubits sums each
-setting's outcome probabilities over them before drawing shots.
+setting's outcome probabilities over them before drawing shots.  The
+strings of one parity mask are averaged in one pass, 2^n - 1 in all: the
+settings' estimates on it, masked positions first, are a table of strings
+by the settings that measure them.
 
 Each Pauli string is a signed permutation of the basis states, so linear
 inversion, ``rho = sum_P <P> P / 2^n``, sums 2^n strings per entry and
@@ -49,11 +52,10 @@ __all__ = [
 ]
 
 # Letters I, X, Y, Z as signed permutations of one qubit: X-flip bit,
-# non-identity bit, entries on |0> and |1> (Y = iXZ), settings X/Y/Z measuring it.
+# non-identity bit, entries on |0> and |1> (Y = iXZ).
 _FLIP = np.array([0, 1, 1, 0])
 _ACTIVE = np.array([0, 1, 1, 1])
 _ENTRIES = np.array([[1, 1], [1, 1], [1j, -1j], [1, -1]])
-_MEASURED = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
 
 
 def basis_rotation(pauli: str, qubit: int) -> tuple[Gate, ...]:
@@ -90,19 +92,25 @@ def settings_for(m: int) -> TomographySettings:
     return TomographySettings(settings, rotations, layers)
 
 
-def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(flips, masks, entries, compatible)``: string k maps |b> to
-    ``entries[k, b] |b ^ flips[k]>``, acts on the positions in ``masks[k]``
-    (bit n-1-i for position i), and the settings in ``compatible[k]`` measure it."""
+def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flips, masks, entries)``: string k maps |b> to ``entries[k, b] |b ^ flips[k]>``
+    and acts on the positions in ``masks[k]`` (bit n-1-i for position i)."""
     flips = masks = np.zeros(1, dtype=np.int64)
     entries = np.ones((1, 1), dtype=np.complex128)
-    compatible = np.ones((1, 1), dtype=bool)
     for _ in range(n):  # each string gains a last letter, as a Kronecker factor
         flips = (2 * flips[:, None] + _FLIP).ravel()
         masks = (2 * masks[:, None] + _ACTIVE).ravel()
         entries = (entries[:, None, :, None] * _ENTRIES[:, None, :]).reshape(flips.size, -1)
-        compatible = (compatible[:, None, :, None] & _MEASURED[:, None, :]).reshape(flips.size, -1)
-    return flips, masks, entries, compatible
+    return flips, masks, entries
+
+
+def _by_string(column: np.ndarray, mask: int, n: int) -> np.ndarray:
+    """A per-setting column as a C-contiguous table: row r is the r-th string on ``mask``,
+    over its compatible settings in ascending order.  A row reduction adds as over those
+    settings gathered in one vector; a strided view from ``reshape`` would not."""
+    active = [i for i in range(n) if mask >> (n - 1 - i) & 1]
+    tensor = np.moveaxis(column.reshape((3,) * n), active, range(len(active)))
+    return np.ascontiguousarray(tensor).reshape(3 ** len(active), -1)
 
 
 def expectations(
@@ -116,7 +124,8 @@ def expectations(
     returns.  Each row is divided by its total, summed in ascending
     outcome order.  A Pauli string's value is the parity expectation of
     its non-identity positions, averaged over every setting compatible
-    with those positions; identity positions are marginalized.  Entry k
+    with those positions, one row reduction per mask; identity positions
+    are marginalized.  Entry k
     of ``values`` and ``errors`` belongs to the k-th string of
     ``itertools.product("IXYZ", repeat=n)``; the all-identity string has
     value 1 and error 0.  ``shots`` is one positive total for every
@@ -152,7 +161,7 @@ def expectations(
             raise ValueError(f"shots: total {shots.min():g} is not positive")
         shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
-    flips, masks, entries, compatible = _pauli_strings(n)
+    flips, masks, entries = _pauli_strings(n)
 
     # estimates[s, mask]: setting s's parity expectation over the positions
     # in ``mask``, signed by the I/Z strings (no flips, in mask order).  Each
@@ -164,12 +173,13 @@ def expectations(
 
     values = np.ones(4**n)
     errors = None if shots is None else np.zeros(4**n)
-    for k in np.flatnonzero(masks):  # the identity string keeps value 1, error 0
-        settings = np.flatnonzero(compatible[k])
-        values[k] = np.mean(estimates[settings, masks[k]])
+    for mask in range(1, 2**n):  # the identity string keeps value 1, error 0
+        strings = np.flatnonzero(masks == mask)
+        values[strings] = _by_string(estimates[:, mask], mask, n).mean(axis=1)
         if errors is not None:
-            variances = spread[settings, masks[k]] / shots[settings]
-            errors[k] = math.sqrt(sum(variances.tolist())) / settings.size
+            # cumsum adds in sequence, not pairwise, which fixes each error's rounding
+            variances = _by_string(spread[:, mask] / shots, mask, n)
+            errors[strings] = np.sqrt(np.cumsum(variances, axis=1)[:, -1]) / variances.shape[1]
     return values, errors
 
 
@@ -179,7 +189,7 @@ def exact_expectations(rho: DensityMatrix) -> np.ndarray:
     n = rho.dim.bit_length() - 1
     if 2**n != rho.dim:
         raise ValueError("density matrix is not over a qubit register")
-    flips, _, entries, _ = _pauli_strings(n)
+    flips, _, entries = _pauli_strings(n)
     b = np.arange(2**n)
     # Tr(rho P) = sum_b rho[b, b ^ x] P[b ^ x, b]
     return (rho.matrix[b, b ^ flips[:, None]] * entries).sum(axis=1).real.copy()
@@ -227,7 +237,7 @@ def reconstruct(values: np.ndarray) -> TomographyResult:
     if not finite.all():
         name = list(itertools.product("IXYZ", repeat=n))[np.argmin(finite)]
         raise ValueError(f"expectation of {''.join(name)} is not finite")
-    flips, _, entries, _ = _pauli_strings(n)
+    flips, _, entries = _pauli_strings(n)
     # Entry (b ^ x, b) sums the 2^n strings of X-mask x, grouped in string
     # order by a stable sort.  A sequential sum (cumsum, not pairwise) added
     # to zero rounds, signed zeros too, as adding one matrix per string does.

@@ -275,6 +275,34 @@ def reference_expectations(per_setting, shots_per_setting=None):
     return values, errors
 
 
+def reference_expectations_by_string(weights, shots=None):
+    """``expectations`` one Pauli string at a time: each string's value is
+    ``np.mean`` of its compatible settings' estimates gathered into one
+    vector, and its error a Python ``sum`` of their variances."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[1].bit_length() - 1
+    weights = weights / np.cumsum(weights, axis=1)[:, -1:]
+    shots = None if shots is None else np.broadcast_to(np.asarray(shots, np.float64), 3**n)
+    # letter codes X, Y, Z = 1, 2, 3 of every setting, and the bits of every outcome
+    settings = np.array(list(itertools.product((1, 2, 3), repeat=n)))
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    values, errors = np.ones(4**n), np.zeros(4**n)
+    for k, letters in enumerate(itertools.product(range(4), repeat=n)):
+        active = [i for i, c in enumerate(letters) if c]
+        if not active:
+            continue
+        wanted = np.array(letters)[active]
+        compatible = np.flatnonzero((settings[:, active] == wanted).all(axis=1))
+        signs = 1.0 - 2.0 * (bits[:, active].sum(axis=1) % 2)
+        # each estimate a sequential sum in ascending outcome order
+        estimates = np.cumsum(weights[compatible] * signs, axis=1)[:, -1]
+        values[k] = np.mean(estimates)
+        if shots is not None:
+            variances = np.maximum(0.0, 1.0 - estimates * estimates) / shots[compatible]
+            errors[k] = math.sqrt(sum(variances.tolist())) / compatible.size
+    return values, None if shots is None else errors
+
+
 def reference_reconstruct_raw(values):
     """Linear-inversion matrix summed one Kronecker-product string at a time."""
     n = len(next(iter(values)))

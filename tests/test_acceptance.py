@@ -206,8 +206,9 @@ def test_criterion_08_preparation_round_trip():
         for _ in range(100):
             target = random_pure(rng, 2**n)
             circuit = synthesize(target)
-            f_high = verify_preparation(circuit, target)
-            f_low = verify_preparation(lower(circuit), target)
+            low = lower(circuit)
+            f_high = verify_preparation(circuit, target, run(circuit))
+            f_low = verify_preparation(low, target, run(low))
             worst = min(worst, f_high, f_low)
             assert f_high >= 1 - 1e-10 and f_low >= 1 - 1e-10, n
     elapsed = time.perf_counter() - start

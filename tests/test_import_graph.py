@@ -13,7 +13,7 @@ INTENDED = {
     "numerics": (set(), set()),
     "channels": ({"numerics"}, set()),
     "dilation": ({"channels", "numerics"}, set()),
-    "qsp": ({"numerics"}, {"simulator"}),  # verify_preparation runs the circuit
+    "qsp": ({"numerics"}, set()),
     "simulator": ({"numerics", "qsp"}, set()),
     "tomography": ({"numerics", "qsp"}, set()),
 }

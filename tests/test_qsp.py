@@ -33,7 +33,9 @@ def test_one_qubit_real_state_single_rotation():
 def test_basis_state_needs_no_gates():
     circuit = synthesize(basis_state(8, 0))
     assert circuit.gates == ()
-    assert verify_preparation(circuit, basis_state(8, 0)) > 1 - 1e-12
+    assert verify_preparation(circuit, basis_state(8, 0), run(circuit)) > 1 - 1e-12
+    with pytest.raises(ValueError, match="target dimension does not match circuit register"):
+        verify_preparation(circuit, basis_state(4, 0), basis_state(4, 0))
 
 
 def test_zero_subtree_is_pruned():
@@ -45,16 +47,16 @@ def test_zero_subtree_is_pruned():
         ("ry", 0, ()),
         ("ry", 1, ((0, 1),)),
     ]
-    assert verify_preparation(circuit, target) > 1 - 1e-12
+    assert verify_preparation(circuit, target, run(circuit)) > 1 - 1e-12
 
 
 def test_bell_style_state_two_gates():
     target = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
     circuit = synthesize(target)
     assert len(circuit.gates) == 2
-    assert verify_preparation(circuit, target) > 1 - 1e-12
+    assert verify_preparation(circuit, target, run(circuit)) > 1 - 1e-12
     lowered = lower(circuit)
-    assert verify_preparation(lowered, target) > 1 - 1e-12
+    assert verify_preparation(lowered, target, run(lowered)) > 1 - 1e-12
 
 
 def test_round_trip_random_complex_states():
@@ -63,8 +65,9 @@ def test_round_trip_random_complex_states():
         for _ in range(10):
             target = random_pure(rng, 2**n)
             circuit = synthesize(target)
-            assert verify_preparation(circuit, target) >= 1 - 1e-10
-            assert verify_preparation(lower(circuit), target) >= 1 - 1e-10
+            low = lower(circuit)
+            assert verify_preparation(circuit, target, run(circuit)) >= 1 - 1e-10
+            assert verify_preparation(low, target, run(low)) >= 1 - 1e-10
 
 
 def test_lowering_preserves_full_unitary():
@@ -101,8 +104,8 @@ def test_sparse_and_near_zero_states_round_trip(n, seed, real, zero_share, tiny_
     for synth in (synthesize, synthesize_real) if real else (synthesize,):
         circuit = synth(target)
         lowered = lower(circuit)
-        assert verify_preparation(circuit, target) >= 1 - 1e-10
-        assert verify_preparation(lowered, target) >= 1 - 1e-10
+        assert verify_preparation(circuit, target, run(circuit)) >= 1 - 1e-10
+        assert verify_preparation(lowered, target, run(lowered)) >= 1 - 1e-10
         if n <= 4:
             assert np.abs(circuit_unitary(circuit) - circuit_unitary(lowered)).max() < 1e-9
 
@@ -143,7 +146,7 @@ def test_real_state_lowered_gate_budget():
     counts = gate_counts(lowered)
     assert counts["ry"] == 7 and counts["cx"] == 6 and counts["total"] == 13
     assert all(len(g.controls) <= 1 for g in lowered.gates)
-    assert verify_preparation(lowered, target) >= 1 - 1e-10
+    assert verify_preparation(lowered, target, run(lowered)) >= 1 - 1e-10
 
 
 def test_lower_keeps_elementary_gates_untouched():
@@ -225,7 +228,7 @@ def test_qasm_round_trip():
     parsed = qasm_parse(text)
     assert parsed.qubit_count == lowered.qubit_count
     assert parsed.gates == lowered.gates
-    assert verify_preparation(parsed, target) >= 1 - 1e-10
+    assert verify_preparation(parsed, target, run(parsed)) >= 1 - 1e-10
 
 
 def test_qasm_angles_keep_full_precision():

@@ -159,14 +159,16 @@ def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
         assert np.array_equal(run(c).amplitudes, reference_run(c).amplitudes)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
-    rng = np.random.default_rng(450 + n)
-    angles = (np.pi / 2, -np.pi / 2, np.pi, 0.0)  # the settings' rotations among them
-    gates = [
-        Gate(kind, float(rng.choice([rng.uniform(-np.pi, np.pi), *angles])), int(rng.integers(n)))
-        for kind in rng.permutation(["x", "ry", "rz", "phase"] * 3)
-    ]
+ANGLES = (np.pi / 2, -np.pi / 2, np.pi, 0.0)  # the settings' rotations among them
+
+
+def random_angle(rng):
+    return float(rng.choice([rng.uniform(-np.pi, np.pi), *ANGLES]))
+
+
+def assert_kernels_match_slice_reference(rng, n, gates):
+    """``_apply_gate`` and ``reference_apply_gate`` give the same bytes for every
+    gate, on a state and on batches of 2, 3 and 2^n columns."""
     # a (2^n, 1) batch is left out: its reference matmul is a matrix-vector
     # product per block, which may round differently from one matrix product
     for shape in ((2**n,), (2**n, 2), (2**n, 3), (2**n, 2**n)):
@@ -180,6 +182,26 @@ def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
             reference_apply_gate(expected, g, n)
             simulator._apply_gate(amps, g, n)
             assert amps.tobytes() == expected.tobytes(), (g, shape)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
+    rng = np.random.default_rng(450 + n)
+    kinds = rng.permutation(["x", "ry", "rz", "phase"] * 3)
+    gates = [Gate(kind, random_angle(rng), int(rng.integers(n))) for kind in kinds]
+    assert_kernels_match_slice_reference(rng, n, gates)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_controlled_kernels_match_slice_reference_bit_for_bit(n):
+    rng = np.random.default_rng(460 + n)
+    gates = []
+    for kind in rng.permutation(["x", "ry", "rz", "phase"] * 4):
+        target, *others = rng.permutation(n).tolist()
+        # one to all other qubits, on either side of the target, either activation bit
+        controls = tuple((q, int(rng.integers(2))) for q in others[: rng.integers(1, n)])
+        gates.append(Gate(str(kind), random_angle(rng), target, controls))
+    assert_kernels_match_slice_reference(rng, n, gates)
 
 
 def test_lowered_tomography_circuits_match_matmul_reference():

@@ -11,6 +11,7 @@ from helpers import (
     random_density,
     random_pure,
     reference_expectations,
+    reference_expectations_by_string,
     reference_mitigate,
     reference_reconstruct_raw,
 )
@@ -144,6 +145,23 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
     assert errors.tolist() == list(ref_errors.values())
     raw = reconstruct(values).raw
     assert raw.tobytes() == reference_reconstruct_raw(ref_values).tobytes()
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_expectations_match_per_string_loop_bit_for_bit(m):
+    # rows of 81 and 243 settings per string at m = 5 and 6, past the pairwise
+    # summation block, so only a row reduction in the loop's order passes
+    rng = np.random.default_rng(515 + m)
+    shots = rng.integers(1, 4 * 2**m, 3**m)
+    counts = np.stack([rng.multinomial(s, rng.dirichlet(np.full(2**m, 0.3))) for s in shots])
+    frequencies = rng.dirichlet(np.full(2**m, 0.5), size=3**m)
+    frequencies[rng.random(frequencies.shape) < 0.3] = 0.0
+    for weights in (counts, frequencies):
+        for given in (None, 4096, shots):
+            values, errors = expectations(weights, shots=given)
+            ref_values, ref_errors = reference_expectations_by_string(weights, given)
+            assert values.tobytes() == ref_values.tobytes()
+            assert errors is None if given is None else errors.tobytes() == ref_errors.tobytes()
 
 
 def test_system_marginal_orders_the_system_qubits():
