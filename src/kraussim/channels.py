@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import VALIDATION_TOL, DensityMatrix, MAX_DIM
+from .numerics import VALIDATION_TOL, DensityMatrix, MAX_DIM, _check_finite
 
 __all__ = [
     "KrausChannel",
@@ -62,10 +62,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 class KrausChannel:
     """An operator-sum channel.
 
-    Construction checks shapes only (at least one operator, all square and
-    of equal dimension); trace preservation is checked separately by
-    :func:`validate_cptp` so that deliberately broken operator lists can
-    still be represented and reported on.
+    Construction checks shapes (at least one operator, all square and of
+    equal dimension) and that every entry is finite; trace preservation is
+    checked separately by :func:`validate_cptp` so that deliberately broken
+    operator lists can still be represented and reported on.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -77,10 +77,11 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         ops = []
         dim = None
-        for op in self.kraus_ops:
+        for k, op in enumerate(self.kraus_ops):
             arr = np.array(op, dtype=np.complex128, order="C")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"Kraus operator has non-square shape {arr.shape}")
+            _check_finite(arr, f"Kraus operator {k} entry")
             if dim is None:
                 dim = arr.shape[0]
             elif arr.shape[0] != dim:

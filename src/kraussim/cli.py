@@ -16,7 +16,8 @@ outside ``validate``; a ``validate --tol`` that is negative or not
 finite; a channel parameter the constructor does not take; a bad
 readout model (a rate that is a string, a boolean or outside [0, 0.5]), one given in
 exact mode, or one whose per-qubit lists do not cover the system
-qubits; a negative seed), one ``config error: ...`` line on
+qubits; a negative seed; a NaN or infinite sweep grid entry, start or
+stop, or Kraus operator entry), one ``config error: ...`` line on
 stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
 completeness residual above tolerance (``FAIL``); for ``sweep``, a
 failed point (fidelity below the floor, register over the limit), whose
@@ -64,7 +65,7 @@ per-qubit tuple covers the system qubits, the only ones measured, and
 is checked against their count before any circuit is built.
 ``seed`` must be >= 0.
 
-The sweep grid must be nonempty and monotone.  Integer fields (``shots``,
+The sweep grid must be nonempty, finite and monotone.  Integer fields (``shots``,
 ``seed``, ``mixed_method``, ``sweep.points``, the catalog ``d``) take
 integral numbers: ``7.0`` reads as 7, while ``2.9`` or ``true`` is a
 configuration error.  CSV columns are fixed:
@@ -78,9 +79,9 @@ and verify -> lower -> simulate and verify.  ``sweep`` and
 ``export-qasm`` share this path (``_prepared_parts``), so an exported
 circuit has passed both fidelity checks.  Each circuit is simulated
 once.  Exact mode recovers the system state by partial trace of the
-synthesized circuit's verified statevector.  Sampled mode branches all
-3^n tomography settings from the lowered circuit's one simulation as one
-batch (``run_branches``), row s bit for bit setting s's full run.  Its
+synthesized circuit's verified statevector.  Sampled mode simulates the
+lowered circuit and all 3^m settings of its m system qubits in one
+``run_branches`` call, row s bit for bit setting s's full run.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
 Each setting's shots are drawn as a dense count array over the system
@@ -243,6 +244,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite(value) -> float:
+    """``value`` as a float; NaN or an infinity is rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
 def _read_json_file(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -341,13 +350,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     if "grid" in sweep:
         if not isinstance(sweep["grid"], (list, tuple)):
             raise ConfigError("sweep.grid must be a list of values")
-        grid = _field("sweep.grid", lambda g: tuple(float(v) for v in g), sweep["grid"])
+        grid = tuple(_field(f"sweep.grid entry {i}", _finite, v) for i, v in enumerate(sweep["grid"]))
     elif {"start", "stop", "points"} <= set(sweep):
         points = _field("sweep.points", _integer, sweep["points"])
         if points < 1:
             raise ConfigError("sweep.points must be >= 1")
-        start = _field("sweep.start", float, sweep["start"])
-        stop = _field("sweep.stop", float, sweep["stop"])
+        start = _field("sweep.start", _finite, sweep["start"])
+        stop = _field("sweep.stop", _finite, sweep["stop"])
         grid = tuple(np.linspace(start, stop, points))
     else:
         raise ConfigError('sweep needs "grid" or start/stop/points')
@@ -459,7 +468,7 @@ class _Part(NamedTuple):
     circuit: Circuit  # synthesized
     state: PureState  # the synthesized circuit's verified statevector
     lowered: Circuit
-    prefix: PureState  # the lowered gates' state, before the global phase
+    branches: np.ndarray  # the lowered state, or in sampled mode one row per tomography setting
 
 
 def _prepared_parts(
@@ -479,19 +488,19 @@ def _prepared_parts(
     else:
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
+        m = dilated.embedding.qubit_counts[0]
         if cfg.readout is not None:
-            _field("readout", cfg.readout.confusion, dilated.embedding.qubit_counts[0])
+            _field("readout", cfg.readout.confusion, m)
         embedded = embed_qudits(dilated)
         circuit = synthesize(embedded)
         state = run(circuit)
         _require_fidelity("synthesis", verify_preparation(circuit, embedded, state))
         low = lower(circuit)
-        # one simulation of the lowered gates; the global phase comes last,
-        # so the verified state and every tomography setting branch from it
-        prefix = run(Circuit(low.qubit_count, low.gates))
-        [low_state] = run_branches(prefix, (), low.global_phase)
-        _require_fidelity("lowered", verify_preparation(low, embedded, PureState(low_state)))
-        yield _Part(weight, dilated, circuit, state, low, prefix)
+        # in sampled mode one row per setting; the all-Z one rotates nothing
+        # and comes last, so the last row is the lowered state either way
+        branches = run_branches(low, settings_for(m).layers if cfg.mode == "sampled" else ())
+        _require_fidelity("lowered", verify_preparation(low, embedded, PureState(branches[-1])))
+        yield _Part(weight, dilated, circuit, state, low, branches)
 
 
 def _measure_exact(part: _Part) -> DensityMatrix:
@@ -502,12 +511,11 @@ def _measure_exact(part: _Part) -> DensityMatrix:
 
 
 def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
-    """Tomography of the lowered preparation's system qubits, branched from
-    its one simulation.  The system qubits lead the register, so each
+    """Tomography of the lowered preparation's system qubits from its one
+    state per setting.  The system qubits lead the register, so each
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
-    states = run_branches(part.prefix, settings_for(m).layers, part.lowered.global_phase)
-    marginals = (np.abs(states) ** 2).reshape(len(states), 2**m, -1).sum(axis=2)
+    marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
     weights = []
     for s_idx, probs in enumerate(marginals):
         counts = sample(probs, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
@@ -637,7 +645,7 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
         low = part.lowered
         files = [(f"{base}.qasm", low)]
         if args.tomography:
-            # the circuits whose states the sweep branches from part.prefix
+            # the circuits whose states the sweep branches in one run_branches call
             plan = settings_for(part.dilated.embedding.qubit_counts[0])
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
@@ -697,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-qasm", help="export a sweep point as OpenQASM 2.0")
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--point", type=int, default=0, help="grid point index")
-    p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--out", required=True, help="output path stem")
     p.add_argument(
         "--tomography",
         action="store_true",

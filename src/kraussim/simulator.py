@@ -18,8 +18,9 @@ it (BLAS ``zgemm``, ``zgemv`` or numpy's own loop), and ``zgemm``
 computes every entry in the same way whatever the row count.  A
 ``(2^n, 1)`` batch is the exception, as its blocks were matrix-vector
 products.  The same gate loop acts on a batch: :func:`circuit_unitary` runs it on the
-identity's columns, :func:`run_branches` on tomography's settings branched from one
-state, row s bit for bit setting s's full circuit.  :func:`run` starts from |0...0>.
+identity's columns, :func:`run_branches` on tomography's settings after one :func:`run`
+of a circuit's gates, the global phase last, row s bit for bit setting s's full
+circuit.  :func:`run` starts from |0...0>.
 Qubit 0 is the most significant bit of basis labels, and the outcome
 indices of sampled counts follow the same convention.
 
@@ -31,6 +32,7 @@ are reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -116,32 +118,29 @@ def run(circuit: Circuit) -> PureState:
     return PureState(state)
 
 
-def run_branches(prefix: PureState, layers: Sequence[Sequence[Sequence[Gate]]],
-                 global_phase: float) -> np.ndarray:
-    """The ``(k, 2**n)`` states of ``prefix`` through one gate list per layer, rows
-    in ``itertools.product(*layers)`` order, each layer acting on stacked copies of
-    one ``(2**n, k)`` batch, and the global phase last.  Without controlled gates,
-    row r is bit for bit ``run(Circuit(n, prefix_gates + chosen, global_phase))``
-    for ``prefix = run(Circuit(n, prefix_gates))``.  Rows are C-contiguous, so a
-    row sum adds as over one state.  Bad input fails before any gate."""
-    n = prefix.dim.bit_length() - 1
-    if n < 1 or prefix.dim != 2**n:
-        raise ValueError(f"branches: prefix dimension {prefix.dim} is not a power of two >= 2")
+def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
+    """The ``(k, 2**n)`` states of ``circuit`` then one gate list per layer, rows in
+    ``itertools.product(*layers)`` order: the circuit's gates run once through :func:`run`,
+    each layer acts on stacked copies of one ``(2**n, k)`` batch, and the global phase
+    comes last.  Without controlled layer gates, row r is bit for bit
+    ``run(Circuit(n, circuit.gates + chosen, circuit.global_phase))``.  Rows are
+    C-contiguous, so a row sum adds as over one state.  Bad input fails before any gate."""
+    n = circuit.qubit_count
     for q, alternatives in enumerate(layers):
         for gate in itertools.chain.from_iterable(alternatives):
             if not all(0 <= qubit < n for qubit in (gate.target, *dict(gate.controls))):
                 raise ValueError(
-                    f"branches: layer {q} gate {gate} acts outside the {n}-qubit prefix"
+                    f"branches: layer {q} gate {gate} acts outside the {n}-qubit circuit"
                 )
-    batch = prefix.amplitudes[:, None].copy()
+    batch = run(Circuit(n, circuit.gates)).amplitudes[:, None].copy()
     for alternatives in layers:
         branches = [batch.copy() if gates else batch for gates in alternatives]
         for branch, gates in zip(branches, alternatives):
             for gate in gates:
                 _apply_gate(branch, gate, n)
         batch = np.stack(branches, axis=-1).reshape(2**n, -1)
-    if global_phase != 0.0:
-        batch *= np.exp(1j * global_phase)
+    if circuit.global_phase != 0.0:
+        batch *= np.exp(1j * circuit.global_phase)
     return np.ascontiguousarray(batch.T)
 
 
@@ -266,6 +265,16 @@ class ReadoutModel:
         return np.stack([[1.0 - e0, e1], [e0, 1.0 - e1]]).transpose(2, 0, 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``model.confusion(qubit_count)`` and its batched inverse, read-only and
+    built once per (model, qubit count): a sweep reads them for every setting."""
+    confusion = model.confusion(qubit_count)
+    inverses = np.linalg.inv(confusion)
+    confusion.flags.writeable = inverses.flags.writeable = False
+    return confusion, inverses
+
+
 def apply_readout_noise(
     counts: ShotCounts, model: ReadoutModel, rng: np.random.Generator
 ) -> ShotCounts:
@@ -283,7 +292,7 @@ def apply_readout_noise(
     """
     n = counts.qubit_count
     # P(read 1 - b | true b) for b = 0, 1: e0 and e1 of every qubit
-    rates = model.confusion(n)[:, [1, 0], [0, 1]]
+    rates = _confusion_stack(model, n)[0][:, [1, 0], [0, 1]]
     noisy = counts.counts.copy()
     for q in range(n):
         view = noisy.reshape(2**q, 2, -1)
@@ -296,13 +305,14 @@ def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:
     """Invert the tensor-product confusion matrix and project to the simplex.
 
     Each qubit's :meth:`ReadoutModel.confusion` matrix is inverted, all in
-    one batched call, and applied along that qubit's axis of the frequency
-    tensor.  Negative quasi-probabilities are clipped to zero and the
-    remainder renormalized.  Returns the frequency of every outcome
-    over the register, in the order of ``counts.counts``.
+    one batched call made once per model and register size, and applied
+    along that qubit's axis of the frequency tensor.  Negative
+    quasi-probabilities are clipped to zero and the remainder
+    renormalized.  Returns the frequency of every outcome over the
+    register, in the order of ``counts.counts``.
     """
     n = counts.qubit_count
-    inverses = np.linalg.inv(model.confusion(n))
+    _, inverses = _confusion_stack(model, n)
     tensor = counts.frequencies().reshape([2] * n)
     for q, inv in enumerate(inverses):
         tensor = np.moveaxis(

@@ -63,6 +63,16 @@ def test_kraus_channel_shape_validation():
         KrausChannel((np.ones((2, 3)),))
 
 
+def test_kraus_channel_rejects_non_finite_entries():
+    k1 = np.eye(2, dtype=complex)
+    k1[1, 0] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=r"Kraus operator 1 entry \(1, 0\) is not finite: infj"):
+        KrausChannel((np.eye(2), k1))
+    # the catalog reaches the same check through its parameters
+    with pytest.raises(ValueError, match=r"Kraus operator 0 entry \(0, 0\) is not finite"):
+        spin_boost_channel(np.nan)
+
+
 def test_bit_phase_flip_coherence_curve():
     for p in np.linspace(0, 1, 11):
         ch = pauli_channel(1 - p, 0.0, 0.0, p)

@@ -15,6 +15,7 @@ from kraussim.channels import (
     KrausChannel,
     apply_channel,
     bit_flip,
+    channel_to_dict,
     depolarizing,
     qutrit_amplitude_damping,
     save_channel,
@@ -30,7 +31,7 @@ from kraussim.cli import (
 )
 from kraussim.dilation import eigenvector_dilations, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import DensityMatrix, uniform_state
-from kraussim.qsp import Circuit, lower, qasm_export, qasm_parse, synthesize
+from kraussim.qsp import Circuit, Gate, lower, qasm_export, qasm_parse, synthesize
 from kraussim.tomography import settings_for
 
 
@@ -190,6 +191,23 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     oracle = apply_channel(qutrit_amplitude_damping(0.4), uniform_state(3).to_density())
     zz = received[settings_for(2).settings.index(("Z", "Z"))]
     np.testing.assert_allclose(zz, np.append(np.diag(oracle.matrix).real, 0.0), rtol=0, atol=1e-12)
+
+
+def test_corrupted_lowering_fails_before_any_shot(monkeypatch):
+    # one extra Ry on the system qubit: the lowered circuit no longer
+    # prepares the dilated state, and the point fails before it is sampled
+    def corrupted(circuit):
+        low = lower(circuit)
+        return Circuit(low.qubit_count, low.gates + (Gate("ry", 0.5, 0),), low.global_phase)
+
+    drawn = []
+    monkeypatch.setattr(cli, "lower", corrupted)
+    monkeypatch.setattr(cli, "sample", lambda *args: drawn.append(args))
+    [row] = run_experiment(parse_config(bpf_config(mode="sampled", shots=64,
+                                                   sweep={"parameter": "p", "grid": [0.3]})))
+    assert row.error.startswith("lowered fidelity"), row.error
+    assert np.isnan(row.c_measured)
+    assert drawn == []
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -492,6 +510,14 @@ def _file_with_parameter(tmp):
     return _sweep(channel=channel, sweep={"parameter": "p", "grid": [0.5]})(tmp)
 
 
+def _nan_channel(tmp):
+    # bit_flip(0.3) with K1's (0, 1) entry NaN
+    data = channel_to_dict(bit_flip(0.3))
+    data["kraus"][1][0][1] = [np.nan, 0.0]
+    (tmp / "ch.json").write_text(json.dumps(data))
+    return str(tmp / "ch.json")
+
+
 def _not_cptp(tmp):
     # bit_flip(0.3) with K0 scaled by 1.1: sum K^dag K = 1.147 I
     k0, k1 = bit_flip(0.3).kraus_ops
@@ -624,6 +650,23 @@ ERROR_CASES = {
     "sweep-readout-bool": (_sweep(mode="sampled", shots=16, readout={"e0": 0.01, "e1": [False, 0.03]}),
                            None, 1, "config error:", "readout: e1: rates must be numbers"),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
+    # a NaN point once reached the oracle and failed there (exit 2)
+    "sweep-grid-nan": (_sweep(channel={"name": "spin_boost", "params": {}},
+                              sweep={"parameter": "theta", "grid": [0.1, np.nan]}), None,
+                       1, "config error:", "sweep.grid entry 1: must be finite, got nan"),
+    "sweep-grid-inf": (_sweep(sweep={"parameter": "p", "grid": [0.0, -np.inf]}), None,
+                       1, "config error:", "sweep.grid entry 1: must be finite, got -inf"),
+    "sweep-start-nan": (_sweep_range(start=np.nan), None, 1, "config error:", "sweep.start: must be finite, got nan"),
+    # an infinite stop once made np.linspace warn before the monotone check
+    "sweep-stop-inf": (_sweep_range(stop=np.inf), None, 1, "config error:", "sweep.stop: must be finite, got inf"),
+    "validate-kraus-nan": (lambda tmp: ["validate", _nan_channel(tmp)], None,
+                           1, "config error: cannot load channel file", "Kraus operator 1 entry (0, 1) is not finite"),
+    "sweep-kraus-nan": (lambda tmp: ["sweep", _config_file(tmp, bpf_config(
+                            channel={"file": _nan_channel(tmp)}, sweep={"parameter": None, "grid": [0.0]})),
+                                     "--csv", str(tmp / "rows.csv")], None,
+                        1, "config error: cannot load channel file", "Kraus operator 1 entry (0, 1) is not finite"),
+    "oracle-param-nan": (lambda tmp: ["oracle", "--channel", "spin_boost", "--param", "theta=nan"], None,
+                         1, "config error: channel 'spin_boost':", "Kraus operator 0 entry (0, 0) is not finite"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
@@ -673,10 +716,9 @@ def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
         assert len(list(tmp_path.glob(f"prep_point0_mix{k}*.qasm"))) == 1 + 3**2
         low = lower(synthesize(embed_qudits(dilated)))
         assert Path(f"{base}.qasm").read_text() == qasm_export(low)
-        prefix = simulator.run(Circuit(low.qubit_count, low.gates))
         plan = settings_for(dilated.embedding.qubit_counts[0])
         # the sweep's branched states, one row per setting
-        branched = simulator.run_branches(prefix, plan.layers, low.global_phase)
+        branched = simulator.run_branches(low, plan.layers)
         for setting in (("X", "X"), ("Y", "Y"), ("Z", "Z")):
             row = branched[plan.settings.index(setting)]
             exported = simulator.run(qasm_parse(Path(f"{base}_setting{''.join(setting)}.qasm").read_text()))

@@ -207,17 +207,17 @@ def test_controlled_kernels_match_slice_reference_bit_for_bit(n):
 def test_lowered_tomography_circuits_match_matmul_reference():
     # an hw16_tomo-like point: hw_dephasing d=16 on the uniform state, 4 + 4
     # qubits, then each setting's rotations of the 4 system qubits; the
-    # settings branch from one run of the lowered gates, as the cli does
+    # settings branch from one run of the lowered circuit, as the cli does
     psi = PureState(np.full(16, 0.25, dtype=complex))
     low = lower(synthesize(embed_qudits(dilate_pure(hw_dephasing(16, 0.7), psi))))
     assert low.qubit_count == 8
     assert np.array_equal(run(low).amplitudes, reference_run(low).amplitudes)
-    prefix = reference_run(Circuit(8, low.gates))
+    unphased = reference_run(Circuit(8, low.gates)).amplitudes
     plan = settings_for(4)
-    branched = run_branches(prefix, plan.layers, low.global_phase)
+    branched = run_branches(low, plan.layers)
     assert branched.shape == (81, 256)
     for row, rotations in zip(branched, plan.rotations):
-        expected = prefix.amplitudes.copy()
+        expected = unphased.copy()
         for g in rotations:
             reference_apply_gate(expected, g, 8)
         expected *= np.exp(1j * low.global_phase)
@@ -311,6 +311,24 @@ def test_mitigation_matches_string_keyed_reference():
                 for key, p in reference_mitigate(noisy, model).items():
                     expected[int(key, 2)] = p
                 assert np.array_equal(mitigate(noisy, model), expected)
+
+
+def test_confusion_stack_is_cached_read_only_per_model():
+    model = ReadoutModel(e0=(0.02, 0.05), e1=0.03)
+    confusion, inverses = simulator._confusion_stack(model, 2)
+    assert np.array_equal(confusion, model.confusion(2))
+    assert np.array_equal(inverses, np.linalg.inv(model.confusion(2)))
+    for arr in (confusion, inverses):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 0.5
+    # an equal model reads the same entry; one rate apart, or another register, does not
+    assert simulator._confusion_stack(ReadoutModel(e0=(0.02, 0.05), e1=0.03), 2)[0] is confusion
+    other, other_inverses = simulator._confusion_stack(ReadoutModel(e0=(0.02, 0.06), e1=0.03), 2)
+    assert other[1, 1, 0] == 0.06 and confusion[1, 1, 0] == 0.05
+    assert not np.array_equal(other_inverses, inverses)
+    scalar = ReadoutModel(e0=0.02, e1=0.03)
+    assert simulator._confusion_stack(scalar, 3)[0].shape == (3, 2, 2)
+    assert simulator._confusion_stack(scalar, 4)[0].shape == (4, 2, 2)
 
 
 def test_confusion_matrices_cover_the_register():
@@ -429,10 +447,10 @@ def test_readout_noise_forms_no_per_shot_array():
     assert peak < 2**20
 
 
-def _prefix_gates(rng, n, kind):
-    """Rotations of every qubit, then a CX chain: Ry alone for a real state,
-    Ry and Rz for a complex one; in a sparse one the last qubit stays |0>,
-    so half the amplitudes are exact zeros."""
+def _circuit_gates(rng, n, kind):
+    """Rotations of every qubit, a CX chain, then random multi-controlled gates:
+    Ry and X alone for a real state, every kind for a complex one; in a sparse
+    one the last qubit stays |0>, so half the amplitudes are exact zeros."""
     active = range(n - 1) if kind == "sparse" else range(n)
     rotations = [
         Gate(g, rng.uniform(-math.pi, math.pi), q)
@@ -440,42 +458,45 @@ def _prefix_gates(rng, n, kind):
         for g in (("ry",) if kind == "real" else ("ry", "rz"))
     ]
     chain = [Gate("x", 0.0, q + 1, ((q, 1),)) for q in active[:-1]]
-    return tuple(rotations + chain)
+    kinds = ("x", "ry") if kind == "real" else ("x", "ry", "rz", "phase")
+    controlled = [random_gate(rng, len(active), kinds) for _ in range(2 * len(active))]
+    return tuple(rotations + chain + controlled)
 
 
 def test_branched_settings_equal_full_runs_bit_for_bit():
-    # one state per register size; the kinds cycle with n and the phase
+    # one circuit per register size; the kinds cycle with n and the phase
     # alternates, so each kind meets a zero and a non-zero phase
     rng = np.random.default_rng(2212)
     for n in range(1, 11):
         kind = ("complex", "real", "sparse")[(n - 1) % 3]
         phase = rng.uniform(-math.pi, math.pi) if n % 2 else 0.0
-        gates = _prefix_gates(rng, n, kind)
-        prefix = run(Circuit(n, gates))
+        circuit = Circuit(n, _circuit_gates(rng, n, kind), phase)
+        assert any(g.controls for g in circuit.gates) == (n > 1)
         if kind == "sparse":
-            assert np.count_nonzero(prefix.amplitudes) == 2 ** (n - 1)
-        [row] = run_branches(prefix, (), phase)
-        assert row.tobytes() == run(Circuit(n, gates, phase)).amplitudes.tobytes()
+            assert np.count_nonzero(run(circuit).amplitudes) == 2 ** (n - 1)
+        [row] = run_branches(circuit, ())
+        assert row.tobytes() == run(circuit).amplitudes.tobytes()
         full = {}  # a Z letter adds no gate, so settings of smaller m recur
         for m in range(1, min(n, 6) + 1):
             plan = settings_for(m)
-            rows = run_branches(prefix, plan.layers, phase)
+            rows = run_branches(circuit, plan.layers)
             assert rows.shape == (3**m, 2**n)
             for row, rotations in zip(rows, plan.rotations):
                 if rotations not in full:
-                    full[rotations] = run(Circuit(n, gates + rotations, phase)).amplitudes.tobytes()
+                    full[rotations] = run(Circuit(n, circuit.gates + rotations, phase)).amplitudes.tobytes()
                 assert row.tobytes() == full[rotations], (n, kind, m, rotations)
 
 
 def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
     applied = []
     monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
-    with pytest.raises(ValueError, match="branches: prefix dimension 3 is not a power of two"):
-        run_branches(PureState(np.full(3, 3**-0.5)), settings_for(1).layers, 0.0)
-    # layer 0 is valid, so a check made layer by layer would apply its gates first
-    prefix = PureState(np.full(4, 0.5))
-    with pytest.raises(ValueError, match=r"branches: layer 1 gate .* outside the 2-qubit prefix"):
-        run_branches(prefix, settings_for(3).layers[:1] + settings_for(3).layers[2:], 0.0)
+    # layer 0 is valid, so a check made layer by layer would apply the
+    # circuit's gates and layer 0's first
+    circuit = Circuit(2, (Gate("ry", 0.3, 0), Gate("x", 0.0, 1, ((0, 1),))))
+    with pytest.raises(ValueError, match=r"branches: layer 1 gate .* outside the 2-qubit circuit"):
+        run_branches(circuit, settings_for(3).layers[:1] + settings_for(3).layers[2:])
+    with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit"):
+        run_branches(Circuit(11, (Gate("x", 0.0, 10),)), settings_for(1).layers)
     assert applied == []
 
 
