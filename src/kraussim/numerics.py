@@ -148,9 +148,10 @@ def partial_trace(
     ``dims`` gives the factor dimensions in tensor order (left factor most
     significant); their product must equal ``rho.dim``.  The reduced matrix
     is returned over the kept factors in their original order.  A
-    :class:`PureState` is traced as its outer product, without building
-    and validating the full-register :class:`DensityMatrix`; the result
-    equals ``partial_trace(rho.to_density(), dims, keep)`` bit for bit.
+    :class:`PureState` is traced without its outer product: only the
+    products on the traced diagonal, the state's dimension times the kept
+    dimension of them, are formed; the result equals
+    ``partial_trace(rho.to_density(), dims, keep)`` bit for bit.
     """
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
@@ -161,18 +162,25 @@ def partial_trace(
     if not keep or any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep={keep} is not a nonempty subset of factor indices")
     n = len(dims)
-    if isinstance(rho, PureState):
-        v = rho.amplitudes
-        matrix = np.outer(v, v.conj())
-    else:
-        matrix = rho.matrix
-    tensor = matrix.reshape(dims + dims)
-    # einsum with integer subscripts: traced factors share row/col labels
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out_sub = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(tensor, row + col, out_sub)
     d_keep = math.prod(dims[k] for k in keep)
+    if isinstance(rho, PureState):
+        # the density path's einsum reads the outer product only on its traced
+        # diagonal and adds those terms to a zeroed output one at a time, in
+        # traced-index order: form just them, v[t, i] * conj(v[t, j]) at
+        # (t, i, j), and add them alike with a running sum; adding 0.0 turns the
+        # -0.0 that only all-(-0.0) terms sum to into the zeroed output's +0.0.
+        # With nothing traced that einsum adds nothing and returns the products.
+        traced = [i for i in range(n) if i not in keep]
+        v = rho.amplitudes.reshape(dims).transpose(traced + keep).reshape(-1, d_keep)
+        terms = v[:, :, None] * v.conj()[:, None, :]
+        reduced = (np.add.accumulate(terms, axis=0)[-1] + 0.0) if traced else terms[0]
+    else:
+        tensor = rho.matrix.reshape(dims + dims)
+        # einsum with integer subscripts: traced factors share row/col labels
+        row = list(range(n))
+        col = [i + n if i in keep else i for i in range(n)]
+        out_sub = [i for i in keep] + [i + n for i in keep]
+        reduced = np.einsum(tensor, row + col, out_sub)
     return DensityMatrix(reduced.reshape(d_keep, d_keep))
 
 

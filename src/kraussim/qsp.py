@@ -38,7 +38,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "Gate",
     "Circuit",
     "GATE_KINDS",
+    "rotation_stack",
     "synthesize",
     "synthesize_real",
     "lower",
@@ -59,6 +60,30 @@ __all__ = [
 ]
 
 GATE_KINDS = ("x", "ry", "rz", "phase")
+
+
+def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
+    """The ``(k, 2, 2)`` matrices of Ry or Rz, ``kind``, for each of k angles.
+
+    The one place their entries are computed: :meth:`Gate.matrix` takes one
+    angle's, and the simulator a whole circuit's or level's at once.  Ry
+    is ``[[c, -s], [s, c]]`` with c and s the ``math`` cosine and sine of
+    half the angle, and Rz ``diag(exp(-ia/2), exp(ia/2))``.
+    """
+    stack = np.zeros((len(angles), 2, 2), dtype=np.complex128)
+    if kind == "ry":
+        cos = [math.cos(a / 2.0) for a in angles]
+        sin = [math.sin(a / 2.0) for a in angles]
+        stack[:, 0, 0] = stack[:, 1, 1] = cos
+        stack[:, 0, 1] = np.negative(sin)
+        stack[:, 1, 0] = sin
+    elif kind == "rz":
+        stack.reshape(-1, 4)[:, ::3] = np.exp(
+            np.multiply.outer(np.array(angles, dtype=np.float64) / 2.0, [-1j, 1j])
+        )
+    else:
+        raise ValueError(f"no rotation stack for gate kind {kind!r}")
+    return stack
 
 
 @dataclass(frozen=True)
@@ -91,11 +116,8 @@ class Gate:
         a = self.angle
         if self.kind == "x":
             return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        if self.kind == "ry":
-            c, s = math.cos(a / 2.0), math.sin(a / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=np.complex128)
-        if self.kind == "rz":
-            return np.diag([np.exp(-1j * a / 2.0), np.exp(1j * a / 2.0)])
+        if self.kind in ("ry", "rz"):
+            return rotation_stack(self.kind, (a,))[0]
         return np.diag([1.0, np.exp(1j * a)]).astype(np.complex128)
 
     def index(self, n: int, target=slice(None)) -> tuple:
@@ -131,11 +153,16 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
-        for g in self.gates:
-            qubits = [g.target] + [q for q, _ in g.controls]
-            if any(q < 0 or q >= self.qubit_count for q in qubits):
-                raise ValueError(f"gate {g} references qubit outside register")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = tuple(self.gates)
+        # one pass over every qubit named; the per-gate loop only finds the culprit
+        used = {g.target for g in gates}
+        used.update(q for g in gates for q, _ in g.controls)
+        if used and (min(used) < 0 or max(used) >= self.qubit_count):
+            for g in gates:
+                qubits = [g.target] + [q for q, _ in g.controls]
+                if any(q < 0 or q >= self.qubit_count for q in qubits):
+                    raise ValueError(f"gate {g} references qubit outside register")
+        object.__setattr__(self, "gates", gates)
 
 
 def _qubit_count_for(dim: int) -> int:

@@ -21,6 +21,21 @@ products.  The same gate loop acts on a batch: :func:`circuit_unitary` runs it o
 identity's columns, :func:`run_branches` on tomography's settings after one :func:`run`
 of a circuit's gates, the global phase last, row s bit for bit setting s's full
 circuit.  :func:`run` starts from |0...0>.
+
+:func:`run` applies most gates in same-target segments instead: maximal
+runs of gates on one target t that are uncontrolled, a CX into t, or an
+Ry or Rz controlled on exactly qubits 0..t-1, which is a level of the
+synthesized tree.  A segment gathers the amplitude pairs once into a
+contiguous ``(2^t, rest, 2)`` array and writes them back once.  Ry there
+is the same ``zgemm`` over every row, Rz and Phase scale its columns, X
+swaps them and a CX swaps them on the rows where its control bit is
+set.  A level's Ry gates become one stacked ``matmul`` over the
+patterns present, which calls per pattern the routine one gate calls,
+and its Rz gates one column scale.  Their matrices come from
+:func:`~kraussim.qsp.rotation_stack`, as :meth:`Gate.matrix`'s do, and a
+segment takes only the rows of its own gates.  Each listed gate is
+still applied, and the state keeps the bits of one :func:`_apply_gate`
+call per gate.
 Qubit 0 is the most significant bit of basis labels, and the outcome
 indices of sampled counts follow the same convention.
 
@@ -40,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate
+from .qsp import Circuit, Gate, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -105,14 +120,127 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
         view[hi] *= gate.matrix()[1, 1]
 
 
+def _in_segment(gate: Gate) -> bool:
+    """True for a gate :func:`_apply_segment` takes: one without controls, a CX,
+    or an Ry or Rz controlled on exactly the qubits before its target."""
+    if not gate.controls or gate.kind == "x":
+        return gate.is_elementary()
+    t = gate.target
+    return gate.kind != "phase" and len(gate.controls) == t and all(q < t for q, _ in gate.controls)
+
+
+def _apply_level(pairs: np.ndarray, gates: Sequence[Gate], rows: list[int]) -> None:
+    """Apply Ry or Rz gates of one kind, each controlled on every qubit before the
+    target on a pattern of its own, to the ``(2^t, rest, 2)`` pair array at once.
+
+    The pattern rows are gathered into one ``(P, rest, 2)`` block.  Ry multiplies
+    it by the ``(P, 2, 2)`` stack of transposed matrices in one ``matmul``, which
+    calls per pattern the BLAS routine one gate would; Rz scales it by ``(P, 1,
+    2)`` diagonal entries, which numpy's complex multiply loop rounds as it rounds
+    one gate's ``(rest,)`` slices.  On the last qubit, rest is 1 and one gate
+    scales numpy scalars, whose product is the unfused ``(ac - bd, ad + bc)``; the
+    block is then formed from those four real products and two sums."""
+    block = pairs[rows]
+    stack = rotation_stack(gates[0].kind, [g.angle for g in gates])
+    if gates[0].kind == "ry":
+        block = block @ stack.transpose(0, 2, 1)
+    elif block.shape[1] > 1:
+        block *= stack.diagonal(axis1=1, axis2=2)[:, None, :]
+    else:
+        diag = stack.diagonal(axis1=1, axis2=2)[:, None, :]
+        scaled = np.empty_like(block)
+        scaled.real = block.real * diag.real - block.imag * diag.imag
+        scaled.imag = block.real * diag.imag + block.imag * diag.real
+        block = scaled
+    pairs[rows] = block
+
+
+def _apply_segment(
+    amps: np.ndarray, gates: Sequence[Gate], n: int, ry: np.ndarray, rz: np.ndarray
+) -> tuple[int, int]:
+    """Apply gates that all target qubit t and all pass :func:`_in_segment` to a
+    ``(2**n,)`` state, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
+
+    Row r of the pair array holds the bits of every other qubit, qubit 0 most
+    significant; column b holds qubit t's.  Ry multiplies all rows by the
+    transposed 2x2 in one ``zgemm`` call, Rz and Phase scale the columns, X swaps
+    them, and a CX swaps them on the rows where its control bit is set.  The
+    segment's uncontrolled Ry and Rz gates take, in gate order, the first rows
+    of ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers of
+    rows taken are returned.  A run of Ry or Rz gates controlled on every qubit
+    before t, one pattern each, goes to :func:`_apply_level` as one block."""
+    t = gates[0].target
+    view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
+    pairs = np.ascontiguousarray(view)
+    flat = pairs.reshape(-1, 2)
+    low, high = flat[:, 0], flat[:, 1]
+    by_qubit = pairs.reshape((2,) * (n - 1) + (2,))
+    i = i_ry = i_rz = 0
+    while i < len(gates):
+        gate = gates[i]
+        if gate.controls and gate.kind != "x":
+            # the run ends at another kind or at a repeated pattern
+            end, rows = i, {}
+            while end < len(gates) and gates[end].kind == gate.kind and gates[end].controls:
+                row = sum(b << (t - 1 - q) for q, b in gates[end].controls)
+                if row in rows:
+                    break
+                rows[row] = None
+                end += 1
+            _apply_level(pairs, gates[i:end], list(rows))
+            i = end
+            continue
+        if gate.kind == "ry":
+            flat[...] = flat @ ry[i_ry]
+            i_ry += 1
+        elif gate.kind == "rz":
+            d0, d1 = rz[i_rz]
+            i_rz += 1
+            low *= d0
+            high *= d1
+        elif gate.kind == "phase":
+            high *= gate.matrix()[1, 1]
+        elif gate.controls:  # CX: the control's bit is row axis c, or c - 1 above t
+            c = gate.controls[0][0]
+            swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
+            swapped[...] = swapped[..., ::-1]
+        else:
+            flat[...] = flat[:, ::-1]
+        i += 1
+    view[...] = pairs
+    return i_ry, i_rz
+
+
 def run(circuit: Circuit) -> PureState:
-    """The state the circuit prepares from |0...0>, its global phase applied last."""
+    """The state the circuit prepares from |0...0>, its global phase applied last.
+
+    Each maximal run of consecutive gates on one target that pass
+    :func:`_in_segment` goes to :func:`_apply_segment`; every other gate goes
+    to :func:`_apply_gate`.  The matrices of the uncontrolled Ry and Rz gates
+    are built for the whole circuit in one pass; each segment starts at the
+    rows after those the gates before it took."""
     n = circuit.qubit_count
     check_register(n, "simulator")
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
-    for gate in circuit.gates:
-        _apply_gate(state, gate, n)
+    uncontrolled = [g for g in circuit.gates if not g.controls]
+    ry = rotation_stack("ry", [g.angle for g in uncontrolled if g.kind == "ry"]).transpose(0, 2, 1)
+    rz = rotation_stack("rz", [g.angle for g in uncontrolled if g.kind == "rz"]).diagonal(axis1=1, axis2=2)
+    i_ry = i_rz = 0
+    for (_, segment), group in itertools.groupby(
+        circuit.gates, lambda g: (g.target, _in_segment(g))
+    ):
+        if segment:
+            k_ry, k_rz = _apply_segment(state, tuple(group), n, ry[i_ry:], rz[i_rz:])
+        else:
+            k_ry = k_rz = 0
+            for gate in group:
+                _apply_gate(state, gate, n)
+                if not gate.controls:
+                    k_ry += gate.kind == "ry"
+                    k_rz += gate.kind == "rz"
+        i_ry += k_ry
+        i_rz += k_rz
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)

@@ -25,6 +25,7 @@ from kraussim.channels import (
     spin_boost_channel,
     wigner_channel,
 )
+import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, kron
 from kraussim.simulator import ShotCounts
 
@@ -156,6 +157,17 @@ def reference_walsh_hadamard(v):
             out[i + h : i + 2 * h] = a - b
         h *= 2
     return out
+
+
+def stub_gate_kernels(monkeypatch):
+    """Replace both of the simulator's gate kernels, ``_apply_gate`` and
+    ``_apply_segment``, by stubs that apply nothing and record each call;
+    returns the list of calls, so a test can assert that no gate was applied
+    on either path."""
+    calls = []
+    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: calls.append(args))
+    monkeypatch.setattr(simulator, "_apply_segment", lambda *args: calls.append(args))
+    return calls
 
 
 def reference_run(circuit):

@@ -10,7 +10,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from helpers import random_density
+from helpers import random_density, stub_gate_kernels
 from kraussim.channels import (
     KrausChannel,
     apply_channel,
@@ -125,14 +125,29 @@ def test_sampled_csv_is_byte_identical_across_hash_seeds(tmp_path):
 
 
 def test_each_preparation_is_simulated_once(monkeypatch):
+    # ``run`` applies most gates in same-target segments, not one
+    # ``_apply_gate`` call each, so each circuit handed to ``run`` counts
+    # its gates, and ``_apply_gate`` counts the gates applied outside it
     applied = []
-    apply_gate = simulator._apply_gate
+    inside_run = []
+    run, apply_gate = simulator.run, simulator._apply_gate
 
-    def counting(state, gate, n):
-        applied.append(gate)
+    def counting_run(circuit):
+        applied.extend(circuit.gates)
+        inside_run.append(circuit)
+        try:
+            return run(circuit)
+        finally:
+            inside_run.pop()
+
+    def counting_apply(state, gate, n):
+        if not inside_run:
+            applied.append(gate)
         apply_gate(state, gate, n)
 
-    monkeypatch.setattr(simulator, "_apply_gate", counting)
+    monkeypatch.setattr(simulator, "run", counting_run)
+    monkeypatch.setattr(cli, "run", counting_run)
+    monkeypatch.setattr(simulator, "_apply_gate", counting_apply)
     # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
     # on the batch of settings: 4 per system qubit, where one run per
     # setting applies 3^(m-1) * 4 per system qubit
@@ -159,8 +174,7 @@ def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
     [row] = run_experiment(parse_config(bpf_config(
         mode="sampled", shots=16, sweep=point, readout={"e0": [0.1], "e1": [0.1]})))
     assert not row.error
-    applied = []
-    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    applied = stub_gate_kernels(monkeypatch)
     cfg = parse_config(bpf_config(mode="sampled", shots=16, readout={"e0": [0.1, 0.1], "e1": [0.1, 0.1]}))
     with pytest.raises(ConfigError, match="readout: e0 has 2 entries, but 1 qubits are measured"):
         run_experiment(cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,40 @@ def test_partial_trace_of_pure_state_matches_density_path_bitwise():
         assert np.array_equal(via_state.matrix, via_density.matrix)
     with pytest.raises(ValueError):
         partial_trace(psi, [2, 3], keep=[0])
+
+
+def test_partial_trace_of_sparse_pure_states_matches_density_path_bitwise():
+    # exact zeros, and real or imaginary amplitudes, make terms of -0.0: an
+    # entry whose every term is -0.0 still reads the density path's +0.0
+    rng = np.random.default_rng(13)
+    # the last two trace nothing and a dimension-1 factor only
+    cases = (
+        ([2] * 6, range(5)), ([2] * 5, [0, 1, 3]), ([3, 4, 2], [0, 2]), ([4, 2, 3], [1]),
+        ([2] * 3, range(3)), ([2, 1, 4], [0, 2]),
+    )
+    for dims, keep in cases:
+        dim = int(np.prod(dims))
+        for part in [lambda z: z, lambda z: z.real, lambda z: 1j * z.imag] * 4:
+            amps = part(random_pure(rng, dim).amplitudes).astype(complex)
+            amps[rng.random(dim) < 0.5] = 0.0
+            amps[0] = 1.0
+            psi = PureState(amps / np.linalg.norm(amps))
+            via_state = partial_trace(psi, dims, keep).matrix
+            assert via_state.tobytes() == partial_trace(psi.to_density(), dims, keep).matrix.tobytes()
+
+
+def test_partial_trace_of_a_ten_qubit_pure_state_forms_no_outer_product():
+    # the 1024 x 1024 outer product alone takes 16 MiB; the products on the
+    # traced diagonal of 3 kept qubits take 128 KiB
+    psi = random_pure(np.random.default_rng(14), 2**10)
+    tracemalloc.start()
+    try:
+        reduced = partial_trace(psi, [2] * 10, range(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(reduced.matrix, partial_trace(psi.to_density(), [2] * 10, range(3)).matrix)
 
 
 def test_partial_trace_dimension_mismatch():

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from kraussim.qsp import (
     lower,
     qasm_export,
     qasm_parse,
+    rotation_stack,
     synthesize,
     synthesize_real,
     verify_preparation,
@@ -198,6 +202,22 @@ def test_gate_validation():
         Circuit(2, (Gate("x", 0.0, 5),))
 
 
+@pytest.mark.parametrize("bad", [
+    Gate("ry", 0.3, -1),  # a negative target
+    Gate("x", 0.0, 3),  # a target equal to the qubit count
+    Gate("rz", 0.3, 1, ((0, 1), (4, 0))),  # a control out of range
+])
+def test_circuit_check_names_the_first_gate_outside_the_register(bad):
+    # valid gates around two offenders: the message names the earlier one
+    later = Gate("phase", 0.2, 2, ((7, 1),))
+    gates = (Gate("ry", 0.1, 0), Gate("x", 0.0, 2, ((1, 1),)), bad, Gate("rz", 0.4, 2), later)
+    with pytest.raises(ValueError, match=rf"^gate {re.escape(str(bad))} references qubit outside register$"):
+        Circuit(3, gates)
+    with pytest.raises(ValueError, match=re.escape(f"gate {later} references")):
+        Circuit(3, gates[:2] + gates[3:])
+    assert Circuit(3, list(gates[:2] + gates[3:4])).gates == gates[:2] + gates[3:4]
+
+
 def test_synthesis_rejects_non_power_of_two_lengths():
     with pytest.raises(ValueError):
         synthesize(PureState(np.array([0.6, 0.6, np.sqrt(1 - 0.72)])))
@@ -249,3 +269,20 @@ def test_full_unitary_includes_tracked_phase():
     circuit = Circuit(1, (), global_phase=0.77)
     out = run(circuit)
     assert abs(out.amplitudes[0] - np.exp(0.77j)) < 1e-12
+
+
+def test_rotation_stack_builds_each_angle_as_the_closed_forms():
+    # a circuit's stack and one angle's matrix must agree to the bit, since
+    # the simulator applies the one and Gate.matrix the other
+    rng = np.random.default_rng(19)
+    angles = [0.0, -0.0, math.pi, -math.pi, 1e-300, *rng.uniform(-20.0, 20.0, 200).tolist()]
+    ry, rz = rotation_stack("ry", angles), rotation_stack("rz", angles)
+    for a, ry_a, rz_a in zip(angles, ry, rz):
+        c, s = math.cos(a / 2.0), math.sin(a / 2.0)
+        assert ry_a.tobytes() == np.array([[c, -s], [s, c]], dtype=np.complex128).tobytes()
+        assert rz_a.tobytes() == np.diag([np.exp(-1j * a / 2.0), np.exp(1j * a / 2.0)]).tobytes()
+        assert Gate("ry", a, 0).matrix().tobytes() == ry_a.tobytes()
+        assert Gate("rz", a, 0).matrix().tobytes() == rz_a.tobytes()
+    assert rotation_stack("ry", []).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="no rotation stack for gate kind 'phase'"):
+        rotation_stack("phase", [0.1])

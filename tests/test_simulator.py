@@ -15,11 +15,12 @@ from helpers import (
     reference_mitigate,
     reference_run,
     shot_counts,
+    stub_gate_kernels,
 )
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, lower, synthesize
+from kraussim.qsp import Circuit, Gate, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -157,6 +158,92 @@ def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
     assert {g.kind for g in low.gates} >= {"x", "ry", "rz"}
     for c in (circuit, low):
         assert np.array_equal(run(c).amplitudes, reference_run(c).amplitudes)
+
+
+def gate_by_gate(circuit):
+    """``run`` with every gate applied by its own ``_apply_gate`` call."""
+    n = circuit.qubit_count
+    state = np.zeros(2**n, dtype=np.complex128)
+    state[0] = 1.0
+    for g in circuit.gates:
+        simulator._apply_gate(state, g, n)
+    if circuit.global_phase != 0.0:
+        state *= np.exp(1j * circuit.global_phase)
+    return state
+
+
+def assert_run_matches_gate_by_gate_and_reference(circuit):
+    state = run(circuit).amplitudes
+    assert state.tobytes() == gate_by_gate(circuit).tobytes()
+    assert np.array_equal(state, reference_run(circuit).amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_segmented_run_matches_gate_by_gate_on_preparations(n):
+    # synthesized circuits, complex and real, with 30% exact zeros so that
+    # levels miss patterns, and their lowered circuits: the same bytes as one
+    # _apply_gate call per gate, and the values of the matmul reference
+    rng = np.random.default_rng(470 + n)
+    for real in (False, True):
+        for zero_share in (0.0, 0.3):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            amps[rng.random(2**n) < zero_share] = 0.0
+            if not np.any(amps):
+                amps[0] = 1.0
+            circuit = (synthesize_real if real else synthesize)(PureState(amps / np.linalg.norm(amps)))
+            if zero_share and n >= 5:
+                assert len([g for g in circuit.gates if g.kind == "ry"]) < 2**n - 1
+            for c in (circuit, lower(circuit)):
+                assert_run_matches_gate_by_gate_and_reference(c)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
+    # a random complex state's preparation, then segments on random targets:
+    # uncontrolled X, Ry, Rz and Phase, CX from controls below and above the
+    # target, and runs of Ry or Rz controlled on every qubit before it, with
+    # repeated patterns; controlled Phase and anti-controlled X gates split them
+    lengths = []
+    apply_segment = simulator._apply_segment
+    monkeypatch.setattr(
+        simulator, "_apply_segment", lambda a, g, *rest: lengths.append(len(g)) or apply_segment(a, g, *rest)
+    )
+    rng = np.random.default_rng(480 + n)
+    gates = list(synthesize(random_pure(rng, 2**n)).gates)
+    for length in (1, 1, 30, 60, 2, 45):
+        t = int(rng.integers(n))
+        for _ in range(length):
+            angle = random_angle(rng)
+            kind = str(rng.choice(["x", "ry", "rz", "phase", "cx", "level-ry", "level-rz"]))
+            others = [q for q in range(n) if q != t]
+            if kind == "cx" and others:
+                gates.append(Gate("x", 0.0, t, ((int(rng.choice(others)), 1),)))
+            elif kind.startswith("level"):
+                pattern = tuple((q, int(rng.integers(2))) for q in rng.permutation(t).tolist())
+                gates.append(Gate(kind[6:], angle, t, pattern))
+            else:
+                gates.append(Gate("x" if kind == "cx" else kind, angle, t))
+        if n > 1:
+            gates.append(Gate(str(rng.choice(["phase", "x"])), 0.5, t, ((int((t + 1) % n), 0),)))
+    circuit = Circuit(n, tuple(gates), float(rng.uniform(-np.pi, np.pi)))
+    assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
+    assert max(lengths) >= 30 and (n == 1 or 1 in lengths)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_segmented_run_matches_gate_by_gate_on_degenerate_dephasing(p):
+    # hw_dephasing at p0 = 0 and 1, where whole Kraus branches are zero: the
+    # mixed_exact-like point (d = 8, double purification, 9 qubits) and the
+    # hw16_tomo-like point (d = 16 on the uniform state, 8 qubits)
+    rho = random_density(np.random.default_rng(490), 8)
+    psi = PureState(np.full(16, 0.25, dtype=complex))
+    for dilated in (
+        mixed_method_double_purification(hw_dephasing(8, p), rho),
+        dilate_pure(hw_dephasing(16, p), psi),
+    ):
+        circuit = synthesize(embed_qudits(dilated))
+        for c in (circuit, lower(circuit)):
+            assert_run_matches_gate_by_gate_and_reference(c)
 
 
 ANGLES = (np.pi / 2, -np.pi / 2, np.pi, 0.0)  # the settings' rotations among them
@@ -488,8 +575,7 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
 
 
 def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
-    applied = []
-    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    applied = stub_gate_kernels(monkeypatch)
     # layer 0 is valid, so a check made layer by layer would apply the
     # circuit's gates and layer 0's first
     circuit = Circuit(2, (Gate("ry", 0.3, 0), Gate("x", 0.0, 1, ((0, 1),))))
@@ -504,8 +590,7 @@ def test_register_limit_is_checked_before_the_first_gate(monkeypatch):
     assert MAX_QUBITS == 10 and 2**MAX_QUBITS == MAX_DIM
     reachable = run(Circuit(10, (Gate("x", 0.0, 9),)))
     assert reachable.amplitudes[1] == 1.0
-    applied = []
-    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: applied.append(args))
+    applied = stub_gate_kernels(monkeypatch)
     wide = Circuit(11, (Gate("x", 0.0, 0),))
     with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit of 10"):
         run(wide)
