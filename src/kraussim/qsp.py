@@ -30,15 +30,31 @@ target and control set become one multiplexed rotation, decomposed by the
 standard Gray-code walk (2^k CX and up to 2^k rotations for k controls);
 runs of controlled Phase gates are folded into a diagonal, realized as a
 cascade of multiplexed Rz layers plus a global-phase term.
+
+:func:`control_patterns` is the one control-pattern rule.  For k
+ascending qubits it builds, once, the 2^k controls tuples in pattern
+order, the first qubit the most significant bit, and a dict from each
+tuple to its index.  Synthesis emits those tuples.  Lowering finds a
+rotation's pattern with one lookup (:func:`pattern_of`; controls in
+another order are looked up sorted), and so does the simulator.  A
+Phase controlled on exactly the qubits before its target t, pattern r,
+acts on one contiguous block of amplitudes (:func:`phase_block`):
+lowering adds its angle to that slice of the diagonal, and the simulator
+scales that slice of the state.  Each Gray-code
+walk reads its indices and transition positions from a plan cached per
+k and shares one CX gate per (target, control) pair.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +65,10 @@ __all__ = [
     "Circuit",
     "GATE_KINDS",
     "rotation_stack",
+    "phase_factor",
+    "control_patterns",
+    "pattern_of",
+    "phase_block",
     "synthesize",
     "synthesize_real",
     "lower",
@@ -60,6 +80,9 @@ __all__ = [
 ]
 
 GATE_KINDS = ("x", "ry", "rz", "phase")
+
+# a gate's (qubit, activation bit) pairs
+Controls = tuple[tuple[int, int], ...]
 
 
 def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
@@ -86,30 +109,80 @@ def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
     return stack
 
 
+def phase_factor(angle: float) -> complex:
+    """``exp(i angle)``, the |1> entry of a Phase gate: :meth:`Gate.matrix` and
+    every simulator kernel that scales by a Phase take it from here."""
+    return np.exp(1j * angle)
+
+
+@functools.lru_cache(maxsize=256)
+def control_patterns(qubits: tuple[int, ...]) -> tuple[tuple[Controls, ...], Mapping[Controls, int]]:
+    """The 2^k control patterns on ``qubits``, k ascending qubits, and their indices.
+
+    Returns the controls tuples in pattern order, the first qubit the most
+    significant bit (pattern r gives qubit ``qubits[j]`` the bit
+    ``(r >> (k-1-j)) & 1``), and a read-only dict from each tuple to its
+    pattern index.  Built once per qubit tuple and shared: synthesis emits
+    these tuples, and lowering and the simulator look a gate's controls up
+    in the dict.
+    """
+    patterns = tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
+    return patterns, MappingProxyType({controls: r for r, controls in enumerate(patterns)})
+
+
+def phase_block(n: int, target: int, r: int) -> slice:
+    """The amplitudes of an n-qubit register that a Phase on ``target``,
+    controlled on exactly the qubits before it with pattern r, multiplies:
+    the contiguous block ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))``."""
+    size = 2 ** (n - 1 - target)
+    return slice((2 * r + 1) * size, (2 * r + 2) * size)
+
+
+def pattern_of(index: Mapping[Controls, int], controls: Controls) -> int | None:
+    """The pattern index of ``controls`` in ``index``, the dict of a
+    :func:`control_patterns` table, its pairs in any order; None when it
+    does not control exactly that table's qubits."""
+    row = index.get(controls)
+    if row is None and len(controls) > 1:
+        row = index.get(tuple(sorted(controls)))
+    return row
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate: a 2x2 primitive on ``target``, optionally controlled.
 
-    ``controls`` lists (qubit, activation bit) pairs; the primitive acts
-    only on basis states whose control bits match.  ``angle`` is ignored
-    for kind ``"x"``.
+    ``controls`` lists (qubit, activation bit) pairs, kept as a tuple of
+    tuples whatever sequences the caller gave; the primitive acts only on
+    basis states whose control bits match.  ``angle`` is ignored for kind
+    ``"x"``.
     """
 
     kind: str
     angle: float
     target: int
-    controls: tuple[tuple[int, int], ...] = ()
+    controls: Controls = ()
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        # kept as a tuple of tuples, so that controls can key the dicts of
+        # control_patterns; an input that already is one is kept as given
+        controls = self.controls
+        if type(controls) is not tuple:
+            controls = tuple(controls)
         seen = {self.target}
-        for q, b in self.controls:
+        tuples = True
+        for pair in controls:
+            q, b = pair
             if q in seen:
                 raise ValueError(f"duplicate qubit {q} in gate")
             if b not in (0, 1):
                 raise ValueError(f"control bit must be 0 or 1, got {b}")
             seen.add(q)
+            tuples = tuples and type(pair) is tuple
+        if not tuples or controls is not self.controls:
+            object.__setattr__(self, "controls", tuple(map(tuple, controls)))
 
     def matrix(self) -> np.ndarray:
         """The 2x2 primitive acting on the target qubit."""
@@ -118,7 +191,7 @@ class Gate:
             return np.array([[0, 1], [1, 0]], dtype=np.complex128)
         if self.kind in ("ry", "rz"):
             return rotation_stack(self.kind, (a,))[0]
-        return np.diag([1.0, np.exp(1j * a)]).astype(np.complex128)
+        return np.diag([1.0, phase_factor(a)]).astype(np.complex128)
 
     def index(self, n: int, target=slice(None)) -> tuple:
         """Index into an n-qubit register tensor of shape ``(2,) * n``: each
@@ -154,9 +227,10 @@ class Circuit:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
         gates = tuple(self.gates)
-        # one pass over every qubit named; the per-gate loop only finds the culprit
+        # one pass over the targets and the distinct controls tuples; the
+        # per-gate loop only finds the culprit
         used = {g.target for g in gates}
-        used.update(q for g in gates for q, _ in g.controls)
+        used.update(q for controls in {g.controls for g in gates} for q, _ in controls)
         if used and (min(used) < 0 or max(used) >= self.qubit_count):
             for g in gates:
                 qubits = [g.target] + [q for q, _ in g.controls]
@@ -181,9 +255,7 @@ def _magnitude_pyramid(amps: np.ndarray, n: int) -> list[np.ndarray]:
     return levels
 
 
-def _controlled_scalar_phase(
-    eta: float, controls: tuple[tuple[int, int], ...]
-) -> tuple[list[Gate], float]:
+def _controlled_scalar_phase(eta: float, controls: Controls) -> tuple[list[Gate], float]:
     """Gates applying exp(i eta) exactly on the control pattern.
 
     Realized with Phase gates only (all diagonal): a 1-activated control
@@ -223,10 +295,9 @@ def _synthesize(target: PureState, real: bool) -> Circuit:
         ry: list[Gate] = []
         rz: list[Gate] = []
         ph: list[Gate] = []
-        for pattern in range(2 ** (k - 1)):
+        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))[0]):
             if k >= 2 and levels[k - 2][pattern] == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
-            controls = tuple((q, (pattern >> (k - 2 - q)) & 1) for q in range(k - 1))
             c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
             if k < n or real:
                 # magnitude level, or a real last level: signed Ry only
@@ -264,10 +335,6 @@ def synthesize_real(target: PureState) -> Circuit:
 # Lowering to {X, Ry, Rz, Phase, CX}
 
 
-def _gray(j: int) -> int:
-    return j ^ (j >> 1)
-
-
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     out = v.astype(float)  # a copy
     h = 1
@@ -281,18 +348,28 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _emit_with_cx_cancel(gates: Iterable[Gate]) -> list[Gate]:
-    out: list[Gate] = []
-    for g in gates:
-        if out and g.kind == "x" and g.controls and out[-1] == g:
-            out.pop()
-        else:
-            out.append(g)
-    return out
+@functools.lru_cache(maxsize=None)
+def _gray_plan(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The Gray-code walk over 2^k slots: slot j's Walsh-Hadamard index
+    ``gray(j) = j ^ (j >> 1)``, and the position in the control tuple, most
+    significant first, of the bit that flips from ``gray(j)`` to
+    ``gray(j + 1)``, cyclically."""
+    size = 2**k
+    gray = [j ^ (j >> 1) for j in range(size)]
+    flips = tuple(k - (gray[j] ^ gray[(j + 1) % size]).bit_length() for j in range(size))
+    indices = np.array(gray)
+    indices.flags.writeable = False
+    return indices, flips
+
+
+@functools.lru_cache(maxsize=None)
+def _cx(target: int, control: int) -> Gate:
+    """The one CX gate on (target, control) that every multiplexor shares."""
+    return Gate("x", 0.0, target, ((control, 1),))
 
 
 def _lower_multiplexed(
-    kind: str, target: int, control_qubits: tuple[int, ...], angles: np.ndarray
+    kind: str, target: int, control_qubits: tuple[int, ...], angles: Sequence[float]
 ) -> list[Gate]:
     """Gray-code decomposition of a multiplexed Ry/Rz rotation.
 
@@ -300,23 +377,25 @@ def _lower_multiplexed(
     bit order = tuple order, most significant first) read ``x``.  The
     transformed angles come from a Walsh-Hadamard transform evaluated at
     Gray-code indices; each slot is a rotation followed by a CX on the
-    Gray transition bit, so conjugations realize the sign matrix.
+    Gray transition bit, so conjugations realize the sign matrix.  A slot
+    whose angle is zero emits no rotation, and a CX that would follow the
+    same CX cancels it.
     """
     k = len(control_qubits)
     if k == 0:
         return [Gate(kind, float(angles[0]), target)] if angles[0] != 0.0 else []
-    size = 2**k
-    wht = _walsh_hadamard(np.asarray(angles, dtype=float))
-    raw: list[Gate] = []
-    for j in range(size):
-        beta = wht[_gray(j)] / size
+    gray, flips = _gray_plan(k)
+    betas = _walsh_hadamard(np.asarray(angles, dtype=float))[gray] / 2**k
+    out: list[Gate] = []
+    for beta, flip in zip(betas.tolist(), flips):
         if beta != 0.0:
-            raw.append(Gate(kind, float(beta), target))
-        transition = _gray(j) ^ _gray((j + 1) % size)
-        pos = transition.bit_length() - 1  # bit position from the LSB
-        ctrl = control_qubits[k - 1 - pos]
-        raw.append(Gate("x", 0.0, target, ((ctrl, 1),)))
-    return _emit_with_cx_cancel(raw)
+            out.append(Gate(kind, beta, target))
+        cx = _cx(target, control_qubits[flip])
+        if out and out[-1] is cx:
+            out.pop()
+        else:
+            out.append(cx)
+    return out
 
 
 def _accumulate_diag(vec: np.ndarray, gate: Gate, n: int) -> None:
@@ -350,14 +429,6 @@ def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:
     return gates, float(v[0])
 
 
-def _pattern_index(gate: Gate, control_qubits: tuple[int, ...]) -> int:
-    bits = dict(gate.controls)
-    value = 0
-    for q in control_qubits:
-        value = (value << 1) | bits[q]
-    return value
-
-
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite over {X, Ry, Rz, Phase, CX}; elementary gates pass unchanged.
 
@@ -367,7 +438,7 @@ def lower(circuit: Circuit) -> Circuit:
     n = circuit.qubit_count
     out: list[Gate] = []
     global_phase = circuit.global_phase
-    gates = list(circuit.gates)
+    gates = circuit.gates
     i = 0
     while i < len(gates):
         g = gates[i]
@@ -378,24 +449,32 @@ def lower(circuit: Circuit) -> Circuit:
         if g.kind == "phase":
             # gather all consecutive Phase gates into one diagonal
             vec = np.zeros(2**n)
+            levels = [control_patterns(tuple(range(t)))[1] for t in range(n)]
             while i < len(gates) and gates[i].kind == "phase":
-                _accumulate_diag(vec, gates[i], n)
+                h = gates[i]
+                r = pattern_of(levels[h.target], h.controls)
+                if r is None:
+                    _accumulate_diag(vec, h, n)
+                else:
+                    vec[phase_block(n, h.target, r)] += h.angle
                 i += 1
             sub, delta = _lower_diagonal(vec, n)
             out.extend(sub)
             global_phase += delta
             continue
         if g.kind in ("ry", "rz"):
-            control_qubits = tuple(sorted(q for q, _ in g.controls))
-            sig = (g.kind, g.target, control_qubits)
-            angles = np.zeros(2 ** len(control_qubits))
+            # the run: same kind and target, controls on the same qubit set
+            control_qubits = tuple(q for q, _ in sorted(g.controls))
+            index = control_patterns(control_qubits)[1]
+            angles = [0.0] * len(index)
             while i < len(gates):
                 h = gates[i]
-                if h.is_elementary() or h.kind != g.kind or h.target != g.target:
+                if h.kind != g.kind or h.target != g.target:
                     break
-                if tuple(sorted(q for q, _ in h.controls)) != control_qubits:
+                r = pattern_of(index, h.controls)
+                if r is None:
                     break
-                angles[_pattern_index(h, control_qubits)] += h.angle
+                angles[r] += h.angle
                 i += 1
             out.extend(_lower_multiplexed(g.kind, g.target, control_qubits, angles))
             continue

@@ -11,10 +11,18 @@ controls, copies the amplitude pairs of its slice into one contiguous
 ``(rows, 2)`` block and multiplies it by the transposed 2x2 in one BLAS
 call.  The swaps and scalings use the entries of
 :meth:`Gate.matrix`; the matrix product they replace adds only terms
-multiplied by zero, so the amplitudes are the same up to the sign of a
-zero.  The one-call Ry keeps the bits of the per-block matrix products
-it replaces: what fixes an entry's rounding is which routine computes
-it (BLAS ``zgemm``, ``zgemv`` or numpy's own loop), and ``zgemm``
+multiplied by zero.  Outside two cases the amplitudes are the same up to
+the sign of a zero.  On complex amplitudes, Rz and Phase can differ from
+the matrix product in the last bit on a 1-qubit register and when
+controlled on every other qubit: each slice is then one amplitude,
+multiplied unfused as a numpy scalar, where ``zgemm`` fuses the multiply
+and the add.  A synthesized circuit meets neither case on complex
+amplitudes: only Ry gates act before its last level's Rz gates, so those
+scale real amplitudes, exactly either way, and none of its Phase gates
+targets the last qubit.  The one-call Ry keeps the bits of the
+per-block matrix products it replaces: what fixes an entry's rounding
+is which routine computes it (BLAS ``zgemm``, ``zgemv`` or numpy's own
+loop), and ``zgemm``
 computes every entry in the same way whatever the row count.  A
 ``(2^n, 1)`` batch is the exception, as its blocks were matrix-vector
 products.  The same gate loop acts on a batch: :func:`circuit_unitary` runs it on the
@@ -33,9 +41,16 @@ set.  A level's Ry gates become one stacked ``matmul`` over the
 patterns present, which calls per pattern the routine one gate calls,
 and its Rz gates one column scale.  Their matrices come from
 :func:`~kraussim.qsp.rotation_stack`, as :meth:`Gate.matrix`'s do, and a
-segment takes only the rows of its own gates.  Each listed gate is
-still applied, and the state keeps the bits of one :func:`_apply_gate`
-call per gate.
+segment takes only the rows of its own gates.  A Phase controlled on
+exactly qubits 0..t-1, as the synthesis's scalar phases are, scales one
+contiguous block of the state in place (:func:`~kraussim.qsp.phase_block`:
+amplitudes ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))`` for pattern r).  On
+the last qubit that block is one amplitude, which :func:`_apply_gate`
+multiplies as a numpy scalar, so such a Phase stays there.  A gate's pattern index, in a
+segment or a Phase chain, is one dict lookup in the shared table of
+:func:`~kraussim.qsp.control_patterns`.  Each listed gate is still
+applied, and the state keeps the bits of one :func:`_apply_gate` call
+per gate.
 Qubit 0 is the most significant bit of basis labels, and the outcome
 indices of sampled counts follow the same convention.
 
@@ -50,12 +65,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, rotation_stack
+from .qsp import Circuit, Gate, control_patterns, pattern_of, phase_block, phase_factor, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -117,16 +132,17 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
         view[lo] *= diag[0]
         view[hi] *= diag[1]
     else:  # phase: its |0> entry is 1
-        view[hi] *= gate.matrix()[1, 1]
+        view[hi] *= phase_factor(gate.angle)
 
 
-def _in_segment(gate: Gate) -> bool:
+def _in_segment(gate: Gate, levels: Sequence[Mapping]) -> bool:
     """True for a gate :func:`_apply_segment` takes: one without controls, a CX,
-    or an Ry or Rz controlled on exactly the qubits before its target."""
+    or an Ry or Rz controlled on exactly the qubits before its target t, a
+    pattern of ``levels[t]``, the :func:`~kraussim.qsp.control_patterns`
+    dict of those qubits."""
     if not gate.controls or gate.kind == "x":
         return gate.is_elementary()
-    t = gate.target
-    return gate.kind != "phase" and len(gate.controls) == t and all(q < t for q, _ in gate.controls)
+    return gate.kind != "phase" and pattern_of(levels[gate.target], gate.controls) is not None
 
 
 def _apply_level(pairs: np.ndarray, gates: Sequence[Gate], rows: list[int]) -> None:
@@ -156,7 +172,7 @@ def _apply_level(pairs: np.ndarray, gates: Sequence[Gate], rows: list[int]) -> N
 
 
 def _apply_segment(
-    amps: np.ndarray, gates: Sequence[Gate], n: int, ry: np.ndarray, rz: np.ndarray
+    amps: np.ndarray, gates: Sequence[Gate], n: int, ry: np.ndarray, rz: np.ndarray, level: Mapping
 ) -> tuple[int, int]:
     """Apply gates that all target qubit t and all pass :func:`_in_segment` to a
     ``(2**n,)`` state, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
@@ -168,7 +184,9 @@ def _apply_segment(
     segment's uncontrolled Ry and Rz gates take, in gate order, the first rows
     of ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers of
     rows taken are returned.  A run of Ry or Rz gates controlled on every qubit
-    before t, one pattern each, goes to :func:`_apply_level` as one block."""
+    before t, one pattern each, goes to :func:`_apply_level` as one block; its
+    rows are the gates' pattern indices in ``level``, the
+    :func:`~kraussim.qsp.control_patterns` dict of qubits 0..t-1."""
     t = gates[0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
@@ -182,7 +200,7 @@ def _apply_segment(
             # the run ends at another kind or at a repeated pattern
             end, rows = i, {}
             while end < len(gates) and gates[end].kind == gate.kind and gates[end].controls:
-                row = sum(b << (t - 1 - q) for q, b in gates[end].controls)
+                row = pattern_of(level, gates[end].controls)
                 if row in rows:
                     break
                 rows[row] = None
@@ -199,7 +217,7 @@ def _apply_segment(
             low *= d0
             high *= d1
         elif gate.kind == "phase":
-            high *= gate.matrix()[1, 1]
+            high *= phase_factor(gate.angle)
         elif gate.controls:  # CX: the control's bit is row axis c, or c - 1 above t
             c = gate.controls[0][0]
             swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
@@ -215,10 +233,16 @@ def run(circuit: Circuit) -> PureState:
     """The state the circuit prepares from |0...0>, its global phase applied last.
 
     Each maximal run of consecutive gates on one target that pass
-    :func:`_in_segment` goes to :func:`_apply_segment`; every other gate goes
-    to :func:`_apply_gate`.  The matrices of the uncontrolled Ry and Rz gates
-    are built for the whole circuit in one pass; each segment starts at the
-    rows after those the gates before it took."""
+    :func:`_in_segment` goes to :func:`_apply_segment`.  A Phase controlled
+    on exactly the qubits before its target t < n-1 scales its contiguous
+    :func:`~kraussim.qsp.phase_block` of the state in place by
+    :func:`~kraussim.qsp.phase_factor`, the multiply that
+    :func:`_apply_gate` makes on that slice.  Every other gate goes to
+    :func:`_apply_gate`; on t = n-1 the block is one amplitude, which
+    :func:`_apply_gate` multiplies as a numpy scalar.  The matrices of the
+    uncontrolled Ry and Rz gates are built for the whole circuit in one
+    pass; each segment starts at the rows after those the gates before it
+    took."""
     n = circuit.qubit_count
     check_register(n, "simulator")
     state = np.zeros(2**n, dtype=np.complex128)
@@ -226,21 +250,25 @@ def run(circuit: Circuit) -> PureState:
     uncontrolled = [g for g in circuit.gates if not g.controls]
     ry = rotation_stack("ry", [g.angle for g in uncontrolled if g.kind == "ry"]).transpose(0, 2, 1)
     rz = rotation_stack("rz", [g.angle for g in uncontrolled if g.kind == "rz"]).diagonal(axis1=1, axis2=2)
+    levels = [control_patterns(tuple(range(t)))[1] for t in range(n)]
     i_ry = i_rz = 0
-    for (_, segment), group in itertools.groupby(
-        circuit.gates, lambda g: (g.target, _in_segment(g))
+    # segment gates group by target; every other gate has key None
+    for target, group in itertools.groupby(
+        circuit.gates, lambda g: g.target if _in_segment(g, levels) else None
     ):
-        if segment:
-            k_ry, k_rz = _apply_segment(state, tuple(group), n, ry[i_ry:], rz[i_rz:])
-        else:
-            k_ry = k_rz = 0
-            for gate in group:
+        if target is not None:
+            k_ry, k_rz = _apply_segment(state, tuple(group), n, ry[i_ry:], rz[i_rz:], levels[target])
+            i_ry += k_ry
+            i_rz += k_rz
+            continue
+        for gate in group:  # all controlled, so they take no rows of ry or rz
+            r = None
+            if gate.kind == "phase" and gate.target < n - 1:
+                r = pattern_of(levels[gate.target], gate.controls)
+            if r is None:
                 _apply_gate(state, gate, n)
-                if not gate.controls:
-                    k_ry += gate.kind == "ry"
-                    k_rz += gate.kind == "rz"
-        i_ry += k_ry
-        i_rz += k_rz
+            else:
+                state[phase_block(n, gate.target, r)] *= phase_factor(gate.angle)
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)

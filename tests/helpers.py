@@ -27,6 +27,7 @@ from kraussim.channels import (
 )
 import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, kron
+from kraussim.qsp import Circuit, Gate
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -157,6 +158,108 @@ def reference_walsh_hadamard(v):
             out[i + h : i + 2 * h] = a - b
         h *= 2
     return out
+
+
+def _reference_multiplexed(kind, target, control_qubits, angles):
+    """Gray-code multiplexor: one new rotation and one new CX ``Gate`` per slot,
+    then a pass that drops a CX equal (``==``) to the gate before it."""
+    k = len(control_qubits)
+    if k == 0:
+        return [Gate(kind, float(angles[0]), target)] if angles[0] != 0.0 else []
+    size = 2**k
+    gray = [j ^ (j >> 1) for j in range(size)]
+    wht = reference_walsh_hadamard(np.asarray(angles, dtype=float))
+    raw = []
+    for j in range(size):
+        beta = wht[gray[j]] / size
+        if beta != 0.0:
+            raw.append(Gate(kind, float(beta), target))
+        pos = (gray[j] ^ gray[(j + 1) % size]).bit_length() - 1  # from the LSB
+        raw.append(Gate("x", 0.0, target, ((control_qubits[k - 1 - pos], 1),)))
+    out = []
+    for g in raw:
+        if out and g.kind == "x" and g.controls and out[-1] == g:
+            out.pop()
+        else:
+            out.append(g)
+    return out
+
+
+def _reference_accumulate_diag(vec, gate, n):
+    vec.reshape((2,) * n)[gate.index(n, 1)] += gate.angle
+
+
+def _reference_lower_diagonal(vec, n):
+    t = vec.reshape([2] * n)
+    support = [q for q in range(n) if not np.array_equal(np.take(t, 0, axis=q), np.take(t, 1, axis=q))]
+    if not support:
+        return [], float(vec.flat[0])
+    idx = tuple(slice(None) if q in support else 0 for q in range(n))
+    v = np.ascontiguousarray(t[idx]).reshape(-1).astype(float)
+    gates = []
+    for level in range(len(support), 0, -1):
+        pairs = v.reshape(-1, 2)
+        rz_angles = pairs[:, 1] - pairs[:, 0]
+        v = (pairs[:, 0] + pairs[:, 1]) / 2.0
+        if np.any(rz_angles != 0.0):
+            gates.extend(
+                _reference_multiplexed("rz", support[level - 1], tuple(support[: level - 1]), rz_angles)
+            )
+    return gates, float(v[0])
+
+
+def reference_lower(circuit):
+    """``qsp.lower`` with every Phase gate added into the diagonal through its
+    ``(2,) * n`` index and every rotation's pattern read from its control
+    bits, most significant first in sorted qubit order."""
+    n = circuit.qubit_count
+    out = []
+    global_phase = circuit.global_phase
+    gates = list(circuit.gates)
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.is_elementary():
+            out.append(g)
+            i += 1
+            continue
+        if g.kind == "phase":
+            vec = np.zeros(2**n)
+            while i < len(gates) and gates[i].kind == "phase":
+                _reference_accumulate_diag(vec, gates[i], n)
+                i += 1
+            sub, delta = _reference_lower_diagonal(vec, n)
+            out.extend(sub)
+            global_phase += delta
+            continue
+        if g.kind in ("ry", "rz"):
+            control_qubits = tuple(sorted(q for q, _ in g.controls))
+            angles = np.zeros(2 ** len(control_qubits))
+            while i < len(gates):
+                h = gates[i]
+                if h.is_elementary() or h.kind != g.kind or h.target != g.target:
+                    break
+                if tuple(sorted(q for q, _ in h.controls)) != control_qubits:
+                    break
+                bits = dict(h.controls)
+                pattern = 0
+                for q in control_qubits:
+                    pattern = (pattern << 1) | bits[q]
+                angles[pattern] += h.angle
+                i += 1
+            out.extend(_reference_multiplexed(g.kind, g.target, control_qubits, angles))
+            continue
+        # a controlled X that is not a plain CX: Hadamard-conjugated phase of pi
+        h_gates = [Gate("ry", math.pi / 2.0, g.target), Gate("x", 0.0, g.target)]
+        vec = np.zeros(2**n)
+        _reference_accumulate_diag(vec, Gate("phase", math.pi, g.target, g.controls), n)
+        sub, delta = _reference_lower_diagonal(vec, n)
+        out.extend(h_gates)
+        out.extend(sub)
+        global_phase += delta
+        out.extend(h_gates)
+        i += 1
+    return Circuit(n, tuple(out), global_phase)
 
 
 def stub_gate_kernels(monkeypatch):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pure, reference_walsh_hadamard
+from helpers import random_pure, reference_lower, reference_walsh_hadamard
 from kraussim.numerics import PureState, basis_state
 from kraussim.qsp import (
     Circuit,
     Gate,
+    control_patterns,
     dump_circuit,
     gate_counts,
     lower,
@@ -200,6 +201,114 @@ def test_gate_validation():
         Gate("ry", 0.1, 1, ((0, 2),))  # activation must be a bit
     with pytest.raises(ValueError):
         Circuit(2, (Gate("x", 0.0, 5),))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("hadamard", 0.0, 0), "unknown gate kind 'hadamard'"),
+    (("ry", 0.1, 1, ((0, 1), (1, 0))), "duplicate qubit 1 in gate"),  # the target as a control
+    (("rz", 0.1, 2, ((0, 1), (1, 0), (0, 0))), "duplicate qubit 0 in gate"),
+    (("phase", 0.1, 1, ((0, 2),)), "control bit must be 0 or 1, got 2"),
+])
+def test_gate_rejects_bad_input_with_its_message(args, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Gate(*args)
+
+
+def test_gate_stores_controls_as_a_tuple_of_pairs():
+    # lowering and the simulator look controls up in dicts keyed by tuples,
+    # so lists from a caller must not reach them
+    expected = Gate("ry", 0.4, 2, ((0, 1), (1, 0)))
+    for given in ([(0, 1), (1, 0)], [[0, 1], [1, 0]], ((0, 1), [1, 0]), iter([(0, 1), (1, 0)])):
+        gate = Gate("ry", 0.4, 2, given)
+        assert gate.controls == expected.controls
+        assert type(gate.controls) is tuple and all(type(pair) is tuple for pair in gate.controls)
+        assert gate == expected and hash(gate) == hash(expected)
+        circuit = Circuit(3, (Gate("ry", 1.0, 0), Gate("ry", 0.7, 1), gate))
+        reference = Circuit(3, circuit.gates[:2] + (expected,))
+        assert lower(circuit) == lower(reference)
+        assert run(circuit).amplitudes.tobytes() == run(reference).amplitudes.tobytes()
+    assert Gate("x", 0.0, 0, []).controls == ()
+
+
+def test_control_patterns_follow_the_bit_formula():
+    # pattern r gives the j-th listed qubit the bit (r >> (k-1-j)) & 1
+    for k in range(10):
+        patterns, index = control_patterns(tuple(range(k)))
+        assert patterns == tuple(
+            tuple((q, (r >> (k - 1 - q)) & 1) for q in range(k)) for r in range(2**k)
+        )
+        assert index == {controls: r for r, controls in enumerate(patterns)}
+        assert control_patterns(tuple(range(k)))[0] is patterns  # built once
+    with pytest.raises(TypeError):
+        index[patterns[0]] = 1  # shared by every caller, so read-only
+    patterns, _ = control_patterns((1, 4, 6))
+    assert patterns[0b110] == ((1, 1), (4, 1), (6, 0))
+
+
+def assert_lowers_as_reference(circuit):
+    lowered, expected = lower(circuit), reference_lower(circuit)
+    assert lowered.gates == expected.gates
+    assert lowered.global_phase.hex() == expected.global_phase.hex()
+    # the text keeps the sign of a zero angle, which == does not see
+    assert dump_circuit(lowered) == dump_circuit(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lower_matches_reference_on_preparations(n):
+    # complex and real states, with exact zeros so that levels miss patterns
+    rng = np.random.default_rng(320 + n)
+    for real in (False, True):
+        for zero_share in (0.0, 0.3):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            amps[rng.random(2**n) < zero_share] = 0.0
+            if not np.any(amps):
+                amps[0] = 1.0
+            target = PureState(amps / np.linalg.norm(amps))
+            assert_lowers_as_reference((synthesize_real if real else synthesize)(target))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lower_matches_reference_on_hand_built_circuits(n):
+    # runs of rotations on one target and control set, their controls in
+    # shuffled order; a control set or kind that breaks a run; controlled X
+    # that is not a CX; elementary gates; Phase gates on any controls
+    rng = np.random.default_rng(330 + n)
+    for _ in range(8):
+        gates = []
+        for _ in range(12):
+            target, *others = rng.permutation(n).tolist()
+            qubits = others[: rng.integers(0, n)]
+            choice = str(rng.choice(["run", "x", "phase", "elementary"]))
+            if choice == "run":
+                kind = str(rng.choice(["ry", "rz"]))
+                qubits = qubits or others[:1]
+                for _ in range(rng.integers(1, 6)):
+                    rng.shuffle(qubits)
+                    controls = tuple((q, int(rng.integers(2))) for q in qubits)
+                    gates.append(Gate(kind, float(rng.choice([rng.uniform(-3, 3), 0.0])), target, controls))
+            elif choice == "x":
+                controls = tuple((q, int(rng.integers(2))) for q in qubits or others[:1])
+                gates.append(Gate("x", 0.0, target, controls))
+            elif choice == "phase":
+                for _ in range(rng.integers(1, 5)):
+                    if rng.random() < 0.5:  # on exactly the qubits before the target
+                        target = int(rng.integers(n))
+                        patterns = control_patterns(tuple(range(target)))[0]
+                        controls = patterns[rng.integers(len(patterns))]
+                    else:
+                        target, *others = rng.permutation(n).tolist()
+                        controls = tuple((q, int(rng.integers(2))) for q in others[: rng.integers(0, n)])
+                    gates.append(Gate("phase", float(rng.uniform(-3, 3)), target, controls))
+            else:
+                kind = str(rng.choice(["x", "ry", "rz", "phase", "cx"]))
+                if kind == "cx":
+                    gates.append(Gate("x", 0.0, target, ((others[0], 1),)))
+                else:
+                    gates.append(Gate(kind, float(rng.uniform(-3, 3)), target))
+        circuit = Circuit(n, tuple(gates), float(rng.uniform(-3, 3)))
+        assert_lowers_as_reference(circuit)
+        if n <= 4:
+            assert np.abs(circuit_unitary(lower(circuit)) - circuit_unitary(circuit)).max() < 1e-9
 
 
 @pytest.mark.parametrize("bad", [

@@ -20,7 +20,7 @@ from helpers import (
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, lower, synthesize, synthesize_real
+from kraussim.qsp import Circuit, Gate, control_patterns, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -228,6 +228,32 @@ def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
     circuit = Circuit(n, tuple(gates), float(rng.uniform(-np.pi, np.pi)))
     assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
     assert max(lengths) >= 30 and (n == 1 or 1 in lengths)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch):
+    # Phase gates controlled on exactly the qubits before their target, as
+    # the synthesis's scalar phases are, on every target: run scales one
+    # contiguous block for t < n-1, and on the last qubit, where the block is
+    # one amplitude, keeps the numpy-scalar product of _apply_gate.  Some numpy
+    # builds round a one-element array product as a scalar product, so the
+    # bytes alone need not show which path the last qubit took
+    applied = []
+    apply_gate = simulator._apply_gate
+    monkeypatch.setattr(simulator, "_apply_gate", lambda a, g, n: applied.append(g) or apply_gate(a, g, n))
+    rng = np.random.default_rng(500 + n)
+    gates = list(synthesize(random_pure(rng, 2**n)).gates)
+    for _ in range(4):
+        for t in rng.permutation(n).tolist():
+            patterns = control_patterns(tuple(range(t)))[0]
+            for r in rng.permutation(len(patterns))[:6].tolist():
+                gates.append(Gate("phase", random_angle(rng), t, patterns[r]))
+    circuit = Circuit(n, tuple(gates), float(rng.uniform(-np.pi, np.pi)))
+    controlled = [g for g in circuit.gates if g.kind == "phase" and g.controls]
+    assert sum(g.target == n - 1 for g in controlled) >= 4 or n == 1
+    state = run(circuit).amplitudes
+    assert applied == [g for g in controlled if g.target == n - 1]
+    assert state.tobytes() == gate_by_gate(circuit).tobytes()
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
