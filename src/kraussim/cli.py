@@ -536,8 +536,8 @@ def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
     synth_count = lowered_count = 0
     measured = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
     for k, part in enumerate(_prepared_parts(cfg, channel, rho0, psi0)):
-        synth_count += len(part.circuit.gates)
-        lowered_count += len(part.lowered.gates)
+        synth_count += part.circuit.gate_count
+        lowered_count += part.lowered.gate_count
         if cfg.mode == "exact":
             block = _measure_exact(part)
         else:

@@ -1,48 +1,30 @@
 """State-preparation circuit synthesis and lowering.
 
-:func:`synthesize` compiles an arbitrary n-qubit amplitude vector into a
-circuit built from multi-controlled single-qubit rotations.  The scheme is
-recursive over qubits, most significant first:
+:func:`synthesize` compiles an n-qubit amplitude vector into the binary
+tree of uniformly controlled rotations (Möttönen et al., Quantum Inf.
+Comput. 5, 467 (2005)), most significant qubit first.  Level k is
+emitted as :class:`Multiplexor` elements on qubit t = k-1, controlled on
+exactly the qubits 0..t-1, with one angle per control pattern:
 
-* levels 1..n-1 prepare the "magnitude pyramid": level k rotates qubit
-  k-1 by Ry angles reproducing the prefix magnitudes
-  ``r_prefix = sqrt(|c_{prefix 0}|^2 + |c_{prefix 1}|^2)``, one rotation
-  per k-1-bit control pattern;
-* level n applies, per (n-1)-bit pattern, the unitary
-  ``exp(i t/2) Rz(phi) Ry(theta)`` that fixes the last qubit's relative
-  magnitude and both branch phases (``theta = 2 atan2(|c1|, |c0|)``,
-  ``phi = arg c1 - arg c0``, ``t = arg c1 + arg c0``).
+* levels 1..n-1 prepare the "magnitude pyramid": one Ry multiplexor
+  whose angles reproduce the prefix magnitudes
+  ``r_prefix = sqrt(|c_{prefix 0}|^2 + |c_{prefix 1}|^2)``;
+* level n applies, per pattern, ``exp(i t/2) Rz(phi) Ry(theta)``
+  (``theta = 2 atan2(|c1|, |c0|)``, ``phi = arg c1 - arg c0``,
+  ``t = arg c1 + arg c0``): one Ry and one Rz multiplexor, then the
+  branch scalars as Phase multiplexors on the control qubits.
 
-Branch-relative scalar phases are emitted as controlled Phase gates; the
-single top-level scalar that remains is tracked on
-``Circuit.global_phase`` rather than compiled.  Synthesis is one pass over
-the levels: each level emits its Ry gates, then its Rz gates, then its
-Phase gates, in control-pattern order, and skips every pattern whose
-parent amplitude is exactly zero.
+Patterns whose parent amplitude is exactly zero get no entry; the one
+top-level scalar left is tracked on ``Circuit.global_phase``.
+:func:`synthesize_real` is the real case: every level is one Ry
+multiplexor with signed angles ``2 atan2(c1, c0)``.
 
-:func:`synthesize_real` is the specialization for real amplitude vectors:
-every level reduces to Ry rotations with signed angles
-``2 atan2(c1, c0)``.
-
-:func:`lower` rewrites a synthesized circuit over the elementary set
-{X, Ry, Rz, Phase, CX}.  Runs of multi-controlled rotations sharing a
-target and control set become one multiplexed rotation, decomposed by the
-standard Gray-code walk (2^k CX and up to 2^k rotations for k controls);
-runs of controlled Phase gates are folded into a diagonal, realized as a
-cascade of multiplexed Rz layers plus a global-phase term.
-
-:func:`control_patterns` is the one control-pattern rule.  For k
-ascending qubits it builds, once, the 2^k controls tuples in pattern
-order, the first qubit the most significant bit, and a dict from each
-tuple to its index.  Synthesis emits those tuples.  Lowering finds a
-rotation's pattern with one lookup (:func:`pattern_of`; controls in
-another order are looked up sorted), and so does the simulator.  A
-Phase controlled on exactly the qubits before its target t, pattern r,
-acts on one contiguous block of amplitudes (:func:`phase_block`):
-lowering adds its angle to that slice of the diagonal, and the simulator
-scales that slice of the state.  Each Gray-code
-walk reads its indices and transition positions from a plan cached per
-k and shares one CX gate per (target, control) pair.
+:func:`lower` rewrites a circuit over {X, Ry, Rz, Phase, CX}.  An Ry or
+Rz multiplexor, or a run of controlled rotations sharing a target and
+control set, becomes a Gray-code walk (2^k CX and up to 2^k rotations
+for k controls); consecutive Phases fold into one diagonal, realized as
+multiplexed Rz layers plus a global-phase term.  :func:`control_patterns`
+is the one control-pattern rule, the first qubit most significant.
 """
 
 from __future__ import annotations
@@ -62,6 +44,7 @@ from .numerics import PureState
 
 __all__ = [
     "Gate",
+    "Multiplexor",
     "Circuit",
     "GATE_KINDS",
     "rotation_stack",
@@ -122,18 +105,18 @@ def control_patterns(qubits: tuple[int, ...]) -> tuple[tuple[Controls, ...], Map
     Returns the controls tuples in pattern order, the first qubit the most
     significant bit (pattern r gives qubit ``qubits[j]`` the bit
     ``(r >> (k-1-j)) & 1``), and a read-only dict from each tuple to its
-    pattern index.  Built once per qubit tuple and shared: synthesis emits
-    these tuples, and lowering and the simulator look a gate's controls up
-    in the dict.
+    pattern index.  Built once per qubit tuple and shared: ``Circuit.gates``
+    takes a multiplexor entry's controls from it, and lowering looks a
+    controlled rotation's controls up in the dict.
     """
     patterns = tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
     return patterns, MappingProxyType({controls: r for r, controls in enumerate(patterns)})
 
 
 def phase_block(n: int, target: int, r: int) -> slice:
-    """The amplitudes of an n-qubit register that a Phase on ``target``,
-    controlled on exactly the qubits before it with pattern r, multiplies:
-    the contiguous block ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))``."""
+    """The amplitudes of an n-qubit register that a Phase multiplexor's entry
+    on pattern r of ``target`` multiplies: the contiguous block
+    ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))``."""
     size = 2 ** (n - 1 - target)
     return slice((2 * r + 1) * size, (2 * r + 2) * size)
 
@@ -212,31 +195,93 @@ class Gate:
 
 
 @dataclass(frozen=True)
-class Circuit:
-    """A gate list over ``qubit_count`` qubits plus one tracked scalar phase.
+class Multiplexor:
+    """An Ry, Rz or Phase on ``target``, controlled on exactly the qubits
+    ``0..target-1``: a uniformly controlled rotation.
 
-    Gates apply in list order.  ``global_phase`` is the exponent of a
-    scalar ``exp(i * global_phase)`` multiplying the final state.
+    Entry i applies ``angles[i]`` on control pattern ``rows[i]``, in the
+    pattern order of :func:`control_patterns` (qubit 0 most significant).
+    Ry and Rz rows are distinct; Phase entries apply in order and may
+    repeat a row.  Rows and angles are kept as tuples of ints and floats.
+    """
+
+    kind: str
+    target: int
+    rows: tuple[int, ...]
+    angles: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        rows, angles = tuple(map(int, self.rows)), tuple(map(float, self.angles))
+        size = 2**self.target
+        problem = None
+        if self.kind not in ("ry", "rz", "phase"):
+            problem = "unknown kind"
+        elif len(rows) != len(angles):
+            problem = f"{len(rows)} rows but {len(angles)} angles"
+        elif rows and not (0 <= min(rows) and max(rows) < size):
+            problem = f"row {next(r for r in rows if not 0 <= r < size)} outside [0, {size})"
+        elif self.kind != "phase" and len(set(rows)) != len(rows):
+            problem = f"row {next(r for r in rows if rows.count(r) > 1)} repeated"
+        elif not all(map(math.isfinite, angles)):
+            problem = f"angle {next(a for a in angles if not math.isfinite(a))} not finite"
+        if problem:
+            raise ValueError(f"{self}: {problem}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "angles", angles)
+
+    def __str__(self) -> str:
+        return f"{self.kind!r} multiplexor on qubit {self.target}"
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Gates and multiplexors over ``qubit_count`` qubits plus one tracked
+    scalar phase.
+
+    Elements apply in order.  ``global_phase`` is the exponent of a scalar
+    ``exp(i * global_phase)`` multiplying the final state.
     """
 
     qubit_count: int
-    gates: tuple[Gate, ...]
+    elements: tuple[Gate | Multiplexor, ...]
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
-        gates = tuple(self.gates)
+        elements = tuple(self.elements)
         # one pass over the targets and the distinct controls tuples; the
-        # per-gate loop only finds the culprit
-        used = {g.target for g in gates}
-        used.update(q for controls in {g.controls for g in gates} for q, _ in controls)
+        # per-element loop only finds the culprit
+        used = {e.target for e in elements}
+        used.update(q for controls in {getattr(e, "controls", ()) for e in elements} for q, _ in controls)
         if used and (min(used) < 0 or max(used) >= self.qubit_count):
-            for g in gates:
-                qubits = [g.target] + [q for q, _ in g.controls]
+            for e in elements:
+                qubits = [e.target] + [q for q, _ in getattr(e, "controls", ())]
                 if any(q < 0 or q >= self.qubit_count for q in qubits):
-                    raise ValueError(f"gate {g} references qubit outside register")
-        object.__setattr__(self, "gates", gates)
+                    label = f"gate {e}" if isinstance(e, Gate) else str(e)
+                    raise ValueError(f"{label} references qubit outside register")
+        object.__setattr__(self, "elements", elements)
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The elements as gates, each multiplexor entry one Gate controlled
+        on its pattern; built on first use.  Without multiplexors, the
+        elements as given."""
+        if not any(isinstance(e, Multiplexor) for e in self.elements):
+            return self.elements
+        gates: list[Gate] = []
+        for e in self.elements:
+            if isinstance(e, Gate):
+                gates.append(e)
+            else:
+                patterns = control_patterns(tuple(range(e.target)))[0]
+                gates.extend(Gate(e.kind, angle, e.target, patterns[r]) for r, angle in zip(e.rows, e.angles))
+        return tuple(gates)
+
+    @property
+    def gate_count(self) -> int:
+        """``len(self.gates)``, counted without building them."""
+        return sum(len(e.rows) if isinstance(e, Multiplexor) else 1 for e in self.elements)
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -255,51 +300,32 @@ def _magnitude_pyramid(amps: np.ndarray, n: int) -> list[np.ndarray]:
     return levels
 
 
-def _controlled_scalar_phase(eta: float, controls: Controls) -> tuple[list[Gate], float]:
-    """Gates applying exp(i eta) exactly on the control pattern.
-
-    Realized with Phase gates only (all diagonal): a 1-activated control
-    becomes the Phase target directly; a 0-activated control contributes
-    Phase(-eta) on that qubit plus the same scalar on the remaining
-    controls.  With no controls left the scalar is returned as a
-    global-phase increment.
-    """
-    gates: list[Gate] = []
-    ctrl = list(controls)
-    while ctrl:
-        q, b = ctrl.pop()
-        if b == 1:
-            gates.append(Gate("phase", eta, q, tuple(ctrl)))
-            return gates, 0.0
-        gates.append(Gate("phase", -eta, q, tuple(ctrl)))
-    return gates, eta
-
-
 def _synthesize(target: PureState, real: bool) -> Circuit:
     """One pass over the magnitude pyramid, most significant qubit first.
 
-    Level k targets qubit k-1 with one multi-controlled
-    ``exp(i t/2) Rz(phi) Ry(theta)`` per (k-1)-bit pattern whose parent
-    magnitude is nonzero.  A level emits its Ry gates, then its Rz gates,
-    then its scalar-phase gates, each in pattern order.
+    Level k emits its Ry multiplexor, its Rz multiplexor, then each
+    pattern's scalar exp(i s/2) as a chain of Phases from its last control
+    bit up: a 0 bit gives Phase(-s/2) on that qubit, a 1 bit Phase(s/2) and
+    ends the chain, and with no 1 bit the scalar joins the global phase.
+    A Phase's row is the pattern's prefix, the pattern shifted right;
+    consecutive Phases on one qubit form one multiplexor.
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
     if real and np.max(np.abs(amps.imag)) > 1e-12:
         raise ValueError("amplitudes have imaginary parts; use synthesize instead")
     levels = _magnitude_pyramid(amps, n)
-    gates: list[Gate] = []
+    elements: list[Multiplexor] = []
     global_phase = 0.0
-    for k in range(1, n + 1):
-        coeff = levels[k - 1]
-        ry: list[Gate] = []
-        rz: list[Gate] = []
-        ph: list[Gate] = []
-        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))[0]):
-            if k >= 2 and levels[k - 2][pattern] == 0.0:
+    for t in range(n):
+        coeff = levels[t]
+        rotations: dict[str, tuple[list, list]] = {"ry": ([], []), "rz": ([], [])}
+        phases: list[tuple[int, int, float]] = []  # (qubit, row, angle) in order
+        for pattern, parent in enumerate(levels[t - 1].tolist() if t else [1.0]):
+            if parent == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
             c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
-            if k < n or real:
+            if t < n - 1 or real:
                 # magnitude level, or a real last level: signed Ry only
                 theta = 2.0 * math.atan2(c1.real, c0.real)
                 phi = scalar = 0.0
@@ -309,16 +335,24 @@ def _synthesize(target: PureState, real: bool) -> Circuit:
                 phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
                 phi = phi1 - phi0
                 scalar = phi1 + phi0
-            if theta != 0.0:
-                ry.append(Gate("ry", theta, k - 1, controls))
-            if phi != 0.0:
-                rz.append(Gate("rz", phi, k - 1, controls))
+            for kind, angle in (("ry", theta), ("rz", phi)):
+                if angle != 0.0:
+                    rotations[kind][0].append(pattern)
+                    rotations[kind][1].append(angle)
             if scalar != 0.0:
-                sub, delta = _controlled_scalar_phase(scalar / 2.0, controls)
-                ph.extend(sub)
-                global_phase += delta
-        gates.extend(ry + rz + ph)
-    return Circuit(n, tuple(gates), global_phase)
+                eta = scalar / 2.0
+                for q in range(t - 1, -1, -1):
+                    bit = (pattern >> (t - 1 - q)) & 1
+                    phases.append((q, pattern >> (t - q), eta if bit else -eta))
+                    if bit:
+                        break
+                else:
+                    global_phase += eta
+        elements.extend(Multiplexor(kind, t, *entries) for kind, entries in rotations.items() if entries[0])
+        for q, run in itertools.groupby(phases, key=lambda entry: entry[0]):
+            _, rows, angles = zip(*run)
+            elements.append(Multiplexor("phase", q, rows, angles))
+    return Circuit(n, tuple(elements), global_phase)
 
 
 def synthesize(target: PureState) -> Circuit:
@@ -432,44 +466,55 @@ def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite over {X, Ry, Rz, Phase, CX}; elementary gates pass unchanged.
 
-    The result prepares the same state as the input including the tracked
-    global phase.
+    A multiplexor on qubit 0 has no controls, so its gates are elementary
+    too.  Any other Ry or Rz multiplexor is one Gray-code walk of its own,
+    and consecutive Phases fold into one diagonal.  The result prepares
+    the same state as the input including the tracked global phase.
     """
     n = circuit.qubit_count
     out: list[Gate] = []
     global_phase = circuit.global_phase
-    gates = circuit.gates
+    elements = circuit.elements
     i = 0
-    while i < len(gates):
-        g = gates[i]
-        if g.is_elementary():
+    while i < len(elements):
+        g = elements[i]
+        if isinstance(g, Multiplexor) and g.target == 0:
+            out.extend(Gate(g.kind, angle, 0) for angle in g.angles)
+            i += 1
+            continue
+        if isinstance(g, Gate) and g.is_elementary():
             out.append(g)
             i += 1
             continue
         if g.kind == "phase":
-            # gather all consecutive Phase gates into one diagonal
+            # gather all consecutive Phase multiplexors and gates into one diagonal
             vec = np.zeros(2**n)
-            levels = [control_patterns(tuple(range(t)))[1] for t in range(n)]
-            while i < len(gates) and gates[i].kind == "phase":
-                h = gates[i]
-                r = pattern_of(levels[h.target], h.controls)
-                if r is None:
+            while i < len(elements) and elements[i].kind == "phase":
+                h = elements[i]
+                if isinstance(h, Gate):
                     _accumulate_diag(vec, h, n)
                 else:
-                    vec[phase_block(n, h.target, r)] += h.angle
+                    for r, angle in zip(h.rows, h.angles):
+                        vec[phase_block(n, h.target, r)] += angle
                 i += 1
             sub, delta = _lower_diagonal(vec, n)
             out.extend(sub)
             global_phase += delta
+            continue
+        if isinstance(g, Multiplexor):
+            angles = np.zeros(2**g.target)
+            angles[list(g.rows)] += g.angles
+            out.extend(_lower_multiplexed(g.kind, g.target, tuple(range(g.target)), angles))
+            i += 1
             continue
         if g.kind in ("ry", "rz"):
             # the run: same kind and target, controls on the same qubit set
             control_qubits = tuple(q for q, _ in sorted(g.controls))
             index = control_patterns(control_qubits)[1]
             angles = [0.0] * len(index)
-            while i < len(gates):
-                h = gates[i]
-                if h.kind != g.kind or h.target != g.target:
+            while i < len(elements):
+                h = elements[i]
+                if not isinstance(h, Gate) or h.kind != g.kind or h.target != g.target:
                     break
                 r = pattern_of(index, h.controls)
                 if r is None:

@@ -1,58 +1,38 @@
 """Statevector simulator with shot sampling and a readout error model.
 
 Gates are applied in place on a reshaped view of the amplitude array;
-no 2^n x 2^n gate matrix is ever formed.  A gate without controls acts
-on the ``(2^t, 2, rest)`` view, t its target: X swaps its ``[:, 0]``
-and ``[:, 1]`` slices, Rz multiplies each by its diagonal entry, and
-Phase multiplies only ``[:, 1]``.  A controlled gate acts on the
-``(2,) * n`` view: X (CX among them) swaps, and Rz and Phase scale, the
-two target slices that the control bits select.  Ry, with or without
-controls, copies the amplitude pairs of its slice into one contiguous
-``(rows, 2)`` block and multiplies it by the transposed 2x2 in one BLAS
-call.  The swaps and scalings use the entries of
-:meth:`Gate.matrix`; the matrix product they replace adds only terms
-multiplied by zero.  Outside two cases the amplitudes are the same up to
-the sign of a zero.  On complex amplitudes, Rz and Phase can differ from
-the matrix product in the last bit on a 1-qubit register and when
-controlled on every other qubit: each slice is then one amplitude,
-multiplied unfused as a numpy scalar, where ``zgemm`` fuses the multiply
-and the add.  A synthesized circuit meets neither case on complex
-amplitudes: only Ry gates act before its last level's Rz gates, so those
-scale real amplitudes, exactly either way, and none of its Phase gates
-targets the last qubit.  The one-call Ry keeps the bits of the
-per-block matrix products it replaces: what fixes an entry's rounding
-is which routine computes it (BLAS ``zgemm``, ``zgemv`` or numpy's own
-loop), and ``zgemm``
-computes every entry in the same way whatever the row count.  A
-``(2^n, 1)`` batch is the exception, as its blocks were matrix-vector
-products.  The same gate loop acts on a batch: :func:`circuit_unitary` runs it on the
-identity's columns, :func:`run_branches` on tomography's settings after one :func:`run`
-of a circuit's gates, the global phase last, row s bit for bit setting s's full
-circuit.  :func:`run` starts from |0...0>.
+no 2^n x 2^n gate matrix is ever formed.  :func:`_apply_gate` applies one
+gate.  Without controls it acts on the ``(2^t, 2, rest)`` view, t its
+target: X swaps its ``[:, 0]`` and ``[:, 1]`` slices, Rz multiplies each
+by its diagonal entry, and Phase multiplies only ``[:, 1]``.  A
+controlled gate acts on the ``(2,) * n`` view: X swaps, and Rz and Phase
+scale, the two target slices that the control bits select.  Ry copies
+the amplitude pairs of its slice into one contiguous ``(rows, 2)`` block
+and multiplies it by the transposed 2x2 in one BLAS ``zgemm`` call,
+which rounds every entry as the per-block products it replaces did (a
+``(2^n, 1)`` batch excepted: those were matrix-vector products).  The
+swaps and scalings use the entries of :meth:`Gate.matrix` and drop only
+the matrix product's terms multiplied by zero, so they match it up to
+the sign of a zero, except where Rz or Phase scales single amplitudes
+(one qubit, or controls on every other qubit): numpy multiplies those
+unfused, where ``zgemm`` fuses.  The same loop acts on a batch:
+:func:`circuit_unitary` runs it on the identity's columns, and
+:func:`run_branches` on tomography's settings after one :func:`run`,
+the global phase last.
 
-:func:`run` applies most gates in same-target segments instead: maximal
-runs of gates on one target t that are uncontrolled, a CX into t, or an
-Ry or Rz controlled on exactly qubits 0..t-1, which is a level of the
-synthesized tree.  A segment gathers the amplitude pairs once into a
-contiguous ``(2^t, rest, 2)`` array and writes them back once.  Ry there
-is the same ``zgemm`` over every row, Rz and Phase scale its columns, X
-swaps them and a CX swaps them on the rows where its control bit is
-set.  A level's Ry gates become one stacked ``matmul`` over the
-patterns present, which calls per pattern the routine one gate calls,
-and its Rz gates one column scale.  Their matrices come from
-:func:`~kraussim.qsp.rotation_stack`, as :meth:`Gate.matrix`'s do, and a
-segment takes only the rows of its own gates.  A Phase controlled on
-exactly qubits 0..t-1, as the synthesis's scalar phases are, scales one
-contiguous block of the state in place (:func:`~kraussim.qsp.phase_block`:
-amplitudes ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))`` for pattern r).  On
-the last qubit that block is one amplitude, which :func:`_apply_gate`
-multiplies as a numpy scalar, so such a Phase stays there.  A gate's pattern index, in a
-segment or a Phase chain, is one dict lookup in the shared table of
-:func:`~kraussim.qsp.control_patterns`.  Each listed gate is still
-applied, and the state keeps the bits of one :func:`_apply_gate` call
-per gate.
-Qubit 0 is the most significant bit of basis labels, and the outcome
-indices of sampled counts follow the same convention.
+:func:`run` starts from |0...0> and walks a circuit's elements.  Each
+maximal run of elementary gates and Ry or Rz :class:`~kraussim.qsp.Multiplexor`
+elements on one target t is a segment: its amplitude pairs are gathered
+once into a contiguous ``(2^t, rest, 2)`` array and written back once.
+Ry there is the same ``zgemm`` over every row, Rz and Phase scale its
+columns, X swaps them and a CX swaps them on the rows where its control
+bit is set; a multiplexor is one stacked ``matmul`` (Ry) or one column
+scale (Rz) over its rows.  A Phase multiplexor scales, entry by entry,
+one contiguous block of the state (:func:`~kraussim.qsp.phase_block`),
+and every other gate goes to :func:`_apply_gate`.  Each path gives the bits of one
+:func:`_apply_gate` call per gate of ``Circuit.gates``.  Qubit 0 is the
+most significant bit of basis labels, and the outcome indices of sampled
+counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -65,12 +45,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, control_patterns, pattern_of, phase_block, phase_factor, rotation_stack
+from .qsp import Circuit, Gate, Multiplexor, phase_block, phase_factor, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -135,30 +115,26 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> None:
         view[hi] *= phase_factor(gate.angle)
 
 
-def _in_segment(gate: Gate, levels: Sequence[Mapping]) -> bool:
-    """True for a gate :func:`_apply_segment` takes: one without controls, a CX,
-    or an Ry or Rz controlled on exactly the qubits before its target t, a
-    pattern of ``levels[t]``, the :func:`~kraussim.qsp.control_patterns`
-    dict of those qubits."""
-    if not gate.controls or gate.kind == "x":
-        return gate.is_elementary()
-    return gate.kind != "phase" and pattern_of(levels[gate.target], gate.controls) is not None
+def _segment_target(element: Gate | Multiplexor) -> int | None:
+    """The target of an element :func:`_apply_segment` takes, an elementary
+    gate or an Ry or Rz multiplexor; None for any other."""
+    if isinstance(element, Multiplexor):
+        return None if element.kind == "phase" else element.target
+    return element.target if element.is_elementary() else None
 
 
-def _apply_level(pairs: np.ndarray, gates: Sequence[Gate], rows: list[int]) -> None:
-    """Apply Ry or Rz gates of one kind, each controlled on every qubit before the
-    target on a pattern of its own, to the ``(2^t, rest, 2)`` pair array at once.
+def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
+    """Apply an Ry or Rz multiplexor on qubit t to the ``(2^t, rest, 2)`` pair array.
 
-    The pattern rows are gathered into one ``(P, rest, 2)`` block.  Ry multiplies
-    it by the ``(P, 2, 2)`` stack of transposed matrices in one ``matmul``, which
-    calls per pattern the BLAS routine one gate would; Rz scales it by ``(P, 1,
-    2)`` diagonal entries, which numpy's complex multiply loop rounds as it rounds
-    one gate's ``(rest,)`` slices.  On the last qubit, rest is 1 and one gate
-    scales numpy scalars, whose product is the unfused ``(ac - bd, ad + bc)``; the
-    block is then formed from those four real products and two sums."""
+    Its rows are gathered into one ``(P, rest, 2)`` block.  Ry multiplies it
+    by the ``(P, 2, 2)`` transposed matrices in one ``matmul``, which calls
+    per row the BLAS routine one gate would; Rz scales it by ``(P, 1, 2)``
+    diagonal entries.  On the last qubit rest is 1, and the block is formed
+    as one gate's numpy scalars are: the unfused ``(ac - bd, ad + bc)``."""
+    rows = list(level.rows)
     block = pairs[rows]
-    stack = rotation_stack(gates[0].kind, [g.angle for g in gates])
-    if gates[0].kind == "ry":
+    stack = rotation_stack(level.kind, level.angles)
+    if level.kind == "ry":
         block = block @ stack.transpose(0, 2, 1)
     elif block.shape[1] > 1:
         block *= stack.diagonal(axis1=1, axis2=2)[:, None, :]
@@ -172,59 +148,44 @@ def _apply_level(pairs: np.ndarray, gates: Sequence[Gate], rows: list[int]) -> N
 
 
 def _apply_segment(
-    amps: np.ndarray, gates: Sequence[Gate], n: int, ry: np.ndarray, rz: np.ndarray, level: Mapping
+    amps: np.ndarray, elements: Sequence[Gate | Multiplexor], n: int, ry: np.ndarray, rz: np.ndarray
 ) -> tuple[int, int]:
-    """Apply gates that all target qubit t and all pass :func:`_in_segment` to a
-    ``(2**n,)`` state, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
+    """Apply elements on one target t that all have a :func:`_segment_target`
+    to a ``(2**n,)`` state, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
 
     Row r of the pair array holds the bits of every other qubit, qubit 0 most
     significant; column b holds qubit t's.  Ry multiplies all rows by the
     transposed 2x2 in one ``zgemm`` call, Rz and Phase scale the columns, X swaps
     them, and a CX swaps them on the rows where its control bit is set.  The
-    segment's uncontrolled Ry and Rz gates take, in gate order, the first rows
-    of ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers of
-    rows taken are returned.  A run of Ry or Rz gates controlled on every qubit
-    before t, one pattern each, goes to :func:`_apply_level` as one block; its
-    rows are the gates' pattern indices in ``level``, the
-    :func:`~kraussim.qsp.control_patterns` dict of qubits 0..t-1."""
-    t = gates[0].target
+    segment's uncontrolled Ry and Rz gates take, in order, the first rows of
+    ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers of rows
+    taken are returned.  A multiplexor goes to :func:`_apply_level`."""
+    t = elements[0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
     flat = pairs.reshape(-1, 2)
     low, high = flat[:, 0], flat[:, 1]
     by_qubit = pairs.reshape((2,) * (n - 1) + (2,))
-    i = i_ry = i_rz = 0
-    while i < len(gates):
-        gate = gates[i]
-        if gate.controls and gate.kind != "x":
-            # the run ends at another kind or at a repeated pattern
-            end, rows = i, {}
-            while end < len(gates) and gates[end].kind == gate.kind and gates[end].controls:
-                row = pattern_of(level, gates[end].controls)
-                if row in rows:
-                    break
-                rows[row] = None
-                end += 1
-            _apply_level(pairs, gates[i:end], list(rows))
-            i = end
-            continue
-        if gate.kind == "ry":
+    i_ry = i_rz = 0
+    for element in elements:
+        if isinstance(element, Multiplexor):
+            _apply_level(pairs, element)
+        elif element.kind == "ry":
             flat[...] = flat @ ry[i_ry]
             i_ry += 1
-        elif gate.kind == "rz":
+        elif element.kind == "rz":
             d0, d1 = rz[i_rz]
             i_rz += 1
             low *= d0
             high *= d1
-        elif gate.kind == "phase":
-            high *= phase_factor(gate.angle)
-        elif gate.controls:  # CX: the control's bit is row axis c, or c - 1 above t
-            c = gate.controls[0][0]
+        elif element.kind == "phase":
+            high *= phase_factor(element.angle)
+        elif element.controls:  # CX: the control's bit is row axis c, or c - 1 above t
+            c = element.controls[0][0]
             swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
             swapped[...] = swapped[..., ::-1]
         else:
             flat[...] = flat[:, ::-1]
-        i += 1
     view[...] = pairs
     return i_ry, i_rz
 
@@ -232,43 +193,32 @@ def _apply_segment(
 def run(circuit: Circuit) -> PureState:
     """The state the circuit prepares from |0...0>, its global phase applied last.
 
-    Each maximal run of consecutive gates on one target that pass
-    :func:`_in_segment` goes to :func:`_apply_segment`.  A Phase controlled
-    on exactly the qubits before its target t < n-1 scales its contiguous
-    :func:`~kraussim.qsp.phase_block` of the state in place by
-    :func:`~kraussim.qsp.phase_factor`, the multiply that
-    :func:`_apply_gate` makes on that slice.  Every other gate goes to
-    :func:`_apply_gate`; on t = n-1 the block is one amplitude, which
-    :func:`_apply_gate` multiplies as a numpy scalar.  The matrices of the
-    uncontrolled Ry and Rz gates are built for the whole circuit in one
-    pass; each segment starts at the rows after those the gates before it
-    took."""
+    Each maximal run of elements on one target with a :func:`_segment_target`
+    goes to :func:`_apply_segment`.  A Phase multiplexor scales each entry's
+    :func:`~kraussim.qsp.phase_block` by :func:`~kraussim.qsp.phase_factor`,
+    in entry order, as :func:`_apply_gate` scales that slice.  The uncontrolled
+    Ry and Rz matrices are built for the whole circuit in one pass; each
+    segment starts at the rows after those the gates before it took."""
     n = circuit.qubit_count
     check_register(n, "simulator")
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
-    uncontrolled = [g for g in circuit.gates if not g.controls]
+    uncontrolled = [g for g in circuit.elements if isinstance(g, Gate) and not g.controls]
     ry = rotation_stack("ry", [g.angle for g in uncontrolled if g.kind == "ry"]).transpose(0, 2, 1)
     rz = rotation_stack("rz", [g.angle for g in uncontrolled if g.kind == "rz"]).diagonal(axis1=1, axis2=2)
-    levels = [control_patterns(tuple(range(t)))[1] for t in range(n)]
     i_ry = i_rz = 0
-    # segment gates group by target; every other gate has key None
-    for target, group in itertools.groupby(
-        circuit.gates, lambda g: g.target if _in_segment(g, levels) else None
-    ):
+    for target, group in itertools.groupby(circuit.elements, _segment_target):
         if target is not None:
-            k_ry, k_rz = _apply_segment(state, tuple(group), n, ry[i_ry:], rz[i_rz:], levels[target])
+            k_ry, k_rz = _apply_segment(state, tuple(group), n, ry[i_ry:], rz[i_rz:])
             i_ry += k_ry
             i_rz += k_rz
             continue
-        for gate in group:  # all controlled, so they take no rows of ry or rz
-            r = None
-            if gate.kind == "phase" and gate.target < n - 1:
-                r = pattern_of(levels[gate.target], gate.controls)
-            if r is None:
-                _apply_gate(state, gate, n)
-            else:
-                state[phase_block(n, gate.target, r)] *= phase_factor(gate.angle)
+        for element in group:  # none takes rows of ry or rz
+            if isinstance(element, Gate):
+                _apply_gate(state, element, n)
+                continue
+            for r, angle in zip(element.rows, element.angles):
+                state[phase_block(n, element.target, r)] *= phase_factor(angle)
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)
@@ -288,7 +238,7 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
                 raise ValueError(
                     f"branches: layer {q} gate {gate} acts outside the {n}-qubit circuit"
                 )
-    batch = run(Circuit(n, circuit.gates)).amplitudes[:, None].copy()
+    batch = run(Circuit(n, circuit.elements)).amplitudes[:, None].copy()
     for alternatives in layers:
         branches = [batch.copy() if gates else batch for gates in alternatives]
         for branch, gates in zip(branches, alternatives):
@@ -301,7 +251,12 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a small circuit (column k = action on |k>)."""
+    """Dense unitary of a small circuit (column k = action on |k>), one
+    :func:`_apply_gate` per gate of ``circuit.gates`` on the identity's columns.
+
+    On a batch, controlled Ry, Rz and Phase gates round differently from
+    :func:`run` (324, 125 and 68 of 540 random rows differed), so the columns
+    match :func:`run`'s states to rounding, not to the byte."""
     n = circuit.qubit_count
     check_register(n, "dense unitary")
     cols = np.eye(2**n, dtype=np.complex128)

@@ -27,7 +27,7 @@ from kraussim.channels import (
 )
 import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, kron
-from kraussim.qsp import Circuit, Gate
+from kraussim.qsp import Circuit, Gate, _magnitude_pyramid, _qubit_count_for, control_patterns
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -260,6 +260,74 @@ def reference_lower(circuit):
         out.extend(h_gates)
         i += 1
     return Circuit(n, tuple(out), global_phase)
+
+
+def _reference_controlled_scalar_phase(eta, controls):
+    """Gates applying exp(i eta) exactly on the control pattern.
+
+    Realized with Phase gates only (all diagonal): a 1-activated control
+    becomes the Phase target directly; a 0-activated control contributes
+    Phase(-eta) on that qubit plus the same scalar on the remaining
+    controls.  With no controls left the scalar is returned as a
+    global-phase increment.
+    """
+    gates: list[Gate] = []
+    ctrl = list(controls)
+    while ctrl:
+        q, b = ctrl.pop()
+        if b == 1:
+            gates.append(Gate("phase", eta, q, tuple(ctrl)))
+            return gates, 0.0
+        gates.append(Gate("phase", -eta, q, tuple(ctrl)))
+    return gates, eta
+
+
+def reference_synthesize(target, real=False):
+    """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one validated
+    ``Gate`` per pattern and scalar-phase step: one pass over the magnitude
+    pyramid, most significant qubit first.
+
+    Level k targets qubit k-1 with one multi-controlled
+    ``exp(i t/2) Rz(phi) Ry(theta)`` per (k-1)-bit pattern whose parent
+    magnitude is nonzero.  A level emits its Ry gates, then its Rz gates,
+    then its scalar-phase gates, each in pattern order.
+    """
+    amps = target.amplitudes
+    n = _qubit_count_for(amps.size)
+    if real and np.max(np.abs(amps.imag)) > 1e-12:
+        raise ValueError("amplitudes have imaginary parts; use synthesize instead")
+    levels = _magnitude_pyramid(amps, n)
+    gates: list[Gate] = []
+    global_phase = 0.0
+    for k in range(1, n + 1):
+        coeff = levels[k - 1]
+        ry: list[Gate] = []
+        rz: list[Gate] = []
+        ph: list[Gate] = []
+        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))[0]):
+            if k >= 2 and levels[k - 2][pattern] == 0.0:
+                continue  # zero-amplitude branch: nothing to prepare
+            c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
+            if k < n or real:
+                # magnitude level, or a real last level: signed Ry only
+                theta = 2.0 * math.atan2(c1.real, c0.real)
+                phi = scalar = 0.0
+            else:
+                theta = 2.0 * math.atan2(abs(c1), abs(c0))
+                phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
+                phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
+                phi = phi1 - phi0
+                scalar = phi1 + phi0
+            if theta != 0.0:
+                ry.append(Gate("ry", theta, k - 1, controls))
+            if phi != 0.0:
+                rz.append(Gate("rz", phi, k - 1, controls))
+            if scalar != 0.0:
+                sub, delta = _reference_controlled_scalar_phase(scalar / 2.0, controls)
+                ph.extend(sub)
+                global_phase += delta
+        gates.extend(ry + rz + ph)
+    return Circuit(n, tuple(gates), global_phase)
 
 
 def stub_gate_kernels(monkeypatch):

@@ -11,6 +11,7 @@ import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
 from helpers import random_density, stub_gate_kernels
+from kraussim.qsp import Circuit
 from kraussim.channels import (
     KrausChannel,
     apply_channel,
@@ -122,6 +123,24 @@ def test_sampled_csv_is_byte_identical_across_hash_seeds(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0].startswith(CSV_HEADER)
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_point_never_expands_a_circuit(monkeypatch):
+    # synthesis emits multiplexors; a sweep reads them, and gate counts, without
+    # spelling any circuit out as gates
+    rho = random_density(np.random.default_rng(52), 4).matrix
+    mixed = {"channel": {"name": "hw_dephasing", "params": {"d": 4}},
+             "initial_state": {"density_matrix": [[[z.real, z.imag] for z in row] for row in rho]},
+             "sweep": {"parameter": "p0", "grid": [0.3]}, "mode": "exact"}
+    qad = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
+           "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64,
+           "readout": {"e0": 0.02, "e1": 0.03}}
+    expected = [run_experiment(parse_config(cfg)) for cfg in (mixed, qad)]
+    monkeypatch.setattr(Circuit, "gates", property(lambda self: pytest.fail("Circuit.gates read")))
+    for cfg, rows in zip((mixed, qad), expected):
+        [row] = run_experiment(parse_config(cfg))
+        assert not row.error and row.synth_gate_count > 0 and row.lowered_gate_count > 0
+        assert rows_to_csv([row]) == rows_to_csv(rows)
 
 
 def test_each_preparation_is_simulated_once(monkeypatch):

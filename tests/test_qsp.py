@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pure, reference_lower, reference_walsh_hadamard
+from helpers import random_density, random_pure, reference_lower, reference_synthesize, reference_walsh_hadamard
+import kraussim.qsp as qsp
+from kraussim.channels import hw_dephasing
+from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import PureState, basis_state
 from kraussim.qsp import (
     Circuit,
     Gate,
+    Multiplexor,
     control_patterns,
     dump_circuit,
     gate_counts,
@@ -325,6 +329,100 @@ def test_circuit_check_names_the_first_gate_outside_the_register(bad):
     with pytest.raises(ValueError, match=re.escape(f"gate {later} references")):
         Circuit(3, gates[:2] + gates[3:])
     assert Circuit(3, list(gates[:2] + gates[3:4])).gates == gates[:2] + gates[3:4]
+
+
+def assert_synthesizes_as_reference(target, real):
+    circuit = (synthesize_real if real else synthesize)(target)
+    expected = reference_synthesize(target, real)
+    assert circuit.gates == expected.gates
+    assert circuit.global_phase.hex() == expected.global_phase.hex()
+    assert dump_circuit(circuit) == dump_circuit(expected)
+    return circuit
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthesis_matches_reference(n):
+    # complex and real states, with exact zeros so that levels miss patterns
+    rng = np.random.default_rng(340 + n)
+    for real in (False, True):
+        for zero_share in (0.0, 0.3):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            amps[rng.random(2**n) < zero_share] = 0.0
+            if not np.any(amps):
+                amps[0] = 1.0
+            circuit = assert_synthesizes_as_reference(PureState(amps / np.linalg.norm(amps)), real)
+            assert all(isinstance(e, Multiplexor) for e in circuit.elements)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_synthesis_matches_reference_on_degenerate_dephasing(p):
+    # hw_dephasing at p0 = 0 and 1, where whole Kraus branches are zero
+    rho = random_density(np.random.default_rng(350), 8)
+    psi = PureState(np.full(16, 0.25, dtype=complex))
+    for dilated in (
+        mixed_method_double_purification(hw_dephasing(8, p), rho),
+        dilate_pure(hw_dephasing(16, p), psi),
+    ):
+        assert_synthesizes_as_reference(embed_qudits(dilated), False)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("x", 1, [0], [0.1]), "'x' multiplexor on qubit 1: unknown kind"),
+    (("ry", 2, [0, 4], [0.1, 0.2]), "'ry' multiplexor on qubit 2: row 4 outside [0, 4)"),
+    (("phase", 2, [-1], [0.1]), "'phase' multiplexor on qubit 2: row -1 outside [0, 4)"),
+    (("ry", 2, [1, 3, 1], [0.1, 0.2, 0.3]), "'ry' multiplexor on qubit 2: row 1 repeated"),
+    (("rz", 1, [0, 0], [0.1, 0.2]), "'rz' multiplexor on qubit 1: row 0 repeated"),
+    (("rz", 2, [0, 1], [0.1]), "'rz' multiplexor on qubit 2: 2 rows but 1 angles"),
+    (("ry", 1, [0, 1], [0.1, math.nan]), "'ry' multiplexor on qubit 1: angle nan not finite"),
+    (("phase", 1, [1, 1], [math.inf, 0.2]), "'phase' multiplexor on qubit 1: angle inf not finite"),
+])
+def test_multiplexor_rejects_bad_input_with_its_message(args, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Multiplexor(*args)
+
+
+def test_multiplexor_keeps_tuples_and_circuit_checks_its_target():
+    element = Multiplexor("phase", 2, np.array([3, 3, 0]), np.array([0.5, -0.5, 1.0]))
+    assert element.rows == (3, 3, 0) and element.angles == (0.5, -0.5, 1.0)
+    assert all(type(r) is int for r in element.rows) and all(type(a) is float for a in element.angles)
+    assert Circuit(3, (element,)) == Circuit(3, [Multiplexor("phase", 2, (3, 3, 0), (0.5, -0.5, 1.0))])
+    wide = Multiplexor("ry", 3, [7], [0.2])
+    with pytest.raises(ValueError, match=r"^'ry' multiplexor on qubit 3 references qubit outside register$"):
+        Circuit(3, (Gate("x", 0.0, 0), wide))
+
+
+def test_gate_count_counts_without_expanding():
+    rng = np.random.default_rng(360)
+    synthesized = synthesize(random_pure(rng, 32))
+    hand_built = Circuit(3, (
+        Gate("x", 0.0, 0),
+        Multiplexor("ry", 2, [3, 0, 1], [0.1, 0.2, 0.3]),
+        Gate("phase", 0.4, 1, ((0, 1),)),
+        Multiplexor("phase", 1, [1, 1], [0.5, 0.6]),
+        Multiplexor("rz", 2, [], []),
+        Multiplexor("rz", 0, [0], [0.7]),
+    ))
+    for circuit in (synthesized, lower(synthesized), hand_built, lower(hand_built)):
+        count = circuit.gate_count
+        assert "gates" not in vars(circuit)  # gates are built on first use only
+        assert count == len(circuit.gates)
+    assert [(g.kind, g.target, g.controls) for g in hand_built.gates[1:4]] == [
+        ("ry", 2, ((0, 1), (1, 1))), ("ry", 2, ((0, 0), (1, 0))), ("ry", 2, ((0, 0), (1, 1))),
+    ]
+    assert np.abs(circuit_unitary(lower(hand_built)) - circuit_unitary(hand_built)).max() < 1e-12
+    low = lower(synthesized)
+    assert low.gates is low.elements
+    assert synthesized.gates is synthesized.gates
+
+
+def test_lower_reads_no_control_pattern_of_a_synthesized_circuit(monkeypatch):
+    rng = np.random.default_rng(361)
+    circuits = [synthesize(random_pure(rng, 2**n)) for n in range(1, 8)]
+    expected = [lower(c) for c in circuits]
+    monkeypatch.setattr(qsp, "pattern_of", lambda *args: pytest.fail("pattern_of called"))
+    assert [lower(c) for c in circuits] == expected
+    for c in circuits:
+        run(c)
 
 
 def test_synthesis_rejects_non_power_of_two_lengths():

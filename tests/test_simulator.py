@@ -20,7 +20,7 @@ from helpers import (
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, control_patterns, lower, synthesize, synthesize_real
+from kraussim.qsp import Circuit, Gate, Multiplexor, control_patterns, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -197,19 +197,28 @@ def test_segmented_run_matches_gate_by_gate_on_preparations(n):
                 assert_run_matches_gate_by_gate_and_reference(c)
 
 
+def random_rows(rng, t, repeat=False):
+    """One to six control patterns of qubits 0..t-1 in random order, distinct
+    unless ``repeat``."""
+    count = int(rng.integers(1, 7))
+    if repeat:
+        return rng.integers(2**t, size=count).tolist()
+    return rng.permutation(2**t)[:count].tolist()
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
     # a random complex state's preparation, then segments on random targets:
     # uncontrolled X, Ry, Rz and Phase, CX from controls below and above the
-    # target, and runs of Ry or Rz controlled on every qubit before it, with
-    # repeated patterns; controlled Phase and anti-controlled X gates split them
+    # target, and Ry or Rz multiplexors on random rows; a Phase multiplexor,
+    # a prefix-controlled Ry gate or an anti-controlled X splits them
     lengths = []
     apply_segment = simulator._apply_segment
     monkeypatch.setattr(
         simulator, "_apply_segment", lambda a, g, *rest: lengths.append(len(g)) or apply_segment(a, g, *rest)
     )
     rng = np.random.default_rng(480 + n)
-    gates = list(synthesize(random_pure(rng, 2**n)).gates)
+    elements = list(synthesize(random_pure(rng, 2**n)).elements)
     for length in (1, 1, 30, 60, 2, 45):
         t = int(rng.integers(n))
         for _ in range(length):
@@ -217,42 +226,49 @@ def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
             kind = str(rng.choice(["x", "ry", "rz", "phase", "cx", "level-ry", "level-rz"]))
             others = [q for q in range(n) if q != t]
             if kind == "cx" and others:
-                gates.append(Gate("x", 0.0, t, ((int(rng.choice(others)), 1),)))
+                elements.append(Gate("x", 0.0, t, ((int(rng.choice(others)), 1),)))
             elif kind.startswith("level"):
-                pattern = tuple((q, int(rng.integers(2))) for q in rng.permutation(t).tolist())
-                gates.append(Gate(kind[6:], angle, t, pattern))
+                rows = random_rows(rng, t)
+                elements.append(Multiplexor(kind[6:], t, rows, [random_angle(rng) for _ in rows]))
             else:
-                gates.append(Gate("x" if kind == "cx" else kind, angle, t))
-        if n > 1:
-            gates.append(Gate(str(rng.choice(["phase", "x"])), 0.5, t, ((int((t + 1) % n), 0),)))
-    circuit = Circuit(n, tuple(gates), float(rng.uniform(-np.pi, np.pi)))
+                elements.append(Gate("x" if kind == "cx" else kind, angle, t))
+        split = str(rng.choice(["phase", "ry", "x"]))
+        if split == "phase":
+            elements.append(Multiplexor("phase", t, [0], [0.5]))
+        elif split == "ry" and t:
+            elements.append(Gate("ry", 0.5, t, control_patterns(tuple(range(t)))[0][-1]))
+        elif n > 1:
+            elements.append(Gate("x", 0.0, t, ((int((t + 1) % n), 0),)))
+    circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
     assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
     assert max(lengths) >= 30 and (n == 1 or 1 in lengths)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch):
-    # Phase gates controlled on exactly the qubits before their target, as
-    # the synthesis's scalar phases are, on every target: run scales one
-    # contiguous block for t < n-1, and on the last qubit, where the block is
-    # one amplitude, keeps the numpy-scalar product of _apply_gate.  Some numpy
-    # builds round a one-element array product as a scalar product, so the
-    # bytes alone need not show which path the last qubit took
+    # Phase multiplexors on every target, rows repeated, each entry scaling
+    # one contiguous block of the state; on the last qubit that block is one
+    # amplitude, whose one-element product numpy rounds here as the scalar
+    # product of _apply_gate.  Phase gates controlled on the same qubits are
+    # hand-built gates and take _apply_gate, apart from the uncontrolled ones
+    # on qubit 0, which join a segment
     applied = []
     apply_gate = simulator._apply_gate
     monkeypatch.setattr(simulator, "_apply_gate", lambda a, g, n: applied.append(g) or apply_gate(a, g, n))
     rng = np.random.default_rng(500 + n)
-    gates = list(synthesize(random_pure(rng, 2**n)).gates)
+    elements = list(synthesize(random_pure(rng, 2**n)).elements)
+    gates = []
     for _ in range(4):
         for t in rng.permutation(n).tolist():
+            rows = random_rows(rng, t, repeat=True)
+            elements.append(Multiplexor("phase", t, rows, [random_angle(rng) for _ in rows]))
             patterns = control_patterns(tuple(range(t)))[0]
-            for r in rng.permutation(len(patterns))[:6].tolist():
-                gates.append(Gate("phase", random_angle(rng), t, patterns[r]))
-    circuit = Circuit(n, tuple(gates), float(rng.uniform(-np.pi, np.pi)))
-    controlled = [g for g in circuit.gates if g.kind == "phase" and g.controls]
-    assert sum(g.target == n - 1 for g in controlled) >= 4 or n == 1
+            gates.append(Gate("phase", random_angle(rng), t, patterns[int(rng.integers(len(patterns)))]))
+            elements.append(gates[-1])
+    circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
+    assert sum(e.target == n - 1 and e.kind == "phase" for e in circuit.elements) >= 4
     state = run(circuit).amplitudes
-    assert applied == [g for g in controlled if g.target == n - 1]
+    assert applied == [g for g in gates if g.controls]
     assert state.tobytes() == gate_by_gate(circuit).tobytes()
 
 
