@@ -19,12 +19,16 @@ top-level scalar left is tracked on ``Circuit.global_phase``.
 :func:`synthesize_real` is the real case: every level is one Ry
 multiplexor with signed angles ``2 atan2(c1, c0)``.
 
-:func:`lower` rewrites a circuit over {X, Ry, Rz, Phase, CX}.  An Ry or
-Rz multiplexor, or a run of controlled rotations sharing a target and
-control set, becomes a Gray-code walk (2^k CX and up to 2^k rotations
-for k controls); consecutive Phases fold into one diagonal, realized as
-multiplexed Rz layers plus a global-phase term.  :func:`control_patterns`
-is the one control-pattern rule, the first qubit most significant.
+A :class:`Circuit` holds two kinds of element: elementary gates (bare X,
+Ry, Rz or Phase, or a CX) and multiplexors.  ``Circuit.gates`` lists each
+multiplexor entry as one controlled :class:`Gate`, for the text dump, the
+QASM export and the gate histogram.  :func:`lower` maps each element over
+{X, Ry, Rz, Phase, CX}: an elementary gate passes unchanged, an Ry or Rz
+multiplexor becomes a Gray-code walk (2^k CX and up to 2^k rotations for
+k controls, none when every angle is zero), and consecutive Phase
+multiplexors fold into one diagonal, realized as multiplexed Rz layers
+plus a global-phase term.  :func:`control_patterns` is the one
+control-pattern rule, the first qubit most significant.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +53,6 @@ __all__ = [
     "rotation_stack",
     "phase_factor",
     "control_patterns",
-    "pattern_of",
     "phase_block",
     "synthesize",
     "synthesize_real",
@@ -76,19 +78,21 @@ def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
     is ``[[c, -s], [s, c]]`` with c and s the ``math`` cosine and sine of
     half the angle, and Rz ``diag(exp(-ia/2), exp(ia/2))``.
     """
+    if kind not in ("ry", "rz"):
+        raise ValueError(f"no rotation stack for gate kind {kind!r}")
     stack = np.zeros((len(angles), 2, 2), dtype=np.complex128)
+    if not len(angles):
+        return stack
     if kind == "ry":
         cos = [math.cos(a / 2.0) for a in angles]
         sin = [math.sin(a / 2.0) for a in angles]
         stack[:, 0, 0] = stack[:, 1, 1] = cos
         stack[:, 0, 1] = np.negative(sin)
         stack[:, 1, 0] = sin
-    elif kind == "rz":
+    else:
         stack.reshape(-1, 4)[:, ::3] = np.exp(
             np.multiply.outer(np.array(angles, dtype=np.float64) / 2.0, [-1j, 1j])
         )
-    else:
-        raise ValueError(f"no rotation stack for gate kind {kind!r}")
     return stack
 
 
@@ -99,18 +103,15 @@ def phase_factor(angle: float) -> complex:
 
 
 @functools.lru_cache(maxsize=256)
-def control_patterns(qubits: tuple[int, ...]) -> tuple[tuple[Controls, ...], Mapping[Controls, int]]:
-    """The 2^k control patterns on ``qubits``, k ascending qubits, and their indices.
+def control_patterns(qubits: tuple[int, ...]) -> tuple[Controls, ...]:
+    """The 2^k control patterns on ``qubits``, k ascending qubits.
 
     Returns the controls tuples in pattern order, the first qubit the most
-    significant bit (pattern r gives qubit ``qubits[j]`` the bit
-    ``(r >> (k-1-j)) & 1``), and a read-only dict from each tuple to its
-    pattern index.  Built once per qubit tuple and shared: ``Circuit.gates``
-    takes a multiplexor entry's controls from it, and lowering looks a
-    controlled rotation's controls up in the dict.
+    significant bit: pattern r gives qubit ``qubits[j]`` the bit
+    ``(r >> (k-1-j)) & 1``.  Built once per qubit tuple and shared:
+    ``Circuit.gates`` takes a multiplexor entry's controls from it.
     """
-    patterns = tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
-    return patterns, MappingProxyType({controls: r for r, controls in enumerate(patterns)})
+    return tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
 
 
 def phase_block(n: int, target: int, r: int) -> slice:
@@ -121,16 +122,6 @@ def phase_block(n: int, target: int, r: int) -> slice:
     return slice((2 * r + 1) * size, (2 * r + 2) * size)
 
 
-def pattern_of(index: Mapping[Controls, int], controls: Controls) -> int | None:
-    """The pattern index of ``controls`` in ``index``, the dict of a
-    :func:`control_patterns` table, its pairs in any order; None when it
-    does not control exactly that table's qubits."""
-    row = index.get(controls)
-    if row is None and len(controls) > 1:
-        row = index.get(tuple(sorted(controls)))
-    return row
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate: a 2x2 primitive on ``target``, optionally controlled.
@@ -138,7 +129,8 @@ class Gate:
     ``controls`` lists (qubit, activation bit) pairs, kept as a tuple of
     tuples whatever sequences the caller gave; the primitive acts only on
     basis states whose control bits match.  ``angle`` is ignored for kind
-    ``"x"``.
+    ``"x"``.  A :class:`Circuit` holds only elementary gates; other
+    controlled gates are how ``Circuit.gates`` lists multiplexor entries.
     """
 
     kind: str
@@ -149,8 +141,8 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        # kept as a tuple of tuples, so that controls can key the dicts of
-        # control_patterns; an input that already is one is kept as given
+        # kept as a tuple of tuples, so that gates hash and compare by value;
+        # an input that already is one is kept as given
         controls = self.controls
         if type(controls) is not tuple:
             controls = tuple(controls)
@@ -176,22 +168,15 @@ class Gate:
             return rotation_stack(self.kind, (a,))[0]
         return np.diag([1.0, phase_factor(a)]).astype(np.complex128)
 
-    def index(self, n: int, target=slice(None)) -> tuple:
-        """Index into an n-qubit register tensor of shape ``(2,) * n``: each
-        control axis fixed at its activation bit, ``target`` at the target
-        axis, every other axis whole.  Trailing axes beyond the n qubits
-        are kept whole."""
-        idx: list = [slice(None)] * n
-        for q, b in self.controls:
-            idx[q] = b
-        idx[self.target] = target
-        return tuple(idx)
-
     def is_elementary(self) -> bool:
         """True for the lowered target set: bare X/Ry/Rz/Phase, or CX."""
-        if not self.controls:
-            return True
-        return self.kind == "x" and len(self.controls) == 1 and self.controls[0][1] == 1
+        return _elementary(self.kind, self.controls)
+
+
+def _elementary(kind: str, controls: Controls) -> bool:
+    """:meth:`Gate.is_elementary` on a kind and controls, which
+    ``Circuit`` checks once per distinct pair."""
+    return not controls or (kind == "x" and len(controls) == 1 and controls[0][1] == 1)
 
 
 @dataclass(frozen=True)
@@ -235,11 +220,13 @@ class Multiplexor:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates and multiplexors over ``qubit_count`` qubits plus one tracked
-    scalar phase.
+    """Elementary gates and multiplexors over ``qubit_count`` qubits plus one
+    tracked scalar phase.
 
-    Elements apply in order.  ``global_phase`` is the exponent of a scalar
-    ``exp(i * global_phase)`` multiplying the final state.
+    Elements apply in order.  An element is a :class:`Multiplexor` or a
+    :class:`Gate` for which :meth:`Gate.is_elementary` holds; a controlled
+    rotation is written as a multiplexor.  ``global_phase`` is the exponent
+    of a scalar ``exp(i * global_phase)`` multiplying the final state.
     """
 
     qubit_count: int
@@ -250,16 +237,20 @@ class Circuit:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
         elements = tuple(self.elements)
-        # one pass over the targets and the distinct controls tuples; the
-        # per-element loop only finds the culprit
+        # one pass over the targets and the distinct (kind, controls) pairs;
+        # the per-element loops only find the culprit
         used = {e.target for e in elements}
-        used.update(q for controls in {getattr(e, "controls", ()) for e in elements} for q, _ in controls)
+        shapes = {(e.kind, getattr(e, "controls", ())) for e in elements}
+        used.update(q for _, controls in shapes for q, _ in controls)
         if used and (min(used) < 0 or max(used) >= self.qubit_count):
             for e in elements:
                 qubits = [e.target] + [q for q, _ in getattr(e, "controls", ())]
                 if any(q < 0 or q >= self.qubit_count for q in qubits):
                     label = f"gate {e}" if isinstance(e, Gate) else str(e)
                     raise ValueError(f"{label} references qubit outside register")
+        if not all(_elementary(*shape) for shape in shapes):
+            e = next(e for e in elements if isinstance(e, Gate) and not e.is_elementary())
+            raise ValueError(f"gate {e} is not elementary; write a controlled rotation as a Multiplexor")
         object.__setattr__(self, "elements", elements)
 
     @functools.cached_property
@@ -274,7 +265,7 @@ class Circuit:
             if isinstance(e, Gate):
                 gates.append(e)
             else:
-                patterns = control_patterns(tuple(range(e.target)))[0]
+                patterns = control_patterns(tuple(range(e.target)))
                 gates.extend(Gate(e.kind, angle, e.target, patterns[r]) for r, angle in zip(e.rows, e.angles))
         return tuple(gates)
 
@@ -413,13 +404,16 @@ def _lower_multiplexed(
     Gray-code indices; each slot is a rotation followed by a CX on the
     Gray transition bit, so conjugations realize the sign matrix.  A slot
     whose angle is zero emits no rotation, and a CX that would follow the
-    same CX cancels it.
+    same CX cancels it.  With every slot's angle zero the walk is the
+    identity, and no gate is emitted.
     """
     k = len(control_qubits)
     if k == 0:
         return [Gate(kind, float(angles[0]), target)] if angles[0] != 0.0 else []
     gray, flips = _gray_plan(k)
     betas = _walsh_hadamard(np.asarray(angles, dtype=float))[gray] / 2**k
+    if not betas.any():
+        return []
     out: list[Gate] = []
     for beta, flip in zip(betas.tolist(), flips):
         if beta != 0.0:
@@ -430,11 +424,6 @@ def _lower_multiplexed(
         else:
             out.append(cx)
     return out
-
-
-def _accumulate_diag(vec: np.ndarray, gate: Gate, n: int) -> None:
-    """Add a controlled Phase gate's exponent into a full-register diagonal."""
-    vec.reshape((2,) * n)[gate.index(n, 1)] += gate.angle
 
 
 def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:
@@ -464,12 +453,14 @@ def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:
 
 
 def lower(circuit: Circuit) -> Circuit:
-    """Rewrite over {X, Ry, Rz, Phase, CX}; elementary gates pass unchanged.
+    """Rewrite over {X, Ry, Rz, Phase, CX}, element by element.
 
-    A multiplexor on qubit 0 has no controls, so its gates are elementary
-    too.  Any other Ry or Rz multiplexor is one Gray-code walk of its own,
-    and consecutive Phases fold into one diagonal.  The result prepares
-    the same state as the input including the tracked global phase.
+    An elementary gate passes unchanged.  A multiplexor on qubit 0 has no
+    controls, so its entries become uncontrolled gates.  Any other Ry or Rz
+    multiplexor is one Gray-code walk of its own, and a Phase multiplexor,
+    with the Phase multiplexors that directly follow it, folds into one
+    diagonal.  The result prepares the same state as the input including
+    the tracked global phase.
     """
     n = circuit.qubit_count
     out: list[Gate] = []
@@ -477,63 +468,28 @@ def lower(circuit: Circuit) -> Circuit:
     elements = circuit.elements
     i = 0
     while i < len(elements):
-        g = elements[i]
-        if isinstance(g, Multiplexor) and g.target == 0:
-            out.extend(Gate(g.kind, angle, 0) for angle in g.angles)
-            i += 1
-            continue
-        if isinstance(g, Gate) and g.is_elementary():
-            out.append(g)
-            i += 1
-            continue
-        if g.kind == "phase":
-            # gather all consecutive Phase multiplexors and gates into one diagonal
+        e = elements[i]
+        i += 1
+        if isinstance(e, Gate):
+            out.append(e)
+        elif e.target == 0:
+            out.extend(Gate(e.kind, angle, 0) for angle in e.angles)
+        elif e.kind != "phase":
+            angles = np.zeros(2**e.target)
+            angles[list(e.rows)] += e.angles
+            out.extend(_lower_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
+        else:
             vec = np.zeros(2**n)
-            while i < len(elements) and elements[i].kind == "phase":
-                h = elements[i]
-                if isinstance(h, Gate):
-                    _accumulate_diag(vec, h, n)
-                else:
-                    for r, angle in zip(h.rows, h.angles):
-                        vec[phase_block(n, h.target, r)] += angle
+            run = [e]
+            while i < len(elements) and isinstance(elements[i], Multiplexor) and elements[i].kind == "phase":
+                run.append(elements[i])
                 i += 1
+            for h in run:
+                for r, angle in zip(h.rows, h.angles):
+                    vec[phase_block(n, h.target, r)] += angle
             sub, delta = _lower_diagonal(vec, n)
             out.extend(sub)
             global_phase += delta
-            continue
-        if isinstance(g, Multiplexor):
-            angles = np.zeros(2**g.target)
-            angles[list(g.rows)] += g.angles
-            out.extend(_lower_multiplexed(g.kind, g.target, tuple(range(g.target)), angles))
-            i += 1
-            continue
-        if g.kind in ("ry", "rz"):
-            # the run: same kind and target, controls on the same qubit set
-            control_qubits = tuple(q for q, _ in sorted(g.controls))
-            index = control_patterns(control_qubits)[1]
-            angles = [0.0] * len(index)
-            while i < len(elements):
-                h = elements[i]
-                if not isinstance(h, Gate) or h.kind != g.kind or h.target != g.target:
-                    break
-                r = pattern_of(index, h.controls)
-                if r is None:
-                    break
-                angles[r] += h.angle
-                i += 1
-            out.extend(_lower_multiplexed(g.kind, g.target, control_qubits, angles))
-            continue
-        # controlled X that is not a plain CX: conjugate a controlled phase
-        # of pi by Hadamards built as Ry(pi/2) then X
-        h_gates = [Gate("ry", math.pi / 2.0, g.target), Gate("x", 0.0, g.target)]
-        vec = np.zeros(2**n)
-        _accumulate_diag(vec, Gate("phase", math.pi, g.target, g.controls), n)
-        sub, delta = _lower_diagonal(vec, n)
-        out.extend(h_gates)
-        out.extend(sub)
-        global_phase += delta
-        out.extend(h_gates)
-        i += 1
     return Circuit(n, tuple(out), global_phase)
 
 

@@ -27,7 +27,7 @@ from kraussim.channels import (
 )
 import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, kron
-from kraussim.qsp import Circuit, Gate, _magnitude_pyramid, _qubit_count_for, control_patterns
+from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, control_patterns
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -162,13 +162,16 @@ def reference_walsh_hadamard(v):
 
 def _reference_multiplexed(kind, target, control_qubits, angles):
     """Gray-code multiplexor: one new rotation and one new CX ``Gate`` per slot,
-    then a pass that drops a CX equal (``==``) to the gate before it."""
+    then a pass that drops a CX equal (``==``) to the gate before it; no gate
+    at all when every slot's rotation angle is zero."""
     k = len(control_qubits)
     if k == 0:
         return [Gate(kind, float(angles[0]), target)] if angles[0] != 0.0 else []
     size = 2**k
     gray = [j ^ (j >> 1) for j in range(size)]
     wht = reference_walsh_hadamard(np.asarray(angles, dtype=float))
+    if all(wht[gray[j]] / size == 0.0 for j in range(size)):
+        return []
     raw = []
     for j in range(size):
         beta = wht[gray[j]] / size
@@ -185,8 +188,19 @@ def _reference_multiplexed(kind, target, control_qubits, angles):
     return out
 
 
+def _gate_index(gate, n, target=slice(None)):
+    """Index into an n-qubit register tensor of shape ``(2,) * n``: each
+    control axis fixed at its activation bit, ``target`` at the target axis,
+    every other axis whole.  Trailing axes beyond the n qubits are kept whole."""
+    idx = [slice(None)] * n
+    for q, b in gate.controls:
+        idx[q] = b
+    idx[gate.target] = target
+    return tuple(idx)
+
+
 def _reference_accumulate_diag(vec, gate, n):
-    vec.reshape((2,) * n)[gate.index(n, 1)] += gate.angle
+    vec.reshape((2,) * n)[_gate_index(gate, n, 1)] += gate.angle
 
 
 def _reference_lower_diagonal(vec, n):
@@ -209,56 +223,42 @@ def _reference_lower_diagonal(vec, n):
 
 
 def reference_lower(circuit):
-    """``qsp.lower`` with every Phase gate added into the diagonal through its
-    ``(2,) * n`` index and every rotation's pattern read from its control
-    bits, most significant first in sorted qubit order."""
+    """``qsp.lower`` with every Phase entry added into the diagonal as a
+    controlled gate through its ``(2,) * n`` index and every rotation's
+    pattern read from its control bits, most significant first."""
     n = circuit.qubit_count
     out = []
     global_phase = circuit.global_phase
-    gates = list(circuit.gates)
+    elements = list(circuit.elements)
     i = 0
-    while i < len(gates):
-        g = gates[i]
-        if g.is_elementary():
-            out.append(g)
-            i += 1
+    while i < len(elements):
+        e = elements[i]
+        i += 1
+        gates = Circuit(n, (e,)).gates
+        if isinstance(e, Gate) or e.target == 0:
+            out.extend(gates)
             continue
-        if g.kind == "phase":
+        if e.kind == "phase":
             vec = np.zeros(2**n)
-            while i < len(gates) and gates[i].kind == "phase":
-                _reference_accumulate_diag(vec, gates[i], n)
+            while True:
+                for g in gates:
+                    _reference_accumulate_diag(vec, g, n)
+                following = elements[i] if i < len(elements) else None
+                if not (isinstance(following, Multiplexor) and following.kind == "phase"):
+                    break
+                gates = Circuit(n, (following,)).gates
                 i += 1
             sub, delta = _reference_lower_diagonal(vec, n)
             out.extend(sub)
             global_phase += delta
             continue
-        if g.kind in ("ry", "rz"):
-            control_qubits = tuple(sorted(q for q, _ in g.controls))
-            angles = np.zeros(2 ** len(control_qubits))
-            while i < len(gates):
-                h = gates[i]
-                if h.is_elementary() or h.kind != g.kind or h.target != g.target:
-                    break
-                if tuple(sorted(q for q, _ in h.controls)) != control_qubits:
-                    break
-                bits = dict(h.controls)
-                pattern = 0
-                for q in control_qubits:
-                    pattern = (pattern << 1) | bits[q]
-                angles[pattern] += h.angle
-                i += 1
-            out.extend(_reference_multiplexed(g.kind, g.target, control_qubits, angles))
-            continue
-        # a controlled X that is not a plain CX: Hadamard-conjugated phase of pi
-        h_gates = [Gate("ry", math.pi / 2.0, g.target), Gate("x", 0.0, g.target)]
-        vec = np.zeros(2**n)
-        _reference_accumulate_diag(vec, Gate("phase", math.pi, g.target, g.controls), n)
-        sub, delta = _reference_lower_diagonal(vec, n)
-        out.extend(h_gates)
-        out.extend(sub)
-        global_phase += delta
-        out.extend(h_gates)
-        i += 1
+        angles = np.zeros(2**e.target)
+        for g in gates:
+            pattern = 0
+            for _, bit in g.controls:
+                pattern = (pattern << 1) | bit
+            angles[pattern] += g.angle
+        out.extend(_reference_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
     return Circuit(n, tuple(out), global_phase)
 
 
@@ -285,7 +285,9 @@ def _reference_controlled_scalar_phase(eta, controls):
 def reference_synthesize(target, real=False):
     """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one validated
     ``Gate`` per pattern and scalar-phase step: one pass over the magnitude
-    pyramid, most significant qubit first.
+    pyramid, most significant qubit first.  Returns the gates, which
+    ``Circuit.gates`` of the synthesized circuit must equal, and the global
+    phase.
 
     Level k targets qubit k-1 with one multi-controlled
     ``exp(i t/2) Rz(phi) Ry(theta)`` per (k-1)-bit pattern whose parent
@@ -304,7 +306,7 @@ def reference_synthesize(target, real=False):
         ry: list[Gate] = []
         rz: list[Gate] = []
         ph: list[Gate] = []
-        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))[0]):
+        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))):
             if k >= 2 and levels[k - 2][pattern] == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
             c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
@@ -327,17 +329,16 @@ def reference_synthesize(target, real=False):
                 ph.extend(sub)
                 global_phase += delta
         gates.extend(ry + rz + ph)
-    return Circuit(n, tuple(gates), global_phase)
+    return tuple(gates), global_phase
 
 
 def stub_gate_kernels(monkeypatch):
-    """Replace both of the simulator's gate kernels, ``_apply_gate`` and
-    ``_apply_segment``, by stubs that apply nothing and record each call;
-    returns the list of calls, so a test can assert that no gate was applied
-    on either path."""
+    """Replace the simulator's element loop ``_apply_elements``, through which
+    ``run``, ``run_branches`` and ``circuit_unitary`` apply every gate, by a
+    stub that applies nothing and records each call; returns the list of
+    calls, so a test can assert that no gate was applied."""
     calls = []
-    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: calls.append(args))
-    monkeypatch.setattr(simulator, "_apply_segment", lambda *args: calls.append(args))
+    monkeypatch.setattr(simulator, "_apply_elements", lambda *args: calls.append(args))
     return calls
 
 
@@ -348,7 +349,7 @@ def reference_run(circuit):
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:
-        sub = state.reshape((2,) * n)[gate.index(n)]
+        sub = state.reshape((2,) * n)[_gate_index(gate, n)]
         axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
         sub[...] = sub @ gate.matrix().T
@@ -364,13 +365,13 @@ def reference_apply_gate(amps, gate, n):
     slices."""
     view = amps.reshape((2,) * n + amps.shape[1:])
     if gate.kind == "ry":
-        sub = view[gate.index(n)]
+        sub = view[_gate_index(gate, n)]
         # integer indexing collapsed the control axes; recompute target position
         axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
         sub[...] = sub @ gate.matrix().T
         return
-    lo, hi = gate.index(n, 0), gate.index(n, 1)
+    lo, hi = _gate_index(gate, n, 0), _gate_index(gate, n, 1)
     if gate.kind == "x":
         low = view[lo].copy()
         view[lo] = view[hi]

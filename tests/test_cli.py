@@ -144,12 +144,11 @@ def test_sweep_point_never_expands_a_circuit(monkeypatch):
 
 
 def test_each_preparation_is_simulated_once(monkeypatch):
-    # ``run`` applies most gates in same-target segments, not one
-    # ``_apply_gate`` call each, so each circuit handed to ``run`` counts
-    # its gates, and ``_apply_gate`` counts the gates applied outside it
+    # each circuit handed to ``run`` counts its gates, and the segment
+    # kernel counts the gates it applies outside ``run``: the layers'
     applied = []
     inside_run = []
-    run, apply_gate = simulator.run, simulator._apply_gate
+    run, apply_segment = simulator.run, simulator._apply_segment
 
     def counting_run(circuit):
         applied.extend(circuit.gates)
@@ -159,14 +158,14 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         finally:
             inside_run.pop()
 
-    def counting_apply(state, gate, n):
+    def counting_segment(amps, elements, *rest):
         if not inside_run:
-            applied.append(gate)
-        apply_gate(state, gate, n)
+            applied.extend(elements)
+        return apply_segment(amps, elements, *rest)
 
     monkeypatch.setattr(simulator, "run", counting_run)
     monkeypatch.setattr(cli, "run", counting_run)
-    monkeypatch.setattr(simulator, "_apply_gate", counting_apply)
+    monkeypatch.setattr(simulator, "_apply_segment", counting_segment)
     # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
     # on the batch of settings: 4 per system qubit, where one run per
     # setting applies 3^(m-1) * 4 per system qubit

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from helpers import (
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, Multiplexor, control_patterns, lower, synthesize, synthesize_real
+from kraussim.qsp import Circuit, Gate, Multiplexor, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -35,31 +36,31 @@ from kraussim.simulator import (
 )
 
 
-def random_gate(rng, n, kinds=("x", "ry", "rz", "phase"), every_other=False):
-    """A gate of a random kind on a random target, controlled on a random
-    subset of the other qubits (on all of them with ``every_other``), with
-    random activation bits."""
+def random_element(rng, n, kinds=("x", "ry", "rz", "phase")):
+    """An element of a random kind on a random target: half the time an
+    uncontrolled gate, otherwise a CX from a random other qubit (kind X, on
+    more than one qubit) or a multiplexor on one to six random rows (the
+    other kinds; Phase rows may repeat)."""
     kind = str(rng.choice(kinds))
-    qubits = rng.permutation(n)
-    n_ctrl = n - 1 if every_other else int(rng.integers(0, n))
-    return Gate(
-        kind,
-        float(rng.uniform(-np.pi, np.pi)),
-        int(qubits[0]),
-        tuple((int(q), int(rng.integers(0, 2))) for q in qubits[1 : 1 + n_ctrl]),
-    )
+    t = int(rng.integers(n))
+    if rng.random() < 0.5:
+        if kind == "x" and n > 1:
+            return Gate("x", 0.0, t, ((int(rng.choice([q for q in range(n) if q != t])), 1),))
+        if kind != "x":
+            rows = random_rows(rng, t, repeat=kind == "phase")
+            return Multiplexor(kind, t, rows, [random_angle(rng) for _ in rows])
+    return Gate(kind, random_angle(rng), t)
 
 
 def test_gate_application_matches_dense_matrices():
     rng = np.random.default_rng(400)
     for n in (1, 2, 3, 4):
         for _ in range(20):
-            gates = tuple(random_gate(rng, n) for _ in range(6))
-            circuit = Circuit(n, gates)
+            circuit = Circuit(n, tuple(random_element(rng, n) for _ in range(6)))
             state = run(circuit).amplitudes
             expected = np.zeros(2**n, dtype=complex)
             expected[0] = 1.0
-            for g in gates:
+            for g in circuit.gates:
                 expected = dense_gate(g, n) @ expected
             assert np.abs(state - expected).max() < 1e-12
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
@@ -77,12 +78,13 @@ def test_run_of_lowered_circuit_matches_original():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_circuit_unitary_columns(n):
     rng = np.random.default_rng(400 + n)
-    gates = tuple(random_gate(rng, n) for _ in range(4 * n))
-    # a gate anti-controlled on every other qubit, so each width has one
-    gates += (Gate("ry", 0.7, n - 1, tuple((q, 0) for q in range(n - 1))),)
-    u = circuit_unitary(Circuit(n, gates, 0.3))
+    elements = tuple(random_element(rng, n) for _ in range(4 * n))
+    # an entry anti-controlled on every other qubit, so each width has one
+    elements += (Multiplexor("ry", n - 1, [0], [0.7]),)
+    circuit = Circuit(n, elements, 0.3)
+    u = circuit_unitary(circuit)
     expected = np.exp(0.3j) * np.eye(2**n, dtype=complex)
-    for g in gates:
+    for g in circuit.gates:
         expected = dense_gate(g, n) @ expected
     assert np.abs(u - expected).max() < 1e-12
     assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
@@ -99,8 +101,7 @@ def fires(gate, bits):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_x_and_cx_circuits_are_exact_permutations(n):
     rng = np.random.default_rng(420 + n)
-    gates = [random_gate(rng, n, ("x",)) for _ in range(6 * n)]
-    gates.append(random_gate(rng, n, ("x",), every_other=True))
+    gates = [random_element(rng, n, ("x",)) for _ in range(6 * n)]
     circuit = Circuit(n, tuple(gates))
     # where each basis state ends up, one bit flip at a time
     image = []
@@ -116,8 +117,7 @@ def test_x_and_cx_circuits_are_exact_permutations(n):
     # a batch of k states is permuted without arithmetic
     batch = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
     moved = batch.copy()
-    for g in gates:
-        simulator._apply_gate(moved, g, n)
+    simulator._apply_elements(moved, gates, n)
     expected = np.empty_like(batch)
     expected[image] = batch
     assert moved.tobytes() == expected.tobytes()
@@ -126,9 +126,12 @@ def test_x_and_cx_circuits_are_exact_permutations(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_rz_and_phase_circuits_are_exact_diagonals(n):
     rng = np.random.default_rng(430 + n)
-    gates = [random_gate(rng, n, ("rz", "phase")) for _ in range(6 * n)]
-    gates += [random_gate(rng, n, (kind,), every_other=True) for kind in ("rz", "phase")]
-    u = circuit_unitary(Circuit(n, tuple(gates)))
+    elements = [random_element(rng, n, ("rz", "phase")) for _ in range(6 * n)]
+    for kind in ("rz", "phase"):  # entries controlled on every other qubit
+        rows = random_rows(rng, n - 1, repeat=kind == "phase")
+        elements.append(Multiplexor(kind, n - 1, rows, [random_angle(rng) for _ in rows]))
+    circuit = Circuit(n, tuple(elements))
+    u = circuit_unitary(circuit)
     assert np.array_equal(u, np.diag(u.diagonal()))
     # each entry is its basis state's diagonal entries multiplied in gate
     # order, one whole-vector product per gate (a factor 1 where the gate
@@ -136,7 +139,7 @@ def test_rz_and_phase_circuits_are_exact_diagonals(n):
     # array loop rounds some complex products differently from its scalar
     # arithmetic
     expected = np.ones(2**n, dtype=complex)
-    for g in gates:
+    for g in circuit.gates:
         diag = g.matrix().diagonal()
         factors = np.ones(2**n, dtype=complex)
         for k in range(2**n):
@@ -161,12 +164,13 @@ def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
 
 
 def gate_by_gate(circuit):
-    """``run`` with every gate applied by its own ``_apply_gate`` call."""
+    """``run`` with every gate of ``circuit.gates`` applied by its own
+    ``reference_apply_gate`` call, the slice kernel of the test helpers."""
     n = circuit.qubit_count
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
     for g in circuit.gates:
-        simulator._apply_gate(state, g, n)
+        reference_apply_gate(state, g, n)
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return state
@@ -182,7 +186,7 @@ def assert_run_matches_gate_by_gate_and_reference(circuit):
 def test_segmented_run_matches_gate_by_gate_on_preparations(n):
     # synthesized circuits, complex and real, with 30% exact zeros so that
     # levels miss patterns, and their lowered circuits: the same bytes as one
-    # _apply_gate call per gate, and the values of the matmul reference
+    # slice-kernel call per gate, and the values of the matmul reference
     rng = np.random.default_rng(470 + n)
     for real in (False, True):
         for zero_share in (0.0, 0.3):
@@ -210,8 +214,8 @@ def random_rows(rng, t, repeat=False):
 def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
     # a random complex state's preparation, then segments on random targets:
     # uncontrolled X, Ry, Rz and Phase, CX from controls below and above the
-    # target, and Ry or Rz multiplexors on random rows; a Phase multiplexor,
-    # a prefix-controlled Ry gate or an anti-controlled X splits them
+    # target, and Ry or Rz multiplexors on random rows; a Phase multiplexor
+    # or an X on another qubit splits them
     lengths = []
     apply_segment = simulator._apply_segment
     monkeypatch.setattr(
@@ -232,13 +236,10 @@ def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
                 elements.append(Multiplexor(kind[6:], t, rows, [random_angle(rng) for _ in rows]))
             else:
                 elements.append(Gate("x" if kind == "cx" else kind, angle, t))
-        split = str(rng.choice(["phase", "ry", "x"]))
-        if split == "phase":
+        if rng.random() < 0.5:
             elements.append(Multiplexor("phase", t, [0], [0.5]))
-        elif split == "ry" and t:
-            elements.append(Gate("ry", 0.5, t, control_patterns(tuple(range(t)))[0][-1]))
         elif n > 1:
-            elements.append(Gate("x", 0.0, t, ((int((t + 1) % n), 0),)))
+            elements.append(Gate("x", 0.0, (t + 1) % n))
     circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
     assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
     assert max(lengths) >= 30 and (n == 1 or 1 in lengths)
@@ -249,26 +250,25 @@ def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch)
     # Phase multiplexors on every target, rows repeated, each entry scaling
     # one contiguous block of the state; on the last qubit that block is one
     # amplitude, whose one-element product numpy rounds here as the scalar
-    # product of _apply_gate.  Phase gates controlled on the same qubits are
-    # hand-built gates and take _apply_gate, apart from the uncontrolled ones
-    # on qubit 0, which join a segment
-    applied = []
-    apply_gate = simulator._apply_gate
-    monkeypatch.setattr(simulator, "_apply_gate", lambda a, g, n: applied.append(g) or apply_gate(a, g, n))
+    # product of the slice kernel.  Uncontrolled Phase gates between them
+    # take the segment kernel, and no Phase multiplexor does
+    segments = []
+    apply_segment = simulator._apply_segment
+    monkeypatch.setattr(
+        simulator, "_apply_segment", lambda a, g, *rest: segments.extend(g) or apply_segment(a, g, *rest)
+    )
     rng = np.random.default_rng(500 + n)
     elements = list(synthesize(random_pure(rng, 2**n)).elements)
-    gates = []
     for _ in range(4):
         for t in rng.permutation(n).tolist():
             rows = random_rows(rng, t, repeat=True)
             elements.append(Multiplexor("phase", t, rows, [random_angle(rng) for _ in rows]))
-            patterns = control_patterns(tuple(range(t)))[0]
-            gates.append(Gate("phase", random_angle(rng), t, patterns[int(rng.integers(len(patterns)))]))
-            elements.append(gates[-1])
+            elements.append(Gate("phase", random_angle(rng), int(rng.integers(n))))
     circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
     assert sum(e.target == n - 1 and e.kind == "phase" for e in circuit.elements) >= 4
     state = run(circuit).amplitudes
-    assert applied == [g for g in gates if g.controls]
+    phase_gates = [e for e in elements if isinstance(e, Gate) and e.kind == "phase"]
+    assert [e for e in segments if e.kind == "phase"] == phase_gates
     assert state.tobytes() == gate_by_gate(circuit).tobytes()
 
 
@@ -295,42 +295,54 @@ def random_angle(rng):
     return float(rng.choice([rng.uniform(-np.pi, np.pi), *ANGLES]))
 
 
-def assert_kernels_match_slice_reference(rng, n, gates):
-    """``_apply_gate`` and ``reference_apply_gate`` give the same bytes for every
-    gate, on a state and on batches of 2, 3 and 2^n columns."""
-    # a (2^n, 1) batch is left out: its reference matmul is a matrix-vector
-    # product per block, which may round differently from one matrix product
-    for shape in ((2**n,), (2**n, 2), (2**n, 3), (2**n, 2**n)):
+def assert_kernels_match_slice_reference(rng, n, elements, shapes):
+    """The element loop on one element and ``reference_apply_gate`` on each of
+    its gates give the same bytes, for every element and array shape."""
+    for shape in shapes:
         amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for g in gates:
-            # exact zeros of both signs, in either part, before every gate
+        for e in elements:
+            # exact zeros of both signs, in either part, before every element
             for part in (amps.real, amps.imag):
                 part[rng.random(shape) < 0.15] = 0.0
                 part[rng.random(shape) < 0.15] = -0.0
             expected = amps.copy()
-            reference_apply_gate(expected, g, n)
-            simulator._apply_gate(amps, g, n)
-            assert amps.tobytes() == expected.tobytes(), (g, shape)
+            for g in Circuit(n, (e,)).gates:
+                reference_apply_gate(expected, g, n)
+            simulator._apply_elements(amps, (e,), n)
+            assert amps.tobytes() == expected.tobytes(), (e, shape)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
+    # the segment kernel on a state and on batches of 2, 3, 9, 27 and 2^n
+    # columns, CX among its gates; a (2^n, 1) batch is left out: its reference
+    # matmul is a matrix-vector product per block, which may round differently
+    # from one matrix product
     rng = np.random.default_rng(450 + n)
-    kinds = rng.permutation(["x", "ry", "rz", "phase"] * 3)
-    gates = [Gate(kind, random_angle(rng), int(rng.integers(n))) for kind in kinds]
-    assert_kernels_match_slice_reference(rng, n, gates)
+    kinds = rng.permutation(["x", "ry", "rz", "phase", "cx"] * 3)
+    gates = []
+    for kind in kinds:
+        target, *others = rng.permutation(n).tolist()
+        if kind != "cx":
+            gates.append(Gate(str(kind), random_angle(rng), target))
+        elif others:
+            gates.append(Gate("x", 0.0, target, ((others[0], 1),)))
+    shapes = [(2**n,)] + [(2**n, k) for k in (2, 3, 9, 27, 2**n)]
+    assert_kernels_match_slice_reference(rng, n, gates, shapes)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_controlled_kernels_match_slice_reference_bit_for_bit(n):
+    # Ry, Rz and Phase multiplexors on random targets and rows, against one
+    # slice-kernel call per entry, on a state and on batches
     rng = np.random.default_rng(460 + n)
-    gates = []
-    for kind in rng.permutation(["x", "ry", "rz", "phase"] * 4):
-        target, *others = rng.permutation(n).tolist()
-        # one to all other qubits, on either side of the target, either activation bit
-        controls = tuple((q, int(rng.integers(2))) for q in others[: rng.integers(1, n)])
-        gates.append(Gate(str(kind), random_angle(rng), target, controls))
-    assert_kernels_match_slice_reference(rng, n, gates)
+    elements = []
+    for kind in rng.permutation(["ry", "rz", "phase"] * 4):
+        t = int(rng.integers(1, n))
+        rows = random_rows(rng, t, repeat=kind == "phase")
+        elements.append(Multiplexor(str(kind), t, rows, [random_angle(rng) for _ in rows]))
+    shapes = [(2**n,)] + [(2**n, k) for k in (2, 3, 2**n)]
+    assert_kernels_match_slice_reference(rng, n, elements, shapes)
 
 
 def test_lowered_tomography_circuits_match_matmul_reference():
@@ -354,7 +366,8 @@ def test_lowered_tomography_circuits_match_matmul_reference():
 
 
 def test_anticontrolled_x_fires_on_zero():
-    circuit = Circuit(2, (Gate("x", 0.0, 1, ((0, 0),)),))
+    # a multiplexor entry on row 0 acts where every control reads 0
+    circuit = Circuit(2, (Multiplexor("ry", 1, [0], [np.pi]),))
     out = run(circuit).amplitudes
     assert abs(out[1] - 1.0) < 1e-12  # |00> -> |01>
 
@@ -576,10 +589,11 @@ def test_readout_noise_forms_no_per_shot_array():
     assert peak < 2**20
 
 
-def _circuit_gates(rng, n, kind):
-    """Rotations of every qubit, a CX chain, then random multi-controlled gates:
-    Ry and X alone for a real state, every kind for a complex one; in a sparse
-    one the last qubit stays |0>, so half the amplitudes are exact zeros."""
+def _circuit_elements(rng, n, kind):
+    """Rotations of every qubit, a CX chain, then random multiplexors, CX and
+    uncontrolled gates: Ry and X alone for a real state, every kind for a
+    complex one; in a sparse one the last qubit stays |0>, so half the
+    amplitudes are exact zeros."""
     active = range(n - 1) if kind == "sparse" else range(n)
     rotations = [
         Gate(g, rng.uniform(-math.pi, math.pi), q)
@@ -588,7 +602,7 @@ def _circuit_gates(rng, n, kind):
     ]
     chain = [Gate("x", 0.0, q + 1, ((q, 1),)) for q in active[:-1]]
     kinds = ("x", "ry") if kind == "real" else ("x", "ry", "rz", "phase")
-    controlled = [random_gate(rng, len(active), kinds) for _ in range(2 * len(active))]
+    controlled = [random_element(rng, len(active), kinds) for _ in range(2 * len(active))]
     return tuple(rotations + chain + controlled)
 
 
@@ -599,7 +613,7 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
     for n in range(1, 11):
         kind = ("complex", "real", "sparse")[(n - 1) % 3]
         phase = rng.uniform(-math.pi, math.pi) if n % 2 else 0.0
-        circuit = Circuit(n, _circuit_gates(rng, n, kind), phase)
+        circuit = Circuit(n, _circuit_elements(rng, n, kind), phase)
         assert any(g.controls for g in circuit.gates) == (n > 1)
         if kind == "sparse":
             assert np.count_nonzero(run(circuit).amplitudes) == 2 ** (n - 1)
@@ -612,7 +626,7 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
             assert rows.shape == (3**m, 2**n)
             for row, rotations in zip(rows, plan.rotations):
                 if rotations not in full:
-                    full[rotations] = run(Circuit(n, circuit.gates + rotations, phase)).amplitudes.tobytes()
+                    full[rotations] = run(Circuit(n, circuit.elements + rotations, phase)).amplitudes.tobytes()
                 assert row.tobytes() == full[rotations], (n, kind, m, rotations)
 
 
@@ -625,6 +639,10 @@ def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
         run_branches(circuit, settings_for(3).layers[:1] + settings_for(3).layers[2:])
     with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit"):
         run_branches(Circuit(11, (Gate("x", 0.0, 10),)), settings_for(1).layers)
+    # an anti-controlled X is no element of a circuit, so no layer gate either
+    anti = Gate("x", 0.0, 1, ((0, 0),))
+    with pytest.raises(ValueError, match=rf"^branches: layer 1 gate {re.escape(str(anti))} is not elementary"):
+        run_branches(circuit, [[(), (Gate("ry", 0.2, 0),)], [(Gate("x", 0.0, 1),), (anti,)]])
     assert applied == []
 
 
