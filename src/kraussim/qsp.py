@@ -12,23 +12,24 @@ exactly the qubits 0..t-1, with one angle per control pattern:
 * level n applies, per pattern, ``exp(i t/2) Rz(phi) Ry(theta)``
   (``theta = 2 atan2(|c1|, |c0|)``, ``phi = arg c1 - arg c0``,
   ``t = arg c1 + arg c0``): one Ry and one Rz multiplexor, then the
-  branch scalars as Phase multiplexors on the control qubits.
+  branch scalars ``exp(i t/2)``, a diagonal on qubits 0..n-2, as a
+  cascade of Rz multiplexors on qubits n-2 down to 0 whose last scalar
+  is tracked on ``Circuit.global_phase`` (the diagonal's decomposition
+  in Shende, Bullock and Markov, IEEE TCAD 25, 1000 (2006)).
 
-Patterns whose parent amplitude is exactly zero get no entry; the one
-top-level scalar left is tracked on ``Circuit.global_phase``.
-:func:`synthesize_real` is the real case: every level is one Ry
-multiplexor with signed angles ``2 atan2(c1, c0)``.
+Patterns whose parent amplitude is exactly zero get no entry, and no
+angle is zero.  :func:`synthesize_real` is the real case: every level is
+one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.
 
 A :class:`Circuit` holds two kinds of element: elementary gates (bare X,
-Ry, Rz or Phase, or a CX) and multiplexors.  ``Circuit.gates`` lists each
-multiplexor entry as one controlled :class:`Gate`, for the text dump, the
-QASM export and the gate histogram.  :func:`lower` maps each element over
-{X, Ry, Rz, Phase, CX}: an elementary gate passes unchanged, an Ry or Rz
-multiplexor becomes a Gray-code walk (2^k CX and up to 2^k rotations for
-k controls, none when every angle is zero), and consecutive Phase
-multiplexors fold into one diagonal, realized as multiplexed Rz layers
-plus a global-phase term.  :func:`control_patterns` is the one
-control-pattern rule, the first qubit most significant.
+Ry, Rz or Phase, or a CX) and Ry or Rz multiplexors.  ``Circuit.gates``
+lists each multiplexor entry as one controlled :class:`Gate`, for the
+text dump, the QASM export and the gate histogram.  :func:`lower` maps
+each element over {X, Ry, Rz, Phase, CX}: an elementary gate passes
+unchanged, and a multiplexor becomes one Gray-code walk (2^k CX and up
+to 2^k rotations for k controls, none when every angle is zero).
+:func:`control_patterns` is the one control-pattern rule, the first
+qubit most significant.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "rotation_stack",
     "phase_factor",
     "control_patterns",
-    "phase_block",
     "synthesize",
     "synthesize_real",
     "lower",
@@ -112,14 +112,6 @@ def control_patterns(qubits: tuple[int, ...]) -> tuple[Controls, ...]:
     ``Circuit.gates`` takes a multiplexor entry's controls from it.
     """
     return tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
-
-
-def phase_block(n: int, target: int, r: int) -> slice:
-    """The amplitudes of an n-qubit register that a Phase multiplexor's entry
-    on pattern r of ``target`` multiplies: the contiguous block
-    ``[(2r+1) 2^(n-t-1), (2r+2) 2^(n-t-1))``."""
-    size = 2 ** (n - 1 - target)
-    return slice((2 * r + 1) * size, (2 * r + 2) * size)
 
 
 @dataclass(frozen=True)
@@ -181,13 +173,13 @@ def _elementary(kind: str, controls: Controls) -> bool:
 
 @dataclass(frozen=True)
 class Multiplexor:
-    """An Ry, Rz or Phase on ``target``, controlled on exactly the qubits
+    """An Ry or Rz on ``target``, controlled on exactly the qubits
     ``0..target-1``: a uniformly controlled rotation.
 
     Entry i applies ``angles[i]`` on control pattern ``rows[i]``, in the
     pattern order of :func:`control_patterns` (qubit 0 most significant).
-    Ry and Rz rows are distinct; Phase entries apply in order and may
-    repeat a row.  Rows and angles are kept as tuples of ints and floats.
+    Rows are distinct.  Rows and angles are kept as tuples of ints and
+    floats.
     """
 
     kind: str
@@ -199,13 +191,13 @@ class Multiplexor:
         rows, angles = tuple(map(int, self.rows)), tuple(map(float, self.angles))
         size = 2**self.target
         problem = None
-        if self.kind not in ("ry", "rz", "phase"):
+        if self.kind not in ("ry", "rz"):
             problem = "unknown kind"
         elif len(rows) != len(angles):
             problem = f"{len(rows)} rows but {len(angles)} angles"
         elif rows and not (0 <= min(rows) and max(rows) < size):
             problem = f"row {next(r for r in rows if not 0 <= r < size)} outside [0, {size})"
-        elif self.kind != "phase" and len(set(rows)) != len(rows):
+        elif len(set(rows)) != len(rows):
             problem = f"row {next(r for r in rows if rows.count(r) > 1)} repeated"
         elif not all(map(math.isfinite, angles)):
             problem = f"angle {next(a for a in angles if not math.isfinite(a))} not finite"
@@ -291,15 +283,34 @@ def _magnitude_pyramid(amps: np.ndarray, n: int) -> list[np.ndarray]:
     return levels
 
 
+def _rz_cascade(w: np.ndarray, present: np.ndarray) -> tuple[list[Multiplexor], float]:
+    """diag(exp(i w)) on the k qubits of a 2^k vector ``w``, as Rz multiplexors
+    on qubits k-1 down to 0 and the scalar phase left over.
+
+    On qubit q, row r gets the angle w[2r+1] - w[2r], then w becomes the
+    means (w[2r] + w[2r+1]) / 2.0.  An entry not ``present`` takes its
+    sibling's value first, so it adds no angle; a zero angle is not emitted.
+    """
+    elements: list[Multiplexor] = []
+    for q in range(w.size.bit_length() - 2, -1, -1):
+        w = np.where(present, w, w.reshape(-1, 2)[:, ::-1].reshape(-1))
+        pairs = w.reshape(-1, 2)
+        angles = pairs[:, 1] - pairs[:, 0]
+        rows = np.flatnonzero(angles)
+        if rows.size:
+            elements.append(Multiplexor("rz", q, rows.tolist(), angles[rows].tolist()))
+        w = (pairs[:, 0] + pairs[:, 1]) / 2.0
+        present = present.reshape(-1, 2).any(axis=1)
+    return elements, float(w[0])
+
+
 def _synthesize(target: PureState, real: bool) -> Circuit:
     """One pass over the magnitude pyramid, most significant qubit first.
 
-    Level k emits its Ry multiplexor, its Rz multiplexor, then each
-    pattern's scalar exp(i s/2) as a chain of Phases from its last control
-    bit up: a 0 bit gives Phase(-s/2) on that qubit, a 1 bit Phase(s/2) and
-    ends the chain, and with no 1 bit the scalar joins the global phase.
-    A Phase's row is the pattern's prefix, the pattern shifted right;
-    consecutive Phases on one qubit form one multiplexor.
+    Level k emits its Ry multiplexor, then its Rz multiplexor.  The last
+    level's branch scalars exp(i w_p), w_p half the sum of pattern p's two
+    phases, form a diagonal on qubits 0..n-2, emitted by :func:`_rz_cascade`
+    with the patterns skipped for a zero parent not present.
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
@@ -307,43 +318,34 @@ def _synthesize(target: PureState, real: bool) -> Circuit:
         raise ValueError("amplitudes have imaginary parts; use synthesize instead")
     levels = _magnitude_pyramid(amps, n)
     elements: list[Multiplexor] = []
-    global_phase = 0.0
+    scalars = np.zeros(2 ** (n - 1))
     for t in range(n):
         coeff = levels[t]
+        parents = levels[t - 1] if t else np.ones(1)
         rotations: dict[str, tuple[list, list]] = {"ry": ([], []), "rz": ([], [])}
-        phases: list[tuple[int, int, float]] = []  # (qubit, row, angle) in order
-        for pattern, parent in enumerate(levels[t - 1].tolist() if t else [1.0]):
+        for pattern, parent in enumerate(parents.tolist()):
             if parent == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
             c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
             if t < n - 1 or real:
                 # magnitude level, or a real last level: signed Ry only
                 theta = 2.0 * math.atan2(c1.real, c0.real)
-                phi = scalar = 0.0
+                phi = 0.0
             else:
                 theta = 2.0 * math.atan2(abs(c1), abs(c0))
                 phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
                 phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
                 phi = phi1 - phi0
-                scalar = phi1 + phi0
+                scalars[pattern] = (phi1 + phi0) / 2.0
             for kind, angle in (("ry", theta), ("rz", phi)):
                 if angle != 0.0:
                     rotations[kind][0].append(pattern)
                     rotations[kind][1].append(angle)
-            if scalar != 0.0:
-                eta = scalar / 2.0
-                for q in range(t - 1, -1, -1):
-                    bit = (pattern >> (t - 1 - q)) & 1
-                    phases.append((q, pattern >> (t - q), eta if bit else -eta))
-                    if bit:
-                        break
-                else:
-                    global_phase += eta
         elements.extend(Multiplexor(kind, t, *entries) for kind, entries in rotations.items() if entries[0])
-        for q, run in itertools.groupby(phases, key=lambda entry: entry[0]):
-            _, rows, angles = zip(*run)
-            elements.append(Multiplexor("phase", q, rows, angles))
-    return Circuit(n, tuple(elements), global_phase)
+    if real:
+        return Circuit(n, tuple(elements))
+    cascade, global_phase = _rz_cascade(scalars, parents != 0.0)
+    return Circuit(n, tuple(elements + cascade), global_phase)
 
 
 def synthesize(target: PureState) -> Circuit:
@@ -426,71 +428,22 @@ def _lower_multiplexed(
     return out
 
 
-def _lower_diagonal(vec: np.ndarray, n: int) -> tuple[list[Gate], float]:
-    """Decompose diag(exp(i vec)) into multiplexed Rz layers + global phase."""
-    t = vec.reshape([2] * n)
-    support = [
-        q
-        for q in range(n)
-        if not np.array_equal(np.take(t, 0, axis=q), np.take(t, 1, axis=q))
-    ]
-    if not support:
-        return [], float(vec.flat[0])
-    idx = tuple(slice(None) if q in support else 0 for q in range(n))
-    v = np.ascontiguousarray(t[idx]).reshape(-1).astype(float)
-    gates: list[Gate] = []
-    for level in range(len(support), 0, -1):
-        pairs = v.reshape(-1, 2)
-        rz_angles = pairs[:, 1] - pairs[:, 0]
-        v = (pairs[:, 0] + pairs[:, 1]) / 2.0
-        if np.any(rz_angles != 0.0):
-            gates.extend(
-                _lower_multiplexed(
-                    "rz", support[level - 1], tuple(support[: level - 1]), rz_angles
-                )
-            )
-    return gates, float(v[0])
-
-
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite over {X, Ry, Rz, Phase, CX}, element by element.
 
-    An elementary gate passes unchanged.  A multiplexor on qubit 0 has no
-    controls, so its entries become uncontrolled gates.  Any other Ry or Rz
-    multiplexor is one Gray-code walk of its own, and a Phase multiplexor,
-    with the Phase multiplexors that directly follow it, folds into one
-    diagonal.  The result prepares the same state as the input including
-    the tracked global phase.
+    An elementary gate passes unchanged, and a multiplexor becomes one
+    Gray-code walk (on qubit 0, its one uncontrolled rotation, if nonzero).
+    The result prepares the same state as the input, global phase included.
     """
-    n = circuit.qubit_count
     out: list[Gate] = []
-    global_phase = circuit.global_phase
-    elements = circuit.elements
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        i += 1
+    for e in circuit.elements:
         if isinstance(e, Gate):
             out.append(e)
-        elif e.target == 0:
-            out.extend(Gate(e.kind, angle, 0) for angle in e.angles)
-        elif e.kind != "phase":
-            angles = np.zeros(2**e.target)
-            angles[list(e.rows)] += e.angles
-            out.extend(_lower_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
         else:
-            vec = np.zeros(2**n)
-            run = [e]
-            while i < len(elements) and isinstance(elements[i], Multiplexor) and elements[i].kind == "phase":
-                run.append(elements[i])
-                i += 1
-            for h in run:
-                for r, angle in zip(h.rows, h.angles):
-                    vec[phase_block(n, h.target, r)] += angle
-            sub, delta = _lower_diagonal(vec, n)
-            out.extend(sub)
-            global_phase += delta
-    return Circuit(n, tuple(out), global_phase)
+            angles = np.zeros(2**e.target)
+            angles[list(e.rows)] = e.angles
+            out.extend(_lower_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
+    return Circuit(circuit.qubit_count, tuple(out), circuit.global_phase)
 
 
 def verify_preparation(circuit: Circuit, target: PureState, prepared: PureState) -> float:

@@ -1,23 +1,22 @@
 """Statevector simulator with shot sampling and a readout error model.
 
-A circuit holds elementary gates and :class:`~kraussim.qsp.Multiplexor`
-elements, and one loop, :func:`_apply_elements`, applies them in place to
-a ``(2^n,)`` state or a ``(2^n, k)`` batch of states: :func:`run` on the
-state from |0...0>, :func:`run_branches` on its batch of tomography
-settings, and :func:`circuit_unitary` on the identity's columns.  No
-2^n x 2^n gate matrix is ever formed.  Each maximal run of elementary
-gates and Ry or Rz multiplexors on one target t is a segment, applied by
-the one kernel :func:`_apply_segment`: its amplitude pairs are gathered
-once into a contiguous ``(2^t, rest, 2)`` array and written back once.
-Ry there multiplies every row by the transposed 2x2 in one BLAS ``zgemm``
-call, Rz and Phase scale the columns, X swaps them and a CX swaps them on
-the rows where its control bit is set; a multiplexor is one stacked
-``matmul`` (Ry) or one column scale (Rz) over its rows.  A Phase
-multiplexor scales, entry by entry, one contiguous block of the
-amplitudes (:func:`~kraussim.qsp.phase_block`).  The swaps and scalings
-drop only the matrix product's terms multiplied by zero.  Qubit 0 is the
-most significant bit of basis labels, and the outcome indices of sampled
-counts follow the same convention.
+A circuit holds two kinds of element, elementary gates and Ry or Rz
+multiplexors (:class:`~kraussim.qsp.Multiplexor`), and one loop,
+:func:`_apply_elements`, applies them in place to a ``(2^n,)`` state or a
+``(2^n, k)`` batch of states: :func:`run` on the state from |0...0>,
+:func:`run_branches` on its batch of tomography settings, and
+:func:`circuit_unitary` on the identity's columns.  No 2^n x 2^n gate
+matrix is ever formed.  Each maximal run of elements on one target t is
+a segment, applied by the one kernel :func:`_apply_segment`: its
+amplitude pairs are gathered once into a contiguous ``(2^t, rest, 2)``
+array and written back once.  Ry there multiplies every row by the
+transposed 2x2 in one BLAS ``zgemm`` call, Rz and Phase scale the
+columns, X swaps them and a CX swaps them on the rows where its control
+bit is set; a multiplexor is one stacked ``matmul`` (Ry) or one column
+scale (Rz) over its rows.  The swaps and scalings drop only the matrix
+product's terms multiplied by zero.  Qubit 0 is the most significant bit
+of basis labels, and the outcome indices of sampled counts follow the
+same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -29,13 +28,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, Multiplexor, phase_block, phase_factor, rotation_stack
+from .qsp import Circuit, Gate, Multiplexor, phase_factor, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -58,14 +58,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path)))
     )
-
-
-def _segment_target(element: Gate | Multiplexor) -> int | None:
-    """The target of an element :func:`_apply_segment` takes: an elementary
-    gate or an Ry or Rz multiplexor; None for a Phase multiplexor."""
-    if isinstance(element, Multiplexor) and element.kind == "phase":
-        return None
-    return element.target
 
 
 def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
@@ -95,9 +87,8 @@ def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
 def _apply_segment(
     amps: np.ndarray, elements: Sequence[Gate | Multiplexor], n: int, ry: np.ndarray, rz: np.ndarray
 ) -> tuple[int, int]:
-    """Apply elements on one target t that all have a :func:`_segment_target`
-    to a ``(2**n,)`` state or a ``(2**n, k)`` batch, on one contiguous
-    ``(2^t, rest, 2)`` copy of its pairs.
+    """Apply elements on one target t to a ``(2**n,)`` state or a ``(2**n, k)``
+    batch, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
 
     Row r of the pair array holds the bits of every other qubit, qubit 0 most
     significant, then the batch column; column b holds qubit t's.  Ry
@@ -140,25 +131,18 @@ def _apply_segment(
 def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor], n: int) -> None:
     """Apply a circuit's elements in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch.
 
-    Each maximal run of elements on one target with a :func:`_segment_target`
-    goes to :func:`_apply_segment`.  A Phase multiplexor scales each entry's
-    :func:`~kraussim.qsp.phase_block` by :func:`~kraussim.qsp.phase_factor`,
-    in entry order.  The uncontrolled Ry and Rz matrices are built for all
-    the elements in one pass; each segment starts at the rows after those the
-    segments before it took."""
+    Each maximal run of elements on one target goes to :func:`_apply_segment`.
+    The uncontrolled Ry and Rz matrices are built for all the elements in one
+    pass; each segment starts at the rows after those the segments before it
+    took."""
     uncontrolled = [g for g in elements if isinstance(g, Gate) and not g.controls]
     ry = rotation_stack("ry", [g.angle for g in uncontrolled if g.kind == "ry"]).transpose(0, 2, 1)
     rz = rotation_stack("rz", [g.angle for g in uncontrolled if g.kind == "rz"]).diagonal(axis1=1, axis2=2)
     i_ry = i_rz = 0
-    for target, group in itertools.groupby(elements, _segment_target):
-        if target is not None:
-            k_ry, k_rz = _apply_segment(amps, tuple(group), n, ry[i_ry:], rz[i_rz:])
-            i_ry += k_ry
-            i_rz += k_rz
-            continue
-        for element in group:
-            for r, angle in zip(element.rows, element.angles):
-                amps[phase_block(n, element.target, r)] *= phase_factor(angle)
+    for _, group in itertools.groupby(elements, operator.attrgetter("target")):
+        k_ry, k_rz = _apply_segment(amps, tuple(group), n, ry[i_ry:], rz[i_rz:])
+        i_ry += k_ry
+        i_rz += k_rz
 
 
 def run(circuit: Circuit) -> PureState:
@@ -177,7 +161,7 @@ def run(circuit: Circuit) -> PureState:
 def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
     """The ``(k, 2**n)`` states of ``circuit`` then one gate list per layer, rows in
     ``itertools.product(*layers)`` order: the circuit's elements run once through
-    :func:`run`, each layer's gates act through :func:`_apply_elements` on stacked
+    :func:`run`, each layer's elementary gates act through :func:`_apply_elements` on stacked
     copies of one ``(2**n, k)`` batch, and the global phase comes last.  Row r is bit
     for bit ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
     ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
@@ -214,12 +198,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
     Whether column k has the bits of :func:`run` of X gates preparing |k>
     and then the circuit depends on the elements.  Measured with numpy 2.4
-    and OpenBLAS on an AVX-512 x86-64 CPU: for synthesized and for lowered
-    preparations of 1 to 7 qubits, every column (2540 of 2540 each) matched
-    byte for byte, and so did every column of elementary gates appended on
-    2 to 6 qubits; on 1 qubit, and with random Ry, Rz or Phase multiplexors
-    appended (556, 390 and 417 of 630 columns differed), columns match
-    :func:`run` to rounding only."""
+    and OpenBLAS (``SkylakeX`` kernel) on an AVX-512 x86-64 CPU: for
+    synthesized and for lowered preparations of 1 to 7 qubits, every column
+    (2540 of 2540 each) matched byte for byte, and so did every column of
+    elementary gates appended on 2 to 6 qubits; on 1 qubit, and with random
+    Ry or Rz multiplexors appended (152 and 397 of 630 columns differed),
+    columns match :func:`run` to rounding only."""
     n = circuit.qubit_count
     check_register(n, "dense unitary")
     cols = np.eye(2**n, dtype=np.complex128)

@@ -27,7 +27,7 @@ from kraussim.channels import (
 )
 import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, kron
-from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, control_patterns
+from kraussim.qsp import Circuit, Gate, _magnitude_pyramid, _qubit_count_for, control_patterns
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -199,100 +199,38 @@ def _gate_index(gate, n, target=slice(None)):
     return tuple(idx)
 
 
-def _reference_accumulate_diag(vec, gate, n):
-    vec.reshape((2,) * n)[_gate_index(gate, n, 1)] += gate.angle
-
-
-def _reference_lower_diagonal(vec, n):
-    t = vec.reshape([2] * n)
-    support = [q for q in range(n) if not np.array_equal(np.take(t, 0, axis=q), np.take(t, 1, axis=q))]
-    if not support:
-        return [], float(vec.flat[0])
-    idx = tuple(slice(None) if q in support else 0 for q in range(n))
-    v = np.ascontiguousarray(t[idx]).reshape(-1).astype(float)
-    gates = []
-    for level in range(len(support), 0, -1):
-        pairs = v.reshape(-1, 2)
-        rz_angles = pairs[:, 1] - pairs[:, 0]
-        v = (pairs[:, 0] + pairs[:, 1]) / 2.0
-        if np.any(rz_angles != 0.0):
-            gates.extend(
-                _reference_multiplexed("rz", support[level - 1], tuple(support[: level - 1]), rz_angles)
-            )
-    return gates, float(v[0])
-
-
 def reference_lower(circuit):
-    """``qsp.lower`` with every Phase entry added into the diagonal as a
-    controlled gate through its ``(2,) * n`` index and every rotation's
-    pattern read from its control bits, most significant first."""
+    """``qsp.lower`` with every rotation's pattern read from its control bits,
+    most significant first."""
     n = circuit.qubit_count
     out = []
-    global_phase = circuit.global_phase
-    elements = list(circuit.elements)
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        i += 1
-        gates = Circuit(n, (e,)).gates
-        if isinstance(e, Gate) or e.target == 0:
-            out.extend(gates)
-            continue
-        if e.kind == "phase":
-            vec = np.zeros(2**n)
-            while True:
-                for g in gates:
-                    _reference_accumulate_diag(vec, g, n)
-                following = elements[i] if i < len(elements) else None
-                if not (isinstance(following, Multiplexor) and following.kind == "phase"):
-                    break
-                gates = Circuit(n, (following,)).gates
-                i += 1
-            sub, delta = _reference_lower_diagonal(vec, n)
-            out.extend(sub)
-            global_phase += delta
+    for e in circuit.elements:
+        if isinstance(e, Gate):
+            out.append(e)
             continue
         angles = np.zeros(2**e.target)
-        for g in gates:
+        for g in Circuit(n, (e,)).gates:
             pattern = 0
             for _, bit in g.controls:
                 pattern = (pattern << 1) | bit
             angles[pattern] += g.angle
         out.extend(_reference_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
-    return Circuit(n, tuple(out), global_phase)
-
-
-def _reference_controlled_scalar_phase(eta, controls):
-    """Gates applying exp(i eta) exactly on the control pattern.
-
-    Realized with Phase gates only (all diagonal): a 1-activated control
-    becomes the Phase target directly; a 0-activated control contributes
-    Phase(-eta) on that qubit plus the same scalar on the remaining
-    controls.  With no controls left the scalar is returned as a
-    global-phase increment.
-    """
-    gates: list[Gate] = []
-    ctrl = list(controls)
-    while ctrl:
-        q, b = ctrl.pop()
-        if b == 1:
-            gates.append(Gate("phase", eta, q, tuple(ctrl)))
-            return gates, 0.0
-        gates.append(Gate("phase", -eta, q, tuple(ctrl)))
-    return gates, eta
+    return Circuit(n, tuple(out), circuit.global_phase)
 
 
 def reference_synthesize(target, real=False):
     """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one validated
-    ``Gate`` per pattern and scalar-phase step: one pass over the magnitude
-    pyramid, most significant qubit first.  Returns the gates, which
-    ``Circuit.gates`` of the synthesized circuit must equal, and the global
-    phase.
+    ``Gate`` per pattern and cascade row: one pass over the magnitude pyramid,
+    most significant qubit first.  Returns the gates, which ``Circuit.gates``
+    of the synthesized circuit must equal, and the global phase.
 
-    Level k targets qubit k-1 with one multi-controlled
-    ``exp(i t/2) Rz(phi) Ry(theta)`` per (k-1)-bit pattern whose parent
-    magnitude is nonzero.  A level emits its Ry gates, then its Rz gates,
-    then its scalar-phase gates, each in pattern order.
+    Level k targets qubit k-1 with one multi-controlled ``Rz(phi) Ry(theta)``
+    per (k-1)-bit pattern whose parent magnitude is nonzero; a level emits its
+    Ry gates, then its Rz gates, each in pattern order.  The last level's
+    scalars w_p = t/2, with w_p of a skipped pattern its sibling's, then go
+    qubit by qubit from n-2 down to 0: row r's controlled Rz(w[2r+1] - w[2r])
+    unless the angle is zero, then w[r] = (w[2r] + w[2r+1]) / 2.0 (a row
+    present if either half is); the last w is the global phase.
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
@@ -300,12 +238,11 @@ def reference_synthesize(target, real=False):
         raise ValueError("amplitudes have imaginary parts; use synthesize instead")
     levels = _magnitude_pyramid(amps, n)
     gates: list[Gate] = []
-    global_phase = 0.0
+    w, present = [0.0] * 2 ** (n - 1), [False] * 2 ** (n - 1)
     for k in range(1, n + 1):
         coeff = levels[k - 1]
         ry: list[Gate] = []
         rz: list[Gate] = []
-        ph: list[Gate] = []
         for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))):
             if k >= 2 and levels[k - 2][pattern] == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
@@ -313,23 +250,28 @@ def reference_synthesize(target, real=False):
             if k < n or real:
                 # magnitude level, or a real last level: signed Ry only
                 theta = 2.0 * math.atan2(c1.real, c0.real)
-                phi = scalar = 0.0
+                phi = 0.0
             else:
                 theta = 2.0 * math.atan2(abs(c1), abs(c0))
                 phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
                 phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
                 phi = phi1 - phi0
-                scalar = phi1 + phi0
+                w[pattern], present[pattern] = (phi1 + phi0) / 2.0, True
             if theta != 0.0:
                 ry.append(Gate("ry", theta, k - 1, controls))
             if phi != 0.0:
                 rz.append(Gate("rz", phi, k - 1, controls))
-            if scalar != 0.0:
-                sub, delta = _reference_controlled_scalar_phase(scalar / 2.0, controls)
-                ph.extend(sub)
-                global_phase += delta
-        gates.extend(ry + rz + ph)
-    return tuple(gates), global_phase
+        gates.extend(ry + rz)
+    if real:
+        return tuple(gates), 0.0
+    for q in range(n - 2, -1, -1):
+        w = [w[p] if present[p] else w[p ^ 1] for p in range(len(w))]
+        for r, controls in enumerate(control_patterns(tuple(range(q)))):
+            if w[2 * r + 1] - w[2 * r] != 0.0:
+                gates.append(Gate("rz", w[2 * r + 1] - w[2 * r], q, controls))
+        w = [(w[2 * r] + w[2 * r + 1]) / 2.0 for r in range(len(w) // 2)]
+        present = [present[2 * r] or present[2 * r + 1] for r in range(len(present) // 2)]
+    return tuple(gates), w[0]
 
 
 def stub_gate_kernels(monkeypatch):

@@ -251,8 +251,10 @@ def _complex_rows(matrix):
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-# Each CSV is a recorded sweep output.  The exact ones must never move; the
-# sampled ones move only with a recorded change to how shots are drawn.
+# Each CSV is a recorded sweep output.  The exact ones move only with a change
+# to the synthesized circuit recorded in CHANGES.md; the sampled ones also with
+# a recorded change to how shots are drawn.  golden/recorded_on.json names the
+# BLAS kernel and SIMD level they were recorded with.
 GOLDEN_SWEEPS = {
     "qad_exact.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.0, 0.3, 1.0]}, mode="exact"),
     # a per-qubit readout model over the 2 system qubits

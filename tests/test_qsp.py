@@ -180,8 +180,16 @@ def test_anticontrol_multi_controlled_rotation():
 
 
 def test_controlled_phase_lowering():
-    circuit = Circuit(2, (Multiplexor("phase", 1, [1, 0], [0.7, -0.3]),))
-    assert np.abs(circuit_unitary(lower(circuit)) - circuit_unitary(circuit)).max() < 1e-9
+    # a controlled Phase, diag(1, 1, 1, e^{0.7i}), written as the Rz cascade
+    # synthesis emits for branch phases: an Rz multiplexor on qubit 1, one
+    # on qubit 0 and a global phase
+    elements, phase = qsp._rz_cascade(np.array([0.0, 0.0, 0.0, 0.7]), np.ones(4, dtype=bool))
+    circuit = Circuit(2, tuple(elements), phase)
+    assert [(e.kind, e.target, e.rows, e.angles) for e in elements] == [("rz", 1, (1,), (0.7,)), ("rz", 0, (0,), (0.35,))]
+    assert phase == 0.175
+    expected = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 0.7])))
+    assert np.abs(circuit_unitary(circuit) - expected).max() < 1e-12
+    assert np.abs(circuit_unitary(lower(circuit)) - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("gate", [
@@ -272,25 +280,26 @@ def test_lower_matches_reference_on_preparations(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_lower_matches_reference_on_hand_built_circuits(n):
-    # Ry and Rz multiplexors on random rows, some angles zero, some with every
-    # angle zero or no rows; runs of Phase multiplexors on any target, qubit 0
-    # among them; elementary gates and CX between them
+    # Ry and Rz multiplexors on random rows, qubit 0 among their targets, some
+    # angles zero, some with every angle zero or no rows; Rz cascades of random
+    # diagonals on the qubits up to any target, some entries not present;
+    # elementary gates and CX between them
     rng = np.random.default_rng(330 + n)
     for _ in range(8):
         elements = []
         for _ in range(12):
             target = int(rng.integers(n))
-            choice = str(rng.choice(["multiplexor", "phase", "elementary"]))
+            choice = str(rng.choice(["multiplexor", "diagonal", "elementary"]))
             if choice == "multiplexor":
                 rows = rng.permutation(2**target)[: rng.integers(0, 2**target + 1)].tolist()
                 zero = rng.random() < 0.2
                 angles = [0.0 if zero else float(rng.choice([rng.uniform(-3, 3), 0.0])) for _ in rows]
                 elements.append(Multiplexor(str(rng.choice(["ry", "rz"])), target, rows, angles))
-            elif choice == "phase":
-                for _ in range(rng.integers(1, 5)):
-                    target = int(rng.integers(n))
-                    rows = rng.integers(2**target, size=rng.integers(0, 4)).tolist()
-                    elements.append(Multiplexor("phase", target, rows, rng.uniform(-3, 3, len(rows)).tolist()))
+            elif choice == "diagonal":
+                size = 2 ** (target + 1)
+                present = rng.random(size) < 0.7
+                cascade, _ = qsp._rz_cascade(np.where(present, rng.uniform(-3, 3, size), 0.0), present)
+                elements.extend(cascade)
             else:
                 kind = str(rng.choice(["x", "ry", "rz", "phase", "cx"]))
                 if kind == "cx":
@@ -356,15 +365,53 @@ def test_synthesis_matches_reference_on_degenerate_dephasing(p):
         assert_synthesizes_as_reference(embed_qudits(dilated), False)
 
 
+def preparation_targets(n):
+    """Complex and real n-qubit states with 0%, 30% and 70% exact zeros, and
+    with the qubit-0 = 1 half zero, as qudit padding leaves it; each with
+    ``real``, whether ``synthesize_real`` takes it too."""
+    rng = np.random.default_rng(370 + n)
+    for real in (False, True):
+        for zeros in (0.0, 0.3, 0.7, "half"):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            if zeros == "half":
+                amps[2 ** (n - 1):] = 0.0
+            else:
+                amps[rng.random(2**n) < zeros] = 0.0
+            if not np.any(amps):
+                amps[0] = 1.0
+            yield real, PureState(amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthesized_circuit_prepares_every_amplitude(n):
+    # entry by entry with the global phase, not only up to a phase
+    for real, target in preparation_targets(n):
+        for synth in (synthesize, synthesize_real) if real else (synthesize,):
+            prepared = run(synth(target)).amplitudes
+            assert np.abs(prepared - target.amplitudes).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthesized_circuit_holds_ry_and_rz_multiplexors_only(n):
+    for real, target in preparation_targets(n):
+        for synth in (synthesize, synthesize_real) if real else (synthesize,):
+            for e in synth(target).elements:
+                assert isinstance(e, Multiplexor) and e.kind in ("ry", "rz")
+                assert len(set(e.rows)) == len(e.rows) and 0.0 not in e.angles
+
+
 @pytest.mark.parametrize("args, message", [
     (("x", 1, [0], [0.1]), "'x' multiplexor on qubit 1: unknown kind"),
     (("ry", 2, [0, 4], [0.1, 0.2]), "'ry' multiplexor on qubit 2: row 4 outside [0, 4)"),
-    (("phase", 2, [-1], [0.1]), "'phase' multiplexor on qubit 2: row -1 outside [0, 4)"),
+    # a Phase is no multiplexor kind, whatever its rows and angles
+    (("phase", 2, [-1], [0.1]), "'phase' multiplexor on qubit 2: unknown kind"),
     (("ry", 2, [1, 3, 1], [0.1, 0.2, 0.3]), "'ry' multiplexor on qubit 2: row 1 repeated"),
     (("rz", 1, [0, 0], [0.1, 0.2]), "'rz' multiplexor on qubit 1: row 0 repeated"),
     (("rz", 2, [0, 1], [0.1]), "'rz' multiplexor on qubit 2: 2 rows but 1 angles"),
     (("ry", 1, [0, 1], [0.1, math.nan]), "'ry' multiplexor on qubit 1: angle nan not finite"),
-    (("phase", 1, [1, 1], [math.inf, 0.2]), "'phase' multiplexor on qubit 1: angle inf not finite"),
+    (("phase", 1, [1, 1], [math.inf, 0.2]), "'phase' multiplexor on qubit 1: unknown kind"),
+    (("ry", 2, [-1], [0.1]), "'ry' multiplexor on qubit 2: row -1 outside [0, 4)"),
+    (("rz", 1, [1, 0], [math.inf, 0.2]), "'rz' multiplexor on qubit 1: angle inf not finite"),
 ])
 def test_multiplexor_rejects_bad_input_with_its_message(args, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -372,10 +419,10 @@ def test_multiplexor_rejects_bad_input_with_its_message(args, message):
 
 
 def test_multiplexor_keeps_tuples_and_circuit_checks_its_target():
-    element = Multiplexor("phase", 2, np.array([3, 3, 0]), np.array([0.5, -0.5, 1.0]))
-    assert element.rows == (3, 3, 0) and element.angles == (0.5, -0.5, 1.0)
+    element = Multiplexor("rz", 2, np.array([3, 1, 0]), np.array([0.5, -0.5, 1.0]))
+    assert element.rows == (3, 1, 0) and element.angles == (0.5, -0.5, 1.0)
     assert all(type(r) is int for r in element.rows) and all(type(a) is float for a in element.angles)
-    assert Circuit(3, (element,)) == Circuit(3, [Multiplexor("phase", 2, (3, 3, 0), (0.5, -0.5, 1.0))])
+    assert Circuit(3, (element,)) == Circuit(3, [Multiplexor("rz", 2, (3, 1, 0), (0.5, -0.5, 1.0))])
     wide = Multiplexor("ry", 3, [7], [0.2])
     with pytest.raises(ValueError, match=r"^'ry' multiplexor on qubit 3 references qubit outside register$"):
         Circuit(3, (Gate("x", 0.0, 0), wide))
@@ -388,7 +435,7 @@ def test_gate_count_counts_without_expanding():
         Gate("x", 0.0, 0),
         Multiplexor("ry", 2, [3, 0, 1], [0.1, 0.2, 0.3]),
         Gate("x", 0.0, 1, ((0, 1),)),
-        Multiplexor("phase", 1, [1, 1], [0.5, 0.6]),
+        Multiplexor("rz", 1, [1, 0], [0.5, 0.6]),
         Multiplexor("rz", 2, [], []),
         Multiplexor("rz", 0, [0], [0.7]),
     ))
@@ -405,10 +452,15 @@ def test_gate_count_counts_without_expanding():
     assert synthesized.gates is synthesized.gates
 
 
-@pytest.mark.parametrize("element", [Multiplexor("rz", 2, [], []), Multiplexor("ry", 2, [1], [0.0])])
+@pytest.mark.parametrize("element", [
+    Multiplexor("rz", 2, [], []),
+    Multiplexor("ry", 2, [1], [0.0]),
+    Multiplexor("rz", 0, [], []),
+    Multiplexor("ry", 0, [0], [0.0]),
+])
 def test_zero_angle_multiplexor_lowers_to_no_gate(element):
     # with every angle zero the Gray-code walk is the identity, so lowering
-    # emits none of its CX gates
+    # emits none of its CX gates; on qubit 0 it emits no zero-angle rotation
     circuit = Circuit(3, (element,), 0.25)
     assert lower(circuit) == Circuit(3, (), 0.25)
     assert circuit.gate_count == len(circuit.gates) == len(element.rows)
@@ -474,7 +526,7 @@ def test_qasm_export_rejects_multi_controlled_gates():
 
 
 def test_full_unitary_includes_tracked_phase():
-    # scalar phases folded out of controlled-phase lowering stay in the result
+    # the scalar phase a circuit tracks, such as the last of the Rz cascade, is applied
     circuit = Circuit(1, (), global_phase=0.77)
     out = run(circuit)
     assert abs(out.amplitudes[0] - np.exp(0.77j)) < 1e-12

@@ -21,7 +21,7 @@ from helpers import (
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, Multiplexor, lower, synthesize, synthesize_real
+from kraussim.qsp import Circuit, Gate, Multiplexor, _rz_cascade, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -39,15 +39,15 @@ from kraussim.simulator import (
 def random_element(rng, n, kinds=("x", "ry", "rz", "phase")):
     """An element of a random kind on a random target: half the time an
     uncontrolled gate, otherwise a CX from a random other qubit (kind X, on
-    more than one qubit) or a multiplexor on one to six random rows (the
-    other kinds; Phase rows may repeat)."""
+    more than one qubit) or a multiplexor on one to six random rows (Ry and
+    Rz).  A Phase is always an uncontrolled gate."""
     kind = str(rng.choice(kinds))
     t = int(rng.integers(n))
     if rng.random() < 0.5:
         if kind == "x" and n > 1:
             return Gate("x", 0.0, t, ((int(rng.choice([q for q in range(n) if q != t])), 1),))
-        if kind != "x":
-            rows = random_rows(rng, t, repeat=kind == "phase")
+        if kind in ("ry", "rz"):
+            rows = random_rows(rng, t)
             return Multiplexor(kind, t, rows, [random_angle(rng) for _ in rows])
     return Gate(kind, random_angle(rng), t)
 
@@ -127,9 +127,10 @@ def test_x_and_cx_circuits_are_exact_permutations(n):
 def test_rz_and_phase_circuits_are_exact_diagonals(n):
     rng = np.random.default_rng(430 + n)
     elements = [random_element(rng, n, ("rz", "phase")) for _ in range(6 * n)]
-    for kind in ("rz", "phase"):  # entries controlled on every other qubit
-        rows = random_rows(rng, n - 1, repeat=kind == "phase")
-        elements.append(Multiplexor(kind, n - 1, rows, [random_angle(rng) for _ in rows]))
+    rows = random_rows(rng, n - 1)  # entries controlled on every other qubit
+    elements.append(Multiplexor("rz", n - 1, rows, [random_angle(rng) for _ in rows]))
+    # a random diagonal as the Rz cascade synthesis emits for branch phases
+    elements += _rz_cascade(rng.uniform(-np.pi, np.pi, 2**n), np.ones(2**n, dtype=bool))[0]
     circuit = Circuit(n, tuple(elements))
     u = circuit_unitary(circuit)
     assert np.array_equal(u, np.diag(u.diagonal()))
@@ -201,21 +202,17 @@ def test_segmented_run_matches_gate_by_gate_on_preparations(n):
                 assert_run_matches_gate_by_gate_and_reference(c)
 
 
-def random_rows(rng, t, repeat=False):
-    """One to six control patterns of qubits 0..t-1 in random order, distinct
-    unless ``repeat``."""
-    count = int(rng.integers(1, 7))
-    if repeat:
-        return rng.integers(2**t, size=count).tolist()
-    return rng.permutation(2**t)[:count].tolist()
+def random_rows(rng, t):
+    """One to six distinct control patterns of qubits 0..t-1 in random order."""
+    return rng.permutation(2**t)[: int(rng.integers(1, 7))].tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
     # a random complex state's preparation, then segments on random targets:
     # uncontrolled X, Ry, Rz and Phase, CX from controls below and above the
-    # target, and Ry or Rz multiplexors on random rows; a Phase multiplexor
-    # or an X on another qubit splits them
+    # target, and Ry or Rz multiplexors on random rows; an X or an Rz
+    # multiplexor on another qubit splits them
     lengths = []
     apply_segment = simulator._apply_segment
     monkeypatch.setattr(
@@ -236,10 +233,9 @@ def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
                 elements.append(Multiplexor(kind[6:], t, rows, [random_angle(rng) for _ in rows]))
             else:
                 elements.append(Gate("x" if kind == "cx" else kind, angle, t))
-        if rng.random() < 0.5:
-            elements.append(Multiplexor("phase", t, [0], [0.5]))
-        elif n > 1:
-            elements.append(Gate("x", 0.0, (t + 1) % n))
+        if n > 1:
+            other = (t + 1) % n
+            elements.append(Multiplexor("rz", other, [0], [0.5]) if rng.random() < 0.5 else Gate("x", 0.0, other))
     circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
     assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
     assert max(lengths) >= 30 and (n == 1 or 1 in lengths)
@@ -247,11 +243,11 @@ def test_hand_built_segments_match_gate_by_gate_bit_for_bit(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch):
-    # Phase multiplexors on every target, rows repeated, each entry scaling
-    # one contiguous block of the state; on the last qubit that block is one
-    # amplitude, whose one-element product numpy rounds here as the scalar
-    # product of the slice kernel.  Uncontrolled Phase gates between them
-    # take the segment kernel, and no Phase multiplexor does
+    # Rz cascades of random diagonals on the qubits up to each target, the
+    # prefix-controlled form synthesis emits for branch phases; on the last
+    # qubit each row is one amplitude pair, whose products numpy rounds here
+    # as the scalar products of the slice kernel.  Uncontrolled Phase gates
+    # between them take the segment kernel too
     segments = []
     apply_segment = simulator._apply_segment
     monkeypatch.setattr(
@@ -261,11 +257,11 @@ def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch)
     elements = list(synthesize(random_pure(rng, 2**n)).elements)
     for _ in range(4):
         for t in rng.permutation(n).tolist():
-            rows = random_rows(rng, t, repeat=True)
-            elements.append(Multiplexor("phase", t, rows, [random_angle(rng) for _ in rows]))
+            present = rng.random(2 ** (t + 1)) < 0.7
+            elements += _rz_cascade(rng.uniform(-np.pi, np.pi, present.size), present)[0]
             elements.append(Gate("phase", random_angle(rng), int(rng.integers(n))))
     circuit = Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
-    assert sum(e.target == n - 1 and e.kind == "phase" for e in circuit.elements) >= 4
+    assert sum(isinstance(e, Multiplexor) and e.target == n - 1 for e in circuit.elements) >= 4
     state = run(circuit).amplitudes
     phase_gates = [e for e in elements if isinstance(e, Gate) and e.kind == "phase"]
     assert [e for e in segments if e.kind == "phase"] == phase_gates
@@ -333,13 +329,13 @@ def test_uncontrolled_kernels_match_slice_reference_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_controlled_kernels_match_slice_reference_bit_for_bit(n):
-    # Ry, Rz and Phase multiplexors on random targets and rows, against one
+    # Ry and Rz multiplexors on random targets and rows, against one
     # slice-kernel call per entry, on a state and on batches
     rng = np.random.default_rng(460 + n)
     elements = []
-    for kind in rng.permutation(["ry", "rz", "phase"] * 4):
+    for kind in rng.permutation(["ry", "rz"] * 6):
         t = int(rng.integers(1, n))
-        rows = random_rows(rng, t, repeat=kind == "phase")
+        rows = random_rows(rng, t)
         elements.append(Multiplexor(str(kind), t, rows, [random_angle(rng) for _ in rows]))
     shapes = [(2**n,)] + [(2**n, k) for k in (2, 3, 2**n)]
     assert_kernels_match_slice_reference(rng, n, elements, shapes)
@@ -591,8 +587,8 @@ def test_readout_noise_forms_no_per_shot_array():
 
 def _circuit_elements(rng, n, kind):
     """Rotations of every qubit, a CX chain, then random multiplexors, CX and
-    uncontrolled gates: Ry and X alone for a real state, every kind for a
-    complex one; in a sparse one the last qubit stays |0>, so half the
+    uncontrolled gates: Ry and X alone for a real state, X, Ry, Rz and Phase
+    for a complex one; in a sparse one the last qubit stays |0>, so half the
     amplitudes are exact zeros."""
     active = range(n - 1) if kind == "sparse" else range(n)
     rotations = [
