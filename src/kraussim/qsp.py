@@ -21,13 +21,15 @@ Patterns whose parent amplitude is exactly zero get no entry, and no
 angle is zero.  :func:`synthesize_real` is the real case: every level is
 one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.
 
-A :class:`Circuit` holds two kinds of element: elementary gates (bare X,
-Ry, Rz or Phase, or a CX) and Ry or Rz multiplexors.  ``Circuit.gates``
-lists each multiplexor entry as one controlled :class:`Gate`, for the
-text dump, the QASM export and the gate histogram.  :func:`lower` maps
-each element over {X, Ry, Rz, Phase, CX}: an elementary gate passes
-unchanged, and a multiplexor becomes one Gray-code walk (2^k CX and up
-to 2^k rotations for k controls, none when every angle is zero).
+A :class:`Circuit` holds three kinds of element: elementary gates (bare
+X, Ry, Rz or Phase, or a CX), Ry or Rz multiplexors, and their Gray-code
+walks (:class:`GrayWalk`).  :func:`lower` maps each element over {X, Ry,
+Rz, Phase, CX}: a multiplexor becomes one walk, which holds its
+Walsh-Hadamard angles in Gray order (up to 2^k rotations and 2^k CX for k
+controls, none when every angle is zero), and any other element passes
+unchanged.  ``Circuit.gates`` spells the elements out as gates, for the
+text dump, the QASM export and the gate histogram: each multiplexor entry
+one controlled :class:`Gate`, each walk its rotations and CX gates.
 :func:`control_patterns` is the one control-pattern rule, the first
 qubit most significant.
 """
@@ -49,6 +51,7 @@ from .numerics import PureState
 __all__ = [
     "Gate",
     "Multiplexor",
+    "GrayWalk",
     "Circuit",
     "GATE_KINDS",
     "rotation_stack",
@@ -211,18 +214,84 @@ class Multiplexor:
 
 
 @dataclass(frozen=True)
-class Circuit:
-    """Elementary gates and multiplexors over ``qubit_count`` qubits plus one
-    tracked scalar phase.
+class GrayWalk:
+    """A lowered Ry or Rz multiplexor on ``target``: its Gray-code walk
+    (Möttönen et al.) over the control qubits ``0..target-1``.
 
-    Elements apply in order.  An element is a :class:`Multiplexor` or a
-    :class:`Gate` for which :meth:`Gate.is_elementary` holds; a controlled
-    rotation is written as a multiplexor.  ``global_phase`` is the exponent
-    of a scalar ``exp(i * global_phase)`` multiplying the final state.
+    Slot j applies ``kind`` by ``angles[j]``, no gate where that angle is
+    0.0, then a CX onto ``target`` from the control qubit that
+    :func:`_gray_plan` names for slot j; on qubit 0 a walk is its one
+    rotation.  The 2^target angles are the multiplexor's Walsh-Hadamard
+    angles in Gray order, kept as a tuple of floats.  :meth:`gates` spells
+    the walk out as elementary gates.
+    """
+
+    kind: str
+    target: int
+    angles: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        angles = tuple(map(float, self.angles))
+        problem = None
+        if self.kind not in ("ry", "rz"):
+            problem = "unknown kind"
+        elif self.target < 0 or len(angles) != 2**self.target:
+            problem = f"{len(angles)} angles, not 2^{self.target}"
+        elif not all(map(math.isfinite, angles)):
+            problem = f"angle {next(a for a in angles if not math.isfinite(a))} not finite"
+        if problem:
+            raise ValueError(f"{self}: {problem}")
+        object.__setattr__(self, "angles", angles)
+
+    def __str__(self) -> str:
+        return f"{self.kind!r} Gray-code walk on qubit {self.target}"
+
+    def gates(self) -> list[Gate]:
+        """The walk as elementary gates: per slot its rotation, unless the
+        angle is 0.0, then its CX, which cancels a CX equal to the gate
+        before it (only on one control, when slot 1's angle is 0.0).  With
+        every angle 0.0 the walk is the identity and has no gate."""
+        if not any(self.angles):
+            return []
+        if self.target == 0:
+            return [Gate(self.kind, self.angles[0], 0)]
+        out: list[Gate] = []
+        for angle, control in zip(self.angles, _gray_plan(self.target)[1]):
+            if angle != 0.0:
+                out.append(Gate(self.kind, angle, self.target))
+            cx = _cx(self.target, control)
+            if out and out[-1] is cx:
+                out.pop()
+            else:
+                out.append(cx)
+        return out
+
+    @property
+    def gate_count(self) -> int:
+        """``len(self.gates())``, counted without building them: on two or
+        more controls adjacent CXs differ, so all 2^target stay."""
+        rotations = sum(a != 0.0 for a in self.angles)
+        if not rotations or self.target == 0:
+            return rotations
+        if self.target == 1:
+            return rotations + (2 if self.angles[1] != 0.0 else 0)
+        return rotations + 2**self.target
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Elementary gates, multiplexors and walks over ``qubit_count`` qubits
+    plus one tracked scalar phase.
+
+    Elements apply in order.  An element is a :class:`Multiplexor`, a
+    :class:`GrayWalk` or a :class:`Gate` for which :meth:`Gate.is_elementary`
+    holds; a controlled rotation is written as a multiplexor.
+    ``global_phase`` is the exponent of a scalar ``exp(i * global_phase)``
+    multiplying the final state.
     """
 
     qubit_count: int
-    elements: tuple[Gate | Multiplexor, ...]
+    elements: tuple[Gate | Multiplexor | GrayWalk, ...]
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
@@ -247,15 +316,17 @@ class Circuit:
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
-        """The elements as gates, each multiplexor entry one Gate controlled
-        on its pattern; built on first use.  Without multiplexors, the
-        elements as given."""
-        if not any(isinstance(e, Multiplexor) for e in self.elements):
+        """The elements as gates, built on first use: each multiplexor entry
+        one Gate controlled on its pattern, each walk its
+        :meth:`GrayWalk.gates`.  Without either, the elements as given."""
+        if all(isinstance(e, Gate) for e in self.elements):
             return self.elements
         gates: list[Gate] = []
         for e in self.elements:
             if isinstance(e, Gate):
                 gates.append(e)
+            elif isinstance(e, GrayWalk):
+                gates.extend(e.gates())
             else:
                 patterns = control_patterns(tuple(range(e.target)))
                 gates.extend(Gate(e.kind, angle, e.target, patterns[r]) for r, angle in zip(e.rows, e.angles))
@@ -264,7 +335,10 @@ class Circuit:
     @property
     def gate_count(self) -> int:
         """``len(self.gates)``, counted without building them."""
-        return sum(len(e.rows) if isinstance(e, Multiplexor) else 1 for e in self.elements)
+        return sum(
+            1 if isinstance(e, Gate) else e.gate_count if isinstance(e, GrayWalk) else len(e.rows)
+            for e in self.elements
+        )
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -378,9 +452,10 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _gray_plan(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The Gray-code walk over 2^k slots: slot j's Walsh-Hadamard index
-    ``gray(j) = j ^ (j >> 1)``, and the position in the control tuple, most
-    significant first, of the bit that flips from ``gray(j)`` to
-    ``gray(j + 1)``, cyclically."""
+    ``gray(j) = j ^ (j >> 1)``, and the control qubit, of 0..k-1 with qubit
+    0 the most significant bit, whose bit flips from ``gray(j)`` to
+    ``gray(j + 1)``, cyclically.  With k = 0 there is no control, and the
+    one slot's entry is not a qubit."""
     size = 2**k
     gray = [j ^ (j >> 1) for j in range(size)]
     flips = tuple(k - (gray[j] ^ gray[(j + 1) % size]).bit_length() for j in range(size))
@@ -391,58 +466,32 @@ def _gray_plan(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def _cx(target: int, control: int) -> Gate:
-    """The one CX gate on (target, control) that every multiplexor shares."""
+    """The one CX gate on (target, control) that every walk shares."""
     return Gate("x", 0.0, target, ((control, 1),))
 
 
-def _lower_multiplexed(
-    kind: str, target: int, control_qubits: tuple[int, ...], angles: Sequence[float]
-) -> list[Gate]:
-    """Gray-code decomposition of a multiplexed Ry/Rz rotation.
-
-    ``angles[x]`` is the rotation applied when the control qubits (pattern
-    bit order = tuple order, most significant first) read ``x``.  The
-    transformed angles come from a Walsh-Hadamard transform evaluated at
-    Gray-code indices; each slot is a rotation followed by a CX on the
-    Gray transition bit, so conjugations realize the sign matrix.  A slot
-    whose angle is zero emits no rotation, and a CX that would follow the
-    same CX cancels it.  With every slot's angle zero the walk is the
-    identity, and no gate is emitted.
-    """
-    k = len(control_qubits)
-    if k == 0:
-        return [Gate(kind, float(angles[0]), target)] if angles[0] != 0.0 else []
-    gray, flips = _gray_plan(k)
-    betas = _walsh_hadamard(np.asarray(angles, dtype=float))[gray] / 2**k
-    if not betas.any():
-        return []
-    out: list[Gate] = []
-    for beta, flip in zip(betas.tolist(), flips):
-        if beta != 0.0:
-            out.append(Gate(kind, beta, target))
-        cx = _cx(target, control_qubits[flip])
-        if out and out[-1] is cx:
-            out.pop()
-        else:
-            out.append(cx)
-    return out
-
-
 def lower(circuit: Circuit) -> Circuit:
-    """Rewrite over {X, Ry, Rz, Phase, CX}, element by element.
+    """Rewrite each multiplexor as its Gray-code walk, so that ``gates`` lists
+    only {X, Ry, Rz, Phase, CX}.
 
-    An elementary gate passes unchanged, and a multiplexor becomes one
-    Gray-code walk (on qubit 0, its one uncontrolled rotation, if nonzero).
-    The result prepares the same state as the input, global phase included.
+    A multiplexor becomes one :class:`GrayWalk`: its angles, as a vector over
+    the control patterns, go through the Walsh-Hadamard transform, are read
+    at the Gray-code indices of :func:`_gray_plan` and divided by 2^k, k its
+    control count; on qubit 0 that is its one angle.  A walk whose every
+    angle is zero is the identity, and no element is emitted.  An elementary
+    gate or a walk passes unchanged.  No gate is built here.  The result
+    prepares the same state as the input, global phase included.
     """
-    out: list[Gate] = []
+    out: list[Gate | GrayWalk] = []
     for e in circuit.elements:
-        if isinstance(e, Gate):
+        if not isinstance(e, Multiplexor):
             out.append(e)
-        else:
-            angles = np.zeros(2**e.target)
-            angles[list(e.rows)] = e.angles
-            out.extend(_lower_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
+            continue
+        angles = np.zeros(2**e.target)
+        angles[list(e.rows)] = e.angles
+        betas = _walsh_hadamard(angles)[_gray_plan(e.target)[0]] / 2**e.target
+        if betas.any():
+            out.append(GrayWalk(e.kind, e.target, betas.tolist()))
     return Circuit(circuit.qubit_count, tuple(out), circuit.global_phase)
 
 

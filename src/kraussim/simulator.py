@@ -1,7 +1,8 @@
 """Statevector simulator with shot sampling and a readout error model.
 
-A circuit holds two kinds of element, elementary gates and Ry or Rz
-multiplexors (:class:`~kraussim.qsp.Multiplexor`), and one loop,
+A circuit holds three kinds of element: elementary gates, Ry or Rz
+multiplexors (:class:`~kraussim.qsp.Multiplexor`) and the Gray-code walks
+that lowering makes of them (:class:`~kraussim.qsp.GrayWalk`).  One loop,
 :func:`_apply_elements`, applies them in place to a ``(2^n,)`` state or a
 ``(2^n, k)`` batch of states: :func:`run` on the state from |0...0>,
 :func:`run_branches` on its batch of tomography settings, and
@@ -13,10 +14,13 @@ array and written back once.  Ry there multiplies every row by the
 transposed 2x2 in one BLAS ``zgemm`` call, Rz and Phase scale the
 columns, X swaps them and a CX swaps them on the rows where its control
 bit is set; a multiplexor is one stacked ``matmul`` (Ry) or one column
-scale (Rz) over its rows.  The swaps and scalings drop only the matrix
-product's terms multiplied by zero.  Qubit 0 is the most significant bit
-of basis labels, and the outcome indices of sampled counts follow the
-same convention.
+scale (Rz) over its rows.  A walk is applied in one call
+(:func:`_apply_walk`): Ry as one ``zgemm`` and one swap per slot, Rz as
+blocks of its slots' factors folded in slot order, with no swap.  The
+state keeps the bits of its gates (``Circuit.gates``) applied one by one.
+The swaps and scalings drop only the matrix product's terms multiplied
+by zero.  Qubit 0 is the most significant bit of basis labels, and the
+outcome indices of sampled counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -35,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, Multiplexor, phase_factor, rotation_stack
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, phase_factor, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -84,8 +88,92 @@ def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
     pairs[rows] = block
 
 
+# The Rz walk gathers its factors in blocks of at most this many bytes (and
+# at least one slot), so its memory does not grow with the register: the
+# whole table of the last qubit of 9, 2 MiB, was slower than the walk's
+# gates applied one by one.
+_RZ_BLOCK_BYTES = 1 << 18
+
+# one amplitude pair, or one pair of diagonal entries, as a single item
+_PAIR = np.dtype((np.void, 32))
+
+
+@functools.lru_cache(maxsize=None)
+def _parities(t: int) -> np.ndarray:
+    """The parity of the set bits of each of the 2^t patterns, read-only."""
+    parities = np.array([bin(r).count("1") & 1 for r in range(2**t)], dtype=np.intp)
+    parities.flags.writeable = False
+    return parities
+
+
+def _apply_walk(pairs: np.ndarray, walk: GrayWalk, by_qubit: np.ndarray, stack: np.ndarray) -> None:
+    """Apply a Gray-code walk on qubit t to the ``(2^t, rest, 2)`` pair array
+    (rows split by qubit as ``by_qubit``) with the bits of its gates applied
+    one by one; ``stack`` holds per slot its Ry matrix, transposed, or its Rz
+    diagonal.
+
+    Ry: per nonzero slot one ``zgemm`` call, as for an uncontrolled Ry, then
+    the CX swaps the columns where its control bit is set, through a view
+    built once per control qubit.  Rz makes no swap: after slots 0..j-1 the
+    amplitude of row r, column b, sits in column ``b ^ p``, p the parity of
+    ``gray(j) & r`` (r read as its control pattern), so slot j multiplies it
+    by its diagonal's entry ``b ^ p``, and a full cycle's CXs cancel.  The
+    factors are gathered as 32-byte pairs, in blocks of at most
+    :data:`_RZ_BLOCK_BYTES` behind a copy of the pairs, each folded in slot
+    order by ``np.multiply.reduce`` (with no initial 1, which would flip the
+    sign of some zeros).  On qubit 0 an Rz walk scales the columns as an
+    uncontrolled Rz does: on a one-pair state numpy then rounds as the
+    gate-by-gate kernel's scalars do, and a block would not."""
+    if not any(walk.angles):
+        return
+    t = walk.target
+    gray, controls = _gray_plan(t)
+    if walk.kind == "ry":
+        flat = pairs.reshape(-1, 2)
+        # per control qubit, the pairs whose control bit is set and their swap
+        views = [by_qubit[(slice(None),) * c + (1,)] for c in range(t)]
+        swaps = [(view, view[..., ::-1]) for view in views]
+        for j, (angle, control) in enumerate(zip(walk.angles, controls)):
+            if angle != 0.0:
+                flat[...] = flat @ stack[j]
+            if t:
+                view, swapped = swaps[control]
+                view[...] = swapped
+        return
+    if not t:
+        flat = pairs.reshape(-1, 2)
+        flat[:, 0] *= stack[0, 0]
+        flat[:, 1] *= stack[0, 1]
+        return
+    # pair 2j + p: slot j's diagonal, its entries swapped when p is 1
+    table = np.empty((2**t, 2, 2), dtype=stack.dtype)
+    table[:, 0] = stack[: 2**t]
+    table[:, 1] = stack[: 2**t, ::-1]
+    table = table.view(_PAIR).reshape(-1)
+    angles = np.array(walk.angles)
+    patterns = np.arange(2**t).repeat(pairs.shape[1])  # of each pair row
+    # blocks of a power-of-two slot count, so that a block starting at slot s
+    # has gray(s + i) = gray(s) ^ gray(i): its parities are those of the
+    # first block, flipped on the rows where gray(s) & pattern is odd
+    step = min(2**t, 1 << max(0, (_RZ_BLOCK_BYTES // pairs.nbytes).bit_length() - 1))
+    first = np.take(_parities(t), gray[:step, None] & patterns) + 2 * np.arange(step)[:, None]
+    block = np.empty((step + 1, patterns.size, 2), dtype=pairs.dtype)
+    factors = block.view(_PAIR)[1:, :, 0]
+    for start in range(0, 2**t, step):
+        present = np.flatnonzero(angles[start : start + step])
+        if not present.size:
+            continue
+        index = first ^ np.take(_parities(t), gray[start] & patterns) if start else first
+        if present.size < step:
+            index = index[present]
+        np.take(table[2 * start : 2 * (start + step)], index, out=factors[: present.size], mode="clip")
+        block[0] = pairs.reshape(-1, 2)
+        used = block[: present.size + 1].reshape(present.size + 1, -1)
+        np.multiply.reduce(used, axis=0, out=pairs.reshape(-1), initial=None)
+
+
 def _apply_segment(
-    amps: np.ndarray, elements: Sequence[Gate | Multiplexor], n: int, ry: np.ndarray, rz: np.ndarray
+    amps: np.ndarray, elements: Sequence[Gate | Multiplexor | GrayWalk], n: int, ry: np.ndarray, rz: np.ndarray
 ) -> tuple[int, int]:
     """Apply elements on one target t to a ``(2**n,)`` state or a ``(2**n, k)``
     batch, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
@@ -94,10 +182,11 @@ def _apply_segment(
     significant, then the batch column; column b holds qubit t's.  Ry
     multiplies all rows by the transposed 2x2 in one ``zgemm`` call, Rz and
     Phase scale the columns, X swaps them, and a CX swaps them on the rows
-    where its control bit is set.  The segment's uncontrolled Ry and Rz gates
-    take, in order, the first rows of ``ry``, transposed matrices, and of
-    ``rz``, diagonals; the numbers of rows taken are returned.  A multiplexor
-    goes to :func:`_apply_level`."""
+    where its control bit is set.  The segment's uncontrolled Ry and Rz gates,
+    one row each, and its walks, one row per slot, take in order the first
+    rows of ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers
+    of rows taken are returned.  A multiplexor goes to :func:`_apply_level`
+    and a walk to :func:`_apply_walk`."""
     t = elements[0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
@@ -108,6 +197,12 @@ def _apply_segment(
     for element in elements:
         if isinstance(element, Multiplexor):
             _apply_level(pairs, element)
+        elif isinstance(element, GrayWalk) and element.kind == "ry":
+            _apply_walk(pairs, element, by_qubit, ry[i_ry:])
+            i_ry += len(element.angles)
+        elif isinstance(element, GrayWalk):
+            _apply_walk(pairs, element, by_qubit, rz[i_rz:])
+            i_rz += len(element.angles)
         elif element.kind == "ry":
             flat[...] = flat @ ry[i_ry]
             i_ry += 1
@@ -128,16 +223,21 @@ def _apply_segment(
     return i_ry, i_rz
 
 
-def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor], n: int) -> None:
+def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor | GrayWalk], n: int) -> None:
     """Apply a circuit's elements in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch.
 
     Each maximal run of elements on one target goes to :func:`_apply_segment`.
-    The uncontrolled Ry and Rz matrices are built for all the elements in one
-    pass; each segment starts at the rows after those the segments before it
-    took."""
-    uncontrolled = [g for g in elements if isinstance(g, Gate) and not g.controls]
-    ry = rotation_stack("ry", [g.angle for g in uncontrolled if g.kind == "ry"]).transpose(0, 2, 1)
-    rz = rotation_stack("rz", [g.angle for g in uncontrolled if g.kind == "rz"]).diagonal(axis1=1, axis2=2)
+    The Ry and Rz matrices of the uncontrolled gates and of every walk slot
+    are built for all the elements in one pass; each segment starts at the
+    rows after those the segments before it took."""
+    angles: dict[str, list[float]] = {"ry": [], "rz": []}
+    for e in elements:
+        if isinstance(e, GrayWalk):
+            angles[e.kind].extend(e.angles)
+        elif isinstance(e, Gate) and not e.controls and e.kind in angles:
+            angles[e.kind].append(e.angle)
+    ry = rotation_stack("ry", angles["ry"]).transpose(0, 2, 1)
+    rz = rotation_stack("rz", angles["rz"]).diagonal(axis1=1, axis2=2)
     i_ry = i_rz = 0
     for _, group in itertools.groupby(elements, operator.attrgetter("target")):
         k_ry, k_rz = _apply_segment(amps, tuple(group), n, ry[i_ry:], rz[i_rz:])
@@ -201,9 +301,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     and OpenBLAS (``SkylakeX`` kernel) on an AVX-512 x86-64 CPU: for
     synthesized and for lowered preparations of 1 to 7 qubits, every column
     (2540 of 2540 each) matched byte for byte, and so did every column of
-    elementary gates appended on 2 to 6 qubits; on 1 qubit, and with random
-    Ry or Rz multiplexors appended (152 and 397 of 630 columns differed),
-    columns match :func:`run` to rounding only."""
+    elementary gates (620 of 620 per kind) or of random Ry or Rz walks (620
+    of 620 each) appended on 2 to 6 qubits; on 1 qubit, and with random Ry
+    or Rz multiplexors appended (467 and 414 of 620 columns differed on 2 to
+    6 qubits), columns match :func:`run` to rounding only."""
     n = circuit.qubit_count
     check_register(n, "dense unitary")
     cols = np.eye(2**n, dtype=np.complex128)

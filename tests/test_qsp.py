@@ -14,6 +14,7 @@ from kraussim.numerics import PureState, basis_state
 from kraussim.qsp import (
     Circuit,
     Gate,
+    GrayWalk,
     Multiplexor,
     control_patterns,
     dump_circuit,
@@ -428,6 +429,53 @@ def test_multiplexor_keeps_tuples_and_circuit_checks_its_target():
         Circuit(3, (Gate("x", 0.0, 0), wide))
 
 
+@pytest.mark.parametrize("args, message", [
+    (("x", 1, [0.1, 0.2]), "'x' Gray-code walk on qubit 1: unknown kind"),
+    (("phase", 0, [0.1]), "'phase' Gray-code walk on qubit 0: unknown kind"),
+    (("ry", 2, [0.1, 0.2, 0.3]), "'ry' Gray-code walk on qubit 2: 3 angles, not 2^2"),
+    (("rz", 0, []), "'rz' Gray-code walk on qubit 0: 0 angles, not 2^0"),
+    (("ry", -1, [0.1]), "'ry' Gray-code walk on qubit -1: 1 angles, not 2^-1"),
+    (("rz", 1, [0.1, math.nan]), "'rz' Gray-code walk on qubit 1: angle nan not finite"),
+    (("ry", 2, [0.0, -math.inf, 0.1, 0.2]), "'ry' Gray-code walk on qubit 2: angle -inf not finite"),
+])
+def test_gray_walk_rejects_bad_input_with_its_message(args, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        GrayWalk(*args)
+
+
+def test_gray_walk_keeps_a_tuple_and_circuit_checks_its_target():
+    walk = GrayWalk("rz", 1, np.array([0.5, 0.0]))
+    assert walk.angles == (0.5, 0.0) and all(type(a) is float for a in walk.angles)
+    assert Circuit(2, (walk,)) == Circuit(2, [GrayWalk("rz", 1, (0.5, 0.0))])
+    wide = GrayWalk("ry", 3, [0.2] * 8)
+    with pytest.raises(ValueError, match=r"^'ry' Gray-code walk on qubit 3 references qubit outside register$"):
+        Circuit(3, (Gate("x", 0.0, 0), wide))
+
+
+def test_lowered_walk_gate_count_counts_without_expanding():
+    # lowered preparations, complex and real, with exact zeros, and walks with
+    # zero slots: on qubit 0, on qubit 1 with the CX pair that cancels, and with
+    # every angle zero
+    rng = np.random.default_rng(362)
+    circuits = []
+    for n in range(1, 9):
+        for real in (False, True):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            amps[rng.random(2**n) < 0.3] = 0.0
+            amps[0] += 0.5
+            target = PureState(amps / np.linalg.norm(amps))
+            circuits.append(lower((synthesize_real if real else synthesize)(target)))
+    cases = ((0, [0.3]), (0, [0.0]), (1, [0.3, 0.0]), (1, [0.0, 0.3]), (1, [0.3, 0.4]), (2, [0.0] * 4),
+             (2, [0.1, 0.0, 0.0, 0.2]))
+    hand_built = [GrayWalk(kind, t, angles) for kind in ("ry", "rz") for t, angles in cases]
+    circuits.append(Circuit(3, tuple(hand_built)))
+    for circuit in circuits:
+        count = circuit.gate_count
+        assert "gates" not in vars(circuit)  # gates are built on first use only
+        assert count == len(circuit.gates)
+    assert [w.gate_count for w in hand_built[:7]] == [1, 0, 1, 3, 4, 0, 6]
+
+
 def test_gate_count_counts_without_expanding():
     rng = np.random.default_rng(360)
     synthesized = synthesize(random_pure(rng, 32))
@@ -448,8 +496,9 @@ def test_gate_count_counts_without_expanding():
     ]
     assert np.abs(circuit_unitary(lower(hand_built)) - circuit_unitary(hand_built)).max() < 1e-12
     low = lower(synthesized)
-    assert low.gates is low.elements
-    assert synthesized.gates is synthesized.gates
+    assert all(isinstance(e, GrayWalk) for e in low.elements)
+    assert all(g.is_elementary() for g in low.gates)
+    assert low.gates is low.gates and synthesized.gates is synthesized.gates
 
 
 @pytest.mark.parametrize("element", [

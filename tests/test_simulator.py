@@ -21,7 +21,7 @@ from helpers import (
 from kraussim.channels import hw_dephasing
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
-from kraussim.qsp import Circuit, Gate, Multiplexor, _rz_cascade, lower, synthesize, synthesize_real
+from kraussim.qsp import Circuit, Gate, GrayWalk, Multiplexor, _rz_cascade, lower, synthesize, synthesize_real
 from kraussim.tomography import settings_for
 from kraussim.simulator import (
     ReadoutModel,
@@ -359,6 +359,82 @@ def test_lowered_tomography_circuits_match_matmul_reference():
             reference_apply_gate(expected, g, 8)
         expected *= np.exp(1j * low.global_phase)
         assert np.array_equal(row, expected)
+
+
+def random_walk(rng, kind, t):
+    """A Gray-code walk on qubit t: random angles, about a fifth of them 0.0."""
+    angles = rng.uniform(-np.pi, np.pi, 2**t)
+    angles[rng.random(2**t) < 0.2] = 0.0
+    return GrayWalk(kind, t, angles.tolist())
+
+
+def walk_circuit(rng, n):
+    """A random complex state's preparation, then walks of both kinds on random
+    targets, qubit 0 among them; walks on qubit 0 and 1 with a zero slot (on
+    qubit 1, slot 1's, so that its two CXs cancel) and an all-zero walk; and,
+    on a walk's target, uncontrolled gates, CX and multiplexors between the
+    walks of one segment."""
+    elements = list(synthesize(random_pure(rng, 2**n)).elements)
+    for kind in ("ry", "rz"):
+        elements += [GrayWalk(kind, 0, [0.0]), GrayWalk(kind, 0, [random_angle(rng)])]
+        if n > 1:
+            elements.append(GrayWalk(kind, 1, [random_angle(rng), 0.0]))
+            elements.append(GrayWalk(kind, 1, [0.0, random_angle(rng)]))
+        t = int(rng.integers(n))
+        elements.append(GrayWalk(kind, t, [0.0] * 2**t))
+    for _ in range(3 * n):
+        t = int(rng.integers(n))
+        elements.append(random_walk(rng, str(rng.choice(["ry", "rz"])), t))
+        others = [q for q in range(n) if q != t]
+        choice = str(rng.choice(["gate", "cx", "multiplexor", "walk"]))
+        if choice == "gate":
+            elements.append(Gate(str(rng.choice(["x", "ry", "rz", "phase"])), random_angle(rng), t))
+        elif choice == "cx" and others:
+            elements.append(Gate("x", 0.0, t, ((int(rng.choice(others)), 1),)))
+        elif choice == "multiplexor":
+            rows = random_rows(rng, t)
+            angles = [random_angle(rng) for _ in rows]
+            elements.append(Multiplexor(str(rng.choice(["ry", "rz"])), t, rows, angles))
+        else:
+            elements.append(random_walk(rng, str(rng.choice(["ry", "rz"])), t))
+    return Circuit(n, tuple(elements), float(rng.uniform(-np.pi, np.pi)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walks_match_gate_by_gate_bit_for_bit(n):
+    # run, and the element loop on batches, against one slice-kernel call per
+    # gate of Circuit.gates; then each walk alone, on a state and on batches
+    # given exact zeros of both signs before every walk
+    rng = np.random.default_rng(700 + n)
+    circuit = walk_circuit(rng, n)
+    walks = [e for e in circuit.elements if isinstance(e, GrayWalk)]
+    assert {(w.kind, w.target) for w in walks} >= {("ry", 0), ("rz", 0)}
+    assert [GrayWalk("ry", 0, [0.0]).gates(), GrayWalk("rz", 1, [0.0, 0.0]).gates()] == [[], []]
+    assert [g.kind for g in GrayWalk("ry", 1, [0.5, 0.0]).gates()] == ["ry"]
+    assert run(circuit).amplitudes.tobytes() == gate_by_gate(circuit).tobytes()
+    for k in (2, 5):
+        amps = rng.standard_normal((2**n, k)) + 1j * rng.standard_normal((2**n, k))
+        expected = amps.copy()
+        for g in circuit.gates:
+            reference_apply_gate(expected, g, n)
+        simulator._apply_elements(amps, circuit.elements, n)
+        assert amps.tobytes() == expected.tobytes(), k
+    assert_kernels_match_slice_reference(rng, n, walks, [(2**n,), (2**n, 2), (2**n, 5)])
+
+
+def test_rz_walk_blocks_do_not_grow_with_the_register():
+    # the last qubit's Rz walk of a 10-qubit preparation has 512 slots; its
+    # factors, gathered at once, would take 512 x 16 KiB = 8 MiB
+    low = lower(synthesize(random_pure(np.random.default_rng(710), 2**10)))
+    assert any(isinstance(e, GrayWalk) and e.kind == "rz" and e.target == 9 for e in low.elements)
+    tracemalloc.start()
+    try:
+        state = run(low)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.amplitudes.tobytes() == gate_by_gate(low).tobytes()
+    assert peak < 2**20
 
 
 def test_anticontrolled_x_fires_on_zero():
