@@ -152,6 +152,11 @@ CSV_HEADER = (
 
 FIDELITY_FLOOR = 1.0 - 1e-9
 
+# Sampled tomography measures 3^m settings of the m system qubits and
+# reconstructs from 4^m Pauli strings; its string table alone is 4^m x 2^m
+# complex (268 MB at m = 8), so m is bounded here, before any circuit.
+MAX_TOMOGRAPHY_QUBITS = 6
+
 # the measured fields of a failed point's row
 _FAILED_POINT = dict(c_theory=float("nan"), c_measured=float("nan"), trace_distance=float("nan"),
                      synth_gate_count=0, lowered_gate_count=0)
@@ -476,8 +481,9 @@ def _prepared_parts(
 ) -> Iterator[_Part]:
     """Dilate, embed, synthesize and lower each part, checking both fidelities.
 
-    A readout model is checked against each part's system qubits as soon as
-    the dilation fixes them, before any circuit is built.
+    In sampled mode the part's system qubits are checked against
+    :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them, as soon
+    as the dilation fixes them, before any circuit is built.
     """
     if psi0 is not None:
         dilations = [(1.0, dilate_pure(channel, psi0))]
@@ -489,6 +495,11 @@ def _prepared_parts(
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
         m = dilated.embedding.qubit_counts[0]
+        if cfg.mode == "sampled" and m > MAX_TOMOGRAPHY_QUBITS:
+            raise ValueError(
+                f"tomography: {m} system qubits exceeds the sampled-tomography limit of "
+                f"{MAX_TOMOGRAPHY_QUBITS} qubits ({3**m} settings)"
+            )
         if cfg.readout is not None:
             _field("readout", cfg.readout.confusion, m)
         embedded = embed_qudits(dilated)

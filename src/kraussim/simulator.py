@@ -14,12 +14,13 @@ array and written back once.  Ry there multiplies every row by the
 transposed 2x2 in one BLAS ``zgemm`` call, Rz and Phase scale the
 columns, X swaps them and a CX swaps them on the rows where its control
 bit is set; a multiplexor is one stacked ``matmul`` (Ry) or one column
-scale (Rz) over its rows.  A walk is applied in one call
-(:func:`_apply_walk`): Ry as one ``zgemm`` and one swap per slot, Rz as
-blocks of its slots' factors folded in slot order, with no swap.  The
-state keeps the bits of its gates (``Circuit.gates``) applied one by one.
-The swaps and scalings drop only the matrix product's terms multiplied
-by zero.  Qubit 0 is the most significant bit of basis labels, and the
+scale (Rz) over its rows.  For gates and multiplexors the state keeps
+the bits of their gates (``Circuit.gates``) applied one by one; the swaps
+and scalings drop only the matrix product's terms multiplied by zero.  A
+walk is applied as what its gates compose to (:func:`_apply_walk`): one
+rotation per control pattern, through the multiplexor kernel over all
+2^t rows, so its state agrees with its gates one by one to rounding, not
+bit for bit.  Qubit 0 is the most significant bit of basis labels, and the
 outcome indices of sampled counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, phase_factor, rotation_stack
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, _walsh_hadamard, phase_factor, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -64,23 +65,23 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
-    """Apply an Ry or Rz multiplexor on qubit t to the ``(2^t, rest, 2)`` pair array.
+def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: np.ndarray) -> None:
+    """Apply per row one Ry or Rz on qubit t to the ``(2^t, rest, 2)`` pair array.
 
-    Its rows are gathered into one ``(P, rest, 2)`` block.  Ry multiplies it
-    by the ``(P, 2, 2)`` transposed matrices in one ``matmul``, which calls
-    per row the BLAS routine one gate would; Rz scales it by ``(P, 1, 2)``
-    diagonal entries.  Where rest is 1 (the last qubit of a state), the block
-    is formed as one gate's numpy scalars are: the unfused ``(ac - bd, ad + bc)``."""
-    rows = list(level.rows)
+    ``stack`` holds one entry per row: a transposed Ry matrix or an Rz
+    diagonal.  The rows are gathered into one ``(P, rest, 2)`` block.  Ry
+    multiplies it by the ``(P, 2, 2)`` matrices in one ``matmul``, which calls
+    per row the BLAS routine one gate would; Rz scales it by the ``(P, 1, 2)``
+    diagonal entries.  Where rest is 1 (the last qubit of a state), the Rz
+    block is formed as one gate's numpy scalars are: the unfused
+    ``(ac - bd, ad + bc)``."""
     block = pairs[rows]
-    stack = rotation_stack(level.kind, level.angles)
-    if level.kind == "ry":
-        block = block @ stack.transpose(0, 2, 1)
+    if kind == "ry":
+        block = block @ stack
     elif block.shape[1] > 1:
-        block *= stack.diagonal(axis1=1, axis2=2)[:, None, :]
+        block *= stack[:, None, :]
     else:
-        diag = stack.diagonal(axis1=1, axis2=2)[:, None, :]
+        diag = stack[:, None, :]
         scaled = np.empty_like(block)
         scaled.real = block.real * diag.real - block.imag * diag.imag
         scaled.imag = block.real * diag.imag + block.imag * diag.real
@@ -88,88 +89,43 @@ def _apply_level(pairs: np.ndarray, level: Multiplexor) -> None:
     pairs[rows] = block
 
 
-# The Rz walk gathers its factors in blocks of at most this many bytes (and
-# at least one slot), so its memory does not grow with the register: the
-# whole table of the last qubit of 9, 2 MiB, was slower than the walk's
-# gates applied one by one.
-_RZ_BLOCK_BYTES = 1 << 18
-
-# one amplitude pair, or one pair of diagonal entries, as a single item
-_PAIR = np.dtype((np.void, 32))
-
-
 @functools.lru_cache(maxsize=None)
-def _parities(t: int) -> np.ndarray:
-    """The parity of the set bits of each of the 2^t patterns, read-only."""
-    parities = np.array([bin(r).count("1") & 1 for r in range(2**t)], dtype=np.intp)
-    parities.flags.writeable = False
-    return parities
+def _walk_order(t: int) -> np.ndarray:
+    """Per control-pattern mask m, the slot j of a walk on qubit t whose mask
+    f_j is m, read-only.  f_j is the running XOR of the control bits (qubit 0
+    the most significant) of the CXs before slot j, the qubits that
+    :func:`_gray_plan` names.  Raises if two slots share a mask or a full
+    cycle's CXs do not cancel: the walk is then not one rotation per
+    pattern."""
+    bits = [1 << (t - 1 - c) for c in _gray_plan(t)[1]] if t else [0]
+    masks = np.bitwise_xor.accumulate([0, *bits])
+    if masks[-1] or len(set(masks[:-1].tolist())) != 2**t:
+        raise ValueError(f"Gray-code plan of {t} controls: CX masks repeat or do not close the cycle")
+    order = np.argsort(masks[:-1])
+    order.flags.writeable = False
+    return order
 
 
-def _apply_walk(pairs: np.ndarray, walk: GrayWalk, by_qubit: np.ndarray, stack: np.ndarray) -> None:
-    """Apply a Gray-code walk on qubit t to the ``(2^t, rest, 2)`` pair array
-    (rows split by qubit as ``by_qubit``) with the bits of its gates applied
-    one by one; ``stack`` holds per slot its Ry matrix, transposed, or its Rz
-    diagonal.
+def _walk_angles(walk: GrayWalk) -> np.ndarray:
+    """The one angle per control pattern that ``walk`` rotates its target by.
 
-    Ry: per nonzero slot one ``zgemm`` call, as for an uncontrolled Ry, then
-    the CX swaps the columns where its control bit is set, through a view
-    built once per control qubit.  Rz makes no swap: after slots 0..j-1 the
-    amplitude of row r, column b, sits in column ``b ^ p``, p the parity of
-    ``gray(j) & r`` (r read as its control pattern), so slot j multiplies it
-    by its diagonal's entry ``b ^ p``, and a full cycle's CXs cancel.  The
-    factors are gathered as 32-byte pairs, in blocks of at most
-    :data:`_RZ_BLOCK_BYTES` behind a copy of the pairs, each folded in slot
-    order by ``np.multiply.reduce`` (with no initial 1, which would flip the
-    sign of some zeros).  On qubit 0 an Rz walk scales the columns as an
-    uncontrolled Rz does: on a one-pair state numpy then rounds as the
-    gate-by-gate kernel's scalars do, and a block would not."""
-    if not any(walk.angles):
-        return
-    t = walk.target
-    gray, controls = _gray_plan(t)
-    if walk.kind == "ry":
-        flat = pairs.reshape(-1, 2)
-        # per control qubit, the pairs whose control bit is set and their swap
-        views = [by_qubit[(slice(None),) * c + (1,)] for c in range(t)]
-        swaps = [(view, view[..., ::-1]) for view in views]
-        for j, (angle, control) in enumerate(zip(walk.angles, controls)):
-            if angle != 0.0:
-                flat[...] = flat @ stack[j]
-            if t:
-                view, swapped = swaps[control]
-                view[...] = swapped
-        return
-    if not t:
-        flat = pairs.reshape(-1, 2)
-        flat[:, 0] *= stack[0, 0]
-        flat[:, 1] *= stack[0, 1]
-        return
-    # pair 2j + p: slot j's diagonal, its entries swapped when p is 1
-    table = np.empty((2**t, 2, 2), dtype=stack.dtype)
-    table[:, 0] = stack[: 2**t]
-    table[:, 1] = stack[: 2**t, ::-1]
-    table = table.view(_PAIR).reshape(-1)
-    angles = np.array(walk.angles)
-    patterns = np.arange(2**t).repeat(pairs.shape[1])  # of each pair row
-    # blocks of a power-of-two slot count, so that a block starting at slot s
-    # has gray(s + i) = gray(s) ^ gray(i): its parities are those of the
-    # first block, flipped on the rows where gray(s) & pattern is odd
-    step = min(2**t, 1 << max(0, (_RZ_BLOCK_BYTES // pairs.nbytes).bit_length() - 1))
-    first = np.take(_parities(t), gray[:step, None] & patterns) + 2 * np.arange(step)[:, None]
-    block = np.empty((step + 1, patterns.size, 2), dtype=pairs.dtype)
-    factors = block.view(_PAIR)[1:, :, 0]
-    for start in range(0, 2**t, step):
-        present = np.flatnonzero(angles[start : start + step])
-        if not present.size:
-            continue
-        index = first ^ np.take(_parities(t), gray[start] & patterns) if start else first
-        if present.size < step:
-            index = index[present]
-        np.take(table[2 * start : 2 * (start + step)], index, out=factors[: present.size], mode="clip")
-        block[0] = pairs.reshape(-1, 2)
-        used = block[: present.size + 1].reshape(present.size + 1, -1)
-        np.multiply.reduce(used, axis=0, out=pairs.reshape(-1), initial=None)
+    X R(a) X = R(-a) for Ry and for Rz, and a full Gray cycle's CXs cancel,
+    so on pattern r the walk is one rotation by ``sum_j (-1)^popcount(f_j & r)
+    beta_j``, with f_j the mask of the CXs before slot j (:func:`_walk_order`):
+    the Walsh-Hadamard transform of the slot angles placed at their masks."""
+    return _walsh_hadamard(np.array(walk.angles)[_walk_order(walk.target)])
+
+
+def _apply_walk(pairs: np.ndarray, walk: GrayWalk, stack: np.ndarray) -> None:
+    """Apply a Gray-code walk on qubit t to the ``(2^t, rest, 2)`` pair array as
+    what its gates compose to: per control pattern one rotation, whose
+    transposed Ry matrix or Rz diagonal ``stack`` holds in pattern order
+    (from :func:`_walk_angles`), applied by :func:`_apply_level` over all
+    2^t rows.  No CX is applied.  The state agrees with the gates applied one
+    by one to rounding, not bit for bit.  A walk whose every slot angle is
+    0.0 is the identity and leaves the pairs as they are."""
+    if any(walk.angles):
+        _apply_level(pairs, walk.kind, slice(None), stack[: 2**walk.target])
 
 
 def _apply_segment(
@@ -183,35 +139,37 @@ def _apply_segment(
     multiplies all rows by the transposed 2x2 in one ``zgemm`` call, Rz and
     Phase scale the columns, X swaps them, and a CX swaps them on the rows
     where its control bit is set.  The segment's uncontrolled Ry and Rz gates,
-    one row each, and its walks, one row per slot, take in order the first
-    rows of ``ry``, transposed matrices, and of ``rz``, diagonals; the numbers
-    of rows taken are returned.  A multiplexor goes to :func:`_apply_level`
-    and a walk to :func:`_apply_walk`."""
+    one row each, its multiplexors, one row per entry, and its walks, one row
+    per control pattern, take in order the first rows of ``ry``, transposed
+    matrices, and of ``rz``, diagonals; the numbers of rows taken are
+    returned.  A multiplexor goes to :func:`_apply_level` and a walk to
+    :func:`_apply_walk`."""
     t = elements[0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
     flat = pairs.reshape(-1, 2)
     low, high = flat[:, 0], flat[:, 1]
     by_qubit = pairs.reshape((2,) * (n - 1) + (-1, 2))
-    i_ry = i_rz = 0
+    taken = {"ry": 0, "rz": 0}
+    stacks = {"ry": ry, "rz": rz}
     for element in elements:
+        kind = element.kind
         if isinstance(element, Multiplexor):
-            _apply_level(pairs, element)
-        elif isinstance(element, GrayWalk) and element.kind == "ry":
-            _apply_walk(pairs, element, by_qubit, ry[i_ry:])
-            i_ry += len(element.angles)
+            start = taken[kind]
+            taken[kind] += len(element.rows)
+            _apply_level(pairs, kind, list(element.rows), stacks[kind][start : taken[kind]])
         elif isinstance(element, GrayWalk):
-            _apply_walk(pairs, element, by_qubit, rz[i_rz:])
-            i_rz += len(element.angles)
-        elif element.kind == "ry":
-            flat[...] = flat @ ry[i_ry]
-            i_ry += 1
-        elif element.kind == "rz":
-            d0, d1 = rz[i_rz]
-            i_rz += 1
+            _apply_walk(pairs, element, stacks[kind][taken[kind] :])
+            taken[kind] += 2**t
+        elif kind == "ry":
+            flat[...] = flat @ ry[taken["ry"]]
+            taken["ry"] += 1
+        elif kind == "rz":
+            d0, d1 = rz[taken["rz"]]
+            taken["rz"] += 1
             low *= d0
             high *= d1
-        elif element.kind == "phase":
+        elif kind == "phase":
             high *= phase_factor(element.angle)
         elif element.controls:  # CX: the control's bit is row axis c, or c - 1 above t
             c = element.controls[0][0]
@@ -220,21 +178,25 @@ def _apply_segment(
         else:
             flat[...] = flat[:, ::-1]
     view[...] = pairs
-    return i_ry, i_rz
+    return taken["ry"], taken["rz"]
 
 
 def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor | GrayWalk], n: int) -> None:
     """Apply a circuit's elements in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch.
 
     Each maximal run of elements on one target goes to :func:`_apply_segment`.
-    The Ry and Rz matrices of the uncontrolled gates and of every walk slot
-    are built for all the elements in one pass; each segment starts at the
-    rows after those the segments before it took."""
+    The Ry and Rz matrices of the uncontrolled gates, of every multiplexor
+    entry and of every walk's per-pattern rotation (:func:`_walk_angles`) are
+    built for all the elements in one :func:`~kraussim.qsp.rotation_stack`
+    call per kind; each segment starts at the rows after those the segments
+    before it took."""
     angles: dict[str, list[float]] = {"ry": [], "rz": []}
     for e in elements:
-        if isinstance(e, GrayWalk):
+        if isinstance(e, Multiplexor):
             angles[e.kind].extend(e.angles)
-        elif isinstance(e, Gate) and not e.controls and e.kind in angles:
+        elif isinstance(e, GrayWalk):
+            angles[e.kind].extend(_walk_angles(e).tolist())
+        elif not e.controls and e.kind in angles:
             angles[e.kind].append(e.angle)
     ry = rotation_stack("ry", angles["ry"]).transpose(0, 2, 1)
     rz = rotation_stack("rz", angles["rz"]).diagonal(axis1=1, axis2=2)
@@ -301,10 +263,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     and OpenBLAS (``SkylakeX`` kernel) on an AVX-512 x86-64 CPU: for
     synthesized and for lowered preparations of 1 to 7 qubits, every column
     (2540 of 2540 each) matched byte for byte, and so did every column of
-    elementary gates (620 of 620 per kind) or of random Ry or Rz walks (620
-    of 620 each) appended on 2 to 6 qubits; on 1 qubit, and with random Ry
-    or Rz multiplexors appended (467 and 414 of 620 columns differed on 2 to
-    6 qubits), columns match :func:`run` to rounding only."""
+    elementary gates (620 of 620 per kind) appended on 2 to 6 qubits; with
+    gates appended on 1 qubit, and with four random Ry or Rz walks appended
+    (340 and 396 of 620 columns differed on 2 to 6 qubits) or four random
+    Ry or Rz multiplexors (255 and 524 of 620), columns match :func:`run`
+    to rounding only."""
     n = circuit.qubit_count
     check_register(n, "dense unitary")
     cols = np.eye(2**n, dtype=np.complex128)

@@ -253,8 +253,9 @@ def _complex_rows(matrix):
 
 # Each CSV is a recorded sweep output.  The exact ones move only with a change
 # to the synthesized circuit recorded in CHANGES.md; the sampled ones also with
-# a recorded change to how shots are drawn.  golden/recorded_on.json names the
-# BLAS kernel and SIMD level they were recorded with.
+# a recorded change to the lowered state's rounding or to how shots are drawn.
+# golden/recorded_on.json names the BLAS kernel and SIMD level they were
+# recorded with.
 GOLDEN_SWEEPS = {
     "qad_exact.csv": dict(_QAD, sweep={"parameter": "gamma", "grid": [0.0, 0.3, 1.0]}, mode="exact"),
     # a per-qubit readout model over the 2 system qubits
@@ -299,6 +300,25 @@ def test_oversized_register_fails_the_point_naming_the_stage(case):
     }
     [row] = run_experiment(parse_config(cfg))
     assert f"qubit embedding: {qubits} qubits exceeds the register limit of 10" in row.error
+    assert np.isnan(row.c_measured)
+
+
+def test_sampled_tomography_limit_fails_the_point_before_synthesis(tmp_path, monkeypatch):
+    # a d-level channel of two Kraus operators dilates onto m + 1 qubits,
+    # m = 6 system qubits at d = 64 (the limit, reached) and m = 7 at d = 65
+    def sampled_point(d):
+        ops = [np.sqrt(0.5) * np.eye(d), np.sqrt(0.5) * np.diag(np.exp(1j * np.arange(d)))]
+        path = tmp_path / f"ch{d}.json"
+        save_channel(KrausChannel(ops), str(path))
+        cfg = {"channel": {"file": str(path)}, "sweep": {"parameter": None, "grid": [0.0]},
+               "mode": "sampled", "shots": 16}
+        [row] = run_experiment(parse_config(cfg))
+        return row
+
+    assert sampled_point(64).error == ""
+    monkeypatch.setattr(cli, "synthesize", lambda target: pytest.fail("synthesize called"))
+    row = sampled_point(65)
+    assert row.error == "tomography: 7 system qubits exceeds the sampled-tomography limit of 6 qubits (2187 settings)"
     assert np.isnan(row.c_measured)
 
 
