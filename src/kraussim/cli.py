@@ -17,8 +17,8 @@ finite; a channel parameter the constructor does not take; a bad
 readout model (a rate that is a string, a boolean or outside [0, 0.5]), one given in
 exact mode, or one whose per-qubit lists do not cover the system
 qubits; a negative seed; a NaN or infinite sweep grid entry, start or
-stop, or Kraus operator entry), one ``config error: ...`` line on
-stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
+stop, or Kraus operator entry; a ``synth --qasm`` without ``--lower``),
+one ``config error: ...`` line on stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
 completeness residual above tolerance (``FAIL``); for ``sweep``, a
 failed point (fidelity below the floor, register over the limit), whose
 row is NaN while the other points run, reported as ``point <value>:
@@ -624,6 +624,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.qasm and not args.lower:
+        raise ConfigError("--qasm exports a lowered circuit; add --lower")
     if args.state_file:
         option, entries = "--state-file", _read_json_file(args.state_file, "state file")
     elif args.amplitudes:
@@ -660,7 +662,7 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
             plan = settings_for(part.dilated.embedding.qubit_counts[0])
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
-                 Circuit(low.qubit_count, low.gates + rotations, low.global_phase))
+                 Circuit(low.qubit_count, low.elements + rotations, low.global_phase))
                 for setting, rotations in zip(plan.settings, plan.rotations)
             ]
         for path, circuit in files:

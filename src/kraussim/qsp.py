@@ -21,26 +21,23 @@ Patterns whose parent amplitude is exactly zero get no entry, and no
 angle is zero.  :func:`synthesize_real` is the real case: every level is
 one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.
 
-A :class:`Circuit` holds three kinds of element: elementary gates (bare
-X, Ry, Rz or Phase, or a CX), Ry or Rz multiplexors, and their Gray-code
-walks (:class:`GrayWalk`).  :func:`lower` maps each element over {X, Ry,
-Rz, Phase, CX}: a multiplexor becomes one walk, which holds its
-Walsh-Hadamard angles in Gray order (up to 2^k rotations and 2^k CX for k
-controls, none when every angle is zero), and any other element passes
-unchanged.  ``Circuit.gates`` spells the elements out as gates, for the
-text dump, the QASM export and the gate histogram: each multiplexor entry
-one controlled :class:`Gate`, each walk its rotations and CX gates.
-:func:`control_patterns` is the one control-pattern rule, the first
-qubit most significant.
+A :class:`Circuit` holds three kinds of element: elementary gates
+(:class:`Gate`: a bare X, Ry or Rz, or a CX), Ry or Rz multiplexors, and
+their Gray-code walks (:class:`GrayWalk`).  A controlled rotation is
+written in one way only, as a multiplexor.  :func:`lower` maps each
+element over {X, Ry, Rz, CX}: a multiplexor becomes one walk, which holds
+its Walsh-Hadamard angles in Gray order (up to 2^k rotations and 2^k CX
+for k controls, none when every angle is zero), and any other element
+passes unchanged.  ``Circuit.gates`` spells the elements out one gate at
+a time, for the text dump and the QASM export: each multiplexor entry as
+a one-entry :class:`Multiplexor`, which is exactly a multi-controlled
+rotation, and each walk as its rotations and CX gates.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,22 +52,15 @@ __all__ = [
     "Circuit",
     "GATE_KINDS",
     "rotation_stack",
-    "phase_factor",
-    "control_patterns",
     "synthesize",
     "synthesize_real",
     "lower",
     "verify_preparation",
-    "gate_counts",
     "dump_circuit",
     "qasm_export",
-    "qasm_parse",
 ]
 
-GATE_KINDS = ("x", "ry", "rz", "phase")
-
-# a gate's (qubit, activation bit) pairs
-Controls = tuple[tuple[int, int], ...]
+GATE_KINDS = ("x", "ry", "rz")
 
 
 def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
@@ -99,79 +89,35 @@ def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
     return stack
 
 
-def phase_factor(angle: float) -> complex:
-    """``exp(i angle)``, the |1> entry of a Phase gate: :meth:`Gate.matrix` and
-    every simulator kernel that scales by a Phase take it from here."""
-    return np.exp(1j * angle)
-
-
-@functools.lru_cache(maxsize=256)
-def control_patterns(qubits: tuple[int, ...]) -> tuple[Controls, ...]:
-    """The 2^k control patterns on ``qubits``, k ascending qubits.
-
-    Returns the controls tuples in pattern order, the first qubit the most
-    significant bit: pattern r gives qubit ``qubits[j]`` the bit
-    ``(r >> (k-1-j)) & 1``.  Built once per qubit tuple and shared:
-    ``Circuit.gates`` takes a multiplexor entry's controls from it.
-    """
-    return tuple(tuple(zip(qubits, bits)) for bits in itertools.product((0, 1), repeat=len(qubits)))
-
-
 @dataclass(frozen=True)
 class Gate:
-    """One gate: a 2x2 primitive on ``target``, optionally controlled.
+    """One elementary gate on ``target``: a bare X, Ry or Rz, or a CX.
 
-    ``controls`` lists (qubit, activation bit) pairs, kept as a tuple of
-    tuples whatever sequences the caller gave; the primitive acts only on
-    basis states whose control bits match.  ``angle`` is ignored for kind
-    ``"x"``.  A :class:`Circuit` holds only elementary gates; other
-    controlled gates are how ``Circuit.gates`` lists multiplexor entries.
+    A CX is kind ``"x"`` with ``controls == ((c, 1),)``, c the control
+    qubit; every other gate has no controls.  ``angle`` is ignored for
+    kind ``"x"``.  A controlled rotation is a :class:`Multiplexor`.
     """
 
     kind: str
     angle: float
     target: int
-    controls: Controls = ()
+    controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        # kept as a tuple of tuples, so that gates hash and compare by value;
-        # an input that already is one is kept as given
+            raise ValueError(f"gate {self}: unknown kind {self.kind!r}")
         controls = self.controls
-        if type(controls) is not tuple:
-            controls = tuple(controls)
-        seen = {self.target}
-        tuples = True
-        for pair in controls:
-            q, b = pair
-            if q in seen:
-                raise ValueError(f"duplicate qubit {q} in gate")
-            if b not in (0, 1):
-                raise ValueError(f"control bit must be 0 or 1, got {b}")
-            seen.add(q)
-            tuples = tuples and type(pair) is tuple
-        if not tuples or controls is not self.controls:
-            object.__setattr__(self, "controls", tuple(map(tuple, controls)))
+        if controls != () and not (
+            self.kind == "x" and len(controls) == 1 and controls == ((controls[0][0], 1),)
+            and controls[0][0] != self.target
+        ):
+            raise ValueError(f"gate {self} is not a bare gate or a CX; write a controlled rotation as a Multiplexor")
 
     def matrix(self) -> np.ndarray:
         """The 2x2 primitive acting on the target qubit."""
-        a = self.angle
         if self.kind == "x":
             return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        if self.kind in ("ry", "rz"):
-            return rotation_stack(self.kind, (a,))[0]
-        return np.diag([1.0, phase_factor(a)]).astype(np.complex128)
-
-    def is_elementary(self) -> bool:
-        """True for the lowered target set: bare X/Ry/Rz/Phase, or CX."""
-        return _elementary(self.kind, self.controls)
-
-
-def _elementary(kind: str, controls: Controls) -> bool:
-    """:meth:`Gate.is_elementary` on a kind and controls, which
-    ``Circuit`` checks once per distinct pair."""
-    return not controls or (kind == "x" and len(controls) == 1 and controls[0][1] == 1)
+        return rotation_stack(self.kind, (self.angle,))[0]
 
 
 @dataclass(frozen=True)
@@ -179,10 +125,11 @@ class Multiplexor:
     """An Ry or Rz on ``target``, controlled on exactly the qubits
     ``0..target-1``: a uniformly controlled rotation.
 
-    Entry i applies ``angles[i]`` on control pattern ``rows[i]``, in the
-    pattern order of :func:`control_patterns` (qubit 0 most significant).
-    Rows are distinct.  Rows and angles are kept as tuples of ints and
-    floats.
+    Entry i applies ``angles[i]`` on control pattern ``rows[i]``: row r
+    gives control qubit q the bit ``(r >> (target-1-q)) & 1``, qubit 0 the
+    most significant.  Rows are distinct.  Rows and angles are kept as
+    tuples of ints and floats.  A one-entry multiplexor is one
+    multi-controlled rotation.
     """
 
     kind: str
@@ -283,11 +230,10 @@ class Circuit:
     """Elementary gates, multiplexors and walks over ``qubit_count`` qubits
     plus one tracked scalar phase.
 
-    Elements apply in order.  An element is a :class:`Multiplexor`, a
-    :class:`GrayWalk` or a :class:`Gate` for which :meth:`Gate.is_elementary`
-    holds; a controlled rotation is written as a multiplexor.
-    ``global_phase`` is the exponent of a scalar ``exp(i * global_phase)``
-    multiplying the final state.
+    Elements apply in order.  An element is a :class:`Gate`, a
+    :class:`Multiplexor` or a :class:`GrayWalk`.  ``global_phase`` is the
+    exponent of a scalar ``exp(i * global_phase)`` multiplying the final
+    state.
     """
 
     qubit_count: int
@@ -298,38 +244,32 @@ class Circuit:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
         elements = tuple(self.elements)
-        # one pass over the targets and the distinct (kind, controls) pairs;
-        # the per-element loops only find the culprit
+        # one pass over the qubits; the per-element loop only finds the culprit
         used = {e.target for e in elements}
-        shapes = {(e.kind, getattr(e, "controls", ())) for e in elements}
-        used.update(q for _, controls in shapes for q, _ in controls)
+        used.update(c for e in elements if isinstance(e, Gate) for c, _ in e.controls)
         if used and (min(used) < 0 or max(used) >= self.qubit_count):
             for e in elements:
-                qubits = [e.target] + [q for q, _ in getattr(e, "controls", ())]
-                if any(q < 0 or q >= self.qubit_count for q in qubits):
+                qubits = (e.target, *(c for c, _ in getattr(e, "controls", ())))
+                if not all(0 <= q < self.qubit_count for q in qubits):
                     label = f"gate {e}" if isinstance(e, Gate) else str(e)
                     raise ValueError(f"{label} references qubit outside register")
-        if not all(_elementary(*shape) for shape in shapes):
-            e = next(e for e in elements if isinstance(e, Gate) and not e.is_elementary())
-            raise ValueError(f"gate {e} is not elementary; write a controlled rotation as a Multiplexor")
         object.__setattr__(self, "elements", elements)
 
     @functools.cached_property
-    def gates(self) -> tuple[Gate, ...]:
-        """The elements as gates, built on first use: each multiplexor entry
-        one Gate controlled on its pattern, each walk its
-        :meth:`GrayWalk.gates`.  Without either, the elements as given."""
+    def gates(self) -> tuple[Gate | Multiplexor, ...]:
+        """The elements one gate at a time, built on first use: each
+        multiplexor entry as a one-entry :class:`Multiplexor`, each walk as
+        its :meth:`GrayWalk.gates`.  Without either, the elements as given."""
         if all(isinstance(e, Gate) for e in self.elements):
             return self.elements
-        gates: list[Gate] = []
+        gates: list[Gate | Multiplexor] = []
         for e in self.elements:
             if isinstance(e, Gate):
                 gates.append(e)
             elif isinstance(e, GrayWalk):
                 gates.extend(e.gates())
             else:
-                patterns = control_patterns(tuple(range(e.target)))
-                gates.extend(Gate(e.kind, angle, e.target, patterns[r]) for r, angle in zip(e.rows, e.angles))
+                gates.extend(Multiplexor(e.kind, e.target, (r,), (angle,)) for r, angle in zip(e.rows, e.angles))
         return tuple(gates)
 
     @property
@@ -433,7 +373,7 @@ def synthesize_real(target: PureState) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Lowering to {X, Ry, Rz, Phase, CX}
+# Lowering to {X, Ry, Rz, CX}
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
@@ -472,7 +412,7 @@ def _cx(target: int, control: int) -> Gate:
 
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite each multiplexor as its Gray-code walk, so that ``gates`` lists
-    only {X, Ry, Rz, Phase, CX}.
+    only {X, Ry, Rz, CX}.
 
     A multiplexor becomes one :class:`GrayWalk`: its angles, as a vector over
     the control patterns, go through the Walsh-Hadamard transform, are read
@@ -503,41 +443,33 @@ def verify_preparation(circuit: Circuit, target: PureState, prepared: PureState)
     return float(abs(np.vdot(target.amplitudes, prepared.amplitudes)) ** 2)
 
 
-def gate_counts(circuit: Circuit) -> Counter:
-    """Histogram of gate kinds; controlled rotations count as ``mc-<kind>``."""
-    counts: Counter = Counter()
-    for g in circuit.gates:
-        if not g.controls:
-            counts[g.kind] += 1
-        elif g.is_elementary():
-            counts["cx"] += 1
-        else:
-            counts[f"mc-{g.kind}"] += 1
-    counts["total"] = len(circuit.gates)
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Text formats
 
 
 def dump_circuit(circuit: Circuit) -> str:
-    """One gate per line: kind, angle, target, controls."""
+    """One gate of ``Circuit.gates`` per line: kind, angle, target, controls
+    as ``c{q}={bit}``, a multiplexor entry's from its row."""
     lines = [f"qubits {circuit.qubit_count}", f"phase {circuit.global_phase!r}"]
     for g in circuit.gates:
+        if isinstance(g, Multiplexor):
+            (row,), (angle,) = g.rows, g.angles
+            controls = [(q, (row >> (g.target - 1 - q)) & 1) for q in range(g.target)]
+        else:
+            angle, controls = g.angle, g.controls
         parts = [g.kind]
         if g.kind != "x":
-            parts.append(repr(g.angle))
+            parts.append(repr(angle))
         parts.append(f"q{g.target}")
-        parts.extend(f"c{q}={b}" for q, b in g.controls)
+        parts.extend(f"c{q}={b}" for q, b in controls)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def qasm_export(circuit: Circuit) -> str:
-    """OpenQASM 2.0 text for an elementary circuit.
+    """OpenQASM 2.0 text for a circuit without multiplexors.
 
-    Gates map to ry/rz/x/cx/u1; angles are printed with full round-trip
+    Gates map to ry/rz/x/cx; angles are printed with full round-trip
     precision.  The tracked global phase has no QASM 2.0 representation
     and is omitted.  Every qubit q is measured into ``c[q]`` at the end.
     """
@@ -548,67 +480,14 @@ def qasm_export(circuit: Circuit) -> str:
         f"creg c[{circuit.qubit_count}];",
     ]
     for g in circuit.gates:
-        if not g.is_elementary():
-            raise ValueError(f"gate {g} is not elementary; lower the circuit first")
-        if g.kind == "x" and g.controls:
+        if isinstance(g, Multiplexor):
+            raise ValueError(f"{g} is not elementary; lower the circuit first")
+        if g.controls:
             lines.append(f"cx q[{g.controls[0][0]}],q[{g.target}];")
         elif g.kind == "x":
             lines.append(f"x q[{g.target}];")
-        elif g.kind == "phase":
-            lines.append(f"u1({g.angle!r}) q[{g.target}];")
         else:
             lines.append(f"{g.kind}({g.angle!r}) q[{g.target}];")
     for q in range(circuit.qubit_count):
         lines.append(f"measure q[{q}] -> c[{q}];")
     return "\n".join(lines) + "\n"
-
-
-_QASM_GATE = re.compile(
-    r"^(?P<name>ry|rz|u1)\((?P<angle>[^)]+)\)\s+q\[(?P<t>\d+)\];$"
-)
-_QASM_X = re.compile(r"^x\s+q\[(?P<t>\d+)\];$")
-_QASM_CX = re.compile(r"^cx\s+q\[(?P<c>\d+)\],\s*q\[(?P<t>\d+)\];$")
-_QASM_QREG = re.compile(r"^qreg\s+\w+\[(?P<n>\d+)\];$")
-
-
-def qasm_parse(text: str) -> Circuit:
-    """Read back the subset emitted by :func:`qasm_export`.
-
-    Measurement and classical-register lines are ignored; the global
-    phase is zero by construction.
-    """
-    n = None
-    gates: list[Gate] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if (
-            not line
-            or line.startswith("OPENQASM")
-            or line.startswith("include")
-            or line.startswith("creg")
-            or line.startswith("measure")
-            or line.startswith("barrier")
-            or line.startswith("//")
-        ):
-            continue
-        m = _QASM_QREG.match(line)
-        if m:
-            n = int(m.group("n"))
-            continue
-        m = _QASM_GATE.match(line)
-        if m:
-            kind = {"ry": "ry", "rz": "rz", "u1": "phase"}[m.group("name")]
-            gates.append(Gate(kind, float(m.group("angle")), int(m.group("t"))))
-            continue
-        m = _QASM_X.match(line)
-        if m:
-            gates.append(Gate("x", 0.0, int(m.group("t"))))
-            continue
-        m = _QASM_CX.match(line)
-        if m:
-            gates.append(Gate("x", 0.0, int(m.group("t")), ((int(m.group("c")), 1),)))
-            continue
-        raise ValueError(f"unsupported QASM line: {line!r}")
-    if n is None:
-        raise ValueError("missing qreg declaration")
-    return Circuit(n, tuple(gates), 0.0)

@@ -1,27 +1,27 @@
 """Statevector simulator with shot sampling and a readout error model.
 
-A circuit holds three kinds of element: elementary gates, Ry or Rz
-multiplexors (:class:`~kraussim.qsp.Multiplexor`) and the Gray-code walks
+A circuit holds three kinds of element: elementary gates (a bare X, Ry or
+Rz, or a CX), Ry or Rz multiplexors (:class:`~kraussim.qsp.Multiplexor`,
+the one way a controlled rotation is written) and the Gray-code walks
 that lowering makes of them (:class:`~kraussim.qsp.GrayWalk`).  One loop,
 :func:`_apply_elements`, applies them in place to a ``(2^n,)`` state or a
-``(2^n, k)`` batch of states: :func:`run` on the state from |0...0>,
-:func:`run_branches` on its batch of tomography settings, and
-:func:`circuit_unitary` on the identity's columns.  No 2^n x 2^n gate
-matrix is ever formed.  Each maximal run of elements on one target t is
-a segment, applied by the one kernel :func:`_apply_segment`: its
+``(2^n, k)`` batch of states: :func:`run` on the state from |0...0>, and
+:func:`run_branches` on its batch of tomography settings.  No 2^n x 2^n
+gate matrix is ever formed.  Each maximal run of elements on one target t
+is a segment, applied by the one kernel :func:`_apply_segment`: its
 amplitude pairs are gathered once into a contiguous ``(2^t, rest, 2)``
 array and written back once.  Ry there multiplies every row by the
-transposed 2x2 in one BLAS ``zgemm`` call, Rz and Phase scale the
-columns, X swaps them and a CX swaps them on the rows where its control
-bit is set; a multiplexor is one stacked ``matmul`` (Ry) or one column
-scale (Rz) over its rows.  For gates and multiplexors the state keeps
-the bits of their gates (``Circuit.gates``) applied one by one; the swaps
-and scalings drop only the matrix product's terms multiplied by zero.  A
-walk is applied as what its gates compose to (:func:`_apply_walk`): one
-rotation per control pattern, through the multiplexor kernel over all
-2^t rows, so its state agrees with its gates one by one to rounding, not
-bit for bit.  Qubit 0 is the most significant bit of basis labels, and the
-outcome indices of sampled counts follow the same convention.
+transposed 2x2 in one BLAS ``zgemm`` call, Rz scales the columns, X swaps
+them and a CX swaps them on the rows where its control bit is set; a
+multiplexor is one stacked ``matmul`` (Ry) or one column scale (Rz) over
+its rows.  For gates and multiplexors the state keeps the bits of
+``Circuit.gates`` applied one by one; the swaps and scalings drop only
+the matrix product's terms multiplied by zero.  A walk is applied as
+what its gates compose to (:func:`_apply_walk`): one rotation per control
+pattern, through the multiplexor kernel over all 2^t rows, so its state
+agrees with its gates one by one to rounding, not bit for bit.  Qubit 0
+is the most significant bit of basis labels, and the outcome indices of
+sampled counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
 readout noise take a generator stream, and :func:`derive_rng` is the one
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, _walsh_hadamard, phase_factor, rotation_stack
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, _walsh_hadamard, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -51,7 +51,6 @@ __all__ = [
     "apply_readout_noise",
     "mitigate",
     "derive_rng",
-    "circuit_unitary",
 ]
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -136,8 +135,8 @@ def _apply_segment(
 
     Row r of the pair array holds the bits of every other qubit, qubit 0 most
     significant, then the batch column; column b holds qubit t's.  Ry
-    multiplies all rows by the transposed 2x2 in one ``zgemm`` call, Rz and
-    Phase scale the columns, X swaps them, and a CX swaps them on the rows
+    multiplies all rows by the transposed 2x2 in one ``zgemm`` call, Rz
+    scales the columns, X swaps them, and a CX swaps them on the rows
     where its control bit is set.  The segment's uncontrolled Ry and Rz gates,
     one row each, its multiplexors, one row per entry, and its walks, one row
     per control pattern, take in order the first rows of ``ry``, transposed
@@ -169,8 +168,6 @@ def _apply_segment(
             taken["rz"] += 1
             low *= d0
             high *= d1
-        elif kind == "phase":
-            high *= phase_factor(element.angle)
         elif element.controls:  # CX: the control's bit is row axis c, or c - 1 above t
             c = element.controls[0][0]
             swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
@@ -228,20 +225,15 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     for bit ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
     ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
     qubits; on one qubit, a layer after the first acts on more than one column, and
-    then Ry, Rz and Phase round differently from a state.  Rows are C-contiguous, so a
-    row sum adds as over one state.  Bad input fails before any gate: a layer gate must
-    act inside the register and be elementary, the rule :class:`~kraussim.qsp.Circuit`
-    enforces."""
+    then Ry and Rz round differently from a state.  Rows are C-contiguous, so a row
+    sum adds as over one state.  Bad input fails before any gate: a layer gate must
+    act inside the register."""
     n = circuit.qubit_count
     for q, alternatives in enumerate(layers):
         for gate in itertools.chain.from_iterable(alternatives):
             if not all(0 <= qubit < n for qubit in (gate.target, *dict(gate.controls))):
                 raise ValueError(
                     f"branches: layer {q} gate {gate} acts outside the {n}-qubit circuit"
-                )
-            if not gate.is_elementary():
-                raise ValueError(
-                    f"branches: layer {q} gate {gate} is not elementary (bare X/Ry/Rz/Phase or CX)"
                 )
     batch = run(Circuit(n, circuit.elements)).amplitudes[:, None].copy()
     for alternatives in layers:
@@ -252,27 +244,6 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     if circuit.global_phase != 0.0:
         batch *= np.exp(1j * circuit.global_phase)
     return np.ascontiguousarray(batch.T)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a small circuit (column k = action on |k>): one
-    :func:`_apply_elements` pass over the identity's columns.
-
-    Whether column k has the bits of :func:`run` of X gates preparing |k>
-    and then the circuit depends on the elements.  Measured with numpy 2.4
-    and OpenBLAS (``SkylakeX`` kernel) on an AVX-512 x86-64 CPU: for
-    synthesized and for lowered preparations of 1 to 7 qubits, every column
-    (2540 of 2540 each) matched byte for byte, and so did every column of
-    elementary gates (620 of 620 per kind) appended on 2 to 6 qubits; with
-    gates appended on 1 qubit, and with four random Ry or Rz walks appended
-    (340 and 396 of 620 columns differed on 2 to 6 qubits) or four random
-    Ry or Rz multiplexors (255 and 524 of 620), columns match :func:`run`
-    to rounding only."""
-    n = circuit.qubit_count
-    check_register(n, "dense unitary")
-    cols = np.eye(2**n, dtype=np.complex128)
-    _apply_elements(cols, circuit.elements, n)
-    return cols * np.exp(1j * circuit.global_phase)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from kraussim.channels import (
     wigner_channel,
 )
 import kraussim.simulator as simulator
-from kraussim.numerics import DensityMatrix, PureState, kron
-from kraussim.qsp import Circuit, Gate, _magnitude_pyramid, _qubit_count_for, control_patterns
+from kraussim.numerics import DensityMatrix, PureState, check_register, kron
+from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -124,14 +125,91 @@ def random_kraus_channel(rng, dim, n_ops):
     return KrausChannel(ops, label="random")
 
 
+def row_controls(target, row):
+    """The (qubit, bit) controls of a multiplexor row on ``target``: the bits of
+    ``row`` written out over qubits 0..target-1, qubit 0 the most significant."""
+    bits = format(row, "b").zfill(target) if target else ""
+    return tuple((q, int(b)) for q, b in enumerate(bits))
+
+
+def gate_parts(gate):
+    """An entry of ``Circuit.gates`` as (its bare gate, its controls): a Gate
+    without its CX control, or a one-entry Multiplexor's rotation on its row."""
+    if isinstance(gate, Multiplexor):
+        (row,), (angle,) = gate.rows, gate.angles
+        return Gate(gate.kind, angle, gate.target), row_controls(gate.target, row)
+    return Gate(gate.kind, gate.angle, gate.target), gate.controls
+
+
+def circuit_unitary(circuit):
+    """Dense unitary of a small circuit (column k = action on |k>): one
+    ``simulator._apply_elements`` pass over the identity's columns, under the
+    simulator's register limit.
+
+    Whether column k has the bits of ``run`` of X gates preparing |k> and
+    then the circuit depends on the elements.  Measured with numpy 2.4 and
+    OpenBLAS (``SkylakeX`` kernel) on an AVX-512 x86-64 CPU: for synthesized
+    and for lowered preparations of 1 to 7 qubits, every column (2540 of 2540
+    each) matched byte for byte, and so did every column of elementary gates
+    (620 of 620 per kind) appended on 2 to 6 qubits; with gates appended on
+    1 qubit, and with four random Ry or Rz walks appended (340 and 396 of 620
+    columns differed on 2 to 6 qubits) or four random Ry or Rz multiplexors
+    (255 and 524 of 620), columns match ``run`` to rounding only."""
+    n = circuit.qubit_count
+    check_register(n, "dense unitary")
+    cols = np.eye(2**n, dtype=np.complex128)
+    simulator._apply_elements(cols, circuit.elements, n)
+    return cols * np.exp(1j * circuit.global_phase)
+
+
+_QASM_GATE = re.compile(r"^(?P<name>ry|rz)\((?P<angle>[^)]+)\)\s+q\[(?P<t>\d+)\];$")
+_QASM_X = re.compile(r"^x\s+q\[(?P<t>\d+)\];$")
+_QASM_CX = re.compile(r"^cx\s+q\[(?P<c>\d+)\],\s*q\[(?P<t>\d+)\];$")
+_QASM_QREG = re.compile(r"^qreg\s+\w+\[(?P<n>\d+)\];$")
+
+
+def qasm_parse(text):
+    """Read back the subset ``qasm_export`` emits as a circuit of gates.
+
+    Measurement and classical-register lines are ignored; the global
+    phase is zero by construction."""
+    n = None
+    gates = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(("OPENQASM", "include", "creg", "measure", "barrier", "//")):
+            continue
+        m = _QASM_QREG.match(line)
+        if m:
+            n = int(m.group("n"))
+            continue
+        m = _QASM_GATE.match(line)
+        if m:
+            gates.append(Gate(m.group("name"), float(m.group("angle")), int(m.group("t"))))
+            continue
+        m = _QASM_X.match(line)
+        if m:
+            gates.append(Gate("x", 0.0, int(m.group("t"))))
+            continue
+        m = _QASM_CX.match(line)
+        if m:
+            gates.append(Gate("x", 0.0, int(m.group("t")), ((int(m.group("c")), 1),)))
+            continue
+        raise ValueError(f"unsupported QASM line: {line!r}")
+    if n is None:
+        raise ValueError("missing qreg declaration")
+    return Circuit(n, tuple(gates), 0.0)
+
+
 def dense_gate(gate, n):
-    """Brute-force matrix of one gate, built per basis state."""
+    """Brute-force matrix of one entry of ``Circuit.gates``, built per basis state."""
     dim = 2**n
     m = np.zeros((dim, dim), dtype=complex)
-    g = gate.matrix()
+    bare, controls = gate_parts(gate)
+    g = bare.matrix()
     for col in range(dim):
         bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
-        if all(bits[q] == b for q, b in gate.controls):
+        if all(bits[q] == b for q, b in controls):
             t = bits[gate.target]
             for out_bit in (0, 1):
                 row = col if out_bit == t else col ^ (1 << (n - 1 - gate.target))
@@ -188,20 +266,21 @@ def _reference_multiplexed(kind, target, control_qubits, angles):
     return out
 
 
-def _gate_index(gate, n, target=slice(None)):
+def _gate_index(gate, controls, n, target=slice(None)):
     """Index into an n-qubit register tensor of shape ``(2,) * n``: each
-    control axis fixed at its activation bit, ``target`` at the target axis,
-    every other axis whole.  Trailing axes beyond the n qubits are kept whole."""
+    control axis fixed at its activation bit, ``target`` at the gate's target
+    axis, every other axis whole.  Trailing axes beyond the n qubits are kept
+    whole."""
     idx = [slice(None)] * n
-    for q, b in gate.controls:
+    for q, b in controls:
         idx[q] = b
     idx[gate.target] = target
     return tuple(idx)
 
 
 def reference_lower(circuit):
-    """``qsp.lower`` with every rotation's pattern read from its control bits,
-    most significant first."""
+    """``qsp.lower`` with every rotation's pattern read from the control bits
+    of its ``Circuit.gates`` entry, most significant first."""
     n = circuit.qubit_count
     out = []
     for e in circuit.elements:
@@ -210,19 +289,21 @@ def reference_lower(circuit):
             continue
         angles = np.zeros(2**e.target)
         for g in Circuit(n, (e,)).gates:
+            bare, controls = gate_parts(g)
             pattern = 0
-            for _, bit in g.controls:
+            for _, bit in controls:
                 pattern = (pattern << 1) | bit
-            angles[pattern] += g.angle
+            angles[pattern] += bare.angle
         out.extend(_reference_multiplexed(e.kind, e.target, tuple(range(e.target)), angles))
     return Circuit(n, tuple(out), circuit.global_phase)
 
 
 def reference_synthesize(target, real=False):
-    """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one validated
-    ``Gate`` per pattern and cascade row: one pass over the magnitude pyramid,
-    most significant qubit first.  Returns the gates, which ``Circuit.gates``
-    of the synthesized circuit must equal, and the global phase.
+    """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one one-entry
+    ``Multiplexor`` per pattern and cascade row: one pass over the magnitude
+    pyramid, most significant qubit first.  Returns the gates, which
+    ``Circuit.gates`` of the synthesized circuit must equal, and the global
+    phase.
 
     Level k targets qubit k-1 with one multi-controlled ``Rz(phi) Ry(theta)``
     per (k-1)-bit pattern whose parent magnitude is nonzero; a level emits its
@@ -237,13 +318,13 @@ def reference_synthesize(target, real=False):
     if real and np.max(np.abs(amps.imag)) > 1e-12:
         raise ValueError("amplitudes have imaginary parts; use synthesize instead")
     levels = _magnitude_pyramid(amps, n)
-    gates: list[Gate] = []
+    gates: list[Multiplexor] = []
     w, present = [0.0] * 2 ** (n - 1), [False] * 2 ** (n - 1)
     for k in range(1, n + 1):
         coeff = levels[k - 1]
-        ry: list[Gate] = []
-        rz: list[Gate] = []
-        for pattern, controls in enumerate(control_patterns(tuple(range(k - 1)))):
+        ry: list[Multiplexor] = []
+        rz: list[Multiplexor] = []
+        for pattern in range(2 ** (k - 1)):
             if k >= 2 and levels[k - 2][pattern] == 0.0:
                 continue  # zero-amplitude branch: nothing to prepare
             c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
@@ -258,17 +339,17 @@ def reference_synthesize(target, real=False):
                 phi = phi1 - phi0
                 w[pattern], present[pattern] = (phi1 + phi0) / 2.0, True
             if theta != 0.0:
-                ry.append(Gate("ry", theta, k - 1, controls))
+                ry.append(Multiplexor("ry", k - 1, (pattern,), (theta,)))
             if phi != 0.0:
-                rz.append(Gate("rz", phi, k - 1, controls))
+                rz.append(Multiplexor("rz", k - 1, (pattern,), (phi,)))
         gates.extend(ry + rz)
     if real:
         return tuple(gates), 0.0
     for q in range(n - 2, -1, -1):
         w = [w[p] if present[p] else w[p ^ 1] for p in range(len(w))]
-        for r, controls in enumerate(control_patterns(tuple(range(q)))):
+        for r in range(2**q):
             if w[2 * r + 1] - w[2 * r] != 0.0:
-                gates.append(Gate("rz", w[2 * r + 1] - w[2 * r], q, controls))
+                gates.append(Multiplexor("rz", q, (r,), (w[2 * r + 1] - w[2 * r],)))
         w = [(w[2 * r] + w[2 * r + 1]) / 2.0 for r in range(len(w) // 2)]
         present = [present[2 * r] or present[2 * r + 1] for r in range(len(present) // 2)]
     return tuple(gates), w[0]
@@ -276,7 +357,7 @@ def reference_synthesize(target, real=False):
 
 def stub_gate_kernels(monkeypatch):
     """Replace the simulator's element loop ``_apply_elements``, through which
-    ``run``, ``run_branches`` and ``circuit_unitary`` apply every gate, by a
+    ``run``, ``run_branches`` and :func:`circuit_unitary` apply every gate, by a
     stub that applies nothing and records each call; returns the list of
     calls, so a test can assert that no gate was applied."""
     calls = []
@@ -291,10 +372,11 @@ def reference_run(circuit):
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:
-        sub = state.reshape((2,) * n)[_gate_index(gate, n)]
-        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+        bare, controls = gate_parts(gate)
+        sub = state.reshape((2,) * n)[_gate_index(gate, controls, n)]
+        axis = gate.target - sum(1 for q, _ in controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
-        sub[...] = sub @ gate.matrix().T
+        sub[...] = sub @ bare.matrix().T
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)
@@ -302,28 +384,27 @@ def reference_run(circuit):
 
 def reference_apply_gate(amps, gate, n):
     """The slice kernels on the ``(2,) * n`` view, for a ``(2**n,)`` state or a
-    ``(2**n, k)`` batch: Ry as a matmul along the target axis of the
-    control-selected slice, X swapping and Rz/Phase scaling the two target
-    slices."""
+    ``(2**n, k)`` batch, given an entry of ``Circuit.gates``: Ry as a matmul
+    along the target axis of the control-selected slice, X swapping and Rz
+    scaling the two target slices."""
     view = amps.reshape((2,) * n + amps.shape[1:])
+    bare, controls = gate_parts(gate)
     if gate.kind == "ry":
-        sub = view[_gate_index(gate, n)]
+        sub = view[_gate_index(gate, controls, n)]
         # integer indexing collapsed the control axes; recompute target position
-        axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+        axis = gate.target - sum(1 for q, _ in controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
-        sub[...] = sub @ gate.matrix().T
+        sub[...] = sub @ bare.matrix().T
         return
-    lo, hi = _gate_index(gate, n, 0), _gate_index(gate, n, 1)
+    lo, hi = _gate_index(gate, controls, n, 0), _gate_index(gate, controls, n, 1)
     if gate.kind == "x":
         low = view[lo].copy()
         view[lo] = view[hi]
         view[hi] = low
-    elif gate.kind == "rz":
-        diag = gate.matrix().diagonal()
+    else:
+        diag = bare.matrix().diagonal()
         view[lo] *= diag[0]
         view[hi] *= diag[1]
-    else:  # phase: its |0> entry is 1
-        view[hi] *= gate.matrix()[1, 1]
 
 
 def reference_mitigate(counts, model):

@@ -10,7 +10,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from helpers import random_density, stub_gate_kernels
+from helpers import qasm_parse, random_density, stub_gate_kernels
 from kraussim.qsp import Circuit
 from kraussim.channels import (
     KrausChannel,
@@ -32,7 +32,7 @@ from kraussim.cli import (
 )
 from kraussim.dilation import eigenvector_dilations, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import DensityMatrix, uniform_state
-from kraussim.qsp import Circuit, Gate, lower, qasm_export, qasm_parse, synthesize
+from kraussim.qsp import Circuit, Gate, lower, qasm_export, synthesize
 from kraussim.tomography import settings_for
 
 
@@ -496,6 +496,20 @@ def test_synth_subcommand(capsys):
     assert qasm.startswith("OPENQASM 2.0;")
 
 
+# each golden/synth_<state><flags>.txt is a recorded synth output: "ci" is the
+# complex 2-qubit state CI runs, with one zero amplitude; "zero3" a 3-qubit
+# state whose level-3 pattern (0, 1) has a zero parent, so it gets no entry
+SYNTH_STATES = {"ci": "[0.6,[0,0.48],0,[0,-0.64]]", "zero3": "[0.5,[0,0.5],0,0,[0.3,0.4],0,0,[0,-0.5]]"}
+
+
+@pytest.mark.parametrize("state", sorted(SYNTH_STATES))
+@pytest.mark.parametrize("flags", [(), ("--lower",), ("--lower", "--qasm")])
+def test_synth_output_matches_golden(state, flags, capsys):
+    assert main(["synth", "--amplitudes", SYNTH_STATES[state], *flags]) == 0
+    name = f"synth_{state}{''.join('_' + f[2:] for f in flags)}.txt"
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_export_qasm_subcommand(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(bpf_config()))
@@ -616,6 +630,9 @@ ERROR_CASES = {
                                  "density matrix entry (0, 1) is not finite: (inf+0j)"),
     "synth-fidelity": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]"], 2.0,
                        2, "verification failure:", "synthesis fidelity"),
+    # QASM has no multiplexor, so only a lowered circuit exports
+    "synth-qasm-unlowered": (lambda tmp: ["synth", "--amplitudes", "[0.6,[0,0.48],0,[0,-0.64]]", "--qasm"], None,
+                             1, "config error:", "--qasm exports a lowered circuit; add --lower"),
     "oracle-dimension": (lambda tmp: ["oracle", *QUTRIT, "--state", '{"bloch":[0.5,0]}'], None,
                          1, "config error:", "dim 2 != channel dim 3"),
     "oracle-missing-file": (lambda tmp: ["oracle", "--channel-file", str(tmp / "missing.json")], None,
