@@ -28,7 +28,9 @@ written in one way only, as a multiplexor.  :func:`lower` maps each
 element over {X, Ry, Rz, CX}: a multiplexor becomes one walk, which holds
 its Walsh-Hadamard angles in Gray order (up to 2^k rotations and 2^k CX
 for k controls, none when every angle is zero), and any other element
-passes unchanged.  ``Circuit.gates`` spells the elements out one gate at
+passes unchanged.  A walk's gates compose to one rotation per control
+pattern, whose angles :meth:`GrayWalk.pattern_angles` gives, read through
+the walk's CXs.  ``Circuit.gates`` spells the elements out one gate at
 a time, for the text dump and the QASM export: each multiplexor entry as
 a one-entry :class:`Multiplexor`, which is exactly a multi-controlled
 rotation, and each walk as its rotations and CX gates.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ __all__ = [
     "Multiplexor",
     "GrayWalk",
     "Circuit",
-    "GATE_KINDS",
+    "check_qubits",
     "rotation_stack",
     "synthesize",
     "synthesize_real",
@@ -60,14 +62,11 @@ __all__ = [
     "qasm_export",
 ]
 
-GATE_KINDS = ("x", "ry", "rz")
-
-
 def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
     """The ``(k, 2, 2)`` matrices of Ry or Rz, ``kind``, for each of k angles.
 
-    The one place their entries are computed: :meth:`Gate.matrix` takes one
-    angle's, and the simulator a whole circuit's or level's at once.  Ry
+    The one place their entries are computed: the simulator takes a whole
+    circuit's at once, and the tests' reference kernels one angle's.  Ry
     is ``[[c, -s], [s, c]]`` with c and s the ``math`` cosine and sine of
     half the angle, and Rz ``diag(exp(-ia/2), exp(ia/2))``.
     """
@@ -104,7 +103,7 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
+        if self.kind not in ("x", "ry", "rz"):
             raise ValueError(f"gate {self}: unknown kind {self.kind!r}")
         controls = self.controls
         if controls != () and not (
@@ -112,12 +111,6 @@ class Gate:
             and controls[0][0] != self.target
         ):
             raise ValueError(f"gate {self} is not a bare gate or a CX; write a controlled rotation as a Multiplexor")
-
-    def matrix(self) -> np.ndarray:
-        """The 2x2 primitive acting on the target qubit."""
-        if self.kind == "x":
-            return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        return rotation_stack(self.kind, (self.angle,))[0]
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,8 @@ class GrayWalk:
     :func:`_gray_plan` names for slot j; on qubit 0 a walk is its one
     rotation.  The 2^target angles are the multiplexor's Walsh-Hadamard
     angles in Gray order, kept as a tuple of floats.  :meth:`gates` spells
-    the walk out as elementary gates.
+    the walk out as elementary gates, and :meth:`pattern_angles` gives the
+    one rotation per control pattern that they compose to.
     """
 
     kind: str
@@ -213,6 +207,16 @@ class GrayWalk:
                 out.append(cx)
         return out
 
+    def pattern_angles(self) -> np.ndarray:
+        """The one angle per control pattern that the walk rotates its target by.
+
+        X R(a) X = R(-a) for Ry and for Rz, and a full Gray cycle's CXs
+        cancel, so on pattern r the walk is one rotation by ``sum_j
+        (-1)^popcount(f_j & r) beta_j``, with f_j the mask of the CXs before
+        slot j (:func:`_walk_order`): the Walsh-Hadamard transform of the
+        slot angles placed at their masks."""
+        return _walsh_hadamard(np.array(self.angles)[_walk_order(self.target)])
+
     @property
     def gate_count(self) -> int:
         """``len(self.gates())``, counted without building them: on two or
@@ -244,15 +248,7 @@ class Circuit:
         if self.qubit_count < 1:
             raise ValueError("circuit needs at least one qubit")
         elements = tuple(self.elements)
-        # one pass over the qubits; the per-element loop only finds the culprit
-        used = {e.target for e in elements}
-        used.update(c for e in elements if isinstance(e, Gate) for c, _ in e.controls)
-        if used and (min(used) < 0 or max(used) >= self.qubit_count):
-            for e in elements:
-                qubits = (e.target, *(c for c, _ in getattr(e, "controls", ())))
-                if not all(0 <= q < self.qubit_count for q in qubits):
-                    label = f"gate {e}" if isinstance(e, Gate) else str(e)
-                    raise ValueError(f"{label} references qubit outside register")
+        check_qubits(elements, self.qubit_count, "", "references qubit outside register")
         object.__setattr__(self, "elements", elements)
 
     @functools.cached_property
@@ -279,6 +275,25 @@ class Circuit:
             1 if isinstance(e, Gate) else e.gate_count if isinstance(e, GrayWalk) else len(e.rows)
             for e in self.elements
         )
+
+
+def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, where: str, outside: str) -> None:
+    """Raise ValueError unless every qubit that ``elements`` act on is an
+    integer in [0, n): Python and numpy integers are qubits, a bool or any
+    other number is not.  The message is ``where``, the first element at
+    fault, then ``outside`` for a qubit out of range or ``: qubit <q> is not
+    an integer``.  The one qubit check of a :class:`Circuit` and of
+    :func:`~kraussim.simulator.run_branches`' layers."""
+    for e in elements:
+        for q in (e.target, *[c for c, _ in e.controls]) if isinstance(e, Gate) else (e.target,):
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                problem = f": qubit {q!r} is not an integer"
+            elif not 0 <= q < n:
+                problem = f" {outside}"
+            else:
+                continue
+            label = f"gate {e}" if isinstance(e, Gate) else str(e)
+            raise ValueError(f"{where}{label}{problem}")
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -402,6 +417,24 @@ def _gray_plan(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
     indices = np.array(gray)
     indices.flags.writeable = False
     return indices, flips
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_order(t: int) -> np.ndarray:
+    """Per control-pattern mask m, the slot j of a walk on qubit t whose mask
+    f_j is m, read-only.  f_j is the running XOR of the control bits (qubit 0
+    the most significant) of the CXs before slot j, the qubits that
+    :func:`_gray_plan` names for the CXs a walk emits, not the Gray indices
+    :func:`lower` reads its angles at.  Raises if two slots share a mask or a
+    full cycle's CXs do not cancel: the walk is then not one rotation per
+    pattern."""
+    bits = [1 << (t - 1 - c) for c in _gray_plan(t)[1]] if t else [0]
+    masks = np.bitwise_xor.accumulate([0, *bits])
+    if masks[-1] or len(set(masks[:-1].tolist())) != 2**t:
+        raise ValueError(f"Gray-code plan of {t} controls: CX masks repeat or do not close the cycle")
+    order = np.argsort(masks[:-1])
+    order.flags.writeable = False
+    return order
 
 
 @functools.lru_cache(maxsize=None)

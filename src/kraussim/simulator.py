@@ -12,14 +12,16 @@ is a segment, applied by the one kernel :func:`_apply_segment`: its
 amplitude pairs are gathered once into a contiguous ``(2^t, rest, 2)``
 array and written back once.  Ry there multiplies every row by the
 transposed 2x2 in one BLAS ``zgemm`` call, Rz scales the columns, X swaps
-them and a CX swaps them on the rows where its control bit is set; a
-multiplexor is one stacked ``matmul`` (Ry) or one column scale (Rz) over
-its rows.  For gates and multiplexors the state keeps the bits of
-``Circuit.gates`` applied one by one; the swaps and scalings drop only
-the matrix product's terms multiplied by zero.  A walk is applied as
-what its gates compose to (:func:`_apply_walk`): one rotation per control
-pattern, through the multiplexor kernel over all 2^t rows, so its state
-agrees with its gates one by one to rounding, not bit for bit.  Qubit 0
+them and a CX swaps them on the rows where its control bit is set.  A
+multiplexor and a walk are both rows plus one angle per row, applied by
+:func:`_apply_level` as one stacked ``matmul`` (Ry) or one column scale
+(Rz): a multiplexor over its entry rows, and a walk over all 2^t rows as
+what its gates compose to, one rotation per control pattern
+(:meth:`~kraussim.qsp.GrayWalk.pattern_angles`).  For gates and
+multiplexors the state keeps the bits of ``Circuit.gates`` applied one by
+one; the swaps and scalings drop only the matrix product's terms
+multiplied by zero.  A walk's state agrees with its gates one by one to
+rounding, not bit for bit.  Qubit 0
 is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
@@ -33,14 +35,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .numerics import PureState, check_register
-from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _gray_plan, _walsh_hadamard, rotation_stack
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, check_qubits, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -65,7 +66,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: np.ndarray) -> None:
-    """Apply per row one Ry or Rz on qubit t to the ``(2^t, rest, 2)`` pair array.
+    """Apply per row one Ry or Rz on qubit t to the ``(2^t, rest, 2)`` pair array:
+    a multiplexor on its entry rows, or a walk on all rows (``slice(None)``).
 
     ``stack`` holds one entry per row: a transposed Ry matrix or an Rz
     diagonal.  The rows are gathered into one ``(P, rest, 2)`` block.  Ry
@@ -88,120 +90,80 @@ def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: n
     pairs[rows] = block
 
 
-@functools.lru_cache(maxsize=None)
-def _walk_order(t: int) -> np.ndarray:
-    """Per control-pattern mask m, the slot j of a walk on qubit t whose mask
-    f_j is m, read-only.  f_j is the running XOR of the control bits (qubit 0
-    the most significant) of the CXs before slot j, the qubits that
-    :func:`_gray_plan` names.  Raises if two slots share a mask or a full
-    cycle's CXs do not cancel: the walk is then not one rotation per
-    pattern."""
-    bits = [1 << (t - 1 - c) for c in _gray_plan(t)[1]] if t else [0]
-    masks = np.bitwise_xor.accumulate([0, *bits])
-    if masks[-1] or len(set(masks[:-1].tolist())) != 2**t:
-        raise ValueError(f"Gray-code plan of {t} controls: CX masks repeat or do not close the cycle")
-    order = np.argsort(masks[:-1])
-    order.flags.writeable = False
-    return order
-
-
-def _walk_angles(walk: GrayWalk) -> np.ndarray:
-    """The one angle per control pattern that ``walk`` rotates its target by.
-
-    X R(a) X = R(-a) for Ry and for Rz, and a full Gray cycle's CXs cancel,
-    so on pattern r the walk is one rotation by ``sum_j (-1)^popcount(f_j & r)
-    beta_j``, with f_j the mask of the CXs before slot j (:func:`_walk_order`):
-    the Walsh-Hadamard transform of the slot angles placed at their masks."""
-    return _walsh_hadamard(np.array(walk.angles)[_walk_order(walk.target)])
-
-
-def _apply_walk(pairs: np.ndarray, walk: GrayWalk, stack: np.ndarray) -> None:
-    """Apply a Gray-code walk on qubit t to the ``(2^t, rest, 2)`` pair array as
-    what its gates compose to: per control pattern one rotation, whose
-    transposed Ry matrix or Rz diagonal ``stack`` holds in pattern order
-    (from :func:`_walk_angles`), applied by :func:`_apply_level` over all
-    2^t rows.  No CX is applied.  The state agrees with the gates applied one
-    by one to rounding, not bit for bit.  A walk whose every slot angle is
-    0.0 is the identity and leaves the pairs as they are."""
-    if any(walk.angles):
-        _apply_level(pairs, walk.kind, slice(None), stack[: 2**walk.target])
-
-
 def _apply_segment(
-    amps: np.ndarray, elements: Sequence[Gate | Multiplexor | GrayWalk], n: int, ry: np.ndarray, rz: np.ndarray
-) -> tuple[int, int]:
+    amps: np.ndarray,
+    entries: Sequence[tuple[Gate | Multiplexor | GrayWalk, list[int] | slice | None, slice]],
+    n: int,
+    stacks: dict[str, np.ndarray],
+) -> None:
     """Apply elements on one target t to a ``(2**n,)`` state or a ``(2**n, k)``
     batch, on one contiguous ``(2^t, rest, 2)`` copy of its pairs.
 
     Row r of the pair array holds the bits of every other qubit, qubit 0 most
-    significant, then the batch column; column b holds qubit t's.  Ry
-    multiplies all rows by the transposed 2x2 in one ``zgemm`` call, Rz
-    scales the columns, X swaps them, and a CX swaps them on the rows
-    where its control bit is set.  The segment's uncontrolled Ry and Rz gates,
-    one row each, its multiplexors, one row per entry, and its walks, one row
-    per control pattern, take in order the first rows of ``ry``, transposed
-    matrices, and of ``rz``, diagonals; the numbers of rows taken are
-    returned.  A multiplexor goes to :func:`_apply_level` and a walk to
-    :func:`_apply_walk`."""
-    t = elements[0].target
+    significant, then the batch column; column b holds qubit t's.  Each entry
+    is an element, its rows and its span of the stack of its kind in
+    ``stacks``: transposed Ry matrices under ``"ry"``, Rz diagonals under
+    ``"rz"``.  A multiplexor (its entry rows) and a walk (all 2^t rows) go to
+    :func:`_apply_level`.  An uncontrolled Ry, without rows, multiplies all
+    rows by its transposed 2x2 in one ``zgemm`` call, and an Rz scales the
+    columns.  X swaps the columns of every row, and a CX of the rows where
+    its control bit is set."""
+    t = entries[0][0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
     flat = pairs.reshape(-1, 2)
-    low, high = flat[:, 0], flat[:, 1]
     by_qubit = pairs.reshape((2,) * (n - 1) + (-1, 2))
-    taken = {"ry": 0, "rz": 0}
-    stacks = {"ry": ry, "rz": rz}
-    for element in elements:
+    for element, rows, span in entries:
         kind = element.kind
-        if isinstance(element, Multiplexor):
-            start = taken[kind]
-            taken[kind] += len(element.rows)
-            _apply_level(pairs, kind, list(element.rows), stacks[kind][start : taken[kind]])
-        elif isinstance(element, GrayWalk):
-            _apply_walk(pairs, element, stacks[kind][taken[kind] :])
-            taken[kind] += 2**t
+        if rows is not None:
+            _apply_level(pairs, kind, rows, stacks[kind][span])
         elif kind == "ry":
-            flat[...] = flat @ ry[taken["ry"]]
-            taken["ry"] += 1
+            flat[...] = flat @ stacks["ry"][span.start]
         elif kind == "rz":
-            d0, d1 = rz[taken["rz"]]
-            taken["rz"] += 1
-            low *= d0
-            high *= d1
-        elif element.controls:  # CX: the control's bit is row axis c, or c - 1 above t
-            c = element.controls[0][0]
-            swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
-            swapped[...] = swapped[..., ::-1]
+            d0, d1 = stacks["rz"][span.start]
+            flat[:, 0] *= d0
+            flat[:, 1] *= d1
         else:
-            flat[...] = flat[:, ::-1]
+            swapped = flat
+            if element.controls:  # the control's bit is row axis c, or c - 1 above t
+                c = element.controls[0][0]
+                swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
+            swapped[...] = swapped[..., ::-1]
     view[...] = pairs
-    return taken["ry"], taken["rz"]
 
 
 def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor | GrayWalk], n: int) -> None:
     """Apply a circuit's elements in place to a ``(2**n,)`` state or a ``(2**n, k)`` batch.
 
-    Each maximal run of elements on one target goes to :func:`_apply_segment`.
-    The Ry and Rz matrices of the uncontrolled gates, of every multiplexor
-    entry and of every walk's per-pattern rotation (:func:`_walk_angles`) are
-    built for all the elements in one :func:`~kraussim.qsp.rotation_stack`
-    call per kind; each segment starts at the rows after those the segments
-    before it took."""
-    angles: dict[str, list[float]] = {"ry": [], "rz": []}
+    One pass gives each element its rows and its span of the stack of its
+    kind: a multiplexor its entry rows and one stack row per entry, a walk
+    all 2^t rows and one stack row per control pattern
+    (:meth:`~kraussim.qsp.GrayWalk.pattern_angles`), an uncontrolled Ry or Rz
+    no rows and one stack row, an X or a CX neither.  A walk whose every slot
+    angle is 0.0 is the identity and is left out, so it leaves the bytes as
+    they are.  The Ry and Rz matrices are then built for all the elements in
+    one :func:`~kraussim.qsp.rotation_stack` call per kind, and each maximal
+    run of elements on one target goes to :func:`_apply_segment`."""
+    angles: dict[str, list[float]] = {"x": [], "ry": [], "rz": []}
+    entries = []
     for e in elements:
         if isinstance(e, Multiplexor):
-            angles[e.kind].extend(e.angles)
+            rows, new = list(e.rows), e.angles
         elif isinstance(e, GrayWalk):
-            angles[e.kind].extend(_walk_angles(e).tolist())
-        elif not e.controls and e.kind in angles:
-            angles[e.kind].append(e.angle)
-    ry = rotation_stack("ry", angles["ry"]).transpose(0, 2, 1)
-    rz = rotation_stack("rz", angles["rz"]).diagonal(axis1=1, axis2=2)
-    i_ry = i_rz = 0
-    for _, group in itertools.groupby(elements, operator.attrgetter("target")):
-        k_ry, k_rz = _apply_segment(amps, tuple(group), n, ry[i_ry:], rz[i_rz:])
-        i_ry += k_ry
-        i_rz += k_rz
+            if not any(e.angles):
+                continue
+            rows, new = slice(None), e.pattern_angles().tolist()
+        else:
+            rows, new = None, () if e.kind == "x" else (e.angle,)
+        stack = angles[e.kind]
+        entries.append((e, rows, slice(len(stack), len(stack) + len(new))))
+        stack.extend(new)
+    stacks = {
+        "ry": rotation_stack("ry", angles["ry"]).transpose(0, 2, 1),
+        "rz": rotation_stack("rz", angles["rz"]).diagonal(axis1=1, axis2=2),
+    }
+    for _, group in itertools.groupby(entries, lambda entry: entry[0].target):
+        _apply_segment(amps, tuple(group), n, stacks)
 
 
 def run(circuit: Circuit) -> PureState:
@@ -226,15 +188,13 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
     qubits; on one qubit, a layer after the first acts on more than one column, and
     then Ry and Rz round differently from a state.  Rows are C-contiguous, so a row
-    sum adds as over one state.  Bad input fails before any gate: a layer gate must
-    act inside the register."""
+    sum adds as over one state.  Bad input fails before any gate: a layer gate's
+    qubits must be integers inside the register (:func:`~kraussim.qsp.check_qubits`)."""
     n = circuit.qubit_count
     for q, alternatives in enumerate(layers):
-        for gate in itertools.chain.from_iterable(alternatives):
-            if not all(0 <= qubit < n for qubit in (gate.target, *dict(gate.controls))):
-                raise ValueError(
-                    f"branches: layer {q} gate {gate} acts outside the {n}-qubit circuit"
-                )
+        check_qubits(
+            itertools.chain.from_iterable(alternatives), n, f"branches: layer {q} ", f"acts outside the {n}-qubit circuit"
+        )
     batch = run(Circuit(n, circuit.elements)).amplitudes[:, None].copy()
     for alternatives in layers:
         branches = [batch.copy() if gates else batch for gates in alternatives]

@@ -28,7 +28,7 @@ from kraussim.channels import (
 )
 import kraussim.simulator as simulator
 from kraussim.numerics import DensityMatrix, PureState, check_register, kron
-from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for
+from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, rotation_stack
 from kraussim.simulator import ShotCounts
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -132,6 +132,14 @@ def row_controls(target, row):
     return tuple((q, int(b)) for q, b in enumerate(bits))
 
 
+def gate_matrix(gate):
+    """The 2x2 primitive of a bare gate on its target: X, or its Ry or Rz as
+    ``rotation_stack`` builds it."""
+    if gate.kind == "x":
+        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    return rotation_stack(gate.kind, (gate.angle,))[0]
+
+
 def gate_parts(gate):
     """An entry of ``Circuit.gates`` as (its bare gate, its controls): a Gate
     without its CX control, or a one-entry Multiplexor's rotation on its row."""
@@ -206,7 +214,7 @@ def dense_gate(gate, n):
     dim = 2**n
     m = np.zeros((dim, dim), dtype=complex)
     bare, controls = gate_parts(gate)
-    g = bare.matrix()
+    g = gate_matrix(bare)
     for col in range(dim):
         bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
         if all(bits[q] == b for q, b in controls):
@@ -376,7 +384,7 @@ def reference_run(circuit):
         sub = state.reshape((2,) * n)[_gate_index(gate, controls, n)]
         axis = gate.target - sum(1 for q, _ in controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
-        sub[...] = sub @ bare.matrix().T
+        sub[...] = sub @ gate_matrix(bare).T
     if circuit.global_phase != 0.0:
         state *= np.exp(1j * circuit.global_phase)
     return PureState(state)
@@ -394,7 +402,7 @@ def reference_apply_gate(amps, gate, n):
         # integer indexing collapsed the control axes; recompute target position
         axis = gate.target - sum(1 for q, _ in controls if q < gate.target)
         sub = np.moveaxis(sub, axis, -1)
-        sub[...] = sub @ bare.matrix().T
+        sub[...] = sub @ gate_matrix(bare).T
         return
     lo, hi = _gate_index(gate, controls, n, 0), _gate_index(gate, controls, n, 1)
     if gate.kind == "x":
@@ -402,7 +410,7 @@ def reference_apply_gate(amps, gate, n):
         view[lo] = view[hi]
         view[hi] = low
     else:
-        diag = bare.matrix().diagonal()
+        diag = gate_matrix(bare).diagonal()
         view[lo] *= diag[0]
         view[hi] *= diag[1]
 

@@ -158,10 +158,10 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         finally:
             inside_run.pop()
 
-    def counting_segment(amps, elements, *rest):
+    def counting_segment(amps, entries, *rest):
         if not inside_run:
-            applied.extend(elements)
-        return apply_segment(amps, elements, *rest)
+            applied.extend(e for e, _, _ in entries)
+        return apply_segment(amps, entries, *rest)
 
     monkeypatch.setattr(simulator, "run", counting_run)
     monkeypatch.setattr(cli, "run", counting_run)

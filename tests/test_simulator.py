@@ -1,15 +1,18 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import kraussim.cli as cli
+import kraussim.qsp as qsp
 import kraussim.simulator as simulator
 from helpers import (
     born,
     circuit_unitary,
     dense_gate,
+    gate_matrix,
     gate_parts,
     histogram,
     random_density,
@@ -152,7 +155,7 @@ def test_rz_and_phase_circuits_are_exact_diagonals(n):
     # arithmetic
     expected = np.ones(2**n, dtype=complex)
     for g in circuit.gates:
-        diag = gate_parts(g)[0].matrix().diagonal()
+        diag = gate_matrix(gate_parts(g)[0]).diagonal()
         factors = np.ones(2**n, dtype=complex)
         for k in range(2**n):
             bits = basis_bits(k, n)
@@ -283,7 +286,7 @@ def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch)
     segments = []
     apply_segment = simulator._apply_segment
     monkeypatch.setattr(
-        simulator, "_apply_segment", lambda a, g, *rest: segments.extend(g) or apply_segment(a, g, *rest)
+        simulator, "_apply_segment", lambda a, g, *rest: segments.extend(e for e, _, _ in g) or apply_segment(a, g, *rest)
     )
     rng = np.random.default_rng(500 + n)
     elements = list(synthesize(random_pure(rng, 2**n)).elements)
@@ -462,7 +465,7 @@ def test_walks_match_gate_by_gate_bit_for_bit(n):
         amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for walk in walks:
             t = walk.target
-            level = Multiplexor(walk.kind, t, range(2**t), simulator._walk_angles(walk))
+            level = Multiplexor(walk.kind, t, range(2**t), walk.pattern_angles())
             before = amps.copy()
             simulator._apply_elements(amps, (walk,), n)
             if any(walk.angles):
@@ -478,23 +481,60 @@ def test_walk_angles_recover_the_multiplexor():
         for kind in ("ry", "rz"):
             angles = rng.uniform(-np.pi, np.pi, 2**t)
             [walk] = lower(Circuit(t + 1, (Multiplexor(kind, t, range(2**t), angles),))).elements
-            np.testing.assert_allclose(simulator._walk_angles(walk), angles, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(walk.pattern_angles(), angles, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_element_loop_call_matches_one_call_per_element(n):
+    # a synthesized and a lowered preparation, then runs of elements on a few
+    # shared targets: walks (one of them all-zero), multiplexors, bare Ry and
+    # Rz, X and CX.  One call over the whole list gives the bytes of one call
+    # per element, on a state and on a batch: each element reads its own
+    # span of the stacks, and a segment of many elements acts as its
+    # elements one by one
+    rng = np.random.default_rng(740 + n)
+    elements = list(synthesize(random_pure(rng, 2**n)).elements)
+    elements += lower(synthesize(random_pure(rng, 2**n))).elements
+    for length in (1, 8, 20, 3, 12):
+        t = int(rng.integers(n))
+        others = [q for q in range(n) if q != t]
+        for _ in range(length):
+            choice = str(rng.choice(["walk", "multiplexor", "ry", "rz", "x", "cx"]))
+            kind = str(rng.choice(["ry", "rz"]))
+            if choice == "walk":
+                elements.append(random_walk(rng, kind, t))
+            elif choice == "multiplexor":
+                rows = random_rows(rng, t)
+                elements.append(Multiplexor(kind, t, rows, [random_angle(rng) for _ in rows]))
+            elif choice == "cx" and others:
+                elements.append(Gate("x", 0.0, t, ((int(rng.choice(others)), 1),)))
+            else:
+                elements.append(Gate("x" if choice == "cx" else choice, random_angle(rng), t))
+        if length == 8:
+            elements.append(GrayWalk(kind, t, [0.0] * 2**t))
+    for shape in ((2**n,), (2**n, 3)):
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        one_by_one = amps.copy()
+        for e in elements:
+            simulator._apply_elements(one_by_one, (e,), n)
+        simulator._apply_elements(amps, elements, n)
+        assert amps.tobytes() == one_by_one.tobytes(), shape
 
 
 def test_walk_plan_that_is_not_one_rotation_per_pattern_is_refused(monkeypatch):
     # a CX plan whose masks repeat, or whose cycle does not close, is no
     # rotation per pattern: the walk fails before any amplitude moves
-    good = simulator._gray_plan
+    good = qsp._gray_plan
     walk = GrayWalk("ry", 2, [0.1, 0.2, 0.3, 0.4])
     amps = np.ones(8, dtype=complex)
     for controls in ((1, 0, 0, 1), (1, 0, 1, 1)):
-        monkeypatch.setattr(simulator, "_gray_plan", lambda k, c=controls: (good(k)[0], c) if k == 2 else good(k))
-        simulator._walk_order.cache_clear()
+        monkeypatch.setattr(qsp, "_gray_plan", lambda k, c=controls: (good(k)[0], c) if k == 2 else good(k))
+        qsp._walk_order.cache_clear()
         try:
             with pytest.raises(ValueError, match="Gray-code plan of 2 controls"):
                 simulator._apply_elements(amps, (walk,), 3)
         finally:
-            simulator._walk_order.cache_clear()
+            qsp._walk_order.cache_clear()
         assert np.array_equal(amps, np.ones(8))
 
 
@@ -816,6 +856,27 @@ def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
     with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit"):
         run_branches(Circuit(11, (Gate("x", 0.0, 10),)), settings_for(1).layers)
     assert applied == []
+
+
+def test_non_integer_qubits_are_rejected_before_any_gate(monkeypatch):
+    # a float control, a float target and bool targets: the circuit check and
+    # run_branches' layer check name the element; Python and numpy integers
+    # are qubits
+    applied = stub_gate_kernels(monkeypatch)
+    for bad, qubit in (
+        (Gate("x", 0.0, 1, ((0.5, 1),)), "0.5"),
+        (Gate("ry", 0.3, 0.5), "0.5"),
+        (Gate("x", 0.0, True), "True"),
+        (Multiplexor("ry", True, [1], [0.2]), "True"),
+    ):
+        label = f"gate {bad}" if isinstance(bad, Gate) else str(bad)
+        message = re.escape(f"{label}: qubit {qubit} is not an integer")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(Circuit(2, (bad,)))
+        with pytest.raises(ValueError, match=f"^branches: layer 1 {message}$"):
+            run_branches(Circuit(2, ()), [[[]], [[Gate("rz", 0.1, 0)], [bad]]])
+    assert applied == []
+    Circuit(2, (Gate("x", 0.0, np.int64(1), ((np.int8(0), 1),)), Multiplexor("rz", np.int32(1), [1], [0.2])))
 
 
 def test_register_limit_is_checked_before_the_first_gate(monkeypatch):

@@ -8,6 +8,7 @@ from helpers import (
     PAULIS,
     born,
     dense_gate,
+    gate_matrix,
     random_density,
     random_pure,
     reference_expectations,
@@ -54,7 +55,7 @@ def test_basis_rotations_map_pauli_to_z():
         gates = basis_rotation(pauli, 0)
         r = np.eye(2, dtype=complex)
         for g in gates:
-            r = g.matrix() @ r
+            r = gate_matrix(g) @ r
         assert np.abs(r @ matrix @ r.conj().T - Z).max() < 1e-12
 
 
