@@ -19,7 +19,13 @@ exactly the qubits 0..t-1, with one angle per control pattern:
 
 Patterns whose parent amplitude is exactly zero get no entry, and no
 angle is zero.  :func:`synthesize_real` is the real case: every level is
-one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.
+one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.  Each level
+is one array pass over its present patterns.  Its transcendental
+functions stay scalar, ``math.atan2`` and Python's ``abs`` mapped over
+``.tolist()`` of the level's columns, as do :func:`rotation_stack`'s
+``math.cos`` and ``math.sin``: numpy picks its own loops for these by CPU
+at run time, and they need not round as libm does, so the circuit would
+then depend on the SIMD level.
 
 A :class:`Circuit` holds three kinds of element: elementary gates
 (:class:`Gate`: a bare X, Ry or Rz, or a CX), Ry or Rz multiplexors, and
@@ -68,23 +74,26 @@ def rotation_stack(kind: str, angles: Sequence[float]) -> np.ndarray:
     The one place their entries are computed: the simulator takes a whole
     circuit's at once, and the tests' reference kernels one angle's.  Ry
     is ``[[c, -s], [s, c]]`` with c and s the ``math`` cosine and sine of
-    half the angle, and Rz ``diag(exp(-ia/2), exp(ia/2))``.
+    half the angle, and Rz ``diag(exp(-ia/2), exp(ia/2))``.  The angles
+    are halved in one array operation; ``math.cos`` and ``math.sin`` are
+    then mapped over the halves' ``.tolist()``, since numpy's own loops
+    may round differently per SIMD level.
     """
     if kind not in ("ry", "rz"):
         raise ValueError(f"no rotation stack for gate kind {kind!r}")
     stack = np.zeros((len(angles), 2, 2), dtype=np.complex128)
     if not len(angles):
         return stack
+    half = np.asarray(angles, dtype=np.float64) / 2.0
     if kind == "ry":
-        cos = [math.cos(a / 2.0) for a in angles]
-        sin = [math.sin(a / 2.0) for a in angles]
+        halves = half.tolist()
+        cos = np.array(list(map(math.cos, halves)))
+        sin = np.array(list(map(math.sin, halves)))
         stack[:, 0, 0] = stack[:, 1, 1] = cos
-        stack[:, 0, 1] = np.negative(sin)
+        stack[:, 0, 1] = -sin
         stack[:, 1, 0] = sin
     else:
-        stack.reshape(-1, 4)[:, ::3] = np.exp(
-            np.multiply.outer(np.array(angles, dtype=np.float64) / 2.0, [-1j, 1j])
-        )
+        stack.reshape(-1, 4)[:, ::3] = np.exp(np.multiply.outer(half, [-1j, 1j]))
     return stack
 
 
@@ -93,8 +102,9 @@ class Gate:
     """One elementary gate on ``target``: a bare X, Ry or Rz, or a CX.
 
     A CX is kind ``"x"`` with ``controls == ((c, 1),)``, c the control
-    qubit; every other gate has no controls.  ``angle`` is ignored for
-    kind ``"x"``.  A controlled rotation is a :class:`Multiplexor`.
+    qubit and the bit an integer 1, not ``True`` or ``1.0``; every other
+    gate has no controls.  ``angle`` is ignored for kind ``"x"``.  A
+    controlled rotation is a :class:`Multiplexor`.
     """
 
     kind: str
@@ -108,7 +118,7 @@ class Gate:
         controls = self.controls
         if controls != () and not (
             self.kind == "x" and len(controls) == 1 and controls == ((controls[0][0], 1),)
-            and controls[0][0] != self.target
+            and _is_integer(controls[0][1]) and controls[0][0] != self.target
         ):
             raise ValueError(f"gate {self} is not a bare gate or a CX; write a controlled rotation as a Multiplexor")
 
@@ -221,7 +231,7 @@ class GrayWalk:
     def gate_count(self) -> int:
         """``len(self.gates())``, counted without building them: on two or
         more controls adjacent CXs differ, so all 2^target stay."""
-        rotations = sum(a != 0.0 for a in self.angles)
+        rotations = len(self.angles) - self.angles.count(0.0)
         if not rotations or self.target == 0:
             return rotations
         if self.target == 1:
@@ -277,6 +287,12 @@ class Circuit:
         )
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool: the
+    rule for a qubit index and for a CX's control bit."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, where: str, outside: str) -> None:
     """Raise ValueError unless every qubit that ``elements`` act on is an
     integer in [0, n): Python and numpy integers are qubits, a bool or any
@@ -286,7 +302,7 @@ def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, wher
     :func:`~kraussim.simulator.run_branches`' layers."""
     for e in elements:
         for q in (e.target, *[c for c, _ in e.controls]) if isinstance(e, Gate) else (e.target,):
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            if not _is_integer(q):
                 problem = f": qubit {q!r} is not an integer"
             elif not 0 <= q < n:
                 problem = f" {outside}"
@@ -325,7 +341,7 @@ def _rz_cascade(w: np.ndarray, present: np.ndarray) -> tuple[list[Multiplexor], 
         w = np.where(present, w, w.reshape(-1, 2)[:, ::-1].reshape(-1))
         pairs = w.reshape(-1, 2)
         angles = pairs[:, 1] - pairs[:, 0]
-        rows = np.flatnonzero(angles)
+        rows = angles.nonzero()[0]
         if rows.size:
             elements.append(Multiplexor("rz", q, rows.tolist(), angles[rows].tolist()))
         w = (pairs[:, 0] + pairs[:, 1]) / 2.0
@@ -333,47 +349,60 @@ def _rz_cascade(w: np.ndarray, present: np.ndarray) -> tuple[list[Multiplexor], 
     return elements, float(w[0])
 
 
-def _synthesize(target: PureState, real: bool) -> Circuit:
-    """One pass over the magnitude pyramid, most significant qubit first.
+def _atan2(y: Iterable[float], x: Iterable[float]) -> np.ndarray:
+    """``math.atan2`` of each pair of Python floats, as a float array."""
+    return np.array(list(map(math.atan2, y, x)), dtype=np.float64)
 
-    Level k emits its Ry multiplexor, then its Rz multiplexor.  The last
-    level's branch scalars exp(i w_p), w_p half the sum of pattern p's two
-    phases, form a diagonal on qubits 0..n-2, emitted by :func:`_rz_cascade`
-    with the patterns skipped for a zero parent not present.
+
+def _synthesize(target: PureState, real: bool) -> Circuit:
+    """One array pass per level of the magnitude pyramid, most significant
+    qubit first.
+
+    Level t gathers the pair columns c0, c1 of the patterns whose parent
+    amplitude is nonzero: a zero parent's branch has nothing to prepare.  A magnitude level or a real last level takes
+    ``theta = 2 atan2(c1, c0)`` of the signed real parts.  The complex last
+    level takes theta of the moduli, ``phi = arg c1 - arg c0`` (the arg of
+    0 taken as 0.0) and the branch scalar ``w_p = (arg c1 + arg c0) / 2``.
+    The level emits its Ry multiplexor, then its Rz multiplexor, each on
+    the patterns whose angle is not 0.0.  The scalars exp(i w_p) form a
+    diagonal on qubits 0..n-2, emitted by :func:`_rz_cascade` with the
+    skipped patterns not present.
+
+    ``atan2`` stays ``math.atan2`` and the modulus Python's ``abs``, mapped
+    over ``.tolist()`` of the columns: numpy picks its ``arctan2`` loop by
+    CPU at run time, and its AVX-512 loop rounds some angles differently
+    from libm, so ``np.arctan2`` would make the circuit depend on the SIMD
+    level.  The rest is array arithmetic with the same IEEE results as the
+    scalar forms: the doubling, the sums, the differences and the halving.
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
     if real and np.max(np.abs(amps.imag)) > 1e-12:
         raise ValueError("amplitudes have imaginary parts; use synthesize instead")
-    levels = _magnitude_pyramid(amps, n)
     elements: list[Multiplexor] = []
     scalars = np.zeros(2 ** (n - 1))
-    for t in range(n):
-        coeff = levels[t]
-        parents = levels[t - 1] if t else np.ones(1)
-        rotations: dict[str, tuple[list, list]] = {"ry": ([], []), "rz": ([], [])}
-        for pattern, parent in enumerate(parents.tolist()):
-            if parent == 0.0:
-                continue  # zero-amplitude branch: nothing to prepare
-            c0, c1 = coeff[2 * pattern], coeff[2 * pattern + 1]
-            if t < n - 1 or real:
-                # magnitude level, or a real last level: signed Ry only
-                theta = 2.0 * math.atan2(c1.real, c0.real)
-                phi = 0.0
-            else:
-                theta = 2.0 * math.atan2(abs(c1), abs(c0))
-                phi0 = math.atan2(c0.imag, c0.real) if c0 != 0.0 else 0.0
-                phi1 = math.atan2(c1.imag, c1.real) if c1 != 0.0 else 0.0
-                phi = phi1 - phi0
-                scalars[pattern] = (phi1 + phi0) / 2.0
-            for kind, angle in (("ry", theta), ("rz", phi)):
-                if angle != 0.0:
-                    rotations[kind][0].append(pattern)
-                    rotations[kind][1].append(angle)
-        elements.extend(Multiplexor(kind, t, *entries) for kind, entries in rotations.items() if entries[0])
+    parents = np.ones(1)
+    for t, coeff in enumerate(_magnitude_pyramid(amps, n)):
+        live = parents != 0.0
+        present = live.nonzero()[0]
+        c0, c1 = coeff.reshape(-1, 2)[present].T
+        if t < n - 1 or real:
+            # magnitude level, or a real last level: signed Ry only
+            rotations = [("ry", 2.0 * _atan2(c1.real.tolist(), c0.real.tolist()))]
+        else:
+            theta = 2.0 * _atan2(map(abs, c1.tolist()), map(abs, c0.tolist()))
+            phi0 = np.where(c0 != 0.0, _atan2(c0.imag.tolist(), c0.real.tolist()), 0.0)
+            phi1 = np.where(c1 != 0.0, _atan2(c1.imag.tolist(), c1.real.tolist()), 0.0)
+            scalars[present] = (phi1 + phi0) / 2.0
+            rotations = [("ry", theta), ("rz", phi1 - phi0)]
+        for kind, angles in rotations:
+            keep = angles.nonzero()[0]  # -0.0 is zero too
+            if keep.size:
+                elements.append(Multiplexor(kind, t, present[keep].tolist(), angles[keep].tolist()))
+        parents = coeff
     if real:
         return Circuit(n, tuple(elements))
-    cascade, global_phase = _rz_cascade(scalars, parents != 0.0)
+    cascade, global_phase = _rz_cascade(scalars, live)
     return Circuit(n, tuple(elements + cascade), global_phase)
 
 
@@ -392,15 +421,21 @@ def synthesize_real(target: PureState) -> Circuit:
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    out = v.astype(float)  # a copy
-    h = 1
-    while h < out.size:
-        # one butterfly stage over every block of 2h entries at once
-        pairs = out.reshape(-1, 2, h)
-        a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
-        pairs[:, 0] = a + b
-        pairs[:, 1] = a - b
-        h *= 2
+    """The unnormalized Walsh-Hadamard transform of a 2^k vector, as a float
+    array: entry r is ``sum_m (-1)^popcount(m & r) v[m]``.
+
+    k butterfly stages, least significant index bit first.  Each stage pairs
+    the entries that differ in the lowest bit and writes their sums, then
+    their differences, as the two halves of a new array: the bit it combined
+    becomes the top one, and after k stages every bit is back in place.
+    Reading pairs with stride 2 and writing whole halves is faster than
+    updating strided halves in place.  :func:`lower` takes a multiplexor's
+    slot angles from its pattern angles with it, and
+    :meth:`GrayWalk.pattern_angles` the pattern angles back."""
+    out = np.asarray(v, dtype=np.float64)
+    for _ in range(out.size.bit_length() - 1):
+        a, b = out.reshape(-1, 2).T
+        out = np.concatenate((a + b, a - b))
     return out
 
 

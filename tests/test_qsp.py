@@ -240,10 +240,21 @@ def test_circuit_rejects_a_non_elementary_gate_naming_it(gate):
     (("rz", 0.1, 2, ((0, 1), (1, 0), (0, 0))),
      "gate Gate(kind='rz', angle=0.1, target=2, controls=((0, 1), (1, 0), (0, 0)))" + NOT_ELEMENTARY),
     (("x", 0.0, 1, ((0, 2),)), "gate Gate(kind='x', angle=0.0, target=1, controls=((0, 2),))" + NOT_ELEMENTARY),
-], ids=["hadamard", "cx-onto-its-control", "duplicate-control", "control-bit-2"])
+    # a control bit equal to 1 but not an integer
+    (("x", 0.0, 1, ((0, True),)), "gate Gate(kind='x', angle=0.0, target=1, controls=((0, True),))" + NOT_ELEMENTARY),
+    (("x", 0.0, 1, ((0, 1.0),)), "gate Gate(kind='x', angle=0.0, target=1, controls=((0, 1.0),))" + NOT_ELEMENTARY),
+], ids=["hadamard", "cx-onto-its-control", "duplicate-control", "control-bit-2", "control-bit-True",
+        "control-bit-1.0"])
 def test_gate_rejects_bad_input_with_its_message(args, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         Gate(*args)
+
+
+def test_cx_control_bit_may_be_a_numpy_integer():
+    # by the rule for qubit indices: a numpy integer 1 is a control bit, and
+    # the dump prints it as the integer it is
+    circuit = Circuit(2, (Gate("x", 0.0, 1, ((np.int64(0), np.int64(1)),)),))
+    assert dump_circuit(circuit) == "qubits 2\nphase 0.0\nx q1 c0=1\n"
 
 
 def assert_lowers_as_reference(circuit):
@@ -341,6 +352,52 @@ def test_synthesis_matches_reference(n):
                 amps[0] = 1.0
             circuit = assert_synthesizes_as_reference(PureState(amps / np.linalg.norm(amps)), real)
             assert all(isinstance(e, Multiplexor) for e in circuit.elements)
+
+
+def sparse_and_structured_states(n):
+    """States on which a level's array pass skips patterns or emits nothing,
+    each with ``real``, whether ``synthesize_real`` takes it too: 70% exact
+    zeros; the whole first half zero, so every later level skips half its
+    patterns; basis states and |+...+>, whose levels have only zero angles
+    or only one; and real states with negative entries and zeros written
+    as -0.0, which give -0.0 angles that no multiplexor holds, also as
+    complex states with -0.0 imaginary parts, whose arg is -pi, not pi,
+    and with -0.0 zeros, whose arg is taken as 0.0."""
+    rng = np.random.default_rng(390 + n)
+    size = 2**n
+    for real in (False, True):
+        amps = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
+        amps[rng.random(size) < 0.7] = 0.0
+        amps[rng.integers(size)] = 0.5
+        yield real, amps
+        amps = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
+        amps[: size // 2] = 0.0
+        yield real, amps
+    for index in sorted({0, 1, size - 1, int(rng.integers(size))}):
+        yield True, np.eye(size)[index]
+    yield True, np.ones(size)
+    negative = np.where(rng.random(size) < 0.5, -1.0, 1.0) * (0.1 + rng.random(size))
+    negative[3::4] = -0.0
+    yield True, negative
+    signed = negative.astype(complex)
+    signed.imag[::3] = -0.0
+    signed[1::8] = signed[4::8] = complex(-0.0, -0.0)  # pairs with one zero
+    yield False, signed
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_synthesis_matches_reference_on_sparse_and_structured_states(n):
+    # every level's pass against the reference's per-pattern loop, bytes of
+    # each angle and of the global phase included
+    for real, amps in sparse_and_structured_states(n):
+        target = PureState(amps / np.linalg.norm(amps))
+        for as_real in (False, True) if real else (False,):
+            circuit = assert_synthesizes_as_reference(target, as_real)
+            assert all(isinstance(e, Multiplexor) for e in circuit.elements)
+    # a basis state needs no multiplexor, and |+...+> one Ry entry per level
+    assert synthesize(PureState(np.eye(2**n)[0])).elements == ()
+    plus = synthesize_real(PureState(np.full(2**n, 2 ** (-n / 2))))
+    assert [(e.kind, len(e.rows)) for e in plus.elements] == [("ry", 2**t) for t in range(n)]
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -454,15 +511,18 @@ def test_lowered_walk_gate_count_counts_without_expanding():
             amps[0] += 0.5
             target = PureState(amps / np.linalg.norm(amps))
             circuits.append(lower((synthesize_real if real else synthesize)(target)))
+    # -0.0 slot angles are zero angles, with no rotation
     cases = ((0, [0.3]), (0, [0.0]), (1, [0.3, 0.0]), (1, [0.0, 0.3]), (1, [0.3, 0.4]), (2, [0.0] * 4),
-             (2, [0.1, 0.0, 0.0, 0.2]))
+             (2, [0.1, 0.0, 0.0, 0.2]), (0, [-0.0]), (1, [0.3, -0.0]), (1, [-0.0, -0.0]),
+             (2, [-0.0, 0.1, -0.0, 0.0]))
     hand_built = [GrayWalk(kind, t, angles) for kind in ("ry", "rz") for t, angles in cases]
     circuits.append(Circuit(3, tuple(hand_built)))
     for circuit in circuits:
         count = circuit.gate_count
         assert "gates" not in vars(circuit)  # gates are built on first use only
         assert count == len(circuit.gates)
-    assert [w.gate_count for w in hand_built[:7]] == [1, 0, 1, 3, 4, 0, 6]
+    assert [w.gate_count for w in hand_built[:11]] == [1, 0, 1, 3, 4, 0, 6, 0, 1, 0, 5]
+    assert [w.gate_count for w in hand_built] == [len(w.gates()) for w in hand_built]
 
 
 def test_gate_count_counts_without_expanding():
