@@ -52,9 +52,8 @@ from .dilation import (
     mixed_method_double_purification,
     mixed_method_purify_evolved,
     postselect,
-    recovered_system_state,
 )
-from .qsp import Circuit, Gate, lower, qasm_export, synthesize, synthesize_real, verify_preparation
+from .qsp import Circuit, Gate, lower, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, ShotCounts, apply_readout_noise, mitigate, run, sample
 from .tomography import expectations, reconstruct, settings_for
 

@@ -484,11 +484,13 @@ def channel_from_dict(data: dict) -> KrausChannel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"channel record missing field: {exc}") from exc
     ops = []
-    for op in raw_ops:
+    for k, op in enumerate(raw_ops):
         arr = np.zeros((len(op), len(op[0])), dtype=np.complex128)
         for i, row in enumerate(op):
             for j, pair in enumerate(row):
                 re, im = pair
+                if isinstance(re, bool) or isinstance(im, bool):
+                    raise ValueError(f"Kraus operator {k} entry ({i}, {j}) is not a number: {pair!r}")
                 arr[i, j] = complex(float(re), float(im))
         ops.append(arr)
     channel = KrausChannel(

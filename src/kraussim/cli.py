@@ -9,22 +9,25 @@ Subcommands
 ``oracle``       Print the operator-sum evolution of a state, no circuits.
 
 Exit codes, for every subcommand: 0 success; 1 configuration error (bad
-config, channel file, state, argument or output path; a channel
-given both by ``name`` and by ``file``, or by ``file`` with ``params``
-or a ``sweep.parameter``; a channel file that fails the CPTP check,
-outside ``validate``; a ``validate --tol`` that is negative or not
-finite; a channel parameter the constructor does not take; a bad
-readout model (a rate that is a string, a boolean or outside [0, 0.5]), one given in
-exact mode, or one whose per-qubit lists do not cover the system
-qubits; a negative seed; a NaN or infinite sweep grid entry, start or
-stop, or Kraus operator entry; a ``synth --qasm`` without ``--lower``),
-one ``config error: ...`` line on stderr; 2 numerical failure.  Exit 2 means: for ``validate``, a
-completeness residual above tolerance (``FAIL``); for ``sweep``, a
-failed point (fidelity below the floor, register over the limit), whose
-row is NaN while the other points run, reported as ``point <value>:
-<error>`` on stderr; for ``export-qasm``, a failed point, reported as in
-``sweep``, with no file written; for ``synth``, a fidelity below the
-floor (``verification failure: ...``).  ``oracle`` never exits 2.
+config, channel file, state, argument or output path; a usage error,
+such as an unknown option, no subcommand or a ``--point`` that is not a
+number; a channel given both by ``name`` and by ``file``, or by ``file``
+with ``params`` or a ``sweep.parameter``; a channel file that fails the
+CPTP check, outside ``validate``; a ``validate --tol`` that is not a
+number, negative or not finite; a channel parameter the constructor
+does not take, or a boolean one; a bad readout model (a rate that is a
+string, a boolean or outside [0, 0.5]), one given in exact mode, or one
+whose per-qubit lists do not cover the system qubits; a negative seed;
+a NaN, infinite or boolean sweep grid entry, start or stop, state entry
+or Kraus operator entry; a ``synth --qasm`` without ``--lower``), one
+``config error: ...`` line on stderr; 2 numerical failure.  Exit 2
+means: for ``validate``, a completeness residual above tolerance
+(``FAIL``); for ``sweep``, a failed point (fidelity below the floor,
+register over the limit), whose row is NaN while the other points run,
+reported as ``point <value>: <error>`` on stderr; for ``export-qasm``, a
+failed point, reported as in ``sweep``, with no file written; for
+``synth``, a fidelity below the floor (``verification failure: ...``).
+``oracle`` never exits 2.
 
 Config schema (JSON object)::
 
@@ -50,9 +53,9 @@ channel takes no ``params`` and no ``sweep.parameter``; ``oracle``'s
 (``_channel_source``).  A channel file must pass ``validate_cptp``
 wherever a channel is loaded to run (``sweep``, ``export-qasm``,
 ``oracle``); ``validate`` reports the same check as ``FAIL``.
-``synth`` parses its amplitude list like ``initial_state.amplitudes``
-and names the option that gave it (``--amplitudes`` or
-``--state-file``) in an error.
+``synth`` parses ``--amplitudes`` or ``--state-file`` like
+``initial_state.amplitudes``, naming the option in an error, and prints the
+synthesized circuit, or with ``--lower`` the lowered one (``--qasm``: as QASM).
 
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
@@ -76,10 +79,11 @@ byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 A point runs: build channel -> dilate (pure input, or one of the three
 mixed-state methods) -> embed qudits onto qubits -> synthesize -> simulate
 and verify -> lower -> simulate and verify.  ``sweep`` and
-``export-qasm`` share this path (``_prepared_parts``), so an exported
-circuit has passed both fidelity checks.  Each circuit is simulated
-once.  Exact mode recovers the system state by partial trace of the
-synthesized circuit's verified statevector.  Sampled mode simulates the
+``export-qasm`` share this path (``_prepared_parts``), and ``synth`` its
+last four steps (``_compile``), so an exported or printed circuit has
+passed both fidelity checks.  Each circuit is simulated once.  Exact
+mode recovers the system state by partial trace of the synthesized
+circuit's verified statevector.  Sampled mode simulates the
 lowered circuit and all 3^m settings of its m system qubits in one
 ``run_branches`` call, row s bit for bit setting s's full run.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
@@ -130,7 +134,7 @@ from .numerics import (
     trace_distance,
     uniform_state,
 )
-from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, synthesize_real, verify_preparation
+from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, run_branches, sample
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
@@ -168,6 +172,13 @@ class ConfigError(ValueError):
 
 class VerificationError(RuntimeError):
     """A numerical check (CPTP, preparation fidelity) failed."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError (exit 1), not argparse's exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _hw_dephasing(p0: float, d: int = 3) -> KrausChannel:
@@ -249,9 +260,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float; a boolean is rejected, not read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a real number, got {value!r}")
+    return float(value)
+
+
 def _finite(value) -> float:
-    """``value`` as a float; NaN or an infinity is rejected."""
-    number = float(value)
+    """``value`` as a float; a boolean, NaN or an infinity is rejected."""
+    number = _real(value)
     if not math.isfinite(number):
         raise ValueError(f"must be finite, got {number}")
     return number
@@ -275,16 +293,16 @@ def _write_text(path: str, text: str) -> None:
 
 def _complex_entry(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        return complex(_real(value), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0]), _real(value[1]))
     raise ConfigError(f"cannot read complex entry {value!r}")
 
 
 def _bloch(angles) -> PureState:
     if not isinstance(angles, (list, tuple)) or len(angles) != 2:
         raise ValueError("must be [theta, phi]")
-    return bloch_state(float(angles[0]), float(angles[1]))
+    return bloch_state(_real(angles[0]), _real(angles[1]))
 
 
 # initial_state forms, in the order their keys are looked up
@@ -432,23 +450,24 @@ def _load_channel(name: str | None, path: str | None, params: dict) -> KrausChan
                               f"{report.residual:.3e} above {report.tol:.1e}")
         return channel
     factory = _catalog_factory(name)
+    for key, value in params.items():
+        if isinstance(value, bool):
+            raise ConfigError(f"channel {name!r}: parameter {key}: must be a number, got {value!r}")
     try:
         return factory(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"channel {name!r}: {exc}") from exc
 
 
-def _initial_density(init: object, dim: int) -> tuple[DensityMatrix, PureState | None]:
+def _initial_density(init: PureState | DensityMatrix | str, dim: int) -> tuple[DensityMatrix, PureState | None]:
     """Returns (rho0, psi0) for a parsed initial state; psi0 is None for mixed inputs."""
     if init == "uniform":
         init = uniform_state(dim)
-    if isinstance(init, (PureState, DensityMatrix)) and init.dim != dim:
+    if init.dim != dim:
         raise ConfigError(f"initial state dim {init.dim} != channel dim {dim}")
     if isinstance(init, PureState):
         return init.to_density(), init
-    if isinstance(init, DensityMatrix):
-        return init, None
-    raise ConfigError(f"unusable initial state {init!r}")
+    return init, None
 
 
 def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, DensityMatrix, PureState | None]:
@@ -463,6 +482,18 @@ def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, Den
 def _require_fidelity(stage: str, fidelity: float) -> None:
     if fidelity < FIDELITY_FLOOR:
         raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
+
+
+def _compile(target: PureState, layers) -> tuple[Circuit, PureState, Circuit, np.ndarray]:
+    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized, run and verified,
+    then lowered, run on ``layers`` and verified on the last row, which must branch on nothing."""
+    circuit = synthesize(target)
+    state = run(circuit)
+    _require_fidelity("synthesis", verify_preparation(circuit, target, state))
+    low = lower(circuit)
+    branches = run_branches(low, layers)
+    _require_fidelity("lowered", verify_preparation(low, target, PureState(branches[-1])))
+    return circuit, state, low, branches
 
 
 class _Part(NamedTuple):
@@ -502,16 +533,10 @@ def _prepared_parts(
             )
         if cfg.readout is not None:
             _field("readout", cfg.readout.confusion, m)
-        embedded = embed_qudits(dilated)
-        circuit = synthesize(embedded)
-        state = run(circuit)
-        _require_fidelity("synthesis", verify_preparation(circuit, embedded, state))
-        low = lower(circuit)
         # in sampled mode one row per setting; the all-Z one rotates nothing
         # and comes last, so the last row is the lowered state either way
-        branches = run_branches(low, settings_for(m).layers if cfg.mode == "sampled" else ())
-        _require_fidelity("lowered", verify_preparation(low, embedded, PureState(branches[-1])))
-        yield _Part(weight, dilated, circuit, state, low, branches)
+        layers = settings_for(m).layers if cfg.mode == "sampled" else ()
+        yield _Part(weight, dilated, *_compile(embed_qudits(dilated), layers))
 
 
 def _measure_exact(part: _Part) -> DensityMatrix:
@@ -626,18 +651,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.qasm and not args.lower:
         raise ConfigError("--qasm exports a lowered circuit; add --lower")
-    if args.state_file:
+    if args.state_file is not None:
         option, entries = "--state-file", _read_json_file(args.state_file, "state file")
-    elif args.amplitudes:
-        option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     else:
-        raise ConfigError("provide --amplitudes or --state-file")
+        option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries)
-    circuit = _field("synthesis", synthesize_real if args.real else synthesize, target)
-    _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
-    if args.lower:
-        circuit = lower(circuit)
-        _require_fidelity("lowered", verify_preparation(circuit, target, run(circuit)))
+    synthesized, _, lowered, _ = _field("synthesis", lambda t: _compile(t, ()), target)
+    circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0
 
@@ -691,7 +711,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kraussim",
         description="Noisy-channel simulation via dilated state preparation.",
     )
@@ -708,9 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth", help="synthesize a preparation circuit")
-    p.add_argument("--amplitudes", help="JSON list of amplitudes")
-    p.add_argument("--state-file", help="JSON file with the amplitude list")
-    p.add_argument("--real", action="store_true", help="use the Ry-only real path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--amplitudes", help="JSON list of amplitudes")
+    source.add_argument("--state-file", help="JSON file with the amplitude list")
     p.add_argument("--lower", action="store_true", help="lower to elementary gates")
     p.add_argument("--qasm", action="store_true", help="emit OpenQASM 2.0 instead of a dump")
     p.set_defaults(func=_cmd_synth)
@@ -740,9 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .numerics import DensityMatrix, PureState, check_register, herm_eig
+from .numerics import DensityMatrix, PureState, check_register, herm_eig, partial_trace
 
 __all__ = [
     "QubitEmbedding",
@@ -42,7 +42,6 @@ __all__ = [
     "dilate_pure",
     "embed_qudits",
     "postselect",
-    "recovered_system_state",
     "spectral_input",
     "mixed_method_purify_evolved",
     "eigenvector_dilations",
@@ -163,12 +162,6 @@ def postselect(dilated: DilatedState, j: int) -> tuple[float, PureState]:
     return prob, PureState(block / math.sqrt(prob))
 
 
-def recovered_system_state(dilated: DilatedState) -> DensityMatrix:
-    """Reduced system state: partial trace of the dilation over all ancillas."""
-    amps = dilated.state.amplitudes.reshape(dilated.system_dim, -1)
-    return DensityMatrix(amps @ amps.conj().T)
-
-
 def _fix_eigvec_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first nonzero entry is real > 0."""
     for entry in vec:
@@ -270,12 +263,12 @@ def mixed_method_convex(channel: KrausChannel, rho: DensityMatrix) -> DensityMat
     """Dilate each eigenvector of ``rho`` separately and mix the outcomes.
 
     Every eigenvector runs through :func:`dilate_pure` followed by the
-    ancilla trace; the reduced states are combined with the eigenvalue
-    weights.
+    ancilla trace (:func:`~kraussim.numerics.partial_trace`); the reduced
+    states are combined with the eigenvalue weights.
     """
     out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
     for weight, dilated in eigenvector_dilations(channel, rho):
-        out += weight * recovered_system_state(dilated).matrix
+        out += weight * partial_trace(dilated.state, dilated.factor_dims, keep=[0]).matrix
     return DensityMatrix(out)
 
 

@@ -99,11 +99,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_pure(cls, psi: "PureState") -> "DensityMatrix":
-        v = psi.amplitudes
-        return cls(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -127,7 +122,8 @@ class PureState:
         return self.amplitudes.size
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix.from_pure(self)
+        v = self.amplitudes
+        return DensityMatrix(np.outer(v, v.conj()))
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:

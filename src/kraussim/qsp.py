@@ -18,14 +18,14 @@ exactly the qubits 0..t-1, with one angle per control pattern:
   in Shende, Bullock and Markov, IEEE TCAD 25, 1000 (2006)).
 
 Patterns whose parent amplitude is exactly zero get no entry, and no
-angle is zero.  :func:`synthesize_real` is the real case: every level is
-one Ry multiplexor with signed angles ``2 atan2(c1, c0)``.  Each level
-is one array pass over its present patterns.  Its transcendental
-functions stay scalar, ``math.atan2`` and Python's ``abs`` mapped over
-``.tolist()`` of the level's columns, as do :func:`rotation_stack`'s
-``math.cos`` and ``math.sin``: numpy picks its own loops for these by CPU
-at run time, and they need not round as libm does, so the circuit would
-then depend on the SIMD level.
+angle is zero.  A real vector (every imaginary part zero, -0.0 too) takes
+signed angles ``2 atan2(c1, c0)`` on the last level too: Ry only, and a
+global phase of 0.0.  Each level is one array pass over its present
+patterns.  Its transcendental functions stay scalar, ``math.atan2`` and
+Python's ``abs`` mapped over ``.tolist()`` of the level's columns, as do
+:func:`rotation_stack`'s ``math.cos`` and ``math.sin``: numpy picks its
+own loops for these by CPU at run time, and they need not round as libm
+does, so the circuit would then depend on the SIMD level.
 
 A :class:`Circuit` holds three kinds of element: elementary gates
 (:class:`Gate`: a bare X, Ry or Rz, or a CX), Ry or Rz multiplexors, and
@@ -61,7 +61,6 @@ __all__ = [
     "check_qubits",
     "rotation_stack",
     "synthesize",
-    "synthesize_real",
     "lower",
     "verify_preparation",
     "dump_circuit",
@@ -354,19 +353,21 @@ def _atan2(y: Iterable[float], x: Iterable[float]) -> np.ndarray:
     return np.array(list(map(math.atan2, y, x)), dtype=np.float64)
 
 
-def _synthesize(target: PureState, real: bool) -> Circuit:
-    """One array pass per level of the magnitude pyramid, most significant
-    qubit first.
+def synthesize(target: PureState) -> Circuit:
+    """Compile a state-preparation circuit for an amplitude vector: one array
+    pass per level of the magnitude pyramid, most significant qubit first.
 
     Level t gathers the pair columns c0, c1 of the patterns whose parent
-    amplitude is nonzero: a zero parent's branch has nothing to prepare.  A magnitude level or a real last level takes
-    ``theta = 2 atan2(c1, c0)`` of the signed real parts.  The complex last
-    level takes theta of the moduli, ``phi = arg c1 - arg c0`` (the arg of
-    0 taken as 0.0) and the branch scalar ``w_p = (arg c1 + arg c0) / 2``.
-    The level emits its Ry multiplexor, then its Rz multiplexor, each on
-    the patterns whose angle is not 0.0.  The scalars exp(i w_p) form a
-    diagonal on qubits 0..n-2, emitted by :func:`_rz_cascade` with the
-    skipped patterns not present.
+    amplitude is nonzero: a zero parent's branch has nothing to prepare.
+    The amplitudes choose the form.  A real vector, ``not amps.imag.any()``
+    (-0.0 is zero), takes ``theta = 2 atan2(c1, c0)`` of the signed real
+    parts on every level: Ry only, and a global phase of 0.0.  Otherwise the
+    last level takes theta of the moduli, ``phi = arg c1 - arg c0`` (the arg
+    of 0 taken as 0.0) and the branch scalar ``w_p = (arg c1 + arg c0) / 2``.
+    A level emits its Ry multiplexor, then its Rz multiplexor, each on the
+    patterns whose angle is not 0.0.  The scalars exp(i w_p) form a diagonal
+    on qubits 0..n-2, emitted by :func:`_rz_cascade` with the skipped
+    patterns not present.
 
     ``atan2`` stays ``math.atan2`` and the modulus Python's ``abs``, mapped
     over ``.tolist()`` of the columns: numpy picks its ``arctan2`` loop by
@@ -377,8 +378,7 @@ def _synthesize(target: PureState, real: bool) -> Circuit:
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
-    if real and np.max(np.abs(amps.imag)) > 1e-12:
-        raise ValueError("amplitudes have imaginary parts; use synthesize instead")
+    real = not amps.imag.any()
     elements: list[Multiplexor] = []
     scalars = np.zeros(2 ** (n - 1))
     parents = np.ones(1)
@@ -404,16 +404,6 @@ def _synthesize(target: PureState, real: bool) -> Circuit:
         return Circuit(n, tuple(elements))
     cascade, global_phase = _rz_cascade(scalars, live)
     return Circuit(n, tuple(elements + cascade), global_phase)
-
-
-def synthesize(target: PureState) -> Circuit:
-    """Compile a state-preparation circuit for an arbitrary amplitude vector."""
-    return _synthesize(target, real=False)
-
-
-def synthesize_real(target: PureState) -> Circuit:
-    """Compile a preparation circuit for a real amplitude vector (Ry only)."""
-    return _synthesize(target, real=True)
 
 
 # ---------------------------------------------------------------------------

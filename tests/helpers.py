@@ -306,12 +306,15 @@ def reference_lower(circuit):
     return Circuit(n, tuple(out), circuit.global_phase)
 
 
-def reference_synthesize(target, real=False):
-    """``qsp.synthesize`` (``synthesize_real`` with ``real``) as one one-entry
-    ``Multiplexor`` per pattern and cascade row: one pass over the magnitude
-    pyramid, most significant qubit first.  Returns the gates, which
-    ``Circuit.gates`` of the synthesized circuit must equal, and the global
-    phase.
+def reference_synthesize(target, real=None):
+    """``qsp.synthesize`` as one one-entry ``Multiplexor`` per pattern and
+    cascade row: one pass over the magnitude pyramid, most significant qubit
+    first.  Returns the gates, which ``Circuit.gates`` of the synthesized
+    circuit must equal, and the global phase.
+
+    ``real`` picks the form; by default it is the one ``synthesize`` picks,
+    real when every amplitude's imaginary part is zero, -0.0 included.
+    ``real=False`` gives the complex form of any input.
 
     Level k targets qubit k-1 with one multi-controlled ``Rz(phi) Ry(theta)``
     per (k-1)-bit pattern whose parent magnitude is nonzero; a level emits its
@@ -323,8 +326,8 @@ def reference_synthesize(target, real=False):
     """
     amps = target.amplitudes
     n = _qubit_count_for(amps.size)
-    if real and np.max(np.abs(amps.imag)) > 1e-12:
-        raise ValueError("amplitudes have imaginary parts; use synthesize instead")
+    if real is None:
+        real = all(z.imag == 0.0 for z in amps.tolist())
     levels = _magnitude_pyramid(amps, n)
     gates: list[Multiplexor] = []
     w, present = [0.0] * 2 ** (n - 1), [False] * 2 ** (n - 1)

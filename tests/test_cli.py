@@ -510,6 +510,24 @@ def test_synth_output_matches_golden(state, flags, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_help_exits_zero(capsys):
+    for argv in (["-h"], ["synth", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kraussim")
+
+
+def test_real_input_sweeps_with_ry_rotations_only():
+    # phase_flip on a real Bloch input: its dilated state is real with a
+    # negative amplitude, so synthesis emits no Rz level and no Rz cascade
+    cfg = bpf_config(channel={"name": "phase_flip", "params": {}}, initial_state={"bloch": [1.1, 0.0]},
+                     sweep={"parameter": "p", "grid": [0.3]})
+    (row,) = run_experiment(parse_config(cfg))
+    assert not row.error and abs(row.c_measured - row.c_theory) <= 1e-15
+    assert (row.synth_gate_count, row.lowered_gate_count) == (3, 4)
+
+
 def test_export_qasm_subcommand(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(bpf_config()))
@@ -582,6 +600,14 @@ def _nan_channel(tmp):
     # bit_flip(0.3) with K1's (0, 1) entry NaN
     data = channel_to_dict(bit_flip(0.3))
     data["kraus"][1][0][1] = [np.nan, 0.0]
+    (tmp / "ch.json").write_text(json.dumps(data))
+    return str(tmp / "ch.json")
+
+
+def _bool_channel(tmp):
+    # bit_flip(0.3) with K0's (0, 0) entry [true, 0], which once read as 1.0
+    data = channel_to_dict(bit_flip(0.3))
+    data["kraus"][0][0][0] = [True, 0.0]
     (tmp / "ch.json").write_text(json.dumps(data))
     return str(tmp / "ch.json")
 
@@ -739,6 +765,45 @@ ERROR_CASES = {
     "oracle-param-nan": (lambda tmp: ["oracle", "--channel", "spin_boost", "--param", "theta=nan"], None,
                          1, "config error: channel 'spin_boost':", "Kraus operator 0 entry (0, 0) is not finite"),
     "export-register": (_oversized_export, None, 2, "point 0.5:", "qubit embedding"),
+    # argparse's usage errors, which once exited 2 with a usage block
+    "usage-no-subcommand": (lambda tmp: [], None,
+                            1, "config error:", "the following arguments are required: command"),
+    # the real form is picked from the amplitudes; the option that chose it is gone
+    "usage-synth-real": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]", "--real"], None,
+                         1, "config error:", "unrecognized arguments: --real"),
+    "usage-synth-no-source": (lambda tmp: ["synth", "--lower"], None,
+                              1, "config error:", "one of the arguments --amplitudes --state-file is required"),
+    "usage-synth-both-sources": (lambda tmp: ["synth", "--amplitudes", "[0.6,0.8]",
+                                              "--state-file", _config_file(tmp, [0.6, 0.8])], None,
+                                 1, "config error:", "argument --state-file: not allowed with argument --amplitudes"),
+    "usage-export-point": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "x",
+                                        "--out", str(tmp / "prep")], None,
+                           1, "config error:", "argument --point: invalid int value: 'x'"),
+    "usage-validate-tol": (lambda tmp: ["validate", _saved(tmp, depolarizing(0.2)), "--tol", "abc"], None,
+                           1, "config error:", "argument --tol: invalid float value: 'abc'"),
+    # a JSON boolean where a real number is read, which once read as 1.0 or 0.0
+    "sweep-grid-bool": (_sweep(sweep={"parameter": "p", "grid": [True]}), None,
+                        1, "config error:", "sweep.grid entry 0: must be a real number, got True"),
+    "sweep-start-bool": (_sweep_range(start=False), None,
+                         1, "config error:", "sweep.start: must be a real number, got False"),
+    "sweep-stop-bool": (_sweep_range(stop=True), None,
+                        1, "config error:", "sweep.stop: must be a real number, got True"),
+    "sweep-amplitudes-bool": (_sweep(initial_state={"amplitudes": [True, 0]}), None,
+                              1, "config error:", "initial_state.amplitudes: must be a real number, got True"),
+    "sweep-amplitudes-pair-bool": (_sweep(initial_state={"amplitudes": [[1.0, False], 0]}), None,
+                                   1, "config error:", "initial_state.amplitudes: must be a real number, got False"),
+    "sweep-density-matrix-bool": (_sweep(initial_state={"density_matrix": [[True, 0], [0, 0]]}), None,
+                                  1, "config error:", "initial_state.density_matrix: must be a real number, got True"),
+    "sweep-bloch-bool": (_sweep(initial_state={"bloch": [True, 0.0]}), None,
+                         1, "config error:", "initial_state.bloch: must be a real number, got True"),
+    "sweep-params-bool": (_sweep(channel={"name": "generalized_amplitude_damping", "params": {"n": True}}), None,
+                          1, "config error:",
+                          "channel 'generalized_amplitude_damping': parameter n: must be a number, got True"),
+    "validate-kraus-bool": (lambda tmp: ["validate", _bool_channel(tmp)], None,
+                            1, "config error: cannot load channel file",
+                            "Kraus operator 0 entry (0, 0) is not a number: [True, 0.0]"),
+    "synth-amplitudes-bool": (lambda tmp: ["synth", "--amplitudes", "[true,false]"], None,
+                              1, "config error:", "--amplitudes: must be a real number, got True"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
                         2, "point 0.25:", "synthesis fidelity"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -18,6 +19,7 @@ from helpers import (
 )
 import kraussim.qsp as qsp
 from kraussim.channels import hw_dephasing
+from kraussim.cli import FIDELITY_FLOOR
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import PureState, basis_state
 from kraussim.qsp import (
@@ -30,7 +32,6 @@ from kraussim.qsp import (
     qasm_export,
     rotation_stack,
     synthesize,
-    synthesize_real,
     verify_preparation,
     _walsh_hadamard,
 )
@@ -38,7 +39,7 @@ from kraussim.simulator import run
 
 
 def test_one_qubit_real_state_single_rotation():
-    circuit = synthesize_real(PureState(np.array([np.sqrt(0.3), np.sqrt(0.7)])))
+    circuit = synthesize(PureState(np.array([np.sqrt(0.3), np.sqrt(0.7)])))
     assert len(circuit.gates) == 1
     (gate,) = circuit.gates
     assert gate.kind == "ry" and gate.target == 0 and gate.rows == (0,)
@@ -117,13 +118,12 @@ def test_sparse_and_near_zero_states_round_trip(n, seed, real, zero_share, tiny_
     if not np.linalg.norm(amps):
         amps[rng.integers(amps.size)] = 1.0
     target = PureState(amps / np.linalg.norm(amps))
-    for synth in (synthesize, synthesize_real) if real else (synthesize,):
-        circuit = synth(target)
-        lowered = lower(circuit)
-        assert verify_preparation(circuit, target, run(circuit)) >= 1 - 1e-10
-        assert verify_preparation(lowered, target, run(lowered)) >= 1 - 1e-10
-        if n <= 4:
-            assert np.abs(circuit_unitary(circuit) - circuit_unitary(lowered)).max() < 1e-9
+    circuit = synthesize(target)
+    lowered = lower(circuit)
+    assert verify_preparation(circuit, target, run(circuit)) >= 1 - 1e-10
+    assert verify_preparation(lowered, target, run(lowered)) >= 1 - 1e-10
+    if n <= 4:
+        assert np.abs(circuit_unitary(circuit) - circuit_unitary(lowered)).max() < 1e-9
 
 
 def test_walsh_hadamard_matches_reference_loop_bit_for_bit():
@@ -158,7 +158,7 @@ def test_real_state_lowered_gate_budget():
     rng = np.random.default_rng(303)
     amps = rng.uniform(0.1, 1.0, 8)
     target = PureState(amps / np.linalg.norm(amps))
-    lowered = lower(synthesize_real(target))
+    lowered = lower(synthesize(target))
     kinds = ["cx" if g.controls else g.kind for g in lowered.gates]
     assert kinds.count("ry") == 7 and kinds.count("cx") == 6
     assert lowered.gate_count == len(lowered.gates) == 13
@@ -276,7 +276,7 @@ def test_lower_matches_reference_on_preparations(n):
             if not np.any(amps):
                 amps[0] = 1.0
             target = PureState(amps / np.linalg.norm(amps))
-            assert_lowers_as_reference((synthesize_real if real else synthesize)(target))
+            assert_lowers_as_reference(synthesize(target))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -330,9 +330,9 @@ def test_circuit_check_names_the_first_gate_outside_the_register(bad):
     assert Circuit(3, list(gates[:2] + gates[3:4])).gates == gates[:2] + gates[3:4]
 
 
-def assert_synthesizes_as_reference(target, real):
-    circuit = (synthesize_real if real else synthesize)(target)
-    gates, global_phase = reference_synthesize(target, real)
+def assert_synthesizes_as_reference(target):
+    circuit = synthesize(target)
+    gates, global_phase = reference_synthesize(target)
     assert circuit.gates == gates
     assert circuit.global_phase.hex() == global_phase.hex()
     # repr keeps the sign of a zero angle, which == does not see
@@ -350,54 +350,100 @@ def test_synthesis_matches_reference(n):
             amps[rng.random(2**n) < zero_share] = 0.0
             if not np.any(amps):
                 amps[0] = 1.0
-            circuit = assert_synthesizes_as_reference(PureState(amps / np.linalg.norm(amps)), real)
+            circuit = assert_synthesizes_as_reference(PureState(amps / np.linalg.norm(amps)))
             assert all(isinstance(e, Multiplexor) for e in circuit.elements)
 
 
 def sparse_and_structured_states(n):
     """States on which a level's array pass skips patterns or emits nothing,
-    each with ``real``, whether ``synthesize_real`` takes it too: 70% exact
-    zeros; the whole first half zero, so every later level skips half its
-    patterns; basis states and |+...+>, whose levels have only zero angles
-    or only one; and real states with negative entries and zeros written
-    as -0.0, which give -0.0 angles that no multiplexor holds, also as
-    complex states with -0.0 imaginary parts, whose arg is -pi, not pi,
-    and with -0.0 zeros, whose arg is taken as 0.0."""
+    complex and real: 70% exact zeros; the whole first half zero, so every
+    later level skips half its patterns; basis states and |+...+>, whose
+    levels have only zero angles or only one; real states with negative
+    entries and zeros written as -0.0, which give -0.0 angles that no
+    multiplexor holds, also with -0.0 imaginary parts, which keep them real;
+    and, with one imaginary part of 1e-3 making them complex, the same
+    entries, whose -0.0 imaginary parts give an arg of -pi, not pi, and
+    whose -0.0 zeros an arg taken as 0.0."""
     rng = np.random.default_rng(390 + n)
     size = 2**n
     for real in (False, True):
         amps = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
         amps[rng.random(size) < 0.7] = 0.0
         amps[rng.integers(size)] = 0.5
-        yield real, amps
+        yield amps
         amps = rng.standard_normal(size) + (0.0 if real else 1j * rng.standard_normal(size))
         amps[: size // 2] = 0.0
-        yield real, amps
+        yield amps
     for index in sorted({0, 1, size - 1, int(rng.integers(size))}):
-        yield True, np.eye(size)[index]
-    yield True, np.ones(size)
+        yield np.eye(size)[index]
+    yield np.ones(size)
     negative = np.where(rng.random(size) < 0.5, -1.0, 1.0) * (0.1 + rng.random(size))
     negative[3::4] = -0.0
-    yield True, negative
+    yield negative
     signed = negative.astype(complex)
     signed.imag[::3] = -0.0
     signed[1::8] = signed[4::8] = complex(-0.0, -0.0)  # pairs with one zero
-    yield False, signed
+    yield signed
+    signed = signed.copy()
+    signed[size - 1] += 1e-3j
+    yield signed
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_synthesis_matches_reference_on_sparse_and_structured_states(n):
     # every level's pass against the reference's per-pattern loop, bytes of
     # each angle and of the global phase included
-    for real, amps in sparse_and_structured_states(n):
-        target = PureState(amps / np.linalg.norm(amps))
-        for as_real in (False, True) if real else (False,):
-            circuit = assert_synthesizes_as_reference(target, as_real)
-            assert all(isinstance(e, Multiplexor) for e in circuit.elements)
+    for amps in sparse_and_structured_states(n):
+        circuit = assert_synthesizes_as_reference(PureState(amps / np.linalg.norm(amps)))
+        assert all(isinstance(e, Multiplexor) for e in circuit.elements)
     # a basis state needs no multiplexor, and |+...+> one Ry entry per level
     assert synthesize(PureState(np.eye(2**n)[0])).elements == ()
-    plus = synthesize_real(PureState(np.full(2**n, 2 ** (-n / 2))))
+    plus = synthesize(PureState(np.full(2**n, 2 ** (-n / 2))))
     assert [(e.kind, len(e.rows)) for e in plus.elements] == [("ry", 2**t) for t in range(n)]
+
+
+def reference_levels(gates):
+    """The one-entry multiplexors of ``reference_synthesize`` merged into one
+    multiplexor per run of one kind and target: the synthesized levels."""
+    runs = (list(run) for _, run in itertools.groupby(gates, lambda g: (g.kind, g.target)))
+    return tuple(
+        Multiplexor(run[0].kind, run[0].target, [g.rows[0] for g in run], [g.angles[0] for g in run]) for run in runs
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_states_compile_to_ry_multiplexors_only(n):
+    # signed real states with exact zeros, -0.0 entries and -0.0 imaginary
+    # parts: Ry multiplexors only, a global phase of +0.0, both fidelities at
+    # the sweep's floor, and no more lowered gates than the complex form
+    rng = np.random.default_rng(600 + n)
+    for zero_share in (0.0, 0.3):
+        amps = rng.standard_normal(2**n).astype(complex)
+        amps[rng.random(2**n) < zero_share] = 0.0
+        amps[rng.random(2**n) < 0.2] = -0.0
+        amps.imag[rng.random(2**n) < 0.5] = -0.0
+        if not np.any(amps):
+            amps[0] = -1.0
+        target = PureState(amps / np.linalg.norm(amps))
+        circuit = synthesize(target)
+        assert circuit.elements and all(isinstance(e, Multiplexor) and e.kind == "ry" for e in circuit.elements)
+        assert circuit.global_phase.hex() == "0x0.0p+0"
+        lowered = lower(circuit)
+        assert verify_preparation(circuit, target, run(circuit)) >= FIDELITY_FLOOR
+        assert verify_preparation(lowered, target, run(lowered)) >= FIDELITY_FLOOR
+        gates, phase = reference_synthesize(target, real=False)
+        assert lowered.gate_count <= lower(Circuit(n, reference_levels(gates), phase)).gate_count
+
+
+def test_one_tiny_imaginary_part_takes_the_complex_form():
+    amps = np.array([0.5, -0.5, 0.5, 0.5], dtype=complex)
+    assert [e.kind for e in synthesize(PureState(amps)).elements] == ["ry", "ry"]
+    amps[2] += 1e-300j
+    target = PureState(amps)
+    circuit = assert_synthesizes_as_reference(target)
+    assert reference_synthesize(target) == reference_synthesize(target, real=False)
+    assert [e.kind for e in circuit.elements] == ["ry", "ry", "rz", "rz"]
+    assert verify_preparation(circuit, target, run(circuit)) >= FIDELITY_FLOOR
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -409,13 +455,13 @@ def test_synthesis_matches_reference_on_degenerate_dephasing(p):
         mixed_method_double_purification(hw_dephasing(8, p), rho),
         dilate_pure(hw_dephasing(16, p), psi),
     ):
-        assert_synthesizes_as_reference(embed_qudits(dilated), False)
+        assert_synthesizes_as_reference(embed_qudits(dilated))
 
 
 def preparation_targets(n):
     """Complex and real n-qubit states with 0%, 30% and 70% exact zeros, and
     with the qubit-0 = 1 half zero, as qudit padding leaves it; each with
-    ``real``, whether ``synthesize_real`` takes it too."""
+    ``real``, whether its imaginary parts are all zero."""
     rng = np.random.default_rng(370 + n)
     for real in (False, True):
         for zeros in (0.0, 0.3, 0.7, "half"):
@@ -432,19 +478,18 @@ def preparation_targets(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_synthesized_circuit_prepares_every_amplitude(n):
     # entry by entry with the global phase, not only up to a phase
-    for real, target in preparation_targets(n):
-        for synth in (synthesize, synthesize_real) if real else (synthesize,):
-            prepared = run(synth(target)).amplitudes
-            assert np.abs(prepared - target.amplitudes).max() <= 1e-12
+    for _, target in preparation_targets(n):
+        prepared = run(synthesize(target)).amplitudes
+        assert np.abs(prepared - target.amplitudes).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_synthesized_circuit_holds_ry_and_rz_multiplexors_only(n):
+    # a real state's circuit holds Ry multiplexors only
     for real, target in preparation_targets(n):
-        for synth in (synthesize, synthesize_real) if real else (synthesize,):
-            for e in synth(target).elements:
-                assert isinstance(e, Multiplexor) and e.kind in ("ry", "rz")
-                assert len(set(e.rows)) == len(e.rows) and 0.0 not in e.angles
+        for e in synthesize(target).elements:
+            assert isinstance(e, Multiplexor) and e.kind in (("ry",) if real else ("ry", "rz"))
+            assert len(set(e.rows)) == len(e.rows) and 0.0 not in e.angles
 
 
 @pytest.mark.parametrize("args, message", [
@@ -510,7 +555,7 @@ def test_lowered_walk_gate_count_counts_without_expanding():
             amps[rng.random(2**n) < 0.3] = 0.0
             amps[0] += 0.5
             target = PureState(amps / np.linalg.norm(amps))
-            circuits.append(lower((synthesize_real if real else synthesize)(target)))
+            circuits.append(lower(synthesize(target)))
     # -0.0 slot angles are zero angles, with no rotation
     cases = ((0, [0.3]), (0, [0.0]), (1, [0.3, 0.0]), (1, [0.0, 0.3]), (1, [0.3, 0.4]), (2, [0.0] * 4),
              (2, [0.1, 0.0, 0.0, 0.2]), (0, [-0.0]), (1, [0.3, -0.0]), (1, [-0.0, -0.0]),

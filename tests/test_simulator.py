@@ -34,7 +34,6 @@ from kraussim.qsp import (
     _rz_cascade,
     lower,
     synthesize,
-    synthesize_real,
     verify_preparation,
 )
 from kraussim.tomography import settings_for
@@ -231,7 +230,7 @@ def test_segmented_run_matches_gate_by_gate_on_preparations(n):
             amps[rng.random(2**n) < zero_share] = 0.0
             if not np.any(amps):
                 amps[0] = 1.0
-            circuit = (synthesize_real if real else synthesize)(PureState(amps / np.linalg.norm(amps)))
+            circuit = synthesize(PureState(amps / np.linalg.norm(amps)))
             if zero_share and n >= 5:
                 assert len([g for g in circuit.gates if g.kind == "ry"]) < 2**n - 1
             assert_run_matches_gate_by_gate_and_reference(circuit)
