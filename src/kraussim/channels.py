@@ -476,8 +476,17 @@ def channel_to_dict(channel: KrausChannel) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float and no boolean: a string that
+    spells a number is no number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def channel_from_dict(data: dict) -> KrausChannel:
-    """Inverse of :func:`channel_to_dict`; validates shape consistency."""
+    """Inverse of :func:`channel_to_dict`; validates shape consistency.
+
+    Kraus entries and ``params`` values must be numbers: a boolean or a
+    string is rejected, naming the entry or the param, not read as one."""
     try:
         dim = int(data["dim"])
         raw_ops = data["kraus"]
@@ -489,15 +498,16 @@ def channel_from_dict(data: dict) -> KrausChannel:
         for i, row in enumerate(op):
             for j, pair in enumerate(row):
                 re, im = pair
-                if isinstance(re, bool) or isinstance(im, bool):
+                if not (_is_number(re) and _is_number(im)):
                     raise ValueError(f"Kraus operator {k} entry ({i}, {j}) is not a number: {pair!r}")
                 arr[i, j] = complex(float(re), float(im))
         ops.append(arr)
-    channel = KrausChannel(
-        tuple(ops),
-        label=str(data.get("label", "")),
-        params={str(k): float(v) for k, v in dict(data.get("params", {})).items()},
-    )
+    params = {}
+    for name, value in dict(data.get("params", {})).items():
+        if not _is_number(value):
+            raise ValueError(f"channel param {name!r} is not a number: {value!r}")
+        params[str(name)] = float(value)
+    channel = KrausChannel(tuple(ops), label=str(data.get("label", "")), params=params)
     if channel.dim != dim:
         raise ValueError(f"declared dim {dim} != operator dim {channel.dim}")
     return channel

@@ -18,8 +18,10 @@ number, negative or not finite; a channel parameter the constructor
 does not take, or a boolean one; a bad readout model (a rate that is a
 string, a boolean or outside [0, 0.5]), one given in exact mode, or one
 whose per-qubit lists do not cover the system qubits; a negative seed;
-a NaN, infinite or boolean sweep grid entry, start or stop, state entry
-or Kraus operator entry; a ``synth --qasm`` without ``--lower``), one
+a NaN, infinite, boolean or string sweep grid entry, start or stop,
+state entry or Kraus operator entry, or an integer one too large for a
+float; a boolean or string ``params`` value in a channel file; a
+``synth --qasm`` without ``--lower``), one
 ``config error: ...`` line on stderr; 2 numerical failure.  Exit 2
 means: for ``validate``, a completeness residual above tolerance
 (``FAIL``); for ``sweep``, a failed point (fidelity below the floor,
@@ -89,10 +91,12 @@ lowered circuit and all 3^m settings of its m system qubits in one
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
 Each setting's shots are drawn as a dense count array over the system
-outcomes from its own ``derive_rng`` stream, optionally corrupted by
-readout noise and mitigated into a frequency array.  These rows,
-stacked in settings order, are the one weight matrix the expectations
-read; no bitstring is formed.  The expectation vector goes to ``reconstruct``
+outcomes from its own ``derive_rng`` stream, and the rows, stacked in
+settings order, form the part's one count matrix.  With a readout
+model, one ``apply_readout_noise`` call corrupts the whole matrix, row s
+from its own stream, and one ``mitigate`` call turns it into a frequency
+matrix.  That matrix is the one weight matrix the expectations read; no
+bitstring is formed.  The expectation vector goes to ``reconstruct``
 as it is.  Mixed method 2 prepares one circuit per eigenvector
 (``dilation.eigenvector_dilations``) and mixes the recovered states
 classically.
@@ -246,10 +250,11 @@ class SweepRow:
 
 
 def _field(name: str, convert: Callable, value):
-    """``convert(value)``, or a ConfigError that names the field."""
+    """``convert(value)``, or a ConfigError that names the field; a JSON integer
+    too large for a float is one too."""
     try:
         return convert(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -261,8 +266,9 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """``value`` as a float; a boolean is rejected, not read as 1.0 or 0.0."""
-    if isinstance(value, bool):
+    """``value`` as a float: only an int or a float is read, so a boolean is
+    rejected, not read as 1.0 or 0.0, and so is a string that spells a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a real number, got {value!r}")
     return float(value)
 
@@ -552,15 +558,13 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
     marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
-    weights = []
-    for s_idx, probs in enumerate(marginals):
-        counts = sample(probs, cfg.shots, derive_rng(cfg.seed, *path, s_idx, 0))
-        if cfg.readout is None:
-            weights.append(counts.counts)
-        else:
-            noisy = apply_readout_noise(counts, cfg.readout, derive_rng(cfg.seed, *path, s_idx, 1))
-            weights.append(mitigate(noisy, cfg.readout))
-    values, _ = expectations(np.stack(weights), shots=cfg.shots)
+    weights = np.stack([
+        sample(probs, cfg.shots, derive_rng(cfg.seed, *path, s, 0)).counts for s, probs in enumerate(marginals)
+    ])
+    if cfg.readout is not None:
+        rngs = [derive_rng(cfg.seed, *path, s, 1) for s in range(len(weights))]
+        weights = mitigate(apply_readout_noise(weights, cfg.readout, rngs), cfg.readout)
+    values, _ = expectations(weights, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block
 

@@ -175,16 +175,10 @@ class SpectralInput:
     """Spectral decomposition of an input density matrix.
 
     Eigenvalues sorted descending with phase-fixed eigenvector columns.
-    For qubit inputs the Bloch parameterization is filled in:
-    ``r`` the Bloch vector length, ``theta``/``phi`` its direction, with
-    eigenvalues (1 + r)/2 and (1 - r)/2.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    r: float | None = None
-    theta: float | None = None
-    phi: float | None = None
 
 
 def spectral_input(rho: DensityMatrix) -> SpectralInput:
@@ -192,23 +186,7 @@ def spectral_input(rho: DensityMatrix) -> SpectralInput:
     w, v = herm_eig(rho.matrix)
     w = np.where(w < 0.0, 0.0, w)
     v = np.column_stack([_fix_eigvec_phase(v[:, k]) for k in range(v.shape[1])])
-    r = theta = phi = None
-    if rho.dim == 2:
-        m = rho.matrix
-        z = float((m[0, 0] - m[1, 1]).real)
-        off = 2.0 * m[0, 1]
-        r = math.sqrt(z * z + abs(off) ** 2)
-        if r > RANK_TOL:
-            theta = math.acos(max(-1.0, min(1.0, z / r)))
-            if math.sin(theta) < 1e-12:
-                phi = 0.0  # azimuth undefined at the poles
-            else:
-                # rho_01 = (r sin(theta) / 2) e^{-i phi}, so atan2 keeps
-                # full precision where acos of a near-1 ratio would not
-                phi = math.atan2(-off.imag, off.real) % (2.0 * math.pi)
-        else:
-            r, theta, phi = 0.0, 0.0, 0.0
-    return SpectralInput(eigenvalues=w, eigenvectors=v, r=r, theta=theta, phi=phi)
+    return SpectralInput(eigenvalues=w, eigenvectors=v)
 
 
 def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> DilatedState:

@@ -25,10 +25,13 @@ rounding, not bit for bit.  Qubit 0
 is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
-Randomness comes from the counter-based Philox generator.  Sampling and
-readout noise take a generator stream, and :func:`derive_rng` is the one
-place streams are made: from a root seed plus an index path, so results
-are reproducible and independent of evaluation order.
+Randomness comes from the counter-based Philox generator.  Sampling
+takes a generator stream, and readout noise one stream per row of its
+count matrix; :func:`derive_rng` is the one place streams are made: from
+a root seed plus an index path, so results are reproducible and
+independent of evaluation order.  Readout noise and mitigation take a
+``(k, 2^m)`` count matrix, one row per setting, checked by
+:func:`_check_counts`.
 """
 
 from __future__ import annotations
@@ -206,13 +209,41 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     return np.ascontiguousarray(batch.T)
 
 
+def _check_counts(counts, stage: str, rngs: Sequence | None = None) -> np.ndarray:
+    """``counts`` as a validated ``(k, 2^n)`` count matrix, one row per setting.
+
+    The one count check of the simulator: ``ShotCounts``, readout noise and
+    mitigation each call it before any work.  It requires a 2-D integer array
+    whose column count is a power of two, no negative count, no empty row
+    and, where ``rngs`` is given, one generator per row.  A failure names the
+    stage, the shape and the first bad row."""
+    counts = np.asarray(counts)
+    shape = counts.shape
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"{stage}: counts of shape {shape} must be integers, got dtype {counts.dtype}")
+    if counts.ndim != 2 or shape[1] < 1 or shape[1] & (shape[1] - 1):
+        raise ValueError(f"{stage}: counts of shape {shape} are not a (settings, 2^n outcomes) matrix")
+    # the cheap reductions first: a sweep checks a count matrix per setting
+    if counts.min(initial=0) < 0:
+        row, outcome = np.argwhere(counts < 0)[0]
+        key = format(int(outcome), f"0{shape[1].bit_length() - 1}b")
+        raise ValueError(f"{stage}: counts of shape {shape}: row {row} has a negative count for {key!r}")
+    shot_rows = counts.any(axis=1)
+    if np.count_nonzero(shot_rows) != shape[0]:
+        raise ValueError(f"{stage}: counts of shape {shape}: row {np.flatnonzero(~shot_rows)[0]} has no shots")
+    if rngs is not None and len(rngs) != shape[0]:
+        raise ValueError(f"{stage}: counts of shape {shape} take one generator per row, got {len(rngs)}")
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class ShotCounts:
     """Measured outcome counts over a qubit register.
 
     ``counts[i]`` is the number of shots that read basis state ``i``
     (qubit 0 is the most significant bit), as a read-only ``int64`` array
-    of length ``2**qubit_count``.
+    of length ``2**qubit_count``.  Its entries pass :func:`_check_counts`
+    as a one-row matrix.
     """
 
     qubit_count: int
@@ -223,27 +254,18 @@ class ShotCounts:
         if self.shots < 1:
             raise ValueError("shots must be positive")
         counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         if counts.shape != (2**self.qubit_count,):
             raise ValueError(
                 f"counts of shape {counts.shape} do not cover "
                 f"{self.qubit_count} qubits ({2**self.qubit_count} outcomes)"
             )
-        counts = counts.astype(np.int64)  # always a copy, so the caller's array stays writable
-        negative = np.flatnonzero(counts < 0)
-        if negative.size:
-            key = format(int(negative[0]), f"0{self.qubit_count}b")
-            raise ValueError(f"negative count for {key!r}")
+        # always a copy, so the caller's array stays writable
+        counts = _check_counts(counts[None], "shot counts")[0].astype(np.int64)
         total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"counts total {total} != shots {self.shots}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    def frequencies(self) -> np.ndarray:
-        """Relative frequency of every outcome, ``counts / shots``."""
-        return self.counts / self.shots
 
 
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotCounts:
@@ -328,51 +350,62 @@ def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray,
 
 
 def apply_readout_noise(
-    counts: ShotCounts, model: ReadoutModel, rng: np.random.Generator
-) -> ShotCounts:
-    """Flip each recorded bit independently with the model's probabilities,
-    drawing from a :func:`derive_rng` stream.
+    counts: np.ndarray, model: ReadoutModel, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Flip each recorded bit independently with the model's probabilities:
+    the noisy ``(k, 2^m)`` count matrix of a ``(k, 2^m)`` one, row s drawn
+    from its own :func:`derive_rng` stream ``rngs[s]``.
 
-    The count vector is thinned one qubit at a time, qubit 0 first, with
-    one binomial draw per qubit over the ``(2^q, 2, rest)`` view of the
-    counts: of the shots of each outcome, as many flip bit q as a
-    binomial draw with that qubit's e0 (bit 0) or e1 (bit 1) gives, and
-    they move to the outcome with bit q flipped.  The passes before q
-    changed only the bits of qubits before q, so each pass reads the true
-    bit and the result has the distribution of independent per-shot
-    flips.  No array grows with the number of shots.
+    Each row is thinned one qubit at a time, qubit 0 first, with one
+    binomial draw per qubit over the ``(2^q, 2, rest)`` view of the row:
+    of the shots of each outcome, as many flip bit q as a binomial draw
+    with that qubit's e0 (bit 0) or e1 (bit 1) gives, and they move to the
+    outcome with bit q flipped.  The passes before q changed only the bits
+    of qubits before q, so each pass reads the true bit and the result has
+    the distribution of independent per-shot flips.  A row's draws depend
+    on its stream alone, so row s equals a one-row call with ``rngs[s]``.
+    No array grows with the number of shots.  Every row is checked by
+    :func:`_check_counts` before any draw.
     """
-    n = counts.qubit_count
-    # P(read 1 - b | true b) for b = 0, 1: e0 and e1 of every qubit
-    rates = _confusion_stack(model, n)[0][:, [1, 0], [0, 1]]
-    noisy = counts.counts.copy()
-    for q in range(n):
-        view = noisy.reshape(2**q, 2, -1)
-        flips = rng.binomial(view, rates[q][:, None])
-        view += flips[:, ::-1] - flips
-    return ShotCounts(n, counts.shots, noisy)
+    noisy = _check_counts(counts, "readout noise", rngs).astype(np.int64)
+    n = noisy.shape[1].bit_length() - 1
+    # P(read 1 - b | true b) for b = 0, 1: e0 and e1 of every qubit, as a column
+    rates = _confusion_stack(model, n)[0][:, [1, 0], [0, 1], None]
+    for row, rng in zip(noisy, rngs):
+        for q in range(n):
+            view = row.reshape(2**q, 2, -1)
+            flips = rng.binomial(view, rates[q])
+            view += flips[:, ::-1] - flips
+    return noisy
 
 
-def mitigate(counts: ShotCounts, model: ReadoutModel) -> np.ndarray:
-    """Invert the tensor-product confusion matrix and project to the simplex.
+def mitigate(counts: np.ndarray, model: ReadoutModel) -> np.ndarray:
+    """Invert the tensor-product confusion matrix and project to the simplex:
+    the ``(k, 2^m)`` frequency matrix of a ``(k, 2^m)`` count matrix, one row
+    per setting, each in the order of its counts.
 
-    Each qubit's :meth:`ReadoutModel.confusion` matrix is inverted, all in
-    one batched call made once per model and register size, and applied
-    along that qubit's axis of the frequency tensor.  Negative
-    quasi-probabilities are clipped to zero and the remainder
-    renormalized.  Returns the frequency of every outcome over the
-    register, in the order of ``counts.counts``.
+    Each row is divided by its total.  Each qubit's
+    :meth:`ReadoutModel.confusion` matrix is inverted, all in one batched
+    call made once per model and register size, and applied along that
+    qubit's axis of every row's frequency tensor in one stacked ``matmul``:
+    per row a ``(2, 2) @ (2, 2^(m-1))`` product, the one ``tensordot`` makes
+    on a single row, so a row's bytes do not depend on the other rows.
+    Negative quasi-probabilities are clipped to zero and each row's
+    remainder renormalized.  Every row is checked by :func:`_check_counts`
+    first.
     """
-    n = counts.qubit_count
+    counts = _check_counts(counts, "mitigation")
+    k, size = counts.shape
+    n = size.bit_length() - 1
     _, inverses = _confusion_stack(model, n)
-    tensor = counts.frequencies().reshape([2] * n)
+    tensor = (counts / counts.sum(axis=1, keepdims=True)).reshape((k,) + (2,) * n)
     for q, inv in enumerate(inverses):
-        tensor = np.moveaxis(
-            np.tensordot(inv, tensor, axes=([1], [q])), 0, q
-        )
-    quasi = tensor.reshape(-1)
-    clipped = np.clip(quasi, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise ValueError("mitigation clipped all probability mass")
-    return clipped / total
+        moved = np.moveaxis(tensor, q + 1, 1)
+        product = np.matmul(inv, moved.reshape(k, 2, -1))
+        tensor = np.moveaxis(product.reshape(moved.shape), 1, q + 1)
+    clipped = np.clip(tensor.reshape(k, size), 0.0, None)
+    totals = clipped.sum(axis=1, keepdims=True)
+    drained = np.flatnonzero(totals <= 0.0)
+    if drained.size:
+        raise ValueError(f"mitigation: row {drained[0]} of counts of shape {counts.shape} clipped all probability mass")
+    return clipped / totals

@@ -27,6 +27,7 @@ from kraussim.channels import (
     wigner_channel,
 )
 import kraussim.simulator as simulator
+from kraussim.dilation import RANK_TOL
 from kraussim.numerics import DensityMatrix, PureState, check_register, kron
 from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, rotation_stack
 from kraussim.simulator import ShotCounts
@@ -71,19 +72,39 @@ def born(state):
     return np.abs(state.amplitudes) ** 2
 
 
-def shot_counts(qubit_count, shots, by_bitstring):
-    """``ShotCounts`` from a ``{bitstring: count}`` mapping; absent outcomes count 0."""
-    counts = np.zeros(2**qubit_count, dtype=np.int64)
+def count_row(qubit_count, by_bitstring):
+    """A one-row ``(1, 2**qubit_count)`` count matrix from a ``{bitstring: count}``
+    mapping; absent outcomes count 0."""
+    counts = np.zeros((1, 2**qubit_count), dtype=np.int64)
     for key, count in by_bitstring.items():
         assert len(key) == qubit_count and set(key) <= {"0", "1"}, key
-        counts[int(key, 2)] = count
-    return ShotCounts(qubit_count, shots, counts)
+        counts[0, int(key, 2)] = count
+    return counts
 
 
 def histogram(counts):
-    """Nonzero counts of a ``ShotCounts`` keyed by bitstring, in ascending outcome order."""
-    n = counts.qubit_count
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts.counts) if c}
+    """Nonzero entries of a count vector keyed by bitstring, in ascending outcome order."""
+    n = counts.size.bit_length() - 1
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+
+
+def bloch_parameters(rho):
+    """Bloch parameters ``(r, theta, phi)`` of a qubit density matrix: ``r`` the
+    Bloch vector length, ``theta``/``phi`` its direction, so that its
+    eigenvalues are (1 + r)/2 and (1 - r)/2; all 0.0 at the maximally mixed
+    state, and ``phi`` 0.0 at the poles."""
+    m = rho.matrix
+    z = float((m[0, 0] - m[1, 1]).real)
+    off = 2.0 * m[0, 1]
+    r = math.sqrt(z * z + abs(off) ** 2)
+    if r <= RANK_TOL:
+        return 0.0, 0.0, 0.0
+    theta = math.acos(max(-1.0, min(1.0, z / r)))
+    if math.sin(theta) < 1e-12:
+        return r, theta, 0.0  # azimuth undefined at the poles
+    # rho_01 = (r sin(theta) / 2) e^{-i phi}, so atan2 keeps full precision
+    # where acos of a near-1 ratio would not
+    return r, theta, math.atan2(-off.imag, off.real) % (2.0 * math.pi)
 
 
 def random_prob_vector(rng, n):
@@ -419,14 +440,16 @@ def reference_apply_gate(amps, gate, n):
 
 
 def reference_mitigate(counts, model):
-    """String-keyed confusion-matrix inversion: {bitstring: frequency > 0}."""
-    n = counts.qubit_count
+    """String-keyed confusion-matrix inversion of one count vector:
+    {bitstring: frequency > 0}."""
+    n = counts.size.bit_length() - 1
+    shots = int(counts.sum())
     # built here, not by ReadoutModel.confusion, so the batched inverse in
     # ``mitigate`` is checked against per-qubit inverses made independently
     e0, e1 = np.broadcast_to(model.e0, n), np.broadcast_to(model.e1, n)
     freq = np.zeros(2**n)
     for key, count in histogram(counts).items():
-        freq[int(key, 2)] = count / counts.shots
+        freq[int(key, 2)] = count / shots
     tensor = freq.reshape([2] * n)
     for q in range(n):
         det = 1.0 - e0[q] - e1[q]
@@ -446,7 +469,7 @@ def reference_mitigate(counts, model):
 
 def _reference_weights(data):
     if isinstance(data, ShotCounts):
-        return {k: v / data.shots for k, v in histogram(data).items()}, data.shots
+        return {k: v / data.shots for k, v in histogram(data.counts).items()}, data.shots
     total = float(sum(data.values()))
     if total <= 0.0:
         raise ValueError("setting has no probability mass")

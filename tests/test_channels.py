@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,23 @@ def test_prune_drops_zero_operators():
     assert len(kept.kraus_ops) == 1
     assert np.allclose(kept.kraus_ops[0], np.eye(2), atol=1e-15)
     assert len(ch.kraus_ops) == 4  # original untouched
+
+
+def test_channel_from_dict_rejects_booleans_and_strings():
+    # a boolean once read as 1.0 and a string that spells a number as that
+    # number; each is rejected, naming the param or the operator and entry
+    for value in (True, "0.3"):
+        data = channel_to_dict(bit_flip(0.3))
+        data["params"]["p"] = value
+        with pytest.raises(ValueError, match=f"^channel param 'p' is not a number: {re.escape(repr(value))}$"):
+            channel_from_dict(data)
+    for entry in (["1", 0], [0.0, "0"], [0.5, False]):
+        data = channel_to_dict(bit_flip(0.3))
+        data["kraus"][1][0][1] = entry
+        with pytest.raises(ValueError, match=f"^Kraus operator 1 entry \\(0, 1\\) is not a number: {re.escape(repr(entry))}$"):
+            channel_from_dict(data)
+    # integers are numbers
+    data = channel_to_dict(bit_flip(0.0))
+    data["params"]["p"] = 0
+    data["kraus"][0] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    assert channel_from_dict(data).params == {"p": 0.0}

@@ -804,6 +804,16 @@ ERROR_CASES = {
                             "Kraus operator 0 entry (0, 0) is not a number: [True, 0.0]"),
     "synth-amplitudes-bool": (lambda tmp: ["synth", "--amplitudes", "[true,false]"], None,
                               1, "config error:", "--amplitudes: must be a real number, got True"),
+    # a JSON string that spells a number, which once read as that number
+    "sweep-grid-entry-string": (_sweep(sweep={"parameter": "p", "grid": ["0.25"]}), None,
+                                1, "config error:", "sweep.grid entry 0: must be a real number, got '0.25'"),
+    "sweep-amplitudes-pair-string": (_sweep(initial_state={"amplitudes": [["0.6", 0], 0.8]}), None,
+                                     1, "config error:", "initial_state.amplitudes: must be a real number, got '0.6'"),
+    "synth-amplitudes-pair-string": (lambda tmp: ["synth", "--amplitudes", '[["0.6", 0], 0.8]'], None,
+                                     1, "config error:", "--amplitudes: must be a real number, got '0.6'"),
+    # a JSON integer that no float holds, which once ended in a traceback
+    "sweep-grid-huge-int": (_sweep(sweep={"parameter": "p", "grid": [10**400]}), None,
+                            1, "config error:", "sweep.grid entry 0: int too large to convert to float"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
                         2, "point 0.25:", "synthesis fidelity"),

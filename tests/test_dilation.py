@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_DRAWS,
     QUBIT_CHANNEL_DRAWS,
+    bloch_parameters,
     random_density,
     random_kraus_channel,
     random_pure,
@@ -170,11 +171,12 @@ def test_embed_pads_unused_levels_with_zeros():
 
 def test_spectral_input_reference_state():
     spec = spectral_input(RHO_A)
-    assert abs(spec.r - 0.9472533393390012) < 1e-12
+    r, theta, phi = bloch_parameters(RHO_A)
+    assert abs(r - 0.9472533393390012) < 1e-12
     assert abs(spec.eigenvalues[0] - 0.9736266696695006) < 1e-12
     assert abs(spec.eigenvalues[1] - 0.026373330330499378) < 1e-12
-    assert abs(spec.theta - 1.2112019334816335) < 1e-12
-    assert spec.phi == 0.0
+    assert abs(theta - 1.2112019334816335) < 1e-12
+    assert phi == 0.0
     vecs = spec.eigenvectors
     assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-10)
     # leading nonzero component of each eigenvector is real positive
@@ -184,10 +186,10 @@ def test_spectral_input_reference_state():
 
 
 def test_spectral_input_diagonal_state_guards_phi():
-    spec = spectral_input(DensityMatrix(np.diag([0.7, 0.3])))
-    assert abs(spec.r - 0.4) < 1e-12
-    assert abs(spec.theta) < 1e-12
-    assert spec.phi == 0.0
+    r, theta, phi = bloch_parameters(DensityMatrix(np.diag([0.7, 0.3])))
+    assert abs(r - 0.4) < 1e-12
+    assert abs(theta) < 1e-12
+    assert phi == 0.0
 
 
 def test_mixed_methods_agree_with_direct_evolution():

@@ -11,6 +11,7 @@ import kraussim.simulator as simulator
 from helpers import (
     born,
     circuit_unitary,
+    count_row,
     dense_gate,
     gate_matrix,
     gate_parts,
@@ -20,7 +21,6 @@ from helpers import (
     reference_apply_gate,
     reference_mitigate,
     reference_run,
-    shot_counts,
     stub_gate_kernels,
 )
 from kraussim.channels import hw_dephasing
@@ -600,7 +600,7 @@ def test_sampling_converges_to_born_probabilities():
     counts = sample(probs, shots, rng=derive_rng(99))
     for idx, p in enumerate(probs):
         bits = format(idx, "03b")
-        freq = histogram(counts).get(bits, 0) / shots
+        freq = histogram(counts.counts).get(bits, 0) / shots
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / shots)
         assert abs(freq - p) <= 5 * sigma + 1e-9
 
@@ -610,8 +610,8 @@ def test_sampling_is_seed_deterministic():
     a = sample(born(state), 4096, rng=derive_rng(7))
     b = sample(born(state), 4096, rng=derive_rng(7))
     c = sample(born(state), 4096, rng=derive_rng(8))
-    assert histogram(a) == histogram(b)
-    assert histogram(a) != histogram(c)
+    assert histogram(a.counts) == histogram(b.counts)
+    assert histogram(a.counts) != histogram(c.counts)
 
 
 def test_derived_streams_are_stable_and_distinct():
@@ -621,11 +621,11 @@ def test_derived_streams_are_stable_and_distinct():
 
 
 def test_readout_noise_flip_rate():
-    counts = shot_counts(1, 100_000, {"0": 100_000})
-    noisy = apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0), rng=derive_rng(11))
-    rate = histogram(noisy).get("1", 0) / counts.shots
+    counts = count_row(1, {"0": 100_000})
+    noisy = apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0), [derive_rng(11)])
+    rate = histogram(noisy[0]).get("1", 0) / counts.sum()
     assert abs(rate - 0.2) < 5 * np.sqrt(0.2 * 0.8 / 100_000)
-    assert noisy.shots == counts.shots
+    assert noisy.sum() == counts.sum()
 
 
 def test_mitigation_recovers_true_frequencies():
@@ -639,9 +639,9 @@ def test_mitigation_recovers_true_frequencies():
     for trial in range(20):
         state = random_pure(rng, 8)
         probs = born(state)
-        counts = sample(probs, shots, rng=derive_rng(406, trial, 0))
-        noisy = apply_readout_noise(counts, model, rng=derive_rng(406, trial, 1))
-        mitigated = mitigate(noisy, model)
+        counts = sample(probs, shots, rng=derive_rng(406, trial, 0)).counts[None]
+        noisy = apply_readout_noise(counts, model, [derive_rng(406, trial, 1)])
+        [mitigated] = mitigate(noisy, model)
         worst = max(abs(mitigated[i] - probs[i]) for i in range(8))
         assert worst < bound
         assert abs(mitigated.sum() - 1.0) < 1e-9
@@ -649,25 +649,76 @@ def test_mitigation_recovers_true_frequencies():
 
 
 def test_mitigation_matches_string_keyed_reference():
-    # few shots leave most outcomes at zero count
+    # one call on a batch of rows against the reference made one row at a
+    # time; few shots leave most outcomes at zero count
     rng = np.random.default_rng(407)
     scalars = np.random.default_rng(410)
-    for n in (1, 2, 3, 4):
-        for trial in range(10):
+    for n in range(1, 7):
+        for trial in range(4):
             per_qubit = ReadoutModel(
                 e0=tuple(rng.uniform(0.0, 0.2, n)), e1=tuple(rng.uniform(0.0, 0.2, n))
             )
             scalar = ReadoutModel(
                 e0=float(scalars.uniform(0.0, 0.2)), e1=float(scalars.uniform(0.0, 0.2))
             )
-            shots = int(rng.integers(1, 40))
-            counts = sample(born(random_pure(rng, 2**n)), shots, rng=derive_rng(408, n, trial, 0))
+            counts = np.stack([
+                sample(born(random_pure(rng, 2**n)), int(rng.integers(1, 40)), rng=derive_rng(408, n, trial, s, 0)).counts
+                for s in range(9)
+            ])
             for stream, model in ((1, per_qubit), (2, scalar)):
-                noisy = apply_readout_noise(counts, model, rng=derive_rng(408, n, trial, stream))
-                expected = np.zeros(2**n)
-                for key, p in reference_mitigate(noisy, model).items():
-                    expected[int(key, 2)] = p
-                assert np.array_equal(mitigate(noisy, model), expected)
+                rngs = [derive_rng(408, n, trial, s, stream) for s in range(9)]
+                noisy = apply_readout_noise(counts, model, rngs)
+                mitigated = mitigate(noisy, model)
+                assert mitigated.shape == (9, 2**n)
+                for row, result in zip(noisy, mitigated):
+                    expected = np.zeros(2**n)
+                    for key, p in reference_mitigate(row, model).items():
+                        expected[int(key, 2)] = p
+                    assert result.tobytes() == expected.tobytes(), (n, trial, stream)
+                assert (noisy == 0).any() or n == 1
+
+
+def test_batched_readout_noise_rows_equal_one_row_calls():
+    # each row draws from its own stream alone, so a batch is its rows' calls
+    rng = np.random.default_rng(419)
+    for n in range(1, 5):
+        model = ReadoutModel(e0=tuple(rng.uniform(0.0, 0.3, n)), e1=0.1)
+        counts = rng.integers(0, 50, (3**n, 2**n))
+        counts[:, 0] += 1
+        kept = counts.copy()
+        noisy = apply_readout_noise(counts, model, [derive_rng(419, n, s) for s in range(3**n)])
+        assert np.array_equal(counts, kept)
+        assert noisy.dtype == np.int64 and noisy.shape == counts.shape
+        assert np.array_equal(noisy.sum(axis=1), counts.sum(axis=1))
+        for s in range(3**n):
+            [one] = apply_readout_noise(counts[s : s + 1], model, [derive_rng(419, n, s)])
+            assert noisy[s].tobytes() == one.tobytes(), (n, s)
+
+
+def test_count_matrix_check_fails_before_any_draw():
+    # each case breaks one rule of the shared check; noise and mitigation
+    # both name their stage, the shape and the first bad row
+    model = ReadoutModel(e0=0.1, e1=0.2)
+    cases = (
+        (np.array([[3.0, 1.0]]), 1, "counts of shape (1, 2) must be integers, got dtype float64"),
+        (np.array([3, 1, 0, 2]), 1, "counts of shape (4,) are not a (settings, 2^n outcomes) matrix"),
+        (np.ones((1, 2, 2), dtype=int), 1, "counts of shape (1, 2, 2) are not a (settings, 2^n outcomes) matrix"),
+        (np.array([[3, 1, 0]]), 1, "counts of shape (1, 3) are not a (settings, 2^n outcomes) matrix"),
+        (np.zeros((2, 0), dtype=int), 2, "counts of shape (2, 0) are not a (settings, 2^n outcomes) matrix"),
+        (np.array([[3, 1], [2, -1], [-4, 0]]), 3, "counts of shape (3, 2): row 1 has a negative count for '1'"),
+        (np.array([[3, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), 3, "counts of shape (3, 4): row 1 has no shots"),
+        (np.array([[3, 1], [0, 2]]), 3, "counts of shape (2, 2) take one generator per row, got 3"),
+        (np.array([[3, 1], [0, 2]]), 1, "counts of shape (2, 2) take one generator per row, got 1"),
+    )
+    for counts, k, message in cases:
+        streams = [derive_rng(420, s) for s in range(k)]
+        with pytest.raises(ValueError, match=f"^{re.escape('readout noise: ' + message)}$"):
+            apply_readout_noise(counts, model, streams)
+        # no stream has moved: each still gives a fresh stream's first draw
+        assert [stream.random() for stream in streams] == [derive_rng(420, s).random() for s in range(k)]
+        if "generator" not in message:
+            with pytest.raises(ValueError, match=f"^{re.escape('mitigation: ' + message)}$"):
+                mitigate(counts, model)
 
 
 def test_confusion_stack_is_cached_read_only_per_model():
@@ -730,8 +781,8 @@ def test_mitigation_rejects_singular_confusion():
 
 
 def test_per_qubit_error_tuples():
-    counts = shot_counts(2, 50_000, {"00": 50_000})
-    noisy = apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0)), rng=derive_rng(3))
+    counts = count_row(2, {"00": 50_000})
+    [noisy] = apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0)), [derive_rng(3)])
     ones_on_q1 = sum(c for b, c in histogram(noisy).items() if b[1] == "1")
     assert ones_on_q1 == 0  # second qubit noiseless
     ones_on_q0 = sum(c for b, c in histogram(noisy).items() if b[0] == "1")
@@ -747,8 +798,8 @@ RECORDED_MODEL = ReadoutModel(e0=(0.05, 0.2, 0.1), e1=(0.15, 0.0, 0.3))
 def test_readout_noise_reproduces_recorded_histogram():
     # recorded from the binomial thinning of the count vector: one draw
     # per qubit, qubit 0 first, over that qubit's (2^q, 2, rest) view
-    counts = shot_counts(3, 600, RECORDED_COUNTS)
-    noisy = apply_readout_noise(counts, RECORDED_MODEL, rng=derive_rng(2212, 13834, 1))
+    counts = count_row(3, RECORDED_COUNTS)
+    [noisy] = apply_readout_noise(counts, RECORDED_MODEL, [derive_rng(2212, 13834, 1)])
     assert histogram(noisy) == {
         "000": 178, "001": 31, "010": 58, "011": 15,
         "100": 56, "101": 99, "110": 117, "111": 46,
@@ -761,46 +812,45 @@ def test_readout_noise_matches_the_exact_noisy_distribution():
     # leftmost), so a noisy count has mean T @ c and variance
     # (T * (1 - T)) @ c; a swapped e0/e1 or a reversed bit order moves
     # the mean by many standard errors
-    counts = shot_counts(3, 600, RECORDED_COUNTS)
+    counts = count_row(3, RECORDED_COUNTS)
     transfer = kron(*RECORDED_MODEL.confusion(3)).real
-    expected = transfer @ counts.counts
+    expected = transfer @ counts[0]
     trials = 4000
-    noisy = np.array([
-        apply_readout_noise(counts, RECORDED_MODEL, rng=derive_rng(415, trial)).counts
-        for trial in range(trials)
-    ])
-    sigma = np.sqrt((transfer * (1.0 - transfer)) @ counts.counts / trials)
+    noisy = apply_readout_noise(
+        np.repeat(counts, trials, axis=0), RECORDED_MODEL, [derive_rng(415, trial) for trial in range(trials)]
+    )
+    sigma = np.sqrt((transfer * (1.0 - transfer)) @ counts[0] / trials)
     assert np.all(np.abs(noisy.mean(axis=0) - expected) <= 5.0 * sigma)
-    assert np.all(noisy.sum(axis=1) == counts.shots)
+    assert np.all(noisy.sum(axis=1) == counts.sum())
 
 
 def test_readout_noise_degenerate_rates():
-    counts = shot_counts(3, 600, RECORDED_COUNTS)
+    counts = count_row(3, RECORDED_COUNTS)
     for model in (ReadoutModel(e0=0.0, e1=0.0), ReadoutModel(e0=(0.0,) * 3, e1=(0.0,) * 3)):
-        noisy = apply_readout_noise(counts, model, rng=derive_rng(416))
-        assert np.array_equal(noisy.counts, counts.counts)
+        noisy = apply_readout_noise(counts, model, [derive_rng(416)])
+        assert np.array_equal(noisy, counts)
     # only bit 0 -> 1 on qubit 1 (at the cap 0.5) and bit 1 -> 0 on qubit 0
     # flip: "000" and "110" feed "010", and no outcome feeds the others
-    counts = shot_counts(3, 700, {"000": 400, "110": 300})
+    counts = count_row(3, {"000": 400, "110": 300})
     model = ReadoutModel(e0=(0.0, 0.5, 0.0), e1=(0.3, 0.0, 0.0))
     for trial in range(20):
-        noisy = apply_readout_noise(counts, model, rng=derive_rng(417, trial))
+        [noisy] = apply_readout_noise(counts, model, [derive_rng(417, trial)])
         assert set(histogram(noisy)) <= {"000", "010", "110"}
-        assert noisy.shots == 700 and noisy.counts.sum() == 700
+        assert noisy.sum() == 700
 
 
 def test_readout_noise_forms_no_per_shot_array():
     # a (shots, qubits) uniform draw alone takes 32 MB at 10^6 shots
-    counts = ShotCounts(4, 10**6, np.full(16, 10**6 // 16))
+    counts = np.full((1, 16), 10**6 // 16)
     model = ReadoutModel(e0=(0.02, 0.05, 0.1, 0.2), e1=0.03)
-    rng = derive_rng(418)
+    rngs = [derive_rng(418)]
     tracemalloc.start()
     try:
-        noisy = apply_readout_noise(counts, model, rng)
+        noisy = apply_readout_noise(counts, model, rngs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert noisy.shots == 10**6
+    assert noisy.sum() == 10**6
     assert peak < 2**20
 
 

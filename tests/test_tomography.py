@@ -133,9 +133,9 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
         probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
         counts = sample(probs, shots[-1], rng=derive_rng(511, k, 0))
         if readout:
-            noisy = apply_readout_noise(counts, model, rng=derive_rng(511, k, 1))
-            weights.append(mitigate(noisy, model))
-            per_setting_ref[setting] = reference_mitigate(noisy, model)
+            noisy = apply_readout_noise(counts.counts[None], model, [derive_rng(511, k, 1)])
+            weights.append(mitigate(noisy, model)[0])
+            per_setting_ref[setting] = reference_mitigate(noisy[0], model)
         else:
             weights.append(counts.counts)
             per_setting_ref[setting] = counts
