@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import VALIDATION_TOL, DensityMatrix, MAX_DIM, _check_finite
+from .numerics import (VALIDATION_TOL, DensityMatrix, MAX_DIM, _check_finite, read_integer, read_list,
+                       read_matrix, read_object, read_real, read_string)
 
 __all__ = [
     "KrausChannel",
@@ -80,7 +81,7 @@ class KrausChannel:
         for k, op in enumerate(self.kraus_ops):
             arr = np.array(op, dtype=np.complex128, order="C")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"Kraus operator has non-square shape {arr.shape}")
+                raise ValueError(f"Kraus operator {k} has non-square shape {arr.shape}")
             _check_finite(arr, f"Kraus operator {k} entry")
             if dim is None:
                 dim = arr.shape[0]
@@ -294,10 +295,11 @@ def hw_dephasing(d: int, p0: float) -> KrausChannel:
 
     Weight ``p0`` on the identity branch, the remaining ``1 - p0`` split
     evenly over the d-1 nontrivial phases.  Off-diagonal entries of the
-    input pick up the factor ``sum_j p_j exp(2 pi i j (k-l) / d)``.
+    input pick up the factor ``sum_j p_j exp(2 pi i j (k-l) / d)``.  ``d`` is
+    checked against ``MAX_DIM`` before any of the d operators is built.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
+    if not 2 <= d <= MAX_DIM:
+        raise ValueError(f"qudit dimension d={d} outside [2, {MAX_DIM}]")
     _check_prob("p0", p0)
     rest = (1.0 - p0) / (d - 1)
     weights = [p0] + [rest] * (d - 1)
@@ -476,40 +478,20 @@ def channel_to_dict(channel: KrausChannel) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int or a float and no boolean: a string that
-    spells a number is no number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def channel_from_dict(data: dict) -> KrausChannel:
     """Inverse of :func:`channel_to_dict`; validates shape consistency.
 
-    Kraus entries and ``params`` values must be numbers: a boolean or a
-    string is rejected, naming the entry or the param, not read as one."""
-    try:
-        dim = int(data["dim"])
-        raw_ops = data["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"channel record missing field: {exc}") from exc
-    ops = []
-    for k, op in enumerate(raw_ops):
-        arr = np.zeros((len(op), len(op[0])), dtype=np.complex128)
-        for i, row in enumerate(op):
-            for j, pair in enumerate(row):
-                re, im = pair
-                if not (_is_number(re) and _is_number(im)):
-                    raise ValueError(f"Kraus operator {k} entry ({i}, {j}) is not a number: {pair!r}")
-                arr[i, j] = complex(float(re), float(im))
-        ops.append(arr)
-    params = {}
-    for name, value in dict(data.get("params", {})).items():
-        if not _is_number(value):
-            raise ValueError(f"channel param {name!r} is not a number: {value!r}")
-        params[str(name)] = float(value)
-    channel = KrausChannel(tuple(ops), label=str(data.get("label", "")), params=params)
+    Every field is read by a ``numerics`` reader, which names it: ``dim``,
+    ``label``, ``params.<name>``, ``kraus``, and ``Kraus operator k``, its
+    ``row i`` or its ``entry (i, j)``."""
+    data = read_object(data, "channel record")
+    dim = read_integer(data.get("dim"), "dim")
+    ops = [read_matrix(op, f"Kraus operator {k}") for k, op in enumerate(read_list(data.get("kraus"), "kraus"))]
+    params = read_object(data.get("params"), "params", {})
+    params = {name: read_real(value, f"params.{name}") for name, value in params.items()}
+    channel = KrausChannel(tuple(ops), label=read_string(data.get("label"), "label", ""), params=params)
     if channel.dim != dim:
-        raise ValueError(f"declared dim {dim} != operator dim {channel.dim}")
+        raise ValueError(f"dim: declared {dim} != operator dim {channel.dim}")
     return channel
 
 

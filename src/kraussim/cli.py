@@ -8,27 +8,36 @@ Subcommands
 ``export-qasm``  Write OpenQASM 2.0 for one sweep point's lowered circuit.
 ``oracle``       Print the operator-sum evolution of a state, no circuits.
 
-Exit codes, for every subcommand: 0 success; 1 configuration error (bad
-config, channel file, state, argument or output path; a usage error,
-such as an unknown option, no subcommand or a ``--point`` that is not a
-number; a channel given both by ``name`` and by ``file``, or by ``file``
-with ``params`` or a ``sweep.parameter``; a channel file that fails the
-CPTP check, outside ``validate``; a ``validate --tol`` that is not a
-number, negative or not finite; a channel parameter the constructor
-does not take, or a boolean one; a bad readout model (a rate that is a
-string, a boolean or outside [0, 0.5]), one given in exact mode, or one
-whose per-qubit lists do not cover the system qubits; a negative seed;
-a NaN, infinite, boolean or string sweep grid entry, start or stop,
-state entry or Kraus operator entry, or an integer one too large for a
-float; a boolean or string ``params`` value in a channel file; a
-``synth --qasm`` without ``--lower``), one
-``config error: ...`` line on stderr; 2 numerical failure.  Exit 2
-means: for ``validate``, a completeness residual above tolerance
-(``FAIL``); for ``sweep``, a failed point (fidelity below the floor,
-register over the limit), whose row is NaN while the other points run,
-reported as ``point <value>: <error>`` on stderr; for ``export-qasm``, a
-failed point, reported as in ``sweep``, with no file written; for
-``synth``, a fidelity below the floor (``verification failure: ...``).
+Exit codes, for every subcommand: 0 success; 1 configuration error, one
+``config error: ...`` line on stderr; 2 numerical failure.  Exit 1 means
+a field of the config, channel file or state that its ``numerics``
+reader rejects, or that fails a check of its value, or a bad argument,
+usage (``--point`` not a number, no subcommand, ``synth --qasm`` without
+``--lower``) or output path.  The one rule: each JSON field is read as
+its own type only, so a boolean, a string that spells a number or a
+list is never read as a number; an integer field takes ``7.0`` as 7 but
+not ``2.9``; ``shots`` and ``sweep.points`` are at most 2^63 - 1; an
+optional field given as null is absent.  The message names the field by
+its path: ``seed``, ``sweep.points``, ``sweep.grid entry 1``,
+``channel.params.n``, ``readout.e1 entry 0``, ``initial_state.amplitudes
+entry 0``, ``initial_state.density_matrix entry (0, 1)``, ``output.csv``;
+in a channel file ``dim``, ``label``, ``params.p``, ``Kraus operator 1``,
+its ``row 0`` and its ``entry (0, 1)``; ``synth`` names ``--amplitudes``
+or ``--state-file``.  Value checks: a channel given by both or neither
+of ``name`` and ``file``, or by ``file`` with ``params`` or a
+``sweep.parameter``; a catalog parameter the constructor does not take,
+lacks or rejects (``channel 'name': ...``); a channel file that fails
+the CPTP check, outside ``validate``; a ``validate --tol`` that is
+negative or not finite; a readout rate outside [0, 0.5], a readout in
+exact mode or one whose per-qubit lists do not cover the system qubits;
+a negative ``seed``; a NaN or infinite sweep value, state entry or Kraus
+operator entry.  Exit 2 means: for ``validate``, a completeness residual
+above tolerance (``FAIL``); for ``sweep``, a failed point (fidelity below
+the floor, register over the limit), whose row is NaN while the other
+points run, reported as ``point <value>: <error>`` on stderr; for
+``export-qasm``, a failed point, reported as in ``sweep``, with no file
+written; for ``synth``, a fidelity below the floor (``verification
+failure: ...``).
 ``oracle`` never exits 2.
 
 Config schema (JSON object)::
@@ -62,18 +71,15 @@ synthesized circuit, or with ``--lower`` the lowered one (``--qasm``: as QASM).
 Catalog ``params`` and ``sweep.parameter`` are the keyword parameters of
 the channel constructor in ``channels`` (``_CATALOG`` maps each name to
 it), so a parameter the channel does not take is a configuration error,
-as is a missing one.  ``readout`` applies only in sampled mode.  It is
-passed to ``ReadoutModel``, which validates it: numeric rates (a
-string or a boolean is rejected, not read as a rate) in [0, 0.5],
-per-qubit tuples of one length, and no singular confusion matrix.  A
-per-qubit tuple covers the system qubits, the only ones measured, and
-is checked against their count before any circuit is built.
-``seed`` must be >= 0.
+as is a missing one.  Each param is read before the constructor is called,
+by the reader its annotation names (``int`` or ``float``).  ``readout``
+applies only in sampled mode.  It is passed to ``ReadoutModel``, which
+validates it: rates in [0, 0.5], per-qubit tuples of one length, and no
+singular confusion matrix.  A per-qubit tuple covers the system qubits,
+the only ones measured, and is checked against their count before any
+circuit is built.  ``seed`` is any integer >= 0.
 
-The sweep grid must be nonempty, finite and monotone.  Integer fields (``shots``,
-``seed``, ``mixed_method``, ``sweep.points``, the catalog ``d``) take
-integral numbers: ``7.0`` reads as 7, while ``2.9`` or ``true`` is a
-configuration error.  CSV columns are fixed:
+The sweep grid must be nonempty, finite and monotone.  CSV columns are fixed:
 ``param_value,C_theory,C_measured,trace_distance,mode,shots,seed,
 synth_gate_count,lowered_gate_count``.  Identical config and seed give
 byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
@@ -106,6 +112,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -131,6 +138,7 @@ from .dilation import (
     mixed_method_purify_evolved,
 )
 from .numerics import (
+    ConfigError,
     DensityMatrix,
     PureState,
     bloch_state,
@@ -138,6 +146,7 @@ from .numerics import (
     trace_distance,
     uniform_state,
 )
+from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
 from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, run_branches, sample
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
@@ -165,13 +174,12 @@ FIDELITY_FLOOR = 1.0 - 1e-9
 # complex (268 MB at m = 8), so m is bounded here, before any circuit.
 MAX_TOMOGRAPHY_QUBITS = 6
 
+# numpy draws shot counts and sizes arrays as int64
+_INT64_MAX = 2**63 - 1
+
 # the measured fields of a failed point's row
 _FAILED_POINT = dict(c_theory=float("nan"), c_measured=float("nan"), trace_distance=float("nan"),
                      synth_gate_count=0, lowered_gate_count=0)
-
-
-class ConfigError(ValueError):
-    """Malformed configuration, channel file, or command arguments."""
 
 
 class VerificationError(RuntimeError):
@@ -186,7 +194,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _hw_dephasing(p0: float, d: int = 3) -> KrausChannel:
-    return ch_mod.hw_dephasing(_field("d", _integer, d), p0)
+    return ch_mod.hw_dephasing(d, p0)
 
 
 # catalog channels reachable by name; each is called with the params as keywords
@@ -202,6 +210,10 @@ _CATALOG: dict[str, Callable[..., KrausChannel]] = {
     "qutrit_amplitude_damping": ch_mod.qutrit_amplitude_damping,
     "spin_boost": ch_mod.spin_boost_channel,
 }
+# each catalog channel's params, each with the reader its annotation (int or float) names
+_PARAM_READERS = {name: {key: {int: read_integer, float: read_real}[param.annotation]
+                         for key, param in inspect.signature(factory, eval_str=True).parameters.items()}
+                  for name, factory in _CATALOG.items()}
 
 
 @dataclass(frozen=True)
@@ -249,36 +261,15 @@ class SweepRow:
         )
 
 
-def _field(name: str, convert: Callable, value):
-    """``convert(value)``, or a ConfigError that names the field; a JSON integer
-    too large for a float is one too."""
+def _field(name: str, convert: Callable, *args):
+    """``convert(*args)``, or a ConfigError that names the field; a reader's
+    ConfigError, which names its own field, passes unchanged."""
     try:
-        return convert(value)
+        return convert(*args)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """``value`` as an int; a boolean or a fractional number is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """``value`` as a float: only an int or a float is read, so a boolean is
-    rejected, not read as 1.0 or 0.0, and so is a string that spells a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a real number, got {value!r}")
-    return float(value)
-
-
-def _finite(value) -> float:
-    """``value`` as a float; a boolean, NaN or an infinity is rejected."""
-    number = _real(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {number}")
-    return number
 
 
 def _read_json_file(path: str, what: str):
@@ -297,27 +288,20 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _complex_entry(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(_real(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real(value[0]), _real(value[1]))
-    raise ConfigError(f"cannot read complex entry {value!r}")
-
-
-def _bloch(angles) -> PureState:
-    if not isinstance(angles, (list, tuple)) or len(angles) != 2:
+def _bloch(angles, path: str) -> PureState:
+    if len(read_list(angles, path)) != 2:
         raise ValueError("must be [theta, phi]")
-    return bloch_state(_real(angles[0]), _real(angles[1]))
+    return bloch_state(*(read_real(angle, f"{path} entry {i}") for i, angle in enumerate(angles)))
 
 
-# initial_state forms, in the order their keys are looked up
-_INITIAL_FORMS: dict[str, Callable[[object], object]] = {
+# initial_state forms, in the order their keys are looked up; each is called
+# with the value and its field path
+_INITIAL_FORMS: dict[str, Callable[[object, str], object]] = {
     "bloch": _bloch,
-    "amplitudes": lambda amps: PureState(np.array([_complex_entry(v) for v in amps])),
-    "density_matrix": lambda rows: DensityMatrix(
-        np.array([[_complex_entry(v) for v in row] for row in rows])
+    "amplitudes": lambda amps, path: PureState(
+        np.array([read_complex(v, f"{path} entry {i}") for i, v in enumerate(read_list(amps, path))])
     ),
+    "density_matrix": lambda rows, path: DensityMatrix(read_matrix(rows, path)),
 }
 
 
@@ -325,11 +309,10 @@ def _parse_initial(raw) -> object:
     """Returns a PureState, a DensityMatrix, or the marker "uniform"."""
     if raw is None or raw == "uniform":
         return "uniform"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"unrecognized initial_state {raw!r}")
+    raw = read_object(raw, "initial_state")
     for key, parse in _INITIAL_FORMS.items():
         if key in raw:
-            return _field(f"initial_state.{key}", parse, raw[key])
+            return _field(f"initial_state.{key}", parse, raw[key], f"initial_state.{key}")
     raise ConfigError(f"unrecognized initial_state keys {sorted(raw)}")
 
 
@@ -338,55 +321,47 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _catalog_factory(name) -> Callable[..., KrausChannel]:
-    if not isinstance(name, str) or name not in _CATALOG:
-        raise ConfigError(f"unknown channel {name!r}; catalog: {sorted(_CATALOG)}")
+    if read_string(name, "channel.name") not in _CATALOG:
+        raise ConfigError(f"channel.name: unknown channel {name!r}; catalog: {sorted(_CATALOG)}")
     return _CATALOG[name]
 
 
 def _channel_source(channel) -> tuple[str | None, str | None, dict]:
     """``(name, file, params)`` of a channel given as ``{"name": ..,
     "params": {..}}`` or ``{"file": ..}``: the one channel rule of sweep
-    configs and ``oracle``."""
-    if not isinstance(channel, dict) or not ({"name", "file"} & set(channel)):
-        raise ConfigError('channel: give a catalog "name" or a "file"')
-    if {"name", "file"} <= set(channel):
-        raise ConfigError('channel: give "name" or "file", not both')
-    if {"file", "params"} <= set(channel):
-        raise ConfigError('channel: a "file" channel takes no "params"')
+    configs and ``oracle``.  A null field is an absent one."""
+    channel = read_object(channel, "channel")
     name = channel.get("name")
-    file_ = channel.get("file")
+    file_ = read_string(channel.get("file"), "channel.file", None)
+    params = read_object(channel.get("params"), "channel.params", {})
+    if name is None and file_ is None:
+        raise ConfigError("channel: give a catalog channel.name or a channel.file")
+    if name is not None and file_ is not None:
+        raise ConfigError('channel: give "name" or "file", not both')
+    if file_ is not None and params:
+        raise ConfigError('channel: a "file" channel takes no "params"')
     if name is not None:
         _catalog_factory(name)
-    if file_ is not None and not isinstance(file_, str):
-        raise ConfigError("channel.file must be a path")
-    params = channel.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("channel.params must be an object")
     return name, file_, params
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+    """The config in ``data``; every field is read by a ``numerics`` reader,
+    and an optional field given as null is absent."""
+    data = read_object(data, "config")
     name, file_, params = _channel_source(data.get("channel"))
 
-    sweep = data.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError('config needs a "sweep" object')
-    parameter = sweep.get("parameter")
+    sweep = read_object(data.get("sweep"), "sweep")
+    parameter = read_string(sweep.get("parameter"), "sweep.parameter", None)
     if file_ is not None and parameter is not None:
         raise ConfigError(f'channel: a "file" channel takes no sweep.parameter, got {parameter!r}')
     if "grid" in sweep:
-        if not isinstance(sweep["grid"], (list, tuple)):
-            raise ConfigError("sweep.grid must be a list of values")
-        grid = tuple(_field(f"sweep.grid entry {i}", _finite, v) for i, v in enumerate(sweep["grid"]))
+        entries = read_list(sweep["grid"], "sweep.grid")
+        grid = tuple(read_real(v, f"sweep.grid entry {i}", finite=True) for i, v in enumerate(entries))
     elif {"start", "stop", "points"} <= set(sweep):
-        points = _field("sweep.points", _integer, sweep["points"])
-        if points < 1:
-            raise ConfigError("sweep.points must be >= 1")
-        start = _field("sweep.start", _finite, sweep["start"])
-        stop = _field("sweep.stop", _finite, sweep["stop"])
-        grid = tuple(np.linspace(start, stop, points))
+        points = read_integer(sweep["points"], "sweep.points", 1, _INT64_MAX)
+        start = read_real(sweep["start"], "sweep.start", finite=True)
+        grid = tuple(np.linspace(start, read_real(sweep["stop"], "sweep.stop", finite=True), points))
     else:
         raise ConfigError('sweep needs "grid" or start/stop/points')
     if not grid:
@@ -396,32 +371,25 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("sweep grid must be monotone")
     if file_ is not None and len(grid) > 1:
         raise ConfigError("file-based channels cannot be swept; use a single grid value")
-    if name is not None and not isinstance(parameter, str):
-        raise ConfigError("sweep.parameter is required for catalog channels")
+    if name is not None and parameter is None:
+        raise ConfigError("sweep.parameter: required for catalog channels")
 
-    mode = data.get("mode", "exact")
+    mode = read_string(data.get("mode"), "mode", "exact")
     if mode not in ("exact", "sampled"):
-        raise ConfigError(f'mode must be "exact" or "sampled", got {mode!r}')
-    shots = _field("shots", _integer, data.get("shots", 0))
+        raise ConfigError(f'mode: must be "exact" or "sampled", got {mode!r}')
+    shots = read_integer(data.get("shots"), "shots", maximum=_INT64_MAX, default=0)
     if mode == "sampled" and shots < 1:
         raise ConfigError("sampled mode needs shots >= 1")
-    seed = _field("seed", _integer, data.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    seed = read_integer(data.get("seed"), "seed", 0, default=0)
 
     readout = data.get("readout")
     if readout is not None:
         if mode != "sampled":
             raise ConfigError("readout: applies only in sampled mode")
-        readout = _field("readout", lambda r: ReadoutModel(**r), readout)
+        readout = _field("readout", lambda r: ReadoutModel(**r), read_object(readout, "readout"))
 
-    mixed_method = _field("mixed_method", _integer, data.get("mixed_method", 3))
-    if mixed_method not in (1, 2, 3):
-        raise ConfigError("mixed_method must be 1, 2 or 3")
-
-    output = data.get("output") or {}
-    if not isinstance(output, dict) or not isinstance(output.get("csv", ""), str):
-        raise ConfigError('output must be an object {"csv": <path>}')
+    mixed_method = read_integer(data.get("mixed_method"), "mixed_method", 1, 3, default=3)
+    output = read_object(data.get("output"), "output", {})
 
     return ExperimentConfig(
         channel_name=name,
@@ -435,7 +403,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         seed=seed,
         readout=readout,
         mixed_method=mixed_method,
-        csv_path=output.get("csv"),
+        csv_path=read_string(output.get("csv"), "output.csv", None),
     )
 
 
@@ -455,10 +423,9 @@ def _load_channel(name: str | None, path: str | None, params: dict) -> KrausChan
             raise ConfigError(f"channel file {path} is not CPTP: completeness residual "
                               f"{report.residual:.3e} above {report.tol:.1e}")
         return channel
-    factory = _catalog_factory(name)
-    for key, value in params.items():
-        if isinstance(value, bool):
-            raise ConfigError(f"channel {name!r}: parameter {key}: must be a number, got {value!r}")
+    factory, readers = _catalog_factory(name), _PARAM_READERS[name]
+    params = {key: readers[key](value, f"channel.params.{key}") if key in readers else value
+              for key, value in params.items()}
     try:
         return factory(**params)
     except (TypeError, ValueError) as exc:
@@ -659,7 +626,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         option, entries = "--state-file", _read_json_file(args.state_file, "state file")
     else:
         option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
-    target = _field(option, _INITIAL_FORMS["amplitudes"], entries)
+    target = _field(option, _INITIAL_FORMS["amplitudes"], entries, option)
     synthesized, _, lowered, _ = _field("synthesis", lambda t: _compile(t, ()), target)
     circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
@@ -702,8 +669,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if not sep:
             raise ConfigError(f"bad --param {item!r}; use name=value")
         params[key] = _field(f"--param {key}", float, raw)
-    given = {"name": args.channel, "file": args.channel_file, "params": params or None}
-    channel = _load_channel(*_channel_source({k: v for k, v in given.items() if v is not None}))
+    channel = _load_channel(*_channel_source({"name": args.channel, "file": args.channel_file, "params": params}))
     state = _field("--state", json.loads, args.state) if args.state.startswith("{") else args.state
     rho0, _ = _initial_density(_parse_initial(state), channel.dim)
     out = apply_channel(channel, rho0)

@@ -5,6 +5,18 @@ Matrices are kept small (composite dimensions up to ``2**10``), so dense
 routines are used throughout.  Two module constants, ``VALIDATION_TOL``
 and ``EIGEN_TOL``, hold the thresholds, so the whole package agrees on
 what "numerically zero" means.
+
+The typed readers (``read_integer``, ``read_real``, which with
+``finite=True`` also rejects NaN and infinities, ``read_complex``,
+``read_string``, ``read_list`` and ``read_object``, and ``read_matrix`` for
+a square list of rows of complex entries) are the one rule for what a JSON
+field holds.  Each accepts only its own JSON
+type: no reader takes a boolean, and none takes a string that spells a
+number; ``read_integer`` takes a float without a fraction (``7.0`` reads
+as 7).  A reader given a ``default`` reads a null (absent) field as it.
+Every rejection is a :class:`ConfigError` whose message starts with the
+field's full path, such as ``sweep.points`` or ``Kraus operator 1 entry
+(0, 1)``.
 """
 
 from __future__ import annotations
@@ -16,6 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "read_integer", "read_real", "read_complex",
+    "read_string", "read_list", "read_object", "read_matrix",
     "MAX_DIM",
     "MAX_QUBITS",
     "VALIDATION_TOL",
@@ -44,6 +59,82 @@ def check_register(qubits: int, stage: str) -> None:
             f"{stage}: {qubits} qubits exceeds the register limit of "
             f"{MAX_QUBITS} qubits (state dimension {MAX_DIM})"
         )
+
+
+class ConfigError(ValueError):
+    """Malformed configuration, channel file, or command arguments."""
+
+
+_REQUIRED = object()
+
+
+def _typed(value, path: str, types, kind: str, default=_REQUIRED):
+    """``value`` if it is one of ``types`` and no boolean, or ``default``, when
+    one is given, for a null value."""
+    if value is None and default is not _REQUIRED:
+        return default
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: must be {kind}, got {value!r}")
+    return value
+
+
+def read_integer(value, path: str, minimum=None, maximum=None, default=_REQUIRED) -> int:
+    """An integer, or a float without a fraction, within the bounds given."""
+    number = _typed(value, path, (int, float), "an integer", default)
+    if isinstance(number, float) and not number.is_integer():
+        raise ConfigError(f"{path}: must be an integer, got {number!r}")
+    number = int(number)
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {number}")
+    return number
+
+
+def read_real(value, path: str, finite: bool = False) -> float:
+    """A number as a float, and with ``finite`` neither NaN nor infinite; an
+    integer too large for a float is rejected."""
+    try:
+        number = float(_typed(value, path, (int, float), "a real number"))
+    except OverflowError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number}")
+    return number
+
+
+def read_complex(value, path: str) -> complex:
+    """A real number, or an ``[re, im]`` pair of them, as a complex."""
+    pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    try:
+        return complex(read_real(pair[0], path), read_real(pair[1], path))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: must be a number or [re, im], got {value!r}") from exc
+
+
+def read_string(value, path: str, default=_REQUIRED) -> str:
+    """A JSON string."""
+    return _typed(value, path, str, "a string", default)
+
+
+def read_list(value, path: str) -> list:
+    """A JSON array: a list, or a tuple from a Python caller."""
+    return _typed(value, path, (list, tuple), "a list")
+
+
+def read_object(value, path: str, default=_REQUIRED) -> dict:
+    """A JSON object."""
+    return _typed(value, path, dict, "an object", default)
+
+
+def read_matrix(value, path: str) -> np.ndarray:
+    """A square complex matrix: a list of rows, each with one :func:`read_complex` entry per row."""
+    rows = read_list(value, path)
+    for i, row in enumerate(rows):
+        if len(read_list(row, f"{path} row {i}")) != len(rows):
+            raise ConfigError(f"{path} row {i}: must have {len(rows)} entries, got {len(row)}")
+    return np.array([[read_complex(v, f"{path} entry ({i}, {j})") for j, v in enumerate(row)]
+                     for i, row in enumerate(rows)], dtype=np.complex128)
 
 
 # thresholds of state and channel validation, and of eigensolver checks

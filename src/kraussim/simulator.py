@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import PureState, check_register
+from .numerics import PureState, check_register, read_real
 from .qsp import Circuit, Gate, GrayWalk, Multiplexor, check_qubits, rotation_stack
 
 __all__ = [
@@ -290,8 +290,9 @@ class ReadoutModel:
     """Independent per-qubit readout flips.
 
     ``e0[q]`` is the probability of reading 1 when qubit q is 0, and
-    ``e1[q]`` of reading 0 when it is 1.  Each is a number or a sequence
-    of numbers; a string or a boolean is rejected, not read as a rate.
+    ``e1[q]`` of reading 0 when it is 1.  Each is a number or a list or
+    tuple of numbers, each read by ``numerics.read_real`` as the config's
+    ``readout.e0`` or ``readout.e1`` (entry i).
     Scalars broadcast over all qubits; two tuples must have the same
     length.  Both probabilities are capped at 0.5, so a qubit's
     :meth:`confusion` matrix is singular only at e0 = e1 = 0.5, which is
@@ -303,12 +304,10 @@ class ReadoutModel:
 
     def __post_init__(self) -> None:
         for name in ("e0", "e1"):
-            value = getattr(self, name)
-            scalar = isinstance(value, (int, float, str))
-            vals = (value,) if scalar else tuple(value)
-            if any(isinstance(v, (str, bool)) for v in vals):
-                raise ValueError(f"{name}: rates must be numbers, got {value!r}")
-            vals = tuple(float(v) for v in vals)
+            value, path = getattr(self, name), f"readout.{name}"
+            scalar = not isinstance(value, (list, tuple))
+            vals = (read_real(value, path),) if scalar else tuple(
+                read_real(v, f"{path} entry {i}") for i, v in enumerate(value))
             for v in vals:
                 if not 0.0 <= v <= 0.5:
                     raise ValueError(f"{name} entry {v} outside [0, 0.5]")

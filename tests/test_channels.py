@@ -35,7 +35,8 @@ from kraussim.channels import (
     wigner_channel,
     wigner_rotation,
 )
-from kraussim.numerics import DensityMatrix, bloch_state, uniform_state
+from kraussim import channels
+from kraussim.numerics import MAX_DIM, DensityMatrix, bloch_state, uniform_state
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 UNIFORM3 = DensityMatrix(np.full((3, 3), 1.0 / 3.0))
@@ -172,6 +173,15 @@ def test_hw_dephasing_anchor_values():
     assert l1_coherence(apply_channel(hw_dephasing(3, 1.0 / 3.0), UNIFORM3)) < 1e-10
 
 
+def test_hw_dephasing_checks_d_before_building_an_operator(monkeypatch):
+    # d = 2000 once built 2000 dense 2000 x 2000 operators, about 128 GB,
+    # before KrausChannel checked the dimension; no operator is built now
+    monkeypatch.setattr(channels, "hw_phase", lambda d, k: pytest.fail("an operator was built"))
+    for d in (0, 1, MAX_DIM + 1, 2000, 10**400):
+        with pytest.raises(ValueError, match=f"^qudit dimension d={d} outside \\[2, {MAX_DIM}\\]$"):
+            hw_dephasing(d, 0.5)
+
+
 def _qutrit_adc_closed_form(gamma, last_coeff):
     return (2.0 / 3.0) * (abs(1 - gamma) ** 1.5 + abs(1 - gamma)) + last_coeff * abs(
         (np.sqrt(2) * gamma + 1) * np.sqrt(1 - gamma)
@@ -305,12 +315,12 @@ def test_channel_from_dict_rejects_booleans_and_strings():
     for value in (True, "0.3"):
         data = channel_to_dict(bit_flip(0.3))
         data["params"]["p"] = value
-        with pytest.raises(ValueError, match=f"^channel param 'p' is not a number: {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^params.p: must be a real number, got {re.escape(repr(value))}$"):
             channel_from_dict(data)
     for entry in (["1", 0], [0.0, "0"], [0.5, False]):
         data = channel_to_dict(bit_flip(0.3))
         data["kraus"][1][0][1] = entry
-        with pytest.raises(ValueError, match=f"^Kraus operator 1 entry \\(0, 1\\) is not a number: {re.escape(repr(entry))}$"):
+        with pytest.raises(ValueError, match=f"^Kraus operator 1 entry \\(0, 1\\): must be a number or \\[re, im\\], got {re.escape(repr(entry))}$"):
             channel_from_dict(data)
     # integers are numbers
     data = channel_to_dict(bit_flip(0.0))

@@ -612,6 +612,14 @@ def _bool_channel(tmp):
     return str(tmp / "ch.json")
 
 
+def _record(tmp, change, data=None):
+    # bit_flip(0.3)'s channel record, or ``data``, after ``change``
+    data = data or channel_to_dict(bit_flip(0.3))
+    change(data)
+    (tmp / "ch.json").write_text(json.dumps(data))
+    return ["validate", str(tmp / "ch.json")]
+
+
 def _not_cptp(tmp):
     # bit_flip(0.3) with K0 scaled by 1.1: sum K^dag K = 1.147 I
     k0, k1 = bit_flip(0.3).kraus_ops
@@ -743,9 +751,9 @@ ERROR_CASES = {
                                   1, "config error:", 'channel: a "file" channel takes no sweep.parameter'),
     # "00" has one character per qubit of the 2-qubit register
     "sweep-readout-string": (_sweep(mode="sampled", shots=16, readout={"e0": "00", "e1": 0.03}), None,
-                             1, "config error:", "readout: e0: rates must be numbers, got '00'"),
+                             1, "config error:", "readout.e0: must be a real number, got '00'"),
     "sweep-readout-bool": (_sweep(mode="sampled", shots=16, readout={"e0": 0.01, "e1": [False, 0.03]}),
-                           None, 1, "config error:", "readout: e1: rates must be numbers"),
+                           None, 1, "config error:", "readout.e1 entry 0: must be a real number, got False"),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     # a NaN point once reached the oracle and failed there (exit 2)
     "sweep-grid-nan": (_sweep(channel={"name": "spin_boost", "params": {}},
@@ -789,31 +797,79 @@ ERROR_CASES = {
     "sweep-stop-bool": (_sweep_range(stop=True), None,
                         1, "config error:", "sweep.stop: must be a real number, got True"),
     "sweep-amplitudes-bool": (_sweep(initial_state={"amplitudes": [True, 0]}), None,
-                              1, "config error:", "initial_state.amplitudes: must be a real number, got True"),
+                              1, "config error:", "initial_state.amplitudes entry 0: must be a number or [re, im], got True"),
     "sweep-amplitudes-pair-bool": (_sweep(initial_state={"amplitudes": [[1.0, False], 0]}), None,
-                                   1, "config error:", "initial_state.amplitudes: must be a real number, got False"),
+                                   1, "config error:", "initial_state.amplitudes entry 0: must be a number or [re, im], got [1.0, False]"),
     "sweep-density-matrix-bool": (_sweep(initial_state={"density_matrix": [[True, 0], [0, 0]]}), None,
-                                  1, "config error:", "initial_state.density_matrix: must be a real number, got True"),
+                                  1, "config error:", "initial_state.density_matrix entry (0, 0): must be a number or [re, im], got True"),
     "sweep-bloch-bool": (_sweep(initial_state={"bloch": [True, 0.0]}), None,
-                         1, "config error:", "initial_state.bloch: must be a real number, got True"),
+                         1, "config error:", "initial_state.bloch entry 0: must be a real number, got True"),
     "sweep-params-bool": (_sweep(channel={"name": "generalized_amplitude_damping", "params": {"n": True}}), None,
-                          1, "config error:",
-                          "channel 'generalized_amplitude_damping': parameter n: must be a number, got True"),
+                          1, "config error:", "channel.params.n: must be a real number, got True"),
     "validate-kraus-bool": (lambda tmp: ["validate", _bool_channel(tmp)], None,
                             1, "config error: cannot load channel file",
-                            "Kraus operator 0 entry (0, 0) is not a number: [True, 0.0]"),
+                            "Kraus operator 0 entry (0, 0): must be a number or [re, im], got [True, 0.0]"),
     "synth-amplitudes-bool": (lambda tmp: ["synth", "--amplitudes", "[true,false]"], None,
-                              1, "config error:", "--amplitudes: must be a real number, got True"),
+                              1, "config error:", "--amplitudes entry 0: must be a number or [re, im], got True"),
     # a JSON string that spells a number, which once read as that number
     "sweep-grid-entry-string": (_sweep(sweep={"parameter": "p", "grid": ["0.25"]}), None,
                                 1, "config error:", "sweep.grid entry 0: must be a real number, got '0.25'"),
     "sweep-amplitudes-pair-string": (_sweep(initial_state={"amplitudes": [["0.6", 0], 0.8]}), None,
-                                     1, "config error:", "initial_state.amplitudes: must be a real number, got '0.6'"),
+                                     1, "config error:", "initial_state.amplitudes entry 0: must be a number or [re, im], got ['0.6', 0]"),
     "synth-amplitudes-pair-string": (lambda tmp: ["synth", "--amplitudes", '[["0.6", 0], 0.8]'], None,
-                                     1, "config error:", "--amplitudes: must be a real number, got '0.6'"),
+                                     1, "config error:", "--amplitudes entry 0: must be a number or [re, im], got ['0.6', 0]"),
     # a JSON integer that no float holds, which once ended in a traceback
     "sweep-grid-huge-int": (_sweep(sweep={"parameter": "p", "grid": [10**400]}), None,
                             1, "config error:", "sweep.grid entry 0: int too large to convert to float"),
+    # a channel record's dim is an integer, and each operator a square list of rows;
+    # the dims once passed validate, the operators once ended in an IndexError
+    "validate-dim-fraction": (lambda tmp: _record(tmp, lambda d: d.update(dim=2.9)), None,
+                              1, "config error: cannot load channel file", "dim: must be an integer, got 2.9"),
+    "validate-dim-string": (lambda tmp: _record(tmp, lambda d: d.update(dim="2")), None,
+                            1, "config error: cannot load channel file", "dim: must be an integer, got '2'"),
+    "validate-dim-bool": (lambda tmp: _record(tmp, lambda d: d.update(dim=True), {"kraus": [[[[1.0, 0.0]]]]}), None,
+                          1, "config error: cannot load channel file", "dim: must be an integer, got True"),
+    "validate-kraus-empty": (lambda tmp: _record(tmp, lambda d: d.update(dim=1), {"kraus": [[]]}), None,
+                             1, "config error: cannot load channel file", "Kraus operator 0 has non-square shape (0,)"),
+    "validate-kraus-long-row": (lambda tmp: _record(tmp, lambda d: d["kraus"][1][1].append([0.0, 0.0])), None,
+                                1, "config error: cannot load channel file",
+                                "Kraus operator 1 row 1: must have 2 entries, got 3"),
+    # a JSON string that spells an integer, which once ran as that integer
+    "sweep-seed-string": (_sweep(seed="7"), None, 1, "config error:", "seed: must be an integer, got '7'"),
+    "sweep-shots-string": (_sweep(mode="sampled", shots="64"), None,
+                           1, "config error:", "shots: must be an integer, got '64'"),
+    "sweep-points-string": (_sweep_range(points="2"), None,
+                            1, "config error:", "sweep.points: must be an integer, got '2'"),
+    "sweep-mixed-method-string": (_sweep(mixed_method="2"), None,
+                                  1, "config error:", "mixed_method: must be an integer, got '2'"),
+    "sweep-catalog-d-string": (_sweep(channel={"name": "hw_dephasing", "params": {"d": "3"}},
+                                      sweep={"parameter": "p0", "grid": [0.5]}), None,
+                               1, "config error:", "channel.params.d: must be an integer, got '3'"),
+    # a catalog param of the wrong type, which once failed inside the channel without its name
+    "sweep-params-string": (_sweep(channel={"name": "generalized_amplitude_damping", "params": {"n": "0.3"}}), None,
+                            1, "config error:", "channel.params.n: must be a real number, got '0.3'"),
+    "sweep-params-list": (_sweep(channel={"name": "generalized_amplitude_damping", "params": {"n": [0.3]}}), None,
+                          1, "config error:", "channel.params.n: must be a real number, got [0.3]"),
+    "sweep-params-null": (_sweep(channel={"name": "generalized_amplitude_damping", "params": {"n": None}}), None,
+                          1, "config error:", "channel.params.n: must be a real number, got None"),
+    # integers no int64 holds, which once ended in a traceback from numpy
+    "sweep-shots-huge-int": (_sweep(mode="sampled", shots=10**400), None,
+                             1, "config error:", f"shots: must be <= {2**63 - 1}, got {10**400}"),
+    "sweep-shots-int64": (_sweep(mode="sampled", shots=2**63), None,
+                          1, "config error:", f"shots: must be <= {2**63 - 1}, got {2**63}"),
+    "sweep-points-huge-int": (_sweep_range(points=10**400), None,
+                              1, "config error:", f"sweep.points: must be <= {2**63 - 1}, got {10**400}"),
+    "sweep-points-int64": (_sweep_range(points=2**63), None,
+                           1, "config error:", f"sweep.points: must be <= {2**63 - 1}, got {2**63}"),
+    "sweep-catalog-d-huge-int": (_sweep(channel={"name": "hw_dephasing", "params": {"d": 10**400}},
+                                        sweep={"parameter": "p0", "grid": [0.5]}), None,
+                                 1, "config error: channel 'hw_dephasing':",
+                                 f"qudit dimension d={10**400} outside [2, 1024]"),
+    # an output that is no object, which once ran as no output
+    "sweep-output-list": (_sweep(output=[]), None, 1, "config error:", "output: must be an object, got []"),
+    "sweep-output-false": (_sweep(output=False), None, 1, "config error:", "output: must be an object, got False"),
+    "sweep-output-zero": (_sweep(output=0), None, 1, "config error:", "output: must be an object, got 0"),
+    "sweep-output-empty": (_sweep(output=""), None, 1, "config error:", "output: must be an object, got ''"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
                         2, "point 0.25:", "synthesis fidelity"),
@@ -871,3 +927,109 @@ def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
             np.testing.assert_allclose(
                 np.abs(exported.amplitudes) ** 2, np.abs(row) ** 2, rtol=0, atol=1e-12
             )
+
+
+# Generated error matrix: in each valid config, every field in turn takes
+# each wrong value below.  A field's path is the one its config error
+# names: dotted object keys, then "entry i" in a list, "row i" and
+# "entry (i, j)" in a matrix, and "Kraus operator k" in a channel record;
+# a part of an [re, im] entry is named by its entry.
+WRONG_VALUES = (True, "0.5", [[]], {}, None, "NaN", 10**400)
+MATRIX_BASES = {  # name: (config, channel record written to ch.json or None, optional fields)
+    "exact-catalog": ({
+        "channel": {"name": "generalized_amplitude_damping", "params": {"n": 0.25}},
+        "initial_state": {"bloch": [0.7, 0.3]},
+        "sweep": {"parameter": "p", "grid": [0.2, 0.6]},
+        "mode": "exact", "seed": 3, "mixed_method": 3, "output": {"csv": "out.csv"},
+    }, None, {"channel.params", "initial_state", "mode", "seed", "mixed_method", "output", "output.csv"}),
+    "sampled-readout": ({
+        "channel": {"name": "bit_flip", "params": {}},
+        "initial_state": {"amplitudes": [0.6, [0.0, 0.8]]},
+        "sweep": {"parameter": "p", "start": 0.1, "stop": 0.3, "points": 2},
+        "mode": "sampled", "shots": 32, "seed": 5, "readout": {"e0": 0.02, "e1": [0.03]},
+    }, None, {"channel.params", "initial_state", "mode", "seed", "readout"}),
+    "channel-file": ({
+        "channel": {"file": "ch.json"}, "sweep": {"grid": [0.0]}, "mode": "exact",
+    }, channel_to_dict(bit_flip(0.3)), {"mode", "label", "params"}),
+    "density-matrix": ({
+        "channel": {"name": "depolarizing", "params": {}},
+        "initial_state": {"density_matrix": [[0.75, [0.25, 0.0]], [[0.25, -0.0], 0.25]]},
+        "sweep": {"parameter": "p", "grid": [0.5]}, "mixed_method": 2,
+    }, None, {"channel.params", "initial_state", "mixed_method"}),
+}
+
+
+def _fields(value, keys=()):
+    """Every field below ``value``, as its key path."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield keys + (key,)
+        yield from _fields(child, keys + (key,))
+
+
+def _error_path(keys):
+    names = ".".join(k for k in keys if isinstance(k, str))
+    index = [k for k in keys if isinstance(k, int)]
+    if names == "kraus" and index:
+        names, index = f"Kraus operator {index[0]}", index[1:]
+    if not index:
+        return names
+    if names.startswith("Kraus") or names.endswith("density_matrix"):
+        return f"{names} row {index[0]}" if len(index) == 1 else f"{names} entry ({index[0]}, {index[1]})"
+    return f"{names} entry {index[0]}"
+
+
+def _matrix_cases():
+    for base, (config, record, optional) in MATRIX_BASES.items():
+        for part, data in (("config", config), ("record", record)):
+            for keys in _fields(data or {}):
+                yield pytest.param(base, part, keys, id=f"{base}-{part}-" + ".".join(map(str, keys)))
+
+
+def _replaced(data, keys, value):
+    """A copy of ``data`` with the field at ``keys`` set to ``value``, and the field's old value."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    original, target[keys[-1]] = target[keys[-1]], value
+    return data, original
+
+
+def _run_matrix_config(tmp_path, config, record):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    if record is not None:
+        (tmp_path / "ch.json").write_text(json.dumps(record))
+    return main(["sweep", "cfg.json", "--csv", "rows.csv"])
+
+
+@pytest.mark.parametrize("base", sorted(MATRIX_BASES))
+def test_error_matrix_bases_run(base, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config, record, _ = MATRIX_BASES[base]
+    assert _run_matrix_config(tmp_path, config, record) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("base", "part", "keys"), list(_matrix_cases()))
+def test_error_matrix(base, part, keys, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config, record, optional = MATRIX_BASES[base]
+    path = _error_path(keys)
+    tried = 0
+    for value in WRONG_VALUES:
+        data, original = _replaced(config if part == "config" else record, keys, value)
+        if (type(value) is type(original) and not isinstance(original, (int, float))
+                or value is None and path in optional
+                or value == 10**400 and path == "seed"):  # seed takes any integer >= 0
+            continue  # a string, list or object for a field of that type, or a null optional field
+        tried += 1
+        code = _run_matrix_config(tmp_path, *((data, record) if part == "config" else (config, data)))
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        case = f"{path} = {value!r}"
+        assert code == 1, case
+        assert len(lines) == 1 and lines[0].startswith("config error: "), (case, err)
+        assert path in lines[0], (case, lines[0])
+        assert "Traceback" not in out + err and out == "", case
+        assert not list(tmp_path.glob("*.csv")), case
+    assert tried >= 4

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_density, random_pure
 from kraussim.numerics import (
+    ConfigError,
     DensityMatrix,
     PureState,
     basis_state,
@@ -12,11 +13,61 @@ from kraussim.numerics import (
     herm_eig,
     kron,
     partial_trace,
+    read_complex,
+    read_integer,
+    read_list,
+    read_matrix,
+    read_object,
+    read_real,
+    read_string,
     trace_distance,
     uniform_state,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def test_readers_accept_only_their_own_json_type():
+    assert read_integer(7, "f") == 7 and type(read_integer(7.0, "f")) is int and read_integer(7.0, "f") == 7
+    assert read_real(3, "f") == 3.0 and type(read_real(3, "f")) is float
+    assert read_complex(0.5, "f") == 0.5 and read_complex([0.5, -1], "f") == complex(0.5, -1.0)
+    assert read_string("s", "f") == "s" and read_list([1], "f") == [1] and read_object({}, "f") == {}
+    rejected = [
+        (read_integer, (True, "7", 2.9, float("nan"), float("inf"), None, [7]), "must be an integer"),
+        (read_real, (True, False, "0.5", "NaN", None, [0.5], {}), "must be a real number"),
+        (read_complex, (True, "0.5", [0.5, True], ["0.5", 0], [0.5], [0.5, 0, 0], None), r"must be a number or \[re, im\]"),
+        (read_string, (True, 5, None, ["s"]), "must be a string"),
+        (read_list, (True, "[1]", None, {}), "must be a list"),
+        (read_object, (True, "{}", None, []), "must be an object"),
+    ]
+    for reader, values, problem in rejected:
+        for value in values:
+            with pytest.raises(ConfigError, match=f"^sweep.points: {problem}, got "):
+                reader(value, "sweep.points")
+
+
+def test_reader_bounds_defaults_and_huge_integers():
+    assert read_integer(None, "seed", 0, default=0) == 0 and read_string(None, "mode", default="exact") == "exact"
+    assert read_object(None, "output", {}) == {} and read_integer(10**400, "seed", 0) == 10**400
+    with pytest.raises(ConfigError, match="^seed: must be >= 0, got -1$"):
+        read_integer(-1, "seed", 0)
+    with pytest.raises(ConfigError, match=f"^shots: must be <= {2**63 - 1}, got {2**63}$"):
+        read_integer(2**63, "shots", maximum=2**63 - 1)
+    with pytest.raises(ConfigError, match="^g: int too large to convert to float$"):
+        read_real(10**400, "g")
+    with pytest.raises(ConfigError, match="^g: must be finite, got nan$"):
+        read_real(float("nan"), "g", finite=True)
+    assert np.isnan(read_real(float("nan"), "g"))
+
+
+def test_matrix_reader_names_the_row_and_entry():
+    assert read_matrix([[1, [0, 1]], [[0, -1], 0.5]], "m").tolist() == [[1, 1j], [-1j, 0.5]]
+    with pytest.raises(ConfigError, match="^m row 1: must have 2 entries, got 3$"):
+        read_matrix([[1, 0], [0, 1, 0]], "m")
+    with pytest.raises(ConfigError, match="^m row 0: must be a list, got 1$"):
+        read_matrix([1, 0], "m")
+    with pytest.raises(ConfigError, match=r"^m entry \(1, 0\): must be a number or \[re, im\], got True$"):
+        read_matrix([[1, 0], [True, 1]], "m")
 
 
 def test_kron_identities():
