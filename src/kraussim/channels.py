@@ -25,6 +25,7 @@ from .numerics import (VALIDATION_TOL, DensityMatrix, MAX_DIM, _check_finite, re
 
 __all__ = [
     "KrausChannel",
+    "MAX_KRAUS_ENTRIES",
     "CPTPReport",
     "validate_cptp",
     "apply_channel",
@@ -248,6 +249,28 @@ def generalized_amplitude_damping(p: float, n: float) -> KrausChannel:
 # Qudit catalog
 
 
+# The most complex entries that the dense Kraus operators of a qudit catalog
+# channel may hold together: MAX_DIM**2 (16 MiB), one register-sized matrix.
+MAX_KRAUS_ENTRIES = MAX_DIM**2
+
+
+def _check_qudit_operators(d: int, k: int) -> None:
+    """Raise ValueError unless d >= 2 and the d^k dense d x d Kraus operators of
+    a qudit channel hold at most :data:`MAX_KRAUS_ENTRIES` complex entries:
+    the one size check of :func:`hw_dephasing` (k = 1) and
+    :func:`heisenberg_weyl` (k = 2), made before any operator is built.  The
+    message names d, the largest d allowed and the entries d asks for."""
+    entries = d ** (k + 2) if d >= 2 else 0
+    if d >= 2 and entries <= MAX_KRAUS_ENTRIES:
+        return
+    largest = 2
+    while (largest + 1) ** (k + 2) <= MAX_KRAUS_ENTRIES:
+        largest += 1
+    size = (f": {d}^{k} operators of {d} x {d} would hold {entries} complex entries, "
+            f"above MAX_DIM**2 = {MAX_KRAUS_ENTRIES}") if entries else ""
+    raise ValueError(f"qudit dimension d={d} outside [2, {largest}]{size}")
+
+
 def hw_shift(d: int, j: int) -> np.ndarray:
     """Heisenberg-Weyl shift X(j): |k> -> |k + j mod d>."""
     if d < 2:
@@ -275,8 +298,10 @@ def heisenberg_weyl(d: int, probs: np.ndarray) -> KrausChannel:
 
     ``probs`` is a d x d probability matrix; operators are ordered
     lexicographically in (j, k).  The uniform distribution twirls every
-    input to the maximally mixed state.
+    input to the maximally mixed state.  ``d`` is checked by
+    :func:`_check_qudit_operators` before any of the d^2 operators is built.
     """
+    _check_qudit_operators(d, 2)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (d, d):
         raise ValueError(f"probs shape {probs.shape} != ({d}, {d})")
@@ -296,10 +321,10 @@ def hw_dephasing(d: int, p0: float) -> KrausChannel:
     Weight ``p0`` on the identity branch, the remaining ``1 - p0`` split
     evenly over the d-1 nontrivial phases.  Off-diagonal entries of the
     input pick up the factor ``sum_j p_j exp(2 pi i j (k-l) / d)``.  ``d`` is
-    checked against ``MAX_DIM`` before any of the d operators is built.
+    checked by :func:`_check_qudit_operators` before any of the d operators
+    is built.
     """
-    if not 2 <= d <= MAX_DIM:
-        raise ValueError(f"qudit dimension d={d} outside [2, {MAX_DIM}]")
+    _check_qudit_operators(d, 1)
     _check_prob("p0", p0)
     rest = (1.0 - p0) / (d - 1)
     weights = [p0] + [rest] * (d - 1)

@@ -16,11 +16,12 @@ usage (``--point`` not a number, no subcommand, ``synth --qasm`` without
 ``--lower``) or output path.  The one rule: each JSON field is read as
 its own type only, so a boolean, a string that spells a number or a
 list is never read as a number; an integer field takes ``7.0`` as 7 but
-not ``2.9``; ``shots`` and ``sweep.points`` are at most 2^63 - 1; an
-optional field given as null is absent.  The message names the field by
-its path: ``seed``, ``sweep.points``, ``sweep.grid entry 1``,
-``channel.params.n``, ``readout.e1 entry 0``, ``initial_state.amplitudes
-entry 0``, ``initial_state.density_matrix entry (0, 1)``, ``output.csv``;
+not ``2.9``; ``shots`` is at most 2^63 - 1 and ``sweep.points`` at most
+10^6 (``MAX_SWEEP_POINTS``); an optional field given as null is absent.
+The message names the field by its path: ``seed``, ``sweep.points``,
+``sweep.grid entry 1``, ``channel.params.n``, ``readout.e1 entry 0``,
+``initial_state.amplitudes entry 0``, ``initial_state.density_matrix
+entry (0, 1)``, ``output.csv``;
 in a channel file ``dim``, ``label``, ``params.p``, ``Kraus operator 1``,
 its ``row 0`` and its ``entry (0, 1)``; ``synth`` names ``--amplitudes``
 or ``--state-file``.  Value checks: a channel given by both or neither
@@ -85,15 +86,22 @@ synth_gate_count,lowered_gate_count``.  Identical config and seed give
 byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 
 A point runs: build channel -> dilate (pure input, or one of the three
-mixed-state methods) -> embed qudits onto qubits -> synthesize -> simulate
-and verify -> lower -> simulate and verify.  ``sweep`` and
-``export-qasm`` share this path (``_prepared_parts``), and ``synth`` its
-last four steps (``_compile``), so an exported or printed circuit has
-passed both fidelity checks.  Each circuit is simulated once.  Exact
-mode recovers the system state by partial trace of the synthesized
-circuit's verified statevector.  Sampled mode simulates the
-lowered circuit and all 3^m settings of its m system qubits in one
-``run_branches`` call, row s bit for bit setting s's full run.  Each row's
+mixed-state methods) -> embed qudits onto qubits -> synthesize -> lower
+-> simulate and verify.  ``sweep`` and ``export-qasm`` share this path
+(``_prepared_parts``), and ``synth`` its last three steps (``_compile``,
+in exact mode), so an exported or printed circuit has passed the
+synthesis and the lowering checks.  Each part is simulated once, as the
+circuit its mode reads.  Exact mode runs the synthesized circuit, checks
+its fidelity F, and bounds the lowered one's without running it: the
+lowered circuit must copy the synthesized one element by element, and
+with delta_e each walk's largest pattern-angle error its fidelity is at
+least ``(sqrt(F) - sum(delta_e)/2)**2``, which must reach the floor.  It
+recovers the system state by partial trace of the synthesized circuit's
+verified statevector.  Sampled mode simulates only the lowered circuit,
+with all 3^m settings of its m system qubits, in one ``run_branches``
+call, row s bit for bit setting s's full run; the last row's fidelity
+covers synthesis and lowering together, and only when it fails is the
+synthesized circuit run, to name the stage at fault.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
 Each setting's shots are drawn as a dense count array over the system
@@ -147,7 +155,7 @@ from .numerics import (
     uniform_state,
 )
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
-from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
+from .qsp import Circuit, dump_circuit, lower, lowering_deviations, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, run_branches, sample
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
@@ -176,6 +184,10 @@ MAX_TOMOGRAPHY_QUBITS = 6
 
 # numpy draws shot counts and sizes arrays as int64
 _INT64_MAX = 2**63 - 1
+
+# A start/stop/points grid is built whole, as an array and a tuple of floats,
+# before any point runs: 10^6 points take about 40 MB.
+MAX_SWEEP_POINTS = 10**6
 
 # the measured fields of a failed point's row
 _FAILED_POINT = dict(c_theory=float("nan"), c_measured=float("nan"), trace_distance=float("nan"),
@@ -359,7 +371,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         entries = read_list(sweep["grid"], "sweep.grid")
         grid = tuple(read_real(v, f"sweep.grid entry {i}", finite=True) for i, v in enumerate(entries))
     elif {"start", "stop", "points"} <= set(sweep):
-        points = read_integer(sweep["points"], "sweep.points", 1, _INT64_MAX)
+        points = read_integer(sweep["points"], "sweep.points", 1, MAX_SWEEP_POINTS)
         start = read_real(sweep["start"], "sweep.start", finite=True)
         grid = tuple(np.linspace(start, read_real(sweep["stop"], "sweep.stop", finite=True), points))
     else:
@@ -452,21 +464,48 @@ def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, Den
     return (channel, *_initial_density(cfg.initial_state, channel.dim))
 
 
-def _require_fidelity(stage: str, fidelity: float) -> None:
+def _require_fidelity(stage: str, fidelity: float, detail: str = "") -> None:
     if fidelity < FIDELITY_FLOOR:
-        raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
+        raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold{detail}")
 
 
-def _compile(target: PureState, layers) -> tuple[Circuit, PureState, Circuit, np.ndarray]:
-    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized, run and verified,
-    then lowered, run on ``layers`` and verified on the last row, which must branch on nothing."""
+def _compile(
+    target: PureState, layers: Sequence | None
+) -> tuple[Circuit, Circuit, PureState | None, np.ndarray | None]:
+    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized and lowered,
+    and each circuit simulated only where the mode reads it.
+
+    Exact mode (``layers`` None) runs the synthesized circuit and checks its
+    fidelity F.  It bounds the lowering instead of running it: the lowered
+    circuit must copy the synthesized one element by element, and with
+    delta_e each walk's largest pattern-angle error
+    (:func:`~kraussim.qsp.lowering_deviations`), its fidelity is at least
+    ``(sqrt(F) - sum(delta_e)/2)**2``, which must reach the floor; the
+    message names the walk with the largest delta_e.  Sampled mode runs the
+    lowered circuit on ``layers``, which must branch on nothing in the last
+    row, and checks that row's fidelity, which covers synthesis and lowering
+    together; only if it fails is the synthesized circuit run, so that the
+    error names the stage at fault."""
     circuit = synthesize(target)
-    state = run(circuit)
-    _require_fidelity("synthesis", verify_preparation(circuit, target, state))
     low = lower(circuit)
+    if layers is None:
+        state = run(circuit)
+        fidelity = verify_preparation(circuit, target, state)
+        _require_fidelity("synthesis", fidelity)
+        try:
+            deviations = lowering_deviations(circuit, low)
+        except ValueError as exc:
+            raise VerificationError(f"lowered fidelity unbounded: {exc}") from exc
+        worst = max(deviations, key=lambda d: d[1], default=("no walk", 0.0))
+        bound = max(0.0, math.sqrt(fidelity) - math.fsum(d for _, d in deviations) / 2.0) ** 2
+        _require_fidelity("lowered", bound, f" (a bound; largest walk angle error {worst[1]:.3e}, {worst[0]})")
+        return circuit, low, state, None
     branches = run_branches(low, layers)
-    _require_fidelity("lowered", verify_preparation(low, target, PureState(branches[-1])))
-    return circuit, state, low, branches
+    fidelity = verify_preparation(low, target, PureState(branches[-1]))
+    if fidelity < FIDELITY_FLOOR:
+        _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
+        _require_fidelity("lowered", fidelity)
+    return circuit, low, None, branches
 
 
 class _Part(NamedTuple):
@@ -475,15 +514,15 @@ class _Part(NamedTuple):
     weight: float
     dilated: DilatedState
     circuit: Circuit  # synthesized
-    state: PureState  # the synthesized circuit's verified statevector
     lowered: Circuit
-    branches: np.ndarray  # the lowered state, or in sampled mode one row per tomography setting
+    state: PureState | None  # exact mode: the synthesized circuit's verified statevector
+    branches: np.ndarray | None  # sampled mode: the lowered states, one row per tomography setting
 
 
 def _prepared_parts(
     cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
 ) -> Iterator[_Part]:
-    """Dilate, embed, synthesize and lower each part, checking both fidelities.
+    """Dilate, embed, synthesize and lower each part, checked as :func:`_compile` checks it.
 
     In sampled mode the part's system qubits are checked against
     :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them, as soon
@@ -506,9 +545,9 @@ def _prepared_parts(
             )
         if cfg.readout is not None:
             _field("readout", cfg.readout.confusion, m)
-        # in sampled mode one row per setting; the all-Z one rotates nothing
-        # and comes last, so the last row is the lowered state either way
-        layers = settings_for(m).layers if cfg.mode == "sampled" else ()
+        # one row per setting; the all-Z one rotates nothing and comes last,
+        # so the last row is the lowered state
+        layers = settings_for(m).layers if cfg.mode == "sampled" else None
         yield _Part(weight, dilated, *_compile(embed_qudits(dilated), layers))
 
 
@@ -627,7 +666,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries, option)
-    synthesized, _, lowered, _ = _field("synthesis", lambda t: _compile(t, ()), target)
+    synthesized, lowered, _, _ = _field("synthesis", lambda t: _compile(t, None), target)
     circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0

@@ -36,15 +36,24 @@ its Walsh-Hadamard angles in Gray order (up to 2^k rotations and 2^k CX
 for k controls, none when every angle is zero), and any other element
 passes unchanged.  A walk's gates compose to one rotation per control
 pattern, whose angles :meth:`GrayWalk.pattern_angles` gives, read through
-the walk's CXs.  ``Circuit.gates`` spells the elements out one gate at
-a time, for the text dump and the QASM export: each multiplexor entry as
-a one-entry :class:`Multiplexor`, which is exactly a multi-controlled
+the walk's CXs.  Both directions of the angle map go through one
+transform, :func:`_walsh_hadamard`, one ragged pass over all of a
+circuit's blocks: :func:`lower` takes every walk's slot angles from its
+multiplexor's in one forward pass, and :func:`_walk_patterns` the pattern
+angles back in one inverse pass, for the simulator
+(:func:`walk_pattern_angles`) and for :func:`lowering_deviations`, which
+bounds how far a lowered circuit's state can be from its source's without
+running it.  ``Circuit.gates`` spells the elements out one gate at a time,
+for the text dump and the QASM export: each multiplexor entry as a
+one-entry :class:`Multiplexor`, which is exactly a multi-controlled
 rotation, and each walk as its rotations and CX gates.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -62,6 +71,8 @@ __all__ = [
     "rotation_stack",
     "synthesize",
     "lower",
+    "lowering_deviations",
+    "walk_pattern_angles",
     "verify_preparation",
     "dump_circuit",
     "qasm_export",
@@ -173,7 +184,11 @@ class GrayWalk:
     rotation.  The 2^target angles are the multiplexor's Walsh-Hadamard
     angles in Gray order, kept as a tuple of floats.  :meth:`gates` spells
     the walk out as elementary gates, and :meth:`pattern_angles` gives the
-    one rotation per control pattern that they compose to.
+    one rotation per control pattern that they compose to.  Those angles
+    are what the simulator applies, and what :func:`lowering_deviations`
+    compares with the multiplexor's own: both take them for many walks at
+    once, from one pass of the Walsh-Hadamard transform
+    (:func:`_walk_patterns`), byte for byte as one walk at a time.
     """
 
     kind: str
@@ -223,8 +238,9 @@ class GrayWalk:
         cancel, so on pattern r the walk is one rotation by ``sum_j
         (-1)^popcount(f_j & r) beta_j``, with f_j the mask of the CXs before
         slot j (:func:`_walk_order`): the Walsh-Hadamard transform of the
-        slot angles placed at their masks."""
-        return _walsh_hadamard(np.array(self.angles)[_walk_order(self.target)])
+        slot angles placed at their masks, the one-walk case of
+        :func:`walk_pattern_angles`."""
+        return walk_pattern_angles((self,))[0]
 
     @property
     def gate_count(self) -> int:
@@ -307,8 +323,12 @@ def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, wher
                 problem = f" {outside}"
             else:
                 continue
-            label = f"gate {e}" if isinstance(e, Gate) else str(e)
-            raise ValueError(f"{where}{label}{problem}")
+            raise ValueError(f"{where}{_label(e)}{problem}")
+
+
+def _label(e: Gate | Multiplexor | GrayWalk) -> str:
+    """An element as error messages name it."""
+    return f"gate {e}" if isinstance(e, Gate) else str(e)
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -410,22 +430,80 @@ def synthesize(target: PureState) -> Circuit:
 # Lowering to {X, Ry, Rz, CX}
 
 
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """The unnormalized Walsh-Hadamard transform of a 2^k vector, as a float
-    array: entry r is ``sum_m (-1)^popcount(m & r) v[m]``.
+def _walsh_hadamard(v: np.ndarray, targets: Sequence[int] | None = None) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of each block of ``v``, as a
+    new float array: ``v`` holds one block of 2^t entries per t in
+    ``targets``, in that order, which must not increase (by default ``v`` is
+    one block), and entry r of a block is ``sum_m (-1)^popcount(m & r)
+    block[m]``.
 
-    k butterfly stages, least significant index bit first.  Each stage pairs
-    the entries that differ in the lowest bit and writes their sums, then
-    their differences, as the two halves of a new array: the bit it combined
-    becomes the top one, and after k stages every bit is back in place.
-    Reading pairs with stride 2 and writing whole halves is faster than
-    updating strided halves in place.  :func:`lower` takes a multiplexor's
-    slot angles from its pattern angles with it, and
-    :meth:`GrayWalk.pattern_angles` the pattern angles back."""
-    out = np.asarray(v, dtype=np.float64)
-    for _ in range(out.size.bit_length() - 1):
-        a, b = out.reshape(-1, 2).T
-        out = np.concatenate((a + b, a - b))
+    One ragged pass: stage s writes ``(a + b, a - b)`` in place over each
+    pair a, b of entries that differ in index bit s only, a the lower, in
+    the blocks with t > s.  Blocks of non-increasing size each start at a
+    multiple of their size, so those blocks are a prefix of whole groups of
+    2^(s+1) entries.  This is the pairing order of a loop over one block of
+    each stage at a time, and IEEE sums and differences round alike, so a
+    block's bytes do not depend on the blocks beside it.  :func:`lower`
+    takes its walks' slot angles from their multiplexors' angles with one
+    forward pass per circuit, and :func:`_walk_patterns` the pattern
+    angles back from the slot angles with one inverse pass."""
+    out = np.array(v, dtype=np.float64)
+    targets = [out.size.bit_length() - 1] if targets is None else list(targets)
+    ends = list(itertools.accumulate(2**t for t in targets))
+    if any(a < b for a, b in zip(targets, targets[1:])) or (ends[-1] if ends else 0) != out.size:
+        raise ValueError(f"blocks of 2^{targets} entries do not tile {out.size} in non-increasing size")
+    descending = [-t for t in targets]
+    for s in range(targets[0] if targets else 0):
+        # the blocks with t > s lead
+        pairs = out[: ends[bisect.bisect_left(descending, -s) - 1]].reshape(-1, 2, 2**s)
+        a, b = pairs[:, 0], pairs[:, 1]
+        total = a + b
+        np.subtract(a, b, out=b)
+        a[...] = total
+    return out
+
+
+def _ragged(
+    targets: Sequence[int], rows: Sequence[Sequence[int]], values: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """One block of 2^t zeros per t in ``targets``, with ``values[i]`` written
+    at ``rows[i]`` of block i, laid out as :func:`_walsh_hadamard` takes them:
+    by descending t, ties in the given order.  Returns the flat float array,
+    the order of the blocks in it (indices into ``targets``) and, in that
+    order, their starts."""
+    order = sorted(range(len(targets)), key=lambda i: -targets[i])
+    starts = list(itertools.accumulate((2 ** targets[i] for i in order), initial=0))
+    flat = np.zeros(starts.pop())
+    counts = [len(rows[i]) for i in order]
+    if sum(counts):
+        index = np.concatenate([rows[i] for i in order]).astype(np.int64) + np.repeat(starts, counts)
+        flat[index] = np.fromiter(itertools.chain.from_iterable(values[i] for i in order), np.float64, len(index))
+    return flat, order, starts
+
+
+def _walk_patterns(
+    targets: Sequence[int], walks: Sequence[GrayWalk | None]
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """The pattern angles of each walk on qubit ``targets[i]``, all 0.0 for
+    None, as one array in :func:`_ragged`'s layout, with its block order
+    and starts: the slot angles placed at their masks (:func:`_walk_order`),
+    then one inverse pass of :func:`_walsh_hadamard` over all of them."""
+    flat, order, starts = _ragged(targets, [_walk_order(t) if w else () for t, w in zip(targets, walks)],
+                                  [w.angles if w else () for w in walks])
+    return _walsh_hadamard(flat, [targets[i] for i in order]), order, starts
+
+
+def walk_pattern_angles(walks: Sequence[GrayWalk]) -> list[np.ndarray]:
+    """Each walk's :meth:`GrayWalk.pattern_angles`, in the given order, from
+    one pass over all of them (:func:`_walk_patterns`).  The simulator takes
+    the walks of one call's elements at once."""
+    if not walks:
+        return []
+    targets = [w.target for w in walks]
+    flat, order, starts = _walk_patterns(targets, walks)
+    out = [flat] * len(walks)
+    for i, start in zip(order, starts):
+        out[i] = flat[start : start + 2 ** targets[i]]
     return out
 
 
@@ -446,8 +524,9 @@ def _gray_plan(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def _walk_order(t: int) -> np.ndarray:
-    """Per control-pattern mask m, the slot j of a walk on qubit t whose mask
-    f_j is m, read-only.  f_j is the running XOR of the control bits (qubit 0
+    """Per slot j of a walk on qubit t, its mask f_j, read-only: the position
+    its angle takes in the vector whose Walsh-Hadamard transform gives the
+    pattern angles.  f_j is the running XOR of the control bits (qubit 0
     the most significant) of the CXs before slot j, the qubits that
     :func:`_gray_plan` names for the CXs a walk emits, not the Gray indices
     :func:`lower` reads its angles at.  Raises if two slots share a mask or a
@@ -457,9 +536,9 @@ def _walk_order(t: int) -> np.ndarray:
     masks = np.bitwise_xor.accumulate([0, *bits])
     if masks[-1] or len(set(masks[:-1].tolist())) != 2**t:
         raise ValueError(f"Gray-code plan of {t} controls: CX masks repeat or do not close the cycle")
-    order = np.argsort(masks[:-1])
-    order.flags.writeable = False
-    return order
+    masks = masks[:-1].copy()
+    masks.flags.writeable = False
+    return masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -475,22 +554,78 @@ def lower(circuit: Circuit) -> Circuit:
     A multiplexor becomes one :class:`GrayWalk`: its angles, as a vector over
     the control patterns, go through the Walsh-Hadamard transform, are read
     at the Gray-code indices of :func:`_gray_plan` and divided by 2^k, k its
-    control count; on qubit 0 that is its one angle.  A walk whose every
+    control count; on qubit 0 that is its one angle.  All of a circuit's
+    multiplexors share one forward pass of the transform.  A walk whose every
     angle is zero is the identity, and no element is emitted.  An elementary
     gate or a walk passes unchanged.  No gate is built here.  The result
     prepares the same state as the input, global phase included.
     """
-    out: list[Gate | GrayWalk] = []
-    for e in circuit.elements:
-        if not isinstance(e, Multiplexor):
-            out.append(e)
-            continue
-        angles = np.zeros(2**e.target)
-        angles[list(e.rows)] = e.angles
-        betas = _walsh_hadamard(angles)[_gray_plan(e.target)[0]] / 2**e.target
-        if betas.any():
-            out.append(GrayWalk(e.kind, e.target, betas.tolist()))
-    return Circuit(circuit.qubit_count, tuple(out), circuit.global_phase)
+    out: list[Gate | Multiplexor | GrayWalk | None] = list(circuit.elements)
+    at = [i for i, e in enumerate(out) if isinstance(e, Multiplexor)]
+    targets = [out[i].target for i in at]
+    flat, order, starts = _ragged(targets, [out[i].rows for i in at], [out[i].angles for i in at])
+    if order:
+        sizes = [2 ** targets[i] for i in order]
+        gray = np.concatenate([_gray_plan(targets[i])[0] for i in order]) + np.repeat(starts, sizes)
+        betas = _walsh_hadamard(flat, [targets[i] for i in order])[gray] / np.repeat(sizes, sizes)
+        live = np.logical_or.reduceat(betas != 0.0, starts).tolist()
+        values = betas.tolist()
+        for i, start, size, any_angle in zip(order, starts, sizes, live):
+            e = out[at[i]]
+            out[at[i]] = GrayWalk(e.kind, e.target, values[start : start + size]) if any_angle else None
+    return Circuit(circuit.qubit_count, tuple(e for e in out if e is not None), circuit.global_phase)
+
+
+def lowering_deviations(circuit: Circuit, lowered: Circuit) -> list[tuple[str, float]]:
+    """Per multiplexor of ``circuit``, in order, a label that names its walk
+    and delta = max_r |p_r - a_r|, with a its angles over all 2^t control
+    patterns (0.0 off its rows) and p the pattern angles of its walk in
+    ``lowered``, all 0.0 where ``lowered`` has no walk for it.  The p of all
+    the walks come from one pass (:func:`_walk_patterns`).
+
+    ``lowered`` must copy ``circuit`` element by element, as :func:`lower`
+    does: each multiplexor becomes a walk of its kind on its target, or
+    nothing, every other element passes unchanged, and the qubit count and
+    the global phase are the same; otherwise ValueError, naming the first
+    element at fault.  Per pattern ||R(p) - R(a)|| = 2|sin((p - a)/4)| <=
+    |p - a|/2 for Ry and Rz, so the lowered circuit's unitary, with each
+    walk applied as its pattern angles, lies within sum(delta)/2 of
+    ``circuit``'s in operator norm: with F the fidelity of ``circuit``'s
+    state to a target, the lowered state's is at least
+    ``max(0, sqrt(F) - sum(delta)/2)**2``.
+    """
+    if (lowered.qubit_count, lowered.global_phase) != (circuit.qubit_count, circuit.global_phase):
+        raise ValueError(f"{lowered.qubit_count} qubits and global phase {lowered.global_phase!r}, not "
+                         f"{circuit.qubit_count} and {circuit.global_phase!r}")
+    labels: list[str] = []
+    muxes: list[Multiplexor] = []
+    walks: list[GrayWalk | None] = []
+    rest = iter(enumerate(lowered.elements))
+    j, low = next(rest, (None, None))
+    for i, e in enumerate(circuit.elements):
+        if isinstance(e, Multiplexor):
+            walk = low if isinstance(low, GrayWalk) and (low.kind, low.target) == (e.kind, e.target) else None
+            labels.append(f"the {walk} at lowered element {j}" if walk
+                          else f"the {e} at element {i}, lowered to no walk")
+            muxes.append(e)
+            walks.append(walk)
+            if walk is None:
+                continue
+        elif low != e:
+            found = "the lowered circuit ends" if low is None else f"lowered element {j} is {_label(low)}"
+            raise ValueError(f"element {i}, {_label(e)}, is not copied: {found}")
+        j, low = next(rest, (None, None))
+    if low is not None:
+        raise ValueError(f"lowered element {j}, {_label(low)}, copies no element")
+    if not muxes:
+        return []
+    targets = [e.target for e in muxes]
+    dense, order, starts = _ragged(targets, [e.rows for e in muxes], [e.angles for e in muxes])
+    dense -= _walk_patterns(targets, walks)[0]
+    deltas = [0.0] * len(muxes)
+    for i, delta in zip(order, np.maximum.reduceat(np.abs(dense), starts).tolist()):
+        deltas[i] = delta
+    return list(zip(labels, deltas))
 
 
 def verify_preparation(circuit: Circuit, target: PureState, prepared: PureState) -> float:

@@ -175,11 +175,30 @@ def test_hw_dephasing_anchor_values():
 
 def test_hw_dephasing_checks_d_before_building_an_operator(monkeypatch):
     # d = 2000 once built 2000 dense 2000 x 2000 operators, about 128 GB,
-    # before KrausChannel checked the dimension; no operator is built now
+    # before KrausChannel checked the dimension, and d = 1024 16 GiB; the
+    # d operators may hold at most MAX_DIM**2 entries, so d <= 101, and no
+    # operator is built for a d outside that
     monkeypatch.setattr(channels, "hw_phase", lambda d, k: pytest.fail("an operator was built"))
-    for d in (0, 1, MAX_DIM + 1, 2000, 10**400):
-        with pytest.raises(ValueError, match=f"^qudit dimension d={d} outside \\[2, {MAX_DIM}\\]$"):
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=f"^qudit dimension d={d} outside \\[2, 101\\]$"):
             hw_dephasing(d, 0.5)
+    for d in (102, MAX_DIM, MAX_DIM + 1, 2000, 10**400):
+        with pytest.raises(ValueError, match=f"^qudit dimension d={d} outside \\[2, 101\\]: {d}\\^1 operators "
+                                             f"of {d} x {d} would hold {d**3} complex entries, above "
+                                             f"MAX_DIM\\*\\*2 = {MAX_DIM**2}$"):
+            hw_dephasing(d, 0.5)
+
+
+def test_heisenberg_weyl_checks_d_before_building_an_operator(monkeypatch):
+    # d^2 operators of d x d: at most MAX_DIM**2 entries allow d <= 32
+    build = channels.hw_shift
+    monkeypatch.setattr(channels, "hw_shift", lambda d, j: pytest.fail("an operator was built"))
+    with pytest.raises(ValueError, match=f"^qudit dimension d=33 outside \\[2, 32\\]: 33\\^2 operators of 33 x 33 "
+                                         f"would hold {33**4} complex entries, above MAX_DIM\\*\\*2 = {MAX_DIM**2}$"):
+        heisenberg_weyl(33, None)
+    monkeypatch.setattr(channels, "hw_shift", build)
+    assert heisenberg_weyl(32, np.full((32, 32), 1.0 / 1024)).n_kraus == 32**2
+    assert hw_dephasing(101, 0.5).n_kraus == 101
 
 
 def _qutrit_adc_closed_form(gamma, last_coeff):

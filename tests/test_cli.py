@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,7 +169,9 @@ def test_each_preparation_is_simulated_once(monkeypatch):
     monkeypatch.setattr(simulator, "_apply_segment", counting_segment)
     # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
     # on the batch of settings: 4 per system qubit, where one run per
-    # setting applies 3^(m-1) * 4 per system qubit
+    # setting applies 3^(m-1) * 4 per system qubit.  Each mode simulates
+    # only the circuit it reads: exact mode the synthesized one, sampled
+    # mode the lowered one with its settings
     point = {"parameter": "p", "grid": [0.3]}
     qad = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
            "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64}
@@ -180,8 +183,10 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         applied.clear()
         [row] = run_experiment(parse_config(cfg))
         assert not row.error
-        expected = row.synth_gate_count + row.lowered_gate_count + rotation_gates
-        assert len(applied) == expected
+        if cfg["mode"] == "exact":
+            assert len(applied) == row.synth_gate_count
+        else:
+            assert len(applied) == row.lowered_gate_count + rotation_gates
 
 
 def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
@@ -858,13 +863,17 @@ ERROR_CASES = {
     "sweep-shots-int64": (_sweep(mode="sampled", shots=2**63), None,
                           1, "config error:", f"shots: must be <= {2**63 - 1}, got {2**63}"),
     "sweep-points-huge-int": (_sweep_range(points=10**400), None,
-                              1, "config error:", f"sweep.points: must be <= {2**63 - 1}, got {10**400}"),
+                              1, "config error:", f"sweep.points: must be <= {10**6}, got {10**400}"),
     "sweep-points-int64": (_sweep_range(points=2**63), None,
-                           1, "config error:", f"sweep.points: must be <= {2**63 - 1}, got {2**63}"),
+                           1, "config error:", f"sweep.points: must be <= {10**6}, got {2**63}"),
+    # 10^9 points once built an 8 GB linspace and a tuple of about 32 GB
+    # before any point ran
+    "sweep-points-billion": (_sweep_range(points=10**9), None,
+                             1, "config error:", f"sweep.points: must be <= {10**6}, got {10**9}"),
     "sweep-catalog-d-huge-int": (_sweep(channel={"name": "hw_dephasing", "params": {"d": 10**400}},
                                         sweep={"parameter": "p0", "grid": [0.5]}), None,
                                  1, "config error: channel 'hw_dephasing':",
-                                 f"qudit dimension d={10**400} outside [2, 1024]"),
+                                 f"qudit dimension d={10**400} outside [2, 101]"),
     # an output that is no object, which once ran as no output
     "sweep-output-list": (_sweep(output=[]), None, 1, "config error:", "output: must be an object, got []"),
     "sweep-output-false": (_sweep(output=False), None, 1, "config error:", "output: must be an object, got False"),
@@ -891,6 +900,36 @@ def test_cli_error_contract(case, tmp_path, capsys, monkeypatch):
     assert out == ""  # a failed export-qasm writes and lists no file
     assert not list(tmp_path.glob("*.qasm"))
     assert not list(tmp_path.glob("*.csv"))  # a sweep that fails on its config writes no CSV
+
+
+def test_sweep_points_bound_is_checked_before_the_grid_is_built(monkeypatch):
+    # the grid is built whole before any point runs, so the bound on
+    # sweep.points comes first; 10^6 points is the most that is built
+    asked = []
+    monkeypatch.setattr(cli.np, "linspace", lambda start, stop, points: asked.append(points) or np.zeros(2))
+    with pytest.raises(ConfigError, match=f"^sweep.points: must be <= {10**6}, got {10**9}$"):
+        parse_config(bpf_config(sweep={"parameter": "p", "start": 0.0, "stop": 1.0, "points": 10**9}))
+    assert asked == [] and cli.MAX_SWEEP_POINTS == 10**6
+    parse_config(bpf_config(sweep={"parameter": "p", "start": 0.0, "stop": 1.0, "points": 10**6}))
+    assert asked == [10**6]
+
+
+# The CI qad config (gamma = 0.4, sampled, m = 2 system qubits) exports the
+# lowered circuit and its 3^2 setting circuits.  The digest is sha256 over
+# the sorted file names, each followed by a NUL byte and then the file's
+# bytes.  It pins the lowered QASM bytes: a change that moves one records
+# the new digest in CHANGES.md.
+EXPORT_QAD_SHA256 = "71ed8f7c964735c9b6d7bab72c145c3c8f3d50478edecc1682796a3c067ac5a8"
+
+
+def test_export_qasm_keeps_the_lowered_bytes(tmp_path, capsys):
+    cfg = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
+           "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64}
+    assert main(["export-qasm", _config_file(tmp_path, cfg), "--out", str(tmp_path / "prep"), "--tomography"]) == 0
+    files = sorted(tmp_path.glob("prep_point0*.qasm"))
+    assert len(files) == 10 and sorted(capsys.readouterr().out.split()) == [str(f) for f in files]
+    digest = hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files))
+    assert digest.hexdigest() == EXPORT_QAD_SHA256
 
 
 def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):
