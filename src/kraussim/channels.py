@@ -30,7 +30,6 @@ __all__ = [
     "validate_cptp",
     "apply_channel",
     "l1_coherence",
-    "prune",
     "pauli_channel",
     "bit_flip",
     "phase_flip",
@@ -141,14 +140,6 @@ def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of absolute values of all off-diagonal entries (computational basis)."""
     mat = np.abs(rho.matrix)
     return float(mat.sum() - np.trace(mat).real)
-
-
-def prune(channel: KrausChannel, tol: float = 0.0) -> KrausChannel:
-    """Drop Kraus operators whose max-abs entry is <= tol."""
-    kept = tuple(op for op in channel.kraus_ops if np.max(np.abs(op)) > tol)
-    if not kept:
-        raise ValueError("pruning removed every Kraus operator")
-    return KrausChannel(kept, label=channel.label, params=dict(channel.params))
 
 
 def _check_prob(name: str, value: float) -> float:

@@ -104,9 +104,10 @@ covers synthesis and lowering together, and only when it fails is the
 synthesized circuit run, to name the stage at fault.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
-Each setting's shots are drawn as a dense count array over the system
-outcomes from its own ``derive_rng`` stream, and the rows, stacked in
-settings order, form the part's one count matrix.  With a readout
+One ``sample`` call draws every setting's shots from the part's
+``(3^m, 2^m)`` marginal matrix, row s from its own ``derive_rng``
+stream, and returns the part's one count matrix, rows in settings
+order, over the system outcomes.  With a readout
 model, one ``apply_readout_noise`` call corrupts the whole matrix, row s
 from its own stream, and one ``mitigate`` call turns it into a frequency
 matrix.  That matrix is the one weight matrix the expectations read; no
@@ -564,11 +565,10 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
     marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
-    weights = np.stack([
-        sample(probs, cfg.shots, derive_rng(cfg.seed, *path, s, 0)).counts for s, probs in enumerate(marginals)
-    ])
+    settings = range(len(marginals))
+    weights = sample(marginals, cfg.shots, [derive_rng(cfg.seed, *path, s, 0) for s in settings]).counts
     if cfg.readout is not None:
-        rngs = [derive_rng(cfg.seed, *path, s, 1) for s in range(len(weights))]
+        rngs = [derive_rng(cfg.seed, *path, s, 1) for s in settings]
         weights = mitigate(apply_readout_noise(weights, cfg.readout, rngs), cfg.readout)
     values, _ = expectations(weights, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)

@@ -26,13 +26,14 @@ rounding, not bit for bit.  Qubit 0
 is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
-Randomness comes from the counter-based Philox generator.  Sampling
-takes a generator stream, and readout noise one stream per row of its
-count matrix; :func:`derive_rng` is the one place streams are made: from
-a root seed plus an index path, so results are reproducible and
-independent of evaluation order.  Readout noise and mitigation take a
-``(k, 2^m)`` count matrix, one row per setting, checked by
-:func:`_check_counts`.
+Randomness comes from the counter-based Philox generator.  Sampling and
+readout noise each take one stream per row of their matrix;
+:func:`derive_rng` is the one place streams are made: from a root seed
+plus an index path, so results are reproducible and independent of
+evaluation order.  Sampling takes a ``(k, 2^m)`` probability matrix,
+one row per setting, checked by :func:`_check_probs`, and returns its
+``(k, 2^m)`` count matrix; readout noise and mitigation take that count
+matrix, checked by :func:`_check_counts`.
 """
 
 from __future__ import annotations
@@ -213,21 +214,30 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     return np.ascontiguousarray(batch.T)
 
 
+def _check_shape(matrix: np.ndarray, stage: str, noun: str, rngs: Sequence | None) -> tuple[int, ...]:
+    """The shape of a ``(k, 2^n)`` matrix, k >= 1 settings and, where ``rngs`` is
+    given, one generator per row; a failure names the stage and the shape."""
+    shape = matrix.shape
+    if matrix.ndim != 2 or min(shape) < 1 or shape[1] & (shape[1] - 1):
+        raise ValueError(f"{stage}: {noun} of shape {shape} are not a (settings, 2^n outcomes) matrix")
+    if rngs is not None and len(rngs) != shape[0]:
+        raise ValueError(f"{stage}: {noun} of shape {shape} take one generator per row, got {len(rngs)}")
+    return shape
+
+
 def _check_counts(counts, stage: str, rngs: Sequence | None = None) -> np.ndarray:
     """``counts`` as a validated ``(k, 2^n)`` count matrix, one row per setting.
 
     The one count check of the simulator: ``ShotCounts``, readout noise and
     mitigation each call it before any work.  It requires a 2-D integer array
-    whose column count is a power of two, no negative count, no empty row
-    and, where ``rngs`` is given, one generator per row.  A failure names the
-    stage, the shape and the first bad row."""
+    whose column count is a power of two, where ``rngs`` is given one
+    generator per row, no negative count and no empty row.  A failure names
+    the stage, the shape and the first bad row."""
     counts = np.asarray(counts)
-    shape = counts.shape
     if counts.dtype.kind not in "iu":
-        raise ValueError(f"{stage}: counts of shape {shape} must be integers, got dtype {counts.dtype}")
-    if counts.ndim != 2 or shape[1] < 1 or shape[1] & (shape[1] - 1):
-        raise ValueError(f"{stage}: counts of shape {shape} are not a (settings, 2^n outcomes) matrix")
-    # the cheap reductions first: a sweep checks a count matrix per setting
+        raise ValueError(f"{stage}: counts of shape {counts.shape} must be integers, got dtype {counts.dtype}")
+    shape = _check_shape(counts, stage, "counts", rngs)
+    # the cheap reductions first: a sweep checks a count matrix per part
     if counts.min(initial=0) < 0:
         row, outcome = np.argwhere(counts < 0)[0]
         key = format(int(outcome), f"0{shape[1].bit_length() - 1}b")
@@ -235,19 +245,36 @@ def _check_counts(counts, stage: str, rngs: Sequence | None = None) -> np.ndarra
     shot_rows = counts.any(axis=1)
     if np.count_nonzero(shot_rows) != shape[0]:
         raise ValueError(f"{stage}: counts of shape {shape}: row {np.flatnonzero(~shot_rows)[0]} has no shots")
-    if rngs is not None and len(rngs) != shape[0]:
-        raise ValueError(f"{stage}: counts of shape {shape} take one generator per row, got {len(rngs)}")
     return counts
+
+
+def _check_probs(probs, rngs: Sequence) -> np.ndarray:
+    """``probs`` as a validated ``(k, 2^n)`` float matrix of outcome weights, one
+    row per setting and one generator per row, before :func:`sample` draws.
+
+    A non-2-D matrix, a column count that is no power of two, a generator
+    count other than the row count, a negative, NaN or infinite entry and a
+    row with no mass each fail, naming ``sampling``, the shape and the first
+    bad row."""
+    probs = np.asarray(probs, dtype=np.float64)
+    shape = _check_shape(probs, "sampling", "probabilities", rngs)
+    bad = ~((probs >= 0.0) & (probs < np.inf)).all(axis=1)
+    problem = "a negative or non-finite entry"
+    if not bad.any():  # summed only when every entry is finite: inf + -inf warns
+        bad, problem = ~(probs.sum(axis=1) > 0.0), "no probability mass"
+    if bad.any():
+        raise ValueError(f"sampling: probabilities of shape {shape}: row {np.argmax(bad)} has {problem}")
+    return probs
 
 
 @dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Measured outcome counts over a qubit register.
+    """Measured outcome counts over a qubit register, one row per setting.
 
-    ``counts[i]`` is the number of shots that read basis state ``i``
-    (qubit 0 is the most significant bit), as a read-only ``int64`` array
-    of length ``2**qubit_count``.  Its entries pass :func:`_check_counts`
-    as a one-row matrix.
+    ``counts[s, i]`` is the number of setting s's shots that read basis
+    state ``i`` (qubit 0 is the most significant bit), as a read-only
+    ``(k, 2**qubit_count)`` ``int64`` matrix that passes
+    :func:`_check_counts`.  ``shots`` is the total over every row.
     """
 
     qubit_count: int
@@ -258,13 +285,13 @@ class ShotCounts:
         if self.shots < 1:
             raise ValueError("shots must be positive")
         counts = np.asarray(self.counts)
-        if counts.shape != (2**self.qubit_count,):
+        if counts.ndim != 2 or counts.shape[1] != 2**self.qubit_count:
             raise ValueError(
                 f"counts of shape {counts.shape} do not cover "
-                f"{self.qubit_count} qubits ({2**self.qubit_count} outcomes)"
+                f"{self.qubit_count} qubits ({2**self.qubit_count} outcomes) per row"
             )
         # always a copy, so the caller's array stays writable
-        counts = _check_counts(counts[None], "shot counts")[0].astype(np.int64)
+        counts = _check_counts(counts, "shot counts").astype(np.int64)
         total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"counts total {total} != shots {self.shots}")
@@ -272,21 +299,26 @@ class ShotCounts:
         object.__setattr__(self, "counts", counts)
 
 
-def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotCounts:
-    """Multinomial sampling of computational-basis outcomes from a
-    :func:`derive_rng` stream.
+def sample(probs: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> ShotCounts:
+    """Multinomial sampling of computational-basis outcomes: ``shots`` draws
+    for each row of a ``(k, 2^m)`` matrix, row s from its own
+    :func:`derive_rng` stream ``rngs[s]``.
 
-    ``probs`` holds the probability of every outcome of a qubit register,
-    such as the Born probabilities ``|amplitudes|^2`` of a state or their
-    marginal on some leading qubits; it is renormalized before the draw.
+    Row s holds the weight of every outcome of an m-qubit register under
+    setting s, such as the Born probabilities ``|amplitudes|^2`` of a state
+    or their marginal on some leading qubits; it is renormalized by its own
+    sum before the draw, so row s equals a one-row call with ``rngs[s]``.
+    The matrix is checked by :func:`_check_probs` before any draw.  The
+    result's ``counts`` is the ``(k, 2^m)`` count matrix and its ``shots``
+    the total drawn, ``k * shots``.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.asarray(probs, dtype=np.float64)
-    n = probs.size.bit_length() - 1
-    if probs.ndim != 1 or probs.size != 2**n:
-        raise ValueError(f"probabilities of shape {probs.shape} are not a vector of 2^n outcomes")
-    return ShotCounts(n, shots, rng.multinomial(shots, probs / probs.sum()))
+    probs = _check_probs(probs, rngs)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for row, p, rng in zip(counts, probs, rngs):
+        row[...] = rng.multinomial(shots, p / p.sum())
+    return ShotCounts(probs.shape[1].bit_length() - 1, shots * len(counts), counts)
 
 
 @dataclass(frozen=True)
@@ -343,13 +375,17 @@ class ReadoutModel:
 
 
 @functools.lru_cache(maxsize=64)
-def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``model.confusion(qubit_count)`` and its batched inverse, read-only and
-    built once per (model, qubit count): a sweep reads them for every setting."""
+def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``model.confusion(qubit_count)``, its batched inverse and the flip rates,
+    read-only and built once per (model, qubit count): a sweep reads them for
+    every part.  ``rates[q]`` is qubit q's P(read 1 - b | true b) for b = 0, 1,
+    its e0 and e1 as a C-contiguous ``(2, 1)`` column, the form in which a
+    binomial draw reads it fastest."""
     confusion = model.confusion(qubit_count)
     inverses = np.linalg.inv(confusion)
-    confusion.flags.writeable = inverses.flags.writeable = False
-    return confusion, inverses
+    rates = np.ascontiguousarray(confusion[:, [1, 0], [0, 1], None])
+    confusion.flags.writeable = inverses.flags.writeable = rates.flags.writeable = False
+    return confusion, inverses, rates
 
 
 def apply_readout_noise(
@@ -372,8 +408,7 @@ def apply_readout_noise(
     """
     noisy = _check_counts(counts, "readout noise", rngs).astype(np.int64)
     n = noisy.shape[1].bit_length() - 1
-    # P(read 1 - b | true b) for b = 0, 1: e0 and e1 of every qubit, as a column
-    rates = _confusion_stack(model, n)[0][:, [1, 0], [0, 1], None]
+    rates = _confusion_stack(model, n)[2]
     for row, rng in zip(noisy, rngs):
         for q in range(n):
             view = row.reshape(2**q, 2, -1)
@@ -400,7 +435,7 @@ def mitigate(counts: np.ndarray, model: ReadoutModel) -> np.ndarray:
     counts = _check_counts(counts, "mitigation")
     k, size = counts.shape
     n = size.bit_length() - 1
-    _, inverses = _confusion_stack(model, n)
+    inverses = _confusion_stack(model, n)[1]
     tensor = (counts / counts.sum(axis=1, keepdims=True)).reshape((k,) + (2,) * n)
     for q, inv in enumerate(inverses):
         moved = np.moveaxis(tensor, q + 1, 1)

@@ -16,7 +16,10 @@ qubits are measured: a caller whose register holds more qubits sums each
 setting's outcome probabilities over them before drawing shots.  The
 strings of one parity mask are averaged in one pass, 2^n - 1 in all: the
 settings' estimates on it, masked positions first, are a table of strings
-by the settings that measure them.
+by the settings that measure them.  Everything that depends on n alone
+(the settings, the string tables, each mask's gather table and the
+inversion's order) is built once per register size and kept read-only;
+nothing that depends on the data is kept.
 
 Each Pauli string is a signed permutation of the basis states, so linear
 inversion, ``rho = sum_P <P> P / 2^n``, sums 2^n strings per entry and
@@ -29,6 +32,7 @@ restricted to the populated block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +52,10 @@ __all__ = [
     "reconstruct",
     "project_psd",
     "extract_embedded",
-    "exact_expectations",
 ]
+
+# Register sizes whose m-only tables are kept; each sweep part reads its own m.
+_TABLE_CACHE = 16
 
 # Letters I, X, Y, Z as signed permutations of one qubit: X-flip bit,
 # non-identity bit, entries on |0> and |1> (Y = iXZ).
@@ -83,7 +89,9 @@ class TomographySettings:
     layers: tuple[tuple[tuple[Gate, ...], ...], ...]
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
 def settings_for(m: int) -> TomographySettings:
+    """The 3^m settings of m system qubits, built once per m."""
     if m < 1:
         raise ValueError(f"tomography needs at least one system qubit, got {m}")
     layers = tuple(tuple(basis_rotation(label, q) for label in "XYZ") for q in range(m))
@@ -92,25 +100,56 @@ def settings_for(m: int) -> TomographySettings:
     return TomographySettings(settings, rotations, layers)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
 def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(flips, masks, entries)``: string k maps |b> to ``entries[k, b] |b ^ flips[k]>``
-    and acts on the positions in ``masks[k]`` (bit n-1-i for position i)."""
+    and acts on the positions in ``masks[k]`` (bit n-1-i for position i).  Read-only,
+    built once per n."""
     flips = masks = np.zeros(1, dtype=np.int64)
     entries = np.ones((1, 1), dtype=np.complex128)
     for _ in range(n):  # each string gains a last letter, as a Kronecker factor
         flips = (2 * flips[:, None] + _FLIP).ravel()
         masks = (2 * masks[:, None] + _ACTIVE).ravel()
         entries = (entries[:, None, :, None] * _ENTRIES[:, None, :]).reshape(flips.size, -1)
-    return flips, masks, entries
+    return _read_only(flips, masks, entries)
 
 
-def _by_string(column: np.ndarray, mask: int, n: int) -> np.ndarray:
-    """A per-setting column as a C-contiguous table: row r is the r-th string on ``mask``,
-    over its compatible settings in ascending order.  A row reduction adds as over those
-    settings gathered in one vector; a strided view from ``reshape`` would not."""
-    active = [i for i in range(n) if mask >> (n - 1 - i) & 1]
-    tensor = np.moveaxis(column.reshape((3,) * n), active, range(len(active)))
-    return np.ascontiguousarray(tensor).reshape(3 ** len(active), -1)
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _expectation_tables(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """``(signs, by_mask)``, read-only and built once per n.
+
+    ``signs[mask]`` is the I/Z string on ``mask`` as outcome signs (no flips, in
+    mask order).  ``by_mask[mask - 1]`` is ``(strings, table)`` for masks 1 to
+    2^n - 1: the indices of the strings on ``mask`` and the gather table of
+    their settings.  ``column[table]`` of a per-setting column is a C-contiguous
+    table whose row r is the r-th string on ``mask`` over its compatible
+    settings in ascending order.  A row reduction adds as over those settings
+    gathered in one vector; a strided view from ``reshape`` would not."""
+    flips, masks, entries = _pauli_strings(n)
+    settings = np.arange(3**n).reshape((3,) * n)
+    by_mask = []
+    for mask in range(1, 2**n):
+        active = [i for i in range(n) if mask >> (n - 1 - i) & 1]
+        table = np.moveaxis(settings, active, range(len(active))).reshape(3 ** len(active), -1)
+        by_mask.append(_read_only(np.flatnonzero(masks == mask), np.ascontiguousarray(table)))
+    [signs] = _read_only(entries[flips == 0].real.copy())
+    return signs, tuple(by_mask)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _inversion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted_entries)`` for :func:`reconstruct`, read-only and built once
+    per n: the strings grouped by X-mask in string order (a stable sort), and
+    their entries in that order as a ``(2^n, 2^n, 2^n)`` array by X-mask."""
+    flips, _, entries = _pauli_strings(n)
+    order = np.argsort(flips, kind="stable")
+    return _read_only(order, entries[order].reshape(2**n, 2**n, 2**n))
 
 
 def expectations(
@@ -147,7 +186,7 @@ def expectations(
 
     def reject(bad: np.ndarray, problem: str) -> None:
         if bad.any():
-            setting = list(itertools.product("XYZ", repeat=n))[np.argmax(bad)]
+            setting = settings_for(n).settings[np.argmax(bad)]
             raise ValueError(f"setting {''.join(setting)} has {problem}")
 
     reject(~((weights >= 0.0) & (weights < np.inf)).all(axis=1), "a negative or non-finite weight")
@@ -161,38 +200,25 @@ def expectations(
             raise ValueError(f"shots: total {shots.min():g} is not positive")
         shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
-    flips, masks, entries = _pauli_strings(n)
+    signs, by_mask = _expectation_tables(n)
 
     # estimates[s, mask]: setting s's parity expectation over the positions
-    # in ``mask``, signed by the I/Z strings (no flips, in mask order).  Each
-    # is a sequential sum in ascending outcome order (cumsum, not a pairwise
-    # sum), which fixes its rounding and so the sampled CSV bytes.
-    signs = entries[flips == 0].real
+    # in ``mask``, signed by the I/Z strings.  Each is a sequential sum in
+    # ascending outcome order (cumsum, not a pairwise sum), which fixes its
+    # rounding and so the sampled CSV bytes.
     estimates = np.stack([np.cumsum(weights * sign, axis=1)[:, -1] for sign in signs], axis=1)
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
 
     values = np.ones(4**n)
     errors = None if shots is None else np.zeros(4**n)
-    for mask in range(1, 2**n):  # the identity string keeps value 1, error 0
-        strings = np.flatnonzero(masks == mask)
-        values[strings] = _by_string(estimates[:, mask], mask, n).mean(axis=1)
+    # the identity string keeps value 1, error 0
+    for mask, (strings, table) in enumerate(by_mask, start=1):
+        values[strings] = estimates[:, mask][table].mean(axis=1)
         if errors is not None:
             # cumsum adds in sequence, not pairwise, which fixes each error's rounding
-            variances = _by_string(spread[:, mask] / shots, mask, n)
+            variances = (spread[:, mask] / shots)[table]
             errors[strings] = np.sqrt(np.cumsum(variances, axis=1)[:, -1]) / variances.shape[1]
     return values, errors
-
-
-def exact_expectations(rho: DensityMatrix) -> np.ndarray:
-    """Noise-free <P> = Tr(rho P) for every Pauli string on a qubit register,
-    in the order of :func:`expectations`."""
-    n = rho.dim.bit_length() - 1
-    if 2**n != rho.dim:
-        raise ValueError("density matrix is not over a qubit register")
-    flips, _, entries = _pauli_strings(n)
-    b = np.arange(2**n)
-    # Tr(rho P) = sum_b rho[b, b ^ x] P[b ^ x, b]
-    return (rho.matrix[b, b ^ flips[:, None]] * entries).sum(axis=1).real.copy()
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -237,12 +263,11 @@ def reconstruct(values: np.ndarray) -> TomographyResult:
     if not finite.all():
         name = list(itertools.product("IXYZ", repeat=n))[np.argmin(finite)]
         raise ValueError(f"expectation of {''.join(name)} is not finite")
-    flips, _, entries = _pauli_strings(n)
+    order, sorted_entries = _inversion_tables(n)
     # Entry (b ^ x, b) sums the 2^n strings of X-mask x, grouped in string
     # order by a stable sort.  A sequential sum (cumsum, not pairwise) added
     # to zero rounds, signed zeros too, as adding one matrix per string does.
-    order = np.argsort(flips, kind="stable")
-    terms = (values[order, None] * entries[order]).reshape(2**n, 2**n, 2**n)
+    terms = values[order].reshape(2**n, 2**n, 1) * sorted_entries
     b = np.arange(2**n)
     raw = np.zeros((2**n, 2**n), dtype=np.complex128)
     raw[b[:, None] ^ b, b] += np.cumsum(terms, axis=1)[:, -1]

@@ -31,6 +31,7 @@ from kraussim.dilation import RANK_TOL
 from kraussim.numerics import DensityMatrix, PureState, check_register, kron
 from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, rotation_stack
 from kraussim.simulator import ShotCounts
+from kraussim.tomography import _pauli_strings
 
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
@@ -67,8 +68,16 @@ def random_boost(rng):
     )
 
 
+def prune(channel, tol=0.0):
+    """The channel without its Kraus operators whose max-abs entry is <= tol."""
+    kept = tuple(op for op in channel.kraus_ops if np.max(np.abs(op)) > tol)
+    if not kept:
+        raise ValueError("pruning removed every Kraus operator")
+    return KrausChannel(kept, label=channel.label, params=dict(channel.params))
+
+
 def born(state):
-    """Born probabilities |amplitudes|^2 of a pure state, the input of ``sample``."""
+    """Born probabilities |amplitudes|^2 of a pure state, a row of ``sample``'s input."""
     return np.abs(state.amplitudes) ** 2
 
 
@@ -468,8 +477,9 @@ def reference_mitigate(counts, model):
 
 
 def _reference_weights(data):
-    if isinstance(data, ShotCounts):
-        return {k: v / data.shots for k, v in histogram(data.counts).items()}, data.shots
+    if isinstance(data, ShotCounts):  # one setting's row
+        [row] = data.counts
+        return {k: v / data.shots for k, v in histogram(row).items()}, data.shots
     total = float(sum(data.values()))
     if total <= 0.0:
         raise ValueError("setting has no probability mass")
@@ -479,7 +489,7 @@ def _reference_weights(data):
 def reference_expectations(per_setting, shots_per_setting=None):
     """Pauli expectations by looping over strings, settings and bitstrings.
 
-    ``per_setting`` maps each setting to ``ShotCounts`` or to a
+    ``per_setting`` maps each setting to one-row ``ShotCounts`` or to a
     ``{bitstring: weight}`` mapping over the measured qubits, one bit per
     setting position.
     """
@@ -542,6 +552,18 @@ def reference_expectations_by_string(weights, shots=None):
             variances = np.maximum(0.0, 1.0 - estimates * estimates) / shots[compatible]
             errors[k] = math.sqrt(sum(variances.tolist())) / compatible.size
     return values, None if shots is None else errors
+
+
+def exact_expectations(rho):
+    """Noise-free <P> = Tr(rho P) for every Pauli string on a qubit register,
+    in the order of ``tomography.expectations``."""
+    n = rho.dim.bit_length() - 1
+    if 2**n != rho.dim:
+        raise ValueError("density matrix is not over a qubit register")
+    flips, _, entries = _pauli_strings(n)
+    b = np.arange(2**n)
+    # Tr(rho P) = sum_b rho[b, b ^ x] P[b ^ x, b]
+    return (rho.matrix[b, b ^ flips[:, None]] * entries).sum(axis=1).real.copy()
 
 
 def reference_reconstruct_raw(values):

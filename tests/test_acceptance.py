@@ -11,6 +11,7 @@ import numpy as np
 
 from helpers import (
     CATALOG_DRAWS,
+    exact_expectations,
     random_boost,
     random_density,
     random_kraus_channel,
@@ -32,7 +33,7 @@ from kraussim.dilation import dilate_pure, embed_qudits
 from kraussim.numerics import DensityMatrix, partial_trace, uniform_state
 from kraussim.qsp import lower, synthesize, verify_preparation
 from kraussim.simulator import run
-from kraussim.tomography import exact_expectations, extract_embedded, reconstruct
+from kraussim.tomography import extract_embedded, reconstruct
 
 GRID21 = [round(0.05 * k, 2) for k in range(21)]
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     CATALOG_DRAWS,
+    prune,
     random_boost,
     random_density,
     random_kraus_channel,
@@ -27,7 +28,6 @@ from kraussim.channels import (
     load_channel,
     pauli_channel,
     phase_damping,
-    prune,
     qutrit_amplitude_damping,
     save_channel,
     spin_boost_channel,

@@ -209,9 +209,9 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     # 2 ancilla qubits (3 Kraus operators)
     received = []
 
-    def recording(probs, shots, rng):
+    def recording(probs, shots, rngs):
         received.append(np.array(probs))
-        return simulator.sample(probs, shots, rng)
+        return simulator.sample(probs, shots, rngs)
 
     monkeypatch.setattr(cli, "sample", recording)
     cfg = {
@@ -222,11 +222,12 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     }
     [row] = run_experiment(parse_config(cfg))
     assert not row.error
-    assert len(received) == 3**2
-    assert all(probs.shape == (4,) for probs in received)
+    # one call for the part: its 3^2 settings by the 2^2 system outcomes
+    [marginals] = received
+    assert marginals.shape == (3**2, 4)
     # in the Z...Z setting the marginal is the system state's diagonal
     oracle = apply_channel(qutrit_amplitude_damping(0.4), uniform_state(3).to_density())
-    zz = received[settings_for(2).settings.index(("Z", "Z"))]
+    zz = marginals[settings_for(2).settings.index(("Z", "Z"))]
     np.testing.assert_allclose(zz, np.append(np.diag(oracle.matrix).real, 0.0), rtol=0, atol=1e-12)
 
 

@@ -597,21 +597,19 @@ def test_sampling_converges_to_born_probabilities():
     state = random_pure(rng, 8)
     shots = 100_000
     probs = born(state)
-    counts = sample(probs, shots, rng=derive_rng(99))
+    [counts] = sample(probs[None], shots, [derive_rng(99)]).counts
     for idx, p in enumerate(probs):
         bits = format(idx, "03b")
-        freq = histogram(counts.counts).get(bits, 0) / shots
+        freq = histogram(counts).get(bits, 0) / shots
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / shots)
         assert abs(freq - p) <= 5 * sigma + 1e-9
 
 
 def test_sampling_is_seed_deterministic():
     state = random_pure(np.random.default_rng(404), 4)
-    a = sample(born(state), 4096, rng=derive_rng(7))
-    b = sample(born(state), 4096, rng=derive_rng(7))
-    c = sample(born(state), 4096, rng=derive_rng(8))
-    assert histogram(a.counts) == histogram(b.counts)
-    assert histogram(a.counts) != histogram(c.counts)
+    [a], [b], [c] = (sample(born(state)[None], 4096, [derive_rng(seed)]).counts for seed in (7, 7, 8))
+    assert histogram(a) == histogram(b)
+    assert histogram(a) != histogram(c)
 
 
 def test_derived_streams_are_stable_and_distinct():
@@ -639,7 +637,7 @@ def test_mitigation_recovers_true_frequencies():
     for trial in range(20):
         state = random_pure(rng, 8)
         probs = born(state)
-        counts = sample(probs, shots, rng=derive_rng(406, trial, 0)).counts[None]
+        counts = sample(probs[None], shots, [derive_rng(406, trial, 0)]).counts
         noisy = apply_readout_noise(counts, model, [derive_rng(406, trial, 1)])
         [mitigated] = mitigate(noisy, model)
         worst = max(abs(mitigated[i] - probs[i]) for i in range(8))
@@ -661,8 +659,8 @@ def test_mitigation_matches_string_keyed_reference():
             scalar = ReadoutModel(
                 e0=float(scalars.uniform(0.0, 0.2)), e1=float(scalars.uniform(0.0, 0.2))
             )
-            counts = np.stack([
-                sample(born(random_pure(rng, 2**n)), int(rng.integers(1, 40)), rng=derive_rng(408, n, trial, s, 0)).counts
+            counts = np.concatenate([
+                sample(born(random_pure(rng, 2**n))[None], int(rng.integers(1, 40)), [derive_rng(408, n, trial, s, 0)]).counts
                 for s in range(9)
             ])
             for stream, model in ((1, per_qubit), (2, scalar)):
@@ -723,15 +721,18 @@ def test_count_matrix_check_fails_before_any_draw():
 
 def test_confusion_stack_is_cached_read_only_per_model():
     model = ReadoutModel(e0=(0.02, 0.05), e1=0.03)
-    confusion, inverses = simulator._confusion_stack(model, 2)
+    confusion, inverses, rates = simulator._confusion_stack(model, 2)
     assert np.array_equal(confusion, model.confusion(2))
     assert np.array_equal(inverses, np.linalg.inv(model.confusion(2)))
-    for arr in (confusion, inverses):
+    # each qubit's flip rates e0, e1 as one C-contiguous column
+    assert rates.tolist() == [[[0.02], [0.03]], [[0.05], [0.03]]]
+    assert all(rate.flags.c_contiguous for rate in rates)
+    for arr in (confusion, inverses, rates):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0, 0] = 0.5
     # an equal model reads the same entry; one rate apart, or another register, does not
     assert simulator._confusion_stack(ReadoutModel(e0=(0.02, 0.05), e1=0.03), 2)[0] is confusion
-    other, other_inverses = simulator._confusion_stack(ReadoutModel(e0=(0.02, 0.06), e1=0.03), 2)
+    other, other_inverses, _ = simulator._confusion_stack(ReadoutModel(e0=(0.02, 0.06), e1=0.03), 2)
     assert other[1, 1, 0] == 0.06 and confusion[1, 1, 0] == 0.05
     assert not np.array_equal(other_inverses, inverses)
     scalar = ReadoutModel(e0=0.02, e1=0.03)
@@ -754,21 +755,82 @@ def test_confusion_matrices_cover_the_register():
 
 
 def test_shot_counts_hold_a_read_only_dense_array():
-    counts = sample(born(random_pure(np.random.default_rng(409), 8)), 50, rng=derive_rng(5))
-    assert counts.counts.dtype == np.int64 and counts.counts.shape == (8,)
+    counts = sample(np.stack([born(random_pure(np.random.default_rng(409), 8))] * 3), 50,
+                    [derive_rng(5, s) for s in range(3)])
+    assert counts.counts.dtype == np.int64 and counts.counts.shape == (3, 8)
+    assert counts.qubit_count == 3 and counts.shots == 150
     assert not counts.counts.flags.writeable
-    source = np.array([3, 0, 0, 7])
-    kept = ShotCounts(2, 10, source)
-    source[0] = 4  # the stored array is a copy
-    assert kept.counts[0] == 3 and source.flags.writeable
-    with pytest.raises(ValueError, match="cover 3 qubits"):
-        ShotCounts(3, 10, source)
+    source = np.array([[3, 0, 0, 7], [0, 5, 0, 0]])
+    kept = ShotCounts(2, 15, source)
+    source[0, 0] = 4  # the stored array is a copy
+    assert kept.counts[0, 0] == 3 and source.flags.writeable
+    with pytest.raises(ValueError, match=r"counts of shape \(2, 4\) do not cover 3 qubits"):
+        ShotCounts(3, 15, source)
+    with pytest.raises(ValueError, match=r"counts of shape \(4,\) do not cover 2 qubits"):
+        ShotCounts(2, 10, np.array([3, 0, 0, 7]))
     with pytest.raises(ValueError, match="integers"):
-        ShotCounts(2, 10, np.array([2.5, 0.0, 0.0, 7.5]))
-    with pytest.raises(ValueError, match="negative count for '01'"):
-        ShotCounts(2, 10, np.array([10, -1, 0, 1]))
+        ShotCounts(2, 10, np.array([[2.5, 0.0, 0.0, 7.5]]))
+    with pytest.raises(ValueError, match="row 1 has a negative count for '01'"):
+        ShotCounts(2, 10, np.array([[1, 0, 0, 0], [9, -1, 0, 1]]))
+    with pytest.raises(ValueError, match="row 1 has no shots"):
+        ShotCounts(2, 10, np.array([[4, 0, 0, 6], [0, 0, 0, 0]]))
     with pytest.raises(ValueError, match="counts total 11 != shots 10"):
-        ShotCounts(2, 10, np.array([4, 0, 0, 7]))
+        ShotCounts(2, 10, np.array([[4, 0, 0, 7]]))
+
+
+@pytest.mark.parametrize("k", [3, 9, 81])
+def test_batched_sample_rows_equal_one_row_multinomial_draws(k):
+    # row s is rngs[s].multinomial(shots, p_s / p_s.sum()) on a fresh stream,
+    # and a one-row call on that stream; rows of unnormalized weights with
+    # exact zeros
+    rng = np.random.default_rng(421)
+    for m in range(1, 7):
+        probs = rng.dirichlet(np.full(2**m, 0.5), size=k) * rng.uniform(0.5, 2.0, (k, 1))
+        probs[rng.random(probs.shape) < 0.2] = 0.0
+        probs[:, 0] += 1e-3
+        shots = int(rng.integers(1, 5000))
+        counts = sample(probs, shots, [derive_rng(421, k, m, s) for s in range(k)])
+        assert counts.qubit_count == m and counts.shots == k * shots
+        assert counts.counts.shape == (k, 2**m) and counts.counts.dtype == np.int64
+        expected = np.stack([
+            derive_rng(421, k, m, s).multinomial(shots, p / p.sum()) for s, p in enumerate(probs)
+        ])
+        assert counts.counts.tobytes() == expected.tobytes(), (k, m)
+        for s in (0, k - 1):
+            [one] = sample(probs[s : s + 1], shots, [derive_rng(421, k, m, s)]).counts
+            assert one.tobytes() == expected[s].tobytes(), (k, m, s)
+
+
+def test_sampling_check_fails_before_any_draw():
+    # each case breaks one rule; the message names the stage, the shape and
+    # the first bad row, and no stream has moved
+    good = np.full((3, 2), 0.5)
+    negative, nan, inf, empty = (good.copy() for _ in range(4))
+    negative[1, 1] = -0.25
+    negative[2, 0] = -1.0  # a later bad row is not the one named
+    nan[2, 0] = np.nan
+    inf[0, 1] = np.inf
+    empty[1] = 0.0
+    cases = (
+        (np.array([0.5, 0.5]), 1, "probabilities of shape (2,) are not a (settings, 2^n outcomes) matrix"),
+        (np.ones((1, 2, 2)), 1, "probabilities of shape (1, 2, 2) are not a (settings, 2^n outcomes) matrix"),
+        (np.ones((2, 3)), 2, "probabilities of shape (2, 3) are not a (settings, 2^n outcomes) matrix"),
+        (np.ones((2, 0)), 2, "probabilities of shape (2, 0) are not a (settings, 2^n outcomes) matrix"),
+        (np.ones((0, 2)), 0, "probabilities of shape (0, 2) are not a (settings, 2^n outcomes) matrix"),
+        (good, 2, "probabilities of shape (3, 2) take one generator per row, got 2"),
+        (good, 4, "probabilities of shape (3, 2) take one generator per row, got 4"),
+        (negative, 3, "probabilities of shape (3, 2): row 1 has a negative or non-finite entry"),
+        (nan, 3, "probabilities of shape (3, 2): row 2 has a negative or non-finite entry"),
+        (inf, 3, "probabilities of shape (3, 2): row 0 has a negative or non-finite entry"),
+        (empty, 3, "probabilities of shape (3, 2): row 1 has no probability mass"),
+    )
+    for probs, k, message in cases:
+        streams = [derive_rng(422, s) for s in range(k)]
+        with pytest.raises(ValueError, match=f"^{re.escape('sampling: ' + message)}$"):
+            sample(probs, 16, streams)
+        assert [stream.random() for stream in streams] == [derive_rng(422, s).random() for s in range(k)]
+    with pytest.raises(ValueError, match="^shots must be positive$"):
+        sample(good, 0, [derive_rng(422, s) for s in range(3)])
 
 
 def test_mitigation_rejects_singular_confusion():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from helpers import (
     PAULIS,
     born,
     dense_gate,
+    exact_expectations,
     gate_matrix,
     random_density,
     random_pure,
@@ -16,11 +18,11 @@ from helpers import (
     reference_mitigate,
     reference_reconstruct_raw,
 )
+import kraussim.tomography as tomography
 from kraussim.numerics import DensityMatrix, kron
 from kraussim.simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
-    exact_expectations,
     expectations,
     extract_embedded,
     project_psd,
@@ -131,13 +133,13 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
         # few shots leave many outcomes at zero count
         shots.append(int(rng.integers(1, 4 * 2**m)))
         probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
-        counts = sample(probs, shots[-1], rng=derive_rng(511, k, 0))
+        counts = sample(probs[None], shots[-1], [derive_rng(511, k, 0)])
         if readout:
-            noisy = apply_readout_noise(counts.counts[None], model, [derive_rng(511, k, 1)])
+            noisy = apply_readout_noise(counts.counts, model, [derive_rng(511, k, 1)])
             weights.append(mitigate(noisy, model)[0])
             per_setting_ref[setting] = reference_mitigate(noisy[0], model)
         else:
-            weights.append(counts.counts)
+            weights.append(counts.counts[0])
             per_setting_ref[setting] = counts
     values, errors = expectations(np.stack(weights), shots=100 if readout else shots)
     ref_values, ref_errors = reference_expectations(per_setting_ref, shots_per_setting=100)
@@ -163,6 +165,83 @@ def test_expectations_match_per_string_loop_bit_for_bit(m):
             ref_values, ref_errors = reference_expectations_by_string(weights, given)
             assert values.tobytes() == ref_values.tobytes()
             assert errors is None if given is None else errors.tobytes() == ref_errors.tobytes()
+
+
+# register sizes 1 to 6 in an order that switches size at every call, so a
+# table kept for one size is never read for another
+INTERLEAVED = (3, 1, 6, 2, 5, 4, 1, 3, 2, 6, 4, 5)
+
+
+def interleaved_data(i, n):
+    """Counts, frequencies with exact zeros and per-setting shots of call i, on n qubits."""
+    rng = np.random.default_rng([523, i, n])
+    shots = rng.integers(1, 4 * 2**n, 3**n)
+    counts = np.stack([rng.multinomial(s, rng.dirichlet(np.full(2**n, 0.4))) for s in shots])
+    frequencies = rng.dirichlet(np.full(2**n, 0.5), size=3**n)
+    frequencies[rng.random(frequencies.shape) < 0.3] = 0.0
+    frequencies[:, -1] += 1e-3
+    return counts, frequencies, shots
+
+
+def test_expectation_tables_keep_the_bytes_across_interleaved_registers():
+    # each call equals the per-string loop byte for byte, and all of them the
+    # digest of the same calls made when every table was rebuilt per call
+    digest = hashlib.sha256()
+    for i, n in enumerate(INTERLEAVED):
+        plan = settings_for(n)
+        assert plan is settings_for(n)
+        assert plan.settings == tuple(itertools.product("XYZ", repeat=n))
+        assert plan.rotations == tuple(
+            tuple(g for q, label in enumerate(setting) for g in basis_rotation(label, q)) for setting in plan.settings
+        )
+        counts, frequencies, shots = interleaved_data(i, n)
+        for weights, given in ((counts, shots), (frequencies, 4096), (frequencies, None)):
+            values, errors = expectations(weights, shots=given)
+            ref_values, ref_errors = reference_expectations_by_string(weights, given)
+            assert values.tobytes() == ref_values.tobytes(), (i, n)
+            digest.update(values.tobytes())
+            if given is None:
+                assert errors is None
+            else:
+                assert errors.tobytes() == ref_errors.tobytes(), (i, n)
+                digest.update(errors.tobytes())
+    assert digest.hexdigest() == "a9f545140d18d6beacd2f6d9cf0d118eac292b3a2d083b20856476b63f52b604"
+
+
+def test_reconstruct_keeps_the_bytes_across_interleaved_registers():
+    # the raw matrix equals the one-string-at-a-time sum on every call, and
+    # all of them the digest of the same calls with the order rebuilt per call
+    digest = hashlib.sha256()
+    for i, n in enumerate(INTERLEAVED):
+        counts, frequencies, shots = interleaved_data(i, n)
+        for weights, given in ((counts, shots), (frequencies, 4096), (frequencies, None)):
+            values, _ = expectations(weights, shots=given)
+            raw = reconstruct(values).raw
+            if weights is counts and (n < 6 or i == 2):  # the reference takes 0.4 s at n = 6
+                named = dict(zip(pauli_names(n), values.tolist()))
+                assert raw.tobytes() == reference_reconstruct_raw(named).tobytes(), (i, n)
+            digest.update(raw.tobytes())
+    assert digest.hexdigest() == "32cc6499998198d5b96303ff57dee4b57aa02e364dce1f29a1b54ee93e64e9bd"
+
+
+def test_register_tables_are_built_once_and_read_only():
+    for n in (1, 2, 4):
+        signs, by_mask = tomography._expectation_tables(n)
+        order, sorted_entries = tomography._inversion_tables(n)
+        assert len(by_mask) == 2**n - 1
+        assert tomography._expectation_tables(n)[0] is signs
+        assert tomography._inversion_tables(n)[0] is order
+        arrays = [*tomography._pauli_strings(n), signs, order, sorted_entries]
+        arrays += [arr for pair in by_mask for arr in pair]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 1
+        # a mask's table gathers its strings' settings: at mask 1 (the last
+        # position) the settings whose last letter is X, Y, Z in turn
+        strings, table = by_mask[0]
+        assert table.flags.c_contiguous and table.shape == (3, 3 ** (n - 1))
+        assert (table % 3 == np.arange(3)[:, None]).all()
+        assert strings.tolist() == [1, 2, 3]
 
 
 def test_system_marginal_orders_the_system_qubits():
@@ -249,14 +328,15 @@ def test_sampled_reconstruction_close_to_truth():
     target = random_pure(rng, 4)
     rho_true = np.outer(target.amplitudes, target.amplitudes.conj())
     tset = settings_for(2)
-    weights = []
-    for k, rotations in enumerate(tset.rotations):
+    probs = []
+    for rotations in tset.rotations:
         # rotate analytically, then draw shots
         state = target.amplitudes.copy()
         for g in rotations:
             state = dense_gate(g, 2) @ state
-        weights.append(sample(np.abs(state) ** 2, 8192, rng=derive_rng(1000 + k)).counts)
-    values, errors = expectations(np.stack(weights), shots=8192)
+        probs.append(np.abs(state) ** 2)
+    counts = sample(np.stack(probs), 8192, [derive_rng(1000 + k) for k in range(len(probs))])
+    values, errors = expectations(counts.counts, shots=8192)
     result = reconstruct(values)
     assert np.abs(result.projected.matrix - rho_true).max() < 0.05
     assert errors.shape == (16,) and errors[0] == 0.0
