@@ -104,9 +104,11 @@ covers synthesis and lowering together, and only when it fails is the
 synthesized circuit run, to name the stage at fault.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
-One ``sample`` call draws every setting's shots from the part's
-``(3^m, 2^m)`` marginal matrix, row s from its own ``derive_rng``
-stream, and returns the part's one count matrix, rows in settings
+One ``derive_rngs`` call makes the part's streams, each setting's own:
+path ``(point, part, s, 0)`` for sampling and ``(point, part, s, 1)``
+for readout noise.  One ``sample`` call draws every setting's shots from
+the part's ``(3^m, 2^m)`` marginal matrix, row s from its own stream,
+and returns the part's one count matrix, rows in settings
 order, over the system outcomes.  With a readout
 model, one ``apply_readout_noise`` call corrupts the whole matrix, row s
 from its own stream, and one ``mitigate`` call turns it into a frequency
@@ -157,7 +159,7 @@ from .numerics import (
 )
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
 from .qsp import Circuit, dump_circuit, lower, lowering_deviations, qasm_export, synthesize, verify_preparation
-from .simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, run, run_branches, sample
+from .simulator import ReadoutModel, apply_readout_noise, derive_rngs, mitigate, run, run_branches, sample
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
 __all__ = [
@@ -565,11 +567,13 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
     marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
-    settings = range(len(marginals))
-    weights = sample(marginals, cfg.shots, [derive_rng(cfg.seed, *path, s, 0) for s in settings]).counts
+    k = len(marginals)
+    # tails (s, 0) for every setting s, then (s, 1) for every setting with a readout model
+    tails = np.indices((1 + (cfg.readout is not None), k))[::-1].reshape(2, -1).T
+    rngs = derive_rngs(cfg.seed, path, tails)
+    weights = sample(marginals, cfg.shots, rngs[:k]).counts
     if cfg.readout is not None:
-        rngs = [derive_rng(cfg.seed, *path, s, 1) for s in settings]
-        weights = mitigate(apply_readout_noise(weights, cfg.readout, rngs), cfg.readout)
+        weights = mitigate(apply_readout_noise(weights, cfg.readout, rngs[k:]), cfg.readout)
     values, _ = expectations(weights, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block

@@ -27,10 +27,15 @@ is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
 Randomness comes from the counter-based Philox generator.  Sampling and
-readout noise each take one stream per row of their matrix;
-:func:`derive_rng` is the one place streams are made: from a root seed
-plus an index path, so results are reproducible and independent of
-evaluation order.  Sampling takes a ``(k, 2^m)`` probability matrix,
+readout noise each take one stream per row of their matrix, keyed by a
+root seed plus an index path, so results are reproducible and
+independent of evaluation order.  :func:`derive_rngs` is the one place
+streams are made: one call gives a part's streams, one per path tail
+(``derive_rng`` is its one-row case).  Their keys are
+``SeedSequence(seed, spawn_key=path)``'s, computed without one: the seed
+and the shared path prefix are hashed once into the pool that every
+stream shares, then each tail column mixes into a ``(4, k)`` ``uint32``
+pool in a few array passes.  Sampling takes a ``(k, 2^m)`` probability matrix,
 one row per setting, checked by :func:`_check_probs`, and returns its
 ``(k, 2^m)`` count matrix; readout noise and mitigation take that count
 matrix, checked by :func:`_check_counts`.
@@ -57,17 +62,176 @@ __all__ = [
     "apply_readout_noise",
     "mitigate",
     "derive_rng",
+    "derive_rngs",
 ]
 
+# SeedSequence's hash constants (numpy.random.bit_generator): the entropy mix
+# (A), the state output (B), and the mix of two pool words
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # pool words; the first 4 * 4 hash calls fill and cross-mix the pool
+
+
+def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
+    """``count + 1`` successive hash constants as ``uint32``, each the last times ``mult``."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK)
+    return np.array(chain, dtype=np.uint32)
+
+
+# generate_state(2, np.uint64) hashes pool word d with constant d and multiplies by constant d + 1
+_OUT_CHAIN = _hash_chain(_INIT_B, _MULT_B, _POOL)[:, None]
+
+
+@functools.lru_cache(maxsize=32)
+def _tail_constants(start: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constants with which entropy words ``start`` to ``start + width - 1``
+    (``start >= 4``) mix into the pool, as two read-only ``(width, 4, 1)`` ``uint32``
+    arrays: word w goes into pool word d by hash call 4w + d, which xors it with
+    that call's constant and multiplies by the next.  They depend on word
+    position alone, so one table serves every seed and path."""
+    chain = _hash_chain(_INIT_A * pow(_MULT_A, 4 * start, 1 << 32) & _MASK, _MULT_A, 4 * width)
+    xors, mults = chain[:-1].reshape(width, _POOL, 1), chain[1:].reshape(width, _POOL, 1)
+    xors.flags.writeable = mults.flags.writeable = False
+    return xors, mults
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative integer, least significant first."""
+    return [value >> shift & _MASK for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _is_index(value) -> bool:
+    """Whether ``value`` is a non-negative integer, a bool not counted as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)) and value >= 0
+
+
+def _stream_entry(value, where: str) -> int:
+    """``value`` as a Python int, or one ``streams`` error naming ``where`` and the value."""
+    if not _is_index(value):
+        raise ValueError(f"streams: {where} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _shared_pool(seed: int, prefix: Sequence[int]) -> tuple[list[int], int]:
+    """SeedSequence's entropy pool after the seed and ``prefix`` words, and the
+    number of entropy words mixed so far, in Python ints masked to 32 bits.
+
+    With a spawn key, a run entropy shorter than the pool is padded with
+    zeros, so the pool is filled and cross-mixed from the seed alone; each
+    later word then only mixes into every pool word in turn."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    for value in prefix:
+        entropy += _words(value)
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_L * x - _MIX_R * y) & _MASK
+        return result ^ result >> 16
+
+    pool = [hashmix(value) for value in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    return pool, len(entropy)
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed sequence that hands ``np.random.Philox`` a derived key in place of
+    the ``SeedSequence`` that would give it: Philox asks its seed sequence for
+    ``generate_state(2, np.uint64)`` once, and this answers with the key.  Made
+    on first use, so importing the simulator does not import ``numpy.random``."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+    return PhiloxKey
+
+
+def _check_tails(tails, offset: int) -> np.ndarray:
+    """``tails`` as a ``(k, w)`` ``uint32`` matrix: one path tail per row, each
+    entry an integer in [0, 2^32), since a tail column holds one word.  The
+    first bad entry fails, named as path entry ``offset + j`` of its row."""
+    tails = np.asarray(tails)
+    if tails.ndim != 2:
+        raise ValueError(f"streams: tails of shape {tails.shape} are not a (streams, tail entries) matrix")
+    if tails.dtype.kind in "iu":
+        bad = (tails < 0) | (tails > _MASK)
+    else:  # bools, floats, strings and objects: entry by entry
+        bad = ~np.frompyfunc(lambda v: _is_index(v) and v <= _MASK, 1, 1)(tails).astype(bool)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value = tails.tolist()[row][col]
+        raise ValueError(
+            f"streams: row {row} path entry {offset + col} must be an integer in [0, 2^32), got {value!r}"
+        )
+    return tails.astype(np.uint32)
+
+
+def derive_rngs(seed: int, prefix: Sequence[int], tails) -> list[np.random.Generator]:
+    """One Philox generator per row of the integer matrix ``tails``: row i is the
+    stream of the path ``(*prefix, *tails[i])``, ``derive_rng(seed, *prefix, *tails[i])``.
+
+    The keys are ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
+    computed without a ``SeedSequence``.  The seed and prefix words are hashed
+    once, in Python ints, into the pool every row shares
+    (:func:`_shared_pool`); each tail column, one 32-bit word per row, then
+    mixes into a ``(4, k)`` ``uint32`` pool in a few array passes, whose
+    unsigned arithmetic wraps as the hash's does.  The output step of
+    ``generate_state`` gives 4 words per row, read little-endian as the two
+    ``uint64`` words of the key.  The seed, each prefix entry and each tail
+    entry must be a non-negative integer (not a bool), and a tail entry below
+    2^32; the first that is not fails before any key is made, as one
+    ``ValueError`` naming ``streams``, its position and its value.
+    """
+    seed = _stream_entry(seed, "seed")
+    prefix = [_stream_entry(value, f"path entry {i}") for i, value in enumerate(prefix)]
+    tails = _check_tails(tails, len(prefix))
+    shared, start = _shared_pool(seed, prefix)
+    pool = np.broadcast_to(np.array(shared, dtype=np.uint32)[:, None], (_POOL, len(tails)))
+    for column, xor, mult in zip(tails.T, *_tail_constants(start, tails.shape[1])):
+        hashed = (column ^ xor) * mult
+        hashed ^= hashed >> 16
+        pool = _MIX_L * pool - _MIX_R * hashed
+        pool ^= pool >> 16
+    out = (pool ^ _OUT_CHAIN[:-1]) * _OUT_CHAIN[1:]
+    out ^= out >> 16
+    keys = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+    key_type = _philox_key_type()
+    return [np.random.Generator(np.random.Philox(key_type(key))) for key in keys]
+
+
+_NO_TAIL = np.zeros((1, 0), dtype=np.uint32)
+
+
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for a (seed, index path) pair.
+    """Philox generator for a (seed, index path) pair: the one-row case of
+    :func:`derive_rngs`, the whole path as its prefix.
 
     Distinct paths give statistically independent streams; the derivation
     is deterministic, so per-point streams do not depend on sweep order.
     """
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path)))
-    )
+    return derive_rngs(seed, path, _NO_TAIL)[0]
 
 
 def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: np.ndarray) -> None:

@@ -448,6 +448,22 @@ def reference_apply_gate(amps, gate, n):
         view[hi] *= diag[1]
 
 
+def seed_sequence_rng(seed, path):
+    """The stream ``simulator.derive_rng(seed, *path)`` must equal: Philox keyed
+    by numpy's own ``SeedSequence(seed, spawn_key=path)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path))))
+
+
+def same_stream(a, b, draws=8):
+    """Whether two generators hold the same Philox state, key and counter
+    included, and then give the same first ``draws`` 64-bit draws."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    fields = [(sa[k], sb[k]) for k in sa if k != "state"] + [(v, sb["state"][k]) for k, v in sa["state"].items()]
+    if sa.keys() != sb.keys() or not all(np.array_equal(x, y) for x, y in fields):
+        return False
+    return a.integers(0, 2**64, draws, dtype=np.uint64).tobytes() == b.integers(0, 2**64, draws, dtype=np.uint64).tobytes()
+
+
 def reference_mitigate(counts, model):
     """String-keyed confusion-matrix inversion of one count vector:
     {bitstring: frequency > 0}."""

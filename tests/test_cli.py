@@ -231,6 +231,65 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     np.testing.assert_allclose(zz, np.append(np.diag(oracle.matrix).real, 0.0), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the qad_readout benchmark workload: 11 points of one part, 3^2
+        # settings, two streams per setting with readout noise
+        {
+            "channel": {"name": "qutrit_amplitude_damping", "params": {}},
+            "initial_state": "uniform",
+            "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "points": 11},
+            "mode": "sampled",
+            "shots": 8192,
+            "seed": 111,
+            "readout": {"e0": 0.02, "e1": 0.03},
+        },
+        # mixed method 2: one part per eigenvector of a full-rank input
+        {
+            "channel": {"name": "depolarizing", "params": {}},
+            "initial_state": {"density_matrix": [[[2 / 3, 0.0], [0.2, 0.1]], [[0.2, -0.1], [1 / 3, 0.0]]]},
+            "sweep": {"parameter": "p", "grid": [0.0, 0.4]},
+            "mode": "sampled",
+            "shots": 512,
+            "seed": 9,
+            "mixed_method": 2,
+        },
+    ],
+    ids=["qad_readout", "mixed_method_2"],
+)
+def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
+    cfg = parse_config(config)
+    rows = run_experiment(cfg)
+    assert not any(row.error for row in rows)
+    expected = rows_to_csv(rows)
+    seed_sequence = np.random.SeedSequence
+    parts, calls = [], []
+
+    def counted_parts(*args):
+        for part in cli_prepared_parts(*args):
+            parts.append(part)
+            yield part
+
+    def counted_streams(seed, prefix, tails):
+        rngs = derive_rngs(seed, prefix, tails)
+        calls.append((prefix, len(rngs)))
+        assert not any(isinstance(rng.bit_generator.seed_seq, seed_sequence) for rng in rngs)
+        return rngs
+
+    cli_prepared_parts, derive_rngs = cli._prepared_parts, cli.derive_rngs
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args, **kwargs: pytest.fail("SeedSequence built"))
+    monkeypatch.setattr(cli, "_prepared_parts", counted_parts)
+    monkeypatch.setattr(cli, "derive_rngs", counted_streams)
+    assert rows_to_csv(run_experiment(cfg)) == expected
+    points = len(cfg.grid)
+    assert len(calls) == len(parts) >= (2 * points if "mixed_method" in config else points)
+    streams = 2 if cfg.readout is not None else 1
+    for part, (prefix, count) in zip(parts, calls):
+        assert count == streams * 3 ** part.dilated.embedding.qubit_counts[0]
+    assert len(set(prefix for prefix, _ in calls)) == len(calls)
+
+
 def test_corrupted_lowering_fails_before_any_shot(monkeypatch):
     # one extra Ry on the system qubit: the lowered circuit no longer
     # prepares the dilated state, and the point fails before it is sampled

@@ -21,6 +21,8 @@ from helpers import (
     reference_apply_gate,
     reference_mitigate,
     reference_run,
+    same_stream,
+    seed_sequence_rng,
     stub_gate_kernels,
 )
 from kraussim.channels import hw_dephasing
@@ -42,6 +44,7 @@ from kraussim.simulator import (
     ShotCounts,
     apply_readout_noise,
     derive_rng,
+    derive_rngs,
     mitigate,
     run,
     run_branches,
@@ -691,6 +694,76 @@ def test_batched_readout_noise_rows_equal_one_row_calls():
         for s in range(3**n):
             [one] = apply_readout_noise(counts[s : s + 1], model, [derive_rng(419, n, s)])
             assert noisy[s].tobytes() == one.tobytes(), (n, s)
+
+
+# seeds across the 32-, 64- and 128-bit word boundaries of SeedSequence's
+# entropy, and paths with entries of more than one word
+STREAM_SEEDS = (0, 1, 111, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 7)
+STREAM_PATHS = ((), (1,), (3, 0), (2**32, 1, 4), (7, 2**70, 0, 1), (5, 0, 2**33 + 9, 1, 12, 3))
+# the sampled workloads' (point, part, setting, stream) paths: qad_readout
+# 11 points of 3^2 settings with readout noise, hw16_tomo 1 point of 3^4
+# settings without; the exact-mode workload draws none
+WORKLOAD_PATHS = [((i, 0), [(s, j) for j in range(2) for s in range(9)]) for i in range(11)]
+WORKLOAD_PATHS.append(((0, 0), [(s, 0) for s in range(81)]))
+
+
+def test_derived_streams_match_seed_sequence():
+    for seed in STREAM_SEEDS:
+        for path in STREAM_PATHS:
+            assert same_stream(derive_rng(seed, *path), seed_sequence_rng(seed, path)), (seed, path)
+        for prefix, tails in WORKLOAD_PATHS:
+            rows = derive_rngs(seed, prefix, np.array(tails))
+            assert len(rows) == len(tails)
+            for row, tail in zip(rows, tails):
+                path = prefix + tail
+                assert same_stream(row, seed_sequence_rng(seed, path)), (seed, path)
+                assert same_stream(derive_rng(seed, *path), seed_sequence_rng(seed, path)), (seed, path)
+        # a prefix of any width and entries of more than one word, and tails
+        # of width 0, 1 and 3
+        for prefix in STREAM_PATHS:
+            for tails in (np.zeros((2, 0), dtype=int), np.array([[0], [2**32 - 1], [7]]), np.array([[1, 2, 3], [0, 0, 0]])):
+                rows = derive_rngs(seed, prefix, tails)
+                for row, tail in zip(rows, tails.tolist()):
+                    assert same_stream(row, derive_rng(seed, *prefix, *tail)), (seed, prefix, tail)
+    assert derive_rngs(5, (1,), np.zeros((0, 2), dtype=int)) == []
+    # numpy integers are integers
+    assert same_stream(derive_rng(np.int64(5), np.uint8(3)), derive_rng(5, 3))
+    [row] = derive_rngs(np.uint64(5), (np.int32(3),), np.array([[2]], dtype=np.uint16))
+    assert same_stream(row, derive_rng(5, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: derive_rng(5, "3"), "path entry 0 must be a non-negative integer, got '3'"),
+        (lambda: derive_rng(5, 1, True), "path entry 1 must be a non-negative integer, got True"),
+        (lambda: derive_rng(5, 1.5), "path entry 0 must be a non-negative integer, got 1.5"),
+        (lambda: derive_rng(5, 0, 2, -1), "path entry 2 must be a non-negative integer, got -1"),
+        (lambda: derive_rng("7"), "seed must be a non-negative integer, got '7'"),
+        (lambda: derive_rng(True, 1), "seed must be a non-negative integer, got True"),
+        (lambda: derive_rng(7.0), "seed must be a non-negative integer, got 7.0"),
+        (lambda: derive_rng(-1), "seed must be a non-negative integer, got -1"),
+        (lambda: derive_rng(None), "seed must be a non-negative integer, got None"),
+        (lambda: derive_rngs(5, (1, "2"), [[0]]), "path entry 1 must be a non-negative integer, got '2'"),
+        (lambda: derive_rngs(5, (1,), [[0, 3], [4, 2**32]]), "row 1 path entry 2 must be an integer in [0, 2^32), got 4294967296"),
+        (lambda: derive_rngs(5, (), [[1], [-1]]), "row 1 path entry 0 must be an integer in [0, 2^32), got -1"),
+        (lambda: derive_rngs(5, (1, 2), [[True]]), "row 0 path entry 2 must be an integer in [0, 2^32), got True"),
+        (lambda: derive_rngs(5, (), [[1.5, 0]]), "row 0 path entry 0 must be an integer in [0, 2^32), got 1.5"),
+        (lambda: derive_rngs(5, (), np.array([[1, "3"]], dtype=object)), "row 0 path entry 1 must be an integer in [0, 2^32), got '3'"),
+        (lambda: derive_rngs(5, (), np.array([[2**64]], dtype=object)), "row 0 path entry 0 must be an integer in [0, 2^32), got 18446744073709551616"),
+        (lambda: derive_rngs(5, (), [0, 1]), "tails of shape (2,) are not a (streams, tail entries) matrix"),
+    ],
+    ids=[
+        "path-string", "path-bool", "path-float", "path-negative",
+        "seed-string", "seed-bool", "seed-float", "seed-negative", "seed-none",
+        "prefix-string", "tail-too-wide", "tail-negative", "tail-bool-dtype", "tail-float-dtype",
+        "tail-object-string", "tail-object-bigint", "tails-not-2d",
+    ],
+)
+def test_stream_paths_are_checked_before_any_key(call, message, monkeypatch):
+    monkeypatch.setattr(simulator, "_shared_pool", lambda *args: pytest.fail("a key was made"))
+    with pytest.raises(ValueError, match=f"^{re.escape('streams: ' + message)}$"):
+        call()
 
 
 def test_count_matrix_check_fails_before_any_draw():
