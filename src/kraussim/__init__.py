@@ -48,7 +48,6 @@ from .dilation import (
     DilatedState,
     dilate_pure,
     embed_qudits,
-    mixed_method_convex,
     mixed_method_double_purification,
     mixed_method_purify_evolved,
     postselect,

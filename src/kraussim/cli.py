@@ -104,17 +104,17 @@ covers synthesis and lowering together, and only when it fails is the
 synthesized circuit run, to name the stage at fault.  Each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
-One ``derive_rngs`` call makes the part's streams, each setting's own:
-path ``(point, part, s, 0)`` for sampling and ``(point, part, s, 1)``
-for readout noise.  One ``sample`` call draws every setting's shots from
-the part's ``(3^m, 2^m)`` marginal matrix, row s from its own stream,
-and returns the part's one count matrix, rows in settings
-order, over the system outcomes.  With a readout
-model, one ``apply_readout_noise`` call corrupts the whole matrix, row s
-from its own stream, and one ``mitigate`` call turns it into a frequency
-matrix.  That matrix is the one weight matrix the expectations read; no
-bitstring is formed.  The expectation vector goes to ``reconstruct``
-as it is.  Mixed method 2 prepares one circuit per eigenvector
+One ``derive_rngs`` call makes the part's streams, one per setting:
+path ``(point, part, s, 0)`` for setting s, with or without a readout
+model.  With a readout model, one ``apply_readout_noise`` call maps the
+part's ``(3^m, 2^m)`` marginal matrix to the probabilities the noisy
+readout reports, before any draw.  One ``sample`` call draws every
+setting's shots from that matrix, row s from its own stream, and
+returns the part's one count matrix, rows in settings order, over the
+system outcomes.  With a readout model, one ``mitigate`` call turns it
+into a frequency matrix.  That matrix is the one weight matrix the
+expectations read; no bitstring is formed.  The expectation vector goes
+to ``reconstruct`` as it is.  Mixed method 2 prepares one circuit per eigenvector
 (``dilation.eigenvector_dilations``) and mixes the recovered states
 classically.
 """
@@ -568,12 +568,11 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     m = part.dilated.embedding.qubit_counts[0]
     marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
     k = len(marginals)
-    # tails (s, 0) for every setting s, then (s, 1) for every setting with a readout model
-    tails = np.indices((1 + (cfg.readout is not None), k))[::-1].reshape(2, -1).T
-    rngs = derive_rngs(cfg.seed, path, tails)
-    weights = sample(marginals, cfg.shots, rngs[:k]).counts
-    if cfg.readout is not None:
-        weights = mitigate(apply_readout_noise(weights, cfg.readout, rngs[k:]), cfg.readout)
+    rngs = derive_rngs(cfg.seed, path, np.c_[np.arange(k), np.zeros(k, dtype=int)])  # tails (s, 0)
+    if cfg.readout is None:
+        weights = sample(marginals, cfg.shots, rngs).counts
+    else:
+        weights = mitigate(sample(apply_readout_noise(marginals, cfg.readout), cfg.shots, rngs).counts, cfg.readout)
     values, _ = expectations(weights, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block

@@ -6,13 +6,13 @@ ancilla level per Kraus operator.  Tracing the ancilla out of the joint
 state reproduces the operator-sum action exactly, so preparing the joint
 state on a simulator and discarding the ancilla simulates the channel.
 
-Mixed inputs are handled three ways, all returning objects whose reduced
-system state equals the operator-sum result:
+Mixed inputs are handled three ways, each recovering the operator-sum
+result from reduced system states:
 
 * purify the evolved joint density matrix directly
   (:func:`mixed_method_purify_evolved`),
-* evolve each eigenvector separately and mix the results classically
-  (:func:`mixed_method_convex`),
+* dilate each eigenvector separately, for the caller to mix the reduced
+  states classically (:func:`eigenvector_dilations`),
 * dilate the spectral decomposition itself into one larger pure state
   (:func:`mixed_method_double_purification`).
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .numerics import DensityMatrix, PureState, check_register, herm_eig, partial_trace
+from .numerics import DensityMatrix, PureState, check_register, herm_eig
 
 __all__ = [
     "QubitEmbedding",
@@ -45,7 +45,6 @@ __all__ = [
     "spectral_input",
     "mixed_method_purify_evolved",
     "eigenvector_dilations",
-    "mixed_method_convex",
     "mixed_method_double_purification",
 ]
 
@@ -235,19 +234,6 @@ def eigenvector_dilations(
         for k, weight in enumerate(spectral.eigenvalues)
         if weight > RANK_TOL
     ]
-
-
-def mixed_method_convex(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Dilate each eigenvector of ``rho`` separately and mix the outcomes.
-
-    Every eigenvector runs through :func:`dilate_pure` followed by the
-    ancilla trace (:func:`~kraussim.numerics.partial_trace`); the reduced
-    states are combined with the eigenvalue weights.
-    """
-    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for weight, dilated in eigenvector_dilations(channel, rho):
-        out += weight * partial_trace(dilated.state, dilated.factor_dims, keep=[0]).matrix
-    return DensityMatrix(out)
 
 
 def mixed_method_double_purification(

@@ -26,19 +26,19 @@ rounding, not bit for bit.  Qubit 0
 is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
-Randomness comes from the counter-based Philox generator.  Sampling and
-readout noise each take one stream per row of their matrix, keyed by a
-root seed plus an index path, so results are reproducible and
-independent of evaluation order.  :func:`derive_rngs` is the one place
-streams are made: one call gives a part's streams, one per path tail
-(``derive_rng`` is its one-row case).  Their keys are
-``SeedSequence(seed, spawn_key=path)``'s, computed without one: the seed
-and the shared path prefix are hashed once into the pool that every
-stream shares, then each tail column mixes into a ``(4, k)`` ``uint32``
-pool in a few array passes.  Sampling takes a ``(k, 2^m)`` probability matrix,
-one row per setting, checked by :func:`_check_probs`, and returns its
-``(k, 2^m)`` count matrix; readout noise and mitigation take that count
-matrix, checked by :func:`_check_counts`.
+Randomness comes from the counter-based Philox generator.  Sampling takes
+one stream per row of its matrix, keyed by a root seed plus an index
+path, so results are reproducible and independent of evaluation order.
+:func:`derive_rngs` is the one place streams are made: one call gives a
+part's streams, one per path tail (``derive_rng`` is its one-row case).
+Their keys are ``SeedSequence(seed, spawn_key=path)``'s, computed without
+one: the seed and the shared path prefix are hashed once into the pool
+that every stream shares, then each tail column mixes into a ``(4, k)``
+``uint32`` pool in a few array passes.  Sampling turns a ``(k, 2^m)``
+probability matrix, one row per setting, into its count matrix.  Readout
+noise draws nothing: it maps the probabilities before the draw, and
+mitigation the frequencies after it, through one per-qubit kernel,
+:func:`_apply_per_qubit`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import PureState, check_register, read_real
+from .numerics import ConfigError, PureState, check_register, read_real
 from .qsp import Circuit, Gate, GrayWalk, Multiplexor, check_qubits, rotation_stack, walk_pattern_angles
 
 __all__ = [
@@ -389,18 +389,17 @@ def _check_shape(matrix: np.ndarray, stage: str, noun: str, rngs: Sequence | Non
     return shape
 
 
-def _check_counts(counts, stage: str, rngs: Sequence | None = None) -> np.ndarray:
+def _check_counts(counts, stage: str) -> np.ndarray:
     """``counts`` as a validated ``(k, 2^n)`` count matrix, one row per setting.
 
-    The one count check of the simulator: ``ShotCounts``, readout noise and
-    mitigation each call it before any work.  It requires a 2-D integer array
-    whose column count is a power of two, where ``rngs`` is given one
-    generator per row, no negative count and no empty row.  A failure names
-    the stage, the shape and the first bad row."""
+    The one count check of the simulator: ``ShotCounts`` and mitigation each
+    call it before any work.  It requires a 2-D integer array whose column
+    count is a power of two, no negative count and no empty row.  A failure
+    names the stage, the shape and the first bad row."""
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":
         raise ValueError(f"{stage}: counts of shape {counts.shape} must be integers, got dtype {counts.dtype}")
-    shape = _check_shape(counts, stage, "counts", rngs)
+    shape = _check_shape(counts, stage, "counts", None)
     # the cheap reductions first: a sweep checks a count matrix per part
     if counts.min(initial=0) < 0:
         row, outcome = np.argwhere(counts < 0)[0]
@@ -412,22 +411,23 @@ def _check_counts(counts, stage: str, rngs: Sequence | None = None) -> np.ndarra
     return counts
 
 
-def _check_probs(probs, rngs: Sequence) -> np.ndarray:
+def _check_probs(probs, stage: str, rngs: Sequence | None = None) -> np.ndarray:
     """``probs`` as a validated ``(k, 2^n)`` float matrix of outcome weights, one
-    row per setting and one generator per row, before :func:`sample` draws.
+    row per setting and, where ``rngs`` is given, one generator per row: the
+    check :func:`sample` and :func:`apply_readout_noise` make before any work.
 
     A non-2-D matrix, a column count that is no power of two, a generator
     count other than the row count, a negative, NaN or infinite entry and a
-    row with no mass each fail, naming ``sampling``, the shape and the first
+    row with no mass each fail, naming the stage, the shape and the first
     bad row."""
     probs = np.asarray(probs, dtype=np.float64)
-    shape = _check_shape(probs, "sampling", "probabilities", rngs)
+    shape = _check_shape(probs, stage, "probabilities", rngs)
     bad = ~((probs >= 0.0) & (probs < np.inf)).all(axis=1)
     problem = "a negative or non-finite entry"
     if not bad.any():  # summed only when every entry is finite: inf + -inf warns
         bad, problem = ~(probs.sum(axis=1) > 0.0), "no probability mass"
     if bad.any():
-        raise ValueError(f"sampling: probabilities of shape {shape}: row {np.argmax(bad)} has {problem}")
+        raise ValueError(f"{stage}: probabilities of shape {shape}: row {np.argmax(bad)} has {problem}")
     return probs
 
 
@@ -478,7 +478,7 @@ def sample(probs: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = _check_probs(probs, rngs)
+    probs = _check_probs(probs, "sampling", rngs)
     counts = np.empty(probs.shape, dtype=np.int64)
     for row, p, rng in zip(counts, probs, rngs):
         row[...] = rng.multinomial(shots, p / p.sum())
@@ -492,7 +492,8 @@ class ReadoutModel:
     ``e0[q]`` is the probability of reading 1 when qubit q is 0, and
     ``e1[q]`` of reading 0 when it is 1.  Each is a number or a list or
     tuple of numbers, each read by ``numerics.read_real`` as the config's
-    ``readout.e0`` or ``readout.e1`` (entry i).
+    ``readout.e0`` or ``readout.e1`` (entry i); a rate outside [0, 0.5] is a
+    ``ConfigError`` that names the same field.
     Scalars broadcast over all qubits; two tuples must have the same
     length.  Both probabilities are capped at 0.5, so a qubit's
     :meth:`confusion` matrix is singular only at e0 = e1 = 0.5, which is
@@ -506,11 +507,11 @@ class ReadoutModel:
         for name in ("e0", "e1"):
             value, path = getattr(self, name), f"readout.{name}"
             scalar = not isinstance(value, (list, tuple))
-            vals = (read_real(value, path),) if scalar else tuple(
-                read_real(v, f"{path} entry {i}") for i, v in enumerate(value))
-            for v in vals:
+            fields = {path: value} if scalar else {f"{path} entry {i}": v for i, v in enumerate(value)}
+            vals = tuple(read_real(v, field) for field, v in fields.items())
+            for field, v in zip(fields, vals):
                 if not 0.0 <= v <= 0.5:
-                    raise ValueError(f"{name} entry {v} outside [0, 0.5]")
+                    raise ConfigError(f"{field}: {v} outside [0, 0.5]")
             object.__setattr__(self, name, vals[0] if scalar else vals)
         if isinstance(self.e0, tuple) and isinstance(self.e1, tuple) and len(self.e0) != len(self.e1):
             raise ValueError(f"e0 has {len(self.e0)} entries, e1 has {len(self.e1)}")
@@ -539,46 +540,42 @@ class ReadoutModel:
 
 
 @functools.lru_cache(maxsize=64)
-def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``model.confusion(qubit_count)``, its batched inverse and the flip rates,
-    read-only and built once per (model, qubit count): a sweep reads them for
-    every part.  ``rates[q]`` is qubit q's P(read 1 - b | true b) for b = 0, 1,
-    its e0 and e1 as a C-contiguous ``(2, 1)`` column, the form in which a
-    binomial draw reads it fastest."""
+def _confusion_stack(model: ReadoutModel, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``model.confusion(qubit_count)`` and its batched inverse, read-only and
+    built once per (model, qubit count): a sweep reads them for every part."""
     confusion = model.confusion(qubit_count)
     inverses = np.linalg.inv(confusion)
-    rates = np.ascontiguousarray(confusion[:, [1, 0], [0, 1], None])
-    confusion.flags.writeable = inverses.flags.writeable = rates.flags.writeable = False
-    return confusion, inverses, rates
+    confusion.flags.writeable = inverses.flags.writeable = False
+    return confusion, inverses
 
 
-def apply_readout_noise(
-    counts: np.ndarray, model: ReadoutModel, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Flip each recorded bit independently with the model's probabilities:
-    the noisy ``(k, 2^m)`` count matrix of a ``(k, 2^m)`` one, row s drawn
-    from its own :func:`derive_rng` stream ``rngs[s]``.
+def _apply_per_qubit(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``stack[q]``, a (2, 2) matrix, applied along qubit q's axis of every row of
+    the ``(k, 2^m)`` matrix ``rows``: ``kron(*stack) @ row`` without forming it.
+    One stacked ``matmul`` per qubit makes per row the ``(2, 2) @ (2, 2^(m-1))``
+    product ``tensordot`` makes on a single row, so a row's bytes do not depend
+    on the other rows."""
+    k, size = rows.shape
+    tensor = rows.reshape((k,) + (2,) * len(stack))
+    for q, matrix in enumerate(stack):
+        moved = np.moveaxis(tensor, q + 1, 1)
+        product = np.matmul(matrix, moved.reshape(k, 2, -1))
+        tensor = np.moveaxis(product.reshape(moved.shape), 1, q + 1)
+    return tensor.reshape(k, size)
 
-    Each row is thinned one qubit at a time, qubit 0 first, with one
-    binomial draw per qubit over the ``(2^q, 2, rest)`` view of the row:
-    of the shots of each outcome, as many flip bit q as a binomial draw
-    with that qubit's e0 (bit 0) or e1 (bit 1) gives, and they move to the
-    outcome with bit q flipped.  The passes before q changed only the bits
-    of qubits before q, so each pass reads the true bit and the result has
-    the distribution of independent per-shot flips.  A row's draws depend
-    on its stream alone, so row s equals a one-row call with ``rngs[s]``.
-    No array grows with the number of shots.  Every row is checked by
-    :func:`_check_counts` before any draw.
+
+def apply_readout_noise(probs: np.ndarray, model: ReadoutModel) -> np.ndarray:
+    """The outcome probabilities the model's readout reports: the ``(k, 2^m)``
+    matrix of a ``(k, 2^m)`` one, row s mapped to ``kron(C_0, ..., C_{m-1}) @ p_s``
+    by :func:`_apply_per_qubit`, C_q qubit q's :meth:`ReadoutModel.confusion`
+    matrix, so row s equals a one-row call.
+
+    A multinomial draw of a mapped row has the distribution of a draw of the
+    row followed by independent per-qubit flips of each shot's bits.  No
+    generator is taken.  The matrix is checked by :func:`_check_probs` first.
     """
-    noisy = _check_counts(counts, "readout noise", rngs).astype(np.int64)
-    n = noisy.shape[1].bit_length() - 1
-    rates = _confusion_stack(model, n)[2]
-    for row, rng in zip(noisy, rngs):
-        for q in range(n):
-            view = row.reshape(2**q, 2, -1)
-            flips = rng.binomial(view, rates[q])
-            view += flips[:, ::-1] - flips
-    return noisy
+    probs = _check_probs(probs, "readout noise")
+    return _apply_per_qubit(probs, _confusion_stack(model, probs.shape[1].bit_length() - 1)[0])
 
 
 def mitigate(counts: np.ndarray, model: ReadoutModel) -> np.ndarray:
@@ -589,23 +586,15 @@ def mitigate(counts: np.ndarray, model: ReadoutModel) -> np.ndarray:
     Each row is divided by its total.  Each qubit's
     :meth:`ReadoutModel.confusion` matrix is inverted, all in one batched
     call made once per model and register size, and applied along that
-    qubit's axis of every row's frequency tensor in one stacked ``matmul``:
-    per row a ``(2, 2) @ (2, 2^(m-1))`` product, the one ``tensordot`` makes
-    on a single row, so a row's bytes do not depend on the other rows.
-    Negative quasi-probabilities are clipped to zero and each row's
-    remainder renormalized.  Every row is checked by :func:`_check_counts`
-    first.
+    qubit's axis of every row by :func:`_apply_per_qubit`, as readout noise
+    applies the matrices themselves.  Negative quasi-probabilities are
+    clipped to zero and each row's remainder renormalized.  Every row is
+    checked by :func:`_check_counts` first.
     """
     counts = _check_counts(counts, "mitigation")
-    k, size = counts.shape
-    n = size.bit_length() - 1
-    inverses = _confusion_stack(model, n)[1]
-    tensor = (counts / counts.sum(axis=1, keepdims=True)).reshape((k,) + (2,) * n)
-    for q, inv in enumerate(inverses):
-        moved = np.moveaxis(tensor, q + 1, 1)
-        product = np.matmul(inv, moved.reshape(k, 2, -1))
-        tensor = np.moveaxis(product.reshape(moved.shape), 1, q + 1)
-    clipped = np.clip(tensor.reshape(k, size), 0.0, None)
+    n = counts.shape[1].bit_length() - 1
+    quasi = _apply_per_qubit(counts / counts.sum(axis=1, keepdims=True), _confusion_stack(model, n)[1])
+    clipped = np.clip(quasi, 0.0, None)
     totals = clipped.sum(axis=1, keepdims=True)
     drained = np.flatnonzero(totals <= 0.0)
     if drained.size:

@@ -27,8 +27,8 @@ from kraussim.channels import (
     wigner_channel,
 )
 import kraussim.simulator as simulator
-from kraussim.dilation import RANK_TOL
-from kraussim.numerics import DensityMatrix, PureState, check_register, kron
+from kraussim.dilation import RANK_TOL, eigenvector_dilations
+from kraussim.numerics import DensityMatrix, PureState, check_register, kron, partial_trace
 from kraussim.qsp import Circuit, Gate, Multiplexor, _magnitude_pyramid, _qubit_count_for, rotation_stack
 from kraussim.simulator import ShotCounts
 from kraussim.tomography import _pauli_strings
@@ -464,6 +464,31 @@ def same_stream(a, b, draws=8):
     return a.integers(0, 2**64, draws, dtype=np.uint64).tobytes() == b.integers(0, 2**64, draws, dtype=np.uint64).tobytes()
 
 
+def reference_readout_noise(counts, model, rngs):
+    """Per-shot readout flips of a ``(k, 2^m)`` count matrix by binomial thinning,
+    row s drawn from ``rngs[s]``.  ``sample`` of some probabilities followed by
+    this has the distribution of ``sample`` of ``apply_readout_noise`` of them.
+
+    Each row is thinned one qubit at a time, qubit 0 first, with one
+    binomial draw per qubit over the ``(2^q, 2, rest)`` view of the row:
+    of the shots of each outcome, as many flip bit q as a binomial draw
+    with that qubit's e0 (bit 0) or e1 (bit 1) gives, and they move to the
+    outcome with bit q flipped.  The passes before q changed only the bits
+    of qubits before q, so each pass reads the true bit and the result has
+    the distribution of independent per-shot flips."""
+    noisy = simulator._check_counts(counts, "readout noise").astype(np.int64)
+    assert len(rngs) == len(noisy), "one generator per row"
+    n = noisy.shape[1].bit_length() - 1
+    # qubit q's P(read 1 - b | true b) for b = 0, 1, its e0 and e1 as a column
+    rates = np.ascontiguousarray(model.confusion(n)[:, [1, 0], [0, 1], None])
+    for row, rng in zip(noisy, rngs):
+        for q in range(n):
+            view = row.reshape(2**q, 2, -1)
+            flips = rng.binomial(view, rates[q])
+            view += flips[:, ::-1] - flips
+    return noisy
+
+
 def reference_mitigate(counts, model):
     """String-keyed confusion-matrix inversion of one count vector:
     {bitstring: frequency > 0}."""
@@ -592,6 +617,16 @@ def reference_reconstruct_raw(values):
         raw += coeff * kron(*(PAULIS[c] for c in letters))
     raw /= 2**n
     return raw
+
+
+def mixed_method_convex(channel, rho):
+    """Mixed method 2 without circuits: each eigenvector of ``rho`` dilated by
+    ``dilation.eigenvector_dilations``, its ancillas traced out densely, and
+    the reduced states mixed with the eigenvalue weights."""
+    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for weight, dilated in eigenvector_dilations(channel, rho):
+        out += weight * partial_trace(dilated.state, dilated.factor_dims, keep=[0]).matrix
+    return DensityMatrix(out)
 
 
 def reference_embed(dilated):

@@ -235,7 +235,7 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     "config",
     [
         # the qad_readout benchmark workload: 11 points of one part, 3^2
-        # settings, two streams per setting with readout noise
+        # settings, one stream per setting with readout noise as without
         {
             "channel": {"name": "qutrit_amplitude_damping", "params": {}},
             "initial_state": "uniform",
@@ -284,9 +284,8 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
     assert rows_to_csv(run_experiment(cfg)) == expected
     points = len(cfg.grid)
     assert len(calls) == len(parts) >= (2 * points if "mixed_method" in config else points)
-    streams = 2 if cfg.readout is not None else 1
     for part, (prefix, count) in zip(parts, calls):
-        assert count == streams * 3 ** part.dilated.embedding.qubit_counts[0]
+        assert count == 3 ** part.dilated.embedding.qubit_counts[0]
     assert len(set(prefix for prefix, _ in calls)) == len(calls)
 
 
@@ -819,6 +818,15 @@ ERROR_CASES = {
                              1, "config error:", "readout.e0: must be a real number, got '00'"),
     "sweep-readout-bool": (_sweep(mode="sampled", shots=16, readout={"e0": 0.01, "e1": [False, 0.03]}),
                            None, 1, "config error:", "readout.e1 entry 0: must be a real number, got False"),
+    # a rate out of range names its field, then its value, as the type errors do
+    "sweep-readout-rate-scalar": (_sweep(mode="sampled", shots=16, readout={"e0": 0.6, "e1": 0.03}), None,
+                                  1, "config error:", "readout.e0: 0.6 outside [0, 0.5]"),
+    "sweep-readout-rate-entry": (_sweep(mode="sampled", shots=16, readout={"e0": [0.1, 0.7], "e1": 0.03}), None,
+                                 1, "config error:", "readout.e0 entry 1: 0.7 outside [0, 0.5]"),
+    "sweep-readout-rate-negative": (_sweep(mode="sampled", shots=16, readout={"e0": 0.02, "e1": -0.01}), None,
+                                    1, "config error:", "readout.e1: -0.01 outside [0, 0.5]"),
+    "sweep-readout-rate-above-half": (_sweep(mode="sampled", shots=16, readout={"e0": 0.02, "e1": [0.1, 0.51]}),
+                                      None, 1, "config error:", "readout.e1 entry 1: 0.51 outside [0, 0.5]"),
     "sweep-seed-negative": (_sweep(seed=-1), None, 1, "config error:", "seed: must be >= 0, got -1"),
     # a NaN point once reached the oracle and failed there (exit 2)
     "sweep-grid-nan": (_sweep(channel={"name": "spin_boost", "params": {}},

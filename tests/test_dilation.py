@@ -9,6 +9,7 @@ from helpers import (
     CATALOG_DRAWS,
     QUBIT_CHANNEL_DRAWS,
     bloch_parameters,
+    mixed_method_convex,
     random_density,
     random_kraus_channel,
     random_pure,
@@ -27,7 +28,6 @@ from kraussim.dilation import (
     dilate_pure,
     eigenvector_dilations,
     embed_qudits,
-    mixed_method_convex,
     mixed_method_double_purification,
     mixed_method_purify_evolved,
     postselect,

@@ -16,11 +16,12 @@ from helpers import (
     reference_expectations,
     reference_expectations_by_string,
     reference_mitigate,
+    reference_readout_noise,
     reference_reconstruct_raw,
 )
 import kraussim.tomography as tomography
 from kraussim.numerics import DensityMatrix, kron
-from kraussim.simulator import ReadoutModel, apply_readout_noise, derive_rng, mitigate, sample
+from kraussim.simulator import ReadoutModel, derive_rng, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
     expectations,
@@ -135,7 +136,7 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
         probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
         counts = sample(probs[None], shots[-1], [derive_rng(511, k, 0)])
         if readout:
-            noisy = apply_readout_noise(counts.counts, model, [derive_rng(511, k, 1)])
+            noisy = reference_readout_noise(counts.counts, model, [derive_rng(511, k, 1)])
             weights.append(mitigate(noisy, model)[0])
             per_setting_ref[setting] = reference_mitigate(noisy[0], model)
         else:
