@@ -59,14 +59,15 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """An operator-sum channel.
 
     Construction checks shapes (at least one operator, all square and of
     equal dimension) and that every entry is finite; trace preservation is
     checked separately by :func:`validate_cptp` so that deliberately broken
-    operator lists can still be represented and reported on.
+    operator lists can still be represented and reported on.  Equality
+    and hashing are by identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -355,13 +356,14 @@ def _unit(v: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerBoost:
     """A boost acting on a discrete set of sharp momenta.
 
     ``rapidity`` and ``boost_direction`` describe the observer boost;
     each momentum has magnitude rapidity ``momentum_rapidity`` along its
-    own unit direction.  All directions must be unit 3-vectors.
+    own unit direction.  All directions must be unit 3-vectors.  Equality
+    and hashing are by identity.
     """
 
     rapidity: float
@@ -389,9 +391,10 @@ class WignerBoost:
         return len(self.momentum_directions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerRotation:
-    """Rotation angle and axis induced on the spin by a boosted momentum."""
+    """Rotation angle and axis induced on the spin by a boosted momentum.
+    Equality and hashing are by identity."""
 
     angle: float
     axis: np.ndarray

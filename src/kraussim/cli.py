@@ -160,6 +160,7 @@ from .numerics import (
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
 from .qsp import Circuit, dump_circuit, lower, lowering_deviations, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, apply_readout_noise, derive_rngs, mitigate, run, run_branches, sample
+from .simulator import _confusion_stack
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
 __all__ = [
@@ -547,7 +548,8 @@ def _prepared_parts(
                 f"{MAX_TOMOGRAPHY_QUBITS} qubits ({3**m} settings)"
             )
         if cfg.readout is not None:
-            _field("readout", cfg.readout.confusion, m)
+            # the stack the readout steps read, built and checked once per m
+            _field("readout", _confusion_stack, cfg.readout, m)
         # one row per setting; the all-Z one rotates nothing and comes last,
         # so the last row is the lowered state
         layers = settings_for(m).layers if cfg.mode == "sampled" else None
@@ -584,6 +586,7 @@ def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
     oracle = apply_channel(channel, rho0)
     synth_count = lowered_count = 0
     measured = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    floor, terms = 0.0, 0
     for k, part in enumerate(_prepared_parts(cfg, channel, rho0, psi0)):
         synth_count += part.circuit.gate_count
         lowered_count += part.lowered.gate_count
@@ -592,7 +595,11 @@ def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
         else:
             block = _measure_sampled(cfg, part, (index, k))
         measured += part.weight * block.matrix
-    rho_measured = DensityMatrix(measured)
+        floor += part.weight * block._floor
+        terms += 1
+    # every weight is positive (1.0, or an eigenvalue above RANK_TOL), so the
+    # mixture's smallest eigenvalue is at least the weighted sum of the floors
+    rho_measured = DensityMatrix._bounded(measured, floor, terms)
     return dict(
         c_theory=l1_coherence(oracle),
         c_measured=l1_coherence(rho_measured),

@@ -169,11 +169,12 @@ def _fix_eigvec_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralInput:
     """Spectral decomposition of an input density matrix.
 
     Eigenvalues sorted descending with phase-fixed eigenvector columns.
+    Equality and hashing are by identity.
     """
 
     eigenvalues: np.ndarray

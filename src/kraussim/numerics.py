@@ -4,7 +4,16 @@ Everything works on row-major ``numpy`` arrays with ``complex128`` entries.
 Matrices are kept small (composite dimensions up to ``2**10``), so dense
 routines are used throughout.  Two module constants, ``VALIDATION_TOL``
 and ``EIGEN_TOL``, hold the thresholds, so the whole package agrees on
-what "numerically zero" means.
+what "numerically zero" means; the README's Tolerances table lists them
+with the package's other thresholds and the bound each implies.
+
+The constructors of :class:`DensityMatrix` and :class:`PureState` check
+every property.  The package's producers of density matrices build
+through :meth:`DensityMatrix._bounded` instead: it keeps the shape,
+finiteness, Hermiticity and trace checks, and takes a lower bound on the
+smallest eigenvalue that the construction gives in place of ``eigvalsh``
+wherever that bound, less :func:`_allowance` for rounding, clears
+``-VALIDATION_TOL``.
 
 The typed readers (``read_integer``, ``read_real``, which with
 ``finite=True`` also rejects NaN and infinities, ``read_complex``,
@@ -160,40 +169,86 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {index if arr.ndim > 1 else index[0]} is not finite: {arr[index]}")
 
 
-@dataclass(frozen=True)
+# Machine epsilon, the unit of the rounding allowance below.
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _allowance(n: int, terms: int) -> float:
+    """Room for rounding between a producer's eigenvalue bound and the check
+    it stands for, ``n * (terms + n) * eps``.  An n x n result whose entries
+    are sums of ``terms`` rounded products, the magnitudes of each entry's
+    products summing to at most 1 (as in a Gram matrix or a product of
+    states), lies within ``n * terms * eps`` of the exact one in Frobenius
+    norm, so its eigenvalues do by Weyl's inequality; the other ``n * n *
+    eps`` covers the error of ``eigvalsh`` on a matrix of norm at most 1."""
+    return n * (terms + n) * _EPS
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix.
 
     The constructor checks that every entry is finite, then Hermiticity,
     unit trace and positive semidefiniteness within ``VALIDATION_TOL``.
     The stored array is a private copy marked read-only, so instances
-    behave as immutable values.
+    behave as immutable values.  Equality and hashing are by identity.
+
+    Each instance also keeps ``_floor``, a lower bound on the smallest
+    eigenvalue of its matrix's Hermitian part: from the constructor,
+    ``eigvalsh``'s minimum less ``_allowance(n, 0)``.  The package's own
+    producers build through :meth:`_bounded` instead, which takes the
+    bound the construction gives.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_complex_matrix(self.matrix, "density matrix")
+        self._settle(_as_complex_matrix(self.matrix, "density matrix"), None)
+
+    @classmethod
+    def _bounded(cls, matrix: np.ndarray, floor: float, terms: int) -> DensityMatrix:
+        """A density matrix from a producer that knows ``floor``, a lower bound
+        on the smallest eigenvalue of the exact value that ``matrix`` rounds,
+        whose entries are sums of at most ``terms`` rounded products.
+
+        The shape, finiteness, Hermiticity and trace checks run as in the
+        constructor.  If ``floor - _allowance(n, terms)`` is at least
+        ``-VALIDATION_TOL``, that bound passes the eigenvalue check:
+        ``eigvalsh`` would find no eigenvalue below the tolerance.
+        Otherwise ``eigvalsh`` runs as in the constructor.  So both accept
+        and reject the same matrices, with the same messages."""
+        arr = _as_complex_matrix(matrix, "density matrix")
+        rho = object.__new__(cls)
+        rho._settle(arr, floor - _allowance(arr.shape[0], terms))
+        return rho
+
+    def _settle(self, arr: np.ndarray, floor: float | None) -> None:
+        """Check ``arr`` as a density matrix, the eigenvalues by ``eigvalsh``
+        unless ``floor`` certifies them, and store it read-only with its floor."""
         herm_defect = np.max(np.abs(arr - arr.conj().T))
         if herm_defect > VALIDATION_TOL:
             raise ValueError(f"density matrix not Hermitian (defect {herm_defect:.3e})")
         trace_defect = abs(arr.trace() - 1.0)
         if trace_defect > VALIDATION_TOL:
             raise ValueError(f"density matrix trace {arr.trace():.12f} != 1")
-        lo = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min()
-        if lo < -VALIDATION_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        if floor is None or not floor >= -VALIDATION_TOL:  # a NaN floor decides nothing
+            lo = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0).min()
+            if lo < -VALIDATION_TOL:
+                raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+            floor = float(lo) - _allowance(arr.shape[0], 0)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_floor", floor)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit-norm complex amplitude vector with finite entries."""
+    """A unit-norm complex amplitude vector with finite entries.  Equality
+    and hashing are by identity."""
 
     amplitudes: np.ndarray
 
@@ -213,8 +268,10 @@ class PureState:
         return self.amplitudes.size
 
     def to_density(self) -> DensityMatrix:
+        """The outer product |v><v|: positive semidefinite, so checked on the
+        floor 0.0, each entry one rounded product."""
         v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
+        return DensityMatrix._bounded(np.outer(v, v.conj()), 0.0, 1)
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -239,6 +296,12 @@ def partial_trace(
     products on the traced diagonal, the state's dimension times the kept
     dimension of them, are formed; the result equals
     ``partial_trace(rho.to_density(), dims, keep)`` bit for bit.
+
+    The result is checked as a density matrix on a floor its construction
+    gives (:meth:`DensityMatrix._bounded`): from a pure state it is a Gram
+    matrix, with floor 0.0, and from a density matrix each of its
+    ``d_traced`` traced blocks is a compression of ``rho``, so its smallest
+    eigenvalue is at least ``d_traced`` times ``rho``'s floor.
     """
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
@@ -261,6 +324,7 @@ def partial_trace(
         v = rho.amplitudes.reshape(dims).transpose(traced + keep).reshape(-1, d_keep)
         terms = v[:, :, None] * v.conj()[:, None, :]
         reduced = (np.add.accumulate(terms, axis=0)[-1] + 0.0) if traced else terms[0]
+        floor = 0.0
     else:
         tensor = rho.matrix.reshape(dims + dims)
         # einsum with integer subscripts: traced factors share row/col labels
@@ -268,7 +332,8 @@ def partial_trace(
         col = [i + n if i in keep else i for i in range(n)]
         out_sub = [i for i in keep] + [i + n for i in keep]
         reduced = np.einsum(tensor, row + col, out_sub)
-    return DensityMatrix(reduced.reshape(d_keep, d_keep))
+        floor = rho._floor * (rho.dim // d_keep)
+    return DensityMatrix._bounded(reduced.reshape(d_keep, d_keep), floor, rho.dim // d_keep)
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

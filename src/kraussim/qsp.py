@@ -47,6 +47,15 @@ running it.  ``Circuit.gates`` spells the elements out one gate at a time,
 for the text dump and the QASM export: each multiplexor entry as a
 one-entry :class:`Multiplexor`, which is exactly a multi-controlled
 rotation, and each walk as its rotations and CX gates.
+
+The constructors of :class:`Multiplexor`, :class:`GrayWalk` and
+:class:`Circuit` check every field.  :func:`synthesize` and :func:`lower`
+build theirs through :func:`_built`, without those per-element checks:
+rows come from ``nonzero()`` over a level's patterns, so are distinct,
+ascending and in range; a walk has the 2^t slots of the ragged layout;
+every target is below the qubit count; and one ``np.isfinite`` check per
+level, or per circuit on the slot angles, stands for the angle checks,
+with the constructors' messages.
 """
 
 from __future__ import annotations
@@ -308,6 +317,16 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _built(cls: type, **fields) -> object:
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without its ``__post_init__`` checks: the build path of a producer that
+    states, where it calls this, which step of its construction guarantees
+    each of them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, where: str, outside: str) -> None:
     """Raise ValueError unless every qubit that ``elements`` act on is an
     integer in [0, n): Python and numpy integers are qubits, a bool or any
@@ -362,7 +381,10 @@ def _rz_cascade(w: np.ndarray, present: np.ndarray) -> tuple[list[Multiplexor], 
         angles = pairs[:, 1] - pairs[:, 0]
         rows = angles.nonzero()[0]
         if rows.size:
-            elements.append(Multiplexor("rz", q, rows.tolist(), angles[rows].tolist()))
+            # rows from nonzero() over 2^q entries: distinct, ascending, in range;
+            # differences of synthesize's finite scalars: finite
+            elements.append(_built(Multiplexor, kind="rz", target=q, rows=tuple(rows.tolist()),
+                                   angles=tuple(angles[rows].tolist())))
         w = (pairs[:, 0] + pairs[:, 1]) / 2.0
         present = present.reshape(-1, 2).any(axis=1)
     return elements, float(w[0])
@@ -416,14 +438,24 @@ def synthesize(target: PureState) -> Circuit:
             scalars[present] = (phi1 + phi0) / 2.0
             rotations = [("ry", theta), ("rz", phi1 - phi0)]
         for kind, angles in rotations:
+            # the level's one finiteness check, with the Multiplexor's message;
+            # the last level's rz angles, phi1 - phi0, cover the cascade's
+            # scalars, their half sums
+            finite = np.isfinite(angles)
+            if not finite.all():
+                raise ValueError(f"{kind!r} multiplexor on qubit {t}: angle {angles[~finite][0]} not finite")
             keep = angles.nonzero()[0]  # -0.0 is zero too
             if keep.size:
-                elements.append(Multiplexor(kind, t, present[keep].tolist(), angles[keep].tolist()))
+                # rows: present patterns, from nonzero() over 2^t parents
+                elements.append(_built(Multiplexor, kind=kind, target=t, rows=tuple(present[keep].tolist()),
+                                       angles=tuple(angles[keep].tolist())))
         parents = coeff
-    if real:
-        return Circuit(n, tuple(elements))
-    cascade, global_phase = _rz_cascade(scalars, live)
-    return Circuit(n, tuple(elements + cascade), global_phase)
+    global_phase = 0.0
+    if not real:
+        cascade, global_phase = _rz_cascade(scalars, live)
+        elements += cascade
+    # every element acts on one of the qubits 0..n-1, and n >= 1
+    return _built(Circuit, qubit_count=n, elements=tuple(elements), global_phase=global_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +600,22 @@ def lower(circuit: Circuit) -> Circuit:
         sizes = [2 ** targets[i] for i in order]
         gray = np.concatenate([_gray_plan(targets[i])[0] for i in order]) + np.repeat(starts, sizes)
         betas = _walsh_hadamard(flat, [targets[i] for i in order])[gray] / np.repeat(sizes, sizes)
+        finite = np.isfinite(betas)
+        if not finite.all():
+            # the GrayWalk's message for the first walk at fault, in build order
+            first = int(np.argmin(finite))
+            e = out[at[order[bisect.bisect_right(starts, first) - 1]]]
+            raise ValueError(f"{e.kind!r} Gray-code walk on qubit {e.target}: angle {betas[first]} not finite")
         live = np.logical_or.reduceat(betas != 0.0, starts).tolist()
         values = betas.tolist()
         for i, start, size, any_angle in zip(order, starts, sizes, live):
             e = out[at[i]]
-            out[at[i]] = GrayWalk(e.kind, e.target, values[start : start + size]) if any_angle else None
-    return Circuit(circuit.qubit_count, tuple(e for e in out if e is not None), circuit.global_phase)
+            # a multiplexor's kind and target, and 2^target slots of the layout
+            out[at[i]] = _built(GrayWalk, kind=e.kind, target=e.target,
+                                angles=tuple(values[start : start + size])) if any_angle else None
+    # the elements of a checked circuit, or walks on their targets
+    return _built(Circuit, qubit_count=circuit.qubit_count, elements=tuple(e for e in out if e is not None),
+                  global_phase=circuit.global_phase)
 
 
 def lowering_deviations(circuit: Circuit, lowered: Circuit) -> list[tuple[str, float]]:

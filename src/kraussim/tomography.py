@@ -228,22 +228,31 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     proportion to their size, so the trace is preserved and projecting a
     valid state is the identity.
     """
+    return _project_psd(mat)[0]
+
+
+def _project_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`project_psd`'s matrix and the smallest eigenvalue of the
+    spectrum it keeps: ``herm_eig``'s own when nothing is clipped, else 0.0,
+    since ``(v * w) @ v^H`` with every ``w >= 0`` is positive semidefinite
+    for any ``v``."""
     arr = np.asarray(mat, dtype=np.complex128)
     w, v = herm_eig((arr + arr.conj().T) / 2.0)
     negative = w[w < 0.0].sum()
     if negative == 0.0:
-        return arr
+        return arr, float(w[-1])
     positive = w[w > 0.0].sum()
     if positive <= 0.0:
         raise ValueError("matrix has no positive eigenvalue mass")
     scale = 1.0 + negative / positive  # negative is <= 0
     w = np.where(w > 0.0, w * scale, 0.0)
-    return (v * w) @ v.conj().T
+    return (v * w) @ v.conj().T, 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """Linear-inversion output: the raw matrix and its projected state."""
+    """Linear-inversion output: the raw matrix and its projected state.
+    Equality and hashing are by identity."""
 
     raw: np.ndarray
     projected: DensityMatrix
@@ -272,7 +281,12 @@ def reconstruct(values: np.ndarray) -> TomographyResult:
     raw = np.zeros((2**n, 2**n), dtype=np.complex128)
     raw[b[:, None] ^ b, b] += np.cumsum(terms, axis=1)[:, -1]
     raw /= 2**n
-    return TomographyResult(raw, DensityMatrix(project_psd(raw)))
+    # checked on the floor of the spectrum the projection keeps: herm_eig's
+    # eigenvalues are within 2^n * 2^n * eps of the exact ones, and the
+    # product (v * w) @ v^H sums 2^n terms per entry, so terms = 2^n covers
+    # either case
+    projected, floor = _project_psd(raw)
+    return TomographyResult(raw, DensityMatrix._bounded(projected, floor, 2**n))
 
 
 def extract_embedded(
@@ -284,6 +298,10 @@ def extract_embedded(
     basis indices), renormalizes its trace, and reports the probability
     mass dropped with the padded levels.  Exact reconstructions of
     embedded states drop exactly zero.
+
+    The block is checked on the floor that Cauchy interlacing gives: a
+    principal submatrix has no eigenvalue below ``state``'s smallest, and
+    the division scales each by ``1 / kept``.
     """
     if dim < 1 or dim > state.dim:
         raise ValueError(f"block dimension {dim} outside [1, {state.dim}]")
@@ -291,4 +309,4 @@ def extract_embedded(
     kept = float(np.trace(block).real)
     if kept <= 0.0:
         raise ValueError("embedded block carries no probability mass")
-    return DensityMatrix(block / kept), 1.0 - kept
+    return DensityMatrix._bounded(block / kept, state._floor / kept, 1), 1.0 - kept

@@ -48,6 +48,40 @@ def random_density(rng, dim, rank=None):
     return DensityMatrix(m / np.trace(m).real)
 
 
+# Smallest eigenvalues about VALIDATION_TOL = 1e-10: past it, either side of
+# it by 1e-12, inside it, and zero.  A density-matrix producer that checks its
+# result on a floor must accept and reject these as the constructor does.
+EIGEN_LEVELS = (-2e-10, -1e-10 - 1e-12, -1e-10 + 1e-12, -5e-11, 0.0)
+
+
+def with_spectrum(rng, eigenvalues):
+    """A random Hermitian matrix with the given eigenvalues."""
+    u = random_unitary(rng, len(eigenvalues))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def decision(build):
+    """``"accepted"``, or the ValueError message with which ``build()`` rejects."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def count_eigvalsh(monkeypatch):
+    """Count the calls of ``np.linalg.eigvalsh`` from now on, in a list."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 def random_unitary(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import kraussim
 import kraussim.cli as cli
 import kraussim.simulator as simulator
-from helpers import qasm_parse, random_density, stub_gate_kernels
+from helpers import decision, qasm_parse, random_density, random_unitary, stub_gate_kernels
 from kraussim.qsp import Circuit
 from kraussim.channels import (
     KrausChannel,
@@ -19,6 +20,7 @@ from kraussim.channels import (
     bit_flip,
     channel_to_dict,
     depolarizing,
+    l1_coherence,
     qutrit_amplitude_damping,
     save_channel,
 )
@@ -31,6 +33,7 @@ from kraussim.cli import (
     rows_to_csv,
     run_experiment,
 )
+from kraussim.simulator import ReadoutModel
 from kraussim.dilation import eigenvector_dilations, embed_qudits, mixed_method_double_purification
 from kraussim.numerics import DensityMatrix, uniform_state
 from kraussim.qsp import Circuit, Gate, lower, qasm_export, synthesize
@@ -340,6 +343,104 @@ GOLDEN_SWEEPS = {
 def test_sweep_csv_matches_golden(name):
     text = rows_to_csv(run_experiment(parse_config(GOLDEN_SWEEPS[name])))
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _rank_two(d):
+    """A complex rank-2 density matrix on d levels, as config rows."""
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))
+    return _complex_rows(0.6 * np.outer(q[:, 0], q[:, 0].conj()) + 0.4 * np.outer(q[:, 1], q[:, 1].conj()))
+
+
+def _degenerate_sweep(case):
+    d, mode, method = case.split("-")
+    d = int(d[1:])
+    cfg = {"channel": {"name": "hw_dephasing", "params": {"d": d}},
+           "initial_state": "uniform" if method == "pure" else {"density_matrix": _rank_two(d)},
+           "sweep": {"parameter": "p0", "grid": [0.0, 1.0]}, "mode": mode, "seed": 11}
+    if method != "pure":
+        cfg["mixed_method"] = int(method[-1])
+    if mode == "sampled":
+        cfg["shots"] = 256
+    return cfg
+
+
+# The sha256 of each degenerate sweep's CSV: p0 in {0, 1}, qudits padded
+# from 3 and 5 levels, a pure input and a rank-deficient mixed one under each
+# mixed method (method 1 on d = 5 needs 11 qubits, so its points fail, NaN).
+# Recorded before the producers checked their values on their own bounds;
+# like the goldens, they hold on the kernel that golden/recorded_on.json names.
+DEGENERATE_SWEEPS = {
+    "d3-exact-pure": "4dcb0a1064d7e1df43877b609131dc0a29dfe26c0d318da93e825ff140b0c163",
+    "d3-exact-method1": "35b6e2a874cc81f39971d42aa7fbced4eee8d30f3db1c28d2522175a133c58dd",
+    "d3-exact-method2": "c9fe78cc548fd6c63778f304c108966a2c40582de21e9ad0fb9e992d01f314fb",
+    "d3-exact-method3": "91fecb2b5639b7cb0f1010ef977ad0854cab172fb87aa168a320cd704eeb70a8",
+    "d3-sampled-pure": "0686052de8f28d7303f38cccb29408a9d0e3c6407b805b8558477e9ca487900b",
+    "d3-sampled-method1": "af205617a0f185e342674a69721f3669331bacace2f1d268d267433d0628eb16",
+    "d3-sampled-method2": "85ad4c33294c2aab3e5eee368e289ef7ebb2f2284ef0cce107ef6b3da303f5dd",
+    "d3-sampled-method3": "558d48c9f5a1924860e5c7fff93627a7f53eee1d053614ea2382a5a878292944",
+    "d5-exact-pure": "bcc8ae6f27284a13221ed8d3c18f6938a1022f1483f676e5d7f31017155d5f88",
+    "d5-exact-method1": "f85a29a7cb7c149103969784057f2613b59b6f98761a7cc7dc82133bf0e774e2",
+    "d5-exact-method2": "aee58c790740c21ca88d95e6596cdd10a1873e934ac2ef2bb2c1f00b4e1eee8d",
+    "d5-exact-method3": "82c3a9af3b49fe17252d5a7327c24a712be8963c21e64e3e2914d7596f416618",
+    "d5-sampled-pure": "f3acf0a6cd3e2ce9205ae8e860e7c9fa988a731133b99d1bb1711e7b79b00571",
+    "d5-sampled-method1": "7e94d8edf2ee62f3d974ab2a3c52ca0e4a57e634137d2a046c9517da5ba794fd",
+    "d5-sampled-method2": "9d43f041189c3202559a54dd1e6e68faecd0e60f27c96616873418e8c547599c",
+    "d5-sampled-method3": "2047bd88aee3a97e90c92659f4c90860b3bb4c5926a0dc373905b78a962bbd8e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_SWEEPS))
+def test_degenerate_sweeps_keep_their_bytes(case):
+    text = rows_to_csv(run_experiment(parse_config(_degenerate_sweep(case))))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEGENERATE_SWEEPS[case]
+
+
+@pytest.mark.parametrize("level", [-1e-10 + 1e-12, -5e-11, 0.0])
+def test_point_mixture_decides_as_the_constructor(monkeypatch, level):
+    # two parts whose blocks share the eigenvector of their smallest
+    # eigenvalue, level, so the mixture's is level too: the weighted sum of
+    # the blocks' floors decides, as the constructor would.  No mixture of
+    # valid blocks has an eigenvalue below -1e-10.  Weights that do not sum
+    # to 1 fail the trace check with the constructor's message.
+    rng = np.random.default_rng(3721)
+    u = random_unitary(rng, 3)
+    blocks = [DensityMatrix((u * spectrum) @ u.conj().T)
+              for spectrum in ([0.7 - level, 0.3, level], [0.2, 0.8 - level, level])]
+    cfg = parse_config({"channel": {"name": "hw_dephasing", "params": {"d": 3}}, "initial_state": "uniform",
+                        "sweep": {"parameter": "p0", "grid": [0.5]}, "mode": "exact"})
+    count = SimpleNamespace(gate_count=0)
+    for weights in ([0.25, 0.75], [0.25, 0.65]):
+        parts = [SimpleNamespace(weight=w, circuit=count, lowered=count, block=b) for w, b in zip(weights, blocks)]
+        monkeypatch.setattr(cli, "_prepared_parts", lambda *args: iter(parts))
+        monkeypatch.setattr(cli, "_measure_exact", lambda part: part.block)
+        mixture = np.zeros((3, 3), dtype=complex)
+        for part in parts:
+            mixture += part.weight * part.block.matrix
+        expected = decision(lambda: DensityMatrix(mixture))
+        assert decision(lambda: cli._run_point(cfg, 0, 0.5)) == expected
+        if expected == "accepted":
+            assert cli._run_point(cfg, 0, 0.5)["c_measured"] == l1_coherence(DensityMatrix(mixture))
+        else:
+            assert expected.startswith("density matrix trace 0.900000000000")
+
+
+def test_readout_model_is_built_and_checked_once_per_register_size(monkeypatch):
+    # every part of a qutrit sweep measures 2 qubits: the check reads the one
+    # cached stack; a model that does not fit fails on every sweep, with its
+    # message, since a raised error is not cached
+    built = []
+    confusion = ReadoutModel.confusion
+    monkeypatch.setattr(ReadoutModel, "confusion", lambda self, m: built.append(m) or confusion(self, m))
+    simulator._confusion_stack.cache_clear()
+    sweep = {"parameter": "gamma", "grid": [0.2, 0.5, 0.9]}
+    cfg = parse_config(dict(_QAD, sweep=sweep, mode="sampled", shots=64, readout={"e0": [0.02, 0.04], "e1": 0.03}))
+    assert all(not row.error for row in run_experiment(cfg)) and built == [2]
+    bad = parse_config(dict(_QAD, sweep=sweep, mode="sampled", shots=64, readout={"e0": [0.02] * 3, "e1": 0.03}))
+    for attempt in (1, 2):
+        with pytest.raises(ConfigError, match=r"^readout: e0 has 3 entries, but 2 qubits are measured$"):
+            run_experiment(bad)
+    assert built == [2, 2, 2]
 
 
 OVERSIZED = {  # case: (hw_dephasing d, initial_state, mixed_method, register qubits)

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
+import kraussim.numerics as numerics
+from helpers import EIGEN_LEVELS, count_eigvalsh, decision, random_density, random_pure, random_unitary, with_spectrum
+from kraussim.channels import KrausChannel, WignerBoost, WignerRotation
+from kraussim.dilation import spectral_input
+from kraussim.qsp import Gate, GrayWalk, Multiplexor
+from kraussim.tomography import TomographyResult
 from kraussim.numerics import (
     ConfigError,
     DensityMatrix,
@@ -245,3 +250,94 @@ def test_values_are_immutable():
     psi = random_pure(np.random.default_rng(1), 2)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 5.0
+
+
+@pytest.mark.parametrize("level", EIGEN_LEVELS)
+def test_partial_trace_of_a_density_matrix_decides_as_the_constructor(monkeypatch, level):
+    # rho on a kept qubit and a traced qutrit has the smallest eigenvalue
+    # level / 3, well inside the tolerance, on three eigenvectors that trace to
+    # one: its reduced state's is level.  The floor, 3 times rho's, decides
+    # when it clears the tolerance; otherwise eigvalsh does
+    rng = np.random.default_rng(3702)
+    spectrum = np.repeat([level / 3, (1.0 - level) / 3], 3)
+    u = kron(random_unitary(rng, 2), random_unitary(rng, 3))
+    rho = DensityMatrix((u * spectrum) @ u.conj().T)
+    reference = rho.matrix.reshape(2, 3, 2, 3).trace(axis1=1, axis2=3)
+    expected = decision(lambda: DensityMatrix(reference))
+    calls = count_eigvalsh(monkeypatch)
+    assert decision(lambda: partial_trace(rho, [2, 3], keep=[0])) == expected
+    assert expected == ("accepted" if level >= -1e-10 else f"density matrix has negative eigenvalue {level:.3e}")
+    assert len(calls) == (level < -1e-10)
+
+
+def test_pure_states_and_their_partial_traces_pass_on_the_gram_floor(monkeypatch):
+    # an outer product and a pure state's reduced matrix are Gram matrices:
+    # checked without eigvalsh, with the bytes of the density path
+    rng = np.random.default_rng(3703)
+    cases = []
+    for n in range(1, 10):
+        psi = random_pure(rng, 2**n)
+        rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        for keep in ([0], list(range(n // 2 + 1)), list(range(n))):
+            cases.append((psi, rho, n, keep, partial_trace(rho, [2] * n, keep).matrix))
+    calls = count_eigvalsh(monkeypatch)
+    for psi, rho, n, keep, reference in cases:
+        assert np.array_equal(psi.to_density().matrix, rho.matrix)
+        reduced = partial_trace(psi, [2] * n, keep)
+        assert not reduced.matrix.flags.writeable
+        assert np.array_equal(reduced.matrix, reference)
+    assert calls == []
+
+
+def test_ten_qubit_pure_state_kept_whole_falls_back_to_eigvalsh(monkeypatch):
+    # nothing traced on 10 qubits: the 1024 x 1024 outer product's rounding
+    # allowance, 1024 * 1025 * eps = 2.3e-10, exceeds the tolerance, so the
+    # Gram floor 0.0 does not decide and eigvalsh runs, as the constructor's
+    # would; on 9 qubits the allowance is 5.8e-11 and the floor decides
+    rng = np.random.default_rng(3704)
+    calls = count_eigvalsh(monkeypatch)
+    nine, ten = random_pure(rng, 2**9), random_pure(rng, 2**10)
+    assert partial_trace(nine, [2] * 9, range(9)).dim == 512 and calls == []
+    reduced = partial_trace(ten, [2] * 10, range(10))
+    assert calls == [(1024, 1024)]
+    assert decision(lambda: DensityMatrix(reduced.matrix)) == "accepted"
+    assert numerics._allowance(1024, 1) > numerics.VALIDATION_TOL > numerics._allowance(512, 1)
+
+
+def test_constructor_floor_is_eigvalsh_minimum_less_its_allowance(monkeypatch):
+    rng = np.random.default_rng(3705)
+    rho = DensityMatrix(with_spectrum(rng, [0.5, 0.3, 0.2 + 5e-11, -5e-11]))
+    lo = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2.0).min()
+    assert rho._floor == lo - numerics._allowance(4, 0)
+    # a floor that is NaN or below the tolerance decides nothing: eigvalsh does
+    bad = with_spectrum(rng, [0.6, 0.4 + 2e-10, -2e-10])
+    calls = count_eigvalsh(monkeypatch)
+    for floor in (np.nan, -1.0):
+        assert DensityMatrix._bounded(rho.matrix, floor, 1)._floor == rho._floor
+        assert decision(lambda: DensityMatrix._bounded(bad, floor, 1)) == decision(lambda: DensityMatrix(bad))
+    assert len(calls) == 6
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    rng = np.random.default_rng(3706)
+    rho = random_density(rng, 2)
+    values = [
+        rho,
+        random_pure(rng, 2),
+        KrausChannel((np.eye(2),)),
+        spectral_input(rho),
+        TomographyResult(rho.matrix, rho),
+        WignerBoost(0.5, np.array([0.0, 0.0, 1.0]), 0.3, (np.array([1.0, 0.0, 0.0]),)),
+        WignerRotation(0.2, np.array([0.0, 1.0, 0.0])),
+    ]
+    for value in values:
+        twin = type(value).__new__(type(value))
+        twin.__dict__.update(value.__dict__)
+        assert value == value and value != twin and not (value == twin)
+        assert hash(value) == hash(value) != hash(twin)
+        assert len({value, twin}) == 2
+    # the circuit elements keep value equality: lowering_deviations compares
+    # a lowered circuit's elements with the source's by !=
+    for make in (lambda: Gate("x", 0.0, 1, ((0, 1),)), lambda: Multiplexor("ry", 1, [0, 1], [0.1, 0.2]),
+                 lambda: GrayWalk("rz", 1, [0.3, 0.0])):
+        assert make() == make() and not make() != make() and hash(make()) == hash(make())

@@ -544,6 +544,87 @@ def test_gray_walk_keeps_a_tuple_and_circuit_checks_its_target():
         Circuit(3, (Gate("x", 0.0, 0), wide))
 
 
+def _synth_targets():
+    """Complex, real and sparse preparations on 1 to 7 qubits, one all-zero
+    pair of branches among them, and basis states."""
+    rng = np.random.default_rng(3701)
+    for n in range(1, 8):
+        for real in (False, True):
+            amps = rng.standard_normal(2**n) + (0.0 if real else 1j * rng.standard_normal(2**n))
+            amps[rng.random(2**n) < 0.4] = 0.0
+            amps[-1] += 0.5
+            yield PureState(amps / np.linalg.norm(amps))
+        yield basis_state(2**n, 2**n - 1)
+
+
+def test_synth_and_lower_build_what_the_public_constructors_accept():
+    # synthesize and lower skip the elements' own checks: every element,
+    # rebuilt through its public constructor, must be accepted and equal,
+    # with rows ascending, and so must each circuit
+    for target in _synth_targets():
+        for circuit in (synthesize(target), lower(synthesize(target))):
+            for e in circuit.elements:
+                if isinstance(e, Multiplexor):
+                    assert Multiplexor(e.kind, e.target, e.rows, e.angles) == e
+                    assert list(e.rows) == sorted(set(e.rows))
+                    assert all(type(r) is int for r in e.rows) and all(type(a) is float for a in e.angles)
+                else:
+                    assert GrayWalk(e.kind, e.target, e.angles) == e
+                    assert all(type(a) is float for a in e.angles)
+            assert Circuit(circuit.qubit_count, circuit.elements, circuit.global_phase) == circuit
+            assert type(circuit.elements) is tuple
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_synthesize_raises_on_a_non_finite_angle(monkeypatch, value):
+    # the one finiteness check per level stands for the multiplexors' own
+    monkeypatch.setattr(qsp, "_atan2", lambda y, x: np.full(len(list(y)), value))
+    for real in (False, True):
+        amps = np.array([0.5, 0.5j if not real else -0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=rf"^'ry' multiplexor on qubit 0: angle {value} not finite$"):
+            synthesize(PureState(amps))
+
+
+def test_synth_phase_check_stands_for_the_cascade(monkeypatch):
+    # a non-finite phase on the last level is caught by that level's rz check,
+    # before its half sums reach the Rz cascade, whose multiplexors are not
+    # checked again
+    atan2 = qsp._atan2
+    calls = []
+
+    def phase_is_nan(y, x):
+        calls.append(None)
+        angles = atan2(y, x)
+        return angles if len(calls) < 3 else np.full(angles.shape, math.nan)  # the 3rd call is phi0
+
+    monkeypatch.setattr(qsp, "_atan2", phase_is_nan)
+    target = PureState(np.array([0.5, 0.5j, -0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^'rz' multiplexor on qubit 1: angle nan not finite$"):
+        synthesize(target)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_lower_raises_on_a_non_finite_walk_angle_as_the_walk_would(monkeypatch, value):
+    # the one finiteness check of a circuit's slot angles names the first
+    # walk and angle at fault, in the order the walks are built, with the
+    # public constructor's message
+    circuit = Circuit(3, (Multiplexor("ry", 1, [0, 1], [0.3, 0.2]), Multiplexor("rz", 2, [1, 2], [0.5, 0.1]),
+                          Multiplexor("ry", 0, [0], [0.7])))
+    transform = qsp._walsh_hadamard
+
+    def broken(v, targets=None):
+        out = transform(v, targets)
+        out[5] = value  # slot 1 of the second block: the walk on qubit 1
+        return out
+
+    monkeypatch.setattr(qsp, "_walsh_hadamard", broken)
+    with pytest.raises(ValueError) as public:
+        GrayWalk("ry", 1, [0.25, value / 2])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(public.value))}$"):
+        lower(circuit)
+
+
 def test_lowered_walk_gate_count_counts_without_expanding():
     # lowered preparations, complex and real, with exact zeros, and walks with
     # zero slots: on qubit 0, on qubit 1 with the CX pair that cancels, and with

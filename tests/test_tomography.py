@@ -5,9 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from helpers import (
+    EIGEN_LEVELS,
     PAULIS,
     born,
+    count_eigvalsh,
+    decision,
     dense_gate,
     exact_expectations,
     gate_matrix,
@@ -18,7 +23,9 @@ from helpers import (
     reference_mitigate,
     reference_readout_noise,
     reference_reconstruct_raw,
+    with_spectrum,
 )
+import kraussim.numerics as numerics
 import kraussim.tomography as tomography
 from kraussim.numerics import DensityMatrix, kron
 from kraussim.simulator import ReadoutModel, derive_rng, mitigate, sample
@@ -381,3 +388,46 @@ def test_extract_embedded_reports_leaked_mass():
     assert abs(dropped - 0.1) < 1e-12
     assert abs(np.trace(extracted.matrix).real - 1.0) < 1e-12
     assert np.abs(np.diag(extracted.matrix) - np.array([0.5, 0.3, 0.1]) / 0.9).max() < 1e-12
+
+
+@pytest.mark.parametrize("level", EIGEN_LEVELS)
+def test_reconstruct_decides_on_the_kept_spectrum_as_the_constructor(monkeypatch, level):
+    # a raw 2-qubit matrix with the smallest eigenvalue level: the projection
+    # keeps a spectrum >= 0 and its result passes on that floor, with the
+    # bytes and the decision of the constructor on project_psd's output
+    rng = np.random.default_rng(3711)
+    raw = with_spectrum(rng, [0.5, 0.3, 0.2 - level, level])
+    values = exact_expectations(SimpleNamespace(matrix=raw, dim=4))
+    expected = DensityMatrix(project_psd(tomography.reconstruct(values).raw))
+    calls = count_eigvalsh(monkeypatch)
+    result = reconstruct(values)
+    assert np.array_equal(result.projected.matrix, expected.matrix) and calls == []
+    # a projection broken to return its input, with that input's own floor:
+    # the floor no longer clears the tolerance below it, and the check
+    # rejects as the constructor does
+    monkeypatch.setattr(tomography, "_project_psd", lambda mat: (np.asarray(mat), level))
+    assert decision(lambda: reconstruct(values)) == decision(lambda: DensityMatrix(result.raw))
+    assert decision(lambda: DensityMatrix(result.raw)) == (
+        "accepted" if level >= -1e-10 else f"density matrix has negative eigenvalue {level:.3e}")
+
+
+@pytest.mark.parametrize("kept", [0.25, 1e-3])
+@pytest.mark.parametrize("level", EIGEN_LEVELS)
+def test_extract_embedded_decides_on_the_interlacing_floor_as_the_constructor(monkeypatch, kept, level):
+    # a qutrit block of mass kept, whose normalized smallest eigenvalue is
+    # level, and the rest on the padded level: the block's floor is the
+    # state's divided by kept, so with kept = 1e-3 the state's rounding
+    # allowance grows past the 1e-12 margins and eigvalsh decides
+    rng = np.random.default_rng(3712)
+    state = np.zeros((4, 4), dtype=complex)
+    state[:3, :3] = kept * with_spectrum(rng, [0.6, 0.4 - level, level])
+    state[3, 3] = 1.0 - np.trace(state[:3, :3]).real
+    rho = DensityMatrix(state)
+    expected = decision(lambda: DensityMatrix(rho.matrix[:3, :3] / np.trace(rho.matrix[:3, :3]).real))
+    calls = count_eigvalsh(monkeypatch)
+    assert decision(lambda: extract_embedded(rho, 3)) == expected
+    assert expected == ("accepted" if level >= -1e-10 else f"density matrix has negative eigenvalue {level:.3e}")
+    floor = rho._floor / kept
+    assert len(calls) == (floor - numerics._allowance(3, 1) < -1e-10)
+    if kept == 1e-3 and level == -1e-10 + 1e-12:
+        assert calls  # the floor grew by 1 / kept past the tolerance
