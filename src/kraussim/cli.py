@@ -91,17 +91,13 @@ mixed-state methods) -> embed qudits onto qubits -> synthesize -> lower
 (``_prepared_parts``), and ``synth`` its last three steps (``_compile``,
 in exact mode), so an exported or printed circuit has passed the
 synthesis and the lowering checks.  Each part is simulated once, as the
-circuit its mode reads.  Exact mode runs the synthesized circuit, checks
-its fidelity F, and bounds the lowered one's without running it: the
-lowered circuit must copy the synthesized one element by element, and
-with delta_e each walk's largest pattern-angle error its fidelity is at
-least ``(sqrt(F) - sum(delta_e)/2)**2``, which must reach the floor.  It
-recovers the system state by partial trace of the synthesized circuit's
-verified statevector.  Sampled mode simulates only the lowered circuit,
-with all 3^m settings of its m system qubits, in one ``run_branches``
-call, row s bit for bit setting s's full run; the last row's fidelity
-covers synthesis and lowering together, and only when it fails is the
-synthesized circuit run, to name the stage at fault.  Each row's
+lowered circuit, in one ``run_branches`` call: exact mode with no
+settings, its one row the lowered circuit's statevector, and sampled
+mode with all 3^m settings of its m system qubits, row s bit for bit
+setting s's full run.  The last row's fidelity covers synthesis and
+lowering together, and only when it fails is the synthesized circuit
+run, to name the stage at fault.  Exact mode recovers the system state
+by partial trace of that verified row.  In sampled mode each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
 One ``derive_rngs`` call makes the part's streams, one per setting:
@@ -158,7 +154,7 @@ from .numerics import (
     uniform_state,
 )
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
-from .qsp import Circuit, dump_circuit, lower, lowering_deviations, qasm_export, synthesize, verify_preparation
+from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
 from .simulator import ReadoutModel, apply_readout_noise, derive_rngs, mitigate, run, run_branches, sample
 from .simulator import _confusion_stack
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
@@ -468,48 +464,30 @@ def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, Den
     return (channel, *_initial_density(cfg.initial_state, channel.dim))
 
 
-def _require_fidelity(stage: str, fidelity: float, detail: str = "") -> None:
+def _require_fidelity(stage: str, fidelity: float) -> None:
     if fidelity < FIDELITY_FLOOR:
-        raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold{detail}")
+        raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
 
 
-def _compile(
-    target: PureState, layers: Sequence | None
-) -> tuple[Circuit, Circuit, PureState | None, np.ndarray | None]:
-    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized and lowered,
-    and each circuit simulated only where the mode reads it.
+def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.ndarray]:
+    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized and
+    lowered, and the lowered circuit's states on ``layers``, one
+    :func:`~kraussim.simulator.run_branches` call.
 
-    Exact mode (``layers`` None) runs the synthesized circuit and checks its
-    fidelity F.  It bounds the lowering instead of running it: the lowered
-    circuit must copy the synthesized one element by element, and with
-    delta_e each walk's largest pattern-angle error
-    (:func:`~kraussim.qsp.lowering_deviations`), its fidelity is at least
-    ``(sqrt(F) - sum(delta_e)/2)**2``, which must reach the floor; the
-    message names the walk with the largest delta_e.  Sampled mode runs the
-    lowered circuit on ``layers``, which must branch on nothing in the last
-    row, and checks that row's fidelity, which covers synthesis and lowering
-    together; only if it fails is the synthesized circuit run, so that the
-    error names the stage at fault."""
+    ``layers`` must branch on nothing in the last row: exact mode gives no
+    layers, so its one row is the lowered statevector, byte for byte
+    ``run(lowered)``, and sampled mode its tomography settings, the all-Z
+    one last.  That row's fidelity covers synthesis and lowering together;
+    only if it fails is the synthesized circuit run, so that the error
+    names the stage at fault."""
     circuit = synthesize(target)
     low = lower(circuit)
-    if layers is None:
-        state = run(circuit)
-        fidelity = verify_preparation(circuit, target, state)
-        _require_fidelity("synthesis", fidelity)
-        try:
-            deviations = lowering_deviations(circuit, low)
-        except ValueError as exc:
-            raise VerificationError(f"lowered fidelity unbounded: {exc}") from exc
-        worst = max(deviations, key=lambda d: d[1], default=("no walk", 0.0))
-        bound = max(0.0, math.sqrt(fidelity) - math.fsum(d for _, d in deviations) / 2.0) ** 2
-        _require_fidelity("lowered", bound, f" (a bound; largest walk angle error {worst[1]:.3e}, {worst[0]})")
-        return circuit, low, state, None
     branches = run_branches(low, layers)
     fidelity = verify_preparation(low, target, PureState(branches[-1]))
     if fidelity < FIDELITY_FLOOR:
         _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
         _require_fidelity("lowered", fidelity)
-    return circuit, low, None, branches
+    return circuit, low, branches
 
 
 class _Part(NamedTuple):
@@ -519,8 +497,7 @@ class _Part(NamedTuple):
     dilated: DilatedState
     circuit: Circuit  # synthesized
     lowered: Circuit
-    state: PureState | None  # exact mode: the synthesized circuit's verified statevector
-    branches: np.ndarray | None  # sampled mode: the lowered states, one row per tomography setting
+    branches: np.ndarray  # the lowered states, one row per tomography setting; exact mode's one row
 
 
 def _prepared_parts(
@@ -552,13 +529,13 @@ def _prepared_parts(
             _field("readout", _confusion_stack, cfg.readout, m)
         # one row per setting; the all-Z one rotates nothing and comes last,
         # so the last row is the lowered state
-        layers = settings_for(m).layers if cfg.mode == "sampled" else None
+        layers = settings_for(m).layers if cfg.mode == "sampled" else ()
         yield _Part(weight, dilated, *_compile(embed_qudits(dilated), layers))
 
 
 def _measure_exact(part: _Part) -> DensityMatrix:
     m0 = part.dilated.embedding.qubit_counts[0]
-    reduced = partial_trace(part.state, [2] * part.circuit.qubit_count, keep=range(m0))
+    reduced = partial_trace(PureState(part.branches[-1]), [2] * part.lowered.qubit_count, keep=range(m0))
     block, _ = extract_embedded(reduced, part.dilated.system_dim)
     return block
 
@@ -676,7 +653,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries, option)
-    synthesized, lowered, _, _ = _field("synthesis", lambda t: _compile(t, None), target)
+    synthesized, lowered, _ = _field("synthesis", _compile, target, ())
     circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0

@@ -124,10 +124,8 @@ def dilate_pure(channel: KrausChannel, psi: PureState) -> DilatedState:
         raise ValueError(f"state dimension {psi.dim} != channel dimension {channel.dim}")
     d, n = channel.dim, channel.n_kraus
     embedding = QubitEmbedding((d, n))
-    joint = np.zeros(d * n, dtype=np.complex128)
-    for j, op in enumerate(channel.kraus_ops):
-        branch = op @ psi.amplitudes
-        joint[j::n] = branch  # index a*n + j
+    # row j of the product is K_j|psi>, at index a*n + j of the joint state
+    joint = (np.stack(channel.kraus_ops) @ psi.amplitudes).T.reshape(-1)
     return DilatedState(embedding, PureState(joint))
 
 
@@ -255,9 +253,8 @@ def mixed_method_double_purification(
     embedding = QubitEmbedding((d, rank, n))
     amps = np.zeros(d * rank * n, dtype=np.complex128)
     view = amps.reshape(d, rank, n)
+    ops = np.stack(channel.kraus_ops)
     for slot, k in enumerate(keep):
-        weight = spectral.eigenvalues[k]
-        vec = spectral.eigenvectors[:, k]
-        for j, op in enumerate(channel.kraus_ops):
-            view[:, slot, j] = math.sqrt(weight) * (op @ vec)
+        # one matrix-vector product per Kraus operator, all in one call
+        view[:, slot, :] = (math.sqrt(spectral.eigenvalues[k]) * (ops @ spectral.eigenvectors[:, k])).T
     return DilatedState(embedding, PureState(amps))

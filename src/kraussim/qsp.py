@@ -39,11 +39,9 @@ pattern, whose angles :meth:`GrayWalk.pattern_angles` gives, read through
 the walk's CXs.  Both directions of the angle map go through one
 transform, :func:`_walsh_hadamard`, one ragged pass over all of a
 circuit's blocks: :func:`lower` takes every walk's slot angles from its
-multiplexor's in one forward pass, and :func:`_walk_patterns` the pattern
-angles back in one inverse pass, for the simulator
-(:func:`walk_pattern_angles`) and for :func:`lowering_deviations`, which
-bounds how far a lowered circuit's state can be from its source's without
-running it.  ``Circuit.gates`` spells the elements out one gate at a time,
+multiplexor's in one forward pass, and :func:`walk_pattern_angles` the
+pattern angles back in one inverse pass, for the simulator.
+``Circuit.gates`` spells the elements out one gate at a time,
 for the text dump and the QASM export: each multiplexor entry as a
 one-entry :class:`Multiplexor`, which is exactly a multi-controlled
 rotation, and each walk as its rotations and CX gates.
@@ -80,7 +78,6 @@ __all__ = [
     "rotation_stack",
     "synthesize",
     "lower",
-    "lowering_deviations",
     "walk_pattern_angles",
     "verify_preparation",
     "dump_circuit",
@@ -194,10 +191,9 @@ class GrayWalk:
     angles in Gray order, kept as a tuple of floats.  :meth:`gates` spells
     the walk out as elementary gates, and :meth:`pattern_angles` gives the
     one rotation per control pattern that they compose to.  Those angles
-    are what the simulator applies, and what :func:`lowering_deviations`
-    compares with the multiplexor's own: both take them for many walks at
-    once, from one pass of the Walsh-Hadamard transform
-    (:func:`_walk_patterns`), byte for byte as one walk at a time.
+    are what the simulator applies, taken for many walks at once from one
+    pass of the Walsh-Hadamard transform (:func:`walk_pattern_angles`),
+    byte for byte as one walk at a time.
     """
 
     kind: str
@@ -477,7 +473,7 @@ def _walsh_hadamard(v: np.ndarray, targets: Sequence[int] | None = None) -> np.n
     each stage at a time, and IEEE sums and differences round alike, so a
     block's bytes do not depend on the blocks beside it.  :func:`lower`
     takes its walks' slot angles from their multiplexors' angles with one
-    forward pass per circuit, and :func:`_walk_patterns` the pattern
+    forward pass per circuit, and :func:`walk_pattern_angles` the pattern
     angles back from the slot angles with one inverse pass."""
     out = np.array(v, dtype=np.float64)
     targets = [out.size.bit_length() - 1] if targets is None else list(targets)
@@ -513,26 +509,17 @@ def _ragged(
     return flat, order, starts
 
 
-def _walk_patterns(
-    targets: Sequence[int], walks: Sequence[GrayWalk | None]
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """The pattern angles of each walk on qubit ``targets[i]``, all 0.0 for
-    None, as one array in :func:`_ragged`'s layout, with its block order
-    and starts: the slot angles placed at their masks (:func:`_walk_order`),
-    then one inverse pass of :func:`_walsh_hadamard` over all of them."""
-    flat, order, starts = _ragged(targets, [_walk_order(t) if w else () for t, w in zip(targets, walks)],
-                                  [w.angles if w else () for w in walks])
-    return _walsh_hadamard(flat, [targets[i] for i in order]), order, starts
-
-
 def walk_pattern_angles(walks: Sequence[GrayWalk]) -> list[np.ndarray]:
     """Each walk's :meth:`GrayWalk.pattern_angles`, in the given order, from
-    one pass over all of them (:func:`_walk_patterns`).  The simulator takes
-    the walks of one call's elements at once."""
+    one pass over all of them: the slot angles placed at their masks
+    (:func:`_walk_order`) in :func:`_ragged`'s layout, then one inverse pass
+    of :func:`_walsh_hadamard`.  The simulator takes the walks of one call's
+    elements at once."""
     if not walks:
         return []
     targets = [w.target for w in walks]
-    flat, order, starts = _walk_patterns(targets, walks)
+    flat, order, starts = _ragged(targets, [_walk_order(t) for t in targets], [w.angles for w in walks])
+    flat = _walsh_hadamard(flat, [targets[i] for i in order])
     out = [flat] * len(walks)
     for i, start in zip(order, starts):
         out[i] = flat[start : start + 2 ** targets[i]]
@@ -616,58 +603,6 @@ def lower(circuit: Circuit) -> Circuit:
     # the elements of a checked circuit, or walks on their targets
     return _built(Circuit, qubit_count=circuit.qubit_count, elements=tuple(e for e in out if e is not None),
                   global_phase=circuit.global_phase)
-
-
-def lowering_deviations(circuit: Circuit, lowered: Circuit) -> list[tuple[str, float]]:
-    """Per multiplexor of ``circuit``, in order, a label that names its walk
-    and delta = max_r |p_r - a_r|, with a its angles over all 2^t control
-    patterns (0.0 off its rows) and p the pattern angles of its walk in
-    ``lowered``, all 0.0 where ``lowered`` has no walk for it.  The p of all
-    the walks come from one pass (:func:`_walk_patterns`).
-
-    ``lowered`` must copy ``circuit`` element by element, as :func:`lower`
-    does: each multiplexor becomes a walk of its kind on its target, or
-    nothing, every other element passes unchanged, and the qubit count and
-    the global phase are the same; otherwise ValueError, naming the first
-    element at fault.  Per pattern ||R(p) - R(a)|| = 2|sin((p - a)/4)| <=
-    |p - a|/2 for Ry and Rz, so the lowered circuit's unitary, with each
-    walk applied as its pattern angles, lies within sum(delta)/2 of
-    ``circuit``'s in operator norm: with F the fidelity of ``circuit``'s
-    state to a target, the lowered state's is at least
-    ``max(0, sqrt(F) - sum(delta)/2)**2``.
-    """
-    if (lowered.qubit_count, lowered.global_phase) != (circuit.qubit_count, circuit.global_phase):
-        raise ValueError(f"{lowered.qubit_count} qubits and global phase {lowered.global_phase!r}, not "
-                         f"{circuit.qubit_count} and {circuit.global_phase!r}")
-    labels: list[str] = []
-    muxes: list[Multiplexor] = []
-    walks: list[GrayWalk | None] = []
-    rest = iter(enumerate(lowered.elements))
-    j, low = next(rest, (None, None))
-    for i, e in enumerate(circuit.elements):
-        if isinstance(e, Multiplexor):
-            walk = low if isinstance(low, GrayWalk) and (low.kind, low.target) == (e.kind, e.target) else None
-            labels.append(f"the {walk} at lowered element {j}" if walk
-                          else f"the {e} at element {i}, lowered to no walk")
-            muxes.append(e)
-            walks.append(walk)
-            if walk is None:
-                continue
-        elif low != e:
-            found = "the lowered circuit ends" if low is None else f"lowered element {j} is {_label(low)}"
-            raise ValueError(f"element {i}, {_label(e)}, is not copied: {found}")
-        j, low = next(rest, (None, None))
-    if low is not None:
-        raise ValueError(f"lowered element {j}, {_label(low)}, copies no element")
-    if not muxes:
-        return []
-    targets = [e.target for e in muxes]
-    dense, order, starts = _ragged(targets, [e.rows for e in muxes], [e.angles for e in muxes])
-    dense -= _walk_patterns(targets, walks)[0]
-    deltas = [0.0] * len(muxes)
-    for i, delta in zip(order, np.maximum.reduceat(np.abs(dense), starts).tolist()):
-        deltas[i] = delta
-    return list(zip(labels, deltas))
 
 
 def verify_preparation(circuit: Circuit, target: PureState, prepared: PureState) -> float:

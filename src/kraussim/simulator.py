@@ -456,7 +456,9 @@ class ShotCounts:
             )
         # always a copy, so the caller's array stays writable
         counts = _check_counts(counts, "shot counts").astype(np.int64)
-        total = int(counts.sum())
+        # a setting draws at most 2^63 - 1 shots, but the settings together may
+        # exceed int64: the row totals are added as Python ints
+        total = sum(counts.sum(axis=1).tolist())
         if total != self.shots:
             raise ValueError(f"counts total {total} != shots {self.shots}")
         counts.flags.writeable = False

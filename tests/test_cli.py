@@ -318,9 +318,10 @@ def _complex_rows(matrix):
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-# Each CSV is a recorded sweep output.  The exact ones move only with a change
-# to the synthesized circuit recorded in CHANGES.md; the sampled ones also with
-# a recorded change to the lowered state's rounding or to how shots are drawn.
+# Each CSV is a recorded sweep output.  Both modes read the lowered circuit's
+# state, so each moves only with a change to the circuit or to that state's
+# rounding recorded in CHANGES.md; the sampled ones also with a recorded change
+# to how shots are drawn.  Every exact row is the oracle's to 1e-12.
 # golden/recorded_on.json names the BLAS kernel and SIMD level they were
 # recorded with.
 GOLDEN_SWEEPS = {
@@ -339,10 +340,19 @@ GOLDEN_SWEEPS = {
 }
 
 
+def _exact_rows_meet_the_oracle(rows):
+    # every exact row that ran is the oracle's to rounding, so re-recorded
+    # bytes cannot hide drift
+    for row in rows:
+        if row.mode == "exact" and not row.error:
+            assert abs(row.c_measured - row.c_theory) <= 1e-12 and row.trace_distance <= 1e-12, row
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
 def test_sweep_csv_matches_golden(name):
-    text = rows_to_csv(run_experiment(parse_config(GOLDEN_SWEEPS[name])))
-    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+    rows = run_experiment(parse_config(GOLDEN_SWEEPS[name]))
+    _exact_rows_meet_the_oracle(rows)
+    assert rows_to_csv(rows) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def _rank_two(d):
@@ -368,21 +378,22 @@ def _degenerate_sweep(case):
 # The sha256 of each degenerate sweep's CSV: p0 in {0, 1}, qudits padded
 # from 3 and 5 levels, a pure input and a rank-deficient mixed one under each
 # mixed method (method 1 on d = 5 needs 11 qubits, so its points fail, NaN).
-# Recorded before the producers checked their values on their own bounds;
-# like the goldens, they hold on the kernel that golden/recorded_on.json names.
+# The exact ones were re-recorded when exact mode began reading the lowered
+# state; like the goldens, they hold on the kernel that golden/recorded_on.json
+# names, and every exact row is the oracle's to 1e-12.
 DEGENERATE_SWEEPS = {
-    "d3-exact-pure": "4dcb0a1064d7e1df43877b609131dc0a29dfe26c0d318da93e825ff140b0c163",
-    "d3-exact-method1": "35b6e2a874cc81f39971d42aa7fbced4eee8d30f3db1c28d2522175a133c58dd",
-    "d3-exact-method2": "c9fe78cc548fd6c63778f304c108966a2c40582de21e9ad0fb9e992d01f314fb",
-    "d3-exact-method3": "91fecb2b5639b7cb0f1010ef977ad0854cab172fb87aa168a320cd704eeb70a8",
+    "d3-exact-pure": "2cdb97e0469869ef45c567001a37a99601ea3bd2ac23d4c4cd312d3fbee2b606",
+    "d3-exact-method1": "b93c061501da46d57f675a0776aff5058697e922e8caeea99b934c6d457ac854",
+    "d3-exact-method2": "b787d90976d2b75271d2c3f7e533ef65bd5984b30da0ffc2761d74d2d3cc85a5",
+    "d3-exact-method3": "71cbe33f76acd211beddee2088383a30c2a0d9e932f3491f8a2aa22d42c6070a",
     "d3-sampled-pure": "0686052de8f28d7303f38cccb29408a9d0e3c6407b805b8558477e9ca487900b",
     "d3-sampled-method1": "af205617a0f185e342674a69721f3669331bacace2f1d268d267433d0628eb16",
     "d3-sampled-method2": "85ad4c33294c2aab3e5eee368e289ef7ebb2f2284ef0cce107ef6b3da303f5dd",
     "d3-sampled-method3": "558d48c9f5a1924860e5c7fff93627a7f53eee1d053614ea2382a5a878292944",
-    "d5-exact-pure": "bcc8ae6f27284a13221ed8d3c18f6938a1022f1483f676e5d7f31017155d5f88",
+    "d5-exact-pure": "7e754bbc5404419beab8ad0b39064fa0c686a2e4dd5265ada438c1de5d997085",
     "d5-exact-method1": "f85a29a7cb7c149103969784057f2613b59b6f98761a7cc7dc82133bf0e774e2",
-    "d5-exact-method2": "aee58c790740c21ca88d95e6596cdd10a1873e934ac2ef2bb2c1f00b4e1eee8d",
-    "d5-exact-method3": "82c3a9af3b49fe17252d5a7327c24a712be8963c21e64e3e2914d7596f416618",
+    "d5-exact-method2": "91f8629537c04a59454da7668595d8270124448840ca6034dac4a9225810e5a1",
+    "d5-exact-method3": "f78ae8ccf9864cc23865d45c452618c3679b6053e14465941fe01b9ead324d82",
     "d5-sampled-pure": "f3acf0a6cd3e2ce9205ae8e860e7c9fa988a731133b99d1bb1711e7b79b00571",
     "d5-sampled-method1": "7e94d8edf2ee62f3d974ab2a3c52ca0e4a57e634137d2a046c9517da5ba794fd",
     "d5-sampled-method2": "9d43f041189c3202559a54dd1e6e68faecd0e60f27c96616873418e8c547599c",
@@ -392,8 +403,9 @@ DEGENERATE_SWEEPS = {
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_SWEEPS))
 def test_degenerate_sweeps_keep_their_bytes(case):
-    text = rows_to_csv(run_experiment(parse_config(_degenerate_sweep(case))))
-    assert hashlib.sha256(text.encode()).hexdigest() == DEGENERATE_SWEEPS[case]
+    rows = run_experiment(parse_config(_degenerate_sweep(case)))
+    _exact_rows_meet_the_oracle(rows)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == DEGENERATE_SWEEPS[case]
 
 
 @pytest.mark.parametrize("level", [-1e-10 + 1e-12, -5e-11, 0.0])
@@ -1081,6 +1093,19 @@ def test_sweep_points_bound_is_checked_before_the_grid_is_built(monkeypatch):
     assert asked == [] and cli.MAX_SWEEP_POINTS == 10**6
     parse_config(bpf_config(sweep={"parameter": "p", "start": 0.0, "stop": 1.0, "points": 10**6}))
     assert asked == [10**6]
+
+
+def test_sampled_sweeps_reach_the_documented_shots_limit(tmp_path, capsys):
+    # a bit_flip point measures 3 settings, so 2^62 shots per setting or more
+    # total past int64; the count check once summed them in int64, which
+    # wrapped and failed the point
+    for shots in (2**62, 2**63 - 1):
+        cfg = bpf_config(channel={"name": "bit_flip", "params": {}}, sweep={"parameter": "p", "grid": [0.3]},
+                         mode="sampled", shots=shots)
+        assert main(["sweep", _config_file(tmp_path, cfg)]) == 0
+        out, err = capsys.readouterr()
+        [row] = out.splitlines()[1:]
+        assert err == "" and row.split(",")[5] == str(shots)
 
 
 # The CI qad config (gamma = 0.4, sampled, m = 2 system qubits) exports the

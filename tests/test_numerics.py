@@ -336,8 +336,7 @@ def test_array_holding_values_compare_and_hash_by_identity():
         assert value == value and value != twin and not (value == twin)
         assert hash(value) == hash(value) != hash(twin)
         assert len({value, twin}) == 2
-    # the circuit elements keep value equality: lowering_deviations compares
-    # a lowered circuit's elements with the source's by !=
+    # the circuit elements hold tuples, not arrays, and keep value equality
     for make in (lambda: Gate("x", 0.0, 1, ((0, 1),)), lambda: Multiplexor("ry", 1, [0, 1], [0.1, 0.2]),
                  lambda: GrayWalk("rz", 1, [0.3, 0.0])):
         assert make() == make() and not make() != make() and hash(make()) == hash(make())

@@ -775,8 +775,8 @@ def test_rotation_stack_builds_each_angle_as_the_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# One batched Walsh-Hadamard pass per circuit, and the lowering check it
-# serves.  The names carry "lower" or "walk", so that CI's AVX2 and Haswell
+# One batched Walsh-Hadamard pass per circuit, and the lowering check of each
+# mode.  The names carry "lower" or "walk", so that CI's AVX2 and Haswell
 # steps rerun them.
 
 
@@ -837,57 +837,6 @@ def test_batched_walk_pattern_angles_match_one_walk_at_a_time():
     assert qsp.walk_pattern_angles([]) == []
 
 
-def test_lowering_deviations_bound_the_lowered_fidelity():
-    # a correct lowering deviates by rounding only; a walk angle off by eps
-    # deviates by about eps on its patterns, and the bound from the
-    # deviations stays at or below the fidelity a run of the lowered circuit
-    # gives
-    rng = np.random.default_rng(920)
-    for n in (2, 5, 8):
-        target = random_pure(rng, 2**n)
-        circuit = synthesize(target)
-        low = lower(circuit)
-        deviations = qsp.lowering_deviations(circuit, low)
-        assert len(deviations) == sum(isinstance(e, Multiplexor) for e in circuit.elements)
-        assert max(d for _, d in deviations) < 1e-13
-        i = max(i for i, e in enumerate(low.elements) if isinstance(e, GrayWalk))
-        walk = low.elements[i]
-        elements = list(low.elements)
-        elements[i] = GrayWalk(walk.kind, walk.target, (walk.angles[0] + 1e-3,) + walk.angles[1:])
-        bad = Circuit(n, tuple(elements), low.global_phase)
-        label, delta = max(qsp.lowering_deviations(circuit, bad), key=lambda d: d[1])
-        assert label == f"the {walk} at lowered element {i}"
-        assert abs(delta - 1e-3) < 1e-12
-        fidelity = verify_preparation(circuit, target, run(circuit))
-        total = sum(d for _, d in qsp.lowering_deviations(circuit, bad))
-        assert (math.sqrt(fidelity) - total / 2) ** 2 <= verify_preparation(bad, target, run(bad)) + 1e-15
-
-
-def test_lowering_deviations_refuse_a_lowering_that_is_no_copy():
-    rng = np.random.default_rng(930)
-    circuit = synthesize(random_pure(rng, 2**4))
-    low = lower(circuit)
-    n, phase = low.qubit_count, low.global_phase
-    extra = Circuit(n, low.elements + (Gate("ry", 0.5, 0),), phase)
-    with pytest.raises(ValueError, match=r"^lowered element \d+, gate .* copies no element$"):
-        qsp.lowering_deviations(circuit, extra)
-    with pytest.raises(ValueError, match="global phase"):
-        qsp.lowering_deviations(circuit, Circuit(n, low.elements, phase + 0.25))
-    with pytest.raises(ValueError, match="5 qubits"):
-        qsp.lowering_deviations(circuit, Circuit(5, low.elements, phase))
-    # an elementary gate that lowering dropped or changed
-    with_gate = Circuit(n, circuit.elements + (Gate("x", 0.0, 1),), circuit.global_phase)
-    with pytest.raises(ValueError, match=r"^element \d+, gate .* is not copied: the lowered circuit ends$"):
-        qsp.lowering_deviations(with_gate, low)
-    # a missing walk counts as the identity: its multiplexor's angles are its deviation
-    i = max(i for i, e in enumerate(low.elements) if isinstance(e, GrayWalk))
-    missing = Circuit(n, low.elements[:i] + low.elements[i + 1:], phase)
-    label, delta = max(qsp.lowering_deviations(circuit, missing), key=lambda d: d[1])
-    assert label.endswith("lowered to no walk")
-    mux = [e for e in circuit.elements if isinstance(e, Multiplexor)][i]
-    assert delta == max(abs(a) for a in mux.angles)
-
-
 _QAD_POINT = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
               "sweep": {"parameter": "gamma", "grid": [0.4]}, "seed": 7}
 
@@ -904,83 +853,66 @@ def _perturbed(low):
     return Circuit(low.qubit_count, tuple(elements), low.global_phase)
 
 
-# each a corrupted lowering, and what the exact-mode check says of it
+# each a corrupted lowering
 _BAD_LOWERINGS = {
-    "perturbed walk": (_perturbed, r"^lowered fidelity 0\.99\d+ below threshold \(a bound; largest walk angle "
-                                   r"error 1\.000e-03, the 'r[yz]' Gray-code walk on qubit \d at lowered element \d+\)$"),
-    "extra element": (lambda low: Circuit(low.qubit_count, low.elements + (Gate("ry", 0.5, 0),), low.global_phase),
-                      r"^lowered fidelity unbounded: lowered element \d+, gate .*, copies no element$"),
-    "missing element": (lambda low: Circuit(low.qubit_count, low.elements[:_last_walk(low)]
-                                            + low.elements[_last_walk(low) + 1:], low.global_phase),
-                        r"^lowered fidelity 0\.\d+ below threshold \(a bound; .* lowered to no walk\)$"),
-    "global phase": (lambda low: Circuit(low.qubit_count, low.elements, low.global_phase + 0.25),
-                     r"^lowered fidelity unbounded: 4 qubits and global phase .*, not 4 and .*$"),
+    "perturbed walk": _perturbed,
+    "extra element": lambda low: Circuit(low.qubit_count, low.elements + (Gate("ry", 0.5, 0),), low.global_phase),
+    "missing element": lambda low: Circuit(low.qubit_count, low.elements[:_last_walk(low)]
+                                           + low.elements[_last_walk(low) + 1:], low.global_phase),
+    "global phase": lambda low: Circuit(low.qubit_count, low.elements, low.global_phase + 0.25),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_BAD_LOWERINGS))
-def test_exact_point_fails_on_a_bad_lowering_without_running_it(fault, monkeypatch):
-    # the exact point runs the synthesized circuit only, which passes its
-    # check, and fails on the lowering's bound or its element-by-element copy
-    corrupt, message = _BAD_LOWERINGS[fault]
-    fidelities, runs = [], []
-    verify, simulate = cli.verify_preparation, cli.run
-    monkeypatch.setattr(cli, "lower", lambda circuit: corrupt(lower(circuit)))
-    monkeypatch.setattr(cli, "verify_preparation", lambda *args: fidelities.append(verify(*args)) or fidelities[-1])
-    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit) or simulate(circuit))
-    monkeypatch.setattr(cli, "run_branches", lambda *args: pytest.fail("the lowered circuit was run"))
-    [row] = cli.run_experiment(cli.parse_config(dict(_QAD_POINT, mode="exact")))
-    assert re.match(message, row.error), row.error
-    assert np.isnan(row.c_measured)
-    assert len(fidelities) == len(runs) == 1 and fidelities[0] >= FIDELITY_FLOOR
-    assert not any(isinstance(e, GrayWalk) for e in runs[0].elements)
-
-
-@pytest.mark.parametrize("fault", sorted(_BAD_LOWERINGS))
-def test_sampled_point_fails_on_a_bad_lowering_before_any_shot(fault, monkeypatch):
-    # the last row's fidelity covers synthesis and lowering; only when it
-    # fails is the synthesized circuit run, and it passes, so the error names
-    # the lowering.  A global phase changes no fidelity and no Born
-    # probability, so sampled mode cannot see it, and the point runs
-    corrupt, _ = _BAD_LOWERINGS[fault]
-    monkeypatch.setattr(cli, "lower", lambda circuit: corrupt(lower(circuit)))
-    cfg = cli.parse_config(dict(_QAD_POINT, mode="sampled", shots=64))
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_point_fails_on_a_bad_lowering_before_any_measurement(mode, fault, monkeypatch):
+    # both modes run the lowered circuit only, and its last row's fidelity
+    # covers synthesis and lowering; only when it fails is the synthesized
+    # circuit run, and it passes, so the error names the lowering.  A global
+    # phase changes no fidelity, no Born probability and no reduced state,
+    # so neither mode can see it, and the point runs
+    monkeypatch.setattr(cli, "lower", lambda circuit: _BAD_LOWERINGS[fault](lower(circuit)))
+    cfg = cli.parse_config(dict(_QAD_POINT, mode=mode, shots=64))
     if fault == "global phase":
         [row] = cli.run_experiment(cfg)
         assert not row.error
+        assert mode == "sampled" or abs(row.c_measured - row.c_theory) <= 1e-12
         return
-    drawn, runs = [], []
+    measured, runs = [], []
     simulate = cli.run
     monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit) or simulate(circuit))
-    monkeypatch.setattr(cli, "sample", lambda *args: drawn.append(args))
+    monkeypatch.setattr(cli, "sample", lambda *args: measured.append(args))
+    monkeypatch.setattr(cli, "partial_trace", lambda *args, **kwargs: measured.append(args))
     [row] = cli.run_experiment(cfg)
     assert row.error.startswith("lowered fidelity 0."), row.error
-    assert drawn == [] and len(runs) == 1
+    assert np.isnan(row.c_measured)
+    assert measured == [] and len(runs) == 1
     assert not any(isinstance(e, GrayWalk) for e in runs[0].elements)
 
 
 def test_each_compile_mode_runs_only_the_synthesized_or_the_lowered_circuit(monkeypatch):
-    # exact mode: one run of the synthesized circuit per part and no
-    # branches; sampled mode: one run_branches call of the lowered circuit
-    # per part, and no run of the synthesized one when its check passes
+    # both modes: one run_branches call of the lowered circuit per part, no
+    # settings in exact mode, and no run of the synthesized one when its
+    # check passes; exact mode's one row is the lowered circuit's run
     runs, branches = [], []
-    simulate, branch = cli.run, cli.run_branches
-    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit) or simulate(circuit))
-    monkeypatch.setattr(cli, "run_branches", lambda *args: branches.append(args[0]) or branch(*args))
+    branch = cli.run_branches
+    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit))
+    monkeypatch.setattr(cli, "run_branches", lambda *args: branches.append(args) or branch(*args))
     mixed = dict(_QAD_POINT, initial_state={"density_matrix": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
                  mixed_method=2)
     for cfg, parts in ((dict(_QAD_POINT, mode="exact"), 1), (dict(mixed, mode="exact"), 3),
                        (dict(_QAD_POINT, mode="sampled", shots=64), 1), (dict(mixed, mode="sampled", shots=64), 3)):
-        runs.clear()
         branches.clear()
         [row] = cli.run_experiment(cli.parse_config(cfg))
         assert not row.error
+        assert runs == [] and len(branches) == parts
+        assert all(isinstance(e, (GrayWalk, Gate)) for c, _ in branches for e in c.elements)
         if cfg["mode"] == "exact":
-            assert len(runs) == parts and branches == []
-            assert not any(isinstance(e, GrayWalk) for c in runs for e in c.elements)
-        else:
-            assert runs == [] and len(branches) == parts
-            assert all(isinstance(e, (GrayWalk, Gate)) for c in branches for e in c.elements)
+            assert all(layers == () for _, layers in branches)
+    # the one row of a no-settings call is the lowered circuit's run, byte for byte
+    low = lower(synthesize(random_pure(np.random.default_rng(940), 2**5)))
+    [row] = branch(low, ())
+    assert row.tobytes() == run(low).amplitudes.tobytes()
 
 
 def test_synth_exits_2_on_a_bad_lowering(monkeypatch, capsys):
