@@ -119,6 +119,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -540,6 +541,16 @@ def _measure_exact(part: _Part) -> DensityMatrix:
     return block
 
 
+@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_QUBITS)
+def _setting_tails(k: int) -> np.ndarray:
+    """The stream path tails ``(s, 0)`` of k settings, one row each, read-only
+    and built once per setting count, which every part of a sweep reads."""
+    tails = np.zeros((k, 2), dtype=np.int64)
+    tails[:, 0] = np.arange(k)
+    tails.flags.writeable = False
+    return tails
+
+
 def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
     """Tomography of the lowered preparation's system qubits from its one
     state per setting.  The system qubits lead the register, so each
@@ -547,7 +558,7 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     m = part.dilated.embedding.qubit_counts[0]
     marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
     k = len(marginals)
-    rngs = derive_rngs(cfg.seed, path, np.c_[np.arange(k), np.zeros(k, dtype=int)])  # tails (s, 0)
+    rngs = derive_rngs(cfg.seed, path, _setting_tails(k))
     if cfg.readout is None:
         weights = sample(marginals, cfg.shots, rngs).counts
     else:

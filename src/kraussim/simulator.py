@@ -5,14 +5,20 @@ Rz, or a CX), Ry or Rz multiplexors (:class:`~kraussim.qsp.Multiplexor`,
 the one way a controlled rotation is written) and the Gray-code walks
 that lowering makes of them (:class:`~kraussim.qsp.GrayWalk`).  One loop,
 :func:`_apply_elements`, applies them in place to a ``(2^n,)`` state or a
-``(2^n, k)`` batch of states: :func:`run` on the state from |0...0>, and
-:func:`run_branches` on its batch of tomography settings.  No 2^n x 2^n
-gate matrix is ever formed.  Each maximal run of elements on one target t
-is a segment, applied by the one kernel :func:`_apply_segment`: its
-amplitude pairs are gathered once into a contiguous ``(2^t, rest, 2)``
-array and written back once.  Ry there multiplies every row by the
-transposed 2x2 in one BLAS ``zgemm`` call, Rz scales the columns, X swaps
-them and a CX swaps them on the rows where its control bit is set.  A
+``(2^n, k)`` batch of states; :func:`run` applies a circuit to the state
+from |0...0>.  No 2^n x 2^n gate matrix is ever formed.  Each maximal run
+of elements on one target t is a segment, applied by the one kernel
+:func:`_apply_segment`: its amplitude pairs are gathered once into a
+contiguous ``(2^t, rest, 2)`` array and written back once.  Each bare gate
+and CX there goes to the per-gate kernel :func:`_apply_gate`: Ry
+multiplies every row by the transposed 2x2 in one BLAS ``zgemm`` call, Rz
+scales the columns, X swaps them and a CX swaps them on the rows where its
+control bit is set.  :func:`run_branches` runs a circuit once and carries
+its state through the tomography settings' layers, each layer's
+alternatives bare gates on one qubit: per layer it gathers that qubit's
+pairs from the whole batch once, one slab per alternative in the segment
+layout, applies each alternative's gates by :func:`_apply_gate` and
+reorders once into the wider batch.  A
 multiplexor and a walk are both rows plus one angle per row, applied by
 :func:`_apply_level` as one stacked ``matmul`` (Ry) or one column scale
 (Rz): a multiplexor over its entry rows, and a walk over all 2^t rows as
@@ -35,7 +41,9 @@ Their keys are ``SeedSequence(seed, spawn_key=path)``'s, computed without
 one: the seed and the shared path prefix are hashed once into the pool
 that every stream shares, then each tail column mixes into a ``(4, k)``
 ``uint32`` pool in a few array passes.  Sampling turns a ``(k, 2^m)``
-probability matrix, one row per setting, into its count matrix.  Readout
+probability matrix, one row per setting, into its count matrix: one
+division normalizes every row, then one multinomial draw per row and
+stream.  Readout
 noise draws nothing: it maps the probabilities before the draw, and
 mitigation the frequencies after it, through one per-qubit kernel,
 :func:`_apply_per_qubit`.
@@ -51,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import ConfigError, PureState, check_register, read_real
-from .qsp import Circuit, Gate, GrayWalk, Multiplexor, check_qubits, rotation_stack, walk_pattern_angles
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _built, _label, check_qubits, rotation_stack, walk_pattern_angles
 
 __all__ = [
     "ShotCounts",
@@ -259,6 +267,21 @@ def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: n
     pairs[rows] = block
 
 
+def _apply_gate(pairs: np.ndarray, kind: str, entry: np.ndarray | None) -> None:
+    """Apply one bare gate in place to ``pairs``, an array whose last axis holds
+    qubit t's two amplitudes: Ry, on a 2-D ``(rows, 2)`` array, multiplies every
+    row by ``entry``, its transposed 2x2, in one ``zgemm`` call; Rz scales the
+    columns by ``entry``, its diagonal; X (``entry`` None) swaps them.  The one
+    per-gate kernel of :func:`_apply_segment` and of :func:`run_branches`' layers."""
+    if kind == "ry":
+        pairs[...] = pairs @ entry
+    elif kind == "rz":
+        pairs[..., 0] *= entry[0]
+        pairs[..., 1] *= entry[1]
+    else:
+        pairs[...] = pairs[..., ::-1]
+
+
 def _apply_segment(
     amps: np.ndarray,
     entries: Sequence[tuple[Gate | Multiplexor | GrayWalk, list[int] | slice | None, slice]],
@@ -273,10 +296,8 @@ def _apply_segment(
     is an element, its rows and its span of the stack of its kind in
     ``stacks``: transposed Ry matrices under ``"ry"``, Rz diagonals under
     ``"rz"``.  A multiplexor (its entry rows) and a walk (all 2^t rows) go to
-    :func:`_apply_level`.  An uncontrolled Ry, without rows, multiplies all
-    rows by its transposed 2x2 in one ``zgemm`` call, and an Rz scales the
-    columns.  X swaps the columns of every row, and a CX of the rows where
-    its control bit is set."""
+    :func:`_apply_level`.  A bare gate goes to :func:`_apply_gate` on all
+    rows, and a CX, as an X, on the rows where its control bit is set."""
     t = entries[0][0].target
     view = amps.reshape(2**t, 2, -1).transpose(0, 2, 1)
     pairs = np.ascontiguousarray(view)
@@ -286,18 +307,11 @@ def _apply_segment(
         kind = element.kind
         if rows is not None:
             _apply_level(pairs, kind, rows, stacks[kind][span])
-        elif kind == "ry":
-            flat[...] = flat @ stacks["ry"][span.start]
-        elif kind == "rz":
-            d0, d1 = stacks["rz"][span.start]
-            flat[:, 0] *= d0
-            flat[:, 1] *= d1
+        elif element.controls:  # the control's bit is row axis c, or c - 1 above t
+            c = element.controls[0][0]
+            _apply_gate(by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)], kind, None)
         else:
-            swapped = flat
-            if element.controls:  # the control's bit is row axis c, or c - 1 above t
-                c = element.controls[0][0]
-                swapped = by_qubit[(slice(None),) * (c if c < t else c - 1) + (1,)]
-            swapped[...] = swapped[..., ::-1]
+            _apply_gate(flat, kind, None if kind == "x" else stacks[kind][span.start])
     view[...] = pairs
 
 
@@ -351,31 +365,78 @@ def run(circuit: Circuit) -> PureState:
     return PureState(state)
 
 
+def _layer_qubit(q: int, alternatives: Sequence[Sequence[Gate]], n: int) -> int:
+    """The one qubit that layer ``q`` acts on, 0 if no alternative has a gate.
+
+    A layer is a non-empty list of alternatives, each a list of bare X, Ry or
+    Rz gates, all on one qubit.  The gates' qubits are checked first by
+    :func:`~kraussim.qsp.check_qubits`; each failure is one ValueError that
+    begins ``branches: layer <q>``."""
+    where = f"branches: layer {q} "
+    gates = list(itertools.chain.from_iterable(alternatives))
+    check_qubits(gates, n, where, f"acts outside the {n}-qubit circuit")
+    if not alternatives:
+        raise ValueError(f"{where}has no alternatives")
+    for gate in gates:
+        if not isinstance(gate, Gate) or gate.controls:
+            raise ValueError(f"{where}{_label(gate)} is not a bare X, Ry or Rz")
+    qubits = sorted({int(gate.target) for gate in gates})
+    if len(qubits) > 1:
+        raise ValueError(f"{where}acts on qubits {qubits}, not on one")
+    return qubits[0] if qubits else 0
+
+
+def _apply_layer(batch: np.ndarray, t: int, alternatives: Sequence[Sequence[Gate]], stacks: dict) -> np.ndarray:
+    """The ``(2**n, k * A)`` batch of one layer's A alternatives on qubit t after the
+    ``(2**n, k)`` batch, column ``k * A + a`` alternative a's: qubit t's pairs are
+    gathered once into each alternative's slab of one ``(A, 2^t, rest, 2)`` array,
+    in :func:`_apply_segment`'s layout, each slab takes its gates through
+    :func:`_apply_gate`, its Ry and Rz entries read in turn from the iterators in
+    ``stacks``, and one reorder gives the wider batch."""
+    size, k = batch.shape
+    pairs = batch.reshape(2**t, 2, -1).transpose(0, 2, 1)
+    slabs = np.empty((len(alternatives),) + pairs.shape, dtype=np.complex128)
+    slabs[...] = pairs
+    for slab, chosen in zip(slabs, alternatives):
+        flat = slab.reshape(-1, 2)
+        for gate in chosen:
+            _apply_gate(flat, gate.kind, next(stacks[gate.kind]))
+    # (A, 2^t, low, k, 2) -> (2^t, 2, low, k, A): the row's bits, then the column
+    split = slabs.reshape(len(alternatives), 2**t, -1, k, 2)
+    return split.transpose(1, 4, 2, 3, 0).reshape(size, k * len(alternatives))
+
+
 def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
     """The ``(k, 2**n)`` states of ``circuit`` then one gate list per layer, rows in
-    ``itertools.product(*layers)`` order: the circuit's elements run once through
-    :func:`run`, each layer's elementary gates act through :func:`_apply_elements` on stacked
-    copies of one ``(2**n, k)`` batch, and the global phase comes last.  Row r is bit
-    for bit ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
+    ``itertools.product(*layers)`` order.  Row r is bit for bit
+    ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
     ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
-    qubits; on one qubit, a layer after the first acts on more than one column, and
-    then Ry and Rz round differently from a state.  Rows are C-contiguous, so a row
-    sum adds as over one state.  Bad input fails before any gate: a layer gate's
-    qubits must be integers inside the register (:func:`~kraussim.qsp.check_qubits`)."""
+    qubits.  Rows are C-contiguous, so a row sum adds as over one state.
+
+    A layer is a non-empty list of alternatives of bare X, Ry or Rz gates, all on
+    one qubit t, as :func:`~kraussim.tomography.settings_for` gives them.  Every
+    layer is checked before any gate (:func:`_layer_qubit`).  The circuit's
+    elements run once through :func:`run`, its global phase left for last.  Each
+    layer is then one kernel pass over the ``(2**n, k)`` batch (:func:`_apply_layer`).
+    The layers' Ry and Rz matrices come from one
+    :func:`~kraussim.qsp.rotation_stack` call per kind."""
     n = circuit.qubit_count
-    for q, alternatives in enumerate(layers):
-        check_qubits(
-            itertools.chain.from_iterable(alternatives), n, f"branches: layer {q} ", f"acts outside the {n}-qubit circuit"
-        )
-    batch = run(Circuit(n, circuit.elements)).amplitudes[:, None].copy()
-    for alternatives in layers:
-        branches = [batch.copy() if gates else batch for gates in alternatives]
-        for branch, gates in zip(branches, alternatives):
-            _apply_elements(branch, gates, n)
-        batch = np.stack(branches, axis=-1).reshape(2**n, -1)
+    qubits = [_layer_qubit(q, alternatives, n) for q, alternatives in enumerate(layers)]
+    # the circuit's checked fields, and its gates where already expanded
+    bare = _built(Circuit, **{**vars(circuit), "global_phase": 0.0})
+    batch = run(bare).amplitudes[:, None]
+    gates = [gate for alternatives in layers for chosen in alternatives for gate in chosen]
+    stacks = {
+        "x": itertools.repeat(None),
+        "ry": iter(rotation_stack("ry", [g.angle for g in gates if g.kind == "ry"]).transpose(0, 2, 1)),
+        "rz": iter(rotation_stack("rz", [g.angle for g in gates if g.kind == "rz"]).diagonal(axis1=1, axis2=2)),
+    }
+    for t, alternatives in zip(qubits, layers):
+        batch = _apply_layer(batch, t, alternatives, stacks)
+    rows = batch.T.copy()
     if circuit.global_phase != 0.0:
-        batch *= np.exp(1j * circuit.global_phase)
-    return np.ascontiguousarray(batch.T)
+        rows *= np.exp(1j * circuit.global_phase)
+    return rows
 
 
 def _check_shape(matrix: np.ndarray, stage: str, noun: str, rngs: Sequence | None) -> tuple[int, ...]:
@@ -411,10 +472,11 @@ def _check_counts(counts, stage: str) -> np.ndarray:
     return counts
 
 
-def _check_probs(probs, stage: str, rngs: Sequence | None = None) -> np.ndarray:
+def _check_probs(probs, stage: str, rngs: Sequence | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``probs`` as a validated ``(k, 2^n)`` float matrix of outcome weights, one
-    row per setting and, where ``rngs`` is given, one generator per row: the
-    check :func:`sample` and :func:`apply_readout_noise` make before any work.
+    row per setting and, where ``rngs`` is given, one generator per row, and its
+    ``(k, 1)`` row sums: the check :func:`sample` and :func:`apply_readout_noise`
+    make before any work.
 
     A non-2-D matrix, a column count that is no power of two, a generator
     count other than the row count, a negative, NaN or infinite entry and a
@@ -422,13 +484,15 @@ def _check_probs(probs, stage: str, rngs: Sequence | None = None) -> np.ndarray:
     bad row."""
     probs = np.asarray(probs, dtype=np.float64)
     shape = _check_shape(probs, stage, "probabilities", rngs)
+    totals = None
     bad = ~((probs >= 0.0) & (probs < np.inf)).all(axis=1)
     problem = "a negative or non-finite entry"
     if not bad.any():  # summed only when every entry is finite: inf + -inf warns
-        bad, problem = ~(probs.sum(axis=1) > 0.0), "no probability mass"
+        totals = probs.sum(axis=1, keepdims=True)
+        bad, problem = ~(totals[:, 0] > 0.0), "no probability mass"
     if bad.any():
         raise ValueError(f"{stage}: probabilities of shape {shape}: row {np.argmax(bad)} has {problem}")
-    return probs
+    return probs, totals
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,19 +536,25 @@ def sample(probs: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -
 
     Row s holds the weight of every outcome of an m-qubit register under
     setting s, such as the Born probabilities ``|amplitudes|^2`` of a state
-    or their marginal on some leading qubits; it is renormalized by its own
-    sum before the draw, so row s equals a one-row call with ``rngs[s]``.
-    The matrix is checked by :func:`_check_probs` before any draw.  The
+    or their marginal on some leading qubits.  The matrix is checked by
+    :func:`_check_probs` before any draw, and divided once by the row sums
+    that check takes, so row s is renormalized byte for byte as by its own
+    ``p / p.sum()`` and equals a one-row call with ``rngs[s]``.  The
     result's ``counts`` is the ``(k, 2^m)`` count matrix and its ``shots``
     the total drawn, ``k * shots``.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = _check_probs(probs, "sampling", rngs)
+    probs, totals = _check_probs(probs, "sampling", rngs)
+    normalized = probs / totals
     counts = np.empty(probs.shape, dtype=np.int64)
-    for row, p, rng in zip(counts, probs, rngs):
-        row[...] = rng.multinomial(shots, p / p.sum())
-    return ShotCounts(probs.shape[1].bit_length() - 1, shots * len(counts), counts)
+    for row, p, rng in zip(counts, normalized, rngs):
+        row[...] = rng.multinomial(shots, p)
+    counts.flags.writeable = False
+    # the checks of ShotCounts hold by construction: the shape is the checked
+    # matrix's, and each row is a multinomial draw, non-negative int64 counts
+    # summing to shots >= 1, so the rows together sum to k * shots
+    return _built(ShotCounts, qubit_count=probs.shape[1].bit_length() - 1, shots=shots * len(counts), counts=counts)
 
 
 @dataclass(frozen=True)
@@ -576,7 +646,7 @@ def apply_readout_noise(probs: np.ndarray, model: ReadoutModel) -> np.ndarray:
     row followed by independent per-qubit flips of each shot's bits.  No
     generator is taken.  The matrix is checked by :func:`_check_probs` first.
     """
-    probs = _check_probs(probs, "readout noise")
+    probs, _ = _check_probs(probs, "readout noise")
     return _apply_per_qubit(probs, _confusion_stack(model, probs.shape[1].bit_length() - 1)[0])
 
 

@@ -432,11 +432,13 @@ def reference_synthesize(target, real=None):
 
 def stub_gate_kernels(monkeypatch):
     """Replace the simulator's element loop ``_apply_elements``, through which
-    ``run``, ``run_branches`` and :func:`circuit_unitary` apply every gate, by a
-    stub that applies nothing and records each call; returns the list of
-    calls, so a test can assert that no gate was applied."""
+    ``run`` and :func:`circuit_unitary` apply every gate, and its per-gate
+    kernel ``_apply_gate``, through which ``run_branches`` applies its layers'
+    gates, by stubs that apply nothing and record each call; returns the list
+    of calls, so a test can assert that no gate was applied."""
     calls = []
     monkeypatch.setattr(simulator, "_apply_elements", lambda *args: calls.append(args))
+    monkeypatch.setattr(simulator, "_apply_gate", lambda *args: calls.append(args))
     return calls
 
 

@@ -148,11 +148,11 @@ def test_sweep_point_never_expands_a_circuit(monkeypatch):
 
 
 def test_each_preparation_is_simulated_once(monkeypatch):
-    # each circuit handed to ``run`` counts its gates, and the segment
+    # each circuit handed to ``run`` counts its gates, and the per-gate
     # kernel counts the gates it applies outside ``run``: the layers'
     applied = []
     inside_run = []
-    run, apply_segment = simulator.run, simulator._apply_segment
+    run, apply_gate = simulator.run, simulator._apply_gate
 
     def counting_run(circuit):
         applied.extend(circuit.gates)
@@ -162,14 +162,14 @@ def test_each_preparation_is_simulated_once(monkeypatch):
         finally:
             inside_run.pop()
 
-    def counting_segment(amps, entries, *rest):
+    def counting_gate(pairs, kind, entry):
         if not inside_run:
-            applied.extend(e for e, _, _ in entries)
-        return apply_segment(amps, entries, *rest)
+            applied.append(kind)
+        return apply_gate(pairs, kind, entry)
 
     monkeypatch.setattr(simulator, "run", counting_run)
     monkeypatch.setattr(cli, "run", counting_run)
-    monkeypatch.setattr(simulator, "_apply_segment", counting_segment)
+    monkeypatch.setattr(simulator, "_apply_gate", counting_gate)
     # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
     # on the batch of settings: 4 per system qubit, where one run per
     # setting applies 3^(m-1) * 4 per system qubit.  Each mode simulates

@@ -920,6 +920,44 @@ def test_batched_sample_rows_equal_one_row_multinomial_draws(k):
             assert one.tobytes() == expected[s].tobytes(), (k, m, s)
 
 
+def test_batched_sample_normalizes_every_width_as_one_row_at_a_time():
+    # one division of the matrix by its row sums gives each row's own
+    # p / p.sum() bytes, and so its draw, on widths 2^1 to 2^6: rows with
+    # exact zeros, tiny entries, large ones, both mixed, and one outcome
+    rng = np.random.default_rng(3913)
+    for m in range(1, 7):
+        width = 2**m
+        probs = rng.dirichlet(np.full(width, 0.5), size=5)
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs[:, -1] += 1e-3
+        probs[1] *= 1e-300
+        probs[2] *= 1e250
+        probs[3] *= np.where(np.arange(width) % 2, 1e-290, 1e240)
+        probs[4] = 0.0
+        probs[4, rng.integers(width)] = 7.5
+        rows = np.stack([p / p.sum() for p in probs])
+        assert (probs / probs.sum(axis=1, keepdims=True)).tobytes() == rows.tobytes(), m
+        shots = int(rng.integers(1, 3000))
+        counts = sample(probs, shots, derive_rngs(3913, (m,), np.c_[np.arange(5), np.zeros(5, dtype=int)]))
+        expected = np.stack([derive_rng(3913, m, s, 0).multinomial(shots, p) for s, p in enumerate(rows)])
+        assert counts.counts.tobytes() == expected.tobytes(), m
+        assert counts.counts[4].max() == shots
+
+
+def test_sampled_shot_counts_pass_the_public_constructor():
+    # sample builds its ShotCounts without re-checking the counts it drew;
+    # the public constructor accepts them as they are
+    rng = np.random.default_rng(77)
+    for m, k, shots in ((1, 1, 1), (2, 9, 64), (4, 81, 4096)):
+        probs = rng.random((k, 2**m))
+        drawn = sample(probs, shots, [derive_rng(77, m, s) for s in range(k)])
+        rebuilt = ShotCounts(drawn.qubit_count, drawn.shots, drawn.counts)
+        assert (rebuilt.qubit_count, rebuilt.shots) == (drawn.qubit_count, drawn.shots) == (m, k * shots)
+        assert rebuilt.counts.dtype == drawn.counts.dtype == np.int64
+        assert rebuilt.counts.tobytes() == drawn.counts.tobytes()
+        assert not drawn.counts.flags.writeable and not rebuilt.counts.flags.writeable
+
+
 def test_sampling_check_fails_before_any_draw():
     # each case breaks one rule; the message names the stage, the shape and
     # the first bad row, and no stream has moved.  Readout noise makes the
@@ -1080,6 +1118,25 @@ def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
         run_branches(circuit, settings_for(3).layers[:1] + settings_for(3).layers[2:])
     with pytest.raises(ValueError, match="simulator: 11 qubits exceeds the register limit"):
         run_branches(Circuit(11, (Gate("x", 0.0, 10),)), settings_for(1).layers)
+    assert applied == []
+
+
+def test_run_branches_rejects_a_layer_outside_the_contract_before_any_gate(monkeypatch):
+    # a layer is a non-empty list of alternatives of bare X, Ry or Rz gates,
+    # all on one qubit; the circuit's gates and valid earlier layers do not run
+    applied = stub_gate_kernels(monkeypatch)
+    circuit = Circuit(2, (Gate("ry", 0.3, 0), Gate("x", 0.0, 1, ((0, 1),))))
+    z_only = [[]]  # one alternative with no gate: valid
+    for layers, message in (
+        ([[]], "branches: layer 0 has no alternatives"),
+        ([z_only, []], "branches: layer 1 has no alternatives"),
+        ([[[Gate("ry", 0.1, 0), Gate("ry", 0.2, 1)]]], r"branches: layer 0 acts on qubits \[0, 1\], not on one"),
+        ([[[Gate("rz", 0.1, 1)], [Gate("x", 0.0, 0)]]], r"branches: layer 0 acts on qubits \[0, 1\], not on one"),
+        ([z_only, [[Gate("x", 0.0, 1, ((0, 1),))]]], r"branches: layer 1 gate .* is not a bare X, Ry or Rz"),
+        ([[[Multiplexor("ry", 1, [1], [0.2])]]], r"branches: layer 0 'ry' multiplexor on qubit 1 is not a bare"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_branches(circuit, layers)
     assert applied == []
 
 
