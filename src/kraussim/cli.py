@@ -100,12 +100,13 @@ run, to name the stage at fault.  Exact mode recovers the system state
 by partial trace of that verified row.  In sampled mode each row's
 Born probabilities are summed over the ancilla qubits, so only the
 system qubits are measured, as the protocol traces the ancilla out.
-One ``derive_rngs`` call makes the part's streams, one per setting:
+One ``derive_keys`` call makes the part's streams, one key per setting:
 path ``(point, part, s, 0)`` for setting s, with or without a readout
 model.  With a readout model, one ``apply_readout_noise`` call maps the
 part's ``(3^m, 2^m)`` marginal matrix to the probabilities the noisy
 readout reports, before any draw.  One ``sample`` call draws every
-setting's shots from that matrix, row s from its own stream, and
+setting's shots from that matrix, row s from its own stream (one
+Philox generator re-keyed per row), and
 returns the part's one count matrix, rows in settings order, over the
 system outcomes.  With a readout model, one ``mitigate`` call turns it
 into a frequency matrix.  That matrix is the one weight matrix the
@@ -156,7 +157,7 @@ from .numerics import (
 )
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
 from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
-from .simulator import ReadoutModel, apply_readout_noise, derive_rngs, mitigate, run, run_branches, sample
+from .simulator import ReadoutModel, apply_readout_noise, derive_keys, mitigate, run, run_branches, sample
 from .simulator import _confusion_stack
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
@@ -556,13 +557,14 @@ def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) 
     state per setting.  The system qubits lead the register, so each
     setting's ancilla marginal is one reshape-sum over the trailing axis."""
     m = part.dilated.embedding.qubit_counts[0]
-    marginals = (np.abs(part.branches) ** 2).reshape(len(part.branches), 2**m, -1).sum(axis=2)
-    k = len(marginals)
-    rngs = derive_rngs(cfg.seed, path, _setting_tails(k))
+    born = np.abs(part.branches)
+    np.square(born, out=born)
+    marginals = born.reshape(len(born), 2**m, -1).sum(axis=2)
+    keys = derive_keys(cfg.seed, path, _setting_tails(len(marginals)))
     if cfg.readout is None:
-        weights = sample(marginals, cfg.shots, rngs).counts
+        weights = sample(marginals, cfg.shots, keys).counts
     else:
-        weights = mitigate(sample(apply_readout_noise(marginals, cfg.readout), cfg.shots, rngs).counts, cfg.readout)
+        weights = mitigate(sample(apply_readout_noise(marginals, cfg.readout), cfg.shots, keys).counts, cfg.readout)
     values, _ = expectations(weights, shots=cfg.shots)
     block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
     return block

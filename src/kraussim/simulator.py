@@ -15,10 +15,11 @@ multiplies every row by the transposed 2x2 in one BLAS ``zgemm`` call, Rz
 scales the columns, X swaps them and a CX swaps them on the rows where its
 control bit is set.  :func:`run_branches` runs a circuit once and carries
 its state through the tomography settings' layers, each layer's
-alternatives bare gates on one qubit: per layer it gathers that qubit's
-pairs from the whole batch once, one slab per alternative in the segment
-layout, applies each alternative's gates by :func:`_apply_gate` and
-reorders once into the wider batch.  A
+alternatives bare gates on one qubit, as one C-contiguous array of rows,
+one state per row: per layer each alternative with gates gathers that
+qubit's pairs of every row into one scratch in the segment layout, applies
+its gates by :func:`_apply_gate` and writes them into its slot of the
+layer's one output; the alternative with none is copied into its slot.  A
 multiplexor and a walk are both rows plus one angle per row, applied by
 :func:`_apply_level` as one stacked ``matmul`` (Ry) or one column scale
 (Rz): a multiplexor over its entry rows, and a walk over all 2^t rows as
@@ -32,18 +33,20 @@ rounding, not bit for bit.  Qubit 0
 is the most significant bit of basis labels, and the outcome indices of
 sampled counts follow the same convention.
 
-Randomness comes from the counter-based Philox generator.  Sampling takes
-one stream per row of its matrix, keyed by a root seed plus an index
-path, so results are reproducible and independent of evaluation order.
-:func:`derive_rngs` is the one place streams are made: one call gives a
-part's streams, one per path tail (``derive_rng`` is its one-row case).
-Their keys are ``SeedSequence(seed, spawn_key=path)``'s, computed without
-one: the seed and the shared path prefix are hashed once into the pool
-that every stream shares, then each tail column mixes into a ``(4, k)``
-``uint32`` pool in a few array passes.  Sampling turns a ``(k, 2^m)``
-probability matrix, one row per setting, into its count matrix: one
-division normalizes every row, then one multinomial draw per row and
-stream.  Readout
+Randomness comes from the counter-based Philox generator, whose stream is
+fixed by its key alone.  Sampling takes one stream per row of its matrix,
+keyed by a root seed plus an index path, so results are reproducible and
+independent of evaluation order.  :func:`derive_keys` is the one place
+streams are made: one call gives a part's streams as one ``(k, 2)``
+``uint64`` key matrix, one key per path tail (``derive_rng`` makes a
+generator from its one-row case).  The keys are
+``SeedSequence(seed, spawn_key=path)``'s, computed without one: the seed
+and the shared path prefix are hashed once into the pool that every stream
+shares, then each tail column mixes into a ``(4, k)`` ``uint32`` pool in a
+few array passes.  Sampling turns a ``(k, 2^m)`` probability matrix, one
+row per setting, into its count matrix: one division normalizes every row,
+then one Philox generator, re-keyed per row from counter zero, makes one
+multinomial draw per row.  Readout
 noise draws nothing: it maps the probabilities before the draw, and
 mitigation the frequencies after it, through one per-qubit kernel,
 :func:`_apply_per_qubit`.
@@ -70,7 +73,7 @@ __all__ = [
     "apply_readout_noise",
     "mitigate",
     "derive_rng",
-    "derive_rngs",
+    "derive_keys",
 ]
 
 # SeedSequence's hash constants (numpy.random.bit_generator): the entropy mix
@@ -196,9 +199,10 @@ def _check_tails(tails, offset: int) -> np.ndarray:
     return tails.astype(np.uint32)
 
 
-def derive_rngs(seed: int, prefix: Sequence[int], tails) -> list[np.random.Generator]:
-    """One Philox generator per row of the integer matrix ``tails``: row i is the
-    stream of the path ``(*prefix, *tails[i])``, ``derive_rng(seed, *prefix, *tails[i])``.
+def derive_keys(seed: int, prefix: Sequence[int], tails) -> np.ndarray:
+    """The Philox keys of one stream per row of the integer matrix ``tails``, as a
+    read-only ``(k, 2)`` ``uint64`` matrix: row i keys the stream of the path
+    ``(*prefix, *tails[i])``, the stream ``derive_rng(seed, *prefix, *tails[i])``.
 
     The keys are ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
     computed without a ``SeedSequence``.  The seed and prefix words are hashed
@@ -225,21 +229,22 @@ def derive_rngs(seed: int, prefix: Sequence[int], tails) -> list[np.random.Gener
     out = (pool ^ _OUT_CHAIN[:-1]) * _OUT_CHAIN[1:]
     out ^= out >> 16
     keys = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-    key_type = _philox_key_type()
-    return [np.random.Generator(np.random.Philox(key_type(key))) for key in keys]
+    keys.flags.writeable = False
+    return keys
 
 
 _NO_TAIL = np.zeros((1, 0), dtype=np.uint32)
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for a (seed, index path) pair: the one-row case of
-    :func:`derive_rngs`, the whole path as its prefix.
+    """Philox generator for a (seed, index path) pair, keyed by the one-row
+    :func:`derive_keys` of the whole path as its prefix.
 
     Distinct paths give statistically independent streams; the derivation
     is deterministic, so per-point streams do not depend on sweep order.
     """
-    return derive_rngs(seed, path, _NO_TAIL)[0]
+    [key] = derive_keys(seed, path, _NO_TAIL)
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
 def _apply_level(pairs: np.ndarray, kind: str, rows: list[int] | slice, stack: np.ndarray) -> None:
@@ -386,24 +391,31 @@ def _layer_qubit(q: int, alternatives: Sequence[Sequence[Gate]], n: int) -> int:
     return qubits[0] if qubits else 0
 
 
-def _apply_layer(batch: np.ndarray, t: int, alternatives: Sequence[Sequence[Gate]], stacks: dict) -> np.ndarray:
-    """The ``(2**n, k * A)`` batch of one layer's A alternatives on qubit t after the
-    ``(2**n, k)`` batch, column ``k * A + a`` alternative a's: qubit t's pairs are
-    gathered once into each alternative's slab of one ``(A, 2^t, rest, 2)`` array,
-    in :func:`_apply_segment`'s layout, each slab takes its gates through
-    :func:`_apply_gate`, its Ry and Rz entries read in turn from the iterators in
-    ``stacks``, and one reorder gives the wider batch."""
-    size, k = batch.shape
-    pairs = batch.reshape(2**t, 2, -1).transpose(0, 2, 1)
-    slabs = np.empty((len(alternatives),) + pairs.shape, dtype=np.complex128)
-    slabs[...] = pairs
-    for slab, chosen in zip(slabs, alternatives):
-        flat = slab.reshape(-1, 2)
+def _apply_layer(rows: np.ndarray, t: int, alternatives: Sequence[Sequence[Gate]], stacks: dict) -> np.ndarray:
+    """The ``(k * A, 2**n)`` rows of one layer's A alternatives on qubit t after the
+    ``(k, 2**n)`` rows, row ``A * r + a`` alternative a's after row r, in one
+    ``(k, A, 2**n)`` array.  The alternative with no gate is copied into its slot
+    as it is.  Each other one gathers qubit t's pairs of every row into one
+    ``(k, 2^t, rest, 2)`` scratch, :func:`_apply_segment`'s layout per row, reused
+    by each alternative in turn, takes its gates through :func:`_apply_gate`, its
+    Ry and Rz entries read in turn from the iterators in ``stacks``, and writes
+    the pairs back into its slot."""
+    k, size = rows.shape
+    out = np.empty((k, len(alternatives), 2**t, 2, size >> (t + 1)), dtype=np.complex128)
+    by_qubit = rows.reshape(k, 2**t, 2, -1)
+    pairs = by_qubit.transpose(0, 1, 3, 2)
+    slots = out.transpose(1, 0, 2, 4, 3)
+    scratch = np.empty(pairs.shape, dtype=np.complex128)
+    flat = scratch.reshape(-1, 2)
+    for a, chosen in enumerate(alternatives):
+        if not chosen:
+            out[:, a] = by_qubit
+            continue
+        scratch[...] = pairs
         for gate in chosen:
             _apply_gate(flat, gate.kind, next(stacks[gate.kind]))
-    # (A, 2^t, low, k, 2) -> (2^t, 2, low, k, A): the row's bits, then the column
-    split = slabs.reshape(len(alternatives), 2**t, -1, k, 2)
-    return split.transpose(1, 4, 2, 3, 0).reshape(size, k * len(alternatives))
+        slots[a] = scratch
+    return out.reshape(-1, size)
 
 
 def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
@@ -411,20 +423,21 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     ``itertools.product(*layers)`` order.  Row r is bit for bit
     ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
     ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
-    qubits.  Rows are C-contiguous, so a row sum adds as over one state.
+    qubits.  The rows are one writable C-contiguous array, so a row sum adds as
+    over one state.
 
     A layer is a non-empty list of alternatives of bare X, Ry or Rz gates, all on
     one qubit t, as :func:`~kraussim.tomography.settings_for` gives them.  Every
     layer is checked before any gate (:func:`_layer_qubit`).  The circuit's
     elements run once through :func:`run`, its global phase left for last.  Each
-    layer is then one kernel pass over the ``(2**n, k)`` batch (:func:`_apply_layer`).
-    The layers' Ry and Rz matrices come from one
-    :func:`~kraussim.qsp.rotation_stack` call per kind."""
+    layer is then one kernel pass over the rows so far (:func:`_apply_layer`),
+    and the last layer's output is the result.  The layers' Ry and Rz matrices
+    come from one :func:`~kraussim.qsp.rotation_stack` call per kind."""
     n = circuit.qubit_count
     qubits = [_layer_qubit(q, alternatives, n) for q, alternatives in enumerate(layers)]
     # the circuit's checked fields, and its gates where already expanded
     bare = _built(Circuit, **{**vars(circuit), "global_phase": 0.0})
-    batch = run(bare).amplitudes[:, None]
+    rows = run(bare).amplitudes[None]
     gates = [gate for alternatives in layers for chosen in alternatives for gate in chosen]
     stacks = {
         "x": itertools.repeat(None),
@@ -432,21 +445,28 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
         "rz": iter(rotation_stack("rz", [g.angle for g in gates if g.kind == "rz"]).diagonal(axis1=1, axis2=2)),
     }
     for t, alternatives in zip(qubits, layers):
-        batch = _apply_layer(batch, t, alternatives, stacks)
-    rows = batch.T.copy()
+        rows = _apply_layer(rows, t, alternatives, stacks)
+    if not layers:  # the run's own state is read-only
+        rows = rows.copy()
     if circuit.global_phase != 0.0:
         rows *= np.exp(1j * circuit.global_phase)
     return rows
 
 
-def _check_shape(matrix: np.ndarray, stage: str, noun: str, rngs: Sequence | None) -> tuple[int, ...]:
-    """The shape of a ``(k, 2^n)`` matrix, k >= 1 settings and, where ``rngs`` is
-    given, one generator per row; a failure names the stage and the shape."""
+def _check_shape(matrix: np.ndarray, stage: str, noun: str, keys: np.ndarray | None) -> tuple[int, ...]:
+    """The shape of a ``(k, 2^n)`` matrix, k >= 1 settings and, where ``keys`` is
+    given, a ``(k, 2)`` ``uint64`` key matrix, one stream key per row; a failure
+    names the stage and the shape."""
     shape = matrix.shape
     if matrix.ndim != 2 or min(shape) < 1 or shape[1] & (shape[1] - 1):
         raise ValueError(f"{stage}: {noun} of shape {shape} are not a (settings, 2^n outcomes) matrix")
-    if rngs is not None and len(rngs) != shape[0]:
-        raise ValueError(f"{stage}: {noun} of shape {shape} take one generator per row, got {len(rngs)}")
+    if keys is not None:
+        if keys.dtype != np.uint64 or keys.ndim != 2 or keys.shape[1] != 2:
+            raise ValueError(
+                f"{stage}: keys of shape {keys.shape} and dtype {keys.dtype} are not a (streams, 2) uint64 matrix"
+            )
+        if len(keys) != shape[0]:
+            raise ValueError(f"{stage}: {noun} of shape {shape} take one key per row, got {len(keys)}")
     return shape
 
 
@@ -472,18 +492,18 @@ def _check_counts(counts, stage: str) -> np.ndarray:
     return counts
 
 
-def _check_probs(probs, stage: str, rngs: Sequence | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _check_probs(probs, stage: str, keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``probs`` as a validated ``(k, 2^n)`` float matrix of outcome weights, one
-    row per setting and, where ``rngs`` is given, one generator per row, and its
+    row per setting and, where ``keys`` is given, one stream key per row, and its
     ``(k, 1)`` row sums: the check :func:`sample` and :func:`apply_readout_noise`
     make before any work.
 
-    A non-2-D matrix, a column count that is no power of two, a generator
-    count other than the row count, a negative, NaN or infinite entry and a
+    A non-2-D matrix, a column count that is no power of two, a key matrix
+    that is not ``(k, 2)`` ``uint64``, a negative, NaN or infinite entry and a
     row with no mass each fail, naming the stage, the shape and the first
     bad row."""
     probs = np.asarray(probs, dtype=np.float64)
-    shape = _check_shape(probs, stage, "probabilities", rngs)
+    shape = _check_shape(probs, stage, "probabilities", keys)
     totals = None
     bad = ~((probs >= 0.0) & (probs < np.inf)).all(axis=1)
     problem = "a negative or non-finite entry"
@@ -529,26 +549,38 @@ class ShotCounts:
         object.__setattr__(self, "counts", counts)
 
 
-def sample(probs: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> ShotCounts:
+def sample(probs: np.ndarray, shots: int, keys: np.ndarray) -> ShotCounts:
     """Multinomial sampling of computational-basis outcomes: ``shots`` draws
-    for each row of a ``(k, 2^m)`` matrix, row s from its own
-    :func:`derive_rng` stream ``rngs[s]``.
+    for each row of a ``(k, 2^m)`` matrix, row s from the stream that row s of
+    the :func:`derive_keys` matrix ``keys`` keys.
 
     Row s holds the weight of every outcome of an m-qubit register under
     setting s, such as the Born probabilities ``|amplitudes|^2`` of a state
-    or their marginal on some leading qubits.  The matrix is checked by
-    :func:`_check_probs` before any draw, and divided once by the row sums
-    that check takes, so row s is renormalized byte for byte as by its own
-    ``p / p.sum()`` and equals a one-row call with ``rngs[s]``.  The
-    result's ``counts`` is the ``(k, 2^m)`` count matrix and its ``shots``
-    the total drawn, ``k * shots``.
+    or their marginal on some leading qubits.  ``shots`` must be a positive
+    integer, not a bool.  It and the matrix and keys are checked before any
+    draw, the last two by :func:`_check_probs`, and the matrix is divided once
+    by the row sums that check takes, so row s is renormalized byte for byte
+    as by its own ``p / p.sum()``.  One Philox generator serves every row: its
+    state is re-keyed with row s's key and counter zero before row s's one
+    ``multinomial`` call, so row s is byte for byte the draw of a fresh
+    ``Generator(Philox(keys[s]))``, as a one-row call gives it, and nothing
+    carries over between rows or calls.  The result's ``counts`` is the
+    ``(k, 2^m)`` count matrix and its ``shots`` the total drawn, ``k * shots``.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    probs, totals = _check_probs(probs, "sampling", rngs)
+    if not _is_index(shots) or shots < 1:
+        raise ValueError(f"sampling: shots must be a positive integer, got {shots!r}")
+    shots, keys = int(shots), np.asarray(keys)
+    probs, totals = _check_probs(probs, "sampling", keys)
     normalized = probs / totals
     counts = np.empty(probs.shape, dtype=np.int64)
-    for row, p, rng in zip(counts, normalized, rngs):
+    philox = np.random.Philox(_philox_key_type()(keys[0]))
+    rng = np.random.Generator(philox)
+    # a fresh generator's state: counter zero, an empty buffer and no cached
+    # 32-bit half; the setter copies every field, so only the key changes
+    state = philox.state
+    for row, p, key in zip(counts, normalized, keys):
+        state["state"]["key"] = key
+        philox.state = state
         row[...] = rng.multinomial(shots, p)
     counts.flags.writeable = False
     # the checks of ShotCounts hold by construction: the shape is the checked

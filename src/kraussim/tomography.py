@@ -14,12 +14,13 @@ are vectors over the 4^n Pauli strings in ``itertools.product("IXYZ")``
 order, the first letter acting on the first qubit.  Only these n system
 qubits are measured: a caller whose register holds more qubits sums each
 setting's outcome probabilities over them before drawing shots.  The
-strings of one parity mask are averaged in one pass, 2^n - 1 in all: the
-settings' estimates on it, masked positions first, are a table of strings
-by the settings that measure them.  Everything that depends on n alone
-(the settings, the string tables, each mask's gather table and the
-inversion's order) is built once per register size and kept read-only;
-nothing that depends on the data is kept.
+settings' estimates on one parity mask, masked positions first, are a
+table of its strings by the settings that measure them; a mask with w
+non-identity positions has a ``(3^w, 3^(n-w))`` table, so the masks of one
+weight are stacked and averaged in one pass, n passes in all.  Everything
+that depends on n alone (the settings, the string tables, each weight's
+gather table and the inversion's order) is built once per register size
+and kept read-only; nothing that depends on the data is kept.
 
 Each Pauli string is a signed permutation of the basis states, so linear
 inversion, ``rho = sum_P <P> P / 2^n``, sums 2^n strings per entry and
@@ -122,24 +123,30 @@ def _pauli_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _expectation_tables(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """``(signs, by_mask)``, read-only and built once per n.
+    """``(signs, by_weight)``, read-only and built once per n.
 
     ``signs[mask]`` is the I/Z string on ``mask`` as outcome signs (no flips, in
-    mask order).  ``by_mask[mask - 1]`` is ``(strings, table)`` for masks 1 to
-    2^n - 1: the indices of the strings on ``mask`` and the gather table of
-    their settings.  ``column[table]`` of a per-setting column is a C-contiguous
-    table whose row r is the r-th string on ``mask`` over its compatible
-    settings in ascending order.  A row reduction adds as over those settings
-    gathered in one vector; a strided view from ``reshape`` would not."""
+    mask order).  ``by_weight[w - 1]`` is ``(strings, index)`` for the masks with
+    w set bits, in ascending mask order, each of whose gather tables has the
+    shape ``(3^w, 3^(n-w))``: the indices of the strings on those masks, mask by
+    mask, and the masks' tables stacked into one ``(C * 3^w, 3^(n-w))`` index
+    into the flattened ``(3^n, 2^n)`` matrix of setting estimates by mask.
+    ``estimates.take(index)`` is a C-contiguous table whose row r is the r-th
+    string's mask over that string's compatible settings in ascending order.
+    A row reduction adds as over those settings gathered in one vector; a
+    strided view from ``reshape`` would not."""
     flips, masks, entries = _pauli_strings(n)
     settings = np.arange(3**n).reshape((3,) * n)
-    by_mask = []
+    groups: list[tuple[list, list]] = [([], []) for _ in range(n)]
     for mask in range(1, 2**n):
         active = [i for i in range(n) if mask >> (n - 1 - i) & 1]
         table = np.moveaxis(settings, active, range(len(active))).reshape(3 ** len(active), -1)
-        by_mask.append(_read_only(np.flatnonzero(masks == mask), np.ascontiguousarray(table)))
+        strings, index = groups[len(active) - 1]
+        strings.append(np.flatnonzero(masks == mask))
+        index.append(table * 2**n + mask)
+    by_weight = tuple(_read_only(np.concatenate(strings), np.concatenate(index)) for strings, index in groups)
     [signs] = _read_only(entries[flips == 0].real.copy())
-    return signs, tuple(by_mask)
+    return signs, by_weight
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -163,8 +170,8 @@ def expectations(
     returns.  Each row is divided by its total, summed in ascending
     outcome order.  A Pauli string's value is the parity expectation of
     its non-identity positions, averaged over every setting compatible
-    with those positions, one row reduction per mask; identity positions
-    are marginalized.  Entry k
+    with those positions, one row reduction per mask, all the masks of one
+    weight in one pass; identity positions are marginalized.  Entry k
     of ``values`` and ``errors`` belongs to the k-th string of
     ``itertools.product("IXYZ", repeat=n)``; the all-identity string has
     value 1 and error 0.  ``shots`` is one positive total for every
@@ -200,7 +207,7 @@ def expectations(
             raise ValueError(f"shots: total {shots.min():g} is not positive")
         shots = np.broadcast_to(shots, rows)
     weights = weights / totals[:, None]
-    signs, by_mask = _expectation_tables(n)
+    signs, by_weight = _expectation_tables(n)
 
     # estimates[s, mask]: setting s's parity expectation over the positions
     # in ``mask``, signed by the I/Z strings.  Each is a sequential sum in
@@ -210,13 +217,16 @@ def expectations(
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
 
     values = np.ones(4**n)
-    errors = None if shots is None else np.zeros(4**n)
-    # the identity string keeps value 1, error 0
-    for mask, (strings, table) in enumerate(by_mask, start=1):
-        values[strings] = estimates[:, mask][table].mean(axis=1)
+    errors = None
+    if shots is not None:
+        errors = np.zeros(4**n)
+        spread /= shots[:, None]  # each estimate's binomial variance
+    # the identity string keeps value 1, error 0; each weight's masks in one pass
+    for strings, index in by_weight:
+        values[strings] = estimates.take(index).mean(axis=1)
         if errors is not None:
             # cumsum adds in sequence, not pairwise, which fixes each error's rounding
-            variances = (spread[:, mask] / shots)[table]
+            variances = spread.take(index)
             errors[strings] = np.sqrt(np.cumsum(variances, axis=1)[:, -1]) / variances.shape[1]
     return values, errors
 

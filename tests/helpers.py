@@ -500,10 +500,17 @@ def same_stream(a, b, draws=8):
     return a.integers(0, 2**64, draws, dtype=np.uint64).tobytes() == b.integers(0, 2**64, draws, dtype=np.uint64).tobytes()
 
 
-def reference_readout_noise(counts, model, rngs):
+def one_key(seed, *path):
+    """The ``(1, 2)`` key matrix of the one stream ``simulator.derive_rng(seed, *path)``,
+    as ``sample`` takes it."""
+    return simulator.derive_keys(seed, path, np.zeros((1, 0), dtype=int))
+
+
+def reference_readout_noise(counts, model, keys):
     """Per-shot readout flips of a ``(k, 2^m)`` count matrix by binomial thinning,
-    row s drawn from ``rngs[s]``.  ``sample`` of some probabilities followed by
-    this has the distribution of ``sample`` of ``apply_readout_noise`` of them.
+    row s drawn from a fresh generator on the stream that ``keys[s]`` keys.
+    ``sample`` of some probabilities followed by this has the distribution of
+    ``sample`` of ``apply_readout_noise`` of them.
 
     Each row is thinned one qubit at a time, qubit 0 first, with one
     binomial draw per qubit over the ``(2^q, 2, rest)`` view of the row:
@@ -513,11 +520,12 @@ def reference_readout_noise(counts, model, rngs):
     of qubits before q, so each pass reads the true bit and the result has
     the distribution of independent per-shot flips."""
     noisy = simulator._check_counts(counts, "readout noise").astype(np.int64)
-    assert len(rngs) == len(noisy), "one generator per row"
+    assert len(keys) == len(noisy), "one key per row"
     n = noisy.shape[1].bit_length() - 1
     # qubit q's P(read 1 - b | true b) for b = 0, 1, its e0 and e1 as a column
     rates = np.ascontiguousarray(model.confusion(n)[:, [1, 0], [0, 1], None])
-    for row, rng in zip(noisy, rngs):
+    for row, key in zip(noisy, keys):
+        rng = np.random.Generator(np.random.Philox(simulator._philox_key_type()(key)))
         for q in range(n):
             view = row.reshape(2**q, 2, -1)
             flips = rng.binomial(view, rates[q])

@@ -173,23 +173,25 @@ def test_each_preparation_is_simulated_once(monkeypatch):
     # each system qubit's X, Y and Z rotations (1 + 3 + 0 gates) act once
     # on the batch of settings: 4 per system qubit, where one run per
     # setting applies 3^(m-1) * 4 per system qubit.  Each mode simulates
-    # only the circuit it reads: exact mode the synthesized one, sampled
-    # mode the lowered one with its settings
+    # one circuit, the lowered one: exact mode with no settings, sampled
+    # mode with its settings.  The exact qutrit_amplitude_damping point
+    # lowers its 5 synthesized gates to 29, so the two counts differ
     point = {"parameter": "p", "grid": [0.3]}
     qad = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},
            "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64}
+    exact_qad = {**qad, "mode": "exact"}
     for cfg, rotation_gates in (
         (bpf_config(mode="exact", shots=64, sweep=point), 0),
+        (exact_qad, 0),
         (bpf_config(mode="sampled", shots=64, sweep=point), 4),
         (qad, 8),  # 2 system qubits
     ):
         applied.clear()
         [row] = run_experiment(parse_config(cfg))
         assert not row.error
-        if cfg["mode"] == "exact":
-            assert len(applied) == row.synth_gate_count
-        else:
-            assert len(applied) == row.lowered_gate_count + rotation_gates
+        assert len(applied) == row.lowered_gate_count + rotation_gates
+        if cfg is exact_qad:
+            assert (row.synth_gate_count, row.lowered_gate_count) == (5, 29)
 
 
 def test_readout_register_is_checked_before_the_first_gate(monkeypatch):
@@ -212,9 +214,9 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     # 2 ancilla qubits (3 Kraus operators)
     received = []
 
-    def recording(probs, shots, rngs):
+    def recording(probs, shots, keys):
         received.append(np.array(probs))
-        return simulator.sample(probs, shots, rngs)
+        return simulator.sample(probs, shots, keys)
 
     monkeypatch.setattr(cli, "sample", recording)
     cfg = {
@@ -266,7 +268,6 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
     rows = run_experiment(cfg)
     assert not any(row.error for row in rows)
     expected = rows_to_csv(rows)
-    seed_sequence = np.random.SeedSequence
     parts, calls = [], []
 
     def counted_parts(*args):
@@ -275,15 +276,15 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
             yield part
 
     def counted_streams(seed, prefix, tails):
-        rngs = derive_rngs(seed, prefix, tails)
-        calls.append((prefix, len(rngs)))
-        assert not any(isinstance(rng.bit_generator.seed_seq, seed_sequence) for rng in rngs)
-        return rngs
+        keys = derive_keys(seed, prefix, tails)
+        calls.append((prefix, len(keys)))
+        assert keys.shape == (len(tails), 2) and keys.dtype == np.uint64 and not keys.flags.writeable
+        return keys
 
-    cli_prepared_parts, derive_rngs = cli._prepared_parts, cli.derive_rngs
+    cli_prepared_parts, derive_keys = cli._prepared_parts, cli.derive_keys
     monkeypatch.setattr(np.random, "SeedSequence", lambda *args, **kwargs: pytest.fail("SeedSequence built"))
     monkeypatch.setattr(cli, "_prepared_parts", counted_parts)
-    monkeypatch.setattr(cli, "derive_rngs", counted_streams)
+    monkeypatch.setattr(cli, "derive_keys", counted_streams)
     assert rows_to_csv(run_experiment(cfg)) == expected
     points = len(cfg.grid)
     assert len(calls) == len(parts) >= (2 * points if "mixed_method" in config else points)

@@ -17,6 +17,7 @@ from helpers import (
     gate_matrix,
     gate_parts,
     histogram,
+    one_key,
     random_density,
     random_pure,
     reference_apply_gate,
@@ -45,8 +46,8 @@ from kraussim.simulator import (
     ReadoutModel,
     ShotCounts,
     apply_readout_noise,
+    derive_keys,
     derive_rng,
-    derive_rngs,
     mitigate,
     run,
     run_branches,
@@ -602,7 +603,7 @@ def test_sampling_converges_to_born_probabilities():
     state = random_pure(rng, 8)
     shots = 100_000
     probs = born(state)
-    [counts] = sample(probs[None], shots, [derive_rng(99)]).counts
+    [counts] = sample(probs[None], shots, one_key(99)).counts
     for idx, p in enumerate(probs):
         bits = format(idx, "03b")
         freq = histogram(counts).get(bits, 0) / shots
@@ -612,7 +613,7 @@ def test_sampling_converges_to_born_probabilities():
 
 def test_sampling_is_seed_deterministic():
     state = random_pure(np.random.default_rng(404), 4)
-    [a], [b], [c] = (sample(born(state)[None], 4096, [derive_rng(seed)]).counts for seed in (7, 7, 8))
+    [a], [b], [c] = (sample(born(state)[None], 4096, one_key(seed)).counts for seed in (7, 7, 8))
     assert histogram(a) == histogram(b)
     assert histogram(a) != histogram(c)
 
@@ -626,7 +627,7 @@ def test_derived_streams_are_stable_and_distinct():
 def test_readout_noise_flip_rate():
     # the mapped probabilities, drawn: the rate at which a 0 reads as 1
     counts = count_row(1, {"0": 100_000})
-    noisy = sample(apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0)), 100_000, [derive_rng(11)]).counts
+    noisy = sample(apply_readout_noise(counts, ReadoutModel(e0=0.2, e1=0.0)), 100_000, one_key(11)).counts
     rate = histogram(noisy[0]).get("1", 0) / counts.sum()
     assert abs(rate - 0.2) < 5 * np.sqrt(0.2 * 0.8 / 100_000)
     assert noisy.sum() == counts.sum()
@@ -643,8 +644,8 @@ def test_mitigation_recovers_true_frequencies():
     for trial in range(20):
         state = random_pure(rng, 8)
         probs = born(state)
-        counts = sample(probs[None], shots, [derive_rng(406, trial, 0)]).counts
-        noisy = reference_readout_noise(counts, model, [derive_rng(406, trial, 1)])
+        counts = sample(probs[None], shots, one_key(406, trial, 0)).counts
+        noisy = reference_readout_noise(counts, model, one_key(406, trial, 1))
         [mitigated] = mitigate(noisy, model)
         worst = max(abs(mitigated[i] - probs[i]) for i in range(8))
         assert worst < bound
@@ -666,12 +667,12 @@ def test_mitigation_matches_string_keyed_reference():
                 e0=float(scalars.uniform(0.0, 0.2)), e1=float(scalars.uniform(0.0, 0.2))
             )
             counts = np.concatenate([
-                sample(born(random_pure(rng, 2**n))[None], int(rng.integers(1, 40)), [derive_rng(408, n, trial, s, 0)]).counts
+                sample(born(random_pure(rng, 2**n))[None], int(rng.integers(1, 40)), one_key(408, n, trial, s, 0)).counts
                 for s in range(9)
             ])
             for stream, model in ((1, per_qubit), (2, scalar)):
-                rngs = [derive_rng(408, n, trial, s, stream) for s in range(9)]
-                noisy = reference_readout_noise(counts, model, rngs)
+                keys = derive_keys(408, (n, trial), np.c_[np.arange(9), np.full(9, stream)])
+                noisy = reference_readout_noise(counts, model, keys)
                 mitigated = mitigate(noisy, model)
                 assert mitigated.shape == (9, 2**n)
                 for row, result in zip(noisy, mitigated):
@@ -732,10 +733,10 @@ def test_readout_noise_draw_matches_the_per_shot_reference():
     model = ReadoutModel(e0=(0.05, 0.2), e1=(0.1, 0.3))
     k = len(probs)
     tails = np.indices((trials, k)).reshape(2, -1).T
-    drawn_rngs, sample_rngs, flip_rngs = (derive_rngs(424, (stream,), tails) for stream in range(3))
+    drawn_keys, sample_keys, flip_keys = (derive_keys(424, (stream,), tails) for stream in range(3))
     batch = np.tile(probs, (trials, 1))
-    drawn = sample(apply_readout_noise(batch, model), shots, drawn_rngs).counts
-    thinned = reference_readout_noise(sample(batch, shots, sample_rngs).counts, model, flip_rngs)
+    drawn = sample(apply_readout_noise(batch, model), shots, drawn_keys).counts
+    thinned = reference_readout_noise(sample(batch, shots, sample_keys).counts, model, flip_keys)
     drawn, thinned = drawn.reshape(trials, k, 4), thinned.reshape(trials, k, 4)
     # one shot's outcome indicator minus q is z, row o for outcome o; the
     # count is the sum of `shots` independent such vectors
@@ -764,29 +765,37 @@ WORKLOAD_PATHS = [((i, 0), [(s, j) for j in range(2) for s in range(9)]) for i i
 WORKLOAD_PATHS.append(((0, 0), [(s, 0) for s in range(81)]))
 
 
+def stream_key(rng):
+    """The Philox key of a generator's stream."""
+    return rng.bit_generator.state["state"]["key"]
+
+
 def test_derived_streams_match_seed_sequence():
+    # derive_rng is SeedSequence's stream; each row of a derive_keys matrix is
+    # the key of derive_rng's stream on that row's path, and so SeedSequence's
     for seed in STREAM_SEEDS:
         for path in STREAM_PATHS:
             assert same_stream(derive_rng(seed, *path), seed_sequence_rng(seed, path)), (seed, path)
         for prefix, tails in WORKLOAD_PATHS:
-            rows = derive_rngs(seed, prefix, np.array(tails))
-            assert len(rows) == len(tails)
-            for row, tail in zip(rows, tails):
+            keys = derive_keys(seed, prefix, np.array(tails))
+            assert keys.shape == (len(tails), 2) and keys.dtype == np.uint64
+            assert keys.flags.c_contiguous and not keys.flags.writeable
+            for key, tail in zip(keys, tails):
                 path = prefix + tail
-                assert same_stream(row, seed_sequence_rng(seed, path)), (seed, path)
+                assert np.array_equal(key, stream_key(seed_sequence_rng(seed, path))), (seed, path)
                 assert same_stream(derive_rng(seed, *path), seed_sequence_rng(seed, path)), (seed, path)
         # a prefix of any width and entries of more than one word, and tails
         # of width 0, 1 and 3
         for prefix in STREAM_PATHS:
             for tails in (np.zeros((2, 0), dtype=int), np.array([[0], [2**32 - 1], [7]]), np.array([[1, 2, 3], [0, 0, 0]])):
-                rows = derive_rngs(seed, prefix, tails)
-                for row, tail in zip(rows, tails.tolist()):
-                    assert same_stream(row, derive_rng(seed, *prefix, *tail)), (seed, prefix, tail)
-    assert derive_rngs(5, (1,), np.zeros((0, 2), dtype=int)) == []
+                keys = derive_keys(seed, prefix, tails)
+                for key, tail in zip(keys, tails.tolist()):
+                    assert np.array_equal(key, stream_key(derive_rng(seed, *prefix, *tail))), (seed, prefix, tail)
+    assert derive_keys(5, (1,), np.zeros((0, 2), dtype=int)).shape == (0, 2)
     # numpy integers are integers
     assert same_stream(derive_rng(np.int64(5), np.uint8(3)), derive_rng(5, 3))
-    [row] = derive_rngs(np.uint64(5), (np.int32(3),), np.array([[2]], dtype=np.uint16))
-    assert same_stream(row, derive_rng(5, 3, 2))
+    [key] = derive_keys(np.uint64(5), (np.int32(3),), np.array([[2]], dtype=np.uint16))
+    assert np.array_equal(key, stream_key(derive_rng(5, 3, 2)))
 
 
 @pytest.mark.parametrize(
@@ -801,14 +810,14 @@ def test_derived_streams_match_seed_sequence():
         (lambda: derive_rng(7.0), "seed must be a non-negative integer, got 7.0"),
         (lambda: derive_rng(-1), "seed must be a non-negative integer, got -1"),
         (lambda: derive_rng(None), "seed must be a non-negative integer, got None"),
-        (lambda: derive_rngs(5, (1, "2"), [[0]]), "path entry 1 must be a non-negative integer, got '2'"),
-        (lambda: derive_rngs(5, (1,), [[0, 3], [4, 2**32]]), "row 1 path entry 2 must be an integer in [0, 2^32), got 4294967296"),
-        (lambda: derive_rngs(5, (), [[1], [-1]]), "row 1 path entry 0 must be an integer in [0, 2^32), got -1"),
-        (lambda: derive_rngs(5, (1, 2), [[True]]), "row 0 path entry 2 must be an integer in [0, 2^32), got True"),
-        (lambda: derive_rngs(5, (), [[1.5, 0]]), "row 0 path entry 0 must be an integer in [0, 2^32), got 1.5"),
-        (lambda: derive_rngs(5, (), np.array([[1, "3"]], dtype=object)), "row 0 path entry 1 must be an integer in [0, 2^32), got '3'"),
-        (lambda: derive_rngs(5, (), np.array([[2**64]], dtype=object)), "row 0 path entry 0 must be an integer in [0, 2^32), got 18446744073709551616"),
-        (lambda: derive_rngs(5, (), [0, 1]), "tails of shape (2,) are not a (streams, tail entries) matrix"),
+        (lambda: derive_keys(5, (1, "2"), [[0]]), "path entry 1 must be a non-negative integer, got '2'"),
+        (lambda: derive_keys(5, (1,), [[0, 3], [4, 2**32]]), "row 1 path entry 2 must be an integer in [0, 2^32), got 4294967296"),
+        (lambda: derive_keys(5, (), [[1], [-1]]), "row 1 path entry 0 must be an integer in [0, 2^32), got -1"),
+        (lambda: derive_keys(5, (1, 2), [[True]]), "row 0 path entry 2 must be an integer in [0, 2^32), got True"),
+        (lambda: derive_keys(5, (), [[1.5, 0]]), "row 0 path entry 0 must be an integer in [0, 2^32), got 1.5"),
+        (lambda: derive_keys(5, (), np.array([[1, "3"]], dtype=object)), "row 0 path entry 1 must be an integer in [0, 2^32), got '3'"),
+        (lambda: derive_keys(5, (), np.array([[2**64]], dtype=object)), "row 0 path entry 0 must be an integer in [0, 2^32), got 18446744073709551616"),
+        (lambda: derive_keys(5, (), [0, 1]), "tails of shape (2,) are not a (streams, tail entries) matrix"),
     ],
     ids=[
         "path-string", "path-bool", "path-float", "path-negative",
@@ -875,7 +884,7 @@ def test_confusion_matrices_cover_the_register():
 
 def test_shot_counts_hold_a_read_only_dense_array():
     counts = sample(np.stack([born(random_pure(np.random.default_rng(409), 8))] * 3), 50,
-                    [derive_rng(5, s) for s in range(3)])
+                    derive_keys(5, (), [[0], [1], [2]]))
     assert counts.counts.dtype == np.int64 and counts.counts.shape == (3, 8)
     assert counts.qubit_count == 3 and counts.shots == 150
     assert not counts.counts.flags.writeable
@@ -908,7 +917,8 @@ def test_batched_sample_rows_equal_one_row_multinomial_draws(k):
         probs[rng.random(probs.shape) < 0.2] = 0.0
         probs[:, 0] += 1e-3
         shots = int(rng.integers(1, 5000))
-        counts = sample(probs, shots, [derive_rng(421, k, m, s) for s in range(k)])
+        keys = derive_keys(421, (k, m), np.arange(k)[:, None])
+        counts = sample(probs, shots, keys)
         assert counts.qubit_count == m and counts.shots == k * shots
         assert counts.counts.shape == (k, 2**m) and counts.counts.dtype == np.int64
         expected = np.stack([
@@ -916,7 +926,7 @@ def test_batched_sample_rows_equal_one_row_multinomial_draws(k):
         ])
         assert counts.counts.tobytes() == expected.tobytes(), (k, m)
         for s in (0, k - 1):
-            [one] = sample(probs[s : s + 1], shots, [derive_rng(421, k, m, s)]).counts
+            [one] = sample(probs[s : s + 1], shots, keys[s : s + 1]).counts
             assert one.tobytes() == expected[s].tobytes(), (k, m, s)
 
 
@@ -938,7 +948,7 @@ def test_batched_sample_normalizes_every_width_as_one_row_at_a_time():
         rows = np.stack([p / p.sum() for p in probs])
         assert (probs / probs.sum(axis=1, keepdims=True)).tobytes() == rows.tobytes(), m
         shots = int(rng.integers(1, 3000))
-        counts = sample(probs, shots, derive_rngs(3913, (m,), np.c_[np.arange(5), np.zeros(5, dtype=int)]))
+        counts = sample(probs, shots, derive_keys(3913, (m,), np.c_[np.arange(5), np.zeros(5, dtype=int)]))
         expected = np.stack([derive_rng(3913, m, s, 0).multinomial(shots, p) for s, p in enumerate(rows)])
         assert counts.counts.tobytes() == expected.tobytes(), m
         assert counts.counts[4].max() == shots
@@ -950,7 +960,7 @@ def test_sampled_shot_counts_pass_the_public_constructor():
     rng = np.random.default_rng(77)
     for m, k, shots in ((1, 1, 1), (2, 9, 64), (4, 81, 4096)):
         probs = rng.random((k, 2**m))
-        drawn = sample(probs, shots, [derive_rng(77, m, s) for s in range(k)])
+        drawn = sample(probs, shots, derive_keys(77, (m,), np.arange(k)[:, None]))
         rebuilt = ShotCounts(drawn.qubit_count, drawn.shots, drawn.counts)
         assert (rebuilt.qubit_count, rebuilt.shots) == (drawn.qubit_count, drawn.shots) == (m, k * shots)
         assert rebuilt.counts.dtype == drawn.counts.dtype == np.int64
@@ -958,10 +968,73 @@ def test_sampled_shot_counts_pass_the_public_constructor():
         assert not drawn.counts.flags.writeable and not rebuilt.counts.flags.writeable
 
 
-def test_sampling_check_fails_before_any_draw():
+def test_batched_sample_rekeys_one_philox_as_fresh_generators():
+    # one call re-keys one generator per row: row s is the draw of a fresh
+    # derive_rng stream on its path, on widths 2^1 to 2^6 and shots from 1
+    # to 10^6, rows with exact zeros; a row whose key recurs draws the same
+    # counts, and a second call with the same keys, after a call with other
+    # keys, the same matrix, so no state carries over between rows or calls
+    rng = np.random.default_rng(4012)
+    for m in range(1, 7):
+        for shots in (1, 7, 4096, 10**6):
+            k = 5
+            probs = rng.dirichlet(np.full(2**m, 0.5), size=k) * rng.uniform(0.5, 2.0, (k, 1))
+            probs[rng.random(probs.shape) < 0.3] = 0.0
+            probs[:, -1] += 1e-3
+            probs[4] = probs[1]
+            tails = np.c_[[0, 1, 2, 3, 1], np.zeros(k, dtype=int)]
+            keys = derive_keys(4012, (m, shots), tails)
+            counts = sample(probs, shots, keys).counts
+            expected = np.stack([
+                derive_rng(4012, m, shots, *tail).multinomial(shots, p / p.sum()) for tail, p in zip(tails, probs)
+            ])
+            assert counts.tobytes() == expected.tobytes(), (m, shots)
+            assert np.array_equal(counts[4], counts[1])
+            sample(probs[::-1], shots, derive_keys(4013, (m, shots), tails))
+            assert sample(probs, shots, keys).counts.tobytes() == counts.tobytes(), (m, shots)
+
+
+def test_batched_sample_rejects_a_bad_key_matrix_or_shots_before_any_draw(monkeypatch):
+    # a key matrix of the wrong shape, dtype or row count, and shots that are
+    # no positive integer, each fail as one sampling error before any
+    # generator is made
+    probs = np.full((3, 4), 0.25)
+    keys = derive_keys(9, (), [[0], [1], [2]])
+    generators = [derive_rng(9, s) for s in range(3)]
+    monkeypatch.setattr(simulator, "_philox_key_type", lambda: pytest.fail("a generator was made"))
+    for bad, message in (
+        (keys[:, :1], "keys of shape (3, 1) and dtype uint64 are not a (streams, 2) uint64 matrix"),
+        (keys.ravel(), "keys of shape (6,) and dtype uint64 are not a (streams, 2) uint64 matrix"),
+        (keys[:, :, None], "keys of shape (3, 2, 1) and dtype uint64 are not a (streams, 2) uint64 matrix"),
+        (keys.astype(np.int64), "keys of shape (3, 2) and dtype int64 are not a (streams, 2) uint64 matrix"),
+        (keys.astype(float), "keys of shape (3, 2) and dtype float64 are not a (streams, 2) uint64 matrix"),
+        (generators, "keys of shape (3,) and dtype object are not a (streams, 2) uint64 matrix"),
+        (keys[:2], "probabilities of shape (3, 4) take one key per row, got 2"),
+        (np.concatenate([keys, keys[:1]]), "probabilities of shape (3, 4) take one key per row, got 4"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape('sampling: ' + message)}$"):
+            sample(probs, 16, bad)
+    for shots in (0, -3, True, np.bool_(True), 2.5, 4.0, np.float64(4.0), "4", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'sampling: shots must be a positive integer, got {shots!r}')}$"):
+            sample(probs, shots, keys)
+
+
+def test_run_branches_without_layers_returns_the_run_as_one_writable_row():
+    # exact mode's one row: the run's state, phase and all, in an array of its own
+    rng = np.random.default_rng(4014)
+    for n, phase in ((1, 0.0), (4, 0.7), (9, -2.1)):
+        low = lower(synthesize(random_pure(rng, 2**n)))
+        circuit = Circuit(n, low.elements, phase)
+        rows = run_branches(circuit, ())
+        assert rows.shape == (1, 2**n) and rows.dtype == np.complex128
+        assert rows.flags.c_contiguous and rows.flags.writeable and rows.flags.owndata
+        assert rows[0].tobytes() == run(circuit).amplitudes.tobytes(), n
+
+
+def test_sampling_check_fails_before_any_draw(monkeypatch):
     # each case breaks one rule; the message names the stage, the shape and
-    # the first bad row, and no stream has moved.  Readout noise makes the
-    # same check, generators aside, under its own stage
+    # the first bad row, and no generator is made.  Readout noise makes the
+    # same check, keys aside, under its own stage
     good = np.full((3, 2), 0.5)
     negative, nan, inf, empty = (good.copy() for _ in range(4))
     negative[1, 1] = -0.25
@@ -975,23 +1048,21 @@ def test_sampling_check_fails_before_any_draw():
         (np.ones((2, 3)), 2, "probabilities of shape (2, 3) are not a (settings, 2^n outcomes) matrix"),
         (np.ones((2, 0)), 2, "probabilities of shape (2, 0) are not a (settings, 2^n outcomes) matrix"),
         (np.ones((0, 2)), 0, "probabilities of shape (0, 2) are not a (settings, 2^n outcomes) matrix"),
-        (good, 2, "probabilities of shape (3, 2) take one generator per row, got 2"),
-        (good, 4, "probabilities of shape (3, 2) take one generator per row, got 4"),
+        (good, 2, "probabilities of shape (3, 2) take one key per row, got 2"),
+        (good, 4, "probabilities of shape (3, 2) take one key per row, got 4"),
         (negative, 3, "probabilities of shape (3, 2): row 1 has a negative or non-finite entry"),
         (nan, 3, "probabilities of shape (3, 2): row 2 has a negative or non-finite entry"),
         (inf, 3, "probabilities of shape (3, 2): row 0 has a negative or non-finite entry"),
         (empty, 3, "probabilities of shape (3, 2): row 1 has no probability mass"),
     )
+    monkeypatch.setattr(simulator, "_philox_key_type", lambda: pytest.fail("a generator was made"))
     for probs, k, message in cases:
-        streams = [derive_rng(422, s) for s in range(k)]
+        keys = derive_keys(422, (), np.arange(k)[:, None])
         with pytest.raises(ValueError, match=f"^{re.escape('sampling: ' + message)}$"):
-            sample(probs, 16, streams)
-        assert [stream.random() for stream in streams] == [derive_rng(422, s).random() for s in range(k)]
-        if "generator" not in message:
+            sample(probs, 16, keys)
+        if "key" not in message:
             with pytest.raises(ValueError, match=f"^{re.escape('readout noise: ' + message)}$"):
                 apply_readout_noise(probs, ReadoutModel(e0=0.1, e1=0.2))
-    with pytest.raises(ValueError, match="^shots must be positive$"):
-        sample(good, 0, [derive_rng(422, s) for s in range(3)])
 
 
 def test_mitigation_rejects_singular_confusion():
@@ -1006,7 +1077,7 @@ def test_mitigation_rejects_singular_confusion():
 def test_per_qubit_error_tuples():
     counts = count_row(2, {"00": 50_000})
     [noisy] = sample(
-        apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0))), 50_000, [derive_rng(3)]
+        apply_readout_noise(counts, ReadoutModel(e0=(0.3, 0.0), e1=(0.0, 0.0))), 50_000, one_key(3)
     ).counts
     ones_on_q1 = sum(c for b, c in histogram(noisy).items() if b[1] == "1")
     assert ones_on_q1 == 0  # second qubit noiseless
@@ -1025,7 +1096,7 @@ def test_readout_noise_reproduces_recorded_histogram():
     # per qubit, qubit 0 first, over that qubit's (2^q, 2, rest) view; the
     # reference keeps those bytes
     counts = count_row(3, RECORDED_COUNTS)
-    [noisy] = reference_readout_noise(counts, RECORDED_MODEL, [derive_rng(2212, 13834, 1)])
+    [noisy] = reference_readout_noise(counts, RECORDED_MODEL, one_key(2212, 13834, 1))
     assert histogram(noisy) == {
         "000": 178, "001": 31, "010": 58, "011": 15,
         "100": 56, "101": 99, "110": 117, "111": 46,
@@ -1043,7 +1114,7 @@ def test_readout_noise_matches_the_exact_noisy_distribution():
     expected = transfer @ counts[0]
     trials = 4000
     noisy = reference_readout_noise(
-        np.repeat(counts, trials, axis=0), RECORDED_MODEL, [derive_rng(415, trial) for trial in range(trials)]
+        np.repeat(counts, trials, axis=0), RECORDED_MODEL, derive_keys(415, (), np.arange(trials)[:, None])
     )
     sigma = np.sqrt((transfer * (1.0 - transfer)) @ counts[0] / trials)
     assert np.all(np.abs(noisy.mean(axis=0) - expected) <= 5.0 * sigma)

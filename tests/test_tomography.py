@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from helpers import (
     dense_gate,
     exact_expectations,
     gate_matrix,
+    one_key,
     random_density,
     random_pure,
     reference_expectations,
@@ -28,7 +30,7 @@ from helpers import (
 import kraussim.numerics as numerics
 import kraussim.tomography as tomography
 from kraussim.numerics import DensityMatrix, kron
-from kraussim.simulator import ReadoutModel, derive_rng, mitigate, sample
+from kraussim.simulator import ReadoutModel, mitigate, sample
 from kraussim.tomography import (
     basis_rotation,
     expectations,
@@ -141,9 +143,9 @@ def test_array_tomography_matches_reference_loops(width, system_qubits, readout)
         # few shots leave many outcomes at zero count
         shots.append(int(rng.integers(1, 4 * 2**m)))
         probs = system_marginal(born(random_pure(rng, 2**width)), width, system_qubits)
-        counts = sample(probs[None], shots[-1], [derive_rng(511, k, 0)])
+        counts = sample(probs[None], shots[-1], one_key(511, k, 0))
         if readout:
-            noisy = reference_readout_noise(counts.counts, model, [derive_rng(511, k, 1)])
+            noisy = reference_readout_noise(counts.counts, model, one_key(511, k, 1))
             weights.append(mitigate(noisy, model)[0])
             per_setting_ref[setting] = reference_mitigate(noisy[0], model)
         else:
@@ -234,22 +236,29 @@ def test_reconstruct_keeps_the_bytes_across_interleaved_registers():
 
 def test_register_tables_are_built_once_and_read_only():
     for n in (1, 2, 4):
-        signs, by_mask = tomography._expectation_tables(n)
+        signs, by_weight = tomography._expectation_tables(n)
         order, sorted_entries = tomography._inversion_tables(n)
-        assert len(by_mask) == 2**n - 1
+        assert len(by_weight) == n
         assert tomography._expectation_tables(n)[0] is signs
         assert tomography._inversion_tables(n)[0] is order
         arrays = [*tomography._pauli_strings(n), signs, order, sorted_entries]
-        arrays += [arr for pair in by_mask for arr in pair]
+        arrays += [arr for pair in by_weight for arr in pair]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.reshape(-1)[0] = 1
+        # weight w stacks the tables of its C(n, w) masks, (3^w, 3^(n-w)) each,
+        # and every string but the identity is in one weight's group once
+        for w, (strings, index) in enumerate(by_weight, start=1):
+            assert index.flags.c_contiguous and index.shape == (math.comb(n, w) * 3**w, 3 ** (n - w))
+            assert strings.shape == index.shape[:1]
+        assert sorted(np.concatenate([strings for strings, _ in by_weight]).tolist()) == list(range(1, 4**n))
         # a mask's table gathers its strings' settings: at mask 1 (the last
-        # position) the settings whose last letter is X, Y, Z in turn
-        strings, table = by_mask[0]
-        assert table.flags.c_contiguous and table.shape == (3, 3 ** (n - 1))
-        assert (table % 3 == np.arange(3)[:, None]).all()
-        assert strings.tolist() == [1, 2, 3]
+        # position), the first of weight 1, the settings whose last letter is
+        # X, Y, Z in turn, read in the estimates' column 1
+        strings, index = by_weight[0]
+        assert (index[:3] // 2**n % 3 == np.arange(3)[:, None]).all()
+        assert (index[:3] % 2**n == 1).all()
+        assert strings[:3].tolist() == [1, 2, 3]
 
 
 def test_system_marginal_orders_the_system_qubits():
@@ -343,7 +352,7 @@ def test_sampled_reconstruction_close_to_truth():
         for g in rotations:
             state = dense_gate(g, 2) @ state
         probs.append(np.abs(state) ** 2)
-    counts = sample(np.stack(probs), 8192, [derive_rng(1000 + k) for k in range(len(probs))])
+    counts = sample(np.stack(probs), 8192, np.concatenate([one_key(1000 + k) for k in range(len(probs))]))
     values, errors = expectations(counts.counts, shots=8192)
     result = reconstruct(values)
     assert np.abs(result.projected.matrix - rho_true).max() < 0.05
