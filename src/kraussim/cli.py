@@ -3,7 +3,8 @@
 Subcommands
 -----------
 ``validate``     CPTP-check a channel file (JSON, see ``channels`` module).
-``sweep``        Run a parameter sweep from a JSON config; emit CSV.
+``sweep``        Run a parameter sweep from a JSON config; emit CSV, and with
+                 ``--trace`` one JSON line of diagnostics per point.
 ``synth``        Synthesize a preparation circuit for an amplitude vector.
 ``export-qasm``  Write OpenQASM 2.0 for one sweep point's lowered circuit.
 ``oracle``       Print the operator-sum evolution of a state, no circuits.
@@ -87,40 +88,33 @@ byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 
 A point runs: build channel -> dilate (pure input, or one of the three
 mixed-state methods) -> embed qudits onto qubits -> synthesize -> lower
--> simulate and verify.  ``sweep`` and ``export-qasm`` share this path
-(``_prepared_parts``), and ``synth`` its last three steps (``_compile``,
-in exact mode), so an exported or printed circuit has passed the
-synthesis and the lowering checks.  Each part is simulated once, as the
-lowered circuit, in one ``run_branches`` call: exact mode with no
-settings, its one row the lowered circuit's statevector, and sampled
-mode with all 3^m settings of its m system qubits, row s bit for bit
-setting s's full run.  The last row's fidelity covers synthesis and
-lowering together, and only when it fails is the synthesized circuit
-run, to name the stage at fault.  Exact mode recovers the system state
-by partial trace of that verified row.  In sampled mode each row's
-Born probabilities are summed over the ancilla qubits, so only the
-system qubits are measured, as the protocol traces the ancilla out.
-One ``derive_keys`` call makes the part's streams, one key per setting:
-path ``(point, part, s, 0)`` for setting s, with or without a readout
-model.  With a readout model, one ``apply_readout_noise`` call maps the
-part's ``(3^m, 2^m)`` marginal matrix to the probabilities the noisy
-readout reports, before any draw.  One ``sample`` call draws every
-setting's shots from that matrix, row s from its own stream (one
-Philox generator re-keyed per row), and
-returns the part's one count matrix, rows in settings order, over the
-system outcomes.  With a readout model, one ``mitigate`` call turns it
-into a frequency matrix.  That matrix is the one weight matrix the
-expectations read; no bitstring is formed.  The expectation vector goes
-to ``reconstruct`` as it is.  Mixed method 2 prepares one circuit per eigenvector
-(``dilation.eigenvector_dilations``) and mixes the recovered states
-classically.
+-> simulate and verify -> measure.  ``sweep`` and ``export-qasm`` share
+this path up to the measure (``_prepared_parts``), and ``synth`` its
+compile steps (``_compile``, in exact mode), so an exported or printed
+circuit has passed the synthesis and the lowering checks.  Each part is
+simulated once, as the lowered circuit, in one ``run_branches`` call:
+exact mode with no settings, its one row the lowered circuit's
+statevector, and sampled mode with all 3^m settings of its m system
+qubits, row s bit for bit setting s's full run.  The last row's fidelity
+covers synthesis and lowering together, and only when it fails is the
+synthesized circuit run, to name the stage at fault.
+
+A sweep runs its points in three stages (``_sweep``).  *Prepare*, per
+point: the channel, the oracle and each part, compiled and verified; a
+sampled part keeps only its ``(3^m, 2^m)`` system marginals, each row's
+Born probabilities summed over the ancilla qubits, as the protocol traces
+the ancilla out.  *Measure*: exact mode takes each part's partial trace;
+sampled mode stacks the parts of one m across points and runs each
+tomography step once per stack (``_measure_stack``), and a failing stack
+is measured again part by part (``_measure``).  *Record*: one record per
+point; its CSV row is a projection of it, and ``sweep --trace`` writes
+another, one JSON line per point (``_Record.trace``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -471,10 +465,10 @@ def _require_fidelity(stage: str, fidelity: float) -> None:
         raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
 
 
-def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.ndarray]:
+def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.ndarray, float]:
     """The :class:`_Part` fields after ``dilated``: ``target`` synthesized and
-    lowered, and the lowered circuit's states on ``layers``, one
-    :func:`~kraussim.simulator.run_branches` call.
+    lowered, the lowered circuit's states on ``layers``, one
+    :func:`~kraussim.simulator.run_branches` call, and its checked fidelity.
 
     ``layers`` must branch on nothing in the last row: exact mode gives no
     layers, so its one row is the lowered statevector, byte for byte
@@ -489,7 +483,7 @@ def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.
     if fidelity < FIDELITY_FLOOR:
         _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
         _require_fidelity("lowered", fidelity)
-    return circuit, low, branches
+    return circuit, low, branches, fidelity
 
 
 class _Part(NamedTuple):
@@ -499,7 +493,10 @@ class _Part(NamedTuple):
     dilated: DilatedState
     circuit: Circuit  # synthesized
     lowered: Circuit
-    branches: np.ndarray  # the lowered states, one row per tomography setting; exact mode's one row
+    fidelity: float  # the lowered state's, checked against FIDELITY_FLOOR
+    # what the measure stage reads: exact mode's lowered state, or sampled
+    # mode's (3^m, 2^m) system marginals, one row per tomography setting
+    data: np.ndarray
 
 
 def _prepared_parts(
@@ -509,7 +506,10 @@ def _prepared_parts(
 
     In sampled mode the part's system qubits are checked against
     :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them, as soon
-    as the dilation fixes them, before any circuit is built.
+    as the dilation fixes them, before any circuit is built.  The system
+    qubits lead the register, so each setting's ancilla marginal is one
+    reshape-sum of its Born probabilities over the trailing axis, and a
+    sampled part keeps only those marginals, not its branches.
     """
     if psi0 is not None:
         dilations = [(1.0, dilate_pure(channel, psi0))]
@@ -532,58 +532,142 @@ def _prepared_parts(
         # one row per setting; the all-Z one rotates nothing and comes last,
         # so the last row is the lowered state
         layers = settings_for(m).layers if cfg.mode == "sampled" else ()
-        yield _Part(weight, dilated, *_compile(embed_qudits(dilated), layers))
+        circuit, low, branches, fidelity = _compile(embed_qudits(dilated), layers)
+        if cfg.mode == "sampled":
+            born = np.abs(branches)
+            np.square(born, out=born)
+            data = born.reshape(len(born), 2**m, -1).sum(axis=2)
+        else:
+            data = branches[-1]
+        yield _Part(weight, dilated, circuit, low, fidelity, data)
 
 
-def _measure_exact(part: _Part) -> DensityMatrix:
-    m0 = part.dilated.embedding.qubit_counts[0]
-    reduced = partial_trace(PureState(part.branches[-1]), [2] * part.lowered.qubit_count, keep=range(m0))
-    block, _ = extract_embedded(reduced, part.dilated.system_dim)
-    return block
+# The bound on one stacked measure: the complex entries of reconstruct's
+# (P, 2^m, 2^m, 2^m) term array, its largest, over a stack of P sampled parts
+# on m system qubits (4 MiB).  A stack holds at most 2^18 // 8^m parts, and
+# one at least.  Prepared points wait for the measure stage until their parts'
+# 8^m entries reach it, so it also bounds the marginals a sweep holds.  Every
+# row of a stack is measured as on its own, so the bound changes no byte.
+_STACK_ENTRIES = 2**18
 
 
-@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_QUBITS)
-def _setting_tails(k: int) -> np.ndarray:
-    """The stream path tails ``(s, 0)`` of k settings, one row each, read-only
-    and built once per setting count, which every part of a sweep reads."""
-    tails = np.zeros((k, 2), dtype=np.int64)
-    tails[:, 0] = np.arange(k)
-    tails.flags.writeable = False
-    return tails
+class _PartRecord(NamedTuple):
+    """One part of a point: what the measure stage reads, and the diagnostics
+    the CSV drops, which the trace reports."""
+
+    weight: float
+    system_dim: int
+    system_qubits: int
+    total_qubits: int
+    synth_gate_count: int
+    lowered_gate_count: int
+    lowered_fidelity: float
+    leaked_mass: float | None  # set by the measure stage
+    # ``_Part.data`` until the measure stage reads it: a pending point holds
+    # no circuit, and a measured one no data
+    data: np.ndarray | None
 
 
-def _measure_sampled(cfg: ExperimentConfig, part: _Part, path: tuple[int, ...]) -> DensityMatrix:
-    """Tomography of the lowered preparation's system qubits from its one
-    state per setting.  The system qubits lead the register, so each
-    setting's ancilla marginal is one reshape-sum over the trailing axis."""
-    m = part.dilated.embedding.qubit_counts[0]
-    born = np.abs(part.branches)
-    np.square(born, out=born)
-    marginals = born.reshape(len(born), 2**m, -1).sum(axis=2)
-    keys = derive_keys(cfg.seed, path, _setting_tails(len(marginals)))
+@dataclass
+class _Record:
+    """One sweep point: its parts from the prepare stage, and its row's
+    measured fields, or the stage that failed and its message.  The CSV row
+    and the trace line are projections of it."""
+
+    index: int
+    value: float
+    parts: list[_PartRecord] = dataclasses.field(default_factory=list)
+    fields: dict | None = None
+    stage: str = ""
+    error: str = ""
+
+    def row(self, cfg: ExperimentConfig) -> SweepRow:
+        return SweepRow(param_value=self.value, mode=cfg.mode, shots=cfg.shots if cfg.mode == "sampled" else 0,
+                        seed=cfg.seed, error=self.error, **(self.fields or _FAILED_POINT))
+
+    def trace(self) -> dict:
+        parts = [{key: value for key, value in part._asdict().items() if key != "data"} for part in self.parts]
+        return {"point": self.index, "param_value": self.value, "stage": self.stage or None,
+                "error": self.error or None, "parts": parts}
+
+    def fail(self, stage: str, error: str) -> None:
+        self.stage, self.error = stage, error
+        self.parts = [part._replace(data=None) for part in self.parts]
+
+
+class _Prepared(NamedTuple):
+    """A prepared point waiting for the measure stage: its record, its oracle
+    and, per part, the measure stage's ``(block and leaked mass, error)``."""
+
+    record: _Record
+    oracle: DensityMatrix
+    outcomes: list[tuple[tuple[DensityMatrix, float] | None, str]]
+
+
+def _prepare(cfg: ExperimentConfig, record: _Record) -> _Prepared | None:
+    """The prepare stage of one point: its channel, its oracle and its parts,
+    each compiled and verified.  A failure sets the record's stage and
+    message and gives None: the point never reaches the measure stage."""
+
+    def prepare() -> _Prepared:
+        channel, rho0, psi0 = _point_input(cfg, record.value)
+        oracle = apply_channel(channel, rho0)
+        for part in _prepared_parts(cfg, channel, rho0, psi0):
+            layout = part.dilated.embedding
+            record.parts.append(_PartRecord(
+                part.weight, part.dilated.system_dim, layout.qubit_counts[0], layout.total_qubits,
+                part.circuit.gate_count, part.lowered.gate_count, part.fidelity, None, part.data))
+        return _Prepared(record, oracle, [(None, "")] * len(record.parts))
+
+    prepared, error = _try_point(prepare)
+    if error:
+        record.fail("prepare", error)
+    return prepared
+
+
+def _measure_exact(part: _PartRecord) -> tuple[DensityMatrix, float]:
+    """An exact part's block and leaked mass, by partial trace of its lowered state."""
+    reduced = partial_trace(PureState(part.data), [2] * part.total_qubits, keep=range(part.system_qubits))
+    return extract_embedded(reduced, part.system_dim)
+
+
+def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Prepared, int]]) -> list[tuple[DensityMatrix, float]]:
+    """Tomography of a stack of sampled parts on m system qubits, part k of
+    each prepared point, as each part's block and leaked mass.
+
+    The parts' ``(3^m, 2^m)`` marginal matrices are stacked into one matrix,
+    and each step runs once on it: one :func:`derive_keys` call makes every
+    stream, path ``(point, part, s, 0)`` for setting s under an empty prefix,
+    with or without a readout model; with one, :func:`apply_readout_noise`
+    maps the probabilities before the one :func:`sample` call and
+    :func:`mitigate` turns its counts into frequencies; then one
+    :func:`expectations` and one :func:`reconstruct` call on the
+    ``(P, 3^m, 2^m)`` stack.  Each step treats its rows as on their own, and
+    a key depends only on its whole path, so every part's bytes, and a stack
+    of one part's error messages, are its own call's."""
+    parts = [point.record.parts[k] for point, k in stack]
+    m = parts[0].system_qubits
+    tails = np.zeros((len(stack), 3**m, 4), dtype=np.int64)
+    tails[:, :, :2] = [[(point.record.index, k)] for point, k in stack]
+    tails[:, :, 2] = np.arange(3**m)
+    keys = derive_keys(cfg.seed, (), tails.reshape(-1, 4))
+    marginals = np.concatenate([part.data for part in parts])
     if cfg.readout is None:
         weights = sample(marginals, cfg.shots, keys).counts
     else:
         weights = mitigate(sample(apply_readout_noise(marginals, cfg.readout), cfg.shots, keys).counts, cfg.readout)
-    values, _ = expectations(weights, shots=cfg.shots)
-    block, _ = extract_embedded(reconstruct(values).projected, part.dilated.system_dim)
-    return block
+    values, _ = expectations(weights.reshape(len(stack), 3**m, 2**m))
+    projected = reconstruct(values).projected
+    return [extract_embedded(rho, part.system_dim) for rho, part in zip(projected, parts)]
 
 
-def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
-    """The measured fields of one point's row."""
-    channel, rho0, psi0 = _point_input(cfg, value)
-    oracle = apply_channel(channel, rho0)
-    synth_count = lowered_count = 0
-    measured = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+def _mix(point: _Prepared) -> dict:
+    """The measured fields of one point's row, from its parts' blocks."""
+    dim = point.oracle.dim
+    measured = np.zeros((dim, dim), dtype=np.complex128)
     floor, terms = 0.0, 0
-    for k, part in enumerate(_prepared_parts(cfg, channel, rho0, psi0)):
-        synth_count += part.circuit.gate_count
-        lowered_count += part.lowered.gate_count
-        if cfg.mode == "exact":
-            block = _measure_exact(part)
-        else:
-            block = _measure_sampled(cfg, part, (index, k))
+    parts = point.record.parts
+    for part, ((block, _), _) in zip(parts, point.outcomes):
         measured += part.weight * block.matrix
         floor += part.weight * block._floor
         terms += 1
@@ -591,12 +675,51 @@ def _run_point(cfg: ExperimentConfig, index: int, value: float) -> dict:
     # mixture's smallest eigenvalue is at least the weighted sum of the floors
     rho_measured = DensityMatrix._bounded(measured, floor, terms)
     return dict(
-        c_theory=l1_coherence(oracle),
+        c_theory=l1_coherence(point.oracle),
         c_measured=l1_coherence(rho_measured),
-        trace_distance=trace_distance(rho_measured, oracle),
-        synth_gate_count=synth_count,
-        lowered_gate_count=lowered_count,
+        trace_distance=trace_distance(rho_measured, point.oracle),
+        synth_gate_count=sum(part.synth_gate_count for part in parts),
+        lowered_gate_count=sum(part.lowered_gate_count for part in parts),
     )
+
+
+def _measure(cfg: ExperimentConfig, points: Sequence[_Prepared]) -> None:
+    """The measure stage of prepared points, which completes their records.
+
+    Exact mode measures each part by :func:`_measure_exact`.  Sampled mode
+    measures the parts of each register size m together, in stacks of at
+    most ``_STACK_ENTRIES // 8^m`` parts (:func:`_measure_stack`).  If a
+    stack fails, each of its parts is measured again as a stack of its own,
+    so a failing part fails with its own call's message and the others keep
+    their bytes.  A point with a failed part fails, with its first failed
+    part's message; every other point's parts are mixed into its fields."""
+    stacks: dict[int, list[tuple[_Prepared, int]]] = {}
+    for point in points:
+        for k, part in enumerate(point.record.parts):
+            if cfg.mode == "exact":
+                point.outcomes[k] = _try_point(_measure_exact, part)
+            else:
+                stacks.setdefault(part.system_qubits, []).append((point, k))
+    for m, items in stacks.items():
+        size = max(1, _STACK_ENTRIES // 8**m)
+        for start in range(0, len(items), size):
+            stack = items[start:start + size]
+            measured, error = _try_point(_measure_stack, cfg, stack)
+            if error:  # each part again as a stack of its own
+                measured = [_try_point(lambda item: _measure_stack(cfg, [item])[0], item) for item in stack]
+            else:
+                measured = [(outcome, "") for outcome in measured]
+            for (point, k), outcome in zip(stack, measured):
+                point.outcomes[k] = outcome
+    for point in points:
+        record = point.record
+        error = next((error for _, error in point.outcomes if error), "")
+        if not error:
+            record.fields, error = _try_point(_mix, point)
+        record.parts = [part._replace(leaked_mass=None if outcome is None else outcome[1], data=None)
+                        for part, (outcome, _) in zip(record.parts, point.outcomes)]
+        if error:
+            record.fail("measure", error)
 
 
 def _try_point(fn: Callable, *args) -> tuple[object, str]:
@@ -610,15 +733,33 @@ def _try_point(fn: Callable, *args) -> tuple[object, str]:
         return None, str(exc) or type(exc).__name__
 
 
+def _sweep(cfg: ExperimentConfig) -> list[_Record]:
+    """Every grid point through the three stages: prepare, measure, record.
+
+    Prepared points wait for the measure stage until their sampled parts'
+    8^m entries reach ``_STACK_ENTRIES``; an exact point is measured at once,
+    since exact mode stacks nothing.  A sampled sweep whose parts stay
+    below that bound is prepared whole, then measured in one pass.  Each
+    record ends with its row's fields or its failure."""
+    records, pending, load = [], [], 0
+    for index, value in enumerate(cfg.grid):
+        record = _Record(index, value)
+        records.append(record)
+        point = _prepare(cfg, record)
+        if point is None:
+            continue
+        pending.append(point)
+        load += _STACK_ENTRIES if cfg.mode == "exact" else sum(8**part.system_qubits for part in record.parts)
+        if load >= _STACK_ENTRIES:
+            _measure(cfg, pending)
+            pending, load = [], 0
+    _measure(cfg, pending)
+    return records
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run every grid point; failed points yield NaN rows with an error note."""
-    shots = cfg.shots if cfg.mode == "sampled" else 0
-    rows = []
-    for index, value in enumerate(cfg.grid):
-        fields, error = _try_point(_run_point, cfg, index, value)
-        rows.append(SweepRow(param_value=value, mode=cfg.mode, shots=shots, seed=cfg.seed,
-                             error=error, **(fields or _FAILED_POINT)))
-    return rows
+    return [record.row(cfg) for record in _sweep(cfg)]
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
@@ -646,7 +787,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.csv is not None:
         cfg = dataclasses.replace(cfg, csv_path=args.csv)
-    rows = run_experiment(cfg)
+    records = _sweep(cfg)
+    if args.trace is not None:  # first, so that a trace path it cannot write leaves no CSV
+        _write_text(args.trace, "".join(json.dumps(record.trace()) + "\n" for record in records))
+    rows = [record.row(cfg) for record in records]
     text = rows_to_csv(rows)
     if cfg.csv_path:
         _write_text(cfg.csv_path, text)
@@ -666,7 +810,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries, option)
-    synthesized, lowered, _ = _field("synthesis", _compile, target, ())
+    synthesized, lowered, _, _ = _field("synthesis", _compile, target, ())
     circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0
@@ -734,6 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a config-driven parameter sweep")
     p.add_argument("config", help="path to a JSON experiment config")
     p.add_argument("--csv", default=None, help="override the CSV output path")
+    p.add_argument("--trace", default=None, help="write one JSON line of diagnostics per point to this path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth", help="synthesize a preparation circuit")

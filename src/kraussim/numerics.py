@@ -151,14 +151,22 @@ VALIDATION_TOL = 1e-10
 EIGEN_TOL = 1e-8
 
 
-def _as_complex_matrix(mat: np.ndarray, what: str) -> np.ndarray:
+def _as_complex_matrix(mat: np.ndarray, what: str, stack: bool = False) -> np.ndarray:
+    """``mat`` as a C-contiguous complex copy, checked square, at most ``MAX_DIM``
+    wide and finite; with ``stack``, a ``(P, d, d)`` stack of such matrices too."""
     arr = np.array(mat, dtype=np.complex128, order="C")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[0] > MAX_DIM:
-        raise ValueError(f"{what} dimension {arr.shape[0]} outside [1, {MAX_DIM}]")
+    if arr.shape[-1] < 1 or arr.shape[-1] > MAX_DIM:
+        raise ValueError(f"{what} dimension {arr.shape[-1]} outside [1, {MAX_DIM}]")
     _check_finite(arr, f"{what} entry")
     return arr
+
+
+def _stack_row(row: int, rows: int) -> str:
+    """The prefix of an error that names row ``row`` of a stack of ``rows``
+    matrices: none for a stack of one, which fails as its one matrix would."""
+    return f"stack row {row}: " if rows > 1 else ""
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -337,23 +345,32 @@ def partial_trace(
 
 
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a ``(P, d, d)`` stack.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted descending and
-    the matching orthonormal eigenvectors as columns of ``v``.  The
-    residual ``mat @ v - v @ diag(w)`` is checked against
-    ``EIGEN_TOL``.
+    the matching orthonormal eigenvectors as columns of ``v``, a stack's
+    with its leading axis.  Each matrix is checked Hermitian, and its
+    residual ``mat @ v - v @ diag(w)`` against ``EIGEN_TOL``.  A stack
+    takes one ``eigh`` call and one row-wise ``argsort``, and each
+    matrix's ``(w, v)`` is byte for byte its own call's.  A failure in a
+    stack of more than one names the row (:func:`_stack_row`).
     """
-    arr = _as_complex_matrix(mat, "herm_eig input")
-    if np.max(np.abs(arr - arr.conj().T)) > EIGEN_TOL:
-        raise ValueError("herm_eig input is not Hermitian")
-    w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-    order = np.argsort(w)[::-1]
-    w, v = w[order].real, v[:, order]
-    residual = np.max(np.abs(arr @ v - v @ np.diag(w)))
-    if residual > EIGEN_TOL:
-        raise ValueError(f"eigendecomposition residual {residual:.3e} too large")
-    return w, v
+    arr = _as_complex_matrix(mat, "herm_eig input", stack=True)
+    stack = arr.reshape((-1,) + arr.shape[-2:])
+    adjoint = stack.conj().transpose(0, 2, 1)
+    defects = np.abs(stack - adjoint).max(axis=(1, 2))
+    if (defects > EIGEN_TOL).any():
+        raise ValueError(f"{_stack_row(np.argmax(defects > EIGEN_TOL), len(stack))}herm_eig input is not Hermitian")
+    w, v = np.linalg.eigh((stack + adjoint) / 2.0)
+    order = np.argsort(w, axis=1)[:, ::-1]
+    w, v = np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2)
+    diagonals = np.zeros(stack.shape)
+    diagonals[:, range(stack.shape[1]), range(stack.shape[1])] = w
+    residuals = np.abs(stack @ v - v @ diagonals).max(axis=(1, 2))
+    if (residuals > EIGEN_TOL).any():
+        row = np.argmax(residuals > EIGEN_TOL)
+        raise ValueError(f"{_stack_row(row, len(stack))}eigendecomposition residual {residuals[row]:.3e} too large")
+    return w.reshape(arr.shape[:-1]), v.reshape(arr.shape)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

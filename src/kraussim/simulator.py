@@ -37,9 +37,9 @@ Randomness comes from the counter-based Philox generator, whose stream is
 fixed by its key alone.  Sampling takes one stream per row of its matrix,
 keyed by a root seed plus an index path, so results are reproducible and
 independent of evaluation order.  :func:`derive_keys` is the one place
-streams are made: one call gives a part's streams as one ``(k, 2)``
-``uint64`` key matrix, one key per path tail (``derive_rng`` makes a
-generator from its one-row case).  The keys are
+streams are made: one call gives a stack of parts' streams as one
+``(k, 2)`` ``uint64`` key matrix, one key per path tail (``derive_rng``
+makes a generator from its one-row case).  The keys are
 ``SeedSequence(seed, spawn_key=path)``'s, computed without one: the seed
 and the shared path prefix are hashed once into the pool that every stream
 shares, then each tail column mixes into a ``(4, k)`` ``uint32`` pool in a
@@ -481,7 +481,7 @@ def _check_counts(counts, stage: str) -> np.ndarray:
     if counts.dtype.kind not in "iu":
         raise ValueError(f"{stage}: counts of shape {counts.shape} must be integers, got dtype {counts.dtype}")
     shape = _check_shape(counts, stage, "counts", None)
-    # the cheap reductions first: a sweep checks a count matrix per part
+    # the cheap reductions first: a sweep checks a count matrix per stack of parts
     if counts.min(initial=0) < 0:
         row, outcome = np.argwhere(counts < 0)[0]
         key = format(int(outcome), f"0{shape[1].bit_length() - 1}b")
@@ -522,7 +522,9 @@ class ShotCounts:
     ``counts[s, i]`` is the number of setting s's shots that read basis
     state ``i`` (qubit 0 is the most significant bit), as a read-only
     ``(k, 2**qubit_count)`` ``int64`` matrix that passes
-    :func:`_check_counts`.  ``shots`` is the total over every row.
+    :func:`_check_counts`.  ``shots`` is the total over every row, a
+    positive integer and not a bool, checked as :func:`sample` checks its
+    own ``shots``.
     """
 
     qubit_count: int
@@ -530,8 +532,9 @@ class ShotCounts:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
+        if not _is_index(self.shots) or self.shots < 1:
+            raise ValueError(f"shot counts: shots must be a positive integer, got {self.shots!r}")
+        object.__setattr__(self, "shots", int(self.shots))
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[1] != 2**self.qubit_count:
             raise ValueError(

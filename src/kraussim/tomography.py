@@ -17,7 +17,10 @@ setting's outcome probabilities over them before drawing shots.  The
 settings' estimates on one parity mask, masked positions first, are a
 table of its strings by the settings that measure them; a mask with w
 non-identity positions has a ``(3^w, 3^(n-w))`` table, so the masks of one
-weight are stacked and averaged in one pass, n passes in all.  Everything
+weight are stacked and averaged in one pass, n passes in all.  A sweep
+measures many registers of one size at once: expectations and
+reconstruction also take a stack of them along a leading axis, in one
+pass of the same arithmetic, and give each its own call's bytes.  Everything
 that depends on n alone (the settings, the string tables, each weight's
 gather table and the inversion's order) is built once per register size
 and kept read-only; nothing that depends on the data is kept.
@@ -41,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DensityMatrix, herm_eig
+from .numerics import DensityMatrix, _stack_row, herm_eig
 from .qsp import Gate
 
 __all__ = [
@@ -162,9 +165,11 @@ def _inversion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def expectations(
     weights: np.ndarray, shots: int | Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pauli expectation values and their standard errors, as two vectors.
+    """Pauli expectation values and their standard errors, as two vectors, or
+    one row of each per matrix of a stack.
 
-    ``weights`` is one ``(3^n, 2^n)`` array: row s holds the nonnegative
+    ``weights`` is one ``(3^n, 2^n)`` array, or a ``(P, 3^n, 2^n)`` stack of
+    them: row s holds the nonnegative
     outcome weights of the n measured qubits under the s-th setting of
     :func:`settings_for`, as counts or as the frequencies :func:`mitigate`
     returns.  Each row is divided by its total, summed in ascending
@@ -175,60 +180,68 @@ def expectations(
     of ``values`` and ``errors`` belongs to the k-th string of
     ``itertools.product("IXYZ", repeat=n)``; the all-identity string has
     value 1 and error 0.  ``shots`` is one positive total for every
-    setting or one per setting; standard errors use the binomial estimate
+    setting, one per setting or, for a stack, one per setting of each
+    matrix; standard errors use the binomial estimate
     sqrt((1 - m^2) / shots) per setting, and ``errors`` is ``None`` when
-    ``shots`` is.
+    ``shots`` is.  A stack is one pass of the same arithmetic, and row p
+    of its results is byte for byte matrix p's own call's.
 
     A malformed shape, a row with a negative or non-finite weight or with
-    no mass (each named by its setting), or ``shots`` of the wrong length
-    or not positive raises ``ValueError``.
+    no mass (each named by its setting, and in a stack of more than one by
+    its stack row), or ``shots`` of the wrong length or not positive
+    raises ``ValueError``.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    rows, size = weights.shape if weights.ndim == 2 else (0, 0)
+    rows, size = weights.shape[-2:] if weights.ndim in (2, 3) else (0, 0)
     n = size.bit_length() - 1
     if n < 1 or size != 2**n or rows != 3**n:
         raise ValueError(
             f"weights of shape {weights.shape} are not 3^n settings by 2^n outcomes, n >= 1"
         )
+    stack = weights.reshape(-1, rows, size)
 
     def reject(bad: np.ndarray, problem: str) -> None:
         if bad.any():
-            setting = settings_for(n).settings[np.argmax(bad)]
-            raise ValueError(f"setting {''.join(setting)} has {problem}")
+            row, setting = np.argwhere(bad)[0]
+            raise ValueError(f"{_stack_row(row, len(stack))}setting {''.join(settings_for(n).settings[setting])} "
+                             f"has {problem}")
 
-    reject(~((weights >= 0.0) & (weights < np.inf)).all(axis=1), "a negative or non-finite weight")
-    totals = np.cumsum(weights, axis=1)[:, -1]
+    reject(~((stack >= 0.0) & (stack < np.inf)).all(axis=2), "a negative or non-finite weight")
+    totals = np.cumsum(stack, axis=2)[:, :, -1]
     reject(~(totals > 0.0), "no probability mass")
     if shots is not None:
         shots = np.asarray(shots, dtype=np.float64)
-        if shots.shape not in ((), (rows,)):
+        if shots.shape not in ((), (rows,), weights.shape[:-1]):
             raise ValueError(f"shots: {shots.size} totals for {rows} settings")
         if not (shots > 0.0).all():
             raise ValueError(f"shots: total {shots.min():g} is not positive")
-        shots = np.broadcast_to(shots, rows)
-    weights = weights / totals[:, None]
+        shots = np.broadcast_to(shots, weights.shape[:-1]).reshape(totals.shape)
+    stack = stack / totals[:, :, None]
     signs, by_weight = _expectation_tables(n)
 
-    # estimates[s, mask]: setting s's parity expectation over the positions
+    # estimates[p, s, mask]: setting s's parity expectation over the positions
     # in ``mask``, signed by the I/Z strings.  Each is a sequential sum in
     # ascending outcome order (cumsum, not a pairwise sum), which fixes its
     # rounding and so the sampled CSV bytes.
-    estimates = np.stack([np.cumsum(weights * sign, axis=1)[:, -1] for sign in signs], axis=1)
+    estimates = np.stack([np.cumsum(stack * sign, axis=2)[:, :, -1] for sign in signs], axis=2)
     spread = np.maximum(0.0, 1.0 - estimates * estimates)
 
-    values = np.ones(4**n)
+    values = np.ones((len(stack), 4**n))
     errors = None
     if shots is not None:
-        errors = np.zeros(4**n)
-        spread /= shots[:, None]  # each estimate's binomial variance
-    # the identity string keeps value 1, error 0; each weight's masks in one pass
+        errors = np.zeros((len(stack), 4**n))
+        spread /= shots[:, :, None]  # each estimate's binomial variance
+    # the identity string keeps value 1, error 0; each weight's masks in one
+    # pass, a gather per matrix of its flattened (3^n, 2^n) estimates
+    estimates, spread = estimates.reshape(len(stack), -1), spread.reshape(len(stack), -1)
     for strings, index in by_weight:
-        values[strings] = estimates.take(index).mean(axis=1)
+        values[:, strings] = estimates.take(index, axis=1).mean(axis=2)
         if errors is not None:
             # cumsum adds in sequence, not pairwise, which fixes each error's rounding
-            variances = spread.take(index)
-            errors[strings] = np.sqrt(np.cumsum(variances, axis=1)[:, -1]) / variances.shape[1]
-    return values, errors
+            variances = spread.take(index, axis=1)
+            errors[:, strings] = np.sqrt(np.cumsum(variances, axis=2)[:, :, -1]) / variances.shape[2]
+    shape = weights.shape[:-2] + (4**n,)
+    return values.reshape(shape), None if errors is None else errors.reshape(shape)
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -241,62 +254,87 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return _project_psd(mat)[0]
 
 
-def _project_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
+def _project_psd(mat: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """:func:`project_psd`'s matrix and the smallest eigenvalue of the
     spectrum it keeps: ``herm_eig``'s own when nothing is clipped, else 0.0,
     since ``(v * w) @ v^H`` with every ``w >= 0`` is positive semidefinite
-    for any ``v``."""
+    for any ``v``.
+
+    A ``(P, d, d)`` stack gives the stack of projections and one floor per
+    matrix, each byte for byte its own call's: one ``herm_eig`` call, and
+    one stacked product over the matrices that clip.  Each matrix's clipped
+    and kept masses are summed over its own eigenvalues, as one call sums
+    them, since a sum's rounding depends on how many terms it adds."""
     arr = np.asarray(mat, dtype=np.complex128)
-    w, v = herm_eig((arr + arr.conj().T) / 2.0)
-    negative = w[w < 0.0].sum()
-    if negative == 0.0:
-        return arr, float(w[-1])
-    positive = w[w > 0.0].sum()
-    if positive <= 0.0:
-        raise ValueError("matrix has no positive eigenvalue mass")
-    scale = 1.0 + negative / positive  # negative is <= 0
-    w = np.where(w > 0.0, w * scale, 0.0)
-    return (v * w) @ v.conj().T, 0.0
+    w, v = herm_eig((arr + arr.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = w.reshape(-1, w.shape[-1]), v.reshape((-1,) + v.shape[-2:])
+    projected = arr.reshape(v.shape).copy()
+    floors = w[:, -1].copy()
+    negative = np.array([row[row < 0.0].sum() for row in w])
+    clipped = np.flatnonzero(negative != 0.0)
+    if clipped.size:
+        positive = np.array([row[row > 0.0].sum() for row in w[clipped]])
+        if (positive <= 0.0).any():
+            row = clipped[np.argmax(positive <= 0.0)]
+            raise ValueError(f"{_stack_row(row, len(w))}matrix has no positive eigenvalue mass")
+        scale = 1.0 + negative[clipped] / positive  # negative is <= 0
+        kept = np.where(w[clipped] > 0.0, w[clipped] * scale[:, None], 0.0)
+        vectors = v[clipped]
+        projected[clipped] = (vectors * kept[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+        floors[clipped] = 0.0
+    if arr.ndim == 2:
+        return projected[0], float(floors[0])
+    return projected, floors
 
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """Linear-inversion output: the raw matrix and its projected state.
+    """Linear-inversion output: the raw matrix and its projected state, or for
+    a stack the ``(P, d, d)`` raw matrices and one projected state per matrix.
     Equality and hashing are by identity."""
 
     raw: np.ndarray
-    projected: DensityMatrix
+    projected: DensityMatrix | tuple[DensityMatrix, ...]
 
 
 def reconstruct(values: np.ndarray) -> TomographyResult:
     """Assemble rho from the 4^n Pauli expectations in the order of
-    :func:`expectations`, and project it onto valid states.
+    :func:`expectations`, and project it onto valid states; a ``(P, 4^n)``
+    stack of value vectors gives one of each per row, in one pass of the same
+    arithmetic, byte for byte each row's own call.
 
     A vector of the wrong shape, or a NaN or infinite value (named by its
-    Pauli string), raises ``ValueError`` before any arithmetic."""
+    Pauli string, and in a stack of more than one by its stack row), raises
+    ``ValueError`` before any arithmetic."""
     values = np.asarray(values, dtype=np.float64)
-    n = (values.size.bit_length() - 1) // 2
-    if values.ndim != 1 or values.size != 4**n:
+    size = values.shape[-1] if values.ndim in (1, 2) else 0
+    n = (size.bit_length() - 1) // 2
+    if size != 4**n:
         raise ValueError(f"expectation values of shape {values.shape} are not a vector of 4^n")
-    finite = np.isfinite(values)
+    stack = values.reshape(-1, size)
+    finite = np.isfinite(stack)
     if not finite.all():
-        name = list(itertools.product("IXYZ", repeat=n))[np.argmin(finite)]
-        raise ValueError(f"expectation of {''.join(name)} is not finite")
+        row, string = np.argwhere(~finite)[0]
+        name = list(itertools.product("IXYZ", repeat=n))[string]
+        raise ValueError(f"{_stack_row(row, len(stack))}expectation of {''.join(name)} is not finite")
     order, sorted_entries = _inversion_tables(n)
     # Entry (b ^ x, b) sums the 2^n strings of X-mask x, grouped in string
     # order by a stable sort.  A sequential sum (cumsum, not pairwise) added
     # to zero rounds, signed zeros too, as adding one matrix per string does.
-    terms = values[order].reshape(2**n, 2**n, 1) * sorted_entries
+    terms = stack[:, order].reshape(len(stack), 2**n, 2**n, 1) * sorted_entries
     b = np.arange(2**n)
-    raw = np.zeros((2**n, 2**n), dtype=np.complex128)
-    raw[b[:, None] ^ b, b] += np.cumsum(terms, axis=1)[:, -1]
+    raw = np.zeros((len(stack), 2**n, 2**n), dtype=np.complex128)
+    raw[:, b[:, None] ^ b, b] += np.cumsum(terms, axis=2)[:, :, -1]
     raw /= 2**n
+    raw = raw.reshape(values.shape[:-1] + raw.shape[1:])
     # checked on the floor of the spectrum the projection keeps: herm_eig's
     # eigenvalues are within 2^n * 2^n * eps of the exact ones, and the
     # product (v * w) @ v^H sums 2^n terms per entry, so terms = 2^n covers
     # either case
     projected, floor = _project_psd(raw)
-    return TomographyResult(raw, DensityMatrix._bounded(projected, floor, 2**n))
+    if raw.ndim == 2:
+        return TomographyResult(raw, DensityMatrix._bounded(projected, floor, 2**n))
+    return TomographyResult(raw, tuple(DensityMatrix._bounded(p, f, 2**n) for p, f in zip(projected, floor)))
 
 
 def extract_embedded(

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,20 +263,24 @@ def test_sampled_mode_draws_shots_over_the_system_qubits_only(monkeypatch):
     ids=["qad_readout", "mixed_method_2"],
 )
 def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
+    # the measure stage stacks every sampled part of the sweep: one
+    # derive_keys call under an empty prefix, one tail row (point, part, s, 0)
+    # per setting, points in grid order and parts in order within each
     cfg = parse_config(config)
     rows = run_experiment(cfg)
     assert not any(row.error for row in rows)
     expected = rows_to_csv(rows)
-    parts, calls = [], []
+    points, calls = [], []
 
     def counted_parts(*args):
+        points.append([])
         for part in cli_prepared_parts(*args):
-            parts.append(part)
+            points[-1].append(part)
             yield part
 
     def counted_streams(seed, prefix, tails):
         keys = derive_keys(seed, prefix, tails)
-        calls.append((prefix, len(keys)))
+        calls.append((prefix, np.array(tails)))
         assert keys.shape == (len(tails), 2) and keys.dtype == np.uint64 and not keys.flags.writeable
         return keys
 
@@ -286,11 +289,79 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
     monkeypatch.setattr(cli, "_prepared_parts", counted_parts)
     monkeypatch.setattr(cli, "derive_keys", counted_streams)
     assert rows_to_csv(run_experiment(cfg)) == expected
-    points = len(cfg.grid)
-    assert len(calls) == len(parts) >= (2 * points if "mixed_method" in config else points)
-    for part, (prefix, count) in zip(parts, calls):
-        assert count == 3 ** part.dilated.embedding.qubit_counts[0]
-    assert len(set(prefix for prefix, _ in calls)) == len(calls)
+    assert len(points) == len(cfg.grid)
+    assert sum(map(len, points)) >= (2 * len(points) if "mixed_method" in config else len(points))
+    [(prefix, tails)] = calls
+    assert prefix == ()
+    assert tails.tolist() == [[i, k, s, 0] for i, parts in enumerate(points) for k, part in enumerate(parts)
+                              for s in range(3 ** part.dilated.embedding.qubit_counts[0])]
+
+
+_STACKED_SWEEPS = {  # sweeps with more than one sampled part
+    "qad_readout": {"channel": {"name": "qutrit_amplitude_damping", "params": {}}, "initial_state": "uniform",
+                    "sweep": {"parameter": "gamma", "start": 0.0, "stop": 1.0, "points": 11}, "mode": "sampled",
+                    "shots": 8192, "seed": 111, "readout": {"e0": 0.02, "e1": 0.03}},
+    # mixed method 2: one part per eigenvector, two points
+    "mixed_method_2": {"channel": {"name": "depolarizing", "params": {}},
+                       "initial_state": {"density_matrix": [[[2 / 3, 0.0], [0.2, 0.1]], [[0.2, -0.1], [1 / 3, 0.0]]]},
+                       "sweep": {"parameter": "p", "grid": [0.0, 0.4]}, "mode": "sampled", "shots": 512, "seed": 9,
+                       "mixed_method": 2},
+    # system registers of 2 and 3 qubits in one sweep: one stack per size
+    "two_sizes": {"channel": {"name": "hw_dephasing", "params": {"p0": 0.4}}, "initial_state": "uniform",
+                  "sweep": {"parameter": "d", "grid": [3, 4, 5, 6]}, "mode": "sampled", "shots": 256, "seed": 5,
+                  "readout": {"e0": 0.01, "e1": 0.02}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_SWEEPS))
+def test_stacks_of_one_part_keep_the_sweep_bytes(name, monkeypatch):
+    # a stack bound that admits one part per stack: one derive_keys call per
+    # part, and the CSV of the default stacks, byte for byte
+    cfg = parse_config(_STACKED_SWEEPS[name])
+    expected = rows_to_csv(run_experiment(cfg))
+    assert "nan" not in expected
+    calls = []
+    derive_keys = cli.derive_keys
+    monkeypatch.setattr(cli, "derive_keys", lambda *args: calls.append(args) or derive_keys(*args))
+    assert rows_to_csv(run_experiment(cfg)) == expected
+    stacks = len(calls)
+    calls.clear()
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", 1)
+    assert rows_to_csv(run_experiment(cfg)) == expected
+    assert len(calls) > stacks
+    assert all(len({tuple(tail[:2]) for tail in np.array(tails).tolist()}) == 1 for _, _, tails in calls)
+
+
+def test_a_point_failing_in_the_stacked_measure_keeps_its_own_message(monkeypatch):
+    # one point's count row drained to no shots inside the stacked mitigate:
+    # the stack fails, each part is measured again as a stack of its own, and
+    # the point fails with the message of its own (9, 4) counts, as it did
+    # when each part was measured alone; every other row keeps its bytes
+    cfg = parse_config(_STACKED_SWEEPS["qad_readout"])
+    expected = rows_to_csv(run_experiment(cfg)).splitlines()
+    seen = []
+    mitigate = cli.mitigate
+    monkeypatch.setattr(cli, "mitigate", lambda counts, model: seen.append(counts) or mitigate(counts, model))
+    run_experiment(cfg)
+    [counts] = seen
+    point, setting = 4, 2
+    marked = counts[9 * point + setting]
+    assert (counts == marked).all(axis=1).sum() == 1
+
+    def draining(counts, model):
+        return mitigate(np.where((counts == marked).all(axis=1, keepdims=True), 0, counts), model)
+
+    monkeypatch.setattr(cli, "mitigate", draining)
+    records = cli._sweep(cfg)
+    rows = [record.row(cfg) for record in records]
+    assert rows[point].error == f"mitigation: counts of shape (9, 4): row {setting} has no shots"
+    assert records[point].stage == "measure" and np.isnan(rows[point].c_measured)
+    line = json.loads(json.dumps(records[point].trace()))
+    assert (line["stage"], line["error"]) == ("measure", rows[point].error)
+    assert [part["leaked_mass"] for part in line["parts"]] == [None]
+    lines = rows_to_csv(rows).splitlines()
+    assert lines[:point + 1] + lines[point + 2:] == expected[:point + 1] + expected[point + 2:]
+    assert [i for i, row in enumerate(rows) if row.error] == [point]
 
 
 def test_corrupted_lowering_fails_before_any_shot(monkeypatch):
@@ -356,6 +427,49 @@ def test_sweep_csv_matches_golden(name):
     assert rows_to_csv(rows) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_trace_keeps_the_golden_bytes(name, tmp_path):
+    # --trace writes one JSON line per point, a projection of the record the
+    # CSV row projects too, and the CSV keeps its bytes
+    config, csv, trace = tmp_path / "cfg.json", tmp_path / "rows.csv", tmp_path / "trace.jsonl"
+    config.write_text(json.dumps(GOLDEN_SWEEPS[name]))
+    assert main(["sweep", str(config), "--csv", str(csv), "--trace", str(trace)]) == 0
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    assert csv.read_text(encoding="utf-8") == golden
+    cfg = parse_config(GOLDEN_SWEEPS[name])
+    lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    assert [line["point"] for line in lines] == list(range(len(cfg.grid)))
+    for line, row, value in zip(lines, golden.splitlines()[1:], cfg.grid):
+        fields = row.split(",")
+        assert line["param_value"] == value and line["stage"] is None and line["error"] is None
+        parts = line["parts"]
+        assert parts and abs(sum(part["weight"] for part in parts) - 1.0) <= 1e-12
+        assert sum(part["synth_gate_count"] for part in parts) == int(fields[7])
+        assert sum(part["lowered_gate_count"] for part in parts) == int(fields[8])
+        for part in parts:
+            assert 1 <= part["system_qubits"] < part["total_qubits"] <= 10
+            assert cli.FIDELITY_FLOOR <= part["lowered_fidelity"] <= 1.0 + 1e-12
+            # the embedded block keeps the mass: exactly so in exact mode, and
+            # in sampled mode up to the noise on the padded levels
+            assert -1e-12 <= part["leaked_mass"] <= (1e-12 if cfg.mode == "exact" else 0.1), part
+
+
+def test_sweep_trace_names_the_stage_that_failed(tmp_path, monkeypatch, capsys):
+    # a point that fails in prepare keeps the parts it prepared, none here,
+    # and names the stage and the message that stderr reports
+    config, trace = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
+    config.write_text(json.dumps(bpf_config(sweep={"parameter": "p", "grid": [0.25, 0.5]})))
+    monkeypatch.setattr(cli, "FIDELITY_FLOOR", 2.0)
+    assert main(["sweep", str(config), "--csv", str(tmp_path / "rows.csv"), "--trace", str(trace)]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == len(errors) == 2
+    for line, error in zip(lines, errors):
+        assert line["stage"] == "prepare" and line["parts"] == []
+        assert error == f"point {line['param_value']}: {line['error']}"
+        assert line["error"].startswith("synthesis fidelity")
+
+
 def _rank_two(d):
     """A complex rank-2 density matrix on d levels, as config rows."""
     rng = np.random.default_rng(d)
@@ -415,27 +529,31 @@ def test_point_mixture_decides_as_the_constructor(monkeypatch, level):
     # eigenvalue, level, so the mixture's is level too: the weighted sum of
     # the blocks' floors decides, as the constructor would.  No mixture of
     # valid blocks has an eigenvalue below -1e-10.  Weights that do not sum
-    # to 1 fail the trace check with the constructor's message.
+    # to 1 fail the trace check with the constructor's message, in the
+    # measure stage
     rng = np.random.default_rng(3721)
     u = random_unitary(rng, 3)
     blocks = [DensityMatrix((u * spectrum) @ u.conj().T)
               for spectrum in ([0.7 - level, 0.3, level], [0.2, 0.8 - level, level])]
     cfg = parse_config({"channel": {"name": "hw_dephasing", "params": {"d": 3}}, "initial_state": "uniform",
                         "sweep": {"parameter": "p0", "grid": [0.5]}, "mode": "exact"})
-    count = SimpleNamespace(gate_count=0)
+    [part] = cli._prepared_parts(cfg, *cli._point_input(cfg, 0.5))
     for weights in ([0.25, 0.75], [0.25, 0.65]):
-        parts = [SimpleNamespace(weight=w, circuit=count, lowered=count, block=b) for w, b in zip(weights, blocks)]
+        parts = [part._replace(weight=w) for w in weights]
+        measured = iter(blocks)
         monkeypatch.setattr(cli, "_prepared_parts", lambda *args: iter(parts))
-        monkeypatch.setattr(cli, "_measure_exact", lambda part: part.block)
+        monkeypatch.setattr(cli, "_measure_exact", lambda _: (next(measured), 0.0))
         mixture = np.zeros((3, 3), dtype=complex)
-        for part in parts:
-            mixture += part.weight * part.block.matrix
+        for weight, block in zip(weights, blocks):
+            mixture += weight * block.matrix
         expected = decision(lambda: DensityMatrix(mixture))
-        assert decision(lambda: cli._run_point(cfg, 0, 0.5)) == expected
+        [record] = cli._sweep(cfg)
+        assert (record.error or "accepted") == expected
         if expected == "accepted":
-            assert cli._run_point(cfg, 0, 0.5)["c_measured"] == l1_coherence(DensityMatrix(mixture))
+            assert record.fields["c_measured"] == l1_coherence(DensityMatrix(mixture))
         else:
             assert expected.startswith("density matrix trace 0.900000000000")
+            assert record.stage == "measure"
 
 
 def test_readout_model_is_built_and_checked_once_per_register_size(monkeypatch):
@@ -1061,6 +1179,9 @@ ERROR_CASES = {
     "sweep-output-false": (_sweep(output=False), None, 1, "config error:", "output: must be an object, got False"),
     "sweep-output-zero": (_sweep(output=0), None, 1, "config error:", "output: must be an object, got 0"),
     "sweep-output-empty": (_sweep(output=""), None, 1, "config error:", "output: must be an object, got ''"),
+    # a trace path that cannot be written (a directory): no CSV either
+    "sweep-trace-unwritable": (lambda tmp: _sweep()(tmp) + ["--trace", str(tmp)], None,
+                               1, "config error:", "cannot write"),
     "export-fidelity": (lambda tmp: ["export-qasm", _config_file(tmp, bpf_config()), "--point", "1",
                                      "--out", str(tmp / "prep")], 2.0,
                         2, "point 0.25:", "synthesis fidelity"),

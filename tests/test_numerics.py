@@ -194,6 +194,26 @@ def test_herm_eig_reconstruction_and_order():
         assert np.allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
 
 
+def test_stacked_herm_eig_matches_each_matrix_alone():
+    # one call on a (P, d, d) stack gives each matrix's own call byte for
+    # byte, repeated eigenvalues included; a failing matrix is named by its
+    # stack row, and a stack of one fails as its one matrix does
+    rng = np.random.default_rng(4021)
+    for dim in (1, 2, 4, 16):
+        stack = [with_spectrum(rng, rng.standard_normal(dim)) for _ in range(3)]
+        stack.append(with_spectrum(rng, np.repeat([0.5, -0.25], [dim - dim // 2, dim // 2])))
+        w, v = herm_eig(np.stack(stack))
+        assert w.shape == (4, dim) and v.shape == (4, dim, dim)
+        for row, matrix in enumerate(stack):
+            alone = herm_eig(matrix)
+            assert w[row].tobytes() == alone[0].tobytes() and v[row].tobytes() == alone[1].tobytes(), (dim, row)
+    skewed = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+    assert decision(lambda: herm_eig(skewed)) == "stack row 1: herm_eig input is not Hermitian"
+    assert decision(lambda: herm_eig(skewed[1:2])) == decision(lambda: herm_eig(skewed[1]))
+    assert decision(lambda: herm_eig(skewed[1])) == "herm_eig input is not Hermitian"
+    assert decision(lambda: herm_eig(np.zeros((2, 2, 3)))) == "herm_eig input must be a square matrix, got shape (2, 2, 3)"
+
+
 def test_trace_distance_symmetry_and_triangle():
     rng = np.random.default_rng(23)
     for _ in range(10):

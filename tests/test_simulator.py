@@ -798,6 +798,25 @@ def test_derived_streams_match_seed_sequence():
     assert np.array_equal(key, stream_key(derive_rng(5, 3, 2)))
 
 
+def test_stream_keys_do_not_depend_on_where_the_path_splits():
+    # the stacked measure keys setting s of part k of point i by the tail
+    # (i, k, s, 0) under an empty prefix; one part alone, by the tail (s, 0)
+    # under the prefix (i, k).  Over the domain a sweep takes, point i < 10^6
+    # (MAX_SWEEP_POINTS) and part k, setting s < 2^32, each entry is one
+    # 32-bit word in either place, so the keys are the same, byte for byte
+    rng = np.random.default_rng(4016)
+    edges = np.array([[0, 0, 0], [10**6 - 1, 2**32 - 1, 2**32 - 1]])
+    for seed in STREAM_SEEDS + tuple(int(v) for v in rng.integers(0, 2**63, 4)):
+        paths = np.concatenate([edges, np.stack([rng.integers(0, 10**6, 6), rng.integers(0, 2**32, 6),
+                                                 rng.integers(0, 2**32, 6)], axis=1)])
+        settings = np.concatenate([paths[:, 2:], rng.integers(0, 2**32, (len(paths), 2))], axis=1)
+        tails = [(i, k, s, 0) for (i, k, _), row in zip(paths.tolist(), settings.tolist()) for s in row]
+        stacked = derive_keys(seed, (), tails)
+        for j, ((i, k, _), row) in enumerate(zip(paths.tolist(), settings.tolist())):
+            alone = derive_keys(seed, (i, k), [(s, 0) for s in row])
+            assert alone.tobytes() == stacked[3 * j:3 * j + 3].tobytes(), (seed, i, k, row)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -904,6 +923,16 @@ def test_shot_counts_hold_a_read_only_dense_array():
         ShotCounts(2, 10, np.array([[4, 0, 0, 6], [0, 0, 0, 0]]))
     with pytest.raises(ValueError, match="counts total 11 != shots 10"):
         ShotCounts(2, 10, np.array([[4, 0, 0, 7]]))
+
+
+def test_shot_counts_take_shots_as_sample_does():
+    # a bool or a float is no shot total, as in sample; a numpy integer is one
+    counts = np.array([[3, 0, 0, 7]])
+    for shots in (True, np.bool_(True), 10.0, np.float64(10.0), 2.5, "10", None, 0, -10):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'shot counts: shots must be a positive integer, got {shots!r}')}$"):
+            ShotCounts(2, shots, counts)
+    kept = ShotCounts(2, np.int64(10), counts)
+    assert kept.shots == 10 and type(kept.shots) is int
 
 
 @pytest.mark.parametrize("k", [3, 9, 81])

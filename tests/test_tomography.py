@@ -177,6 +177,56 @@ def test_expectations_match_per_string_loop_bit_for_bit(m):
             assert errors is None if given is None else errors.tobytes() == ref_errors.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_stacked_expectations_and_reconstruction_match_each_matrix_alone(m):
+    # one call on a (P, 3^m, 2^m) stack gives each matrix's own call byte for
+    # byte: values, errors, the raw matrix, the projected state and its
+    # floor.  Few shots make the projection clip; a valid state's exact
+    # expectations make it keep the spectrum, so both paths share a stack
+    rng = np.random.default_rng(4022 + m)
+    count = 2 if m == 6 else 4
+    shots = rng.integers(1, 4 * 2**m, (count, 3**m))
+    counts = np.stack([[rng.multinomial(s, rng.dirichlet(np.full(2**m, 0.3))) for s in row] for row in shots])
+    frequencies = counts / counts.sum(axis=2, keepdims=True)
+    for weights, given in ((counts, shots), (frequencies, 4096), (frequencies, None)):
+        values, errors = expectations(weights, shots=given)
+        assert values.shape == (count, 4**m) and (errors is None) == (given is None)
+        for row in range(count):
+            alone = expectations(weights[row], shots=given if given is None or np.ndim(given) == 0 else given[row])
+            assert values[row].tobytes() == alone[0].tobytes(), (m, row)
+            assert given is None or errors[row].tobytes() == alone[1].tobytes(), (m, row)
+    stack = np.concatenate([values, [exact_expectations(random_density(rng, 2**m))]])
+    result = reconstruct(stack)
+    assert result.raw.shape == (count + 1, 2**m, 2**m) and len(result.projected) == count + 1
+    kept = []
+    for row, vector in enumerate(stack):
+        alone = reconstruct(vector)
+        assert result.raw[row].tobytes() == alone.raw.tobytes(), (m, row)
+        assert result.projected[row].matrix.tobytes() == alone.projected.matrix.tobytes(), (m, row)
+        assert result.projected[row]._floor == alone.projected._floor
+        kept.append(np.array_equal(alone.projected.matrix, alone.raw))  # nothing clipped
+    assert any(kept) and not all(kept)
+
+
+def test_stacked_tomography_names_the_failing_row():
+    # a failing matrix of a stack is named by its stack row; a stack of one
+    # fails as its one matrix does
+    weights = np.full((3, 9, 4), 0.25)
+    weights[1, 4, 2] = -1.0
+    assert decision(lambda: expectations(weights)) == (
+        "stack row 1: setting YY has a negative or non-finite weight")
+    assert decision(lambda: expectations(weights[1:2])) == decision(lambda: expectations(weights[1]))
+    assert decision(lambda: expectations(weights[1])) == "setting YY has a negative or non-finite weight"
+    values = np.zeros((3, 16))
+    values[:, 0] = 1.0
+    values[2, 5] = np.nan
+    assert decision(lambda: reconstruct(values)) == "stack row 2: expectation of XX is not finite"
+    assert decision(lambda: reconstruct(values[2:])) == "expectation of XX is not finite"
+    negative = np.stack([np.eye(2) / 2, -np.eye(2) / 2])
+    assert decision(lambda: project_psd(negative)) == "stack row 1: matrix has no positive eigenvalue mass"
+    assert decision(lambda: project_psd(negative[1:])) == "matrix has no positive eigenvalue mass"
+
+
 # register sizes 1 to 6 in an order that switches size at every call, so a
 # table kept for one size is never read for another
 INTERLEAVED = (3, 1, 6, 2, 5, 4, 1, 3, 2, 6, 4, 5)
