@@ -99,16 +99,18 @@ qubits, row s bit for bit setting s's full run.  The last row's fidelity
 covers synthesis and lowering together, and only when it fails is the
 synthesized circuit run, to name the stage at fault.
 
-A sweep runs its points in three stages (``_sweep``).  *Prepare*, per
-point: the channel, the oracle and each part, compiled and verified; a
-sampled part keeps only its ``(3^m, 2^m)`` system marginals, each row's
-Born probabilities summed over the ancilla qubits, as the protocol traces
-the ancilla out.  *Measure*: exact mode takes each part's partial trace;
-sampled mode stacks the parts of one m across points and runs each
-tomography step once per stack (``_measure_stack``), and a failing stack
-is measured again part by part (``_measure``).  *Record*: one record per
-point; its CSV row is a projection of it, and ``sweep --trace`` writes
-another, one JSON line per point (``_Record.trace``).
+A sweep runs its points in three stages (``_sweep``) on one record per
+point (``_Record``).  *Prepare*, per point: the channel, the oracle and
+each part (``_Part``), compiled and verified; a sampled part keeps only
+its ``(3^m, 2^m)`` system marginals, each row's Born probabilities summed
+over the ancilla qubits, as the protocol traces the ancilla out.
+*Measure*: exact mode takes each part's partial trace; sampled mode
+stacks the parts of one m across points and runs each tomography step
+once per stack (``_measure_stack``), and a failing stack is measured
+again part by part (``_measure``).  *Record*: the finished record keeps
+no oracle and no part data; its CSV row is a projection of it, and
+``sweep --trace`` writes another, one JSON line per point
+(``_Record.trace``).
 """
 
 from __future__ import annotations
@@ -133,7 +135,6 @@ from .channels import (
     validate_cptp,
 )
 from .dilation import (
-    DilatedState,
     dilate_pure,
     eigenvector_dilations,
     embed_qudits,
@@ -466,9 +467,9 @@ def _require_fidelity(stage: str, fidelity: float) -> None:
 
 
 def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.ndarray, float]:
-    """The :class:`_Part` fields after ``dilated``: ``target`` synthesized and
-    lowered, the lowered circuit's states on ``layers``, one
-    :func:`~kraussim.simulator.run_branches` call, and its checked fidelity.
+    """``target`` synthesized and lowered, the lowered circuit's states on
+    ``layers``, one :func:`~kraussim.simulator.run_branches` call, and its
+    checked fidelity.
 
     ``layers`` must branch on nothing in the last row: exact mode gives no
     layers, so its one row is the lowered statevector, byte for byte
@@ -487,22 +488,27 @@ def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.
 
 
 class _Part(NamedTuple):
-    """One verified preparation of a point; mixed method 2 has one per eigenvector."""
+    """One verified preparation of a point (mixed method 2 has one per
+    eigenvector): the diagnostics the trace reports, and its data."""
 
     weight: float
-    dilated: DilatedState
-    circuit: Circuit  # synthesized
-    lowered: Circuit
-    fidelity: float  # the lowered state's, checked against FIDELITY_FLOOR
-    # what the measure stage reads: exact mode's lowered state, or sampled
-    # mode's (3^m, 2^m) system marginals, one row per tomography setting
-    data: np.ndarray
+    system_dim: int
+    system_qubits: int
+    total_qubits: int
+    synth_gate_count: int
+    lowered_gate_count: int
+    lowered_fidelity: float  # checked against FIDELITY_FLOOR
+    leaked_mass: float | None  # set by the measure stage
+    # exact mode's lowered state or sampled mode's (3^m, 2^m) system marginals
+    # until measured, then the block until mixed, then None
+    data: np.ndarray | DensityMatrix | None
 
 
 def _prepared_parts(
     cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
-) -> Iterator[_Part]:
-    """Dilate, embed, synthesize and lower each part, checked as :func:`_compile` checks it.
+) -> Iterator[tuple[_Part, Circuit]]:
+    """Dilate, embed, synthesize and lower each part, checked as :func:`_compile`
+    checks it: each part with its lowered circuit.
 
     In sampled mode the part's system qubits are checked against
     :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them, as soon
@@ -520,7 +526,8 @@ def _prepared_parts(
     else:
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
-        m = dilated.embedding.qubit_counts[0]
+        layout = dilated.embedding
+        m = layout.qubit_counts[0]
         if cfg.mode == "sampled" and m > MAX_TOMOGRAPHY_QUBITS:
             raise ValueError(
                 f"tomography: {m} system qubits exceeds the sampled-tomography limit of "
@@ -539,7 +546,8 @@ def _prepared_parts(
             data = born.reshape(len(born), 2**m, -1).sum(axis=2)
         else:
             data = branches[-1]
-        yield _Part(weight, dilated, circuit, low, fidelity, data)
+        yield _Part(weight, dilated.system_dim, m, layout.total_qubits, circuit.gate_count, low.gate_count,
+                    fidelity, None, data), low
 
 
 # The bound on one stacked measure: the complex entries of reconstruct's
@@ -551,32 +559,17 @@ def _prepared_parts(
 _STACK_ENTRIES = 2**18
 
 
-class _PartRecord(NamedTuple):
-    """One part of a point: what the measure stage reads, and the diagnostics
-    the CSV drops, which the trace reports."""
-
-    weight: float
-    system_dim: int
-    system_qubits: int
-    total_qubits: int
-    synth_gate_count: int
-    lowered_gate_count: int
-    lowered_fidelity: float
-    leaked_mass: float | None  # set by the measure stage
-    # ``_Part.data`` until the measure stage reads it: a pending point holds
-    # no circuit, and a measured one no data
-    data: np.ndarray | None
-
-
 @dataclass
 class _Record:
-    """One sweep point: its parts from the prepare stage, and its row's
-    measured fields, or the stage that failed and its message.  The CSV row
-    and the trace line are projections of it."""
+    """One sweep point: its oracle and parts from the prepare stage, then its
+    row's measured fields, or the stage that failed and its first message.
+    A finished record holds no oracle and no part data; the CSV row and the
+    trace line are projections of it."""
 
     index: int
     value: float
-    parts: list[_PartRecord] = dataclasses.field(default_factory=list)
+    parts: list[_Part] = dataclasses.field(default_factory=list)
+    oracle: DensityMatrix | None = None
     fields: dict | None = None
     stage: str = ""
     error: str = ""
@@ -590,50 +583,38 @@ class _Record:
         return {"point": self.index, "param_value": self.value, "stage": self.stage or None,
                 "error": self.error or None, "parts": parts}
 
-    def fail(self, stage: str, error: str) -> None:
-        self.stage, self.error = stage, error
+    def finish(self, stage: str) -> None:
+        """End the point, failed in ``stage`` if it has an error: drop its oracle and its parts' data."""
+        self.stage = stage if self.error else ""
+        self.oracle = None
         self.parts = [part._replace(data=None) for part in self.parts]
 
 
-class _Prepared(NamedTuple):
-    """A prepared point waiting for the measure stage: its record, its oracle
-    and, per part, the measure stage's ``(block and leaked mass, error)``."""
-
-    record: _Record
-    oracle: DensityMatrix
-    outcomes: list[tuple[tuple[DensityMatrix, float] | None, str]]
-
-
-def _prepare(cfg: ExperimentConfig, record: _Record) -> _Prepared | None:
+def _prepare(cfg: ExperimentConfig, record: _Record) -> None:
     """The prepare stage of one point: its channel, its oracle and its parts,
-    each compiled and verified.  A failure sets the record's stage and
-    message and gives None: the point never reaches the measure stage."""
+    each compiled and verified.  A failure finishes the record with its
+    message: the point never reaches the measure stage."""
 
-    def prepare() -> _Prepared:
+    def prepare() -> None:
         channel, rho0, psi0 = _point_input(cfg, record.value)
-        oracle = apply_channel(channel, rho0)
-        for part in _prepared_parts(cfg, channel, rho0, psi0):
-            layout = part.dilated.embedding
-            record.parts.append(_PartRecord(
-                part.weight, part.dilated.system_dim, layout.qubit_counts[0], layout.total_qubits,
-                part.circuit.gate_count, part.lowered.gate_count, part.fidelity, None, part.data))
-        return _Prepared(record, oracle, [(None, "")] * len(record.parts))
+        record.oracle = apply_channel(channel, rho0)
+        for part, _ in _prepared_parts(cfg, channel, rho0, psi0):
+            record.parts.append(part)
 
-    prepared, error = _try_point(prepare)
-    if error:
-        record.fail("prepare", error)
-    return prepared
+    _, record.error = _try_point(prepare)
+    if record.error:
+        record.finish("prepare")
 
 
-def _measure_exact(part: _PartRecord) -> tuple[DensityMatrix, float]:
+def _measure_exact(part: _Part) -> tuple[DensityMatrix, float]:
     """An exact part's block and leaked mass, by partial trace of its lowered state."""
     reduced = partial_trace(PureState(part.data), [2] * part.total_qubits, keep=range(part.system_qubits))
     return extract_embedded(reduced, part.system_dim)
 
 
-def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Prepared, int]]) -> list[tuple[DensityMatrix, float]]:
+def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Record, int]]) -> list[tuple[DensityMatrix, float]]:
     """Tomography of a stack of sampled parts on m system qubits, part k of
-    each prepared point, as each part's block and leaked mass.
+    each record, as each part's block and leaked mass.
 
     The parts' ``(3^m, 2^m)`` marginal matrices are stacked into one matrix,
     and each step runs once on it: one :func:`derive_keys` call makes every
@@ -645,10 +626,10 @@ def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Prepared, int]]
     ``(P, 3^m, 2^m)`` stack.  Each step treats its rows as on their own, and
     a key depends only on its whole path, so every part's bytes, and a stack
     of one part's error messages, are its own call's."""
-    parts = [point.record.parts[k] for point, k in stack]
+    parts = [record.parts[k] for record, k in stack]
     m = parts[0].system_qubits
     tails = np.zeros((len(stack), 3**m, 4), dtype=np.int64)
-    tails[:, :, :2] = [[(point.record.index, k)] for point, k in stack]
+    tails[:, :, :2] = [[(record.index, k)] for record, k in stack]
     tails[:, :, 2] = np.arange(3**m)
     keys = derive_keys(cfg.seed, (), tails.reshape(-1, 4))
     marginals = np.concatenate([part.data for part in parts])
@@ -661,65 +642,68 @@ def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Prepared, int]]
     return [extract_embedded(rho, part.system_dim) for rho, part in zip(projected, parts)]
 
 
-def _mix(point: _Prepared) -> dict:
+def _mix(record: _Record) -> dict:
     """The measured fields of one point's row, from its parts' blocks."""
-    dim = point.oracle.dim
+    dim = record.oracle.dim
     measured = np.zeros((dim, dim), dtype=np.complex128)
-    floor, terms = 0.0, 0
-    parts = point.record.parts
-    for part, ((block, _), _) in zip(parts, point.outcomes):
-        measured += part.weight * block.matrix
-        floor += part.weight * block._floor
-        terms += 1
+    floor = 0.0
+    for part in record.parts:
+        measured += part.weight * part.data.matrix
+        floor += part.weight * part.data._floor
     # every weight is positive (1.0, or an eigenvalue above RANK_TOL), so the
     # mixture's smallest eigenvalue is at least the weighted sum of the floors
-    rho_measured = DensityMatrix._bounded(measured, floor, terms)
+    rho_measured = DensityMatrix._bounded(measured, floor, len(record.parts))
     return dict(
-        c_theory=l1_coherence(point.oracle),
+        c_theory=l1_coherence(record.oracle),
         c_measured=l1_coherence(rho_measured),
-        trace_distance=trace_distance(rho_measured, point.oracle),
-        synth_gate_count=sum(part.synth_gate_count for part in parts),
-        lowered_gate_count=sum(part.lowered_gate_count for part in parts),
+        trace_distance=trace_distance(rho_measured, record.oracle),
+        synth_gate_count=sum(part.synth_gate_count for part in record.parts),
+        lowered_gate_count=sum(part.lowered_gate_count for part in record.parts),
     )
 
 
-def _measure(cfg: ExperimentConfig, points: Sequence[_Prepared]) -> None:
-    """The measure stage of prepared points, which completes their records.
+def _measure(cfg: ExperimentConfig, points: Sequence[_Record]) -> None:
+    """The measure stage of prepared points, which finishes their records.
 
     Exact mode measures each part by :func:`_measure_exact`.  Sampled mode
     measures the parts of each register size m together, in stacks of at
     most ``_STACK_ENTRIES // 8^m`` parts (:func:`_measure_stack`).  If a
     stack fails, each of its parts is measured again as a stack of its own,
     so a failing part fails with its own call's message and the others keep
-    their bytes.  A point with a failed part fails, with its first failed
-    part's message; every other point's parts are mixed into its fields."""
-    stacks: dict[int, list[tuple[_Prepared, int]]] = {}
-    for point in points:
-        for k, part in enumerate(point.record.parts):
+    their bytes.  A measured part takes its block and leaked mass.  A
+    point's parts share one m, so they are measured in order, and a point
+    fails with its first failed part's message; every other point's parts
+    are mixed into its fields."""
+
+    def take(item: tuple[_Record, int], measured: tuple[DensityMatrix, float] | None, error: str) -> None:
+        record, k = item
+        if error:
+            record.error = record.error or error
+        else:
+            record.parts[k] = record.parts[k]._replace(data=measured[0], leaked_mass=measured[1])
+
+    stacks: dict[int, list[tuple[_Record, int]]] = {}
+    for record in points:
+        for k, part in enumerate(record.parts):
             if cfg.mode == "exact":
-                point.outcomes[k] = _try_point(_measure_exact, part)
+                take((record, k), *_try_point(_measure_exact, part))
             else:
-                stacks.setdefault(part.system_qubits, []).append((point, k))
+                stacks.setdefault(part.system_qubits, []).append((record, k))
     for m, items in stacks.items():
         size = max(1, _STACK_ENTRIES // 8**m)
         for start in range(0, len(items), size):
             stack = items[start:start + size]
-            measured, error = _try_point(_measure_stack, cfg, stack)
+            blocks, error = _try_point(_measure_stack, cfg, stack)
             if error:  # each part again as a stack of its own
-                measured = [_try_point(lambda item: _measure_stack(cfg, [item])[0], item) for item in stack]
+                for item in stack:
+                    take(item, *_try_point(lambda: _measure_stack(cfg, [item])[0]))
             else:
-                measured = [(outcome, "") for outcome in measured]
-            for (point, k), outcome in zip(stack, measured):
-                point.outcomes[k] = outcome
-    for point in points:
-        record = point.record
-        error = next((error for _, error in point.outcomes if error), "")
-        if not error:
-            record.fields, error = _try_point(_mix, point)
-        record.parts = [part._replace(leaked_mass=None if outcome is None else outcome[1], data=None)
-                        for part, (outcome, _) in zip(record.parts, point.outcomes)]
-        if error:
-            record.fail("measure", error)
+                for item, block in zip(stack, blocks):
+                    take(item, block, "")
+    for record in points:
+        if not record.error:
+            record.fields, record.error = _try_point(_mix, record)
+        record.finish("measure")
 
 
 def _try_point(fn: Callable, *args) -> tuple[object, str]:
@@ -745,10 +729,10 @@ def _sweep(cfg: ExperimentConfig) -> list[_Record]:
     for index, value in enumerate(cfg.grid):
         record = _Record(index, value)
         records.append(record)
-        point = _prepare(cfg, record)
-        if point is None:
+        _prepare(cfg, record)
+        if record.error:
             continue
-        pending.append(point)
+        pending.append(record)
         load += _STACK_ENTRIES if cfg.mode == "exact" else sum(8**part.system_qubits for part in record.parts)
         if load >= _STACK_ENTRIES:
             _measure(cfg, pending)
@@ -826,14 +810,13 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
     if error:
         print(f"point {value}: {error}", file=sys.stderr)
         return 2
-    for k, part in enumerate(parts):
+    for k, (part, low) in enumerate(parts):
         tag = f"_mix{k}" if len(parts) > 1 else ""
         base = f"{args.out}_point{index}{tag}"
-        low = part.lowered
         files = [(f"{base}.qasm", low)]
         if args.tomography:
             # the circuits whose states the sweep branches in one run_branches call
-            plan = settings_for(part.dilated.embedding.qubit_counts[0])
+            plan = settings_for(part.system_qubits)
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
                  Circuit(low.qubit_count, low.elements + rotations, low.global_phase))

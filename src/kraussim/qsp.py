@@ -39,8 +39,9 @@ pattern, whose angles :meth:`GrayWalk.pattern_angles` gives, read through
 the walk's CXs.  Both directions of the angle map go through one
 transform, :func:`_walsh_hadamard`, one ragged pass over all of a
 circuit's blocks: :func:`lower` takes every walk's slot angles from its
-multiplexor's in one forward pass, and :func:`walk_pattern_angles` the
-pattern angles back in one inverse pass, for the simulator.
+multiplexor's in one forward pass, then their pattern angles in one
+inverse pass on that same layout, and each walk it builds holds its own;
+the simulator reads them and transforms nothing.
 ``Circuit.gates`` spells the elements out one gate at a time,
 for the text dump and the QASM export: each multiplexor entry as a
 one-entry :class:`Multiplexor`, which is exactly a multi-controlled
@@ -78,7 +79,6 @@ __all__ = [
     "rotation_stack",
     "synthesize",
     "lower",
-    "walk_pattern_angles",
     "verify_preparation",
     "dump_circuit",
     "qasm_export",
@@ -158,13 +158,15 @@ class Multiplexor:
 
     def __post_init__(self) -> None:
         rows, angles = tuple(map(int, self.rows)), tuple(map(float, self.angles))
-        size = 2**self.target
         problem = None
         if self.kind not in ("ry", "rz"):
             problem = "unknown kind"
+        elif not _is_integer(self.target):
+            problem = f"qubit {self.target!r} is not an integer"
         elif len(rows) != len(angles):
             problem = f"{len(rows)} rows but {len(angles)} angles"
-        elif rows and not (0 <= min(rows) and max(rows) < size):
+        elif rows and not (0 <= min(rows) and max(rows) < 2**self.target):
+            size = 2**self.target
             problem = f"row {next(r for r in rows if not 0 <= r < size)} outside [0, {size})"
         elif len(set(rows)) != len(rows):
             problem = f"row {next(r for r in rows if rows.count(r) > 1)} repeated"
@@ -190,10 +192,9 @@ class GrayWalk:
     rotation.  The 2^target angles are the multiplexor's Walsh-Hadamard
     angles in Gray order, kept as a tuple of floats.  :meth:`gates` spells
     the walk out as elementary gates, and :meth:`pattern_angles` gives the
-    one rotation per control pattern that they compose to.  Those angles
-    are what the simulator applies, taken for many walks at once from one
-    pass of the Walsh-Hadamard transform (:func:`walk_pattern_angles`),
-    byte for byte as one walk at a time.
+    one rotation per control pattern that they compose to, which the
+    simulator applies: a walk from :func:`lower` holds them from its one
+    inverse pass, outside the fields that equality and hashing see.
     """
 
     kind: str
@@ -205,6 +206,8 @@ class GrayWalk:
         problem = None
         if self.kind not in ("ry", "rz"):
             problem = "unknown kind"
+        elif not _is_integer(self.target):
+            problem = f"qubit {self.target!r} is not an integer"
         elif self.target < 0 or len(angles) != 2**self.target:
             problem = f"{len(angles)} angles, not 2^{self.target}"
         elif not all(map(math.isfinite, angles)):
@@ -243,9 +246,12 @@ class GrayWalk:
         cancel, so on pattern r the walk is one rotation by ``sum_j
         (-1)^popcount(f_j & r) beta_j``, with f_j the mask of the CXs before
         slot j (:func:`_walk_order`): the Walsh-Hadamard transform of the
-        slot angles placed at their masks, the one-walk case of
-        :func:`walk_pattern_angles`."""
-        return walk_pattern_angles((self,))[0]
+        slot angles placed at their masks (:func:`_pattern_angles`), read-only.
+        A walk from :func:`lower` holds them; any other makes them on first use."""
+        angles = self.__dict__.get("_pattern_angles")
+        if angles is None:
+            angles = self.__dict__["_pattern_angles"] = _pattern_angles(np.array(self.angles), [self.target])
+        return angles
 
     @property
     def gate_count(self) -> int:
@@ -314,10 +320,10 @@ def _is_integer(value: object) -> bool:
 
 
 def _built(cls: type, **fields) -> object:
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
-    without its ``__post_init__`` checks: the build path of a producer that
-    states, where it calls this, which step of its construction guarantees
-    each of them."""
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, and any
+    cache it keeps outside them, as given, without its ``__post_init__``
+    checks: the build path of a producer that states, where it calls this,
+    which step of its construction guarantees each of them."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -473,8 +479,8 @@ def _walsh_hadamard(v: np.ndarray, targets: Sequence[int] | None = None) -> np.n
     each stage at a time, and IEEE sums and differences round alike, so a
     block's bytes do not depend on the blocks beside it.  :func:`lower`
     takes its walks' slot angles from their multiplexors' angles with one
-    forward pass per circuit, and :func:`walk_pattern_angles` the pattern
-    angles back from the slot angles with one inverse pass."""
+    forward pass per circuit, and their pattern angles back from the slot
+    angles with one inverse pass (:func:`_pattern_angles`)."""
     out = np.array(v, dtype=np.float64)
     targets = [out.size.bit_length() - 1] if targets is None else list(targets)
     ends = list(itertools.accumulate(2**t for t in targets))
@@ -509,20 +515,18 @@ def _ragged(
     return flat, order, starts
 
 
-def walk_pattern_angles(walks: Sequence[GrayWalk]) -> list[np.ndarray]:
-    """Each walk's :meth:`GrayWalk.pattern_angles`, in the given order, from
-    one pass over all of them: the slot angles placed at their masks
-    (:func:`_walk_order`) in :func:`_ragged`'s layout, then one inverse pass
-    of :func:`_walsh_hadamard`.  The simulator takes the walks of one call's
-    elements at once."""
-    if not walks:
-        return []
-    targets = [w.target for w in walks]
-    flat, order, starts = _ragged(targets, [_walk_order(t) for t in targets], [w.angles for w in walks])
-    flat = _walsh_hadamard(flat, [targets[i] for i in order])
-    out = [flat] * len(walks)
-    for i, start in zip(order, starts):
-        out[i] = flat[start : start + 2 ** targets[i]]
+def _pattern_angles(slots: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """The pattern angles of walks on ``targets``, read-only, from their slot
+    angles ``slots`` laid out as :func:`_walsh_hadamard` takes them, one
+    block of 2^t per walk: each slot angle placed at its mask
+    (:func:`_walk_order`), then one inverse pass over every block."""
+    sizes = [2**t for t in targets]
+    starts = np.repeat(list(itertools.accumulate(sizes, initial=0))[:-1], sizes)
+    masks = np.concatenate([_walk_order(t) for t in targets]) + starts
+    placed = np.zeros(slots.size)
+    placed[masks] = slots
+    out = _walsh_hadamard(placed, targets)
+    out.flags.writeable = False
     return out
 
 
@@ -574,10 +578,12 @@ def lower(circuit: Circuit) -> Circuit:
     the control patterns, go through the Walsh-Hadamard transform, are read
     at the Gray-code indices of :func:`_gray_plan` and divided by 2^k, k its
     control count; on qubit 0 that is its one angle.  All of a circuit's
-    multiplexors share one forward pass of the transform.  A walk whose every
-    angle is zero is the identity, and no element is emitted.  An elementary
-    gate or a walk passes unchanged.  No gate is built here.  The result
-    prepares the same state as the input, global phase included.
+    multiplexors share one forward pass of the transform, and their walks'
+    :meth:`GrayWalk.pattern_angles` one inverse pass on the same layout,
+    which each walk then holds.  A walk whose every angle is zero is the
+    identity, and no element is emitted.  An elementary gate or a walk
+    passes unchanged.  No gate is built here.  The result prepares the same
+    state as the input, global phase included.
     """
     out: list[Gate | Multiplexor | GrayWalk | None] = list(circuit.elements)
     at = [i for i, e in enumerate(out) if isinstance(e, Multiplexor)]
@@ -586,20 +592,22 @@ def lower(circuit: Circuit) -> Circuit:
     if order:
         sizes = [2 ** targets[i] for i in order]
         gray = np.concatenate([_gray_plan(targets[i])[0] for i in order]) + np.repeat(starts, sizes)
-        betas = _walsh_hadamard(flat, [targets[i] for i in order])[gray] / np.repeat(sizes, sizes)
+        blocks = [targets[i] for i in order]
+        betas = _walsh_hadamard(flat, blocks)[gray] / np.repeat(sizes, sizes)
         finite = np.isfinite(betas)
         if not finite.all():
             # the GrayWalk's message for the first walk at fault, in build order
             first = int(np.argmin(finite))
             e = out[at[order[bisect.bisect_right(starts, first) - 1]]]
             raise ValueError(f"{e.kind!r} Gray-code walk on qubit {e.target}: angle {betas[first]} not finite")
+        patterns = _pattern_angles(betas, blocks)
         live = np.logical_or.reduceat(betas != 0.0, starts).tolist()
         values = betas.tolist()
         for i, start, size, any_angle in zip(order, starts, sizes, live):
             e = out[at[i]]
-            # a multiplexor's kind and target, and 2^target slots of the layout
-            out[at[i]] = _built(GrayWalk, kind=e.kind, target=e.target,
-                                angles=tuple(values[start : start + size])) if any_angle else None
+            # a multiplexor's kind and target, 2^target slots of the layout, their pattern angles
+            out[at[i]] = _built(GrayWalk, kind=e.kind, target=e.target, angles=tuple(values[start : start + size]),
+                                _pattern_angles=patterns[start : start + size]) if any_angle else None
     # the elements of a checked circuit, or walks on their targets
     return _built(Circuit, qubit_count=circuit.qubit_count, elements=tuple(e for e in out if e is not None),
                   global_phase=circuit.global_phase)

@@ -24,8 +24,8 @@ multiplexor and a walk are both rows plus one angle per row, applied by
 :func:`_apply_level` as one stacked ``matmul`` (Ry) or one column scale
 (Rz): a multiplexor over its entry rows, and a walk over all 2^t rows as
 what its gates compose to, one rotation per control pattern
-(:meth:`~kraussim.qsp.GrayWalk.pattern_angles`, for all of a call's walks
-from one pass of the transform).  For gates and
+(:meth:`~kraussim.qsp.GrayWalk.pattern_angles`, which lowering computes
+once and the walk holds, so no run transforms them).  For gates and
 multiplexors the state keeps the bits of ``Circuit.gates`` applied one by
 one; the swaps and scalings drop only the matrix product's terms
 multiplied by zero.  A walk's state agrees with its gates one by one to
@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import ConfigError, PureState, check_register, read_real
-from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _built, _label, check_qubits, rotation_stack, walk_pattern_angles
+from .qsp import Circuit, Gate, GrayWalk, Multiplexor, _built, _label, check_qubits, rotation_stack
 
 __all__ = [
     "ShotCounts",
@@ -326,24 +326,22 @@ def _apply_elements(amps: np.ndarray, elements: Sequence[Gate | Multiplexor | Gr
     One pass gives each element its rows and its span of the stack of its
     kind: a multiplexor its entry rows and one stack row per entry, a walk
     all 2^t rows and one stack row per control pattern (its
-    :meth:`~kraussim.qsp.GrayWalk.pattern_angles`, taken for all the walks in
-    one :func:`~kraussim.qsp.walk_pattern_angles` pass), an uncontrolled Ry or Rz
-    no rows and one stack row, an X or a CX neither.  A walk whose every slot
+    :meth:`~kraussim.qsp.GrayWalk.pattern_angles`, read as the walk holds
+    them from lowering), an uncontrolled Ry or Rz no rows and one stack
+    row, an X or a CX neither.  A walk whose every slot
     angle is 0.0 is the identity and is left out, so it leaves the bytes as
     they are.  The Ry and Rz matrices are then built for all the elements in
     one :func:`~kraussim.qsp.rotation_stack` call per kind, and each maximal
     run of elements on one target goes to :func:`_apply_segment`."""
     angles: dict[str, list[float]] = {"x": [], "ry": [], "rz": []}
     entries = []
-    walks = [e for e in elements if isinstance(e, GrayWalk) and any(e.angles)]
-    patterns = iter(walk_pattern_angles(walks))
     for e in elements:
         if isinstance(e, Multiplexor):
             rows, new = list(e.rows), e.angles
         elif isinstance(e, GrayWalk):
             if not any(e.angles):
                 continue
-            rows, new = slice(None), next(patterns).tolist()
+            rows, new = slice(None), e.pattern_angles().tolist()
         else:
             rows, new = None, () if e.kind == "x" else (e.angle,)
         stack = angles[e.kind]

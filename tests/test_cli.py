@@ -274,9 +274,9 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
 
     def counted_parts(*args):
         points.append([])
-        for part in cli_prepared_parts(*args):
+        for part, lowered in cli_prepared_parts(*args):
             points[-1].append(part)
-            yield part
+            yield part, lowered
 
     def counted_streams(seed, prefix, tails):
         keys = derive_keys(seed, prefix, tails)
@@ -294,7 +294,7 @@ def test_sampled_sweeps_build_no_seed_sequence(config, monkeypatch):
     [(prefix, tails)] = calls
     assert prefix == ()
     assert tails.tolist() == [[i, k, s, 0] for i, parts in enumerate(points) for k, part in enumerate(parts)
-                              for s in range(3 ** part.dilated.embedding.qubit_counts[0])]
+                              for s in range(3 ** part.system_qubits)]
 
 
 _STACKED_SWEEPS = {  # sweeps with more than one sampled part
@@ -470,6 +470,40 @@ def test_sweep_trace_names_the_stage_that_failed(tmp_path, monkeypatch, capsys):
         assert line["error"].startswith("synthesis fidelity")
 
 
+def test_finished_records_hold_no_oracle_and_no_part_data(monkeypatch):
+    # a finished point keeps what its row and its trace line read, not the
+    # bulk of its stages: after the sweep no record holds its oracle and no
+    # part its state, its marginals or its block, whether the point ran, in
+    # exact or sampled mode and with one part per eigenvector, or failed in
+    # prepare, in a stacked measure or in its mixture
+    mixed = _STACKED_SWEEPS["mixed_method_2"]
+    configs = {"exact": (bpf_config(), 1), "sampled": (_STACKED_SWEEPS["qad_readout"], 1),
+               "sampled method 2": (mixed, 2), "exact method 2": (dict(mixed, mode="exact"), 2)}
+
+    def finished(config, stage):
+        records = cli._sweep(parse_config(config))
+        assert records and all(record.stage == stage for record in records)
+        assert all(record.oracle is None and all(part.data is None for part in record.parts) for record in records)
+        return records
+
+    def broken(*args):
+        raise ValueError("broken")
+
+    for config, parts in configs.values():
+        assert all(len(record.parts) == parts for record in finished(config, ""))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "reconstruct", broken)
+        assert all(record.error == "broken" for record in finished(mixed, "measure"))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "trace_distance", broken)
+        for config, _ in configs.values():
+            records = finished(config, "measure")
+            assert all(part.leaked_mass is not None for record in records for part in record.parts)
+    monkeypatch.setattr(cli, "FIDELITY_FLOOR", 2.0)
+    for config, _ in configs.values():
+        finished(config, "prepare")
+
+
 def _rank_two(d):
     """A complex rank-2 density matrix on d levels, as config rows."""
     rng = np.random.default_rng(d)
@@ -537,9 +571,9 @@ def test_point_mixture_decides_as_the_constructor(monkeypatch, level):
               for spectrum in ([0.7 - level, 0.3, level], [0.2, 0.8 - level, level])]
     cfg = parse_config({"channel": {"name": "hw_dephasing", "params": {"d": 3}}, "initial_state": "uniform",
                         "sweep": {"parameter": "p0", "grid": [0.5]}, "mode": "exact"})
-    [part] = cli._prepared_parts(cfg, *cli._point_input(cfg, 0.5))
+    [(part, lowered)] = cli._prepared_parts(cfg, *cli._point_input(cfg, 0.5))
     for weights in ([0.25, 0.75], [0.25, 0.65]):
-        parts = [part._replace(weight=w) for w in weights]
+        parts = [(part._replace(weight=w), lowered) for w in weights]
         measured = iter(blocks)
         monkeypatch.setattr(cli, "_prepared_parts", lambda *args: iter(parts))
         monkeypatch.setattr(cli, "_measure_exact", lambda _: (next(measured), 0.0))

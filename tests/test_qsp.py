@@ -36,7 +36,8 @@ from kraussim.qsp import (
     verify_preparation,
     _walsh_hadamard,
 )
-from kraussim.simulator import run
+from kraussim.simulator import run, run_branches
+from kraussim.tomography import settings_for
 
 
 def test_one_qubit_real_state_single_rotation():
@@ -535,6 +536,19 @@ def test_gray_walk_rejects_bad_input_with_its_message(args, message):
         GrayWalk(*args)
 
 
+@pytest.mark.parametrize("target", [2.0, True, np.float64(1.0)])
+def test_walk_and_multiplexor_reject_a_target_that_is_not_an_integer(target):
+    # a float or bool target is no qubit, as in check_qubits, and fails at
+    # construction, before gates() or pattern_angles() could read it
+    problem = f"qubit {target!r} is not an integer"
+    for element, message in ((lambda: GrayWalk("ry", target, [0.1] * 4), f"'ry' Gray-code walk on qubit {target}"),
+                             (lambda: Multiplexor("rz", target, [0, 1], [0.1, 0.2]), f"'rz' multiplexor on qubit {target}")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{message}: {problem}')}$"):
+            element()
+    walk = GrayWalk("ry", np.int64(2), [0.1] * 4)
+    assert walk == GrayWalk("ry", 2, [0.1] * 4) and walk.pattern_angles().tolist() == [0.4, 0.0, 0.0, 0.0]
+
+
 def test_gray_walk_keeps_a_tuple_and_circuit_checks_its_target():
     walk = GrayWalk("rz", 1, np.array([0.5, 0.0]))
     assert walk.angles == (0.5, 0.0) and all(type(a) is float for a in walk.angles)
@@ -814,27 +828,53 @@ def _reference_pattern_angles(walk):
     return reference_walsh_hadamard(slots)
 
 
-def test_batched_walk_pattern_angles_match_one_walk_at_a_time():
-    # every walk of a few lowered preparations and random walks, targets in
-    # any order and repeated, one with every angle 0.0: one batched pass
-    # gives each walk's one-walk pattern angles byte for byte, and those
-    # are the reference loop's transform of its slot angles at their masks
+def test_lowered_walks_carry_one_walk_pattern_angles():
+    # every walk of a few lowered preparations holds the pattern angles of
+    # lower's one inverse pass: byte for byte the one-walk pass of the same
+    # walk rebuilt through its constructor, and the reference loop's
+    # transform of its slot angles at their masks, read-only; the walk is
+    # equal to, and hashes as, the rebuilt walk, whose angles are computed
+    # on first use.  Random walks, one with every angle 0.0, are built here
     rng = np.random.default_rng(910)
-    walks = []
+    lowered = []
     for n in (1, 3, 6, 9):
-        walks += lower(synthesize(random_pure(rng, 2**n))).elements
+        lowered += lower(synthesize(random_pure(rng, 2**n))).elements
+    assert lowered and all("_pattern_angles" in vars(walk) for walk in lowered)
+    hand_built = []
     for t in rng.integers(0, 8, 10).tolist():
         angles = rng.uniform(-np.pi, np.pi, 2**t)
         angles[rng.random(2**t) < 0.3] = 0.0
-        walks.append(GrayWalk(str(rng.choice(["ry", "rz"])), t, angles))
-    walks.append(GrayWalk("rz", 3, [0.0] * 8))
-    rng.shuffle(walks)
-    batched = qsp.walk_pattern_angles(walks)
-    assert len(batched) == len(walks)
-    for walk, angles in zip(walks, batched):
-        one = GrayWalk(walk.kind, walk.target, walk.angles).pattern_angles()
-        assert angles.tobytes() == one.tobytes() == _reference_pattern_angles(walk).tobytes()
-    assert qsp.walk_pattern_angles([]) == []
+        hand_built.append(GrayWalk(str(rng.choice(["ry", "rz"])), t, angles))
+    hand_built.append(GrayWalk("rz", 3, [0.0] * 8))
+    for walk in lowered + hand_built:
+        rebuilt = GrayWalk(walk.kind, walk.target, walk.angles)
+        assert "_pattern_angles" not in vars(rebuilt)
+        angles = walk.pattern_angles()
+        assert angles.tobytes() == rebuilt.pattern_angles().tobytes() == _reference_pattern_angles(walk).tobytes()
+        assert not angles.flags.writeable and walk.pattern_angles() is angles
+        assert walk == rebuilt and hash(walk) == hash(rebuilt)
+
+
+def test_lower_makes_the_pattern_angles_that_runs_read(monkeypatch):
+    # lower makes one forward and one inverse pass of the transform; a run
+    # or run_branches of its circuit makes none, and a walk built by hand
+    # makes its one-walk pass once, however often it runs
+    calls = []
+    transform = qsp._walsh_hadamard
+    monkeypatch.setattr(qsp, "_walsh_hadamard", lambda *args: calls.append(args) or transform(*args))
+    synthesized = synthesize(random_pure(np.random.default_rng(912), 2**5))
+    assert calls == []
+    low = lower(synthesized)
+    assert len(calls) == 2
+    calls.clear()
+    run(low)
+    run_branches(low, settings_for(2).layers)
+    assert calls == []
+    hand_built = Circuit(3, (GrayWalk("ry", 2, [0.1, 0.0, 0.3, 0.4]), GrayWalk("rz", 1, [0.2, 0.5])))
+    for _ in range(3):
+        run(hand_built)
+        run_branches(hand_built, settings_for(1).layers)
+    assert len(calls) == 2  # one per walk
 
 
 _QAD_POINT = {"channel": {"name": "qutrit_amplitude_damping", "params": {}},

@@ -1243,13 +1243,14 @@ def test_run_branches_rejects_a_layer_outside_the_contract_before_any_gate(monke
 def test_non_integer_qubits_are_rejected_before_any_gate(monkeypatch):
     # a float control, a float target and bool targets: the circuit check and
     # run_branches' layer check name the element; Python and numpy integers
-    # are qubits
+    # are qubits.  A multiplexor's constructor rejects a bool target itself,
+    # so one is built past it here
     applied = stub_gate_kernels(monkeypatch)
     for bad, qubit in (
         (Gate("x", 0.0, 1, ((0.5, 1),)), "0.5"),
         (Gate("ry", 0.3, 0.5), "0.5"),
         (Gate("x", 0.0, True), "True"),
-        (Multiplexor("ry", True, [1], [0.2]), "True"),
+        (qsp._built(Multiplexor, kind="ry", target=True, rows=(1,), angles=(0.2,)), "True"),
     ):
         label = f"gate {bad}" if isinstance(bad, Gate) else str(bad)
         message = re.escape(f"{label}: qubit {qubit} is not an integer")
