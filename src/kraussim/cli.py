@@ -89,15 +89,15 @@ byte-identical CSV, in any process and under any ``PYTHONHASHSEED``.
 A point runs: build channel -> dilate (pure input, or one of the three
 mixed-state methods) -> embed qudits onto qubits -> synthesize -> lower
 -> simulate and verify -> measure.  ``sweep`` and ``export-qasm`` share
-this path up to the measure (``_prepared_parts``), and ``synth`` its
-compile steps (``_compile``, in exact mode), so an exported or printed
-circuit has passed the synthesis and the lowering checks.  Each part is
+the dilation and its checks (``_checked_dilations``) and, with ``synth``,
+the compile steps (``_compile``), so an exported or printed circuit has
+passed the synthesis and the lowering checks.  Each part is
 simulated once, as the lowered circuit, in one ``run_branches`` call:
-exact mode with no settings, its one row the lowered circuit's
-statevector, and sampled mode with all 3^m settings of its m system
-qubits, row s bit for bit setting s's full run.  The last row's fidelity
-covers synthesis and lowering together, and only when it fails is the
-synthesized circuit run, to name the stage at fault.
+exact mode and ``export-qasm`` with no settings, its one row the lowered
+circuit's statevector, and a sampled sweep with all 3^m settings of its m
+system qubits, row s bit for bit setting s's full run.  The last row's
+fidelity covers synthesis and lowering together, and only when it fails is
+the synthesized circuit run, to name the stage at fault.
 
 A sweep runs its points in three stages (``_sweep``) on one record per
 point (``_Record``).  *Prepare*, per point: the channel, the oracle and
@@ -135,6 +135,7 @@ from .channels import (
     validate_cptp,
 )
 from .dilation import (
+    DilatedState,
     dilate_pure,
     eigenvector_dilations,
     embed_qudits,
@@ -504,18 +505,13 @@ class _Part(NamedTuple):
     data: np.ndarray | DensityMatrix | None
 
 
-def _prepared_parts(
+def _checked_dilations(
     cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
-) -> Iterator[tuple[_Part, Circuit]]:
-    """Dilate, embed, synthesize and lower each part, checked as :func:`_compile`
-    checks it: each part with its lowered circuit.
-
-    In sampled mode the part's system qubits are checked against
-    :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them, as soon
-    as the dilation fixes them, before any circuit is built.  The system
-    qubits lead the register, so each setting's ancilla marginal is one
-    reshape-sum of its Born probabilities over the trailing axis, and a
-    sampled part keeps only those marginals, not its branches.
+) -> Iterator[tuple[float, DilatedState]]:
+    """Each part's weight and dilation (mixed method 2 has one part per
+    eigenvector), checked as soon as the dilation fixes its system qubits,
+    before any circuit is built: in sampled mode against
+    :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them.
     """
     if psi0 is not None:
         dilations = [(1.0, dilate_pure(channel, psi0))]
@@ -526,8 +522,7 @@ def _prepared_parts(
     else:
         dilations = eigenvector_dilations(channel, rho0)
     for weight, dilated in dilations:
-        layout = dilated.embedding
-        m = layout.qubit_counts[0]
+        m = dilated.embedding.qubit_counts[0]
         if cfg.mode == "sampled" and m > MAX_TOMOGRAPHY_QUBITS:
             raise ValueError(
                 f"tomography: {m} system qubits exceeds the sampled-tomography limit of "
@@ -536,6 +531,22 @@ def _prepared_parts(
         if cfg.readout is not None:
             # the stack the readout steps read, built and checked once per m
             _field("readout", _confusion_stack, cfg.readout, m)
+        yield weight, dilated
+
+
+def _prepared_parts(
+    cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
+) -> Iterator[_Part]:
+    """Embed, synthesize and lower each of :func:`_checked_dilations`' parts,
+    checked as :func:`_compile` checks it.
+
+    The system qubits lead the register, so each setting's ancilla marginal
+    is one reshape-sum of its Born probabilities over the trailing axis, and
+    a sampled part keeps only those marginals, not its branches.
+    """
+    for weight, dilated in _checked_dilations(cfg, channel, rho0, psi0):
+        layout = dilated.embedding
+        m = layout.qubit_counts[0]
         # one row per setting; the all-Z one rotates nothing and comes last,
         # so the last row is the lowered state
         layers = settings_for(m).layers if cfg.mode == "sampled" else ()
@@ -547,7 +558,7 @@ def _prepared_parts(
         else:
             data = branches[-1]
         yield _Part(weight, dilated.system_dim, m, layout.total_qubits, circuit.gate_count, low.gate_count,
-                    fidelity, None, data), low
+                    fidelity, None, data)
 
 
 # The bound on one stacked measure: the complex entries of reconstruct's
@@ -598,7 +609,7 @@ def _prepare(cfg: ExperimentConfig, record: _Record) -> None:
     def prepare() -> None:
         channel, rho0, psi0 = _point_input(cfg, record.value)
         record.oracle = apply_channel(channel, rho0)
-        for part, _ in _prepared_parts(cfg, channel, rho0, psi0):
+        for part in _prepared_parts(cfg, channel, rho0, psi0):
             record.parts.append(part)
 
     _, record.error = _try_point(prepare)
@@ -806,17 +817,24 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
     if not 0 <= index < len(cfg.grid):
         raise ConfigError(f"point {index} outside grid of {len(cfg.grid)}")
     value = cfg.grid[index]
-    parts, error = _try_point(lambda: list(_prepared_parts(cfg, *_point_input(cfg, value))))
+
+    def lowered() -> list[tuple[int, Circuit]]:
+        # each part's system qubits and lowered circuit, compiled with no
+        # settings: its one row is the sweep's last, so the same check holds
+        return [(dilated.embedding.qubit_counts[0], _compile(embed_qudits(dilated), ())[1])
+                for _, dilated in _checked_dilations(cfg, *_point_input(cfg, value))]
+
+    parts, error = _try_point(lowered)
     if error:
         print(f"point {value}: {error}", file=sys.stderr)
         return 2
-    for k, (part, low) in enumerate(parts):
+    for k, (m, low) in enumerate(parts):
         tag = f"_mix{k}" if len(parts) > 1 else ""
         base = f"{args.out}_point{index}{tag}"
         files = [(f"{base}.qasm", low)]
         if args.tomography:
             # the circuits whose states the sweep branches in one run_branches call
-            plan = settings_for(part.system_qubits)
+            plan = settings_for(m)
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",
                  Circuit(low.qubit_count, low.elements + rotations, low.global_phase))

@@ -163,6 +163,8 @@ class Multiplexor:
             problem = "unknown kind"
         elif not _is_integer(self.target):
             problem = f"qubit {self.target!r} is not an integer"
+        elif self.target < 0:
+            problem = f"qubit {self.target} is negative"
         elif len(rows) != len(angles):
             problem = f"{len(rows)} rows but {len(angles)} angles"
         elif rows and not (0 <= min(rows) and max(rows) < 2**self.target):
@@ -208,7 +210,9 @@ class GrayWalk:
             problem = "unknown kind"
         elif not _is_integer(self.target):
             problem = f"qubit {self.target!r} is not an integer"
-        elif self.target < 0 or len(angles) != 2**self.target:
+        elif self.target < 0:
+            problem = f"qubit {self.target} is negative"
+        elif len(angles) != 2**self.target:
             problem = f"{len(angles)} angles, not 2^{self.target}"
         elif not all(map(math.isfinite, angles)):
             problem = f"angle {next(a for a in angles if not math.isfinite(a))} not finite"

@@ -5,6 +5,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 from kraussim.channels import (
     PAULI_I,
@@ -428,6 +429,13 @@ def reference_synthesize(target, real=None):
         w = [(w[2 * r] + w[2 * r + 1]) / 2.0 for r in range(len(w) // 2)]
         present = [present[2 * r] or present[2 * r + 1] for r in range(len(present) // 2)]
     return tuple(gates), w[0]
+
+
+def kernel_bound(values, bound):
+    """``values`` as parametrize cases, each ``v`` with ``bound(v)`` marked
+    ``kernel_bytes``: its bytes hold only on the BLAS kernel and SIMD level
+    that ``tests/golden/recorded_on.json`` names."""
+    return [pytest.param(v, marks=pytest.mark.kernel_bytes) if bound(v) else v for v in values]
 
 
 def stub_gate_kernels(monkeypatch):

@@ -506,6 +506,9 @@ def test_synthesized_circuit_holds_ry_and_rz_multiplexors_only(n):
     (("phase", 1, [1, 1], [math.inf, 0.2]), "'phase' multiplexor on qubit 1: unknown kind"),
     (("ry", 2, [-1], [0.1]), "'ry' multiplexor on qubit 2: row -1 outside [0, 4)"),
     (("rz", 1, [1, 0], [math.inf, 0.2]), "'rz' multiplexor on qubit 1: angle inf not finite"),
+    # a negative target is no qubit, whether or not its rows fit 2^target
+    (("ry", -1, [0], [0.1]), "'ry' multiplexor on qubit -1: qubit -1 is negative"),
+    (("ry", -2, [], []), "'ry' multiplexor on qubit -2: qubit -2 is negative"),
 ])
 def test_multiplexor_rejects_bad_input_with_its_message(args, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -527,9 +530,10 @@ def test_multiplexor_keeps_tuples_and_circuit_checks_its_target():
     (("phase", 0, [0.1]), "'phase' Gray-code walk on qubit 0: unknown kind"),
     (("ry", 2, [0.1, 0.2, 0.3]), "'ry' Gray-code walk on qubit 2: 3 angles, not 2^2"),
     (("rz", 0, []), "'rz' Gray-code walk on qubit 0: 0 angles, not 2^0"),
-    (("ry", -1, [0.1]), "'ry' Gray-code walk on qubit -1: 1 angles, not 2^-1"),
+    (("ry", -1, [0.1]), "'ry' Gray-code walk on qubit -1: qubit -1 is negative"),
     (("rz", 1, [0.1, math.nan]), "'rz' Gray-code walk on qubit 1: angle nan not finite"),
     (("ry", 2, [0.0, -math.inf, 0.1, 0.2]), "'ry' Gray-code walk on qubit 2: angle -inf not finite"),
+    (("rz", np.int64(-2), []), "'rz' Gray-code walk on qubit -2: qubit -2 is negative"),
 ])
 def test_gray_walk_rejects_bad_input_with_its_message(args, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
@@ -790,8 +794,7 @@ def test_rotation_stack_builds_each_angle_as_the_closed_forms():
 
 # ---------------------------------------------------------------------------
 # One batched Walsh-Hadamard pass per circuit, and the lowering check of each
-# mode.  The names carry "lower" or "walk", so that CI's AVX2 and Haswell
-# steps rerun them.
+# mode.
 
 
 def test_lowering_ragged_walsh_hadamard_matches_reference_block_by_block():

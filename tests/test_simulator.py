@@ -17,6 +17,7 @@ from helpers import (
     gate_matrix,
     gate_parts,
     histogram,
+    kernel_bound,
     one_key,
     random_density,
     random_pure,
@@ -170,6 +171,7 @@ def test_rz_and_phase_circuits_are_exact_diagonals(n):
     assert u.diagonal().tobytes() == expected.tobytes()
 
 
+@pytest.mark.kernel_bytes
 def test_run_matches_matmul_reference_on_a_nine_qubit_preparation():
     # a mixed_exact-like point: hw_dephasing d=8 on a full-rank complex
     # input, double purification on 3 + 3 + 3 qubits
@@ -223,7 +225,7 @@ def assert_run_matches_gate_by_gate_and_reference(circuit):
     assert_lowered_close(state, reference_run(low).amplitudes)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", kernel_bound(range(1, 11), lambda n: n >= 2))
 def test_segmented_run_matches_gate_by_gate_on_preparations(n):
     # synthesized circuits, complex and real, with 30% exact zeros so that
     # levels miss patterns: the same bytes as one slice-kernel call per gate,
@@ -308,6 +310,7 @@ def test_prefix_controlled_phases_match_gate_by_gate_bit_for_bit(n, monkeypatch)
     assert state.tobytes() == gate_by_gate(circuit).tobytes()
 
 
+@pytest.mark.kernel_bytes
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_segmented_run_matches_gate_by_gate_on_degenerate_dephasing(p):
     # hw_dephasing at p0 = 0 and 1, where whole Kraus branches are zero: the
