@@ -92,25 +92,23 @@ mixed-state methods) -> embed qudits onto qubits -> synthesize -> lower
 the dilation and its checks (``_checked_dilations``) and, with ``synth``,
 the compile steps (``_compile``), so an exported or printed circuit has
 passed the synthesis and the lowering checks.  Each part is
-simulated once, as the lowered circuit, in one ``run_branches`` call:
-exact mode and ``export-qasm`` with no settings, its one row the lowered
-circuit's statevector, and a sampled sweep with all 3^m settings of its m
-system qubits, row s bit for bit setting s's full run.  The last row's
-fidelity covers synthesis and lowering together, and only when it fails is
-the synthesized circuit run, to name the stage at fault.
+simulated once, as the lowered circuit, in one ``run`` without its global
+phase; that state times the phase is byte for byte the lowered circuit's
+run, and its fidelity covers synthesis and lowering together.  Only
+when it fails is the synthesized circuit run, to name the stage at fault.
 
 A sweep runs its points in three stages (``_sweep``) on one record per
 point (``_Record``).  *Prepare*, per point: the channel, the oracle and
-each part (``_Part``), compiled and verified; a sampled part keeps only
-its ``(3^m, 2^m)`` system marginals, each row's Born probabilities summed
-over the ancilla qubits, as the protocol traces the ancilla out.
-*Measure*: exact mode takes each part's partial trace; sampled mode
-stacks the parts of one m across points and runs each tomography step
-once per stack (``_measure_stack``), and a failing stack is measured
-again part by part (``_measure``).  *Record*: the finished record keeps
-no oracle and no part data; its CSV row is a projection of it, and
-``sweep --trace`` writes another, one JSON line per point
-(``_Record.trace``).
+each part (``_Part``), compiled and verified, from an input made once
+per channel dimension; exact mode keeps the checked state, and a sampled
+part the state before its phase, and the phase.  *Measure*: exact mode
+takes each part's partial trace; sampled mode stacks the parts of one
+register shape across points, branches each stack through the
+tomography settings in one pass and runs each tomography step once per
+stack (``_measure_stack``), and a failing stack is measured again part
+by part (``_measure``).  *Record*: the finished record keeps no oracle
+and no part data; its CSV row is a projection of it, and ``sweep
+--trace`` writes another, one JSON line per point (``_Record.trace``).
 """
 
 from __future__ import annotations
@@ -136,11 +134,13 @@ from .channels import (
 )
 from .dilation import (
     DilatedState,
+    SpectralInput,
     dilate_pure,
     eigenvector_dilations,
     embed_qudits,
     mixed_method_double_purification,
     mixed_method_purify_evolved,
+    spectral_input,
 )
 from .numerics import (
     ConfigError,
@@ -152,8 +152,8 @@ from .numerics import (
     uniform_state,
 )
 from .numerics import read_complex, read_integer, read_list, read_matrix, read_object, read_real, read_string
-from .qsp import Circuit, dump_circuit, lower, qasm_export, synthesize, verify_preparation
-from .simulator import ReadoutModel, apply_readout_noise, derive_keys, mitigate, run, run_branches, sample
+from .qsp import Circuit, _built, dump_circuit, lower, qasm_export, synthesize, verify_preparation
+from .simulator import ReadoutModel, apply_readout_noise, branch_stack, derive_keys, mitigate, run, sample
 from .simulator import _confusion_stack
 from .tomography import expectations, extract_embedded, reconstruct, settings_for
 
@@ -453,13 +453,24 @@ def _initial_density(init: PureState | DensityMatrix | str, dim: int) -> tuple[D
     return init, None
 
 
-def _point_input(cfg: ExperimentConfig, value: float) -> tuple[KrausChannel, DensityMatrix, PureState | None]:
-    """A point's channel and initial state, as ``(channel, rho0, psi0)``."""
+_Source = PureState | DensityMatrix | SpectralInput  # what a dilation reads
+
+
+def _point_input(cfg: ExperimentConfig, value: float, inputs: dict) -> tuple[KrausChannel, DensityMatrix, _Source]:
+    """A point's channel, initial state and dilation source: psi0 for a pure
+    input, otherwise rho0, or for mixed methods 2 and 3 rho0's spectral
+    decomposition.  The last two depend only on the channel's dimension;
+    ``inputs``, which a sweep passes to all its points, keeps them per
+    dimension, made at its first point."""
     params = dict(cfg.channel_params)
     if cfg.channel_file is None:
         params[cfg.sweep_parameter] = value
     channel = _load_channel(cfg.channel_name, cfg.channel_file, params)
-    return (channel, *_initial_density(cfg.initial_state, channel.dim))
+    if channel.dim not in inputs:
+        rho0, psi0 = _initial_density(cfg.initial_state, channel.dim)
+        source = psi0 if psi0 is not None else rho0 if cfg.mixed_method == 1 else spectral_input(rho0)
+        inputs[channel.dim] = rho0, source
+    return (channel, *inputs[channel.dim])
 
 
 def _require_fidelity(stage: str, fidelity: float) -> None:
@@ -467,25 +478,24 @@ def _require_fidelity(stage: str, fidelity: float) -> None:
         raise VerificationError(f"{stage} fidelity {fidelity:.12f} below threshold")
 
 
-def _compile(target: PureState, layers: Sequence) -> tuple[Circuit, Circuit, np.ndarray, float]:
-    """``target`` synthesized and lowered, the lowered circuit's states on
-    ``layers``, one :func:`~kraussim.simulator.run_branches` call, and its
-    checked fidelity.
+def _compile(target: PureState) -> tuple[Circuit, Circuit, np.ndarray, np.ndarray, float]:
+    """``target`` synthesized and lowered, the lowered circuit's state before
+    its global phase, from one :func:`run`, that state times the phase, and
+    its checked fidelity.
 
-    ``layers`` must branch on nothing in the last row: exact mode gives no
-    layers, so its one row is the lowered statevector, byte for byte
-    ``run(lowered)``, and sampled mode its tomography settings, the all-Z
-    one last.  That row's fidelity covers synthesis and lowering together;
-    only if it fails is the synthesized circuit run, so that the error
-    names the stage at fault."""
+    The product is byte for byte ``run(lowered)``, and its fidelity covers
+    synthesis and lowering together; only if it fails is the synthesized
+    circuit run, so that the error names the stage at fault."""
     circuit = synthesize(target)
     low = lower(circuit)
-    branches = run_branches(low, layers)
-    fidelity = verify_preparation(low, target, PureState(branches[-1]))
+    # the lowered circuit's checked fields, its phase left out
+    state = run(_built(Circuit, **{**vars(low), "global_phase": 0.0})).amplitudes
+    prepared = state * np.exp(1j * low.global_phase) if low.global_phase != 0.0 else state
+    fidelity = verify_preparation(low, target, PureState(prepared))
     if fidelity < FIDELITY_FLOOR:
         _require_fidelity("synthesis", verify_preparation(circuit, target, run(circuit)))
         _require_fidelity("lowered", fidelity)
-    return circuit, low, branches, fidelity
+    return circuit, low, state, prepared, fidelity
 
 
 class _Part(NamedTuple):
@@ -498,29 +508,29 @@ class _Part(NamedTuple):
     total_qubits: int
     synth_gate_count: int
     lowered_gate_count: int
+    lowered_cx_count: int
     lowered_fidelity: float  # checked against FIDELITY_FLOOR
     leaked_mass: float | None  # set by the measure stage
-    # exact mode's lowered state or sampled mode's (3^m, 2^m) system marginals
-    # until measured, then the block until mixed, then None
-    data: np.ndarray | DensityMatrix | None
+    # exact mode's lowered state, or sampled mode's before its global phase
+    # and that phase, until measured; then the block until mixed, then None
+    data: np.ndarray | tuple[np.ndarray, float] | DensityMatrix | None
 
 
-def _checked_dilations(
-    cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
-) -> Iterator[tuple[float, DilatedState]]:
-    """Each part's weight and dilation (mixed method 2 has one part per
-    eigenvector), checked as soon as the dilation fixes its system qubits,
-    before any circuit is built: in sampled mode against
+def _checked_dilations(cfg: ExperimentConfig, channel: KrausChannel,
+                       source: _Source) -> Iterator[tuple[float, DilatedState]]:
+    """Each part's weight and dilation of ``source`` (mixed method 2 has one
+    part per eigenvector), checked as soon as the dilation fixes its system
+    qubits, before any circuit is built: in sampled mode against
     :data:`MAX_TOMOGRAPHY_QUBITS`, and a readout model against them.
     """
-    if psi0 is not None:
-        dilations = [(1.0, dilate_pure(channel, psi0))]
+    if isinstance(source, PureState):
+        dilations = [(1.0, dilate_pure(channel, source))]
     elif cfg.mixed_method == 1:
-        dilations = [(1.0, mixed_method_purify_evolved(channel, rho0))]
+        dilations = [(1.0, mixed_method_purify_evolved(channel, source))]
     elif cfg.mixed_method == 3:
-        dilations = [(1.0, mixed_method_double_purification(channel, rho0))]
+        dilations = [(1.0, mixed_method_double_purification(channel, source))]
     else:
-        dilations = eigenvector_dilations(channel, rho0)
+        dilations = eigenvector_dilations(channel, source)
     for weight, dilated in dilations:
         m = dilated.embedding.qubit_counts[0]
         if cfg.mode == "sampled" and m > MAX_TOMOGRAPHY_QUBITS:
@@ -534,40 +544,32 @@ def _checked_dilations(
         yield weight, dilated
 
 
-def _prepared_parts(
-    cfg: ExperimentConfig, channel: KrausChannel, rho0: DensityMatrix, psi0: PureState | None
-) -> Iterator[_Part]:
+def _prepared_parts(cfg: ExperimentConfig, channel: KrausChannel, source: _Source) -> Iterator[_Part]:
     """Embed, synthesize and lower each of :func:`_checked_dilations`' parts,
-    checked as :func:`_compile` checks it.
-
-    The system qubits lead the register, so each setting's ancilla marginal
-    is one reshape-sum of its Born probabilities over the trailing axis, and
-    a sampled part keeps only those marginals, not its branches.
-    """
-    for weight, dilated in _checked_dilations(cfg, channel, rho0, psi0):
+    checked as :func:`_compile` checks it.  An exact part keeps its lowered
+    state; a sampled one that state before its global phase, and the phase,
+    which the measure stage applies after the settings' layers."""
+    for weight, dilated in _checked_dilations(cfg, channel, source):
         layout = dilated.embedding
-        m = layout.qubit_counts[0]
-        # one row per setting; the all-Z one rotates nothing and comes last,
-        # so the last row is the lowered state
-        layers = settings_for(m).layers if cfg.mode == "sampled" else ()
-        circuit, low, branches, fidelity = _compile(embed_qudits(dilated), layers)
-        if cfg.mode == "sampled":
-            born = np.abs(branches)
-            np.square(born, out=born)
-            data = born.reshape(len(born), 2**m, -1).sum(axis=2)
-        else:
-            data = branches[-1]
-        yield _Part(weight, dilated.system_dim, m, layout.total_qubits, circuit.gate_count, low.gate_count,
-                    fidelity, None, data)
+        circuit, low, state, prepared, fidelity = _compile(embed_qudits(dilated))
+        data = (state, low.global_phase) if cfg.mode == "sampled" else prepared
+        yield _Part(weight, dilated.system_dim, layout.qubit_counts[0], layout.total_qubits, circuit.gate_count,
+                    low.gate_count, low.cx_count, fidelity, None, data)
 
 
-# The bound on one stacked measure: the complex entries of reconstruct's
-# (P, 2^m, 2^m, 2^m) term array, its largest, over a stack of P sampled parts
-# on m system qubits (4 MiB).  A stack holds at most 2^18 // 8^m parts, and
-# one at least.  Prepared points wait for the measure stage until their parts'
-# 8^m entries reach it, so it also bounds the marginals a sweep holds.  Every
-# row of a stack is measured as on its own, so the bound changes no byte.
+# The bound on one stacked measure, in complex entries (4 MiB).  A sampled
+# part on m system qubits of n counts the larger of its two arrays: its
+# (2^m, 2^m, 2^m) reconstruction terms and its (3^m, 2^n) branch rows.  A
+# stack holds parts of one (m, n), at most 2^18 // that count of them, and
+# one at least, so its branch array stays within the bound unless it holds
+# one part.  Prepared points wait for the measure stage until their parts'
+# counts reach it, so it also bounds the states a sweep holds.  Every row of
+# a stack is measured as on its own, so the bound changes no byte.
 _STACK_ENTRIES = 2**18
+
+
+def _stack_entries(m: int, n: int) -> int:
+    return max(8**m, 3**m * 2**n)
 
 
 @dataclass
@@ -601,15 +603,16 @@ class _Record:
         self.parts = [part._replace(data=None) for part in self.parts]
 
 
-def _prepare(cfg: ExperimentConfig, record: _Record) -> None:
+def _prepare(cfg: ExperimentConfig, record: _Record, inputs: dict) -> None:
     """The prepare stage of one point: its channel, its oracle and its parts,
-    each compiled and verified.  A failure finishes the record with its
+    each compiled and verified, from the sweep's ``inputs``
+    (:func:`_point_input`).  A failure finishes the record with its
     message: the point never reaches the measure stage."""
 
     def prepare() -> None:
-        channel, rho0, psi0 = _point_input(cfg, record.value)
+        channel, rho0, source = _point_input(cfg, record.value, inputs)
         record.oracle = apply_channel(channel, rho0)
-        for part in _prepared_parts(cfg, channel, rho0, psi0):
+        for part in _prepared_parts(cfg, channel, source):
             record.parts.append(part)
 
     _, record.error = _try_point(prepare)
@@ -624,11 +627,14 @@ def _measure_exact(part: _Part) -> tuple[DensityMatrix, float]:
 
 
 def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Record, int]]) -> list[tuple[DensityMatrix, float]]:
-    """Tomography of a stack of sampled parts on m system qubits, part k of
-    each record, as each part's block and leaked mass.
+    """Tomography of a stack of sampled parts on m system qubits of n, part k
+    of each record, as each part's block and leaked mass.
 
-    The parts' ``(3^m, 2^m)`` marginal matrices are stacked into one matrix,
-    and each step runs once on it: one :func:`derive_keys` call makes every
+    One :func:`branch_stack` call takes the parts' states through the 3^m
+    settings and applies each part's phase; the system qubits lead, so one
+    ``|.|^2`` and one reshape-sum over the trailing ancilla axis make every
+    setting's system marginal.  Each later step runs once on the stacked
+    marginals: one :func:`derive_keys` call makes every
     stream, path ``(point, part, s, 0)`` for setting s under an empty prefix,
     with or without a readout model; with one, :func:`apply_readout_noise`
     maps the probabilities before the one :func:`sample` call and
@@ -643,7 +649,10 @@ def _measure_stack(cfg: ExperimentConfig, stack: Sequence[tuple[_Record, int]]) 
     tails[:, :, :2] = [[(record.index, k)] for record, k in stack]
     tails[:, :, 2] = np.arange(3**m)
     keys = derive_keys(cfg.seed, (), tails.reshape(-1, 4))
-    marginals = np.concatenate([part.data for part in parts])
+    born = np.abs(branch_stack(np.stack([part.data[0] for part in parts]), [part.data[1] for part in parts],
+                               settings_for(m).layers))
+    np.square(born, out=born)
+    marginals = born.reshape(len(born), 2**m, -1).sum(axis=2)
     if cfg.readout is None:
         weights = sample(marginals, cfg.shots, keys).counts
     else:
@@ -677,12 +686,12 @@ def _measure(cfg: ExperimentConfig, points: Sequence[_Record]) -> None:
     """The measure stage of prepared points, which finishes their records.
 
     Exact mode measures each part by :func:`_measure_exact`.  Sampled mode
-    measures the parts of each register size m together, in stacks of at
-    most ``_STACK_ENTRIES // 8^m`` parts (:func:`_measure_stack`).  If a
-    stack fails, each of its parts is measured again as a stack of its own,
+    measures the parts of each register shape (m, n) together, in stacks of
+    at most ``_STACK_ENTRIES // _stack_entries(m, n)`` parts
+    (:func:`_measure_stack`).  If a stack fails, each of its parts is measured again as a stack of its own,
     so a failing part fails with its own call's message and the others keep
     their bytes.  A measured part takes its block and leaked mass.  A
-    point's parts share one m, so they are measured in order, and a point
+    point's parts share one shape, so they are measured in order, and a point
     fails with its first failed part's message; every other point's parts
     are mixed into its fields."""
 
@@ -693,15 +702,15 @@ def _measure(cfg: ExperimentConfig, points: Sequence[_Record]) -> None:
         else:
             record.parts[k] = record.parts[k]._replace(data=measured[0], leaked_mass=measured[1])
 
-    stacks: dict[int, list[tuple[_Record, int]]] = {}
+    stacks: dict[tuple[int, int], list[tuple[_Record, int]]] = {}
     for record in points:
         for k, part in enumerate(record.parts):
             if cfg.mode == "exact":
                 take((record, k), *_try_point(_measure_exact, part))
             else:
-                stacks.setdefault(part.system_qubits, []).append((record, k))
-    for m, items in stacks.items():
-        size = max(1, _STACK_ENTRIES // 8**m)
+                stacks.setdefault((part.system_qubits, part.total_qubits), []).append((record, k))
+    for shape, items in stacks.items():
+        size = max(1, _STACK_ENTRIES // _stack_entries(*shape))
         for start in range(0, len(items), size):
             stack = items[start:start + size]
             blocks, error = _try_point(_measure_stack, cfg, stack)
@@ -732,19 +741,20 @@ def _sweep(cfg: ExperimentConfig) -> list[_Record]:
     """Every grid point through the three stages: prepare, measure, record.
 
     Prepared points wait for the measure stage until their sampled parts'
-    8^m entries reach ``_STACK_ENTRIES``; an exact point is measured at once,
+    counts reach ``_STACK_ENTRIES``; an exact point is measured at once,
     since exact mode stacks nothing.  A sampled sweep whose parts stay
     below that bound is prepared whole, then measured in one pass.  Each
     record ends with its row's fields or its failure."""
-    records, pending, load = [], [], 0
+    records, pending, load, inputs = [], [], 0, {}
     for index, value in enumerate(cfg.grid):
         record = _Record(index, value)
         records.append(record)
-        _prepare(cfg, record)
+        _prepare(cfg, record, inputs)
         if record.error:
             continue
         pending.append(record)
-        load += _STACK_ENTRIES if cfg.mode == "exact" else sum(8**part.system_qubits for part in record.parts)
+        load += _STACK_ENTRIES if cfg.mode == "exact" else sum(
+            _stack_entries(part.system_qubits, part.total_qubits) for part in record.parts)
         if load >= _STACK_ENTRIES:
             _measure(cfg, pending)
             pending, load = [], 0
@@ -805,7 +815,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         option, entries = "--amplitudes", _field("--amplitudes", json.loads, args.amplitudes)
     target = _field(option, _INITIAL_FORMS["amplitudes"], entries, option)
-    synthesized, lowered, _, _ = _field("synthesis", _compile, target, ())
+    synthesized, lowered, *_ = _field("synthesis", _compile, target)
     circuit = lowered if args.lower else synthesized
     sys.stdout.write(qasm_export(circuit) if args.qasm else dump_circuit(circuit))
     return 0
@@ -819,10 +829,10 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
     value = cfg.grid[index]
 
     def lowered() -> list[tuple[int, Circuit]]:
-        # each part's system qubits and lowered circuit, compiled with no
-        # settings: its one row is the sweep's last, so the same check holds
-        return [(dilated.embedding.qubit_counts[0], _compile(embed_qudits(dilated), ())[1])
-                for _, dilated in _checked_dilations(cfg, *_point_input(cfg, value))]
+        # each part's system qubits and lowered circuit, compiled and checked as in a sweep
+        channel, _, source = _point_input(cfg, value, {})
+        return [(dilated.embedding.qubit_counts[0], _compile(embed_qudits(dilated))[1])
+                for _, dilated in _checked_dilations(cfg, channel, source)]
 
     parts, error = _try_point(lowered)
     if error:
@@ -833,7 +843,7 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
         base = f"{args.out}_point{index}{tag}"
         files = [(f"{base}.qasm", low)]
         if args.tomography:
-            # the circuits whose states the sweep branches in one run_branches call
+            # the circuits whose states a sweep's branch pass makes
             plan = settings_for(m)
             files += [
                 (f"{base}_setting{''.join(setting)}.qasm",

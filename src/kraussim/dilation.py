@@ -216,18 +216,28 @@ def mixed_method_purify_evolved(channel: KrausChannel, rho: DensityMatrix) -> Di
     return DilatedState(embedding, PureState(amps))
 
 
+def _spectrum(channel: KrausChannel, rho: DensityMatrix | SpectralInput) -> SpectralInput:
+    """``rho``'s :func:`spectral_input`, or ``rho`` itself if it is one: the
+    input of mixed methods 2 and 3, which a sweep decomposes once.  Its
+    dimension is checked against the channel's first."""
+    spectral = isinstance(rho, SpectralInput)
+    dim = len(rho.eigenvalues) if spectral else rho.dim
+    if dim != channel.dim:
+        raise ValueError(f"state dimension {dim} != channel dimension {channel.dim}")
+    return rho if spectral else spectral_input(rho)
+
+
 def eigenvector_dilations(
-    channel: KrausChannel, rho: DensityMatrix
+    channel: KrausChannel, rho: DensityMatrix | SpectralInput
 ) -> list[tuple[float, DilatedState]]:
     """Dilate each eigenvector of ``rho`` with weight above ``RANK_TOL``.
 
     Returns ``(eigenvalue, dilate_pure(channel, eigenvector))`` pairs in
     descending eigenvalue order; mixing their reduced states with those
-    weights gives the channel's action on ``rho``.
+    weights gives the channel's action on ``rho``.  ``rho`` may be given as
+    its :func:`spectral_input`.
     """
-    if rho.dim != channel.dim:
-        raise ValueError(f"state dimension {rho.dim} != channel dimension {channel.dim}")
-    spectral = spectral_input(rho)
+    spectral = _spectrum(channel, rho)
     return [
         (float(weight), dilate_pure(channel, PureState(spectral.eigenvectors[:, k])))
         for k, weight in enumerate(spectral.eigenvalues)
@@ -236,17 +246,16 @@ def eigenvector_dilations(
 
 
 def mixed_method_double_purification(
-    channel: KrausChannel, rho: DensityMatrix
+    channel: KrausChannel, rho: DensityMatrix | SpectralInput
 ) -> DilatedState:
     """Single pure state carrying both the spectral mixture and the channel.
 
     ``|Phi> = sum_{j,l} sqrt(r_l) (K_j |r_l>)_A (x) |l>_B (x) |j>_C`` with
     one B level per nonzero eigenvalue (rank ancilla) and one C level per
-    Kraus operator.  Eigenvalues below 1e-12 are dropped.
+    Kraus operator.  Eigenvalues below 1e-12 are dropped.  ``rho`` may be
+    given as its :func:`spectral_input`.
     """
-    if rho.dim != channel.dim:
-        raise ValueError(f"state dimension {rho.dim} != channel dimension {channel.dim}")
-    spectral = spectral_input(rho)
+    spectral = _spectrum(channel, rho)
     keep = [k for k, w in enumerate(spectral.eigenvalues) if w > RANK_TOL]
     rank = len(keep)
     d, n = channel.dim, channel.n_kraus

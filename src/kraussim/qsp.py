@@ -47,8 +47,8 @@ for the text dump and the QASM export: each multiplexor entry as a
 one-entry :class:`Multiplexor`, which is exactly a multi-controlled
 rotation, and each walk as its rotations and CX gates.
 
-The constructors of :class:`Multiplexor`, :class:`GrayWalk` and
-:class:`Circuit` check every field.  :func:`synthesize` and :func:`lower`
+The constructors of :class:`Gate`, :class:`Multiplexor`, :class:`GrayWalk`
+and :class:`Circuit` check every field.  :func:`synthesize` and :func:`lower`
 build theirs through :func:`_built`, without those per-element checks:
 rows come from ``nonzero()`` over a level's patterns, so are distinct,
 ascending and in range; a walk has the 2^t slots of the ragged layout;
@@ -120,7 +120,8 @@ class Gate:
     A CX is kind ``"x"`` with ``controls == ((c, 1),)``, c the control
     qubit and the bit an integer 1, not ``True`` or ``1.0``; every other
     gate has no controls.  ``angle`` is ignored for kind ``"x"``.  A
-    controlled rotation is a :class:`Multiplexor`.
+    controlled rotation is a :class:`Multiplexor`.  The target and a CX's
+    control are qubits: integers, not bools, and not negative.
     """
 
     kind: str
@@ -137,6 +138,11 @@ class Gate:
             and _is_integer(controls[0][1]) and controls[0][0] != self.target
         ):
             raise ValueError(f"gate {self} is not a bare gate or a CX; write a controlled rotation as a Multiplexor")
+        for q in (self.target, controls[0][0]) if controls else (self.target,):
+            if type(q) is not int and not _is_integer(q):
+                raise ValueError(f"gate {self}: qubit {q!r} is not an integer")
+            if q < 0:
+                raise ValueError(f"gate {self}: qubit {q} is negative")
 
 
 @dataclass(frozen=True)
@@ -258,15 +264,22 @@ class GrayWalk:
         return angles
 
     @property
-    def gate_count(self) -> int:
-        """``len(self.gates())``, counted without building them: on two or
-        more controls adjacent CXs differ, so all 2^target stay."""
-        rotations = len(self.angles) - self.angles.count(0.0)
-        if not rotations or self.target == 0:
-            return rotations
+    def cx_count(self) -> int:
+        """The CXs among :meth:`gates`, counted without building them: none
+        on qubit 0 or with every angle 0.0; on one control 2, or none when
+        slot 1's angle is 0.0 and its CX cancels slot 0's; on two or more
+        controls adjacent CXs differ, so all 2^target stay."""
+        if self.target == 0 or not any(self.angles):
+            return 0
         if self.target == 1:
-            return rotations + (2 if self.angles[1] != 0.0 else 0)
-        return rotations + 2**self.target
+            return 2 if self.angles[1] != 0.0 else 0
+        return 2**self.target
+
+    @property
+    def gate_count(self) -> int:
+        """``len(self.gates())``, counted without building them: its
+        rotations, one per nonzero angle, and its :attr:`cx_count`."""
+        return len(self.angles) - self.angles.count(0.0) + self.cx_count
 
 
 @dataclass(frozen=True)
@@ -316,6 +329,15 @@ class Circuit:
             for e in self.elements
         )
 
+    @property
+    def cx_count(self) -> int:
+        """The CX gates among ``gates``, counted without building them: a
+        multiplexor entry is a controlled rotation, not a CX."""
+        return sum(
+            bool(e.controls) if isinstance(e, Gate) else e.cx_count if isinstance(e, GrayWalk) else 0
+            for e in self.elements
+        )
+
 
 def _is_integer(value: object) -> bool:
     """Whether ``value`` is a Python or numpy integer and not a bool: the
@@ -339,7 +361,7 @@ def check_qubits(elements: Iterable[Gate | Multiplexor | GrayWalk], n: int, wher
     other number is not.  The message is ``where``, the first element at
     fault, then ``outside`` for a qubit out of range or ``: qubit <q> is not
     an integer``.  The one qubit check of a :class:`Circuit` and of
-    :func:`~kraussim.simulator.run_branches`' layers."""
+    the simulator's branch layers (:func:`~kraussim.simulator.branch_stack`)."""
     for e in elements:
         for q in (e.target, *[c for c, _ in e.controls]) if isinstance(e, Gate) else (e.target,):
             if not _is_integer(q):

@@ -13,13 +13,15 @@ contiguous ``(2^t, rest, 2)`` array and written back once.  Each bare gate
 and CX there goes to the per-gate kernel :func:`_apply_gate`: Ry
 multiplies every row by the transposed 2x2 in one BLAS ``zgemm`` call, Rz
 scales the columns, X swaps them and a CX swaps them on the rows where its
-control bit is set.  :func:`run_branches` runs a circuit once and carries
-its state through the tomography settings' layers, each layer's
+control bit is set.  :func:`branch_stack` carries a stack of phase-free
+states through the tomography settings' layers, each layer's
 alternatives bare gates on one qubit, as one C-contiguous array of rows,
 one state per row: per layer each alternative with gates gathers that
 qubit's pairs of every row into one scratch in the segment layout, applies
 its gates by :func:`_apply_gate` and writes them into its slot of the
-layer's one output; the alternative with none is copied into its slot.  A
+layer's one output; the alternative with none is copied into its slot.
+Each state's phase scales its block of rows last.  :func:`run_branches`
+is one circuit's :func:`run`, its phase left out, then that pass.  A
 multiplexor and a walk are both rows plus one angle per row, applied by
 :func:`_apply_level` as one stacked ``matmul`` (Ry) or one column scale
 (Rz): a multiplexor over its entry rows, and a walk over all 2^t rows as
@@ -69,6 +71,7 @@ __all__ = [
     "ReadoutModel",
     "run",
     "run_branches",
+    "branch_stack",
     "sample",
     "apply_readout_noise",
     "mitigate",
@@ -368,25 +371,29 @@ def run(circuit: Circuit) -> PureState:
     return PureState(state)
 
 
-def _layer_qubit(q: int, alternatives: Sequence[Sequence[Gate]], n: int) -> int:
-    """The one qubit that layer ``q`` acts on, 0 if no alternative has a gate.
+def _layer_qubits(layers: Sequence[Sequence[Sequence[Gate]]], n: int) -> list[int]:
+    """The one qubit that each layer acts on, 0 for a layer where no
+    alternative has a gate, checked on an n-qubit register.
 
     A layer is a non-empty list of alternatives, each a list of bare X, Ry or
     Rz gates, all on one qubit.  The gates' qubits are checked first by
     :func:`~kraussim.qsp.check_qubits`; each failure is one ValueError that
     begins ``branches: layer <q>``."""
-    where = f"branches: layer {q} "
-    gates = list(itertools.chain.from_iterable(alternatives))
-    check_qubits(gates, n, where, f"acts outside the {n}-qubit circuit")
-    if not alternatives:
-        raise ValueError(f"{where}has no alternatives")
-    for gate in gates:
-        if not isinstance(gate, Gate) or gate.controls:
-            raise ValueError(f"{where}{_label(gate)} is not a bare X, Ry or Rz")
-    qubits = sorted({int(gate.target) for gate in gates})
-    if len(qubits) > 1:
-        raise ValueError(f"{where}acts on qubits {qubits}, not on one")
-    return qubits[0] if qubits else 0
+    out = []
+    for q, alternatives in enumerate(layers):
+        where = f"branches: layer {q} "
+        gates = list(itertools.chain.from_iterable(alternatives))
+        check_qubits(gates, n, where, f"acts outside the {n}-qubit circuit")
+        if not alternatives:
+            raise ValueError(f"{where}has no alternatives")
+        for gate in gates:
+            if not isinstance(gate, Gate) or gate.controls:
+                raise ValueError(f"{where}{_label(gate)} is not a bare X, Ry or Rz")
+        qubits = sorted({int(gate.target) for gate in gates})
+        if len(qubits) > 1:
+            raise ValueError(f"{where}acts on qubits {qubits}, not on one")
+        out.append(qubits[0] if qubits else 0)
+    return out
 
 
 def _apply_layer(rows: np.ndarray, t: int, alternatives: Sequence[Sequence[Gate]], stacks: dict) -> np.ndarray:
@@ -416,26 +423,11 @@ def _apply_layer(rows: np.ndarray, t: int, alternatives: Sequence[Sequence[Gate]
     return out.reshape(-1, size)
 
 
-def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
-    """The ``(k, 2**n)`` states of ``circuit`` then one gate list per layer, rows in
-    ``itertools.product(*layers)`` order.  Row r is bit for bit
-    ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
-    ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
-    qubits.  The rows are one writable C-contiguous array, so a row sum adds as
-    over one state.
-
-    A layer is a non-empty list of alternatives of bare X, Ry or Rz gates, all on
-    one qubit t, as :func:`~kraussim.tomography.settings_for` gives them.  Every
-    layer is checked before any gate (:func:`_layer_qubit`).  The circuit's
-    elements run once through :func:`run`, its global phase left for last.  Each
-    layer is then one kernel pass over the rows so far (:func:`_apply_layer`),
-    and the last layer's output is the result.  The layers' Ry and Rz matrices
-    come from one :func:`~kraussim.qsp.rotation_stack` call per kind."""
-    n = circuit.qubit_count
-    qubits = [_layer_qubit(q, alternatives, n) for q, alternatives in enumerate(layers)]
-    # the circuit's checked fields, and its gates where already expanded
-    bare = _built(Circuit, **{**vars(circuit), "global_phase": 0.0})
-    rows = run(bare).amplitudes[None]
+def _branch(rows: np.ndarray, phases: Sequence[float], qubits: Sequence[int],
+            layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
+    """The layer pass of :func:`branch_stack` on checked input: ``layers`` on
+    the ``qubits`` that :func:`_layer_qubits` found, after the ``(P, 2**n)``
+    phase-free ``rows``, then part p's phase on its block of rows."""
     gates = [gate for alternatives in layers for chosen in alternatives for gate in chosen]
     stacks = {
         "x": itertools.repeat(None),
@@ -444,11 +436,56 @@ def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -
     }
     for t, alternatives in zip(qubits, layers):
         rows = _apply_layer(rows, t, alternatives, stacks)
-    if not layers:  # the run's own state is read-only
+    if not layers:  # the input rows stay as they are
         rows = rows.copy()
-    if circuit.global_phase != 0.0:
-        rows *= np.exp(1j * circuit.global_phase)
+    # each part's phase on its own block, as a whole-array scalar product
+    for block, phase in zip(rows.reshape(len(phases), -1, rows.shape[1]), phases):
+        if phase != 0.0:
+            block *= np.exp(1j * phase)
     return rows
+
+
+def branch_stack(states: np.ndarray, phases: Sequence[float], layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
+    """The ``(P * k, 2**n)`` rows of each of the ``(P, 2**n)`` phase-free
+    ``states`` then one gate list per layer, times its phase: part p's k rows
+    are rows ``p * k`` to ``p * k + k - 1``, in ``itertools.product(*layers)``
+    order, each multiplied by ``exp(1j * phases[p])`` last, unless that phase
+    is 0.0.  The rows are one writable C-contiguous array; ``states`` is not
+    changed.
+
+    Each part's rows are its own one-part call's, byte for byte: each layer is
+    one kernel pass over the rows so far (:func:`_apply_layer`), which treats
+    every row as on its own, and a part's phase scales its block of rows
+    alone, as one scalar product.  A layer is a non-empty list of
+    alternatives of bare X, Ry or Rz gates, all on one qubit, as
+    :func:`~kraussim.tomography.settings_for` gives them; every layer is
+    checked before any gate (:func:`_layer_qubits`), and so is the stack's
+    shape, one phase per state.  The layers' Ry and Rz matrices come from one
+    :func:`~kraussim.qsp.rotation_stack` call per kind."""
+    states = np.asarray(states, dtype=np.complex128)
+    if states.ndim != 2 or len(states) < 1 or states.shape[1] < 2 or states.shape[1] & (states.shape[1] - 1):
+        raise ValueError(f"branches: states of shape {states.shape} are not a (parts, 2^n amplitudes) stack")
+    if len(phases) != len(states):
+        raise ValueError(f"branches: {len(states)} states take one phase each, got {len(phases)}")
+    return _branch(states, phases, _layer_qubits(layers, states.shape[1].bit_length() - 1), layers)
+
+
+def run_branches(circuit: Circuit, layers: Sequence[Sequence[Sequence[Gate]]]) -> np.ndarray:
+    """The ``(k, 2**n)`` states of ``circuit`` then one gate list per layer, rows in
+    ``itertools.product(*layers)`` order.  Row r is bit for bit
+    ``run(Circuit(n, circuit.elements + chosen, circuit.global_phase))``, with
+    ``chosen`` its alternatives' gates, for the tomography settings' layers on 1 to 10
+    qubits.  The rows are one writable C-contiguous array, so a row sum adds as
+    over one state.
+
+    Every layer is checked before any gate (:func:`_layer_qubits`).  The
+    circuit's elements then run once through :func:`run`, its global phase
+    left out, and :func:`branch_stack`'s layer pass takes that one state and
+    the phase, which it applies last."""
+    qubits = _layer_qubits(layers, circuit.qubit_count)
+    # the circuit's checked fields, and its gates where already expanded
+    bare = _built(Circuit, **{**vars(circuit), "global_phase": 0.0})
+    return _branch(run(bare).amplitudes[None], (circuit.global_phase,), qubits, layers)
 
 
 def _check_shape(matrix: np.ndarray, stage: str, noun: str, keys: np.ndarray | None) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -332,6 +333,37 @@ def test_stacks_of_one_part_keep_the_sweep_bytes(name, monkeypatch):
     assert all(len({tuple(tail[:2]) for tail in np.array(tails).tolist()}) == 1 for _, _, tails in calls)
 
 
+def test_a_sweep_makes_its_input_once_per_channel_dimension(monkeypatch):
+    # the initial state depends on the channel's dimension only: a d sweep
+    # builds it once per d, a gamma sweep once, and a mixed input under
+    # methods 2 and 3 is diagonalized once per sweep, not once per point
+    builds, spectra = [], []
+    initial_density, spectral_input = cli._initial_density, cli.spectral_input
+    monkeypatch.setattr(cli, "_initial_density", lambda init, dim: builds.append(dim) or initial_density(init, dim))
+    monkeypatch.setattr(cli, "spectral_input", lambda rho: spectra.append(rho) or spectral_input(rho))
+    two_sizes = dict(_STACKED_SWEEPS["two_sizes"], sweep={"parameter": "d", "grid": [3, 3, 4, 5, 5, 6]})
+    mixed = _STACKED_SWEEPS["mixed_method_2"]
+    for config, dims, diagonalized in ((_STACKED_SWEEPS["two_sizes"], [3, 4, 5, 6], 0), (two_sizes, [3, 4, 5, 6], 0),
+                                       (_STACKED_SWEEPS["qad_readout"], [3], 0), (mixed, [2], 1),
+                                       (dict(mixed, mixed_method=3, mode="exact"), [2], 1),
+                                       (dict(mixed, mixed_method=1), [2], 0)):
+        builds.clear()
+        spectra.clear()
+        cfg = parse_config(config)
+        rows = run_experiment(cfg)
+        assert builds == dims and len(spectra) == diagonalized, config
+        assert len(rows) == len(cfg.grid) and not any(row.error for row in rows)
+    monkeypatch.undo()
+    # an exact point's row is its own one-point sweep's (a sampled point's
+    # streams are keyed by its index)
+    for config in (dict(mixed, mode="exact"), dict(mixed, mixed_method=3, mode="exact")):
+        cfg = parse_config(config)
+        expected = rows_to_csv(run_experiment(cfg))
+        points = [rows_to_csv(run_experiment(dataclasses.replace(cfg, grid=(value,)))).splitlines()[1]
+                  for value in cfg.grid]
+        assert expected.splitlines()[1:] == points
+
+
 def test_a_point_failing_in_the_stacked_measure_keeps_its_own_message(monkeypatch):
     # one point's count row drained to no shots inside the stacked mitigate:
     # the stack fails, each part is measured again as a stack of its own, and
@@ -451,10 +483,25 @@ def test_sweep_trace_keeps_the_golden_bytes(name, tmp_path):
         assert sum(part["lowered_gate_count"] for part in parts) == int(fields[8])
         for part in parts:
             assert 1 <= part["system_qubits"] < part["total_qubits"] <= 10
+            assert 0 <= part["lowered_cx_count"] <= part["lowered_gate_count"]
             assert cli.FIDELITY_FLOOR <= part["lowered_fidelity"] <= 1.0 + 1e-12
             # the embedded block keeps the mass: exactly so in exact mode, and
             # in sampled mode up to the noise on the padded levels
             assert -1e-12 <= part["leaked_mass"] <= (1e-12 if cfg.mode == "exact" else 0.1), part
+
+
+def test_sweep_trace_counts_each_parts_lowered_cx_gates(monkeypatch):
+    # a part's lowered_cx_count is its lowered circuit's CX gates, counted
+    # without expanding it
+    lowered = []
+    lower_ = cli.lower
+    monkeypatch.setattr(cli, "lower", lambda circuit: lowered.append(lower_(circuit)) or lowered[-1])
+    records = cli._sweep(parse_config(_STACKED_SWEEPS["mixed_method_2"]))
+    parts = [part for record in records for part in record.trace()["parts"]]
+    assert len(parts) == len(lowered) == 4
+    assert all("gates" not in vars(low) for low in lowered)
+    assert [part["lowered_cx_count"] for part in parts] == [sum(g.controls != () for g in low.gates) for low in lowered]
+    assert all(part["lowered_cx_count"] > 0 for part in parts)
 
 
 def test_sweep_trace_names_the_stage_that_failed(tmp_path, monkeypatch, capsys):
@@ -579,7 +626,8 @@ def test_point_mixture_decides_as_the_constructor(monkeypatch, level):
               for spectrum in ([0.7 - level, 0.3, level], [0.2, 0.8 - level, level])]
     cfg = parse_config({"channel": {"name": "hw_dephasing", "params": {"d": 3}}, "initial_state": "uniform",
                         "sweep": {"parameter": "p0", "grid": [0.5]}, "mode": "exact"})
-    [part] = cli._prepared_parts(cfg, *cli._point_input(cfg, 0.5))
+    channel, _, source = cli._point_input(cfg, 0.5, {})
+    [part] = cli._prepared_parts(cfg, channel, source)
     for weights in ([0.25, 0.75], [0.25, 0.65]):
         parts = [part._replace(weight=w) for w in weights]
         measured = iter(blocks)
@@ -1291,25 +1339,21 @@ def test_export_qasm_keeps_the_lowered_bytes(tmp_path, capsys):
 
 
 def test_export_qasm_branches_no_settings_and_keeps_the_sampled_checks(tmp_path, capsys, monkeypatch):
-    # export reads only each part's lowered circuit: it compiles each part
-    # with no settings layer, whose one row is the sweep's last, and still
-    # checks a sampled point's system qubits against the tomography limit
-    # and the readout model before any circuit is built
-    layers = []
-
-    def spy(circuit, part_layers):
-        layers.append(len(part_layers))
-        return run_branches(circuit, part_layers)
-
-    run_branches = cli.run_branches
-    monkeypatch.setattr(cli, "run_branches", spy)
+    # export reads only each part's lowered circuit: it compiles and checks
+    # each part as a sweep does, one run of the lowered circuit, and makes no
+    # branch pass; it still checks a sampled point's system qubits against
+    # the tomography limit and the readout model before any circuit is built
+    runs = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit.global_phase) or run(circuit))
+    monkeypatch.setattr(cli, "branch_stack", lambda *args: pytest.fail("branch pass in export"))
     rho = [[0.6, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]]
     cfg = {"channel": {"name": "qutrit_amplitude_damping", "params": {}}, "initial_state": {"density_matrix": rho},
            "sweep": {"parameter": "gamma", "grid": [0.4]}, "mode": "sampled", "shots": 64, "mixed_method": 2}
     assert main(["export-qasm", _config_file(tmp_path, cfg), "--out", str(tmp_path / "prep"), "--tomography"]) == 0
-    assert layers == [0, 0] and len(capsys.readouterr().out.split()) == 2 * (1 + 3**2)
+    assert runs == [0.0, 0.0] and len(capsys.readouterr().out.split()) == 2 * (1 + 3**2)
 
-    layers.clear()
+    runs.clear()
     cfg["readout"] = {"e0": [0.01, 0.02, 0.03], "e1": 0.0}
     assert main(["export-qasm", _config_file(tmp_path, cfg), "--out", str(tmp_path / "bad")]) == 1
     assert capsys.readouterr().err == "config error: readout: e0 has 3 entries, but 2 qubits are measured\n"
@@ -1320,7 +1364,7 @@ def test_export_qasm_branches_no_settings_and_keeps_the_sampled_checks(tmp_path,
     assert main(["export-qasm", _config_file(tmp_path, cfg), "--out", str(tmp_path / "big")]) == 2
     assert capsys.readouterr().err == (
         "point 0.0: tomography: 7 system qubits exceeds the sampled-tomography limit of 6 qubits (2187 settings)\n")
-    assert layers == [] and not list(tmp_path.glob("bad*")) and not list(tmp_path.glob("big*"))
+    assert runs == [] and not list(tmp_path.glob("bad*")) and not list(tmp_path.glob("big*"))
 
 
 def test_export_qasm_tomography_matches_sweep_branches(tmp_path, capsys):

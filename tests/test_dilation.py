@@ -236,6 +236,26 @@ def test_eigenvector_dilations_skip_null_eigenvalues():
         eigenvector_dilations(ch, RHO_A)
 
 
+def test_spectral_methods_take_the_input_or_its_decomposition_alike():
+    # methods 2 and 3 given rho's spectral_input, made once as a sweep does,
+    # build the same states byte for byte as given rho, and check the
+    # dimension the same way
+    rng = np.random.default_rng(2406)
+    ch = hw_dephasing(3, 0.3)
+    rho = random_density(rng, 3, rank=2)
+    spectral = spectral_input(rho)
+    for given_rho, given_spectral in ((eigenvector_dilations(ch, rho), eigenvector_dilations(ch, spectral)),
+                                      ([(1.0, mixed_method_double_purification(ch, rho))],
+                                       [(1.0, mixed_method_double_purification(ch, spectral))])):
+        assert len(given_rho) == len(given_spectral)
+        for (w1, d1), (w2, d2) in zip(given_rho, given_spectral):
+            assert w1 == w2 and d1.embedding == d2.embedding
+            assert d1.state.amplitudes.tobytes() == d2.state.amplitudes.tobytes()
+    for method in (eigenvector_dilations, mixed_method_double_purification):
+        with pytest.raises(ValueError, match="^state dimension 2 != channel dimension 3$"):
+            method(ch, spectral_input(RHO_A))
+
+
 def test_purify_evolved_ancilla_dimension():
     from kraussim.channels import depolarizing
 

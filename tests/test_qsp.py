@@ -317,7 +317,7 @@ def test_lower_matches_reference_on_hand_built_circuits(n):
 
 
 @pytest.mark.parametrize("bad", [
-    Gate("ry", 0.3, -1),  # a negative target
+    qsp._built(Gate, kind="ry", angle=0.3, target=-1, controls=()),  # a negative target, built past Gate's check
     Gate("x", 0.0, 3),  # a target equal to the qubit count
     Gate("x", 0.0, 1, ((4, 1),)),  # a control out of range
 ])
@@ -553,6 +553,21 @@ def test_walk_and_multiplexor_reject_a_target_that_is_not_an_integer(target):
     assert walk == GrayWalk("ry", 2, [0.1] * 4) and walk.pattern_angles().tolist() == [0.4, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("qubit, problem", [
+    (-1, "qubit -1 is negative"), (np.int64(-3), "qubit -3 is negative"),
+    (2.0, "qubit 2.0 is not an integer"), (True, "qubit True is not an integer"),
+    (np.float64(1.0), "qubit np.float64(1.0) is not an integer"),
+])
+def test_gate_rejects_a_qubit_that_is_negative_or_not_an_integer(qubit, problem):
+    # a target, or a CX's control, fails when the gate is built, with the
+    # walk's and the multiplexor's wording, not later in a circuit's check
+    for kind, angle, target, controls in (("ry", 0.1, qubit, ()), ("x", 0.0, qubit, ()), ("x", 0.0, 5, ((qubit, 1),))):
+        named = f"gate Gate(kind={kind!r}, angle={angle!r}, target={target!r}, controls={controls!r})"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{named}: {problem}')}$"):
+            Gate(kind, angle, target, controls)
+    assert Gate("x", 0.0, np.int64(1), ((np.int8(0), 1),)).controls == ((0, 1),)
+
+
 def test_gray_walk_keeps_a_tuple_and_circuit_checks_its_target():
     walk = GrayWalk("rz", 1, np.array([0.5, 0.0]))
     assert walk.angles == (0.5, 0.0) and all(type(a) is float for a in walk.angles)
@@ -668,6 +683,26 @@ def test_lowered_walk_gate_count_counts_without_expanding():
         assert count == len(circuit.gates)
     assert [w.gate_count for w in hand_built[:11]] == [1, 0, 1, 3, 4, 0, 6, 0, 1, 0, 5]
     assert [w.gate_count for w in hand_built] == [len(w.gates()) for w in hand_built]
+
+
+def test_cx_count_counts_without_expanding():
+    # random walks on 0 to 6 controls, a third of their slot angles zero, and
+    # the cases where CXs vanish: qubit 0, one control with slot 1's angle
+    # 0.0 (-0.0 too), and every angle zero
+    rng = np.random.default_rng(363)
+    walks = [GrayWalk(str(rng.choice(["ry", "rz"])), t, np.where(rng.random(2**t) < 0.3, 0.0, rng.uniform(-3, 3, 2**t)))
+             for t in range(7) for _ in range(6)]
+    walks += [GrayWalk("ry", t, angles) for t, angles in (
+        (0, [0.3]), (0, [0.0]), (1, [0.3, 0.0]), (1, [0.0, 0.3]), (1, [0.3, -0.0]), (1, [0.0, 0.0]),
+        (2, [0.0] * 4), (2, [0.0, 0.0, 0.0, 0.1]), (3, [0.2] + [0.0] * 7))]
+    for walk in walks:
+        assert walk.cx_count == sum(g.controls != () for g in walk.gates()), walk
+    assert [w.cx_count for w in walks[-9:]] == [0, 0, 0, 2, 0, 0, 0, 4, 8]
+    circuit = Circuit(7, (Gate("x", 0.0, 1, ((0, 1),)), Multiplexor("ry", 2, [1], [0.4]), *walks[:20]))
+    count = circuit.cx_count
+    assert "gates" not in vars(circuit)  # gates are built on first use only
+    assert count == sum(g.controls != () for g in circuit.gates if isinstance(g, Gate))
+    assert Circuit(2, (Multiplexor("rz", 1, [0, 1], [0.1, 0.2]),)).cx_count == 0
 
 
 def test_gate_count_counts_without_expanding():
@@ -909,11 +944,12 @@ _BAD_LOWERINGS = {
 @pytest.mark.parametrize("fault", sorted(_BAD_LOWERINGS))
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_point_fails_on_a_bad_lowering_before_any_measurement(mode, fault, monkeypatch):
-    # both modes run the lowered circuit only, and its last row's fidelity
-    # covers synthesis and lowering; only when it fails is the synthesized
-    # circuit run, and it passes, so the error names the lowering.  A global
-    # phase changes no fidelity, no Born probability and no reduced state,
-    # so neither mode can see it, and the point runs
+    # both modes run the lowered circuit, its phase left out, and the
+    # fidelity of that state times the phase covers synthesis and lowering;
+    # only when it fails is the synthesized circuit run, and it passes, so
+    # the error names the lowering, before any branch pass.  A global phase
+    # changes no fidelity, no Born probability and no reduced state, so
+    # neither mode can see it, and the point runs
     monkeypatch.setattr(cli, "lower", lambda circuit: _BAD_LOWERINGS[fault](lower(circuit)))
     cfg = cli.parse_config(dict(_QAD_POINT, mode=mode, shots=64))
     if fault == "global phase":
@@ -924,38 +960,49 @@ def test_point_fails_on_a_bad_lowering_before_any_measurement(mode, fault, monke
     measured, runs = [], []
     simulate = cli.run
     monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit) or simulate(circuit))
-    monkeypatch.setattr(cli, "sample", lambda *args: measured.append(args))
+    for name in ("branch_stack", "sample"):
+        monkeypatch.setattr(cli, name, lambda *args: measured.append(args))
     monkeypatch.setattr(cli, "partial_trace", lambda *args, **kwargs: measured.append(args))
     [row] = cli.run_experiment(cfg)
     assert row.error.startswith("lowered fidelity 0."), row.error
     assert np.isnan(row.c_measured)
-    assert measured == [] and len(runs) == 1
-    assert not any(isinstance(e, GrayWalk) for e in runs[0].elements)
+    assert measured == [] and len(runs) == 2
+    lowered, synthesized = runs
+    assert any(isinstance(e, GrayWalk) for e in lowered.elements) and lowered.global_phase == 0.0
+    assert not any(isinstance(e, GrayWalk) for e in synthesized.elements)
 
 
 def test_each_compile_mode_runs_only_the_synthesized_or_the_lowered_circuit(monkeypatch):
-    # both modes: one run_branches call of the lowered circuit per part, no
-    # settings in exact mode, and no run of the synthesized one when its
-    # check passes; exact mode's one row is the lowered circuit's run
+    # both modes: one run of the lowered circuit per part, its phase left
+    # out, and no run of the synthesized one when its check passes; sampled
+    # mode then branches the stack of its parts' states in one pass, and
+    # exact mode branches nothing
     runs, branches = [], []
-    branch = cli.run_branches
-    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit))
-    monkeypatch.setattr(cli, "run_branches", lambda *args: branches.append(args) or branch(*args))
+    simulate, branch = cli.run, cli.branch_stack
+    monkeypatch.setattr(cli, "run", lambda circuit: runs.append(circuit) or simulate(circuit))
+    monkeypatch.setattr(cli, "branch_stack", lambda *args: branches.append(args) or branch(*args))
     mixed = dict(_QAD_POINT, initial_state={"density_matrix": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]]},
                  mixed_method=2)
     for cfg, parts in ((dict(_QAD_POINT, mode="exact"), 1), (dict(mixed, mode="exact"), 3),
                        (dict(_QAD_POINT, mode="sampled", shots=64), 1), (dict(mixed, mode="sampled", shots=64), 3)):
+        runs.clear()
         branches.clear()
         [row] = cli.run_experiment(cli.parse_config(cfg))
         assert not row.error
-        assert runs == [] and len(branches) == parts
-        assert all(isinstance(e, (GrayWalk, Gate)) for c, _ in branches for e in c.elements)
+        assert len(runs) == parts
+        assert all(isinstance(e, (GrayWalk, Gate)) and c.global_phase == 0.0 for c in runs for e in c.elements)
         if cfg["mode"] == "exact":
-            assert all(layers == () for _, layers in branches)
-    # the one row of a no-settings call is the lowered circuit's run, byte for byte
-    low = lower(synthesize(random_pure(np.random.default_rng(940), 2**5)))
-    [row] = branch(low, ())
-    assert row.tobytes() == run(low).amplitudes.tobytes()
+            assert branches == []
+        else:
+            [(states, phases, layers)] = branches
+            assert states.shape == (parts, 2**4) and len(phases) == parts and layers == settings_for(2).layers
+    # the compiled state times the phase is the lowered circuit's run, byte
+    # for byte, and so is the one row of a no-settings run_branches call
+    target = random_pure(np.random.default_rng(940), 2**5)
+    _, low, state, prepared, _ = cli._compile(target)
+    assert low.global_phase != 0.0
+    assert prepared.tobytes() == run(low).amplitudes.tobytes() == run_branches(low, ())[0].tobytes()
+    assert (state * np.exp(1j * low.global_phase)).tobytes() == prepared.tobytes()
 
 
 def test_synth_exits_2_on_a_bad_lowering(monkeypatch, capsys):

@@ -29,9 +29,9 @@ from helpers import (
     seed_sequence_rng,
     stub_gate_kernels,
 )
-from kraussim.channels import hw_dephasing
+from kraussim.channels import hw_dephasing, qutrit_amplitude_damping
 from kraussim.dilation import dilate_pure, embed_qudits, mixed_method_double_purification
-from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron
+from kraussim.numerics import MAX_DIM, MAX_QUBITS, PureState, kron, uniform_state
 from kraussim.qsp import (
     Circuit,
     Gate,
@@ -47,6 +47,7 @@ from kraussim.simulator import (
     ReadoutModel,
     ShotCounts,
     apply_readout_noise,
+    branch_stack,
     derive_keys,
     derive_rng,
     mitigate,
@@ -1212,6 +1213,40 @@ def test_branched_settings_equal_full_runs_bit_for_bit():
                 assert row.tobytes() == full[rotations], (n, kind, m, rotations)
 
 
+def test_a_stacked_branch_pass_gives_each_part_its_own_rows():
+    # qad_readout's preparations at gamma 0, 0.5 and 1, which lower to 2, 4
+    # and 2 walks, and a complex target with a nonzero phase: one pass over
+    # the stack of their phase-free states gives each part's rows byte for
+    # byte as its own run_branches call, phase applied last, and leaves the
+    # stack as it was.  No kernel_bytes marker: stacking must not depend on
+    # the BLAS kernel or the SIMD level.
+    targets = [embed_qudits(dilate_pure(qutrit_amplitude_damping(gamma), uniform_state(3))) for gamma in (0.0, 0.5, 1.0)]
+    targets.append(random_pure(np.random.default_rng(1228), 16))
+    lowered = [lower(synthesize(target)) for target in targets]
+    assert [sum(isinstance(e, GrayWalk) for e in low.elements) for low in lowered[:3]] == [2, 4, 2]
+    phases = [low.global_phase for low in lowered]
+    assert phases[:3] == [0.0, 0.0, 0.0] and phases[3] != 0.0
+    states = np.stack([run(Circuit(low.qubit_count, low.elements)).amplitudes for low in lowered])
+    before = states.tobytes()
+    for m in (1, 2, 3, 4):
+        layers = settings_for(m).layers
+        rows = branch_stack(states, phases, layers)
+        assert rows.shape == (len(lowered) * 3**m, 16) and rows.flags.c_contiguous and rows.flags.writeable
+        for block, low in zip(rows.reshape(len(lowered), 3**m, 16), lowered):
+            assert block.tobytes() == run_branches(low, layers).tobytes(), (m, low.global_phase)
+    # without layers each part's one row is its state times its phase
+    rows = branch_stack(states, phases, ())
+    for row, low in zip(rows, lowered):
+        assert row.tobytes() == run(low).amplitudes.tobytes()
+    assert states.tobytes() == before
+    with pytest.raises(ValueError, match=r"^branches: states of shape \(16,\) are not a \(parts, 2\^n amplitudes\) stack$"):
+        branch_stack(states[0], phases[:1], ())
+    with pytest.raises(ValueError, match=r"^branches: 4 states take one phase each, got 3$"):
+        branch_stack(states, phases[:3], ())
+    with pytest.raises(ValueError, match=r"^branches: layer 4 gate .* acts outside the 4-qubit circuit$"):
+        branch_stack(states, phases, settings_for(5).layers)
+
+
 def test_run_branches_rejects_bad_input_before_any_gate(monkeypatch):
     applied = stub_gate_kernels(monkeypatch)
     # layer 0 is valid, so a check made layer by layer would apply the
@@ -1246,13 +1281,13 @@ def test_run_branches_rejects_a_layer_outside_the_contract_before_any_gate(monke
 def test_non_integer_qubits_are_rejected_before_any_gate(monkeypatch):
     # a float control, a float target and bool targets: the circuit check and
     # run_branches' layer check name the element; Python and numpy integers
-    # are qubits.  A multiplexor's constructor rejects a bool target itself,
-    # so one is built past it here
+    # are qubits.  A gate's and a multiplexor's constructors reject such a
+    # qubit themselves, so each is built past them here
     applied = stub_gate_kernels(monkeypatch)
     for bad, qubit in (
-        (Gate("x", 0.0, 1, ((0.5, 1),)), "0.5"),
-        (Gate("ry", 0.3, 0.5), "0.5"),
-        (Gate("x", 0.0, True), "True"),
+        (qsp._built(Gate, kind="x", angle=0.0, target=1, controls=((0.5, 1),)), "0.5"),
+        (qsp._built(Gate, kind="ry", angle=0.3, target=0.5, controls=()), "0.5"),
+        (qsp._built(Gate, kind="x", angle=0.0, target=True, controls=()), "True"),
         (qsp._built(Multiplexor, kind="ry", target=True, rows=(1,), angles=(0.2,)), "True"),
     ):
         label = f"gate {bad}" if isinstance(bad, Gate) else str(bad)
